@@ -143,8 +143,14 @@ func (l *Layout) String() string {
 }
 
 // PilotMeasurement is the strength of one cell's pilot as seen by a mobile.
+// Slot is the index of the measured cell in the gain slice the set was built
+// from: the cell itself for the full-scan kernels, its position in the
+// candidate window for the windowed ones, so a consumer reads the cell's
+// gain as gains[p.Slot] without searching the window. Both indices are
+// int32 to keep the struct at 32 bytes.
 type PilotMeasurement struct {
-	Cell   int
+	Cell   int32
+	Slot   int32
 	EcIo   float64 // linear Ec/Io (pilot chip energy over total received density)
 	EcIoDB float64
 	GainDB float64 // link gain (path loss + shadowing) used to form the pilot
@@ -175,7 +181,8 @@ func PilotSetInto(dst []PilotMeasurement, gains []float64, pilotFraction, txPowe
 		ec := pilotFraction * txPower * g
 		ecio := ec / total
 		dst = append(dst, PilotMeasurement{
-			Cell:   k,
+			Cell:   int32(k),
+			Slot:   int32(k),
 			EcIo:   ecio,
 			EcIoDB: 10 * math.Log10(math.Max(ecio, 1e-30)),
 			GainDB: 10 * math.Log10(math.Max(g, 1e-30)),
@@ -215,7 +222,7 @@ func ActiveSetInto(dst []int, pilots []PilotMeasurement, addThresholdDB, minEcIo
 			continue
 		}
 		if best-p.EcIoDB <= addThresholdDB {
-			dst = append(dst, p.Cell)
+			dst = append(dst, int(p.Cell))
 		}
 	}
 	return dst
@@ -238,8 +245,8 @@ func ReducedActiveSetInto(dst []int, pilots []PilotMeasurement, activeSet []int)
 	dst = dst[:0]
 	for _, p := range pilots { // pilots already sorted by strength
 		for _, c := range activeSet {
-			if c == p.Cell {
-				dst = append(dst, p.Cell)
+			if c == int(p.Cell) {
+				dst = append(dst, c)
 				break
 			}
 		}

@@ -777,6 +777,21 @@ func TestReadyzAfterClose(t *testing.T) {
 	}
 }
 
+// TestCreateJobRepliesQueued pins the submission reply to the job's state
+// at enqueue time. Each job goes to an idle single-worker server, so the
+// worker is parked on the queue and may start the job before the handler
+// writes its 202; the reply must still say queued (the submit helper
+// checks it), never running.
+func TestCreateJobRepliesQueued(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	for i := 0; i < 50; i++ {
+		id := submit(t, ts, quickRunSpec)
+		if st := waitTerminal(t, ts, id); st.State != StateDone {
+			t.Fatalf("job %s settled as %s (error %q), want done", id, st.State, st.Error)
+		}
+	}
+}
+
 // TestChaosPanicFailsJobNotServer injects a worker panic and checks the
 // containment contract: the job settles as failed with the panic message,
 // and the server keeps serving — the next job on the same (single) worker

@@ -134,7 +134,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	for _, u := range e.users {
 		cw.Int(len(u.pilots))
 		for _, pm := range u.pilots {
-			cw.Int(pm.Cell)
+			cw.Int(int(pm.Cell))
 			cw.F64(pm.EcIo)
 			cw.F64(pm.EcIoDB)
 			cw.F64(pm.GainDB)
@@ -406,14 +406,27 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 		}
 		u.pilots = u.pilots[:0]
 		for i := 0; i < np; i++ {
+			cell := rd.Int()
 			// Keyed composite-literal operands evaluate in lexical order, so
-			// the four reads land in the fields they were written from.
-			u.pilots = append(u.pilots, cellular.PilotMeasurement{
-				Cell:   rd.Int(),
+			// the three reads land in the fields they were written from.
+			pm := cellular.PilotMeasurement{
 				EcIo:   rd.F64(),
 				EcIoDB: rd.F64(),
 				GainDB: rd.F64(),
-			})
+			}
+			// The slot is not stored: it is the cell itself on the full scan
+			// and the cell's position in the (already restored) window row
+			// on the windowed path.
+			slot := cell
+			if cell >= 0 && cell < nCells && e.winB != nil {
+				slot = cellular.FindCell(u.cand, int32(cell))
+			}
+			if cell < 0 || cell >= nCells || slot < 0 {
+				rd.Fail("user %d pilot cell %d outside the cells 0..%d or the user's window", u.id, cell, nCells-1)
+				break
+			}
+			pm.Cell, pm.Slot = int32(cell), int32(slot)
+			u.pilots = append(u.pilots, pm)
 		}
 		u.active = append(u.active[:0], rd.Ints()...)
 		u.reduced = append(u.reduced[:0], rd.Ints()...)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"jabasd/internal/cellular"
 	"jabasd/internal/fault"
 	"jabasd/internal/trace"
 )
@@ -358,5 +359,97 @@ func TestCheckpointCorruptionNeverPanicsOrMisRestores(t *testing.T) {
 		if try(blob[:cut]) == nil {
 			t.Fatalf("truncation to %d bytes (of %d) not detected", cut, len(blob))
 		}
+	}
+}
+
+// resumeEngine restores blob under its own configuration.
+func resumeEngine(t *testing.T, blob []byte) *Engine {
+	t.Helper()
+	c, err := ReadCheckpoint(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := c.Resume(c.Config())
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	t.Cleanup(e.Close)
+	return e
+}
+
+// TestResumeRebuildsPilotSlots: the checkpoint does not store pilot slots,
+// so a resumed windowed engine must rebuild each one from the restored
+// window — every pilot's Slot must be its cell's position in the user's
+// candidate list, exactly where the frame-coherent kernel will read it.
+func TestResumeRebuildsPilotSlots(t *testing.T) {
+	e := resumeEngine(t, checkpointBlob(t, resumeScenarios()["city-tiled-fast"]))
+	checked := 0
+	for _, u := range e.users {
+		for i, pm := range u.pilots {
+			if want := cellular.FindCell(u.cand, pm.Cell); int(pm.Slot) != want {
+				t.Fatalf("user %d pilot %d (cell %d): slot %d, window position %d", u.id, i, pm.Cell, pm.Slot, want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no resumed user carries pilots; the check is vacuous")
+	}
+}
+
+// TestResumeRefusesBadPilotCell: a checkpoint whose stored pilot cell is
+// outside the map, or (windowed) outside the user's window, must be refused
+// — not restored with a truncated cell or a slot pointing at another cell's
+// gain. The blobs are written by a real engine after the pilot is
+// corrupted in memory, so every section's framing is intact and only the
+// pilot check can catch the damage.
+func TestResumeRefusesBadPilotCell(t *testing.T) {
+	outsideWindow := func(u *dataUser, nCells int) int32 {
+		for c := int32(0); c < int32(nCells); c++ {
+			if cellular.FindCell(u.cand, c) < 0 {
+				return c
+			}
+		}
+		t.Fatal("window covers every cell")
+		return 0
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		bad  func(u *dataUser, nCells int) int32
+	}{
+		{"full-scan cell past the map", tinyConfig(), func(_ *dataUser, n int) int32 { return int32(n) }},
+		{"full-scan negative cell", tinyConfig(), func(*dataUser, int) int32 { return -1 }},
+		{"windowed cell past the map", resumeScenarios()["city-tiled-fast"], func(_ *dataUser, n int) int32 { return int32(n) }},
+		{"windowed cell outside the window", resumeScenarios()["city-tiled-fast"], outsideWindow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := resumeEngine(t, checkpointBlob(t, tc.cfg))
+			var u *dataUser
+			for _, cand := range e.users {
+				if len(cand.pilots) > 0 {
+					u = cand
+					break
+				}
+			}
+			if u == nil {
+				t.Fatal("no user carries pilots")
+			}
+			u.pilots[len(u.pilots)-1].Cell = tc.bad(u, e.layout.NumCells())
+			var buf bytes.Buffer
+			if err := e.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			c, err := ReadCheckpoint(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eB, err := c.Resume(c.Config()); err == nil {
+				eB.Close()
+				t.Fatal("checkpoint with a bad pilot cell resumed")
+			} else if !strings.Contains(err.Error(), "pilot cell") {
+				t.Fatalf("refused for the wrong reason: %v", err)
+			}
+		})
 	}
 }

@@ -703,7 +703,7 @@ func (e *Engine) finishMeasurements(u *dataUser) {
 	u.reduced = cellular.ReducedActiveSetInto(u.reduced, u.pilots, u.active)
 	if len(u.reduced) == 0 {
 		// Degenerate coverage hole: fall back to the strongest cell.
-		u.reduced = append(u.reduced, u.pilots[0].Cell)
+		u.reduced = append(u.reduced, int(u.pilots[0].Cell))
 	}
 	u.hostCell = u.reduced[0]
 
@@ -1114,7 +1114,7 @@ func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) bool {
 				if i >= measurement.SCRMMaxPilots {
 					break
 				}
-				u.scrm.Set(pm.Cell, pm.EcIo)
+				u.scrm.Set(int(pm.Cell), pm.EcIo)
 			}
 			s.rev = append(s.rev, measurement.ReverseRequest{
 				UserID:       u.id,

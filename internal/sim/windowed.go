@@ -8,13 +8,16 @@ package sim
 // (channel.Window carries the shadowing state of cells that stay). All
 // downstream admission code is untouched: pilots, active and reduced sets
 // carry global cell indices exactly as before; only the gain lookups here
-// go through the slot map. When the window covers every cell (PilotCells >=
+// go through the slot map, and each pilot entry carries its window slot —
+// rebuilt when the window retargets and on checkpoint restore — so those
+// lookups need no search. When the window covers every cell (PilotCells >=
 // the cell count) the candidate list is the identity, Retarget no-ops after
 // the first frame and the arithmetic — including the order of the Io and
 // interference summations — is bit-identical to the full-scan paths, which
 // TestWindowedFullWidthIdentity locks in.
 
 import (
+	"fmt"
 	"math"
 
 	"jabasd/internal/cellular"
@@ -95,16 +98,16 @@ func (e *Engine) updateUserFastWin(u *dataUser, dt float64) {
 }
 
 // finishMeasurementsWin is finishMeasurements with the gain lookups routed
-// through the slot map: the interference total sums the window's cells only
+// through the window: the interference total sums the window's cells only
 // (ascending cell order, like the full scan restricted to the window) and
-// each reduced-set cell's gain is found by binary search over the candidate
-// list. Reduced-set cells are always in the window — they come from the
-// window's own pilot set.
+// each reduced-set cell's gain is read at the slot its pilot entry carries.
+// Reduced-set cells are always in the window — they come from the window's
+// own pilot set.
 func (e *Engine) finishMeasurementsWin(u *dataUser) {
 	u.reduced = cellular.ReducedActiveSetInto(u.reduced, u.pilots, u.active)
 	if len(u.reduced) == 0 {
 		// Degenerate coverage hole: fall back to the strongest cell.
-		u.reduced = append(u.reduced, u.pilots[0].Cell)
+		u.reduced = append(u.reduced, int(u.pilots[0].Cell))
 	}
 	u.hostCell = u.reduced[0]
 
@@ -118,14 +121,14 @@ func (e *Engine) finishMeasurementsWin(u *dataUser) {
 		}
 		interference += nominalOtherCellActivity * e.cfg.MaxCellPowerW * u.gain[s]
 	}
-	hostGain := u.gain[cellular.FindCell(u.cand, host)]
+	hostGain := u.gain[u.pilotSlot(u.hostCell)]
 	u.geometry = e.cfg.MaxCellPowerW * hostGain / interference
 	u.meanCSIdB = mathx.DB(u.geometry) + schCSIOffsetDB
 
 	cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
 	u.fchPower.Reset()
 	for _, k := range u.reduced {
-		g := u.gain[cellular.FindCell(u.cand, int32(k))]
+		g := u.gain[u.pilotSlot(k)]
 		req := e.ebioTarget * interference / (g * e.fchPG)
 		u.fchPower.Set(k, math.Min(req, cap))
 	}
@@ -134,9 +137,22 @@ func (e *Engine) finishMeasurementsWin(u *dataUser) {
 	revTx := e.ebioTarget * nominalL / (hostGain * e.fchPG)
 	u.revFCHRx.Reset()
 	for _, k := range u.reduced {
-		g := u.gain[cellular.FindCell(u.cand, int32(k))]
+		g := u.gain[u.pilotSlot(k)]
 		u.revFCHRx.Set(k, revTx*g/e.cfg.NoiseW)
 	}
 
 	u.macM.AdvanceTo(e.now)
+}
+
+// pilotSlot returns the window slot of cell k from the user's pilot entry
+// for it. Only reduced-set cells are looked up, and the reduced set is a
+// prefix of the strength-sorted pilots (the active set is: both add rules
+// are monotone in Ec/Io), so the scan ends within the first two entries.
+func (u *dataUser) pilotSlot(k int) int {
+	for i := range u.pilots {
+		if int(u.pilots[i].Cell) == k {
+			return int(u.pilots[i].Slot)
+		}
+	}
+	panic(fmt.Sprintf("sim: user %d has no pilot for reduced-set cell %d", u.id, k))
 }

@@ -35,19 +35,24 @@ func Ordered(n, parallel int, run func(i int) error, emit func(i int) error) err
 	}
 	sem := make(chan struct{}, parallel)
 	stop := make(chan struct{}) // closed on failure: queued tasks skip running
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer close(done[i])
+	// One dispatcher takes the slots in input order, so task i starts no
+	// later than any task after it: otherwise a task that loses the race
+	// for a slot could run last and hold back every emit.
+	go func() {
+		for i := 0; i < n; i++ {
 			sem <- struct{}{}
-			defer func() { <-sem }()
-			select {
-			case <-stop:
-				return // a predecessor already failed; this result would be discarded
-			default:
-			}
-			errs[i] = run(i)
-		}(i)
-	}
+			go func(i int) {
+				defer close(done[i])
+				defer func() { <-sem }()
+				select {
+				case <-stop:
+					return // a predecessor already failed; this result would be discarded
+				default:
+				}
+				errs[i] = run(i)
+			}(i)
+		}
+	}()
 	// drainFrom is called at most once, right before returning an error: it
 	// tells queued tasks not to start and waits out the in-flight ones.
 	drainFrom := func(j int) {

@@ -41,6 +41,32 @@ func TestOrderedEmitsInInputOrder(t *testing.T) {
 	}
 }
 
+// TestOrderedStartsTasksInInputOrder: tasks take their slots in input
+// order, so an early task cannot lose the race for a slot and run last,
+// holding back every emit behind it. With one slot the start order is
+// exactly the input order.
+func TestOrderedStartsTasksInInputOrder(t *testing.T) {
+	const n = 50
+	var mu sync.Mutex
+	var started []int
+	err := Ordered(n, 1,
+		func(i int) error {
+			mu.Lock()
+			started = append(started, i)
+			mu.Unlock()
+			return nil
+		},
+		func(int) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, i := range started {
+		if i != k {
+			t.Fatalf("task %d started %dth: %v", i, k, started)
+		}
+	}
+}
+
 func TestOrderedBoundsParallelism(t *testing.T) {
 	const n, bound = 40, 3
 	var inFlight, peak atomic.Int64
