@@ -1,33 +1,17 @@
-// Package shard partitions the hexagonal cell grid into contiguous tiles
-// for the city-scale frame loop: each tile owns a contiguous span of cell
-// indices — and with them those cells' admission queues, warm solver
-// clones, measurement-region caches and grant buffers — so the per-frame
-// measure+solve phase fans the tiles over a worker pool with no shared
-// mutable state. Because the engine creates users cell by cell in index
-// order, a contiguous cell span also owns a contiguous user-id range.
-//
-// Tiles are not isolated: a cell's admissible region reads the frame-start
-// interference ledger of its users' reduced-active-set and SCRM-reported
-// neighbour cells, some of which belong to adjacent tiles. Halo computes
-// exactly that import set per tile — the cells outside the tile within the
-// interference radius of any of its cells — which is the only cross-tile
-// state a tile consumes, and it consumes it read-only from the immutable
-// frame-start snapshot; grants are committed sequentially in global cell
-// order at the frame boundary (the "halo exchange").
+// Package shard partitions the hexagonal cell grid into contiguous tiles:
+// balanced spans of cell indices. A tile is the grain of the city-scale
+// snapshot frame loop's solve fan-out — each pool task solves the queued
+// cells of one span — and nothing more: scheduler clones and scratch belong
+// to the pool workers, the region cache is engine-wide, and every cell
+// reads the same immutable frame-start load ledger. Because the engine
+// creates users cell by cell in index order, a contiguous cell span also
+// covers a contiguous user-id range.
 package shard
 
-import "jabasd/internal/cellular"
-
-// Span is a half-open range of cell indices [Lo, Hi) owned by one tile.
+// Span is a half-open range of cell indices [Lo, Hi) covered by one tile.
 type Span struct {
 	Lo, Hi int
 }
-
-// Len returns the number of cells in the span.
-func (s Span) Len() int { return s.Hi - s.Lo }
-
-// Contains reports whether the span owns cell k.
-func (s Span) Contains(k int) bool { return k >= s.Lo && k < s.Hi }
 
 // Plan is a partition of cells [0, Cells) into contiguous, balanced tile
 // spans. The zero value is an empty plan.
@@ -65,50 +49,4 @@ func NewPlan(cells, tiles int) Plan {
 		lo += size
 	}
 	return p
-}
-
-// Tiles returns the number of tiles in the plan.
-func (p Plan) Tiles() int { return len(p.Spans) }
-
-// Span returns tile t's cell span.
-func (p Plan) Span(t int) Span { return p.Spans[t] }
-
-// TileOf returns the tile owning cell k (constant time, using the balanced
-// span sizes NewPlan produces).
-func (p Plan) TileOf(k int) int {
-	tiles := len(p.Spans)
-	base, rem := p.Cells/tiles, p.Cells%tiles
-	big := rem * (base + 1)
-	if k < big {
-		return k / (base + 1)
-	}
-	return rem + (k-big)/base
-}
-
-// Halo returns, for each tile, the ascending list of cells OUTSIDE the tile
-// whose site lies within radius metres of any of the tile's cell sites
-// (site-to-site distance, honouring the layout's wrap-around). With radius
-// set to the reach of the users' measurement windows (candidate radius plus
-// slack for the user's offset inside its bucket), a tile's solves read the
-// frame-start ledger only at its own cells and its halo — the cross-tile
-// interference import the tiled frame loop exchanges at frame boundaries.
-func Halo(p Plan, l *cellular.Layout, radius float64) [][]int {
-	halos := make([][]int, p.Tiles())
-	for t, span := range p.Spans {
-		var halo []int
-		for k := 0; k < p.Cells; k++ {
-			if span.Contains(k) {
-				continue
-			}
-			pos := l.Cells[k].Position
-			for j := span.Lo; j < span.Hi; j++ {
-				if l.Distance(pos, j) <= radius {
-					halo = append(halo, k)
-					break
-				}
-			}
-		}
-		halos[t] = halo
-	}
-	return halos
 }

@@ -3,8 +3,6 @@ package shard
 import (
 	"math"
 	"testing"
-
-	"jabasd/internal/cellular"
 )
 
 func TestNewPlanPartition(t *testing.T) {
@@ -18,8 +16,8 @@ func TestNewPlanPartition(t *testing.T) {
 		{1027, 8, 8},
 	} {
 		p := NewPlan(tc.cells, tc.tiles)
-		if p.Tiles() != tc.wantTiles {
-			t.Fatalf("NewPlan(%d, %d): %d tiles, want %d", tc.cells, tc.tiles, p.Tiles(), tc.wantTiles)
+		if len(p.Spans) != tc.wantTiles {
+			t.Fatalf("NewPlan(%d, %d): %d tiles, want %d", tc.cells, tc.tiles, len(p.Spans), tc.wantTiles)
 		}
 		// Spans are contiguous, ascending, cover [0, cells) exactly, and are
 		// balanced to within one cell.
@@ -29,11 +27,12 @@ func TestNewPlanPartition(t *testing.T) {
 			if s.Lo != next {
 				t.Fatalf("NewPlan(%d, %d): span %+v does not start at %d", tc.cells, tc.tiles, s, next)
 			}
-			if s.Len() < 1 {
+			n := s.Hi - s.Lo
+			if n < 1 {
 				t.Fatalf("NewPlan(%d, %d): empty span %+v", tc.cells, tc.tiles, s)
 			}
-			minLen = min(minLen, s.Len())
-			maxLen = max(maxLen, s.Len())
+			minLen = min(minLen, n)
+			maxLen = max(maxLen, n)
 			next = s.Hi
 		}
 		if next != tc.cells {
@@ -42,69 +41,11 @@ func TestNewPlanPartition(t *testing.T) {
 		if maxLen-minLen > 1 {
 			t.Fatalf("NewPlan(%d, %d): unbalanced spans (min %d, max %d)", tc.cells, tc.tiles, minLen, maxLen)
 		}
-		for k := 0; k < tc.cells; k++ {
-			if ti := p.TileOf(k); !p.Span(ti).Contains(k) {
-				t.Fatalf("NewPlan(%d, %d): TileOf(%d) = %d, span %+v does not contain it",
-					tc.cells, tc.tiles, k, ti, p.Span(ti))
-			}
-		}
 	}
 }
 
 func TestNewPlanEmpty(t *testing.T) {
-	if p := NewPlan(0, 4); p.Tiles() != 0 {
+	if p := NewPlan(0, 4); len(p.Spans) != 0 {
 		t.Fatalf("NewPlan(0, 4) = %+v, want empty", p)
-	}
-}
-
-func TestHalo(t *testing.T) {
-	l := cellular.NewHexLayout(2, 1000, true)
-	interSite := math.Sqrt(3) * l.CellRadius
-	radius := 1.1 * interSite
-	p := NewPlan(l.NumCells(), 3)
-	halos := Halo(p, l, radius)
-	if len(halos) != p.Tiles() {
-		t.Fatalf("Halo returned %d tiles, want %d", len(halos), p.Tiles())
-	}
-	for t2, halo := range halos {
-		span := p.Span(t2)
-		seen := map[int]bool{}
-		for i, k := range halo {
-			if span.Contains(k) {
-				t.Fatalf("tile %d halo contains own cell %d", t2, k)
-			}
-			if seen[k] {
-				t.Fatalf("tile %d halo repeats cell %d", t2, k)
-			}
-			seen[k] = true
-			if i > 0 && halo[i-1] >= k {
-				t.Fatalf("tile %d halo not ascending: %v", t2, halo)
-			}
-		}
-		// Brute-force definition check: outside cell within radius of some
-		// span cell <=> in the halo.
-		for k := 0; k < p.Cells; k++ {
-			if span.Contains(k) {
-				continue
-			}
-			want := false
-			for j := span.Lo; j < span.Hi; j++ {
-				if l.Distance(l.Cells[k].Position, j) <= radius {
-					want = true
-					break
-				}
-			}
-			if want != seen[k] {
-				t.Fatalf("tile %d: cell %d halo membership = %v, want %v", t2, k, seen[k], want)
-			}
-		}
-		if len(halo) == 0 {
-			t.Fatalf("tile %d: expected a non-empty halo at radius %.0f m", t2, radius)
-		}
-	}
-	// A single tile owns everything: nothing to import.
-	whole := Halo(NewPlan(l.NumCells(), 1), l, radius)
-	if len(whole) != 1 || len(whole[0]) != 0 {
-		t.Fatalf("single-tile halo = %v, want one empty set", whole)
 	}
 }

@@ -110,7 +110,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	}
 
 	// Scheduler stream state: only the sequential-mode Random scheduler
-	// carries a semantic stream across frames (snapshot/tiled workers reseed
+	// carries a semantic stream across frames (snapshot workers reseed
 	// per (frame, cell) via core.CellSeeder, so their clones hold none).
 	cw.Section("sched")
 	if r, ok := e.scheduler.(*core.Random); ok && e.cfg.FrameMode.normalize() == FrameSequential {

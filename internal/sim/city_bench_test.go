@@ -25,7 +25,7 @@ func cityConfig() Config {
 // FrameParallel tracks the tile count, so tiles-1 is the single-core
 // baseline and tiles-8 is the eight-way fan-out of the same byte-identical
 // computation: the ratio of the two frames/sec numbers is the multicore
-// scaling the tile/halo decomposition exists for. Engine construction
+// scaling the tile fan-out exists for. Engine construction
 // (populating ~123k users) happens outside the timer; the loop drives
 // whole frames through the same step() the Run loop calls.
 func BenchmarkCityTiles(b *testing.B) {

@@ -213,13 +213,14 @@ type Config struct {
 	// in sequential mode.
 	FrameParallel int
 	// Tiles shards the hex grid into that many contiguous tiles (see
-	// internal/shard): each tile owns its cells' queues, warm solver clone,
-	// region cache and grant buffers, and the snapshot measure+solve phase
-	// fans out one task per tile instead of one per active cell. Values
-	// above the cell count are clamped; 0 (the default) keeps the untiled
-	// per-cell fan-out. Requires the snapshot frame mode. Like
-	// FrameParallel it never affects the results: metrics and traces are
-	// byte-identical for any tile count, including 0.
+	// internal/shard), and the snapshot measure+solve phase fans out one
+	// task per tile — the tile's queued cells, solved in order — instead of
+	// one per active cell. A tile is only the fan-out grain: scheduler
+	// clones and scratch belong to the pool workers and the region cache is
+	// engine-wide. Values above the cell count are clamped; 0 (the default)
+	// keeps the untiled per-cell fan-out. Requires the snapshot frame
+	// mode. Like FrameParallel it never affects the results: metrics and
+	// traces are byte-identical for any tile count, including 0.
 	Tiles int
 	// PilotCells bounds each user's measurement window to the nearest
 	// PilotCells cells of its spatial-grid bucket (see internal/spatial):

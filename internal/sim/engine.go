@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/channel"
@@ -141,8 +142,9 @@ type Engine struct {
 	winB *channel.Window
 
 	// incr caches per-cell admissible regions across frames (fast path
-	// only; the exact reference path always rebuilds). Safe to share across
-	// snapshot workers: a cell is solved by exactly one worker per frame.
+	// only; the exact reference path always rebuilds). One cache serves
+	// every frame mode, worker count and tiling: a cell is solved by exactly
+	// one worker per frame, so workers never touch the same entry.
 	incr *measurement.IncrementalRegions
 
 	// Per-run constants hoisted out of the per-user frame loop. The exact
@@ -158,27 +160,20 @@ type Engine struct {
 	// the configured direction. Allocated once, refilled every frame.
 	loads *load.Ledger
 
-	// regionB reuses the admissible-region row storage across frames
-	// (sequential mode; snapshot workers carry their own builders).
-	regionB measurement.RegionBuilder
-
-	// admitScratch holds the per-cell admission working set, reused across
-	// cells and frames so the admission loop does not allocate.
-	admitScratch admitScratch
-
-	// Snapshot frame mode state, nil/empty in sequential mode: the solve
-	// phase's worker pool (nil when FrameParallel == 1), the per-worker
-	// scratch, and the per-frame active-cell and grant buffers.
-	pool    *stream.Pool
-	workers []*frameWorker
-	active  []int
-	grants  []cellGrants
-
-	// Tiled snapshot mode (Tiles > 0): the contiguous cell partition and
-	// the per-tile ownership state replacing workers/active/grants — see
-	// tiled.go. The solve phase then fans out one task per tile.
-	plan  shard.Plan
-	tiles []*simTile
+	// Admission state (see admit). workers holds one frameWorker per pool
+	// worker (one when the solve phase runs inline); in sequential mode
+	// workers[0] runs e.scheduler itself. active lists the frame's cells
+	// with queued requests and grants holds one outcome slot per active
+	// cell. tileEnds, set when Tiles > 0, holds the shard.Plan span ends the
+	// snapshot fan-out splits its tasks at; taskEnds is the per-frame task
+	// partition of active. pool is the solve and user-update fan-out (nil
+	// in sequential mode and when FrameParallel == 1).
+	pool     *stream.Pool
+	workers  []*frameWorker
+	active   []int
+	grants   []cellGrants
+	tileEnds []int
+	taskEnds []int
 
 	// Telemetry, nil/empty when cfg.Trace is unset: the recorder wrapping
 	// the configured sink and the per-cell frame counters, reset every
@@ -248,18 +243,21 @@ type admitScratch struct {
 	region measurement.Region
 }
 
-// frameWorker owns the mutable state one snapshot-phase worker needs so the
+// frameWorker owns the mutable state one admission worker needs so
 // concurrent solves never share anything: scratch buffers, a region builder
-// and a scheduler instance cloned from the engine's (see core.Cloner).
+// and a scheduler instance (a core.Cloner clone per snapshot worker).
 type frameWorker struct {
 	scratch admitScratch
 	regionB measurement.RegionBuilder
 	sched   core.Scheduler
+	// seeder is sched's per-(frame, cell) reseed hook in snapshot mode; nil
+	// in sequential mode, where the scheduler keeps one stream for the run.
+	seeder core.CellSeeder
 }
 
-// cellGrants is the outcome of one cell's solve phase, held until the
-// commit phase applies it in cell-index order. The slices are reused
-// buffers; only entries with a positive ratio are recorded.
+// cellGrants is the outcome of one cell's solve, held until commitSlot
+// applies it in cell-index order. The slices are reused buffers; only
+// entries with a positive ratio are recorded.
 type cellGrants struct {
 	cell     int
 	skipped  bool // region build or scheduler failed; counted, not granted
@@ -304,7 +302,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if j, ok := sched.(*core.JABASD); ok {
 		// Graceful degradation: bound the exact solve's node count; a capped
 		// solve falls back to the greedy schedule (see core.JABASD.NodeBudget).
-		// Clone() carries the budget, so snapshot/tiled workers degrade at
+		// Clone() carries the budget, so snapshot workers degrade at
 		// exactly the same point.
 		j.NodeBudget = cfg.SolveNodeBudget
 	}
@@ -328,9 +326,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.ebioTarget = mathx.Linear(cfg.FCHEbIoTargetDB)
 	e.addFactor = math.Pow(10, -cfg.SoftHandoffAddDB/10)
 	e.minEcIo = math.Pow(10, cfg.PilotMinEcIoDB/10)
-	if !cfg.ExactPHY && cfg.Tiles == 0 {
-		// Tiled engines skip the shared cache: each tile owns a private
-		// IncrementalRegions for its cell span (see initTiles).
+	if !cfg.ExactPHY {
 		e.incr = measurement.NewIncrementalRegions(layout.NumCells(), cfg.RegionEpsilon)
 	}
 	if cfg.PilotCells > 0 {
@@ -361,37 +357,47 @@ func NewEngine(cfg Config) (*Engine, error) {
 			Seed:         cfg.Seed,
 		})
 	}
-	if cfg.FrameMode.normalize() == FrameSnapshot {
-		cl, ok := sched.(core.Cloner)
-		if !ok {
-			return nil, fmt.Errorf("sim: scheduler %s does not implement core.Cloner, required by the snapshot frame mode (one independent instance per worker)", sched.Name())
-		}
-		if cfg.Tiles > 0 {
-			e.initTiles(cl)
-		} else {
-			e.initFrameWorkers(cl)
-		}
+	if err := e.initWorkers(); err != nil {
+		return nil, err
 	}
 	e.populate()
 	return e, nil
 }
 
-// initFrameWorkers sets up the snapshot mode's worker pool and per-worker
-// state. FrameParallel == 1 keeps the solve phase inline (no pool, no
-// goroutines) but still runs the snapshot semantics through worker 0, so
-// the output is identical to any other worker count.
-func (e *Engine) initFrameWorkers(cl core.Cloner) {
-	n := 1
+// initWorkers sets up the admission workers. Sequential mode runs one
+// worker holding e.scheduler itself. Snapshot mode gives every pool worker
+// its own scheduler clone; FrameParallel == 1 keeps the solve phase inline
+// (no pool, no goroutines) but still runs the snapshot semantics through
+// worker 0, so the output is identical to any other worker count.
+func (e *Engine) initWorkers() error {
+	n := e.layout.NumCells()
+	e.active = make([]int, 0, n)
+	e.grants = make([]cellGrants, n)
+	if e.cfg.FrameMode.normalize() != FrameSnapshot {
+		e.workers = []*frameWorker{{sched: e.scheduler}}
+		return nil
+	}
+	cl, ok := e.scheduler.(core.Cloner)
+	if !ok {
+		return fmt.Errorf("sim: scheduler %s does not implement core.Cloner, required by the snapshot frame mode (one independent instance per worker)", e.scheduler.Name())
+	}
+	workers := 1
 	if e.cfg.FrameParallel != 1 {
 		e.pool = stream.NewPool(e.cfg.FrameParallel)
-		n = e.pool.Workers()
+		workers = e.pool.Workers()
 	}
-	e.workers = make([]*frameWorker, n)
+	e.workers = make([]*frameWorker, workers)
 	for i := range e.workers {
-		e.workers[i] = &frameWorker{sched: cl.Clone()}
+		fw := &frameWorker{sched: cl.Clone()}
+		fw.seeder, _ = fw.sched.(core.CellSeeder)
+		e.workers[i] = fw
 	}
-	e.active = make([]int, 0, e.layout.NumCells())
-	e.grants = make([]cellGrants, e.layout.NumCells())
+	if e.cfg.Tiles > 0 {
+		for _, span := range shard.NewPlan(n, e.cfg.Tiles).Spans {
+			e.tileEnds = append(e.tileEnds, span.Hi)
+		}
+	}
+	return nil
 }
 
 // Close releases the snapshot-mode worker pool, if any. Run closes the
@@ -537,27 +543,25 @@ func (e *Engine) applyLoadStep() {
 }
 
 // updateVoice advances voice activity and positions. Each voice user's new
-// state is a pure function of its own previous state, so the tiled engine
-// fans the loop over the worker pool in chunks (a city preset carries tens
-// of thousands of voice users and the per-user scan would otherwise be a
-// serial Amdahl residue); elsewhere the loop stays sequential, preserving
-// the legacy paths bit for bit.
+// state is a pure function of its own previous state, so with a worker pool
+// the loop fans out in chunks (a city preset carries tens of thousands of
+// voice users) and the result is identical to the sequential loop.
 func (e *Engine) updateVoice(dt float64) {
-	if e.tiles != nil && e.pool != nil {
-		const chunk = 64
-		n := (len(e.voice) + chunk - 1) / chunk
-		e.pool.Run(n, func(_, task int) {
-			lo := task * chunk
-			hi := min(lo+chunk, len(e.voice))
-			for _, v := range e.voice[lo:hi] {
-				e.advanceVoice(v, dt)
-			}
-		})
+	if e.pool == nil {
+		for _, v := range e.voice {
+			e.advanceVoice(v, dt)
+		}
 		return
 	}
-	for _, v := range e.voice {
-		e.advanceVoice(v, dt)
-	}
+	const chunk = 64
+	n := (len(e.voice) + chunk - 1) / chunk
+	e.pool.Run(n, func(_, task int) {
+		lo := task * chunk
+		hi := min(lo+chunk, len(e.voice))
+		for _, v := range e.voice[lo:hi] {
+			e.advanceVoice(v, dt)
+		}
+	})
 }
 
 // advanceVoice advances one voice user. The serving cell is a pure function
@@ -686,7 +690,7 @@ func (e *Engine) updateUserFast(u *dataUser, dt float64) {
 	u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
 	e.finishMeasurements(u)
 	if !dirty {
-		dirty = !intSlicesEqual(u.reduced, u.prevReduced)
+		dirty = !slices.Equal(u.reduced, u.prevReduced)
 	}
 	if dirty {
 		u.ver++
@@ -742,19 +746,6 @@ func (e *Engine) finishMeasurements(u *dataUser) {
 	}
 
 	u.macM.AdvanceTo(e.now)
-}
-
-// intSlicesEqual reports a == b elementwise.
-func intSlicesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // generateTraffic advances the data sources and enqueues new burst requests.
@@ -876,53 +867,148 @@ func (e *Engine) completeBurst(b *burst) {
 	u.macM.Touch(e.now)
 }
 
-// admit runs the measurement and scheduling sub-layers for every cell, in
-// the configured frame mode. All per-cell working storage lives in the
-// admission scratch sets and region builders, and the JABA-SD schedulers
-// carry their own warm ilp.Solver/greedy scratch (cloned per worker in
-// snapshot mode), so the steady-state admission loop is allocation-free
-// through the integer programme up to the returned per-cell assignment.
+// admit runs the measurement and scheduling sub-layers for every cell with
+// queued requests, as one gather → solve → commit routine per cell
+// (solveSlot, then commitSlot) in the configured frame mode:
+//
+//   - sequential (the legacy intra-frame-coupled mode): each cell is solved
+//     and committed before the next, against the live ledger, so cell k's
+//     admissible region already reflects the grants cells before it made
+//     earlier in the same frame;
+//   - snapshot (the paper-faithful mode): every cell is solved against the
+//     immutable frame-start ledger, fanned out over the worker pool, and
+//     the grants are committed afterwards in cell-index order. No cell's
+//     solution reads another cell's grant, so the output does not depend on
+//     the worker count or tiling; the fixed commit order makes it
+//     byte-identical as well. Cells may jointly overshoot a shared budget
+//     within the frame — exactly the paper's semantics, absorbed next frame
+//     when the ledger is rebuilt from the granted bursts.
+//
+// The active cells are collected up front: a cell's gather and commit touch
+// only its own queue, and the down mask is fixed for the frame. All
+// per-cell working storage lives in the workers' scratch sets and region
+// builders, and the JABA-SD schedulers carry their own warm
+// ilp.Solver/greedy scratch, so the steady-state admission loop is
+// allocation-free through the integer programme up to the returned
+// per-cell assignment.
 func (e *Engine) admit() {
-	if e.tiles != nil {
-		e.admitTiled()
+	e.active = e.active[:0]
+	for k, q := range e.queues {
+		if q.Len() > 0 && !e.cellDown(k) {
+			e.active = append(e.active, k)
+		}
+	}
+	if len(e.active) == 0 {
 		return
 	}
-	if e.cfg.FrameMode.normalize() == FrameSnapshot {
-		e.admitSnapshot()
+	// Sequential mode: the commits below mutate this storage in place.
+	// Snapshot mode: immutable until the commit loop.
+	loads := e.loads.Values()
+	if e.cfg.FrameMode.normalize() != FrameSnapshot {
+		for i, k := range e.active {
+			e.solveSlot(e.workers[0], &e.grants[i], k, loads)
+			e.commitSlot(&e.grants[i])
+		}
 		return
 	}
-	e.admitSequential()
+	if e.pool == nil {
+		for i, k := range e.active {
+			e.solveSlot(e.workers[0], &e.grants[i], k, loads)
+		}
+	} else {
+		e.planTasks()
+		e.pool.Run(len(e.taskEnds), func(w, t int) {
+			lo := 0
+			if t > 0 {
+				lo = e.taskEnds[t-1]
+			}
+			for i := lo; i < e.taskEnds[t]; i++ {
+				e.solveSlot(e.workers[w], &e.grants[i], e.active[i], loads)
+			}
+		})
+	}
+	for i := range e.active {
+		e.commitSlot(&e.grants[i])
+	}
 }
 
-// admitSequential is the legacy intra-frame-coupled mode: cells admit in
-// index order against the live ledger, so cell k's admissible region
-// already reflects the grants cells 0..k-1 made earlier in the same frame.
-func (e *Engine) admitSequential() {
-	loads := e.loads.Values() // live: commits below mutate it in place
-	for k := 0; k < e.layout.NumCells(); k++ {
-		queue := e.queues[k]
-		if queue.Len() == 0 || e.cellDown(k) {
-			continue
+// planTasks partitions the frame's active cells into the snapshot fan-out's
+// tasks, as exclusive end indices into e.active: one task per active cell
+// untiled, one run of active cells per shard.Plan span when tiled.
+func (e *Engine) planTasks() {
+	e.taskEnds = e.taskEnds[:0]
+	if e.tileEnds == nil {
+		for i := range e.active {
+			e.taskEnds = append(e.taskEnds, i+1)
 		}
-		if !e.gatherCell(k, &e.admitScratch, loads) {
-			continue
-		}
-		assignment, err := e.solveCell(k, &e.admitScratch, &e.regionB, e.scheduler, e.incr, loads)
-		if err != nil {
-			// Skip this cell this frame rather than abort the run, but leave
-			// a trace: the queue keeps the requests, so the cell is retried
-			// next frame (noteSolve counts the recovery when it lands).
-			e.noteSolve(k, true, false)
-			e.traceSolve(k, len(e.admitScratch.reqs), true, false)
-			continue
-		}
-		e.noteSolve(k, false, assignment.Fallback)
-		e.traceSolve(k, len(e.admitScratch.reqs), false, assignment.Fallback)
-		if e.solveRec != nil {
-			e.solveRec.Emit(replay.CopyProblem(e.frame, e.now, k, e.admitScratch.reqs, e.admitScratch.region, assignment.Ratios))
-		}
-		e.commitCell(k, queue, e.admitScratch.users, assignment.Ratios)
+		return
 	}
+	i := 0
+	for _, hi := range e.tileEnds {
+		for i < len(e.active) && e.active[i] < hi {
+			i++
+		}
+		e.taskEnds = append(e.taskEnds, i)
+	}
+}
+
+// solveSlot gathers cell k's queue, reseeds a snapshot worker's scheduler
+// for the (frame, cell) pair, builds the admissible region against loads,
+// solves the cell's scheduling problem and captures the outcome in g. It
+// never writes the load ledger, so snapshot workers can run it
+// concurrently on distinct cells.
+func (e *Engine) solveSlot(fw *frameWorker, g *cellGrants, k int, loads []float64) {
+	g.cell = k
+	g.skipped = false
+	g.fallback = false
+	g.offered = 0
+	g.users = g.users[:0]
+	g.ratios = g.ratios[:0]
+	g.prob = nil
+	if !e.gatherCell(k, &fw.scratch, loads) {
+		return
+	}
+	g.offered = len(fw.scratch.reqs)
+	if fw.seeder != nil {
+		fw.seeder.SeedCell(uint64(e.frame), uint64(k))
+	}
+	assignment, err := e.solveCell(k, fw, loads)
+	if err != nil {
+		// Skip this cell this frame rather than abort the run, but leave a
+		// trace: the queue keeps the requests, so the cell is retried next
+		// frame (noteSolve counts the recovery when it lands).
+		g.skipped = true
+		return
+	}
+	g.fallback = assignment.Fallback
+	if e.solveRec != nil {
+		g.prob = replay.CopyProblem(e.frame, e.now, k, fw.scratch.reqs, fw.scratch.region, assignment.Ratios)
+	}
+	for j, m := range assignment.Ratios {
+		if m > 0 {
+			g.users = append(g.users, fw.scratch.users[j])
+			g.ratios = append(g.ratios, m)
+		}
+	}
+}
+
+// commitSlot applies one cell's captured solve outcome on the engine's
+// sequential section: telemetry, robustness counters, the solve-trace
+// record, then the grants themselves.
+func (e *Engine) commitSlot(g *cellGrants) {
+	e.traceSolve(g.cell, g.offered, g.skipped, g.fallback)
+	if g.skipped {
+		e.noteSolve(g.cell, true, false)
+		return
+	}
+	if g.offered > 0 {
+		e.noteSolve(g.cell, false, g.fallback)
+	}
+	if g.prob != nil {
+		e.solveRec.Emit(g.prob)
+		g.prob = nil
+	}
+	e.commitCell(g.cell, e.queues[g.cell], g.users, g.ratios)
 }
 
 // noteSolve folds one attempted cell-solve's outcome into the robustness
@@ -962,86 +1048,6 @@ func (e *Engine) traceSolve(cell, offered int, skipped, fallback bool) {
 		tc.solve = trace.SolveFallback
 	case offered > 0:
 		tc.solve = trace.SolveOK
-	}
-}
-
-// admitSnapshot is the paper-faithful mode: a measure+solve phase builds
-// every queued cell's admissible region and solves its scheduler ILP
-// against the immutable frame-start ledger (the previous frame's
-// measurements), fanned out over the worker pool; a commit phase then
-// applies the grants in cell-index order. No cell's solution reads another
-// cell's grant, so the solves are independent and the output does not
-// depend on the worker count; the fixed commit order makes it
-// byte-identical as well. Cells may jointly overshoot a shared budget
-// within the frame — exactly the paper's semantics, absorbed next frame
-// when the ledger is rebuilt from the granted bursts.
-func (e *Engine) admitSnapshot() {
-	e.active = e.active[:0]
-	for k := 0; k < e.layout.NumCells(); k++ {
-		if e.queues[k].Len() > 0 && !e.cellDown(k) {
-			e.active = append(e.active, k)
-		}
-	}
-	if len(e.active) == 0 {
-		return
-	}
-	loads := e.loads.Values() // immutable until the commit phase
-	solve := func(w, i int) {
-		fw := e.workers[w]
-		k := e.active[i]
-		g := &e.grants[i]
-		g.cell = k
-		g.skipped = false
-		g.fallback = false
-		g.offered = 0
-		g.users = g.users[:0]
-		g.ratios = g.ratios[:0]
-		g.prob = nil
-		if !e.gatherCell(k, &fw.scratch, loads) {
-			return
-		}
-		g.offered = len(fw.scratch.reqs)
-		if cs, ok := fw.sched.(core.CellSeeder); ok {
-			cs.SeedCell(uint64(e.frame), uint64(k))
-		}
-		assignment, err := e.solveCell(k, &fw.scratch, &fw.regionB, fw.sched, e.incr, loads)
-		if err != nil {
-			g.skipped = true
-			return
-		}
-		g.fallback = assignment.Fallback
-		if e.solveRec != nil {
-			g.prob = replay.CopyProblem(e.frame, e.now, k, fw.scratch.reqs, fw.scratch.region, assignment.Ratios)
-		}
-		for j, m := range assignment.Ratios {
-			if m > 0 {
-				g.users = append(g.users, fw.scratch.users[j])
-				g.ratios = append(g.ratios, m)
-			}
-		}
-	}
-	if e.pool != nil {
-		e.pool.Run(len(e.active), solve)
-	} else {
-		for i := range e.active {
-			solve(0, i)
-		}
-	}
-	for i := range e.active {
-		g := &e.grants[i]
-		e.traceSolve(g.cell, g.offered, g.skipped, g.fallback)
-		if g.skipped {
-			e.noteSolve(g.cell, true, false)
-			continue
-		}
-		if g.offered > 0 {
-			e.noteSolve(g.cell, false, g.fallback)
-		}
-		if g.prob != nil {
-			e.solveRec.Emit(g.prob)
-			g.prob = nil
-		}
-		e.commitCell(g.cell, e.queues[g.cell], g.users, g.ratios)
 	}
 }
 
@@ -1148,15 +1154,15 @@ func (e *Engine) avgThroughputBatch(dst, csi []float64) []float64 {
 	return dst
 }
 
-// solveCell builds cell k's admissible region for the gathered requests
-// against the given ledger and solves the scheduling problem with the given
-// scheduler and region builder. On the fast path the region comes from the
-// given incremental cache (the engine-wide one in sequential/snapshot mode,
-// the owning tile's in tiled mode; rebuilt through rb only when the cell's
-// request set, measurement versions or — reverse link — involved-cell loads
-// changed); the exact reference path passes nil and always rebuilds. The
-// returned assignment indexes s.users.
-func (e *Engine) solveCell(k int, s *admitScratch, rb *measurement.RegionBuilder, sched core.Scheduler, incr *measurement.IncrementalRegions, loads []float64) (core.Assignment, error) {
+// solveCell builds cell k's admissible region for the requests gathered
+// into fw's scratch against the given ledger and solves the scheduling
+// problem with fw's scheduler and region builder. On the fast path the
+// region comes from the engine's incremental cache (rebuilt only when the
+// cell's request set, measurement versions or — reverse link —
+// involved-cell loads changed); the exact reference path always rebuilds.
+// The returned assignment indexes fw.scratch.users.
+func (e *Engine) solveCell(k int, fw *frameWorker, loads []float64) (core.Assignment, error) {
+	s, rb, incr := &fw.scratch, &fw.regionB, e.incr
 	var region measurement.Region
 	var err error
 	switch e.cfg.Direction {
@@ -1196,7 +1202,7 @@ func (e *Engine) solveCell(k int, s *admitScratch, rb *measurement.RegionBuilder
 		return core.Assignment{}, err
 	}
 	s.region = region
-	return sched.Schedule(core.Problem{
+	return fw.sched.Schedule(core.Problem{
 		Requests:  s.reqs,
 		Region:    region,
 		MaxRatio:  e.cfg.RatePlan.MaxSpreadingRatio,
@@ -1313,17 +1319,13 @@ func (e *Engine) emitTrace() {
 	}
 }
 
-// userByID finds a data user by identifier.
+// userByID finds a data user by identifier. populate and checkpoint restore
+// keep users[id].id == id, so the lookup is an index with a bounds check.
 func (e *Engine) userByID(id int) *dataUser {
-	if id >= 0 && id < len(e.users) && e.users[id].id == id {
-		return e.users[id]
+	if id < 0 || id >= len(e.users) {
+		return nil
 	}
-	for _, u := range e.users {
-		if u.id == id {
-			return u
-		}
-	}
-	return nil
+	return e.users[id]
 }
 
 // Run executes a single replication of the scenario described by cfg. The

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"jabasd/internal/core"
@@ -381,8 +382,9 @@ func TestAdmitZeroRatioAssignmentLeavesQueue(t *testing.T) {
 }
 
 // TestSnapshotSolvePhaseLeavesLedgerUntouched pins the snapshot invariant
-// the parallel solve phase relies on: gathering and solving must not write
-// the shared ledger; only the commit phase may.
+// the parallel solve phase relies on: the per-cell solve routine (gather,
+// reseed, region build, schedule, capture) must not write the shared
+// ledger; only commitSlot may.
 func TestSnapshotSolvePhaseLeavesLedgerUntouched(t *testing.T) {
 	e := newTestEngine(t, func(c *Config) {
 		c.FrameMode = FrameSnapshot
@@ -395,42 +397,112 @@ func TestSnapshotSolvePhaseLeavesLedgerUntouched(t *testing.T) {
 	u := e.users[0]
 	queueTestRequest(e, u, 100_000)
 	before := append([]float64(nil), e.loads.Values()...)
-	s := &e.workers[0].scratch
-	if !e.gatherCell(u.queuedCell, s, e.loads.Values()) {
-		t.Fatal("gather found nothing to schedule")
-	}
-	if _, err := e.solveCell(u.queuedCell, s, &e.workers[0].regionB, e.workers[0].sched, e.incr, e.loads.Values()); err != nil {
-		t.Fatal(err)
+	var g cellGrants
+	e.solveSlot(e.workers[0], &g, u.queuedCell, e.loads.Values())
+	if g.offered == 0 || g.skipped {
+		t.Fatalf("solve found nothing to schedule (offered %d, skipped %v)", g.offered, g.skipped)
 	}
 	for k, v := range e.loads.Values() {
 		if v != before[k] {
 			t.Fatalf("solve phase mutated the ledger at cell %d: %v -> %v", k, before[k], v)
 		}
 	}
+	if len(g.ratios) == 0 {
+		t.Fatal("an unloaded cell granted nothing; the commit below would test nothing")
+	}
+	e.commitSlot(&g)
+	changed := false
+	for k, v := range e.loads.Values() {
+		changed = changed || v != before[k]
+	}
+	if !changed {
+		t.Error("committing a granted slot left the ledger untouched")
+	}
 }
 
-// TestSnapshotWorkersOwnDisjointSchedulers pins the per-worker-scratch
-// contract the warm solvers lean on: every snapshot worker must hold its own
-// scheduler clone (distinct from the engine's and from every other
-// worker's), because a JABA-SD instance now carries mutable ILP solver
-// arenas that would race if shared across the solve fan-out.
+// TestSnapshotWorkersOwnDisjointSchedulers pins the per-worker ownership
+// the warm solvers lean on: every snapshot engine holds exactly one
+// scheduler clone per pool worker — distinct from the engine's and from
+// every other worker's, because a JABA-SD instance carries mutable ILP
+// solver arenas that would race if shared across the solve fan-out — and
+// tiling adds none: a tile is only the fan-out grain.
 func TestSnapshotWorkersOwnDisjointSchedulers(t *testing.T) {
-	e := newTestEngine(t, func(cfg *Config) {
-		cfg.FrameMode = FrameSnapshot
-		cfg.FrameParallel = 4
-	})
-	defer e.Close()
-	if len(e.workers) < 2 {
-		t.Fatalf("expected multiple workers, got %d", len(e.workers))
+	for _, tc := range []struct {
+		name           string
+		parallel, tile int
+	}{
+		{"untiled", 4, 0},
+		{"tiled", 2, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, func(cfg *Config) {
+				cfg.FrameMode = FrameSnapshot
+				cfg.FrameParallel = tc.parallel
+				cfg.Tiles = tc.tile
+			})
+			defer e.Close()
+			if e.pool == nil || len(e.workers) != e.pool.Workers() {
+				t.Fatalf("got %d workers, want one per pool worker", len(e.workers))
+			}
+			if len(e.workers) < 2 {
+				t.Fatalf("expected multiple workers, got %d", len(e.workers))
+			}
+			seen := map[core.Scheduler]bool{e.scheduler: true}
+			for i, w := range e.workers {
+				if w.sched == nil {
+					t.Fatalf("worker %d has no scheduler", i)
+				}
+				if seen[w.sched] {
+					t.Fatalf("worker %d shares a scheduler instance with the engine or another worker", i)
+				}
+				seen[w.sched] = true
+			}
+			if e.incr == nil {
+				t.Error("fast-path engine has no region cache")
+			}
+		})
 	}
-	seen := map[core.Scheduler]bool{e.scheduler: true}
-	for i, w := range e.workers {
-		if w.sched == nil {
-			t.Fatalf("worker %d has no scheduler", i)
+}
+
+// TestSequentialWorkerRunsEngineScheduler pins the sequential mode's one
+// admission worker: it runs e.scheduler itself, never a clone, and never
+// reseeds it per (frame, cell), so a stateful scheduler keeps one stream
+// across the run (the stream the checkpoint stores).
+func TestSequentialWorkerRunsEngineScheduler(t *testing.T) {
+	e := newTestEngine(t, func(cfg *Config) { cfg.Scheduler = SchedulerRandom })
+	if len(e.workers) != 1 || e.workers[0].sched != e.scheduler {
+		t.Fatalf("sequential engine has %d workers, want one running e.scheduler", len(e.workers))
+	}
+	if e.workers[0].seeder != nil {
+		t.Error("sequential worker reseeds its scheduler per (frame, cell)")
+	}
+	if e.pool != nil {
+		t.Error("sequential engine started a worker pool")
+	}
+}
+
+// TestPlanTasksGrain pins the snapshot fan-out grain: untiled, one task per
+// active cell; tiled, one task per shard.Plan span — empty spans included —
+// each covering exactly the span's active cells.
+func TestPlanTasksGrain(t *testing.T) {
+	for _, tc := range []struct {
+		tiles int
+		want  []int
+	}{
+		{0, []int{1, 2, 3, 4}},
+		// Rings 1 has 7 cells; 3 tiles span [0,3) [3,5) [5,7).
+		{3, []int{2, 2, 4}},
+	} {
+		e := newTestEngine(t, func(cfg *Config) {
+			cfg.FrameMode = FrameSnapshot
+			cfg.FrameParallel = 2
+			cfg.Tiles = tc.tiles
+		})
+		e.active = append(e.active[:0], 0, 2, 5, 6)
+		e.planTasks()
+		if !slices.Equal(e.taskEnds, tc.want) {
+			t.Errorf("tiles=%d: task ends %v, want %v", tc.tiles, e.taskEnds, tc.want)
 		}
-		if seen[w.sched] {
-			t.Fatalf("worker %d shares a scheduler instance with the engine or another worker", i)
-		}
-		seen[w.sched] = true
+		e.Close()
 	}
 }

@@ -34,6 +34,8 @@ package sim
 // byte-identical to no schedule at all.
 
 import (
+	"slices"
+
 	"jabasd/internal/cellular"
 	"jabasd/internal/fault"
 )
@@ -107,7 +109,7 @@ func (e *Engine) refreshPausedUser(u *dataUser) {
 		e.refreshPilots(u)
 	}
 	if !e.cfg.ExactPHY {
-		if !intSlicesEqual(u.reduced, u.prevReduced) {
+		if !slices.Equal(u.reduced, u.prevReduced) {
 			u.ver++
 		}
 		u.prevReduced = append(u.prevReduced[:0], u.reduced...)

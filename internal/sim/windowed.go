@@ -19,6 +19,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/mathx"
@@ -89,7 +90,7 @@ func (e *Engine) updateUserFastWin(u *dataUser, dt float64) {
 	u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
 	e.finishMeasurementsWin(u)
 	if !dirty {
-		dirty = !intSlicesEqual(u.reduced, u.prevReduced)
+		dirty = !slices.Equal(u.reduced, u.prevReduced)
 	}
 	if dirty {
 		u.ver++

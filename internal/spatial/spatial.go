@@ -48,8 +48,7 @@ type Index struct {
 	cand   []int32
 
 	// candRadius is the maximum distance from any bucket centre to any of
-	// its candidate cells — the geometric reach of the candidate windows,
-	// used to size interference halos.
+	// its candidate cells — the geometric reach of the candidate windows.
 	candRadius float64
 }
 
@@ -167,8 +166,8 @@ func (ix *Index) NumBuckets() int { return ix.nx * ix.ny }
 
 // CandidateRadius returns the maximum distance from a bucket centre to any
 // of its candidate cells. Every cell a bucket's users can measure lies
-// within this radius of the bucket centre, which bounds the interference
-// halo a grid tile needs (see internal/shard).
+// within this radius of the bucket centre, so CandidateRadius plus
+// BucketDiagonal bounds how far from a user its measurements can reach.
 func (ix *Index) CandidateRadius() float64 { return ix.candRadius }
 
 // BucketDiagonal returns half the bucket diagonal: the maximum distance

@@ -136,7 +136,7 @@ func TestCandidateRadiusBounds(t *testing.T) {
 	ix := New(l, 12)
 	// Every candidate of a point's bucket lies within CandidateRadius of the
 	// bucket centre, hence within CandidateRadius + BucketDiagonal of the
-	// point itself — the bound the tile halo sizing relies on.
+	// point itself: the measurement reach of windowed physics.
 	w, h := l.Bounds()
 	maxD := 0.0
 	src := rng.New(3)
