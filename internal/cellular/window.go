@@ -42,10 +42,28 @@ func (l *Layout) DistancesForInto(p Point, cells []int32, dst []float64) {
 
 // DistancesSqForInto fills dst[i] with the SQUARED distance from p to
 // candidate cell cells[i], identically to DistancesSqInto restricted to the
-// subset.
+// subset. The loop is DistanceSq inlined with the half extents hoisted, as
+// in DistancesSqInto.
 func (l *Layout) DistancesSqForInto(p Point, cells []int32, dst []float64) {
+	if !l.WrapAround {
+		for i, k := range cells {
+			b := l.Cells[k].Position
+			dx, dy := p.X-b.X, p.Y-b.Y
+			dst[i] = dx*dx + dy*dy
+		}
+		return
+	}
+	halfW, halfH := l.width/2, l.height/2
 	for i, k := range cells {
-		dst[i] = l.DistanceSq(p, int(k))
+		b := l.Cells[k].Position
+		dx, dy := math.Abs(p.X-b.X), math.Abs(p.Y-b.Y)
+		if dx > halfW {
+			dx = l.width - dx
+		}
+		if dy > halfH {
+			dy = l.height - dy
+		}
+		dst[i] = dx*dx + dy*dy
 	}
 }
 

@@ -220,3 +220,87 @@ func BenchmarkPilotSetCellsLinear(b *testing.B) {
 		dst = PilotSetCellsLinearInto(dst, cells, gains[f], windowPilotFraction, windowTxPower, windowNoise)
 	}
 }
+
+// TestDistancesSqForIntoMatchesDistanceSq pins the inlined window distance
+// loop to per-cell DistanceSq calls bit for bit, with and without
+// wrap-around, on random points and on points exactly half the map away
+// from a cell (the wrap fold's boundary), over the whole map and over
+// random 24-cell windows.
+func TestDistancesSqForIntoMatchesDistanceSq(t *testing.T) {
+	for _, wrap := range []bool{true, false} {
+		l := NewHexLayout(18, 500, wrap)
+		src := rng.New(35)
+		w, h := l.Bounds()
+		var pts []Point
+		for i := 0; i < 200; i++ {
+			pts = append(pts, Point{X: src.Uniform(-w, w), Y: src.Uniform(-h, h)})
+		}
+		boundary := 0
+		for _, k := range []int{0, 1, 500, l.NumCells() - 1} {
+			b := l.Cells[k].Position
+			for _, sx := range []float64{-0.5, 0, 0.5} {
+				for _, sy := range []float64{-0.5, 0, 0.5} {
+					p := Point{X: b.X + sx*w, Y: b.Y + sy*h}
+					if math.Abs(p.X-b.X) == w/2 || math.Abs(p.Y-b.Y) == h/2 {
+						boundary++
+					}
+					pts = append(pts, p)
+				}
+			}
+		}
+		if boundary == 0 {
+			t.Fatalf("wrap=%v: no point lands exactly half the map from its cell", wrap)
+		}
+		all := make([]int32, l.NumCells())
+		for k := range all {
+			all[k] = int32(k)
+		}
+		windows := [][]int32{all}
+		for i := 0; i < 8; i++ {
+			windows = append(windows, windowCells(src, 24, l.NumCells()))
+		}
+		got := make([]float64, l.NumCells())
+		for _, p := range pts {
+			for _, cells := range windows {
+				l.DistancesSqForInto(p, cells, got)
+				for i, k := range cells {
+					want := l.DistanceSq(p, int(k))
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("wrap=%v p=%+v cell %d: DistancesSqForInto %v, DistanceSq %v", wrap, p, k, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDistancesSqForInto times one city window row: the 24 cells
+// nearest a point on the 1027-cell wrap-around map, in ascending index
+// order as internal/spatial lists them.
+func BenchmarkDistancesSqForInto(b *testing.B) {
+	l := NewHexLayout(18, 500, true)
+	src := rng.New(36)
+	w, h := l.Bounds()
+	const points = 64
+	pts := make([]Point, points)
+	wins := make([][]int32, points)
+	byDist := make([]int32, l.NumCells())
+	for i := range pts {
+		p := Point{X: src.Uniform(0, w), Y: src.Uniform(0, h)}
+		for k := range byDist {
+			byDist[k] = int32(k)
+		}
+		sort.Slice(byDist, func(a, c int) bool {
+			return l.DistanceSq(p, int(byDist[a])) < l.DistanceSq(p, int(byDist[c]))
+		})
+		win := append([]int32(nil), byDist[:24]...)
+		sort.Slice(win, func(a, c int) bool { return win[a] < win[c] })
+		pts[i], wins[i] = p, win
+	}
+	dst := make([]float64, 24)
+	b.Run("w24", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l.DistancesSqForInto(pts[i%points], wins[i%points], dst)
+		}
+	})
+}

@@ -12,6 +12,20 @@ import "math"
 // error, but they are NOT bit-identical to math.Pow/math.Log10. The engine
 // therefore uses them only on the default fast path; the -exact-vtaoc
 // reference path keeps the libm calls so golden outputs stay byte-identical.
+//
+// GainRowFast, the fused per-row channel kernel, has two implementations
+// with the same output bits. gainRowGo below is the reference. On amd64
+// CPUs with AVX2 (checked once at package init) GainRowFast dispatches to
+// an assembly kernel (gainrow_amd64.s) that evaluates four cells per block
+// with the same IEEE operations in the same order: no FMA, a true divide
+// for (m-1)/(m+1), the renormalisation as compare + blend, both Estrin
+// trees with gainRowGo's association and the exponent moves done exactly.
+// A block holding any lane that gainRowGo sends down a fallback branch (a
+// non-normal distance ratio, or an exponent that is NaN or outside ±1020)
+// is left to gainRowGo, and so is the tail of fewer than four cells. Other
+// architectures call gainRowGo directly. The fast-path goldens under
+// testdata/golden were produced on amd64: compilers for architectures
+// that fuse multiply-adds may round gainRowGo differently.
 
 const (
 	log2Of10 = 3.3219280948873623478703194294894 // log2(10)
@@ -84,7 +98,7 @@ func FastLog10(x float64) float64 {
 	return (lnM + float64(e)*ln2) * invLn10
 }
 
-// GainRowFast fills gain[k] with the linear long-term channel gain
+// gainRowGo fills gain[k] with the linear long-term channel gain
 //
 //	10^((shadow[k] - refDB)/10) * (max(d2[k], minD2) * invRefM2)^(-halfExp)
 //
@@ -100,8 +114,14 @@ func FastLog10(x float64) float64 {
 // the shorter Estrin trees let the CPU overlap adjacent cells. Non-normal
 // inputs (subnormal, zero, inf, NaN) and out-of-range exponents fall back
 // to the scalar fast kernels, which in turn fall back to libm.
-func GainRowFast(gain, shadow, d2 []float64, refDB, halfExp, invRefM2, minD2 float64) {
+//
+// It is the reference for GainRowFast: every implementation must match it
+// bit for bit.
+func gainRowGo(gain, shadow, d2 []float64, refDB, halfExp, invRefM2, minD2 float64) {
 	const c = log2Of10 / 10 // dB -> log2
+	if len(gain) == 0 {
+		return
+	}
 	_ = shadow[len(gain)-1]
 	_ = d2[len(gain)-1]
 	for k := range gain {

@@ -148,11 +148,13 @@ func TestGainRowFastAccuracy(t *testing.T) {
 
 // TestGainRowFastFallback drives the non-normal input and out-of-range
 // exponent branches: a zero distance with no clamp, an inf distance, and a
-// shadowing value large enough to overflow the fast exponent assembly.
+// shadowing value large enough to overflow the fast exponent assembly. The
+// fourth, ordinary cell makes the row one whole four-cell block, so on
+// AVX2 CPUs it also drives the block hand-back from the assembly kernel.
 func TestGainRowFastFallback(t *testing.T) {
-	shadow := []float64{0, 0, 4000}
-	d2 := []float64{0, math.Inf(1), 100}
-	gain := make([]float64, 3)
+	shadow := []float64{0, 0, 4000, 0}
+	d2 := []float64{0, math.Inf(1), 100, 100}
+	gain := make([]float64, 4)
 	GainRowFast(gain, shadow, d2, 0, 2, 1, 0)
 	if !math.IsInf(gain[0], 1) {
 		t.Errorf("zero distance with zero clamp: gain = %v, want +Inf", gain[0])
@@ -163,5 +165,8 @@ func TestGainRowFastFallback(t *testing.T) {
 	want := math.Pow(10, 4000.0/10) * math.Pow(100, -2)
 	if rel := math.Abs(gain[2]-want) / want; rel > 1e-9 {
 		t.Errorf("overflow-range exponent off by %.3e relative", rel)
+	}
+	if rel := math.Abs(gain[3]-1e-4) / 1e-4; rel > 1e-12 {
+		t.Errorf("ordinary cell in a fallback block: gain = %v, want 1e-4", gain[3])
 	}
 }

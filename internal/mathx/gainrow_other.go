@@ -1,0 +1,12 @@
+//go:build !amd64
+
+package mathx
+
+// useAVX2 is false off amd64: GainRowFast is gainRowGo.
+const useAVX2 = false
+
+// GainRowFast fills gain[k] with the linear long-term channel gain of
+// gainRowGo; see fastmath.go.
+func GainRowFast(gain, shadow, d2 []float64, refDB, halfExp, invRefM2, minD2 float64) {
+	gainRowGo(gain, shadow, d2, refDB, halfExp, invRefM2, minD2)
+}
