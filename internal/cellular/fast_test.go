@@ -7,26 +7,37 @@ import (
 	"jabasd/internal/rng"
 )
 
-// TestDistancesIntoMatchesDistance pins the batched distance kernels to the
-// scalar Distance, with and without wrap-around.
+// allCells returns the map-wide candidate list [0, n).
+func allCells(n int) []int32 {
+	c := make([]int32, n)
+	for i := range c {
+		c[i] = int32(i)
+	}
+	return c
+}
+
+// TestDistancesIntoMatchesDistance pins the batched distance kernels, over
+// a map-wide candidate list, to the scalar Distance, with and without
+// wrap-around.
 func TestDistancesIntoMatchesDistance(t *testing.T) {
 	for _, wrap := range []bool{true, false} {
 		l := NewHexLayout(3, 600, wrap)
+		all := allCells(l.NumCells())
 		src := rng.New(4)
 		d := make([]float64, l.NumCells())
 		d2 := make([]float64, l.NumCells())
 		w, h := l.Bounds()
 		for trial := 0; trial < 200; trial++ {
 			p := Point{X: src.Uniform(0, w), Y: src.Uniform(0, h)}
-			l.DistancesInto(p, d)
-			l.DistancesSqInto(p, d2)
+			l.DistancesForInto(p, all, d)
+			l.DistancesSqForInto(p, all, d2)
 			for k := 0; k < l.NumCells(); k++ {
 				want := l.Distance(p, k)
 				if d[k] != want {
-					t.Fatalf("wrap=%v cell %d: DistancesInto %v != Distance %v", wrap, k, d[k], want)
+					t.Fatalf("wrap=%v cell %d: DistancesForInto %v != Distance %v", wrap, k, d[k], want)
 				}
 				if rel := math.Abs(d2[k]-want*want) / math.Max(want*want, 1); rel > 1e-12 {
-					t.Fatalf("wrap=%v cell %d: DistancesSqInto off by %.3e", wrap, k, rel)
+					t.Fatalf("wrap=%v cell %d: DistancesSqForInto off by %.3e", wrap, k, rel)
 				}
 			}
 		}
@@ -50,6 +61,7 @@ func TestLinearPilotPathMatchesDBPath(t *testing.T) {
 	addFactor := math.Pow(10, -addDB/10)
 	minEcIo := math.Pow(10, minEcIoDB/10)
 	src := rng.New(21)
+	all := allCells(cells)
 	gains := make([]float64, cells)
 	var pilotsDB, pilotsLin []PilotMeasurement
 	var activeDB, activeLin, reducedDB, reducedLin []int
@@ -58,8 +70,8 @@ func TestLinearPilotPathMatchesDBPath(t *testing.T) {
 			// Long-term gains around -150..-80 dB, the simulator's range.
 			gains[k] = math.Pow(10, src.Uniform(-15, -8))
 		}
-		pilotsDB = PilotSetInto(pilotsDB, gains, pilotFraction, txPower, noise)
-		pilotsLin = PilotSetLinearInto(pilotsLin, gains, pilotFraction, txPower, noise)
+		pilotsDB = PilotSetCellsInto(pilotsDB, all, gains, pilotFraction, txPower, noise)
+		pilotsLin = PilotSetCellsLinearInto(pilotsLin, all, gains, pilotFraction, txPower, noise)
 		for i := range pilotsDB {
 			if pilotsDB[i].Cell != pilotsLin[i].Cell {
 				t.Fatalf("trial %d: pilot order differs at %d: %d vs %d", trial, i, pilotsDB[i].Cell, pilotsLin[i].Cell)

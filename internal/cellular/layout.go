@@ -144,9 +144,9 @@ func (l *Layout) String() string {
 
 // PilotMeasurement is the strength of one cell's pilot as seen by a mobile.
 // Slot is the index of the measured cell in the gain slice the set was built
-// from: the cell itself for the full-scan kernels, its position in the
-// candidate window for the windowed ones, so a consumer reads the cell's
-// gain as gains[p.Slot] without searching the window. Both indices are
+// from — its position in the candidate window, which is the cell itself on
+// a map-wide window — so a consumer reads the cell's gain as gains[p.Slot]
+// without searching the window. Both indices are
 // int32 to keep the struct at 32 bytes.
 type PilotMeasurement struct {
 	Cell   int32
@@ -154,46 +154,6 @@ type PilotMeasurement struct {
 	EcIo   float64 // linear Ec/Io (pilot chip energy over total received density)
 	EcIoDB float64
 	GainDB float64 // link gain (path loss + shadowing) used to form the pilot
-}
-
-// PilotSet computes the pilot Ec/Io of every cell at a mobile whose link
-// gains (linear, combining path loss and shadowing, but NOT fast fading —
-// pilots are measured over many symbols) are given per cell. pilotFraction is
-// the fraction of each cell's transmit power devoted to the pilot, txPower is
-// the common cell transmit power and noise the thermal noise power at the
-// mobile. The result is sorted by decreasing Ec/Io.
-func PilotSet(gains []float64, pilotFraction, txPower, noise float64) []PilotMeasurement {
-	return PilotSetInto(make([]PilotMeasurement, 0, len(gains)), gains, pilotFraction, txPower, noise)
-}
-
-// PilotSetInto is PilotSet writing into dst (reused, resliced to length
-// zero), so a caller that keeps a per-mobile buffer pays no allocation per
-// frame. The sort is an insertion sort: the set is small and nearly sorted
-// from one frame to the next, and it avoids sort.Slice's reflection-based
-// swapper showing up in the frame loop.
-func PilotSetInto(dst []PilotMeasurement, gains []float64, pilotFraction, txPower, noise float64) []PilotMeasurement {
-	total := noise
-	for _, g := range gains {
-		total += txPower * g
-	}
-	dst = dst[:0]
-	for k, g := range gains {
-		ec := pilotFraction * txPower * g
-		ecio := ec / total
-		dst = append(dst, PilotMeasurement{
-			Cell:   int32(k),
-			Slot:   int32(k),
-			EcIo:   ecio,
-			EcIoDB: 10 * math.Log10(math.Max(ecio, 1e-30)),
-			GainDB: 10 * math.Log10(math.Max(g, 1e-30)),
-		})
-	}
-	for i := 1; i < len(dst); i++ {
-		for j := i; j > 0 && dst[j-1].EcIo < dst[j].EcIo; j-- {
-			dst[j-1], dst[j] = dst[j], dst[j-1]
-		}
-	}
-	return dst
 }
 
 // ActiveSet returns the cells whose pilot is within addThresholdDB of the

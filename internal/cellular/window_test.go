@@ -143,9 +143,9 @@ func TestWindowPilotStaleSlotsRebuild(t *testing.T) {
 	}
 }
 
-// TestWindowPilotSlotsRoundTrip checks the slot every kernel stamps: the
-// windowed kernels' Slot indexes the candidate list back to the entry's
-// cell, and the full-scan kernels' Slot is the cell itself.
+// TestWindowPilotSlotsRoundTrip checks the slot both kernels stamp: Slot
+// indexes the candidate list back to the entry's cell, which on a map-wide
+// window is the cell itself, also after a frame-coherent update.
 func TestWindowPilotSlotsRoundTrip(t *testing.T) {
 	src := rng.New(33)
 	cells := windowCells(src, 19, 400)
@@ -154,16 +154,18 @@ func TestWindowPilotSlotsRoundTrip(t *testing.T) {
 	checkSlots(t, "PilotSetCellsInto", PilotSetCellsInto(nil, cells, gains, windowPilotFraction, windowTxPower, windowNoise), cells)
 	checkSlots(t, "PilotSetCellsLinearInto", PilotSetCellsLinearInto(nil, cells, gains, windowPilotFraction, windowTxPower, windowNoise), cells)
 
-	identity := make([]int32, len(gains))
-	for k := range identity {
-		identity[k] = int32(k)
-	}
-	full := PilotSetInto(nil, gains, windowPilotFraction, windowTxPower, windowNoise)
-	checkSlots(t, "PilotSetInto", full, identity)
-	lin := PilotSetLinearInto(nil, gains, windowPilotFraction, windowTxPower, windowNoise)
+	identity := allCells(len(gains))
+	full := PilotSetCellsInto(nil, identity, gains, windowPilotFraction, windowTxPower, windowNoise)
+	checkSlots(t, "map-wide PilotSetCellsInto", full, identity)
+	lin := PilotSetCellsLinearInto(nil, identity, gains, windowPilotFraction, windowTxPower, windowNoise)
 	driftGains(src, gains)
-	lin = PilotSetLinearInto(lin, gains, windowPilotFraction, windowTxPower, windowNoise)
-	checkSlots(t, "PilotSetLinearInto", lin, identity)
+	lin = PilotSetCellsLinearInto(lin, identity, gains, windowPilotFraction, windowTxPower, windowNoise)
+	checkSlots(t, "map-wide PilotSetCellsLinearInto", lin, identity)
+	for _, p := range lin {
+		if p.Slot != p.Cell {
+			t.Fatalf("map-wide pilot for cell %d carries slot %d", p.Cell, p.Slot)
+		}
+	}
 }
 
 // TestWindowFindCell covers hits at every slot, misses between, below and

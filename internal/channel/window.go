@@ -2,9 +2,12 @@ package channel
 
 import "fmt"
 
-// MaxWindowWidth bounds a Window's per-user slot count. Retarget carries
-// the old slot state across the merge in fixed stack arrays of this size so
-// the concurrent per-user update fan-out needs no per-goroutine scratch.
+// MaxWindowWidth bounds the width of a Window whose candidate list moves.
+// Retarget carries the old slot state across the merge in fixed stack
+// arrays of this size so the concurrent per-user update fan-out needs no
+// per-goroutine scratch. A wider window is allowed when it never merges: a
+// map-wide window, whose candidate list is every cell in every bucket, is
+// targeted once and never moves again.
 const MaxWindowWidth = 256
 
 // Window is the windowed form of Batch for city-size maps: instead of one
@@ -29,12 +32,13 @@ type Window struct {
 }
 
 // NewWindow allocates windowed channel state for users, each tracking
-// width candidate cells. Width must be in [1, MaxWindowWidth]. Every user
-// must be seeded with SeedUser and given an initial Retarget before
-// advancing.
+// width candidate cells. Width must be at least 1; above MaxWindowWidth the
+// window may only be targeted before its first advance (see Retarget).
+// Every user must be seeded with SeedUser and given an initial Retarget
+// before advancing.
 func NewWindow(users, width int, pl PathLossModel, sigmaDB, decorrM float64) *Window {
-	if width < 1 || width > MaxWindowWidth {
-		panic(fmt.Sprintf("channel: window width %d out of range [1, %d]", width, MaxWindowWidth))
+	if width < 1 {
+		panic(fmt.Sprintf("channel: window width %d is not positive", width))
 	}
 	w := &Window{
 		Batch: NewBatch(users, width, pl, sigmaDB, decorrM),
@@ -65,7 +69,8 @@ func (w *Window) CellRow(u int) []int32 {
 // their slot's substream, and their baseline is invalidated so the next
 // AdvanceFast reports them dirty. Before the user's first advance the list
 // is recorded without any draws — AdvanceExact/AdvanceFast take the initial
-// draws for the whole window.
+// draws for the whole window. A window wider than MaxWindowWidth panics on
+// a merge: it must be map-wide, so its candidate list never moves.
 func (w *Window) Retarget(u int, cand []int32) bool {
 	if len(cand) != w.width {
 		panic(fmt.Sprintf("channel: retarget with %d candidates, window width is %d", len(cand), w.width))
@@ -86,6 +91,9 @@ func (w *Window) Retarget(u int, cand []int32) bool {
 	if !b.ready[u] {
 		copy(row, cand)
 		return true
+	}
+	if w.width > MaxWindowWidth {
+		panic(fmt.Sprintf("channel: window of width %d > %d cannot move after its first advance", w.width, MaxWindowWidth))
 	}
 	shadow := b.shadowDB[off : off+w.width]
 	ref := b.ref[off : off+w.width]

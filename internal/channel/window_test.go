@@ -147,7 +147,36 @@ func TestWindowPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("zero width", func() { NewWindow(1, 0, DefaultPathLoss(), 8, 50) })
-	mustPanic("oversized width", func() { NewWindow(1, MaxWindowWidth+1, DefaultPathLoss(), 8, 50) })
 	w := NewWindow(1, 2, DefaultPathLoss(), 8, 50)
 	mustPanic("wrong candidate length", func() { w.Retarget(0, []int32{1}) })
+}
+
+// TestWideWindowNeverMerges: a window wider than MaxWindowWidth (a map-wide
+// window on a large map) builds, takes its first target, advances and
+// re-targets to the same list, but a merge — which would overrun the
+// fixed-size merge scratch — panics.
+func TestWideWindowNeverMerges(t *testing.T) {
+	const width = MaxWindowWidth + 15
+	w := NewWindow(1, width, DefaultPathLoss(), 8, 50)
+	w.SeedUser(0, rng.New(3), 10)
+	all := fullCells(width)
+	if !w.Retarget(0, all) {
+		t.Fatal("first target reported no change")
+	}
+	dist := w.DistRow(0)
+	for i := range dist {
+		dist[i] = float64(100 + i)
+	}
+	w.AdvanceExact(0, 5)
+	if w.Retarget(0, all) {
+		t.Fatal("re-target to the same list reported a change")
+	}
+	moved := append([]int32(nil), all...)
+	moved[width-1]++
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merge on a window wider than MaxWindowWidth did not panic")
+		}
+	}()
+	w.Retarget(0, moved)
 }

@@ -27,10 +27,17 @@ import (
 
 // Version is the checkpoint format version. Bump it whenever the section
 // layout or any section's internal encoding changes incompatibly; readers
-// refuse other versions with a precise error. Version 2 added the fault
-// runtime state (load-event cursor, pending-retry marks) and the
-// robustness counters to the sim engine's sections.
-const Version = 2
+// refuse versions outside [MinVersion, Version] with a precise error.
+// Version 2 added the fault runtime state (load-event cursor, pending-retry
+// marks) and the robustness counters to the sim engine's sections. Version
+// 3 stores every sim engine's channel as a window with its slot map: a
+// full-scan run is a map-wide window.
+const Version = 3
+
+// MinVersion is the oldest format version a Reader accepts. Decoders that
+// must tell the layouts apart read the stream's version from
+// Reader.Version.
+const MinVersion = 2
 
 // magic identifies a checkpoint stream. The trailing byte breaks accidental
 // matches against text files.
@@ -257,12 +264,13 @@ func (w *Writer) Bools(xs []bool) {
 // wrong section name, checksum mismatch, reads past the section end,
 // leftover bytes — latches an error retrievable with Err.
 type Reader struct {
-	src  io.Reader
-	sect []byte
-	name string
-	pos  int
-	done bool
-	err  error
+	src     io.Reader
+	version int
+	sect    []byte
+	name    string
+	pos     int
+	done    bool
+	err     error
 }
 
 // NewReader opens a checkpoint stream, validating the magic and format
@@ -275,11 +283,15 @@ func NewReader(src io.Reader) (*Reader, error) {
 	if !bytes.Equal(hdr[:8], magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic %q (not a checkpoint stream)", ErrCorrupt, hdr[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != Version {
-		return nil, fmt.Errorf("checkpoint: format version %d is not supported (this build reads version %d)", v, Version)
+	v := binary.LittleEndian.Uint32(hdr[8:])
+	if v < MinVersion || v > Version {
+		return nil, fmt.Errorf("checkpoint: format version %d is not supported (this build reads versions %d to %d)", v, MinVersion, Version)
 	}
-	return &Reader{src: src}, nil
+	return &Reader{src: src, version: int(v)}, nil
 }
+
+// Version returns the format version of the stream being read.
+func (r *Reader) Version() int { return r.version }
 
 // Section advances to the next section, which must be named name. It errors
 // if the previous section has undecoded bytes left — a mismatch between the

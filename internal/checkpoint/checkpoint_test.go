@@ -153,6 +153,30 @@ func TestVersionBumpRefused(t *testing.T) {
 	}
 }
 
+// TestOlderVersionsRead: every version from MinVersion up opens and reports
+// its number, so decoders can translate an older layout; a version below
+// MinVersion is refused.
+func TestOlderVersionsRead(t *testing.T) {
+	data := encodeSample(t)
+	for v := MinVersion - 1; v <= Version; v++ {
+		old := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(old[8:], uint32(v))
+		r, err := NewReader(bytes.NewReader(old))
+		if v < MinVersion {
+			if err == nil || !strings.Contains(err.Error(), "version") {
+				t.Errorf("version %d: got %v, want a version error", v, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("version %d refused: %v", v, err)
+		}
+		if r.Version() != v {
+			t.Errorf("Version() = %d, want %d", r.Version(), v)
+		}
+	}
+}
+
 func TestBadMagicRefused(t *testing.T) {
 	data := encodeSample(t)
 	bad := append([]byte(nil), data...)

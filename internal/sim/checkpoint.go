@@ -103,11 +103,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	cw.Int(len(e.users))
 	cw.Int(len(e.voice))
 	cw.Int(e.layout.NumCells())
-	if e.winB != nil {
-		cw.Int(e.winB.Width())
-	} else {
-		cw.Int(0)
-	}
+	cw.Int(e.winB.Width())
 
 	// Scheduler stream state: only the sequential-mode Random scheduler
 	// carries a semantic stream across frames (snapshot workers reseed
@@ -124,11 +120,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	e.mobB.EncodeState(cw)
 
 	cw.Section("channel")
-	if e.winB != nil {
-		e.winB.EncodeState(cw)
-	} else {
-		e.chanB.EncodeState(cw)
-	}
+	e.winB.EncodeState(cw)
 
 	cw.Section("users")
 	for _, u := range e.users {
@@ -358,13 +350,15 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 			return fmt.Errorf("sim: resuming: %w", err)
 		}
 	}
-	wantWidth := 0
-	if e.winB != nil {
-		wantWidth = e.winB.Width()
+	// Version 2 wrote a full-scan run (PilotCells 0) as window width 0 and
+	// a plain channel batch; it restores into the map-wide window.
+	fullScanV2 := rd.Version() == 2 && width == 0
+	if fullScanV2 {
+		width = nCells
 	}
-	if nUsers != len(e.users) || nVoice != len(e.voice) || nCells != e.layout.NumCells() || width != wantWidth {
+	if nUsers != len(e.users) || nVoice != len(e.voice) || nCells != e.layout.NumCells() || width != e.winB.Width() {
 		return fmt.Errorf("sim: checkpoint population (%d users, %d voice, %d cells, window %d) does not match the scenario (%d, %d, %d, %d)",
-			nUsers, nVoice, nCells, width, len(e.users), len(e.voice), e.layout.NumCells(), wantWidth)
+			nUsers, nVoice, nCells, width, len(e.users), len(e.voice), e.layout.NumCells(), e.winB.Width())
 	}
 	e.frame = frame
 	e.now = now
@@ -389,22 +383,42 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 	if err := rd.Section("channel"); err != nil {
 		return fmt.Errorf("sim: resuming: %w", err)
 	}
-	if e.winB != nil {
-		e.winB.DecodeState(rd) // in place: u.gain and u.cand keep aliasing
+	// In place: u.gain and u.cand keep aliasing the restored storage.
+	if fullScanV2 {
+		e.winB.Batch.DecodeState(rd)
+		for _, u := range e.users {
+			for i := range u.cand {
+				u.cand[i] = int32(i)
+			}
+		}
 	} else {
-		e.chanB.DecodeState(rd)
+		e.winB.DecodeState(rd)
+	}
+	// Every window must be an ascending list of map cells: the distance
+	// kernels index the layout with it, and a map-wide window that differs
+	// from its identity candidates would attempt a merge it cannot make.
+windows:
+	for _, u := range e.users {
+		for i, c := range u.cand {
+			if c < 0 || int(c) >= nCells || (i > 0 && c <= u.cand[i-1]) {
+				rd.Fail("user %d window slot %d holds cell %d: not an ascending list of cells 0..%d", u.id, i, c, nCells-1)
+				break windows
+			}
+		}
 	}
 
 	if err := rd.Section("users"); err != nil {
 		return fmt.Errorf("sim: resuming: %w", err)
 	}
+	seen := make([]bool, width) // per user: window slots already listed
 	for _, u := range e.users {
 		np := rd.Int()
-		if np < 0 || np > nCells {
-			rd.Fail("user %d has %d pilots, cells %d", u.id, np, nCells)
+		if np < 0 || np > width {
+			rd.Fail("user %d has %d pilots, more than its window of %d", u.id, np, width)
 			break
 		}
 		u.pilots = u.pilots[:0]
+		clear(seen)
 		for i := 0; i < np; i++ {
 			cell := rd.Int()
 			// Keyed composite-literal operands evaluate in lexical order, so
@@ -414,17 +428,23 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 				EcIoDB: rd.F64(),
 				GainDB: rd.F64(),
 			}
-			// The slot is not stored: it is the cell itself on the full scan
-			// and the cell's position in the (already restored) window row
-			// on the windowed path.
-			slot := cell
-			if cell >= 0 && cell < nCells && e.winB != nil {
+			// The slot is not stored: it is the cell's position in the
+			// (already restored) window row. A cell listed twice would make
+			// the frame-coherent pilot kernel keep the duplicate and drop a
+			// real pilot.
+			slot := -1
+			if cell >= 0 && cell < nCells {
 				slot = cellular.FindCell(u.cand, int32(cell))
 			}
-			if cell < 0 || cell >= nCells || slot < 0 {
+			if slot < 0 {
 				rd.Fail("user %d pilot cell %d outside the cells 0..%d or the user's window", u.id, cell, nCells-1)
 				break
 			}
+			if seen[slot] {
+				rd.Fail("user %d lists pilot cell %d twice", u.id, cell)
+				break
+			}
+			seen[slot] = true
 			pm.Cell, pm.Slot = int32(cell), int32(slot)
 			u.pilots = append(u.pilots, pm)
 		}

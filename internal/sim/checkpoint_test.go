@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -397,13 +399,22 @@ func TestResumeRebuildsPilotSlots(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesBadPilotCell: a checkpoint whose stored pilot cell is
-// outside the map, or (windowed) outside the user's window, must be refused
-// — not restored with a truncated cell or a slot pointing at another cell's
-// gain. The blobs are written by a real engine after the pilot is
-// corrupted in memory, so every section's framing is intact and only the
-// pilot check can catch the damage.
+// TestResumeRefusesBadPilotCell: a checkpoint whose stored pilot list names
+// a cell outside the map or outside the user's window, names one cell
+// twice, or is longer than the window, must be refused — not restored with
+// a truncated cell, a slot pointing at another cell's gain, or a duplicate
+// the frame-coherent fast kernel would keep reusing in place of a real
+// pilot. So must a window that is not an ascending list of map cells,
+// which would index past the layout or make a map-wide window merge. The
+// blobs are written by a real engine after the state is corrupted in
+// memory, so every section's framing is intact and only the restore checks
+// can catch the damage.
 func TestResumeRefusesBadPilotCell(t *testing.T) {
+	setLast := func(bad func(u *dataUser, nCells int) int32) func(*dataUser, int) {
+		return func(u *dataUser, nCells int) {
+			u.pilots[len(u.pilots)-1].Cell = bad(u, nCells)
+		}
+	}
 	outsideWindow := func(u *dataUser, nCells int) int32 {
 		for c := int32(0); c < int32(nCells); c++ {
 			if cellular.FindCell(u.cand, c) < 0 {
@@ -413,29 +424,45 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 		t.Fatal("window covers every cell")
 		return 0
 	}
+	duplicate := func(u *dataUser, _ int) int32 { return u.pilots[0].Cell }
+	overlong := func(u *dataUser, _ int) {
+		for len(u.pilots) <= len(u.cand) {
+			u.pilots = append(u.pilots, u.pilots[0])
+		}
+	}
+	unsorted := func(u *dataUser, _ int) { u.cand[0], u.cand[1] = u.cand[1], u.cand[0] }
+	windowPastMap := func(u *dataUser, n int) { u.cand[len(u.cand)-1] = int32(n) }
+	city := resumeScenarios()["city-tiled-fast"]
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		bad  func(u *dataUser, nCells int) int32
+		name    string
+		cfg     Config
+		corrupt func(u *dataUser, nCells int)
+		want    string
 	}{
-		{"full-scan cell past the map", tinyConfig(), func(_ *dataUser, n int) int32 { return int32(n) }},
-		{"full-scan negative cell", tinyConfig(), func(*dataUser, int) int32 { return -1 }},
-		{"windowed cell past the map", resumeScenarios()["city-tiled-fast"], func(_ *dataUser, n int) int32 { return int32(n) }},
-		{"windowed cell outside the window", resumeScenarios()["city-tiled-fast"], outsideWindow},
+		{"full-scan cell past the map", tinyConfig(), setLast(func(_ *dataUser, n int) int32 { return int32(n) }), "pilot cell"},
+		{"full-scan negative cell", tinyConfig(), setLast(func(*dataUser, int) int32 { return -1 }), "pilot cell"},
+		{"full-scan duplicate pilot cell", tinyConfig(), setLast(duplicate), "pilot cell"},
+		{"full-scan list longer than the window", tinyConfig(), overlong, "more than its window"},
+		{"windowed cell past the map", city, setLast(func(_ *dataUser, n int) int32 { return int32(n) }), "pilot cell"},
+		{"windowed cell outside the window", city, setLast(outsideWindow), "pilot cell"},
+		{"windowed duplicate pilot cell", city, setLast(duplicate), "pilot cell"},
+		{"windowed list longer than the window", city, overlong, "more than its window"},
+		{"full-scan window out of order", tinyConfig(), unsorted, "not an ascending list"},
+		{"windowed window cell past the map", city, windowPastMap, "not an ascending list"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := resumeEngine(t, checkpointBlob(t, tc.cfg))
 			var u *dataUser
 			for _, cand := range e.users {
-				if len(cand.pilots) > 0 {
+				if len(cand.pilots) > 1 {
 					u = cand
 					break
 				}
 			}
 			if u == nil {
-				t.Fatal("no user carries pilots")
+				t.Fatal("no user carries two pilots")
 			}
-			u.pilots[len(u.pilots)-1].Cell = tc.bad(u, e.layout.NumCells())
+			tc.corrupt(u, e.layout.NumCells())
 			var buf bytes.Buffer
 			if err := e.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
@@ -446,9 +473,70 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 			}
 			if eB, err := c.Resume(c.Config()); err == nil {
 				eB.Close()
-				t.Fatal("checkpoint with a bad pilot cell resumed")
-			} else if !strings.Contains(err.Error(), "pilot cell") {
+				t.Fatal("checkpoint with a bad pilot list resumed")
+			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("refused for the wrong reason: %v", err)
+			}
+		})
+	}
+}
+
+// TestResumeVersion2Checkpoints resumes the committed version-2 checkpoints,
+// written when a PilotCells 0 run stored window width 0 and a plain channel
+// batch, on the fast and the exact path. The resumed run must finish
+// exactly like a straight run of this build from the checkpoint's own
+// configuration: the same metrics and the same trace from the checkpoint
+// frame on. The fast-path file pins amd64 kernel bits, so it is checked on
+// amd64 only. Regenerate both with a build that still writes version 2:
+//
+//	jabasim -preset smoke -sim-time 4 -checkpoint testdata/checkpoint/v2-smoke-fast.ckpt -checkpoint-every 150
+//	jabasim -preset smoke -sim-time 4 -exact-vtaoc -checkpoint testdata/checkpoint/v2-smoke-exact.ckpt -checkpoint-every 150
+func TestResumeVersion2Checkpoints(t *testing.T) {
+	for _, name := range []string{"v2-smoke-fast.ckpt", "v2-smoke-exact.ckpt"} {
+		t.Run(name, func(t *testing.T) {
+			c, err := ReadCheckpointFile(filepath.Join("..", "..", "testdata", "checkpoint", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := c.Config()
+			if !cfg.ExactPHY && runtime.GOARCH != "amd64" {
+				t.Skipf("fast-path checkpoint pins amd64 kernel bits; GOARCH is %s", runtime.GOARCH)
+			}
+			if cfg.PilotCells != 0 {
+				t.Fatalf("fixture has PilotCells %d, want a full-scan run", cfg.PilotCells)
+			}
+
+			straight := cfg
+			var want trace.Memory
+			straight.Trace = &want
+			mWant, err := Run(context.Background(), straight)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var got trace.Memory
+			cfg.Trace = &got
+			e, err := c.Resume(cfg)
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			k := e.Frame()
+			if k != 150 {
+				t.Fatalf("resumed at frame %d, want 150", k)
+			}
+			mGot, err := e.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(mWant, mGot) {
+				t.Errorf("resumed metrics differ:\nstraight %+v\nresumed  %+v", mWant, mGot)
+			}
+			tail := tracesFrom(want.Records, k)
+			if len(tail) == 0 {
+				t.Fatal("straight run traced nothing after the checkpoint frame; the trace check is vacuous")
+			}
+			if !reflect.DeepEqual(tail, got.Records) {
+				t.Errorf("resumed trace differs (%d vs %d records)", len(got.Records), len(tail))
 			}
 		})
 	}

@@ -222,16 +222,19 @@ type Config struct {
 	// mode. Like FrameParallel it never affects the results: metrics and
 	// traces are byte-identical for any tile count, including 0.
 	Tiles int
-	// PilotCells bounds each user's measurement window to the nearest
-	// PilotCells cells of its spatial-grid bucket (see internal/spatial):
-	// pilot sets, shadowing state and interference sums then cost O(window)
-	// instead of O(cells) per user per frame, which is what makes 1000-cell
-	// maps tractable. 0 (the default) keeps the full per-cell scan and its
-	// bit-exact goldens; positive values are a (deterministic) modelling
-	// approximation — cells outside the window are treated as negligible —
-	// so they change results relative to 0. Must be at least 4 (the active
-	// set plus slack) and at most channel.MaxWindowWidth; >= 19 (a two-ring
-	// neighbourhood) is recommended.
+	// PilotCells is the width of each user's measurement window: the
+	// nearest PilotCells cells of its spatial-grid bucket (see
+	// internal/spatial and windowed.go). Pilot sets, shadowing state and
+	// interference sums cost O(window) instead of O(cells) per user per
+	// frame, which is what makes 1000-cell maps tractable. 0 (the default)
+	// makes the window every cell: the paper's full per-cell scan, with its
+	// bit-exact goldens, at any map size. A value at or above the cell
+	// count is the same run as 0. A narrower window is a (deterministic)
+	// modelling approximation — cells outside it are treated as negligible
+	// — so it changes results relative to 0. Nonzero values must be at
+	// least 4 (the active set plus slack) and at most
+	// channel.MaxWindowWidth; >= 19 (a two-ring neighbourhood) is
+	// recommended.
 	PilotCells int
 
 	// Trace, when non-nil, receives per-frame per-cell telemetry records
@@ -409,7 +412,7 @@ func (c Config) Validate() error {
 		fail("Tiles requires the snapshot frame mode")
 	}
 	if c.PilotCells != 0 && (c.PilotCells < 4 || c.PilotCells > channel.MaxWindowWidth) {
-		fail("PilotCells must be 0 (full scan) or in [4, %d]", channel.MaxWindowWidth)
+		fail("PilotCells must be 0 (every cell) or in [4, %d]", channel.MaxWindowWidth)
 	}
 	if c.TraceEvery < 0 {
 		fail("TraceEvery must be >= 0")

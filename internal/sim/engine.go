@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/channel"
@@ -63,12 +62,12 @@ type burst struct {
 }
 
 // dataUser is one packet-data mobile. Its physics state — position, fast
-// fading and per-cell shadowing/gain — lives in the engine's SoA batches
-// (mobB, fadeB, chanB), indexed by id; gain aliases the user's row of the
-// channel batch so the admission code reads it exactly as before.
+// fading and per-slot shadowing/gain over its measurement window — lives
+// in the engine's SoA batches (mobB, fadeB, winB), indexed by id; gain and
+// cand alias the user's rows of the channel window.
 type dataUser struct {
 	id       int
-	gain     []float64 // aliases chanB.GainRow(id): long-term linear gain to every cell
+	gain     []float64 // aliases winB.GainRow(id): long-term linear gain to each window slot
 	pilots   []cellular.PilotMeasurement
 	active   []int
 	reduced  []int
@@ -83,10 +82,9 @@ type dataUser struct {
 	ver         uint64
 	prevReduced []int
 
-	// Windowed physics state (PilotCells > 0): cand aliases the user's
-	// slot-to-cell row of the channel window (global cell indices,
-	// ascending) and bucket is the spatial-grid bucket the window was last
-	// targeted at (-1 before the first frame).
+	// cand aliases the user's slot-to-cell row of the channel window
+	// (global cell indices, ascending) and bucket is the spatial-grid bucket
+	// the window was last targeted at (-1 before the first frame).
 	cand   []int32
 	bucket int
 
@@ -126,20 +124,16 @@ type Engine struct {
 
 	// Structure-of-arrays physics state for the data users, indexed by user
 	// id: waypoint mobility, Jakes fast fading and the long-term channel
-	// (path loss x shadowing). Each user's rows are touched only by the
-	// goroutine updating that user, so the chunked update fan-out is
-	// race-free.
+	// (path loss x shadowing) over each user's measurement window, every
+	// cell when PilotCells is 0 (see windowed.go). Each user's rows are
+	// touched only by the goroutine updating that user, so the chunked
+	// update fan-out is race-free. spix is the spatial bucket index: it
+	// hands out the window candidates and answers the voice users'
+	// nearest-cell queries.
 	mobB  *mobility.WaypointBatch
 	fadeB *rng.JakesBatch
-	chanB *channel.Batch
-
-	// Windowed physics (PilotCells > 0): the spatial bucket index and the
-	// windowed channel state. winB embeds the Batch chanB points at (with
-	// cells == window width), so the advance kernels and gain rows are
-	// shared; spix additionally serves the voice users' nearest-cell
-	// queries, replacing their O(cells) scans.
-	spix *spatial.Index
-	winB *channel.Window
+	winB  *channel.Window
+	spix  *spatial.Index
 
 	// incr caches per-cell admissible regions across frames (fast path
 	// only; the exact reference path always rebuilds). One cache serves
@@ -329,9 +323,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if !cfg.ExactPHY {
 		e.incr = measurement.NewIncrementalRegions(layout.NumCells(), cfg.RegionEpsilon)
 	}
-	if cfg.PilotCells > 0 {
-		e.spix = spatial.New(layout, cfg.PilotCells)
-	}
+	e.spix = spatial.New(layout, cfg.PilotCells)
 	e.queues = make([]*traffic.Queue, layout.NumCells())
 	for k := range e.queues {
 		e.queues[k] = traffic.NewQueue()
@@ -414,22 +406,15 @@ func (e *Engine) Close() {
 // populate creates the data and voice users. The data users' physics state
 // is seeded into the SoA batches from exactly the substreams the former
 // per-user objects received (mobility from userSrc.Split(1), fading from
-// Split(2), per-cell shadowing from Split(10+k)), so the batch kernels
-// reproduce the per-object trajectories bit for bit.
+// Split(2), window slot i's shadowing from Split(10+i) — slot i is cell i
+// on a map-wide window), so the batch kernels reproduce the per-object
+// trajectories bit for bit.
 func (e *Engine) populate() {
 	nCells := e.layout.NumCells()
 	nData := nCells * e.cfg.DataUsersPerCell
 	e.mobB = mobility.NewWaypointBatch(e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30, nData)
 	e.fadeB = rng.NewJakesBatch(nData, 16, e.cfg.DopplerHz)
-	if e.spix != nil {
-		// Windowed physics: per-user channel state spans only the candidate
-		// window. chanB aliases the window's embedded Batch (cells == window
-		// width), so the shared advance/paused/ready plumbing is untouched.
-		e.winB = channel.NewWindow(nData, e.spix.Window(), e.cfg.PathLoss, e.cfg.ShadowSigmaDB, e.cfg.ShadowDecorrM)
-		e.chanB = e.winB.Batch
-	} else {
-		e.chanB = channel.NewBatch(nData, nCells, e.cfg.PathLoss, e.cfg.ShadowSigmaDB, e.cfg.ShadowDecorrM)
-	}
+	e.winB = channel.NewWindow(nData, e.spix.Window(), e.cfg.PathLoss, e.cfg.ShadowSigmaDB, e.cfg.ShadowDecorrM)
 	uid := 0
 	for c := 0; c < nCells; c++ {
 		for i := 0; i < e.cfg.DataUsersPerCell; i++ {
@@ -441,10 +426,11 @@ func (e *Engine) populate() {
 			e.mobB.SeedUser(uid, userSrc.Split(1))
 			e.fadeB.SeedUser(uid, userSrc.Split(2))
 			dataSrc := userSrc.Split(3)
-			e.chanB.SeedUser(uid, userSrc, 10)
+			e.winB.SeedUser(uid, userSrc, 10)
 			u := &dataUser{
 				id:       uid,
-				gain:     e.chanB.GainRow(uid),
+				gain:     e.winB.GainRow(uid),
+				cand:     e.winB.CellRow(uid),
 				bucket:   -1,
 				source:   traffic.NewDataModel(dataSrc, uid, e.cfg.Data),
 				macM:     mac.MustNewMachine(e.cfg.MAC),
@@ -452,9 +438,6 @@ func (e *Engine) populate() {
 				revFCHRx: load.MakeVec(3),
 				revPilot: load.MakeVec(3),
 				scrm:     load.MakeVec(measurement.SCRMMaxPilots),
-			}
-			if e.winB != nil {
-				u.cand = e.winB.CellRow(uid)
 			}
 			e.users = append(e.users, u)
 			uid++
@@ -567,13 +550,11 @@ func (e *Engine) updateVoice(dt float64) {
 // advanceVoice advances one voice user. The serving cell is a pure function
 // of the position, so a paused user (zero travel) keeps its cell without
 // the nearest-cell search; the -1 sentinel from populate forces the first
-// evaluation. The fast path compares squared distances (saving one sqrt per
-// candidate); the exact reference path keeps the metre-domain comparison so
-// goldens cannot shift on sqrt-rounding ties. With a spatial index present
-// (PilotCells > 0) the search expands bucket rings instead of scanning all
-// cells — the index is exhaustively tested to return the very cell the
-// linear scans would, tie-breaks included, so the choice of search is
-// invisible in the results.
+// evaluation. The search expands spatial-index bucket rings instead of
+// scanning every cell; the index returns the very cell the linear scans
+// would, tie-breaks included. The fast path compares squared distances
+// (saving one sqrt per candidate); the exact reference path keeps the
+// metre-domain comparison so goldens cannot shift on sqrt-rounding ties.
 // Under a fault schedule a voice user on an out-of-service cell hands off
 // to the nearest surviving cell; paused users re-run the search on frames
 // where the down mask changed, so recovery hands them cleanly back.
@@ -584,15 +565,10 @@ func (e *Engine) advanceVoice(v *voiceUser, dt float64) {
 		return
 	}
 	pos := v.mob.Position()
-	switch {
-	case e.spix != nil && e.cfg.ExactPHY:
+	if e.cfg.ExactPHY {
 		v.cell = e.spix.NearestCell(pos)
-	case e.spix != nil:
+	} else {
 		v.cell = e.spix.NearestCellSq(pos)
-	case e.cfg.ExactPHY:
-		v.cell = e.layout.NearestCell(pos)
-	default:
-		v.cell = e.layout.NearestCellSq(pos)
 	}
 	if e.anyDown && e.fault.Down[v.cell] {
 		v.cell = e.nearestUpCell(pos, v.cell)
@@ -620,132 +596,6 @@ func (e *Engine) updateUsers(dt float64) {
 			e.updateUser(u, dt)
 		}
 	})
-}
-
-// updateUser advances one data user by one frame: position, per-cell gain,
-// pilot/active/reduced sets, geometry, FCH ledgers and MAC state. The exact
-// reference path (ExactPHY) reproduces the original scalar chain bit for
-// bit; the default fast path evaluates the same model through the batched
-// fast kernels.
-func (e *Engine) updateUser(u *dataUser, dt float64) {
-	switch {
-	case e.winB != nil && e.cfg.ExactPHY:
-		e.updateUserExactWin(u, dt)
-	case e.winB != nil:
-		e.updateUserFastWin(u, dt)
-	case e.cfg.ExactPHY:
-		e.updateUserExact(u, dt)
-	default:
-		e.updateUserFast(u, dt)
-	}
-}
-
-// updateUserExact is the bit-exact reference frame update. A zero-travel
-// frame leaves the shadowing state — and with it every derived quantity,
-// down to the FCH ledgers — bitwise unchanged, so after consuming the
-// Gaussian draws the reference stream takes anyway, the whole recompute is
-// skipped.
-func (e *Engine) updateUserExact(u *dataUser, dt float64) {
-	travelled := e.mobB.Advance(u.id, dt)
-	if travelled == 0 && e.chanB.Ready(u.id) {
-		e.chanB.AdvancePausedExact(u.id)
-		if e.faultDirty {
-			e.refreshPausedUser(u)
-			return
-		}
-		u.macM.AdvanceTo(e.now)
-		return
-	}
-	pos := e.mobB.Position(u.id)
-	e.layout.DistancesInto(pos, e.chanB.DistRow(u.id))
-	e.chanB.AdvanceExact(u.id, travelled)
-	u.pilots = cellular.PilotSetInto(u.pilots, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-	e.filterDownPilots(u)
-	u.active = cellular.ActiveSetInto(u.active, u.pilots, e.cfg.SoftHandoffAddDB, e.cfg.PilotMinEcIoDB, 3)
-	e.finishMeasurements(u)
-}
-
-// updateUserFast is the default frame update: squared distances feed the
-// fast channel kernel (FastLog10/FastExp10, ziggurat shadowing draws), the
-// pilot and active sets are decided in the linear domain, and a paused user
-// skips the frame entirely — its measurements cannot change. The user's
-// measurement version is bumped whenever the gains moved beyond
-// RegionEpsilon or the reduced set changed, keying the incremental region
-// cache.
-func (e *Engine) updateUserFast(u *dataUser, dt float64) {
-	travelled := e.mobB.Advance(u.id, dt)
-	if travelled == 0 && e.chanB.Ready(u.id) {
-		if e.faultDirty {
-			e.refreshPausedUser(u)
-			return
-		}
-		u.macM.AdvanceTo(e.now)
-		return
-	}
-	pos := e.mobB.Position(u.id)
-	e.layout.DistancesSqInto(pos, e.chanB.DistRow(u.id))
-	dirty := e.chanB.AdvanceFast(u.id, travelled, e.cfg.RegionEpsilon)
-	u.pilots = cellular.PilotSetLinearInto(u.pilots, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-	e.filterDownPilots(u)
-	u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
-	e.finishMeasurements(u)
-	if !dirty {
-		dirty = !slices.Equal(u.reduced, u.prevReduced)
-	}
-	if dirty {
-		u.ver++
-	}
-	u.prevReduced = append(u.prevReduced[:0], u.reduced...)
-}
-
-// finishMeasurements derives the admission-facing quantities from the
-// freshly updated gains and active set: reduced set, host cell, geometry,
-// mean CSI and the FCH ledgers. Identical arithmetic on both the exact and
-// the fast path (the inputs differ only by the kernel tolerances).
-func (e *Engine) finishMeasurements(u *dataUser) {
-	nCells := e.layout.NumCells()
-	u.reduced = cellular.ReducedActiveSetInto(u.reduced, u.pilots, u.active)
-	if len(u.reduced) == 0 {
-		// Degenerate coverage hole: fall back to the strongest cell.
-		u.reduced = append(u.reduced, int(u.pilots[0].Cell))
-	}
-	u.hostCell = u.reduced[0]
-
-	// Downlink geometry: serving-cell power over other-cell interference
-	// plus noise, with neighbours at nominal activity.
-	interference := e.cfg.NoiseW
-	for k := 0; k < nCells; k++ {
-		if k == u.hostCell {
-			continue
-		}
-		interference += nominalOtherCellActivity * e.cfg.MaxCellPowerW * u.gain[k]
-	}
-	u.geometry = e.cfg.MaxCellPowerW * u.gain[u.hostCell] / interference
-	u.meanCSIdB = mathx.DB(u.geometry) + schCSIOffsetDB
-
-	// Forward FCH power needed at each reduced-active-set cell (equation 6
-	// inputs): P = EbIo_target * I / (gain * processing gain), capped.
-	cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
-	u.fchPower.Reset()
-	for _, k := range u.reduced {
-		req := e.ebioTarget * interference / (u.gain[k] * e.fchPG)
-		u.fchPower.Set(k, math.Min(req, cap))
-	}
-
-	// Reverse FCH received power at every cell, assuming the mobile's
-	// reverse power control holds the target at its best cell against a
-	// nominal half-limit interference level. Stored normalised by the
-	// thermal noise power (rise-over-thermal units) so that the admission
-	// arithmetic works on O(1) quantities.
-	nominalL := e.cfg.NoiseW * (1 + (e.cfg.ReverseRiseLimit-1)/2)
-	bestGain := u.gain[u.hostCell]
-	revTx := e.ebioTarget * nominalL / (bestGain * e.fchPG)
-	u.revFCHRx.Reset()
-	for _, k := range u.reduced {
-		u.revFCHRx.Set(k, revTx*u.gain[k]/e.cfg.NoiseW)
-	}
-
-	u.macM.AdvanceTo(e.now)
 }
 
 // generateTraffic advances the data sources and enqueues new burst requests.

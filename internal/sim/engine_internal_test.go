@@ -44,8 +44,9 @@ func TestPopulateCounts(t *testing.T) {
 		t.Error("per-cell structures sized wrong")
 	}
 	// The SoA physics batches must cover every user, and each user's gain
-	// slice must alias its row of the channel batch (one gain per cell).
-	if e.mobB == nil || e.fadeB == nil || e.chanB == nil {
+	// slice must alias its row of the channel window (one gain per cell:
+	// PilotCells is 0, so the window is the whole map).
+	if e.mobB == nil || e.fadeB == nil || e.winB == nil {
 		t.Fatal("physics batches not initialised")
 	}
 	if e.mobB.Len() != len(e.users) {
@@ -55,7 +56,7 @@ func TestPopulateCounts(t *testing.T) {
 		if len(u.gain) != 7 || u.source == nil || u.macM == nil {
 			t.Fatal("user substructures not initialised")
 		}
-		if row := e.chanB.GainRow(u.id); &u.gain[0] != &row[0] {
+		if row := e.winB.GainRow(u.id); &u.gain[0] != &row[0] {
 			t.Fatalf("user %d gain does not alias its channel batch row", u.id)
 		}
 	}
@@ -99,6 +100,33 @@ func TestUpdateUsersProducesConsistentState(t *testing.T) {
 			if _, x := u.revFCHRx.At(i); x <= 0 || math.IsNaN(x) {
 				t.Errorf("reverse FCH received power invalid: %v", x)
 			}
+		}
+	}
+}
+
+// TestMeasurementVersionFastPathOnly: only the fast path keys the
+// incremental region cache on a measurement version. The exact path shares
+// the user update but must leave the version and the previous reduced set
+// untouched: its checkpoints store both, so bumping them would change
+// exact-path checkpoint bytes.
+func TestMeasurementVersionFastPathOnly(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		e := newTestEngine(t, func(c *Config) { c.ExactPHY = exact })
+		for f := 0; f < 5; f++ {
+			e.now = float64(f) * e.cfg.FrameLength
+			e.updateUsers(e.cfg.FrameLength)
+		}
+		bumped := 0
+		for _, u := range e.users {
+			if u.ver > 0 || len(u.prevReduced) > 0 {
+				bumped++
+			}
+		}
+		if exact && bumped > 0 {
+			t.Errorf("exact path: %d users carry a measurement version or previous reduced set", bumped)
+		}
+		if !exact && bumped != len(e.users) {
+			t.Errorf("fast path: only %d of %d users carry a measurement version", bumped, len(e.users))
 		}
 	}
 }

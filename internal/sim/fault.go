@@ -11,8 +11,8 @@ package sim
 //     outage cell-frames. The down mask and derate vector are immutable for
 //     the rest of the frame, so the parallel update/solve phases read them
 //     freely.
-//   - Out-of-service cells are excluded from the pilot search (every update
-//     path filters its freshly built pilot set through filterDownPilots),
+//   - Out-of-service cells are excluded from the pilot search (refreshPilots
+//     filters every freshly built pilot set through filterDownPilots),
 //     so users re-pilot to the surviving SCRM neighbours and their FCH load
 //     and new burst requests spill onto those cells. If every measurable
 //     cell is down the user keeps its stale set — a coverage hole; its cell
@@ -34,8 +34,6 @@ package sim
 // byte-identical to no schedule at all.
 
 import (
-	"slices"
-
 	"jabasd/internal/cellular"
 	"jabasd/internal/fault"
 )
@@ -100,52 +98,14 @@ func (e *Engine) filterDownPilots(u *dataUser) {
 // Only the measurement chain runs — the mobility, fading and channel
 // streams have already been advanced (or skipped) exactly as the paused
 // shortcut does — so the RNG state is untouched and a fault-free run
-// cannot diverge. The fast paths also re-run the version bump so the
-// region cache sees the reduced-set change.
+// cannot diverge. The user is paused, so its bucket — and with it the
+// window — cannot have moved. The fast path also re-runs the version bump
+// so the region cache sees the reduced-set change.
 func (e *Engine) refreshPausedUser(u *dataUser) {
-	if e.winB != nil {
-		e.refreshPilotsWin(u)
-	} else {
-		e.refreshPilots(u)
-	}
+	e.refreshPilots(u)
 	if !e.cfg.ExactPHY {
-		if !slices.Equal(u.reduced, u.prevReduced) {
-			u.ver++
-		}
-		u.prevReduced = append(u.prevReduced[:0], u.reduced...)
+		u.bumpVersion(false)
 	}
-}
-
-// refreshPilots is the full-scan measurement chain of updateUserExact /
-// updateUserFast without the mobility and channel advance, for paused users
-// on mask-change frames.
-func (e *Engine) refreshPilots(u *dataUser) {
-	if e.cfg.ExactPHY {
-		u.pilots = cellular.PilotSetInto(u.pilots, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
-		u.active = cellular.ActiveSetInto(u.active, u.pilots, e.cfg.SoftHandoffAddDB, e.cfg.PilotMinEcIoDB, 3)
-	} else {
-		u.pilots = cellular.PilotSetLinearInto(u.pilots, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
-		u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
-	}
-	e.finishMeasurements(u)
-}
-
-// refreshPilotsWin is refreshPilots over the candidate window. The user is
-// paused, so its bucket — and with it the window — cannot have moved; the
-// slot-mapped gains are read as they stand.
-func (e *Engine) refreshPilotsWin(u *dataUser) {
-	if e.cfg.ExactPHY {
-		u.pilots = cellular.PilotSetCellsInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
-		u.active = cellular.ActiveSetInto(u.active, u.pilots, e.cfg.SoftHandoffAddDB, e.cfg.PilotMinEcIoDB, 3)
-	} else {
-		u.pilots = cellular.PilotSetCellsLinearInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
-		u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
-	}
-	e.finishMeasurementsWin(u)
 }
 
 // migrateQueued moves burst requests still queued at an out-of-service

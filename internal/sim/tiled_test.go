@@ -1,8 +1,8 @@
 package sim
 
 // Tests for the tiled snapshot mode and the windowed (city-scale) physics:
-// the tile-count determinism gate mirroring the FrameParallel gate and the
-// full-width identity of the windowed path.
+// the tile-count determinism gate mirroring the FrameParallel gate, the
+// full-width identity of the window and a map wider than the merge bound.
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"jabasd/internal/cellular"
+	"jabasd/internal/channel"
 	"jabasd/internal/trace"
 )
 
@@ -95,12 +96,11 @@ func TestTileCountDeterminismExact(t *testing.T) {
 	}
 }
 
-// TestWindowedFullWidthIdentity pins the key property the windowed physics
-// is built on: when PilotCells covers every cell of the layout, the
-// candidate list is the identity, the window retargets are no-ops after the
-// first frame, and every summation runs in the same order as the full scan
-// — so the windowed engine reproduces the full-scan engine exactly, on both
-// the fast and the exact kernels, tiled or not.
+// TestWindowedFullWidthIdentity pins the two identities of the windowed
+// physics: a window width at or above the cell count is the map-wide
+// window PilotCells 0 builds, so the run is exactly the PilotCells 0 run;
+// and a windowed run is the same tiled or untiled. Both on the fast and the
+// exact kernels.
 func TestWindowedFullWidthIdentity(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		for _, dir := range []Direction{Forward, Reverse} {
@@ -109,15 +109,21 @@ func TestWindowedFullWidthIdentity(t *testing.T) {
 			base.Direction = dir
 			base.ExactPHY = exact
 			full, fullTrace := runTraced(t, base)
+			for _, width := range []int{7, 19} { // >= 7 cells: the window is the whole layout
+				win := base
+				win.PilotCells = width
+				got, gotTrace := runTraced(t, win)
+				if got != full {
+					t.Errorf("exact=%v %s width %d: run diverged from PilotCells 0: %v vs %v", exact, dir, width, got, full)
+				}
+				if !reflect.DeepEqual(gotTrace, fullTrace) {
+					t.Errorf("exact=%v %s width %d: trace diverged from PilotCells 0", exact, dir, width)
+				}
+			}
 			win := base
-			win.PilotCells = 19 // >= 7 cells: the window is the whole layout
-			got, gotTrace := runTraced(t, win)
-			if got != full {
-				t.Errorf("exact=%v %s: full-width windowed run diverged: %v vs %v", exact, dir, got, full)
-			}
-			if !reflect.DeepEqual(gotTrace, fullTrace) {
-				t.Errorf("exact=%v %s: full-width windowed trace diverged", exact, dir)
-			}
+			win.Rings = 3 // 37 cells
+			win.DataUsersPerCell = 2
+			win.PilotCells = 19 // a window that really moves
 			tiled := win
 			tiled.FrameMode = FrameSnapshot
 			tiled.FrameParallel = 2
@@ -126,11 +132,11 @@ func TestWindowedFullWidthIdentity(t *testing.T) {
 			ref.FrameMode = FrameSnapshot
 			ref.FrameParallel = 2
 			wantFP, wantTrace := runTraced(t, ref)
-			gotFP, gotTrace2 := runTraced(t, tiled)
+			gotFP, gotTrace := runTraced(t, tiled)
 			if gotFP != wantFP {
 				t.Errorf("exact=%v %s: tiled windowed run diverged from untiled snapshot: %v vs %v", exact, dir, gotFP, wantFP)
 			}
-			if !reflect.DeepEqual(gotTrace2, wantTrace) {
+			if !reflect.DeepEqual(gotTrace, wantTrace) {
 				t.Errorf("exact=%v %s: tiled windowed trace diverged", exact, dir)
 			}
 		}
@@ -153,9 +159,6 @@ func TestWindowedNarrowRunCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.winB == nil || e.spix == nil {
-		t.Fatal("PilotCells did not enable the windowed physics")
-	}
 	if e.winB.Width() != 19 {
 		t.Fatalf("window width = %d, want 19", e.winB.Width())
 	}
@@ -170,6 +173,41 @@ func TestWindowedNarrowRunCompletes(t *testing.T) {
 		for _, k := range u.reduced {
 			if cellular.FindCell(u.cand, int32(k)) < 0 {
 				t.Fatalf("user %d reduced-set cell %d outside its candidate window %v", u.id, k, u.cand)
+			}
+		}
+	}
+}
+
+// TestFullScanWiderThanMergeBound: PilotCells 0 on a map with more cells
+// than channel.MaxWindowWidth gives a map-wide window past the window
+// merge's fixed bound. Its candidate list never moves, so the engine must
+// build and run on both the fast and the exact kernels.
+func TestFullScanWiderThanMergeBound(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		cfg := quickConfig()
+		cfg.Rings = 9 // 271 cells
+		cfg.DataUsersPerCell = 1
+		cfg.VoiceUsersPerCell = 0
+		cfg.SimTime = 0.25
+		cfg.WarmupTime = 0
+		cfg.ExactPHY = exact
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := e.layout.NumCells()
+		if n <= channel.MaxWindowWidth || e.winB.Width() != n {
+			t.Fatalf("exact=%v: %d cells, window width %d; want a map-wide window wider than %d", exact, n, e.winB.Width(), channel.MaxWindowWidth)
+		}
+		if _, err := e.Run(context.Background()); err != nil {
+			t.Fatalf("exact=%v: %v", exact, err)
+		}
+		if e.Frame() != 5 {
+			t.Fatalf("exact=%v: ran %d frames, want 5", exact, e.Frame())
+		}
+		for _, u := range e.users {
+			if len(u.pilots) != n || u.hostCell < 0 || u.hostCell >= n {
+				t.Fatalf("exact=%v: user %d has %d pilots (want %d) and host cell %d", exact, u.id, len(u.pilots), n, u.hostCell)
 			}
 		}
 	}

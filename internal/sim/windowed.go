@@ -1,20 +1,25 @@
 package sim
 
-// Windowed physics (Config.PilotCells > 0): instead of tracking channel
-// state to every base station — O(users x cells) memory and per-frame work,
-// untenable at city scale — each data user tracks only the candidate window
-// of its current spatial bucket (internal/spatial), retargeting the window
-// when it crosses into a bucket with a different candidate list
-// (channel.Window carries the shadowing state of cells that stay). All
-// downstream admission code is untouched: pilots, active and reduced sets
-// carry global cell indices exactly as before; only the gain lookups here
-// go through the slot map, and each pilot entry carries its window slot —
+// The physics path. Every data user tracks channel state only to the
+// candidate window of its current spatial bucket (internal/spatial),
+// retargeting the window when it crosses into a bucket with a different
+// candidate list (channel.Window carries the shadowing state of cells that
+// stay). Config.PilotCells sets the window width; 0 makes the window every
+// cell, so each bucket's candidate list is the identity, Retarget no-ops
+// after the first frame and the run is the paper's full per-cell scan. A
+// window narrower than the map is what makes 1000-cell maps tractable:
+// O(users x window) instead of O(users x cells) memory and per-frame work.
+//
+// All downstream admission code is window-agnostic: pilots, active and
+// reduced sets carry global cell indices; only the gain lookups here go
+// through the slot map, and each pilot entry carries its window slot —
 // rebuilt when the window retargets and on checkpoint restore — so those
-// lookups need no search. When the window covers every cell (PilotCells >=
-// the cell count) the candidate list is the identity, Retarget no-ops after
-// the first frame and the arithmetic — including the order of the Io and
-// interference summations — is bit-identical to the full-scan paths, which
-// TestWindowedFullWidthIdentity locks in.
+// lookups need no search.
+//
+// The exact reference path (ExactPHY) and the default fast path share one
+// control flow and differ only in the kernels they call: metre or squared
+// distances, AdvanceExact or AdvanceFast, dB- or linear-domain pilot and
+// active sets.
 
 import (
 	"fmt"
@@ -37,40 +42,22 @@ func (e *Engine) retargetWindow(u *dataUser, pos cellular.Point) bool {
 	return e.winB.Retarget(u.id, e.spix.Candidates(b))
 }
 
-// updateUserExactWin is updateUserExact over the candidate window: metre
-// distances and dB-domain pilot selection, restricted to the window's
-// cells.
-func (e *Engine) updateUserExactWin(u *dataUser, dt float64) {
+// updateUser advances one data user by one frame: position, window gains,
+// pilot/active/reduced sets, geometry, FCH ledgers and MAC state. A
+// zero-travel frame leaves every derived quantity bitwise unchanged, so a
+// paused user skips the recompute; the exact path first consumes the
+// Gaussian draws its reference stream takes anyway. On the fast path the
+// user's measurement version is bumped whenever the gains moved beyond
+// RegionEpsilon, the window retargeted (entering slots carry an
+// invalidated epsilon baseline) or the reduced set changed, keying the
+// incremental region cache; the exact path never bumps it.
+func (e *Engine) updateUser(u *dataUser, dt float64) {
+	exact := e.cfg.ExactPHY
 	travelled := e.mobB.Advance(u.id, dt)
-	if travelled == 0 && e.chanB.Ready(u.id) {
-		e.chanB.AdvancePausedExact(u.id)
-		if e.faultDirty {
-			e.refreshPausedUser(u)
-			return
+	if travelled == 0 && e.winB.Ready(u.id) {
+		if exact {
+			e.winB.AdvancePausedExact(u.id)
 		}
-		u.macM.AdvanceTo(e.now)
-		return
-	}
-	pos := e.mobB.Position(u.id)
-	if e.retargetWindow(u, pos) {
-		u.pilots = u.pilots[:0] // stale slots: next PilotSet call rebuilds
-	}
-	e.layout.DistancesForInto(pos, u.cand, e.chanB.DistRow(u.id))
-	e.chanB.AdvanceExact(u.id, travelled)
-	u.pilots = cellular.PilotSetCellsInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-	e.filterDownPilots(u)
-	u.active = cellular.ActiveSetInto(u.active, u.pilots, e.cfg.SoftHandoffAddDB, e.cfg.PilotMinEcIoDB, 3)
-	e.finishMeasurementsWin(u)
-}
-
-// updateUserFastWin is updateUserFast over the candidate window: squared
-// distances, the fast channel kernel and linear-domain pilot selection. A
-// retarget forces the measurement version to bump — entering slots carry an
-// invalidated epsilon baseline, and the frame-coherent pilot update starts
-// from a clean rebuild.
-func (e *Engine) updateUserFastWin(u *dataUser, dt float64) {
-	travelled := e.mobB.Advance(u.id, dt)
-	if travelled == 0 && e.chanB.Ready(u.id) {
 		if e.faultDirty {
 			e.refreshPausedUser(u)
 			return
@@ -81,30 +68,56 @@ func (e *Engine) updateUserFastWin(u *dataUser, dt float64) {
 	pos := e.mobB.Position(u.id)
 	retargeted := e.retargetWindow(u, pos)
 	if retargeted {
-		u.pilots = u.pilots[:0]
+		u.pilots = u.pilots[:0] // stale slots: the pilot kernel rebuilds
 	}
-	e.layout.DistancesSqForInto(pos, u.cand, e.chanB.DistRow(u.id))
-	dirty := e.chanB.AdvanceFast(u.id, travelled, e.cfg.RegionEpsilon) || retargeted
-	u.pilots = cellular.PilotSetCellsLinearInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-	e.filterDownPilots(u)
-	u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
-	e.finishMeasurementsWin(u)
-	if !dirty {
-		dirty = !slices.Equal(u.reduced, u.prevReduced)
+	var dirty bool
+	if exact {
+		e.layout.DistancesForInto(pos, u.cand, e.winB.DistRow(u.id))
+		e.winB.AdvanceExact(u.id, travelled)
+	} else {
+		e.layout.DistancesSqForInto(pos, u.cand, e.winB.DistRow(u.id))
+		dirty = e.winB.AdvanceFast(u.id, travelled, e.cfg.RegionEpsilon) || retargeted
 	}
-	if dirty {
+	e.refreshPilots(u)
+	if !exact {
+		u.bumpVersion(dirty)
+	}
+}
+
+// bumpVersion is the fast path's measurement-version update: the version
+// moves when the caller saw the gains change or the reduced set differs
+// from the previous frame's.
+func (u *dataUser) bumpVersion(dirty bool) {
+	if dirty || !slices.Equal(u.reduced, u.prevReduced) {
 		u.ver++
 	}
 	u.prevReduced = append(u.prevReduced[:0], u.reduced...)
 }
 
-// finishMeasurementsWin is finishMeasurements with the gain lookups routed
-// through the window: the interference total sums the window's cells only
-// (ascending cell order, like the full scan restricted to the window) and
-// each reduced-set cell's gain is read at the slot its pilot entry carries.
-// Reduced-set cells are always in the window — they come from the window's
-// own pilot set.
-func (e *Engine) finishMeasurementsWin(u *dataUser) {
+// refreshPilots forms the user's pilot and active sets from its current
+// window gains — dB domain on the exact path, linear domain on the fast
+// path — drops out-of-service cells, and derives everything downstream.
+func (e *Engine) refreshPilots(u *dataUser) {
+	if e.cfg.ExactPHY {
+		u.pilots = cellular.PilotSetCellsInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
+		e.filterDownPilots(u)
+		u.active = cellular.ActiveSetInto(u.active, u.pilots, e.cfg.SoftHandoffAddDB, e.cfg.PilotMinEcIoDB, 3)
+	} else {
+		u.pilots = cellular.PilotSetCellsLinearInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
+		e.filterDownPilots(u)
+		u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
+	}
+	e.finishMeasurements(u)
+}
+
+// finishMeasurements derives the admission-facing quantities from the
+// freshly updated gains and active set: reduced set, host cell, geometry,
+// mean CSI and the FCH ledgers. Identical arithmetic on both the exact and
+// the fast path (the inputs differ only by the kernel tolerances). The
+// interference total sums the window's cells in ascending cell order, and
+// each reduced-set cell's gain is read at the slot its pilot entry carries:
+// reduced-set cells always come from the window's own pilot set.
+func (e *Engine) finishMeasurements(u *dataUser) {
 	u.reduced = cellular.ReducedActiveSetInto(u.reduced, u.pilots, u.active)
 	if len(u.reduced) == 0 {
 		// Degenerate coverage hole: fall back to the strongest cell.
@@ -112,8 +125,8 @@ func (e *Engine) finishMeasurementsWin(u *dataUser) {
 	}
 	u.hostCell = u.reduced[0]
 
-	// Downlink geometry over the window: serving-cell power over other-cell
-	// interference plus noise, with neighbours at nominal activity.
+	// Downlink geometry: serving-cell power over other-cell interference
+	// plus noise, with neighbours at nominal activity.
 	host := int32(u.hostCell)
 	interference := e.cfg.NoiseW
 	for s, c := range u.cand {
@@ -126,6 +139,8 @@ func (e *Engine) finishMeasurementsWin(u *dataUser) {
 	u.geometry = e.cfg.MaxCellPowerW * hostGain / interference
 	u.meanCSIdB = mathx.DB(u.geometry) + schCSIOffsetDB
 
+	// Forward FCH power needed at each reduced-active-set cell (equation 6
+	// inputs): P = EbIo_target * I / (gain * processing gain), capped.
 	cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
 	u.fchPower.Reset()
 	for _, k := range u.reduced {
@@ -134,6 +149,11 @@ func (e *Engine) finishMeasurementsWin(u *dataUser) {
 		u.fchPower.Set(k, math.Min(req, cap))
 	}
 
+	// Reverse FCH received power at every cell, assuming the mobile's
+	// reverse power control holds the target at its best cell against a
+	// nominal half-limit interference level. Stored normalised by the
+	// thermal noise power (rise-over-thermal units) so that the admission
+	// arithmetic works on O(1) quantities.
 	nominalL := e.cfg.NoiseW * (1 + (e.cfg.ReverseRiseLimit-1)/2)
 	revTx := e.ebioTarget * nominalL / (hostGain * e.fchPG)
 	u.revFCHRx.Reset()

@@ -181,14 +181,8 @@ func (ix *Index) BucketDiagonal() float64 {
 func (ix *Index) bucketXY(p cellular.Point) (int, int) {
 	x, y := p.X-ix.ox, p.Y-ix.oy
 	if ix.wrap {
-		x = math.Mod(x, ix.ew)
-		if x < 0 {
-			x += ix.ew
-		}
-		y = math.Mod(y, ix.eh)
-		if y < 0 {
-			y += ix.eh
-		}
+		x = wrapCoord(x, ix.ew)
+		y = wrapCoord(y, ix.eh)
 	}
 	bx := int(x / ix.bw)
 	if bx < 0 {
@@ -203,6 +197,20 @@ func (ix *Index) bucketXY(p cellular.Point) (int, int) {
 		by = ix.ny - 1
 	}
 	return bx, by
+}
+
+// wrapCoord maps a coordinate into the torus period [0, period). Mobility
+// keeps positions inside the period, where math.Mod is the identity, so
+// the common case skips its slow remainder loop.
+func wrapCoord(v, period float64) float64 {
+	if v >= 0 && v < period {
+		return v
+	}
+	v = math.Mod(v, period)
+	if v < 0 {
+		v += period
+	}
+	return v
 }
 
 // BucketOf returns the bucket index of a position. Positions are expected
@@ -237,28 +245,17 @@ func (ix *Index) NearestCellSq(p cellular.Point) int {
 // (the query point may sit anywhere inside its own bucket, hence the -1),
 // so once the best distance drops strictly below that bound no farther ring
 // can improve on it — nor tie it with a lower index, because the bound is
-// compared strictly.
+// compared strictly. The winner is the least (distance, cell) pair, so the
+// order buckets are visited in does not matter. Ring r is the full square
+// for r = 0 and its perimeter otherwise; ring coordinates wrap on a torus
+// grid and are skipped outside a bounded grid. On a torus narrower than
+// the ring some buckets are visited more than once, which is wasteful but
+// harmless.
 func (ix *Index) nearest(p cellular.Point, sq bool) int {
 	bx, by := ix.bucketXY(p)
 	best, bestD := -1, math.Inf(1)
-	scan := func(b int32) {
-		for _, k := range ix.members[ix.memberStart[b]:ix.memberStart[b+1]] {
-			var d float64
-			if sq {
-				d = ix.layout.DistanceSq(p, int(k))
-			} else {
-				d = ix.layout.Distance(p, int(k))
-			}
-			if d < bestD || (d == bestD && int(k) < best) {
-				best, bestD = int(k), d
-			}
-		}
-	}
 	minb := math.Min(ix.bw, ix.bh)
-	rMax := ix.nx
-	if ix.ny > rMax {
-		rMax = ix.ny
-	}
+	rMax := max(ix.nx, ix.ny)
 	for r := 0; r <= rMax; r++ {
 		if best >= 0 && r >= 1 {
 			bound := float64(r-1) * minb
@@ -269,45 +266,51 @@ func (ix *Index) nearest(p cellular.Point, sq bool) int {
 				break
 			}
 		}
-		ix.scanRing(bx, by, r, scan)
+		for dy := -r; dy <= r; dy++ {
+			y := by + dy
+			if ix.wrap {
+				y = wrapIdx(y, ix.ny)
+			} else if y < 0 || y >= ix.ny {
+				continue
+			}
+			step := 2 * r // interior rows of the ring: only its two ends
+			if dy == -r || dy == r {
+				step = 1
+			}
+			for dx := -r; dx <= r; dx += step {
+				x := bx + dx
+				if ix.wrap {
+					x = wrapIdx(x, ix.nx)
+				} else if x < 0 || x >= ix.nx {
+					continue
+				}
+				b := y*ix.nx + x
+				for _, k := range ix.members[ix.memberStart[b]:ix.memberStart[b+1]] {
+					var d float64
+					if sq {
+						d = ix.layout.DistanceSq(p, int(k))
+					} else {
+						d = ix.layout.Distance(p, int(k))
+					}
+					if d < bestD || (d == bestD && int(k) < best) {
+						best, bestD = int(k), d
+					}
+				}
+			}
+		}
 	}
 	return best
 }
 
-// scanRing visits every bucket on the Chebyshev ring of radius r around
-// (bx, by): the full square for r = 0, its perimeter otherwise. Ring
-// coordinates wrap on a torus grid and are skipped outside a bounded grid.
-// On a torus narrower than the ring some buckets are visited more than
-// once, which is wasteful but harmless — the scan callback is idempotent.
-func (ix *Index) scanRing(bx, by, r int, scan func(bucket int32)) {
-	visit := func(x, y int) {
-		if ix.wrap {
-			x = wrapIdx(x, ix.nx)
-			y = wrapIdx(y, ix.ny)
-		} else if x < 0 || x >= ix.nx || y < 0 || y >= ix.ny {
-			return
-		}
-		scan(int32(y*ix.nx + x))
-	}
-	if r == 0 {
-		visit(bx, by)
-		return
-	}
-	for dx := -r; dx <= r; dx++ {
-		visit(bx+dx, by-r)
-		visit(bx+dx, by+r)
-	}
-	for dy := -r + 1; dy <= r-1; dy++ {
-		visit(bx-r, by+dy)
-		visit(bx+r, by+dy)
-	}
-}
-
-// wrapIdx wraps a grid index into [0, n).
+// wrapIdx wraps a grid index into [0, n). Ring coordinates lie within
+// max(nx, ny) of the grid — a period or two on the near-square grids hex
+// layouts give — so repeated addition beats a division.
 func wrapIdx(i, n int) int {
-	i %= n
-	if i < 0 {
+	for i < 0 {
 		i += n
+	}
+	for i >= n {
+		i -= n
 	}
 	return i
 }

@@ -61,12 +61,16 @@ func TestDistanceSqMatchesBatch(t *testing.T) {
 	src := rng.New(9)
 	for _, l := range testLayouts() {
 		n := l.NumCells()
+		all := make([]int32, n)
+		for k := range all {
+			all[k] = int32(k)
+		}
 		batch := make([]float64, n)
 		for _, p := range testPoints(l, src) {
-			l.DistancesSqInto(p, batch)
+			l.DistancesSqForInto(p, all, batch)
 			for k := 0; k < n; k++ {
 				if got := l.DistanceSq(p, k); got != batch[k] {
-					t.Fatalf("%s: DistanceSq(%v, %d) = %v, DistancesSqInto = %v", l, p, k, got, batch[k])
+					t.Fatalf("%s: DistanceSq(%v, %d) = %v, DistancesSqForInto = %v", l, p, k, got, batch[k])
 				}
 			}
 		}
