@@ -219,6 +219,11 @@ func (p Problem) Validate() error {
 	if err := p.Objective.Validate(); err != nil {
 		return err
 	}
+	if p.MAC != nil {
+		if err := p.MAC.Validate(); err != nil {
+			return err
+		}
+	}
 	for _, row := range p.Region.Coeff {
 		if len(row) != len(p.Requests) {
 			return errors.New("core: region width does not match request count")

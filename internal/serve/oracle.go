@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"jabasd/internal/core"
 	"jabasd/internal/mac"
@@ -94,4 +96,88 @@ func (p *oraclePool) schedule(req OracleRequest) (core.Assignment, error) {
 		return core.Assignment{}, fmt.Errorf("serve: %w", err)
 	}
 	return s.Schedule(problem)
+}
+
+// maxPooledBody is the largest body buffer an oracle scratch may hold and
+// still go back to the pool: one huge request does not pin its memory, nor
+// make the next calls clear its decoded slices.
+const maxPooledBody = 1 << 20
+
+// oracleScratch is one oracle call's reusable memory: the body, the decoded
+// request, the storage of its slices and MAC, and the encoded response.
+type oracleScratch struct {
+	body bytes.Buffer
+	req  OracleRequest
+	out  []byte
+
+	requests []core.Request
+	coeff    [][]float64
+	bound    []float64
+	cells    []int
+	mac      mac.Config
+	dec      oracleDecoder
+}
+
+var oracleScratchPool sync.Pool
+
+func getOracleScratch() *oracleScratch {
+	if sc, ok := oracleScratchPool.Get().(*oracleScratch); ok {
+		return sc
+	}
+	return new(oracleScratch)
+}
+
+func putOracleScratch(sc *oracleScratch) {
+	if sc.body.Cap() > maxPooledBody {
+		return
+	}
+	sc.body.Reset()
+	oracleScratchPool.Put(sc)
+}
+
+// decode decodes the body into sc.req as encoding/json decodes it into a
+// zero OracleRequest, but in the memory of the last call. The decoder
+// extends a slice over its old contents, as encoding/json does, so those
+// are zeroed first: a zeroed element is what a slice grown from nil holds.
+func (sc *oracleScratch) decode() error {
+	clear(sc.requests[:cap(sc.requests)])
+	for _, row := range sc.coeff[:cap(sc.coeff)] {
+		clear(row[:cap(row)])
+	}
+	clear(sc.bound[:cap(sc.bound)])
+	clear(sc.cells[:cap(sc.cells)])
+	req := &sc.req
+	*req = OracleRequest{
+		Requests: sc.requests[:0],
+		Region:   measurement.Region{Coeff: sc.coeff[:0], Bound: sc.bound[:0], Cells: sc.cells[:0]},
+	}
+	d := &sc.dec
+	*d = oracleDecoder{data: sc.body.Bytes(), spare: &sc.mac, buf: d.buf[:0]}
+	err := d.decode(req)
+	sc.requests = roomier(sc.requests, req.Requests)
+	sc.coeff = roomier(sc.coeff, req.Region.Coeff)
+	sc.bound = roomier(sc.bound, req.Region.Bound)
+	sc.cells = roomier(sc.cells, req.Region.Cells)
+	// A slice whose key the body lacks is nil, as in a zero request.
+	if d.seen&seenRequests == 0 {
+		req.Requests = nil
+	}
+	if d.seen&seenCoeff == 0 {
+		req.Region.Coeff = nil
+	}
+	if d.seen&seenBound == 0 {
+		req.Region.Bound = nil
+	}
+	if d.seen&seenCells == 0 {
+		req.Region.Cells = nil
+	}
+	return err
+}
+
+// roomier returns whichever of the two slices has the larger capacity.
+func roomier[T any](kept, decoded []T) []T {
+	if cap(decoded) > cap(kept) {
+		return decoded
+	}
+	return kept
 }

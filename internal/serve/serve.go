@@ -23,11 +23,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -362,12 +364,24 @@ func (s *Server) routes() {
 }
 
 // writeJSON renders v with a status code; the API always answers JSON
-// except for CSV/SSE streams.
+// except for CSV/SSE streams. v is encoded before the status is sent, so a
+// value that does not encode answers 500 with the error envelope instead
+// of the status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		json.NewEncoder(&buf).Encode(map[string]string{"error": fmt.Sprintf("encode response: %v", err)})
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody sends an encoded JSON body with a status code.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	w.Write(body)
 }
 
 // writeError renders the uniform error envelope.
@@ -667,22 +681,36 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleOracle answers one oracle call on the hand-written wire path
+// (wire.go). The whole body is read before a solver is taken from the
+// pool, so a slow upload never holds one of the OracleWorkers solvers.
 func (s *Server) handleOracle(w http.ResponseWriter, r *http.Request) {
-	var req OracleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	sc := getOracleScratch()
+	defer putOracleScratch(sc)
+	if _, err := sc.body.ReadFrom(r.Body); err != nil {
 		writeError(w, http.StatusBadRequest, "decode oracle request: %v", err)
 		return
 	}
-	a, err := s.oracle.schedule(req)
+	if err := sc.decode(); err != nil {
+		writeError(w, http.StatusBadRequest, "decode oracle request: %v", err)
+		return
+	}
+	a, err := s.oracle.schedule(sc.req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, OracleResponse{
+	if math.IsInf(a.Objective, 0) || math.IsNaN(a.Objective) {
+		writeError(w, http.StatusBadRequest,
+			"serve: objective %v is not finite; the request's values overflow float64", a.Objective)
+		return
+	}
+	sc.out = appendOracleResponse(sc.out[:0], OracleResponse{
 		Ratios:     a.Ratios,
 		Objective:  a.Objective,
 		Scheduler:  a.Scheduler,
 		Served:     a.Served(),
 		TotalRatio: a.TotalRatio(),
 	})
+	writeBody(w, http.StatusOK, sc.out)
 }

@@ -484,6 +484,30 @@ func TestOracleBaselinesAndErrors(t *testing.T) {
 	if code, _ := post(t, ts.URL+"/v1/oracle", `{"max_ratio":`); code != http.StatusBadRequest {
 		t.Errorf("invalid JSON: got %d, want 400", code)
 	}
+	badMAC := strings.Replace(mk(""), `"max_ratio"`, `"mac":{"T2":2,"T3":1,"D1":0.1,"D2":1},"max_ratio"`, 1)
+	if code, body := post(t, ts.URL+"/v1/oracle", badMAC); code != http.StatusBadRequest || !strings.Contains(string(body), "mac: require") {
+		t.Errorf("inconsistent MAC config: got %d (%s), want 400", code, body)
+	}
+}
+
+// nonFiniteBodies hold finite values whose objective overflows float64:
+// J2's delay penalty in the first, J1's weighted rate in the second.
+var nonFiniteBodies = [][]byte{
+	[]byte(`{"requests":[{"UserID":1,"SizeBits":1e6,"WaitingTime":1e308,"SetupDelay":1e308,"AvgThroughput":0.5,"MaxRatio":8}],` +
+		`"region":{"Coeff":[[2]],"Bound":[10],"Cells":[0]},"max_ratio":8,"objective":{"Kind":"j2","Lambda":1e308,"RateScale":16}}`),
+	[]byte(`{"requests":[{"UserID":1,"SizeBits":1e308,"Priority":1e308,"AvgThroughput":1e308,"MaxRatio":8}],` +
+		`"region":{"Coeff":[[2]],"Bound":[10],"Cells":[0]},"max_ratio":8,"objective":{"Kind":"j1"}}`),
+}
+
+func TestOracleNonFiniteObjectiveIs400(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, body := range nonFiniteBodies {
+		code, resp := post(t, ts.URL+"/v1/oracle", string(body))
+		var envelope map[string]string
+		if code != http.StatusBadRequest || json.Unmarshal(resp, &envelope) != nil || envelope["error"] == "" {
+			t.Errorf("body %s: got %d %q, want 400 with the error envelope", body, code, resp)
+		}
+	}
 }
 
 func TestStreamSSEFraming(t *testing.T) {
