@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"jabasd/internal/core"
 	"jabasd/internal/mac"
@@ -98,10 +99,17 @@ func (p *oraclePool) schedule(req OracleRequest) (core.Assignment, error) {
 	return s.Schedule(problem)
 }
 
-// maxPooledBody is the largest body buffer an oracle scratch may hold and
-// still go back to the pool: one huge request does not pin its memory, nor
-// make the next calls clear its decoded slices.
-const maxPooledBody = 1 << 20
+// maxOracleBody is the longest body the oracle reads; a longer one is
+// refused with 413 before anything is decoded.
+const maxOracleBody = 1 << 20
+
+// maxPooledScratch is the most memory, in bytes, an oracle scratch may
+// hold and still go back to the pool: its body and response buffers and
+// the storage of its decoded slices. decode clears those slices to their
+// full capacity on every call, so one large problem, even a refused one,
+// would otherwise pin its memory and slow every later call that draws the
+// scratch. A benchmark-style call holds a few KiB.
+const maxPooledScratch = 64 << 10
 
 // oracleScratch is one oracle call's reusable memory: the body, the decoded
 // request, the storage of its slices and MAC, and the encoded response.
@@ -128,11 +136,28 @@ func getOracleScratch() *oracleScratch {
 }
 
 func putOracleScratch(sc *oracleScratch) {
-	if sc.body.Cap() > maxPooledBody {
+	if sc.size() > maxPooledScratch {
 		return
 	}
 	sc.body.Reset()
 	oracleScratchPool.Put(sc)
+}
+
+// size is the memory, in bytes, the scratch holds in its buffers and in
+// the storage of its decoded slices.
+func (sc *oracleScratch) size() int {
+	n := sc.body.Cap() + cap(sc.out) + cap(sc.dec.buf) +
+		bytesOf(sc.requests) + bytesOf(sc.coeff) + bytesOf(sc.bound) + bytesOf(sc.cells)
+	for _, row := range sc.coeff[:cap(sc.coeff)] {
+		n += bytesOf(row)
+	}
+	return n
+}
+
+// bytesOf is the size of a slice's backing array.
+func bytesOf[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
 }
 
 // decode decodes the body into sc.req as encoding/json decodes it into a

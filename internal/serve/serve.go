@@ -682,13 +682,19 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleOracle answers one oracle call on the hand-written wire path
-// (wire.go). The whole body is read before a solver is taken from the
-// pool, so a slow upload never holds one of the OracleWorkers solvers.
+// (wire.go). The whole body, at most maxOracleBody bytes, is read before a
+// solver is taken from the pool, so a slow upload never holds one of the
+// OracleWorkers solvers.
 func (s *Server) handleOracle(w http.ResponseWriter, r *http.Request) {
 	sc := getOracleScratch()
 	defer putOracleScratch(sc)
-	if _, err := sc.body.ReadFrom(r.Body); err != nil {
-		writeError(w, http.StatusBadRequest, "decode oracle request: %v", err)
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxOracleBody)); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "decode oracle request: %v", err)
 		return
 	}
 	if err := sc.decode(); err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"jabasd/internal/core"
 	"jabasd/internal/mac"
-	"jabasd/internal/sim"
 )
 
 // The oracle's wire path: a one-pass decoder for OracleRequest and an
@@ -483,8 +482,7 @@ func (d *oracleDecoder) uint64(p *uint64) error {
 	return nil
 }
 
-// scheduler decodes the scheduler name. The known kinds reuse their
-// constant strings, so the common names cost no allocation.
+// scheduler decodes the scheduler name.
 func (d *oracleDecoder) scheduler(p *string) error {
 	c, err := d.peek()
 	if err != nil {
@@ -504,12 +502,7 @@ func (d *oracleDecoder) scheduler(p *string) error {
 	if !plain {
 		b = d.unquote(b)
 	}
-	switch k := sim.SchedulerKind(b); k {
-	case sim.SchedulerJABASD, sim.SchedulerGreedy, sim.SchedulerFCFS, sim.SchedulerEqualShare, sim.SchedulerRandom:
-		*p = string(k)
-	default:
-		*p = string(b)
-	}
+	*p = string(b)
 	return nil
 }
 

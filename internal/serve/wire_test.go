@@ -489,6 +489,71 @@ func TestOracleReusesPooledMemoryConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
+// TestOracleScratchPoolDropsLargeMemory checks that a benchmark-style call
+// leaves a scratch that goes back to the pool, and that one small body
+// decoding into many elements leaves a scratch that does not: later calls
+// would otherwise clear all of its slices.
+func TestOracleScratchPoolDropsLargeMemory(t *testing.T) {
+	sc := new(oracleScratch)
+	for _, body := range traceBodies(t, 64) {
+		sc.body.Reset()
+		sc.body.Write(body)
+		if err := sc.decode(); err != nil {
+			t.Fatal(err)
+		}
+		sc.out = appendOracleResponse(sc.out[:0], OracleResponse{Ratios: make([]int, len(sc.req.Requests))})
+	}
+	if n := sc.size(); n > maxPooledScratch {
+		t.Fatalf("benchmark-style scratch holds %d bytes, over the pooling bound %d", n, maxPooledScratch)
+	}
+
+	big := new(oracleScratch)
+	big.body.WriteString(`{"requests":[{}` + strings.Repeat(`,{}`, 20000) + `]}`)
+	if big.body.Len() > maxOracleBody {
+		t.Fatalf("body of %d bytes is over the oracle's limit", big.body.Len())
+	}
+	if err := big.decode(); err != nil {
+		t.Fatal(err)
+	}
+	if n := big.size(); n <= maxPooledScratch {
+		t.Fatalf("20001 decoded requests hold only %d bytes", n)
+	}
+	putOracleScratch(big)
+	for range 64 {
+		if getOracleScratch() == big {
+			t.Fatal("a scratch over the pooling bound went back to the pool")
+		}
+	}
+}
+
+// TestOracleBodyLimit checks that a body over maxOracleBody is refused
+// with 413, while one at the limit, trailing bytes included, is read.
+func TestOracleBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	head := []byte(ciOracleBody)
+	for _, tc := range []struct {
+		size int
+		code int
+	}{
+		{maxOracleBody, http.StatusOK},
+		{maxOracleBody + 1, http.StatusRequestEntityTooLarge},
+	} {
+		body := append(bytes.Clone(head), bytes.Repeat([]byte(" x"), (tc.size-len(head)+1)/2)...)[:tc.size]
+		resp, err := http.Post(ts.URL+"/v1/oracle", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Fatalf("%d-byte body: got %d %s, want %d", tc.size, resp.StatusCode, got, tc.code)
+		}
+		if tc.code != http.StatusOK && !bytes.Contains(got, []byte(`"error":"decode oracle request: `)) {
+			t.Fatalf("%d-byte body: got %s, want the error envelope", tc.size, got)
+		}
+	}
+}
+
 // BenchmarkOracleDecode decodes benchmark-style bodies with the wire
 // decoder, in pooled memory, and with encoding/json.
 func BenchmarkOracleDecode(b *testing.B) {
