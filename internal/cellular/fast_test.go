@@ -70,8 +70,8 @@ func TestLinearPilotPathMatchesDBPath(t *testing.T) {
 			// Long-term gains around -150..-80 dB, the simulator's range.
 			gains[k] = math.Pow(10, src.Uniform(-15, -8))
 		}
-		pilotsDB = PilotSetCellsInto(pilotsDB, all, gains, pilotFraction, txPower, noise)
-		pilotsLin = PilotSetCellsLinearInto(pilotsLin, all, gains, pilotFraction, txPower, noise)
+		pilotsDB = PilotSetCellsInto(pilotsDB, all, gains, nil, pilotFraction, txPower, noise)
+		pilotsLin = PilotSetCellsLinearInto(pilotsLin, all, gains, nil, pilotFraction, txPower, noise)
 		for i := range pilotsDB {
 			if pilotsDB[i].Cell != pilotsLin[i].Cell {
 				t.Fatalf("trial %d: pilot order differs at %d: %d vs %d", trial, i, pilotsDB[i].Cell, pilotsLin[i].Cell)

@@ -121,7 +121,7 @@ func TestPointOps(t *testing.T) {
 
 func TestPilotSetSortedAndBounded(t *testing.T) {
 	gains := []float64{1e-10, 5e-10, 2e-10}
-	pilots := PilotSetCellsInto(nil, allCells(len(gains)), gains, 0.2, 10, 1e-13)
+	pilots := PilotSetCellsInto(nil, allCells(len(gains)), gains, nil, 0.2, 10, 1e-13)
 	if len(pilots) != 3 {
 		t.Fatalf("pilot count = %d", len(pilots))
 	}
@@ -155,7 +155,7 @@ func TestPilotSetSumBelowPilotFraction(t *testing.T) {
 			return math.Pow(10, -16*frac)                 // 1 .. 1e-16
 		}
 		gains := []float64{toGain(a), toGain(b), toGain(c)}
-		pilots := PilotSetCellsInto(nil, allCells(len(gains)), gains, 0.2, 10, 1e-13)
+		pilots := PilotSetCellsInto(nil, allCells(len(gains)), gains, nil, 0.2, 10, 1e-13)
 		sum := 0.0
 		for _, p := range pilots {
 			sum += p.EcIo

@@ -10,7 +10,9 @@ import "math"
 // cell, in order) is the full per-cell scan; a narrower one restricts the
 // set of cells entering the Io total, which is the windowed physics'
 // modelling approximation (cells beyond the window contribute negligible
-// pilot power by construction).
+// pilot power by construction). Every cell of the window enters the Io
+// total, but the pilot kernels keep only the strongest TopPilots entries:
+// no consumer reads further down the list.
 
 // DistanceSq returns the SQUARED distance from p to base station k, with
 // exactly the arithmetic of DistancesSqForInto (abs-diff fold, no square
@@ -97,91 +99,165 @@ func FindCell(cells []int32, cell int32) int {
 	return -1
 }
 
-// PilotSetCellsInto computes the pilot Ec/Io of every cell of a candidate
+// TopPilots is the number of pilot entries the pilot kernels keep: the
+// strongest min(TopPilots, window) cells, strongest first. Every consumer
+// reads only a prefix — the active set (at most 3 cells; both add rules are
+// monotone in Ec/Io, so it is a prefix), the reduced active set (2) and the
+// SCRM payload, which carries at most 8 pilots — so the tail of the window
+// is neither stored nor sorted.
+const TopPilots = 8
+
+// PilotSetCellsInto computes the pilot Ec/Io of the cells of a candidate
 // window at a mobile whose link gains (linear, combining path loss and
 // shadowing, but NOT fast fading — pilots are measured over many symbols)
-// are given per slot. pilotFraction is the fraction of each cell's transmit
-// power devoted to the pilot, txPower is the common cell transmit power and
-// noise the thermal noise power at the mobile. The Io total sums the
-// window's cells only, and each measurement carries the GLOBAL cell index
-// from cells[i] and its slot i. dst is reused (resliced to length zero); the
-// result is sorted by decreasing Ec/Io with an insertion sort, which avoids
-// sort.Slice's reflection-based swapper in the frame loop. Used by the
-// exact (dB-domain) physics path.
-func PilotSetCellsInto(dst []PilotMeasurement, cells []int32, gains []float64, pilotFraction, txPower, noise float64) []PilotMeasurement {
+// are given per slot, and returns the strongest min(TopPilots, len(cells))
+// of them. pilotFraction is the fraction of each cell's transmit power
+// devoted to the pilot, txPower is the common cell transmit power and noise
+// the thermal noise power at the mobile. The Io total sums every cell of the
+// window, and each measurement carries the GLOBAL cell index from cells[i]
+// and its slot i. The result is ordered by decreasing Ec/Io with ties in
+// slot order — exactly the first entries of a stable sort of the whole
+// window — and only the kept entries pay the two dB conversions. Cells
+// marked in down (indexed by global cell; nil when every cell is in
+// service) are skipped, unless every cell of the window is down: the user
+// is then in a coverage hole and keeps measuring them all. dst is reused
+// (resliced to length zero). Used by the exact (dB-domain) physics path.
+func PilotSetCellsInto(dst []PilotMeasurement, cells []int32, gains []float64, down []bool, pilotFraction, txPower, noise float64) []PilotMeasurement {
 	total := noise
 	for _, g := range gains {
 		total += txPower * g
 	}
-	dst = dst[:0]
-	for i, g := range gains {
-		ec := pilotFraction * txPower * g
-		ecio := ec / total
-		dst = append(dst, PilotMeasurement{
-			Cell:   cells[i],
-			Slot:   int32(i),
-			EcIo:   ecio,
-			EcIoDB: 10 * math.Log10(math.Max(ecio, 1e-30)),
-			GainDB: 10 * math.Log10(math.Max(g, 1e-30)),
-		})
-	}
-	for i := 1; i < len(dst); i++ {
-		for j := i; j > 0 && dst[j-1].EcIo < dst[j].EcIo; j-- {
-			dst[j-1], dst[j] = dst[j], dst[j-1]
-		}
+	ptx := pilotFraction * txPower
+	k := min(TopPilots, len(cells))
+	dst = topPilots(dst, k, cells, gains, down, func(g float64) float64 { return ptx * g / total })
+	for i := range dst {
+		dst[i].EcIoDB = 10 * math.Log10(math.Max(dst[i].EcIo, 1e-30))
+		dst[i].GainDB = 10 * math.Log10(math.Max(gains[dst[i].Slot], 1e-30))
 	}
 	return dst
 }
 
-// PilotSetCellsLinearInto is PilotSetCellsInto without the per-cell dB
-// conversions: EcIo is computed and sorted exactly as in the dB version,
-// while EcIoDB and GainDB are left zero. Use with ActiveSetLinearInto.
+// PilotSetCellsLinearInto is PilotSetCellsInto without the dB conversions:
+// EcIo is computed, and the strongest entries selected, exactly as in the
+// dB version, while EcIoDB and GainDB are left zero. Use with
+// ActiveSetLinearInto.
 //
-// It is frame-coherent: when dst already holds one entry per candidate the
-// new Ec/Io values are written into last frame's order (each retained entry
-// reads its gain through its Slot, checked in O(1) against the candidate
-// list) and the insertion sort only repairs the few rank inversions one
-// frame of drift produces — O(n) instead of the O(n^2) moves a
-// from-scratch sort of n cells costs. The sorted result is identical as
-// long as EcIo values are distinct (exact ties may order by history rather
-// than by cell index); callers must therefore give each mobile its own
-// buffer. After a retarget the caller must reslice dst to length zero — the
-// stale entries may name cells no longer in the window, or sit at other
-// slots; a stale entry is detected and triggers a full rebuild, so results
-// stay correct either way.
-func PilotSetCellsLinearInto(dst []PilotMeasurement, cells []int32, gains []float64, pilotFraction, txPower, noise float64) []PilotMeasurement {
+// It is frame-coherent: when dst already holds last frame's
+// min(TopPilots, len(cells)) entries, each still naming its cell's slot
+// (checked in O(1) against the candidate list) and none of them down, the
+// kernel re-ranks those entries on the new gains — an insertion sort that
+// only repairs the few inversions one frame of drift produces — and makes
+// one pass over the window counting the slots stronger than the last kept
+// entry. Only when that count shows a cell has entered does it re-select
+// from scratch. The result equals a from-scratch call as long as the Ec/Io
+// values are distinct (exact ties may order by history rather than by
+// slot); callers must therefore give each mobile its own buffer. After a
+// retarget the caller must reslice dst to length zero — the stale entries
+// may name cells no longer in the window, or sit at other slots; a stale
+// entry is detected and triggers a re-selection, so results stay correct
+// either way.
+func PilotSetCellsLinearInto(dst []PilotMeasurement, cells []int32, gains []float64, down []bool, pilotFraction, txPower, noise float64) []PilotMeasurement {
 	total := noise
 	for _, g := range gains {
 		total += txPower * g
 	}
 	scale := pilotFraction * txPower / total
-	if len(dst) == len(cells) {
-		ok := true
-		for i := range dst {
-			s := dst[i].Slot
-			if uint(s) >= uint(len(cells)) || cells[s] != dst[i].Cell {
-				ok = false
-				break
-			}
-			dst[i].EcIo = scale * gains[s]
-		}
-		if ok {
-			for i := 1; i < len(dst); i++ {
-				for j := i; j > 0 && dst[j-1].EcIo < dst[j].EcIo; j-- {
-					dst[j-1], dst[j] = dst[j], dst[j-1]
-				}
-			}
-			return dst
-		}
+	k := min(TopPilots, len(cells))
+	if len(dst) == k && rerankPilots(dst, cells, gains, down, scale) && !pilotEntered(dst, cells, gains, down, scale) {
+		return dst
 	}
-	dst = dst[:0]
-	for i, g := range gains {
-		dst = append(dst, PilotMeasurement{Cell: cells[i], Slot: int32(i), EcIo: scale * g})
+	return topPilots(dst, k, cells, gains, down, func(g float64) float64 { return scale * g })
+}
+
+// rerankPilots writes the new Ec/Io into last frame's entries through their
+// slots and restores the strongest-first order, keeping last frame's order
+// among ties. It reports false, leaving dst partly updated, when an entry is
+// stale (its slot no longer holds its cell) or its cell is down.
+func rerankPilots(dst []PilotMeasurement, cells []int32, gains []float64, down []bool, scale float64) bool {
+	for i := range dst {
+		s := dst[i].Slot
+		if uint(s) >= uint(len(cells)) || cells[s] != dst[i].Cell || (down != nil && down[dst[i].Cell]) {
+			return false
+		}
+		dst[i].EcIo = scale * gains[s]
 	}
 	for i := 1; i < len(dst); i++ {
 		for j := i; j > 0 && dst[j-1].EcIo < dst[j].EcIo; j-- {
 			dst[j-1], dst[j] = dst[j], dst[j-1]
 		}
+	}
+	return true
+}
+
+// pilotEntered reports whether a window cell outside the re-ranked entries
+// in dst is now strictly stronger than the last of them: more in-service
+// slots beat its Ec/Io than the kept entries account for. A full window
+// (every slot kept) has nothing outside it.
+func pilotEntered(dst []PilotMeasurement, cells []int32, gains []float64, down []bool, scale float64) bool {
+	if len(dst) == len(cells) {
+		return false
+	}
+	floor := dst[len(dst)-1].EcIo
+	kept := 0
+	for _, p := range dst {
+		if p.EcIo > floor {
+			kept++
+		}
+	}
+	// Two loops: without a mask the count compiles branch-free.
+	stronger := 0
+	if down == nil {
+		for _, g := range gains {
+			if scale*g > floor {
+				stronger++
+			}
+		}
+	} else {
+		for s, g := range gains {
+			if scale*g > floor && !down[cells[s]] {
+				stronger++
+			}
+		}
+	}
+	return stronger > kept
+}
+
+// topPilots selects into dst the k strongest in-service cells of the window
+// by the Ec/Io ecio(gain), in one pass in slot order: an entry joins when
+// fewer than k are held or it beats the weakest held, and is inserted after
+// every held entry at least as strong, so ties keep slot order and the
+// result is the first k entries of a stable sort. When every cell is down
+// the selection runs again with none excluded.
+func topPilots(dst []PilotMeasurement, k int, cells []int32, gains []float64, down []bool, ecio func(float64) float64) []PilotMeasurement {
+	if cap(dst) < k {
+		dst = make([]PilotMeasurement, 0, k)
+	}
+	dst = dst[:0]
+	if k == 0 {
+		return dst
+	}
+	for s, g := range gains {
+		if down != nil && down[cells[s]] {
+			continue
+		}
+		v := ecio(g)
+		n := len(dst)
+		if n == k {
+			if !(v > dst[n-1].EcIo) {
+				continue
+			}
+			n-- // the weakest held entry drops out
+		} else {
+			dst = dst[:n+1]
+		}
+		for n > 0 && dst[n-1].EcIo < v {
+			dst[n] = dst[n-1]
+			n--
+		}
+		dst[n] = PilotMeasurement{Cell: cells[s], Slot: int32(s), EcIo: v}
+	}
+	if len(dst) == 0 && down != nil {
+		return topPilots(dst, k, cells, gains, nil, ecio)
 	}
 	return dst
 }

@@ -71,9 +71,9 @@ func checkSlots(t *testing.T, what string, pilots []PilotMeasurement, cells []in
 	}
 }
 
-// TestWindowPilotMeasurementSize pins the entry at 32 bytes: the city
-// preset keeps one entry per (user, window cell), so a wider struct shows up
-// directly in the heap.
+// TestWindowPilotMeasurementSize pins the entry at 32 bytes: every data
+// user keeps TopPilots entries (the city preset has about 100k users),
+// so a wider struct shows up directly in the heap.
 func TestWindowPilotMeasurementSize(t *testing.T) {
 	if got := unsafe.Sizeof(PilotMeasurement{}); got != 32 {
 		t.Fatalf("PilotMeasurement is %d bytes, want 32", got)
@@ -91,8 +91,8 @@ func TestWindowPilotCoherentMatchesRebuild(t *testing.T) {
 	var coherent, fresh []PilotMeasurement
 	for frame := 0; frame < 1000; frame++ {
 		driftGains(src, gains)
-		coherent = PilotSetCellsLinearInto(coherent, cells, gains, windowPilotFraction, windowTxPower, windowNoise)
-		fresh = PilotSetCellsLinearInto(fresh[:0], cells, gains, windowPilotFraction, windowTxPower, windowNoise)
+		coherent = PilotSetCellsLinearInto(coherent, cells, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
+		fresh = PilotSetCellsLinearInto(fresh[:0], cells, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
 		samePilots(t, "coherent vs rebuild", coherent, fresh)
 		checkSlots(t, "coherent", coherent, cells)
 	}
@@ -124,21 +124,21 @@ func TestWindowPilotStaleSlotsRebuild(t *testing.T) {
 		{"same cells", func() []int32 { return old }},
 	} {
 		windowGains(src, gains)
-		dst := PilotSetCellsLinearInto(nil, old, gains, windowPilotFraction, windowTxPower, windowNoise)
+		dst := PilotSetCellsLinearInto(nil, old, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
 		next := tc.next()
 		windowGains(src, gains)
-		got := PilotSetCellsLinearInto(dst, next, gains, windowPilotFraction, windowTxPower, windowNoise)
-		want := PilotSetCellsLinearInto(nil, next, gains, windowPilotFraction, windowTxPower, windowNoise)
+		got := PilotSetCellsLinearInto(dst, next, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
+		want := PilotSetCellsLinearInto(nil, next, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
 		samePilots(t, tc.name, got, want)
 		checkSlots(t, tc.name, got, next)
 	}
 
 	for _, bad := range []int32{-1, 24, math.MaxInt32} {
 		windowGains(src, gains)
-		dst := PilotSetCellsLinearInto(nil, old, gains, windowPilotFraction, windowTxPower, windowNoise)
+		dst := PilotSetCellsLinearInto(nil, old, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
 		dst[len(dst)/2].Slot = bad
-		got := PilotSetCellsLinearInto(dst, old, gains, windowPilotFraction, windowTxPower, windowNoise)
-		want := PilotSetCellsLinearInto(nil, old, gains, windowPilotFraction, windowTxPower, windowNoise)
+		got := PilotSetCellsLinearInto(dst, old, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
+		want := PilotSetCellsLinearInto(nil, old, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
 		samePilots(t, "out-of-window slot", got, want)
 	}
 }
@@ -151,15 +151,15 @@ func TestWindowPilotSlotsRoundTrip(t *testing.T) {
 	cells := windowCells(src, 19, 400)
 	gains := make([]float64, len(cells))
 	windowGains(src, gains)
-	checkSlots(t, "PilotSetCellsInto", PilotSetCellsInto(nil, cells, gains, windowPilotFraction, windowTxPower, windowNoise), cells)
-	checkSlots(t, "PilotSetCellsLinearInto", PilotSetCellsLinearInto(nil, cells, gains, windowPilotFraction, windowTxPower, windowNoise), cells)
+	checkSlots(t, "PilotSetCellsInto", PilotSetCellsInto(nil, cells, gains, nil, windowPilotFraction, windowTxPower, windowNoise), cells)
+	checkSlots(t, "PilotSetCellsLinearInto", PilotSetCellsLinearInto(nil, cells, gains, nil, windowPilotFraction, windowTxPower, windowNoise), cells)
 
 	identity := allCells(len(gains))
-	full := PilotSetCellsInto(nil, identity, gains, windowPilotFraction, windowTxPower, windowNoise)
+	full := PilotSetCellsInto(nil, identity, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
 	checkSlots(t, "map-wide PilotSetCellsInto", full, identity)
-	lin := PilotSetCellsLinearInto(nil, identity, gains, windowPilotFraction, windowTxPower, windowNoise)
+	lin := PilotSetCellsLinearInto(nil, identity, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
 	driftGains(src, gains)
-	lin = PilotSetCellsLinearInto(lin, identity, gains, windowPilotFraction, windowTxPower, windowNoise)
+	lin = PilotSetCellsLinearInto(lin, identity, gains, nil, windowPilotFraction, windowTxPower, windowNoise)
 	checkSlots(t, "map-wide PilotSetCellsLinearInto", lin, identity)
 	for _, p := range lin {
 		if p.Slot != p.Cell {
@@ -210,7 +210,7 @@ func BenchmarkPilotSetCellsLinear(b *testing.B) {
 			driftGains(src, gains[f])
 		}
 	}
-	dst := PilotSetCellsLinearInto(nil, cells, gains[0], windowPilotFraction, windowTxPower, windowNoise)
+	dst := PilotSetCellsLinearInto(nil, cells, gains[0], nil, windowPilotFraction, windowTxPower, windowNoise)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Walk the frames forward then back, so every call is one frame of
@@ -219,7 +219,7 @@ func BenchmarkPilotSetCellsLinear(b *testing.B) {
 		if f >= frames {
 			f = 2*frames - 2 - f
 		}
-		dst = PilotSetCellsLinearInto(dst, cells, gains[f], windowPilotFraction, windowTxPower, windowNoise)
+		dst = PilotSetCellsLinearInto(dst, cells, gains[f], nil, windowPilotFraction, windowTxPower, windowNoise)
 	}
 }
 

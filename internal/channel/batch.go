@@ -9,9 +9,11 @@ import (
 
 // Batch is the structure-of-arrays form of the long-term channel (path loss
 // x correlated shadowing) for many users against many cells: the per-(user,
-// cell) shadowing state, linear gains and distance scratch live in flat
-// users x cells slices, and one value-typed rng.Source per pair replaces the
-// per-pair heap objects. Two advance kernels share this state:
+// cell) shadowing state and linear gains live in flat users x cells slices,
+// and one value-typed rng.Source per pair replaces the per-pair heap
+// objects. The distances are not state: the caller passes each advance a
+// row it has just filled, from scratch it owns (one row per worker), so no
+// users x cells distance slab is kept. Two advance kernels share this state:
 //
 //   - AdvanceExact reproduces the scalar reference — Shadowing.Advance
 //     followed by PathLossModel.LossDB and math.Pow — operation for
@@ -39,7 +41,6 @@ type Batch struct {
 	shadowDB []float64    // AR(1) shadowing state, dB
 	gain     []float64    // long-term linear power gain
 	ref      []float64    // gains at the last dirty mark (epsilon baseline)
-	dist     []float64    // distance scratch: metres (exact) or m^2 (fast)
 	src      []rng.Source // per-(user,cell) shadowing substreams
 	ready    []bool       // per user: initial shadowing draw done
 }
@@ -56,7 +57,6 @@ func NewBatch(users, cells int, pl PathLossModel, sigmaDB, decorrM float64) *Bat
 		shadowDB: make([]float64, users*cells),
 		gain:     make([]float64, users*cells),
 		ref:      make([]float64, users*cells),
-		dist:     make([]float64, users*cells),
 		src:      make([]rng.Source, users*cells),
 		ready:    make([]bool, users),
 	}
@@ -67,22 +67,16 @@ func (b *Batch) Cells() int { return b.cells }
 
 // SeedUser derives user u's per-cell shadowing substreams as parent.Split(
 // base+k) for k = 0..cells-1, the same order the scalar engine splits its
-// per-cell Shadowing sources, and copies them into the batch by value.
+// per-cell Shadowing sources, writing each into the batch in place.
 func (b *Batch) SeedUser(u int, parent *rng.Source, base uint64) {
 	off := u * b.cells
 	for k := 0; k < b.cells; k++ {
-		b.src[off+k] = *parent.Split(base + uint64(k))
+		parent.SplitInto(&b.src[off+k], base+uint64(k))
 	}
 }
 
 // Ready reports whether user u has taken its initial shadowing draw.
 func (b *Batch) Ready(u int) bool { return b.ready[u] }
-
-// DistRow returns user u's distance scratch row. Callers fill it (metres
-// for AdvanceExact, squared metres for AdvanceFast) before advancing.
-func (b *Batch) DistRow(u int) []float64 {
-	return b.dist[u*b.cells : (u+1)*b.cells]
-}
 
 // GainRow returns user u's linear long-term gain row, updated in place by
 // the advance kernels; callers may alias it for the lifetime of the batch.
@@ -96,14 +90,15 @@ func (b *Batch) ShadowRow(u int) []float64 {
 }
 
 // AdvanceExact advances user u's shadowing by travelled metres and
-// recomputes the per-cell gains from the metre distances in DistRow,
-// reproducing the scalar Shadowing.Advance + LossDB + math.Pow chain
+// recomputes the per-cell gains from dist, the user's metre distance to
+// each cell (at least Cells() long; only the first Cells() entries are
+// read), reproducing the scalar Shadowing.Advance + LossDB + math.Pow chain
 // bit for bit.
-func (b *Batch) AdvanceExact(u int, travelled float64) {
+func (b *Batch) AdvanceExact(u int, dist []float64, travelled float64) {
 	off := u * b.cells
 	shadow := b.shadowDB[off : off+b.cells]
 	gain := b.gain[off : off+b.cells]
-	dist := b.dist[off : off+b.cells]
+	dist = dist[:b.cells]
 	src := b.src[off : off+b.cells]
 	if !b.ready[u] {
 		for k := range shadow {
@@ -141,18 +136,18 @@ func (b *Batch) AdvancePausedExact(u int) {
 }
 
 // AdvanceFast advances user u by travelled metres using the fast kernels,
-// reading SQUARED distances from DistRow (saving the square roots: the
-// path loss needs only log10(d)). It reports whether the gain row moved by
-// more than eps relative to the row captured at the last dirty mark —
-// with eps = 0 a moving user is always dirty — and refreshes that baseline
-// when it does. A zero-travel frame on an initialised user skips the
-// Gaussian draws entirely and reports clean.
-func (b *Batch) AdvanceFast(u int, travelled float64, eps float64) bool {
+// reading SQUARED distances from dist (saving the square roots: the path
+// loss needs only log10(d); length as for AdvanceExact). It reports whether
+// the gain row moved by more than eps relative to the row captured at the
+// last dirty mark — with eps = 0 a moving user is always dirty — and
+// refreshes that baseline when it does. A zero-travel frame on an
+// initialised user skips the Gaussian draws entirely and reports clean.
+func (b *Batch) AdvanceFast(u int, dist []float64, travelled, eps float64) bool {
 	off := u * b.cells
 	shadow := b.shadowDB[off : off+b.cells]
 	gain := b.gain[off : off+b.cells]
 	ref := b.ref[off : off+b.cells]
-	dist := b.dist[off : off+b.cells]
+	dist = dist[:b.cells]
 	src := b.src[off : off+b.cells]
 
 	pl := b.pathLoss

@@ -52,7 +52,7 @@ func TestBatchAdvanceExactMatchesLink(t *testing.T) {
 			if step.Float64() < 0.8 {
 				travelled = step.Uniform(0, 3)
 			}
-			row := batch.DistRow(u)
+			row := make([]float64, cells)
 			for k := 0; k < cells; k++ {
 				row[k] = step.Uniform(5, 4000)
 			}
@@ -62,7 +62,7 @@ func TestBatchAdvanceExactMatchesLink(t *testing.T) {
 				before = append(before[:0], batch.GainRow(u)...)
 				batch.AdvancePausedExact(u)
 			} else {
-				batch.AdvanceExact(u, travelled)
+				batch.AdvanceExact(u, row, travelled)
 			}
 			for k := 0; k < cells; k++ {
 				links[u][k].Update(row[k], travelled)
@@ -113,13 +113,13 @@ func TestBatchAdvanceFastTracksExact(t *testing.T) {
 	for f := 0; f < 300; f++ {
 		for u := 0; u < users; u++ {
 			travelled := step.Uniform(0.01, 3)
-			row := batch.DistRow(u)
+			row := make([]float64, cells)
 			dists := make([]float64, cells)
 			for k := 0; k < cells; k++ {
 				dists[k] = step.Uniform(5, 4000)
 				row[k] = dists[k] * dists[k] // fast kernel reads squared metres
 			}
-			if !batch.AdvanceFast(u, travelled, 0) {
+			if !batch.AdvanceFast(u, row, travelled, 0) {
 				t.Fatalf("frame %d user %d: moving user reported clean at eps=0", f, u)
 			}
 			for k := 0; k < cells; k++ {
@@ -139,15 +139,15 @@ func TestBatchAdvanceFastPausedClean(t *testing.T) {
 	const cells = 7
 	batch := channel.NewBatch(1, cells, channel.DefaultPathLoss(), 8, 50)
 	batch.SeedUser(0, rng.New(3), 10)
-	row := batch.DistRow(0)
+	row := make([]float64, cells)
 	for k := range row {
 		row[k] = float64(200+100*k) * float64(200+100*k)
 	}
-	batch.AdvanceFast(0, 1.5, 0)
+	batch.AdvanceFast(0, row, 1.5, 0)
 	gains := append([]float64(nil), batch.GainRow(0)...)
 	shadows := append([]float64(nil), batch.ShadowRow(0)...)
 	for i := 0; i < 10; i++ {
-		if batch.AdvanceFast(0, 0, 0) {
+		if batch.AdvanceFast(0, row, 0, 0) {
 			t.Fatalf("paused user reported dirty")
 		}
 	}
@@ -165,24 +165,24 @@ func TestBatchAdvanceFastEpsilon(t *testing.T) {
 	const cells = 3
 	batch := channel.NewBatch(1, cells, channel.DefaultPathLoss(), 8, 50)
 	batch.SeedUser(0, rng.New(8), 10)
-	row := batch.DistRow(0)
+	row := make([]float64, cells)
 	set := func(d float64) {
 		for k := range row {
 			row[k] = d * d
 		}
 	}
 	set(1000)
-	if !batch.AdvanceFast(0, 1, 0.5) {
+	if !batch.AdvanceFast(0, row, 1, 0.5) {
 		t.Fatalf("first advance must be dirty")
 	}
 	// A micro-move under a huge epsilon stays clean...
 	set(1000.01)
-	if batch.AdvanceFast(0, 1e-6, 0.5) {
+	if batch.AdvanceFast(0, row, 1e-6, 0.5) {
 		t.Fatalf("micro move flagged dirty at eps=0.5")
 	}
 	// ...but a large move crosses it.
 	set(4000)
-	if !batch.AdvanceFast(0, 50, 0.5) {
+	if !batch.AdvanceFast(0, row, 50, 0.5) {
 		t.Fatalf("large move not flagged dirty")
 	}
 }

@@ -4,8 +4,8 @@ import "jabasd/internal/checkpoint"
 
 // EncodeState appends the batch's mutable channel state: shadowing, gains,
 // the epsilon baseline, the per-user readiness flags and every shadowing
-// substream. The distance rows are per-frame scratch (refilled before every
-// advance that reads them) and are deliberately not part of the state.
+// substream. Distances are not state: each advance reads a row its caller
+// has just filled.
 func (b *Batch) EncodeState(w *checkpoint.Writer) {
 	w.Int(b.users)
 	w.Int(b.cells)

@@ -67,7 +67,7 @@ func TestBatchStateRoundTrip(t *testing.T) {
 			dirty := make([]bool, users)
 			for u := 0; u < users; u++ {
 				travelled := float64((step+u)%4) * 2.5 // includes zero-travel frames
-				dist := b.DistRow(u)
+				dist := make([]float64, cells)
 				for k := range dist {
 					d := 120 + 35*float64(u) + 11*float64(k) + 3*float64(step%7)
 					if exact {
@@ -80,9 +80,9 @@ func TestBatchStateRoundTrip(t *testing.T) {
 				case exact && travelled == 0 && b.Ready(u):
 					b.AdvancePausedExact(u)
 				case exact:
-					b.AdvanceExact(u, travelled)
+					b.AdvanceExact(u, dist, travelled)
 				default:
-					dirty[u] = b.AdvanceFast(u, travelled, 0.05)
+					dirty[u] = b.AdvanceFast(u, dist, travelled, 0.05)
 				}
 			}
 			return dirty
@@ -152,7 +152,7 @@ func TestWindowStateRoundTrip(t *testing.T) {
 		seedBatch(orig.Batch, users, 777)
 
 		advance := func(wd *Window, u, step int, travelled float64) bool {
-			dist := wd.DistRow(u)
+			dist := make([]float64, width)
 			for k := range dist {
 				d := 150 + 40*float64(u) + 9*float64(k) + 2*float64(step%5)
 				if exact {
@@ -162,10 +162,10 @@ func TestWindowStateRoundTrip(t *testing.T) {
 				}
 			}
 			if exact {
-				wd.AdvanceExact(u, travelled)
+				wd.AdvanceExact(u, dist, travelled)
 				return true
 			}
-			return wd.AdvanceFast(u, travelled, 0.05)
+			return wd.AdvanceFast(u, dist, travelled, 0.05)
 		}
 
 		for u := 0; u < users; u++ {

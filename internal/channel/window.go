@@ -14,7 +14,7 @@ const MaxWindowWidth = 256
 // channel column per (user, cell) pair — O(users x cells) memory and
 // per-frame work — each user tracks only `width` slots, one per candidate
 // cell of its current spatial bucket (see internal/spatial). The embedded
-// Batch holds the per-slot shadowing state, gains, distances and RNG
+// Batch holds the per-slot shadowing state, gains and RNG
 // substreams with cells == width, so the AdvanceExact / AdvanceFast /
 // AdvancePausedExact kernels run unchanged over the window; Window adds the
 // slot-to-cell mapping and the Retarget merge that migrates slot state when

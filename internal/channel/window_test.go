@@ -35,27 +35,27 @@ func TestWindowMatchesBatchFullWidth(t *testing.T) {
 			}
 		}
 		travels := []float64{5, 0, 2.5, 0, 0, 17, 1}
+		dist := make([]float64, cells)
 		for f, travelled := range travels {
 			for u := 0; u < users; u++ {
-				for k := 0; k < cells; k++ {
+				for k := range dist {
 					d := 200 + 37*float64(u) + 11*float64(k) + 3*float64(f)
 					if !exact {
 						d *= d // fast kernel reads squared distances
 					}
-					b.DistRow(u)[k] = d
-					w.DistRow(u)[k] = d
+					dist[k] = d
 				}
 				if exact {
 					if travelled == 0 && b.Ready(u) {
 						b.AdvancePausedExact(u)
 						w.AdvancePausedExact(u)
 					} else {
-						b.AdvanceExact(u, travelled)
-						w.AdvanceExact(u, travelled)
+						b.AdvanceExact(u, dist, travelled)
+						w.AdvanceExact(u, dist, travelled)
 					}
 				} else {
-					db := b.AdvanceFast(u, travelled, 0.01)
-					dw := w.AdvanceFast(u, travelled, 0.01)
+					db := b.AdvanceFast(u, dist, travelled, 0.01)
+					dw := w.AdvanceFast(u, dist, travelled, 0.01)
 					if db != dw {
 						t.Fatalf("exact=%v frame %d user %d: dirty %v (batch) vs %v (window)", exact, f, u, db, dw)
 					}
@@ -80,8 +80,7 @@ func TestRetargetCarriesState(t *testing.T) {
 	if !w.Retarget(0, []int32{1, 3}) {
 		t.Fatal("initial Retarget must report a change")
 	}
-	w.DistRow(0)[0], w.DistRow(0)[1] = 300, 500
-	w.AdvanceExact(0, 0) // initial draws
+	w.AdvanceExact(0, []float64{300, 500}, 0) // initial draws
 	before := append([]float64(nil), w.ShadowRow(0)...)
 	if w.Retarget(0, []int32{1, 3}) {
 		t.Fatal("identical candidate list must not report a change")
@@ -112,12 +111,13 @@ func TestRetargetDeterminism(t *testing.T) {
 	}
 	run := func(w *Window) {
 		lists := [][]int32{{0, 1, 2}, {1, 2, 4}, {1, 2, 4}, {2, 4, 6}, {0, 2, 6}}
+		dist := make([]float64, 3)
 		for f, cand := range lists {
 			w.Retarget(0, cand)
 			for s := range cand {
-				w.DistRow(0)[s] = float64(100+10*f+s) * float64(100+10*f+s)
+				dist[s] = float64(100+10*f+s) * float64(100+10*f+s)
 			}
-			w.AdvanceFast(0, 4, 0)
+			w.AdvanceFast(0, dist, 4, 0)
 		}
 	}
 	a, b := mk(), mk()
@@ -163,11 +163,11 @@ func TestWideWindowNeverMerges(t *testing.T) {
 	if !w.Retarget(0, all) {
 		t.Fatal("first target reported no change")
 	}
-	dist := w.DistRow(0)
+	dist := make([]float64, width)
 	for i := range dist {
 		dist[i] = float64(100 + i)
 	}
-	w.AdvanceExact(0, 5)
+	w.AdvanceExact(0, dist, 5)
 	if w.Retarget(0, all) {
 		t.Fatal("re-target to the same list reported a change")
 	}

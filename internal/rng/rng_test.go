@@ -55,6 +55,29 @@ func TestSplitReproducible(t *testing.T) {
 	}
 }
 
+// TestSplitIntoMatchesSplit pins SplitInto to Split: the same child bits,
+// even into a destination holding a cached Gaussian spare, the same parent
+// history afterwards, and no allocation.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	a, b := New(11), New(11)
+	var dst Source
+	for index := uint64(0); index < 64; index++ {
+		dst.Reseed(index + 1)
+		dst.StdNormal() // leaves a cached spare that SplitInto must discard
+		want := a.Split(index)
+		b.SplitInto(&dst, index)
+		if dst != *want {
+			t.Fatalf("index %d: SplitInto child %+v, Split child %+v", index, dst, *want)
+		}
+		if *a != *b {
+			t.Fatalf("index %d: parents diverged after the split", index)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.SplitInto(&dst, 3) }); allocs != 0 {
+		t.Fatalf("SplitInto allocated %v times, want 0", allocs)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

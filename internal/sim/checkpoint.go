@@ -124,6 +124,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 
 	cw.Section("users")
 	for _, u := range e.users {
+		// At most cellular.TopPilots entries: the pilot kernels keep no more.
 		cw.Int(len(u.pilots))
 		for _, pm := range u.pilots {
 			cw.Int(int(pm.Cell))
@@ -446,7 +447,13 @@ windows:
 			}
 			seen[slot] = true
 			pm.Cell, pm.Slot = int32(cell), int32(slot)
-			u.pilots = append(u.pilots, pm)
+			// Checkpoints from before the pilot kernels kept only the
+			// strongest cellular.TopPilots list the whole window,
+			// strongest first: every entry is validated above, and the
+			// prefix the kernels would keep is restored.
+			if i < cellular.TopPilots {
+				u.pilots = append(u.pilots, pm)
+			}
 		}
 		u.active = append(u.active[:0], rd.Ints()...)
 		u.reduced = append(u.reduced[:0], rd.Ints()...)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -476,6 +477,82 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 				t.Fatal("checkpoint with a bad pilot list resumed")
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("refused for the wrong reason: %v", err)
+			}
+		})
+	}
+}
+
+// TestResumeKeepsTopPilots: checkpoints written before the pilot kernels
+// kept only the strongest cellular.TopPilots list a user's whole window.
+// The reader must validate every stored entry — a duplicate or
+// out-of-window cell past position TopPilots is still refused — and then
+// restore just the first TopPilots, strongest first. The long lists are
+// written by a real engine after extending its pilots in memory with the
+// rest of the window, as such a checkpoint stores them.
+func TestResumeKeepsTopPilots(t *testing.T) {
+	city := resumeScenarios()["city-tiled-fast"]
+	// extend appends every window cell the user's pilots do not list, then
+	// lets bad corrupt the long list.
+	extend := func(bad func(u *dataUser)) func(*dataUser) {
+		return func(u *dataUser) {
+			for s, c := range u.cand {
+				if !slices.ContainsFunc(u.pilots, func(p cellular.PilotMeasurement) bool { return p.Cell == c }) {
+					u.pilots = append(u.pilots, cellular.PilotMeasurement{Cell: c, Slot: int32(s), EcIo: 1e-9})
+				}
+			}
+			bad(u)
+		}
+	}
+	past := cellular.TopPilots + 2 // an entry the restore would drop
+	for _, tc := range []struct {
+		name    string
+		corrupt func(u *dataUser)
+		want    string // "" = must resume
+	}{
+		{"whole window", extend(func(*dataUser) {}), ""},
+		{"duplicate past the kept prefix", extend(func(u *dataUser) { u.pilots[past].Cell = u.pilots[0].Cell }), "twice"},
+		{"outside the window past the kept prefix", extend(func(u *dataUser) {
+			for c := int32(0); ; c++ {
+				if cellular.FindCell(u.cand, c) < 0 {
+					u.pilots[past].Cell = c
+					return
+				}
+			}
+		}), "pilot cell"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := resumeEngine(t, checkpointBlob(t, city))
+			u := e.users[0]
+			if len(u.pilots) != cellular.TopPilots || len(u.cand) <= past {
+				t.Fatalf("user 0 has %d pilots over a %d-cell window; want %d over more than %d", len(u.pilots), len(u.cand), cellular.TopPilots, past)
+			}
+			kept := slices.Clone(u.pilots)
+			tc.corrupt(u)
+			var buf bytes.Buffer
+			if err := e.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			c, err := ReadCheckpoint(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eB, err := c.Resume(c.Config())
+			if tc.want != "" {
+				if err == nil {
+					eB.Close()
+					t.Fatal("checkpoint with a bad entry past the kept prefix resumed")
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("refused for the wrong reason: %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			defer eB.Close()
+			if got := eB.users[0].pilots; !reflect.DeepEqual(got, kept) {
+				t.Fatalf("restored pilots\n%+v\nwant the stored prefix\n%+v", got, kept)
 			}
 		})
 	}

@@ -237,9 +237,10 @@ type admitScratch struct {
 	region measurement.Region
 }
 
-// frameWorker owns the mutable state one admission worker needs so
-// concurrent solves never share anything: scratch buffers, a region builder
-// and a scheduler instance (a core.Cloner clone per snapshot worker).
+// frameWorker owns the mutable state one pool worker needs so concurrent
+// solves and user updates never share anything: scratch buffers, a region
+// builder, a scheduler instance (a core.Cloner clone per snapshot worker)
+// and the distance row the user updates fill before each channel advance.
 type frameWorker struct {
 	scratch admitScratch
 	regionB measurement.RegionBuilder
@@ -247,6 +248,9 @@ type frameWorker struct {
 	// seeder is sched's per-(frame, cell) reseed hook in snapshot mode; nil
 	// in sequential mode, where the scheduler keeps one stream for the run.
 	seeder core.CellSeeder
+	// dist is one window-width row of distance scratch: metres on the exact
+	// path, squared metres on the fast path (see updateUser).
+	dist []float64
 }
 
 // cellGrants is the outcome of one cell's solve, held until commitSlot
@@ -356,17 +360,19 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// initWorkers sets up the admission workers. Sequential mode runs one
-// worker holding e.scheduler itself. Snapshot mode gives every pool worker
-// its own scheduler clone; FrameParallel == 1 keeps the solve phase inline
-// (no pool, no goroutines) but still runs the snapshot semantics through
-// worker 0, so the output is identical to any other worker count.
+// initWorkers sets up the pool workers. Sequential mode runs one worker
+// holding e.scheduler itself. Snapshot mode gives every pool worker its own
+// scheduler clone; FrameParallel == 1 keeps the solve phase inline (no
+// pool, no goroutines) but still runs the snapshot semantics through worker
+// 0, so the output is identical to any other worker count. Every worker
+// gets its distance row; the inline update path uses worker 0's.
 func (e *Engine) initWorkers() error {
 	n := e.layout.NumCells()
 	e.active = make([]int, 0, n)
 	e.grants = make([]cellGrants, n)
+	width := e.spix.Window()
 	if e.cfg.FrameMode.normalize() != FrameSnapshot {
-		e.workers = []*frameWorker{{sched: e.scheduler}}
+		e.workers = []*frameWorker{{sched: e.scheduler, dist: make([]float64, width)}}
 		return nil
 	}
 	cl, ok := e.scheduler.(core.Cloner)
@@ -380,7 +386,7 @@ func (e *Engine) initWorkers() error {
 	}
 	e.workers = make([]*frameWorker, workers)
 	for i := range e.workers {
-		fw := &frameWorker{sched: cl.Clone()}
+		fw := &frameWorker{sched: cl.Clone(), dist: make([]float64, width)}
 		fw.seeder, _ = fw.sched.(core.CellSeeder)
 		e.workers[i] = fw
 	}
@@ -582,18 +588,20 @@ func (e *Engine) advanceVoice(v *voiceUser, dt float64) {
 // the result is identical to the sequential loop.
 func (e *Engine) updateUsers(dt float64) {
 	if e.pool == nil {
+		dist := e.workers[0].dist
 		for _, u := range e.users {
-			e.updateUser(u, dt)
+			e.updateUser(u, dt, dist)
 		}
 		return
 	}
 	const chunk = 32
 	n := (len(e.users) + chunk - 1) / chunk
-	e.pool.Run(n, func(_, task int) {
+	e.pool.Run(n, func(w, task int) {
 		lo := task * chunk
 		hi := min(lo+chunk, len(e.users))
+		dist := e.workers[w].dist
 		for _, u := range e.users[lo:hi] {
-			e.updateUser(u, dt)
+			e.updateUser(u, dt, dist)
 		}
 	})
 }
@@ -963,8 +971,9 @@ func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) bool {
 				c, x := u.revFCHRx.At(i)
 				u.revPilot.Set(c, x/(zeta*math.Max(loads[c], 1)))
 			}
-			// The pilots are sorted strongest-first, so the first
-			// SCRMMaxPilots entries are exactly the SCRM payload.
+			// The pilots are the strongest cellular.TopPilots (at least
+			// SCRMMaxPilots, see windowed.go) strongest-first, so their
+			// first SCRMMaxPilots entries are exactly the SCRM payload.
 			u.scrm.Reset()
 			for i, pm := range u.pilots {
 				if i >= measurement.SCRMMaxPilots {

@@ -12,11 +12,11 @@ package sim
 //     the rest of the frame, so the parallel update/solve phases read them
 //     freely.
 //   - Out-of-service cells are excluded from the pilot search (refreshPilots
-//     filters every freshly built pilot set through filterDownPilots),
-//     so users re-pilot to the surviving SCRM neighbours and their FCH load
-//     and new burst requests spill onto those cells. If every measurable
-//     cell is down the user keeps its stale set — a coverage hole; its cell
-//     issues no grants until recovery.
+//     hands the pilot kernels the down mask from downMask), so users
+//     re-pilot to the surviving SCRM neighbours and their FCH load and new
+//     burst requests spill onto those cells. If every cell of a user's
+//     window is down the kernels measure them all as if none were — a
+//     coverage hole; its cell issues no grants until recovery.
 //   - Paused users (the zero-travel shortcuts) re-derive their pilot sets
 //     from their unchanged gains on frames where the down mask changed —
 //     the channel state and every RNG stream are left exactly as the
@@ -72,25 +72,15 @@ func (e *Engine) cellDown(k int) bool {
 	return e.fault != nil && e.fault.Down[k]
 }
 
-// filterDownPilots drops out-of-service cells from a freshly built pilot
-// set, in place and order-preserving, before the active set is formed. When
-// the filter would empty the set the original is kept: the user is in a
-// coverage hole and stays camped on the dead cell, which issues no grants.
-func (e *Engine) filterDownPilots(u *dataUser) {
-	if e.fault == nil || !e.anyDown {
-		return
+// downMask returns the per-cell out-of-service mask the pilot kernels skip,
+// nil when every cell is in service this frame. The kernels fall back to
+// measuring every cell of a window whose cells are all down: the user is in
+// a coverage hole and stays camped on a dead cell, which issues no grants.
+func (e *Engine) downMask() []bool {
+	if !e.anyDown {
+		return nil
 	}
-	down := e.fault.Down
-	kept := u.pilots[:0]
-	for _, pm := range u.pilots {
-		if !down[pm.Cell] {
-			kept = append(kept, pm)
-		}
-	}
-	if len(kept) == 0 {
-		return
-	}
-	u.pilots = kept
+	return e.fault.Down
 }
 
 // refreshPausedUser re-derives a paused user's pilot, active and reduced

@@ -205,9 +205,10 @@ func TestFullScanWiderThanMergeBound(t *testing.T) {
 		if e.Frame() != 5 {
 			t.Fatalf("exact=%v: ran %d frames, want 5", exact, e.Frame())
 		}
+		want := min(n, cellular.TopPilots)
 		for _, u := range e.users {
-			if len(u.pilots) != n || u.hostCell < 0 || u.hostCell >= n {
-				t.Fatalf("exact=%v: user %d has %d pilots (want %d) and host cell %d", exact, u.id, len(u.pilots), n, u.hostCell)
+			if len(u.pilots) != want || u.hostCell < 0 || u.hostCell >= n {
+				t.Fatalf("exact=%v: user %d has %d pilots (want %d) and host cell %d", exact, u.id, len(u.pilots), want, u.hostCell)
 			}
 		}
 	}

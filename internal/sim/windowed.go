@@ -14,7 +14,12 @@ package sim
 // reduced sets carry global cell indices; only the gain lookups here go
 // through the slot map, and each pilot entry carries its window slot —
 // rebuilt when the window retargets and on checkpoint restore — so those
-// lookups need no search.
+// lookups need no search. A user keeps only its strongest
+// cellular.TopPilots pilots, whatever the window width.
+//
+// The distance row an advance reads is scratch, not state: each worker of
+// the update fan-out owns one row (frameWorker.dist), refilled for every
+// user it advances.
 //
 // The exact reference path (ExactPHY) and the default fast path share one
 // control flow and differ only in the kernels they call: metre or squared
@@ -28,7 +33,12 @@ import (
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/mathx"
+	"jabasd/internal/measurement"
 )
+
+// The kept pilots must cover the SCRM payload (see gatherCell): this fails to
+// compile if TopPilots drops below SCRMMaxPilots.
+var _ [cellular.TopPilots - measurement.SCRMMaxPilots]struct{}
 
 // retargetWindow points user u's channel window at its position's bucket
 // candidates and reports whether the candidate list changed. Buckets change
@@ -43,7 +53,8 @@ func (e *Engine) retargetWindow(u *dataUser, pos cellular.Point) bool {
 }
 
 // updateUser advances one data user by one frame: position, window gains,
-// pilot/active/reduced sets, geometry, FCH ledgers and MAC state. A
+// pilot/active/reduced sets, geometry, FCH ledgers and MAC state. dist is
+// the calling worker's distance scratch, at least the window width long. A
 // zero-travel frame leaves every derived quantity bitwise unchanged, so a
 // paused user skips the recompute; the exact path first consumes the
 // Gaussian draws its reference stream takes anyway. On the fast path the
@@ -51,7 +62,7 @@ func (e *Engine) retargetWindow(u *dataUser, pos cellular.Point) bool {
 // RegionEpsilon, the window retargeted (entering slots carry an
 // invalidated epsilon baseline) or the reduced set changed, keying the
 // incremental region cache; the exact path never bumps it.
-func (e *Engine) updateUser(u *dataUser, dt float64) {
+func (e *Engine) updateUser(u *dataUser, dt float64, dist []float64) {
 	exact := e.cfg.ExactPHY
 	travelled := e.mobB.Advance(u.id, dt)
 	if travelled == 0 && e.winB.Ready(u.id) {
@@ -72,11 +83,11 @@ func (e *Engine) updateUser(u *dataUser, dt float64) {
 	}
 	var dirty bool
 	if exact {
-		e.layout.DistancesForInto(pos, u.cand, e.winB.DistRow(u.id))
-		e.winB.AdvanceExact(u.id, travelled)
+		e.layout.DistancesForInto(pos, u.cand, dist)
+		e.winB.AdvanceExact(u.id, dist, travelled)
 	} else {
-		e.layout.DistancesSqForInto(pos, u.cand, e.winB.DistRow(u.id))
-		dirty = e.winB.AdvanceFast(u.id, travelled, e.cfg.RegionEpsilon) || retargeted
+		e.layout.DistancesSqForInto(pos, u.cand, dist)
+		dirty = e.winB.AdvanceFast(u.id, dist, travelled, e.cfg.RegionEpsilon) || retargeted
 	}
 	e.refreshPilots(u)
 	if !exact {
@@ -96,15 +107,15 @@ func (u *dataUser) bumpVersion(dirty bool) {
 
 // refreshPilots forms the user's pilot and active sets from its current
 // window gains — dB domain on the exact path, linear domain on the fast
-// path — drops out-of-service cells, and derives everything downstream.
+// path — skipping out-of-service cells (see downMask), and derives
+// everything downstream.
 func (e *Engine) refreshPilots(u *dataUser) {
+	down := e.downMask()
 	if e.cfg.ExactPHY {
-		u.pilots = cellular.PilotSetCellsInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
+		u.pilots = cellular.PilotSetCellsInto(u.pilots, u.cand, u.gain, down, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
 		u.active = cellular.ActiveSetInto(u.active, u.pilots, e.cfg.SoftHandoffAddDB, e.cfg.PilotMinEcIoDB, 3)
 	} else {
-		u.pilots = cellular.PilotSetCellsLinearInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
+		u.pilots = cellular.PilotSetCellsLinearInto(u.pilots, u.cand, u.gain, down, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
 		u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
 	}
 	e.finishMeasurements(u)
