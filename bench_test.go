@@ -1,8 +1,8 @@
 // Package jabasd_bench contains the benchmark harness that regenerates every
 // experiment of the evaluation (the registered suite E1-E12):
 // one BenchmarkE<n>… target per experiment, plus micro-benchmarks for the
-// hot paths (per-frame scheduling, the LP/ILP solvers and the dynamic
-// simulator). Benchmarks run the quick experiment scale so that
+// hot paths (per-frame scheduling and the dynamic simulator; the LP/ILP
+// solver benchmarks live in internal/lp and internal/ilp). Benchmarks run the quick experiment scale so that
 // `go test -bench=. -benchmem` finishes in minutes; cmd/jabaexp -scale full
 // produces the full-scale numbers recorded in EXPERIMENTS.md.
 package jabasd_bench
@@ -14,9 +14,7 @@ import (
 
 	"jabasd/internal/core"
 	"jabasd/internal/experiments"
-	"jabasd/internal/ilp"
 	"jabasd/internal/load"
-	"jabasd/internal/lp"
 	"jabasd/internal/measurement"
 	"jabasd/internal/rng"
 	"jabasd/internal/sim"
@@ -203,100 +201,6 @@ func BenchmarkAblationAdaptiveVsFixedPHY(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Micro-benchmarks of the substrates.
 // ---------------------------------------------------------------------------
-
-// benchLP builds the random LP instance shared by the simplex benchmarks.
-func benchLP() lp.Problem {
-	src := rng.New(3)
-	n, m := 12, 10
-	p := lp.Problem{C: make([]float64, n), A: make([][]float64, m), B: make([]float64, m)}
-	for j := 0; j < n; j++ {
-		p.C[j] = src.Uniform(0, 2)
-	}
-	for i := 0; i < m; i++ {
-		p.A[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			p.A[i][j] = src.Uniform(0, 1)
-		}
-		p.B[i] = src.Uniform(3, 10)
-	}
-	return p
-}
-
-func BenchmarkSimplexSolve(b *testing.B) {
-	p := benchLP()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := lp.Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimplexSolverWarm measures the reusable solver's steady state:
-// the same instance solved on warm arenas, the shape of the inner loop of
-// branch and bound. The delta against BenchmarkSimplexSolve is the cost of
-// the per-call tableau allocation the Solver removes.
-func BenchmarkSimplexSolverWarm(b *testing.B) {
-	p := benchLP()
-	var s lp.Solver
-	if _, err := s.Solve(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchILP builds the random integer program shared by the ILP benchmarks.
-func benchILP() ilp.Problem {
-	src := rng.New(5)
-	n, m := 8, 4
-	p := ilp.Problem{C: make([]float64, n), A: make([][]float64, m), B: make([]float64, m), Upper: make([]int, n)}
-	for j := 0; j < n; j++ {
-		p.C[j] = src.Uniform(0, 2)
-		p.Upper[j] = 8
-	}
-	for i := 0; i < m; i++ {
-		p.A[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			p.A[i][j] = src.Uniform(0, 1)
-		}
-		p.B[i] = src.Uniform(4, 12)
-	}
-	return p
-}
-
-func BenchmarkBranchAndBound(b *testing.B) {
-	p := benchILP()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ilp.BranchAndBound(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkILPSolverWarm measures the production branch-and-bound path: a
-// warm ilp.Solver (pooled nodes, shared relaxation, greedy-seeded incumbent)
-// on the same instance as BenchmarkBranchAndBound.
-func BenchmarkILPSolverWarm(b *testing.B) {
-	p := benchILP()
-	var s ilp.Solver
-	if _, err := s.Solve(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkVTAOCAverageThroughput(b *testing.B) {
 	coder := vtaoc.MustNew(vtaoc.DefaultConfig())

@@ -38,7 +38,7 @@ func TestBatchAdvanceAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		for u := 0; u < users; u++ {
-			batch.AdvanceFast(u, row, 0.5, 0.01)
+			batch.AdvanceFast(u, row, 0.5)
 		}
 	}); allocs != 0 {
 		t.Errorf("AdvanceFast allocated %v times per frame, want 0", allocs)

@@ -40,7 +40,6 @@ type Batch struct {
 	// Flattened users x cells state; user u owns [u*cells, (u+1)*cells).
 	shadowDB []float64    // AR(1) shadowing state, dB
 	gain     []float64    // long-term linear power gain
-	ref      []float64    // gains at the last dirty mark (epsilon baseline)
 	src      []rng.Source // per-(user,cell) shadowing substreams
 	ready    []bool       // per user: initial shadowing draw done
 }
@@ -56,7 +55,6 @@ func NewBatch(users, cells int, pl PathLossModel, sigmaDB, decorrM float64) *Bat
 		decorrM:  decorrM,
 		shadowDB: make([]float64, users*cells),
 		gain:     make([]float64, users*cells),
-		ref:      make([]float64, users*cells),
 		src:      make([]rng.Source, users*cells),
 		ready:    make([]bool, users),
 	}
@@ -138,15 +136,12 @@ func (b *Batch) AdvancePausedExact(u int) {
 // AdvanceFast advances user u by travelled metres using the fast kernels,
 // reading SQUARED distances from dist (saving the square roots: the path
 // loss needs only log10(d); length as for AdvanceExact). It reports whether
-// the gain row moved by more than eps relative to the row captured at the
-// last dirty mark — with eps = 0 a moving user is always dirty — and
-// refreshes that baseline when it does. A zero-travel frame on an
-// initialised user skips the Gaussian draws entirely and reports clean.
-func (b *Batch) AdvanceFast(u int, dist []float64, travelled, eps float64) bool {
+// the gain row was recomputed: a zero-travel frame on an initialised user
+// skips the Gaussian draws entirely and reports false.
+func (b *Batch) AdvanceFast(u int, dist []float64, travelled float64) bool {
 	off := u * b.cells
 	shadow := b.shadowDB[off : off+b.cells]
 	gain := b.gain[off : off+b.cells]
-	ref := b.ref[off : off+b.cells]
 	dist = dist[:b.cells]
 	src := b.src[off : off+b.cells]
 
@@ -185,23 +180,5 @@ func (b *Batch) AdvanceFast(u int, dist []float64, travelled, eps float64) bool 
 	}
 
 	mathx.GainRowFast(gain, shadow, dist, pl.ReferenceDB, halfExp, invRefM2, minD2)
-	dirty := eps <= 0
-	if !dirty {
-		for k := range gain {
-			diff := gain[k] - ref[k]
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > eps*ref[k] {
-				dirty = true
-				break
-			}
-		}
-		if dirty {
-			// The epsilon baseline is only consulted on this branch, so a
-			// caller running with eps <= 0 never pays the row copy.
-			copy(ref, gain)
-		}
-	}
-	return dirty
+	return true
 }

@@ -119,8 +119,8 @@ func TestBatchAdvanceFastTracksExact(t *testing.T) {
 				dists[k] = step.Uniform(5, 4000)
 				row[k] = dists[k] * dists[k] // fast kernel reads squared metres
 			}
-			if !batch.AdvanceFast(u, row, travelled, 0) {
-				t.Fatalf("frame %d user %d: moving user reported clean at eps=0", f, u)
+			if !batch.AdvanceFast(u, row, travelled) {
+				t.Fatalf("frame %d user %d: moving user reported clean", f, u)
 			}
 			for k := 0; k < cells; k++ {
 				want := math.Pow(10, (-pl.LossDB(dists[k])+batch.ShadowRow(u)[k])/10)
@@ -143,11 +143,11 @@ func TestBatchAdvanceFastPausedClean(t *testing.T) {
 	for k := range row {
 		row[k] = float64(200+100*k) * float64(200+100*k)
 	}
-	batch.AdvanceFast(0, row, 1.5, 0)
+	batch.AdvanceFast(0, row, 1.5)
 	gains := append([]float64(nil), batch.GainRow(0)...)
 	shadows := append([]float64(nil), batch.ShadowRow(0)...)
 	for i := 0; i < 10; i++ {
-		if batch.AdvanceFast(0, row, 0, 0) {
+		if batch.AdvanceFast(0, row, 0) {
 			t.Fatalf("paused user reported dirty")
 		}
 	}
@@ -155,34 +155,5 @@ func TestBatchAdvanceFastPausedClean(t *testing.T) {
 		if batch.GainRow(0)[k] != gains[k] || batch.ShadowRow(0)[k] != shadows[k] {
 			t.Fatalf("paused advance mutated state at cell %d", k)
 		}
-	}
-}
-
-// TestBatchAdvanceFastEpsilon checks the dirty baseline semantics: tiny
-// moves stay clean under a loose epsilon, and the baseline refreshes on a
-// dirty mark so drift cannot accumulate unbounded.
-func TestBatchAdvanceFastEpsilon(t *testing.T) {
-	const cells = 3
-	batch := channel.NewBatch(1, cells, channel.DefaultPathLoss(), 8, 50)
-	batch.SeedUser(0, rng.New(8), 10)
-	row := make([]float64, cells)
-	set := func(d float64) {
-		for k := range row {
-			row[k] = d * d
-		}
-	}
-	set(1000)
-	if !batch.AdvanceFast(0, row, 1, 0.5) {
-		t.Fatalf("first advance must be dirty")
-	}
-	// A micro-move under a huge epsilon stays clean...
-	set(1000.01)
-	if batch.AdvanceFast(0, row, 1e-6, 0.5) {
-		t.Fatalf("micro move flagged dirty at eps=0.5")
-	}
-	// ...but a large move crosses it.
-	set(4000)
-	if !batch.AdvanceFast(0, row, 50, 0.5) {
-		t.Fatalf("large move not flagged dirty")
 	}
 }

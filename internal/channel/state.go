@@ -3,15 +3,13 @@ package channel
 import "jabasd/internal/checkpoint"
 
 // EncodeState appends the batch's mutable channel state: shadowing, gains,
-// the epsilon baseline, the per-user readiness flags and every shadowing
-// substream. Distances are not state: each advance reads a row its caller
-// has just filled.
+// the per-user readiness flags and every shadowing substream. Distances are
+// not state: each advance reads a row its caller has just filled.
 func (b *Batch) EncodeState(w *checkpoint.Writer) {
 	w.Int(b.users)
 	w.Int(b.cells)
 	w.F64s(b.shadowDB)
 	w.F64s(b.gain)
-	w.F64s(b.ref)
 	w.Bools(b.ready)
 	for i := range b.src {
 		b.src[i].EncodeState(w)
@@ -29,7 +27,11 @@ func (b *Batch) DecodeState(rd *checkpoint.Reader) {
 	}
 	rd.FillF64s(b.shadowDB)
 	rd.FillF64s(b.gain)
-	rd.FillF64s(b.ref)
+	if rd.Version() < 4 {
+		// Formats 2 and 3 also stored a users x cells gain baseline that
+		// nothing reads: length-checked, then dropped.
+		rd.FillF64s(make([]float64, len(b.gain)))
+	}
 	rd.FillBools(b.ready)
 	for i := range b.src {
 		b.src[i].DecodeState(rd)

@@ -82,7 +82,7 @@ func TestBatchStateRoundTrip(t *testing.T) {
 				case exact:
 					b.AdvanceExact(u, dist, travelled)
 				default:
-					dirty[u] = b.AdvanceFast(u, dist, travelled, 0.05)
+					dirty[u] = b.AdvanceFast(u, dist, travelled)
 				}
 			}
 			return dirty
@@ -165,7 +165,7 @@ func TestWindowStateRoundTrip(t *testing.T) {
 				wd.AdvanceExact(u, dist, travelled)
 				return true
 			}
-			return wd.AdvanceFast(u, dist, travelled, 0.05)
+			return wd.AdvanceFast(u, dist, travelled)
 		}
 
 		for u := 0; u < users; u++ {

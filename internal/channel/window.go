@@ -64,13 +64,12 @@ func (w *Window) CellRow(u int) []int32 {
 // Retarget points user u's window at a new candidate list (global cell
 // indices, ascending, exactly width long — as internal/spatial produces per
 // bucket) and reports whether the window changed. Slots whose cell stays in
-// the window carry their shadowing state (and fast-path epsilon baseline)
-// across the move; entering cells take a fresh initial shadowing draw from
-// their slot's substream, and their baseline is invalidated so the next
-// AdvanceFast reports them dirty. Before the user's first advance the list
-// is recorded without any draws — AdvanceExact/AdvanceFast take the initial
-// draws for the whole window. A window wider than MaxWindowWidth panics on
-// a merge: it must be map-wide, so its candidate list never moves.
+// the window carry their shadowing state across the move; entering cells
+// take a fresh initial shadowing draw from their slot's substream. Before
+// the user's first advance the list is recorded without any draws —
+// AdvanceExact/AdvanceFast take the initial draws for the whole window. A
+// window wider than MaxWindowWidth panics on a merge: it must be map-wide,
+// so its candidate list never moves.
 func (w *Window) Retarget(u int, cand []int32) bool {
 	if len(cand) != w.width {
 		panic(fmt.Sprintf("channel: retarget with %d candidates, window width is %d", len(cand), w.width))
@@ -96,12 +95,10 @@ func (w *Window) Retarget(u int, cand []int32) bool {
 		panic(fmt.Sprintf("channel: window of width %d > %d cannot move after its first advance", w.width, MaxWindowWidth))
 	}
 	shadow := b.shadowDB[off : off+w.width]
-	ref := b.ref[off : off+w.width]
 	var oldC [MaxWindowWidth]int32
-	var oldS, oldR [MaxWindowWidth]float64
+	var oldS [MaxWindowWidth]float64
 	copy(oldC[:w.width], row)
 	copy(oldS[:w.width], shadow)
-	copy(oldR[:w.width], ref)
 	j := 0
 	for i, c := range cand {
 		for j < w.width && oldC[j] < c {
@@ -109,15 +106,10 @@ func (w *Window) Retarget(u int, cand []int32) bool {
 		}
 		if j < w.width && oldC[j] == c {
 			shadow[i] = oldS[j]
-			ref[i] = oldR[j]
 		} else {
 			// A cell entering the window starts a fresh shadowing process on
-			// the slot's own substream. ref = -1 guarantees the epsilon test
-			// |gain - ref| > eps*ref fires for the slot, so the first
-			// AdvanceFast after a retarget always reports dirty and refreshes
-			// the baseline row.
+			// the slot's own substream.
 			shadow[i] = b.src[off+i].Normal(0, b.sigmaDB)
-			ref[i] = -1
 		}
 		row[i] = c
 	}

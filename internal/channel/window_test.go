@@ -54,8 +54,8 @@ func TestWindowMatchesBatchFullWidth(t *testing.T) {
 						w.AdvanceExact(u, dist, travelled)
 					}
 				} else {
-					db := b.AdvanceFast(u, dist, travelled, 0.01)
-					dw := w.AdvanceFast(u, dist, travelled, 0.01)
+					db := b.AdvanceFast(u, dist, travelled)
+					dw := w.AdvanceFast(u, dist, travelled)
 					if db != dw {
 						t.Fatalf("exact=%v frame %d user %d: dirty %v (batch) vs %v (window)", exact, f, u, db, dw)
 					}
@@ -117,7 +117,7 @@ func TestRetargetDeterminism(t *testing.T) {
 			for s := range cand {
 				dist[s] = float64(100+10*f+s) * float64(100+10*f+s)
 			}
-			w.AdvanceFast(0, dist, 4, 0)
+			w.AdvanceFast(0, dist, 4)
 		}
 	}
 	a, b := mk(), mk()

@@ -31,8 +31,11 @@ import (
 // Version 2 added the fault runtime state (load-event cursor, pending-retry
 // marks) and the robustness counters to the sim engine's sections. Version
 // 3 stores every sim engine's channel as a window with its slot map: a
-// full-scan run is a map-wide window.
-const Version = 3
+// full-scan run is a map-wide window. Version 4 drops three fields the sim
+// engine no longer reads: the config hash after the stored config, the
+// separate load-step flag (a load step is a fault load event, counted by
+// the load cursor) and the channel batch's gain baseline.
+const Version = 4
 
 // MinVersion is the oldest format version a Reader accepts. Decoders that
 // must tell the layouts apart read the stream's version from

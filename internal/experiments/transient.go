@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"jabasd/internal/fault"
 	"jabasd/internal/report"
 	"jabasd/internal/sim"
 	"jabasd/internal/trace"
@@ -135,7 +136,8 @@ func E11WarmupConvergence(ctx context.Context, s Scale) (*report.Table, error) {
 
 // E12LoadStepResponse starts the scenario lightly loaded (long reading
 // times) and halfway through steps every data source to a 1-second mean
-// reading time — a flash crowd arriving — via the engine's LoadStep hook.
+// reading time — a flash crowd arriving — as a one-event fault.Schedule
+// load curve.
 // The windowed table shows the step response of the admission layer: the
 // offered rate jumps at the step, the admitted rate follows until the power
 // budget saturates, and the queues and delays grow toward the new, heavier
@@ -146,7 +148,7 @@ func E12LoadStepResponse(ctx context.Context, s Scale) (*report.Table, error) {
 	cfg.DataUsersPerCell = 14
 	cfg.Data.MeanReadingTimeSec = 12 // light offered load before the step
 	stepAt := cfg.SimTime / 2
-	cfg.LoadStep = &sim.LoadStep{AtSec: stepAt, ReadingTimeSec: 1}
+	cfg.Faults = &fault.Schedule{Load: []fault.LoadEvent{{AtSec: stepAt, ReadingTimeSec: 1}}}
 	windowSec := cfg.SimTime / transientWindows
 	reps := transientReps(s)
 	acc, err := runTransient(ctx, cfg, reps, windowSec)

@@ -1,13 +1,13 @@
 // Package fault defines the deterministic fault-injection schedule the
 // simulator can run under: piecewise cell events (full outages and
 // transmit-power deratings with a recovery time) and piecewise load events
-// (mean reading-time changes generalising the one-shot sim.LoadStep into
-// day/night curves and flash crowds). A schedule is pure data — validated,
-// JSON-serialisable, and evaluated frame by frame as a pure function of
-// simulated time — so every consumer (the engine's admission paths, the
-// checkpoint layer, the sweep axis, the experiments) sees exactly the same
-// event timeline and the simulator's byte-identical determinism guarantees
-// extend through outage frames unchanged.
+// (mean reading-time changes: the single offered-load step of experiment
+// E12, day/night curves and flash crowds). A schedule is pure data —
+// validated, JSON-serialisable, and evaluated frame by frame as a pure
+// function of simulated time — so every consumer (the engine's admission
+// paths, the checkpoint layer, the sweep axis, the experiments) sees
+// exactly the same event timeline and the simulator's byte-identical
+// determinism guarantees extend through outage frames unchanged.
 package fault
 
 import (
@@ -42,11 +42,11 @@ func (ev CellEvent) Outage() bool { return ev.Derate == 0 }
 func (ev CellEvent) active(t float64) bool { return t >= ev.StartSec && t < ev.EndSec }
 
 // LoadEvent is one step of a piecewise offered-load curve: at AtSec every
-// data source switches its mean reading (think) time to ReadingTimeSec,
-// exactly like sim.LoadStep (the remaining think time is rescaled, so the
-// step takes effect immediately). A descending sequence of reading times
-// models a flash crowd building; an alternating one models a day/night
-// curve.
+// data source switches its mean reading (think) time to ReadingTimeSec on
+// the first frame at or after AtSec (the remaining think time is rescaled,
+// so the step takes effect immediately). A descending sequence of reading
+// times models a flash crowd building; an alternating one models a
+// day/night curve.
 type LoadEvent struct {
 	AtSec          float64 `json:"at_sec"`
 	ReadingTimeSec float64 `json:"reading_time_sec"`

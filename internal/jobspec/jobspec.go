@@ -32,7 +32,8 @@ type Scenario struct {
 	// Preset is a named scenario (see scenario.Names).
 	Preset string `json:"preset,omitempty"`
 	// Config is an inline sim.Config JSON object; unspecified fields keep
-	// their defaults, exactly as a -config file does.
+	// their defaults and unknown keys are refused, exactly as in a -config
+	// file.
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
@@ -182,8 +183,9 @@ func (o Overrides) axisConflicts() map[string]bool {
 // exactly one engine, so a spec carrying one requires Reps <= 1; a resumed
 // scenario comes from the checkpoint itself, so Resume excludes Preset and
 // Config. Overrides still apply on resume, but only the non-semantic
-// execution knobs pass the checkpoint's config-hash check — a semantic
-// change is refused at resolution time.
+// execution knobs pass the checkpoint's compatibility check
+// (sim.Checkpoint.Compatible) — a semantic change is refused at resolution
+// time.
 type CheckpointSpec struct {
 	// Path is the checkpoint file to write; requires Every > 0.
 	Path string `json:"path,omitempty"`
@@ -273,7 +275,7 @@ func (s RunSpec) Resolve() (sim.Config, int, error) {
 // Start builds the engine for a resolved single run: resumed from the
 // spec's checkpoint when one is named, fresh otherwise. cfg must be the
 // Resolve result, possibly with trace sinks attached — attaching a sink
-// never changes the semantic hash the resume is checked against.
+// never changes the scenario the resume is checked against.
 func (s RunSpec) Start(cfg sim.Config) (*sim.Engine, error) {
 	if s.Checkpoint != nil && s.Checkpoint.Resume != "" {
 		ck, err := sim.ReadCheckpointFile(s.Checkpoint.Resume)

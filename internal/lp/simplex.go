@@ -67,13 +67,6 @@ type Result struct {
 
 const eps = 1e-9
 
-// Solve runs the two-phase simplex method on p using a throwaway Solver.
-// Callers solving many problems should hold a Solver and reuse it.
-func Solve(p Problem) (Result, error) {
-	var s Solver
-	return s.Solve(p)
-}
-
 // Solver is a reusable two-phase simplex solver. Its tableau (one flat slab
 // carved into rows with spare capacity for the phase-1 artificial columns),
 // basis, objective row and solution vector are buffers that grow to the

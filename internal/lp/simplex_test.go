@@ -11,7 +11,7 @@ func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func TestSimple2D(t *testing.T) {
 	// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0.
 	// Optimum at (4, 0) with value 12.
-	res, err := Solve(Problem{
+	res, err := new(Solver).Solve(Problem{
 		C: []float64{3, 2},
 		A: [][]float64{{1, 1}, {1, 3}},
 		B: []float64{4, 6},
@@ -32,7 +32,7 @@ func TestSimple2D(t *testing.T) {
 
 func TestClassicProblem(t *testing.T) {
 	// max 5x + 4y s.t. 6x + 4y <= 24, x + 2y <= 6. Optimum (3, 1.5), value 21.
-	res, err := Solve(Problem{
+	res, err := new(Solver).Solve(Problem{
 		C: []float64{5, 4},
 		A: [][]float64{{6, 4}, {1, 2}},
 		B: []float64{24, 6},
@@ -50,7 +50,7 @@ func TestClassicProblem(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	// max x with only x - y <= 1: x can grow with y.
-	res, err := Solve(Problem{
+	res, err := new(Solver).Solve(Problem{
 		C: []float64{1, 0},
 		A: [][]float64{{1, -1}},
 		B: []float64{1},
@@ -65,7 +65,7 @@ func TestUnbounded(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	// x <= -1 with x >= 0 is infeasible.
-	res, err := Solve(Problem{
+	res, err := new(Solver).Solve(Problem{
 		C: []float64{1},
 		A: [][]float64{{1}, {-1}},
 		B: []float64{-2, 1},
@@ -80,7 +80,7 @@ func TestInfeasible(t *testing.T) {
 
 func TestNegativeRHSFeasible(t *testing.T) {
 	// Constraint -x <= -2 means x >= 2; with x <= 5, max x = 5.
-	res, err := Solve(Problem{
+	res, err := new(Solver).Solve(Problem{
 		C: []float64{1},
 		A: [][]float64{{-1}, {1}},
 		B: []float64{-2, 5},
@@ -98,7 +98,7 @@ func TestNegativeRHSFeasible(t *testing.T) {
 
 func TestPhase1RequiredOptimum(t *testing.T) {
 	// min-cost-like: maximise -x-y with x + y >= 3 (i.e. -x -y <= -3), x,y <= 4.
-	res, err := Solve(Problem{
+	res, err := new(Solver).Solve(Problem{
 		C: []float64{-1, -1},
 		A: [][]float64{{-1, -1}, {1, 0}, {0, 1}},
 		B: []float64{-3, 4, 4},
@@ -115,7 +115,7 @@ func TestPhase1RequiredOptimum(t *testing.T) {
 }
 
 func TestZeroVariables(t *testing.T) {
-	res, err := Solve(Problem{C: nil, A: [][]float64{}, B: []float64{}})
+	res, err := new(Solver).Solve(Problem{C: nil, A: [][]float64{}, B: []float64{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestZeroVariables(t *testing.T) {
 }
 
 func TestBadShape(t *testing.T) {
-	_, err := Solve(Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}})
+	_, err := new(Solver).Solve(Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}})
 	if err != ErrBadShape {
 		t.Errorf("expected ErrBadShape, got %v", err)
 	}
-	_, err = Solve(Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{1, 2}})
+	_, err = new(Solver).Solve(Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{1, 2}})
 	if err != ErrBadShape {
 		t.Errorf("expected ErrBadShape, got %v", err)
 	}
@@ -137,7 +137,7 @@ func TestBadShape(t *testing.T) {
 
 func TestDegenerateProblem(t *testing.T) {
 	// Degenerate vertex should not cycle thanks to Bland's rule.
-	res, err := Solve(Problem{
+	res, err := new(Solver).Solve(Problem{
 		C: []float64{10, -57, -9, -24},
 		A: [][]float64{
 			{0.5, -5.5, -2.5, 9},
@@ -179,7 +179,7 @@ func TestSolutionFeasibilityProperty(t *testing.T) {
 			}
 			p.B[i] = next() * 10
 		}
-		res, err := Solve(p)
+		res, err := new(Solver).Solve(p)
 		if err != nil || res.Status != Optimal {
 			return false
 		}

@@ -17,7 +17,7 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	}
 	const nCells, users = 7, 30
 	w := newIncrementalWorld(77, nCells, users)
-	ir := NewIncrementalRegions(nCells, 0)
+	ir := NewIncrementalRegions(nCells)
 	var rb RegionBuilder
 
 	buildAll := func() {

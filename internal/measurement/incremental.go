@@ -8,32 +8,24 @@ package measurement
 //   - the cell gathers the same request users in the same order,
 //   - every request's measurement version matches the version at build time
 //     (the caller bumps a user's version whenever its measurements — gains,
-//     and hence FCH ledgers and pilot reports — changed beyond the
-//     configured epsilon, or its soft-handoff sets changed; versions are
-//     monotonic, so a change is never forgotten even if the user spends
-//     frames outside the request queue), and
-//   - for the reverse link, every involved cell's ledger load matches the
-//     load at build time within Epsilon (reverse coefficients embed the
-//     loads; forward coefficients do not).
+//     and hence FCH ledgers and pilot reports — or its soft-handoff sets
+//     changed; versions are monotonic, so a change is never forgotten even
+//     if the user spends frames outside the request queue), and
+//   - for the reverse link, every involved cell's ledger load is bitwise
+//     the load at build time (reverse coefficients embed the loads; forward
+//     coefficients do not).
 //
 // Bounds are NOT cached: they are one subtraction per involved cell and
 // depend on the live ledger, so they are recomputed from the current state
-// on every reuse — a reused region is therefore exact in its bounds and
-// epsilon-stale only in its coefficient rows. With a version discipline of
-// "bump on any bitwise change" (the exact mode) reuse happens only when the
-// inputs are bitwise unchanged, so the incremental path is output-identical
-// to full rebuilds.
+// on every reuse. Reuse therefore happens only when the inputs are bitwise
+// unchanged, and the incremental path is output-identical to full
+// rebuilds.
 //
 // Each cell's cache entry is touched only by the goroutine solving that
 // cell, so the snapshot frame mode's workers can share one
 // IncrementalRegions without synchronisation (cells are partitioned across
 // workers per frame).
 type IncrementalRegions struct {
-	// Epsilon is the relative tolerance for the reverse-link load match; 0
-	// requires bitwise equality. (Measurement drift is judged by the caller
-	// when deciding whether to bump a user's version, against the same
-	// epsilon by convention.)
-	Epsilon float64
 	// ForceFull disables reuse entirely — every call rebuilds. The
 	// incremental-vs-full differential tests flip this.
 	ForceFull bool
@@ -57,10 +49,9 @@ type regionCache struct {
 	hits, misses uint64
 }
 
-// NewIncrementalRegions returns an incremental cache for nCells cells with
-// the given reuse epsilon.
-func NewIncrementalRegions(nCells int, epsilon float64) *IncrementalRegions {
-	return &IncrementalRegions{Epsilon: epsilon, cells: make([]regionCache, nCells)}
+// NewIncrementalRegions returns an incremental cache for nCells cells.
+func NewIncrementalRegions(nCells int) *IncrementalRegions {
+	return &IncrementalRegions{cells: make([]regionCache, nCells)}
 }
 
 // Stats sums the per-cell reuse counters: hits are frames a cached region
@@ -92,19 +83,10 @@ func (c *regionCache) reusable(userOf func(i int) (id int, ver uint64), n int) b
 }
 
 // loadsMatch checks the involved cells' ledger values against the build-time
-// snapshot within eps relative (eps = 0: bitwise).
-func (c *regionCache) loadsMatch(current []float64, eps float64) bool {
+// snapshot.
+func (c *regionCache) loadsMatch(current []float64) bool {
 	for i, k := range c.cellIdx {
-		then, now := c.loads[i], current[k]
-		diff := now - then
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := then
-		if scale < 0 {
-			scale = -scale
-		}
-		if diff > eps*scale {
+		if current[k] != c.loads[i] {
 			return false
 		}
 	}
@@ -176,13 +158,13 @@ func (ir *IncrementalRegions) ForwardCell(k int, rb *RegionBuilder, state Forwar
 }
 
 // ReverseCell is ForwardCell for the reverse link. Reuse additionally
-// requires the involved cells' ledger loads to match the build-time values
-// within Epsilon, because the reverse coefficients embed the loads.
+// requires the involved cells' ledger loads to equal the build-time values,
+// because the reverse coefficients embed the loads.
 func (ir *IncrementalRegions) ReverseCell(k int, rb *RegionBuilder, state ReverseState, requests []ReverseRequest, vers []uint64) (Region, bool, error) {
 	c := &ir.cells[k]
 	userOf := func(i int) (int, uint64) { return requests[i].UserID, vers[i] }
 	if !ir.ForceFull && c.reusable(userOf, len(requests)) &&
-		c.loadsMatch(state.TotalReceived, ir.Epsilon) {
+		c.loadsMatch(state.TotalReceived) {
 		c.hits++
 		return c.cached(state.MaxReceived, state.TotalReceived), true, nil
 	}

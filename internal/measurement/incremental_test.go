@@ -1,7 +1,6 @@
 package measurement
 
 import (
-	"math"
 	"testing"
 
 	"jabasd/internal/load"
@@ -138,7 +137,7 @@ func regionsEqual(t *testing.T, frame, cell int, kind string, got, want Region) 
 func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	const nCells, users, frames = 7, 30, 400
 	w := newIncrementalWorld(123, nCells, users)
-	ir := NewIncrementalRegions(nCells, 0)
+	ir := NewIncrementalRegions(nCells)
 	var incB, fullB RegionBuilder
 	for f := 0; f < frames; f++ {
 		w.stepFrame()
@@ -171,7 +170,7 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 func TestIncrementalReverseMatchesFullRebuild(t *testing.T) {
 	const nCells, users, frames = 7, 30, 400
 	w := newIncrementalWorld(321, nCells, users)
-	ir := NewIncrementalRegions(nCells, 0)
+	ir := NewIncrementalRegions(nCells)
 	var incB, fullB RegionBuilder
 	for f := 0; f < frames; f++ {
 		w.stepFrame()
@@ -202,7 +201,7 @@ func TestIncrementalReverseMatchesFullRebuild(t *testing.T) {
 // every call is a miss.
 func TestIncrementalForceFull(t *testing.T) {
 	w := newIncrementalWorld(7, 5, 10)
-	ir := NewIncrementalRegions(5, 0)
+	ir := NewIncrementalRegions(5)
 	ir.ForceFull = true
 	var rb RegionBuilder
 	for f := 0; f < 20; f++ {
@@ -220,51 +219,5 @@ func TestIncrementalForceFull(t *testing.T) {
 	}
 	if hits, _ := ir.Stats(); hits != 0 {
 		t.Fatalf("ForceFull recorded %d hits", hits)
-	}
-}
-
-// TestIncrementalEpsilonReuse checks the epsilon semantics on the reverse
-// link: loads drifting within epsilon keep the cached rows (stale by at most
-// epsilon) while the bounds still track the live ledger exactly.
-func TestIncrementalEpsilonReuse(t *testing.T) {
-	w := newIncrementalWorld(99, 5, 10)
-	// Pin one queued user on cell 0 so the cache can hold.
-	for u := range w.inQ {
-		w.inQ[u] = false
-	}
-	w.inQ[0] = true
-	w.host[0] = 0
-	w.mutateUser(0)
-	w.host[0] = 0
-	w.fch[0].Reset()
-	w.fch[0].Set(0, 0.5)
-	w.rev[0].Reset()
-	w.rev[0].Set(0, 0.01)
-	w.scrm[0].Reset()
-	w.scrm[0].Set(0, 0.2)
-
-	ir := NewIncrementalRegions(5, 0.05)
-	var rb RegionBuilder
-	rstate := ReverseState{TotalReceived: w.loads, MaxReceived: 10, GammaS: 1.25, ShadowMargin: 1.5}
-	_, rev, vers := w.gather(0)
-	if _, reused, err := ir.ReverseCell(0, &rb, rstate, rev, vers); err != nil || reused {
-		t.Fatalf("first build: reused=%v err=%v", reused, err)
-	}
-	// Drift the ledger by 1%: within epsilon, the rows are reused and the
-	// bound reflects the new load exactly.
-	w.loads[0] *= 1.01
-	region, reused, err := ir.ReverseCell(0, &rb, rstate, rev, vers)
-	if err != nil || !reused {
-		t.Fatalf("within-epsilon drift: reused=%v err=%v", reused, err)
-	}
-	for i, k := range region.Cells {
-		if want := rstate.MaxReceived - w.loads[k]; math.Abs(region.Bound[i]-want) > 0 {
-			t.Fatalf("reused bound %d = %v, want exact %v", i, region.Bound[i], want)
-		}
-	}
-	// A 50% move breaks epsilon and rebuilds.
-	w.loads[0] *= 1.5
-	if _, reused, err := ir.ReverseCell(0, &rb, rstate, rev, vers); err != nil || reused {
-		t.Fatalf("beyond-epsilon drift: reused=%v err=%v", reused, err)
 	}
 }

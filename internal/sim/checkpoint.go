@@ -21,9 +21,12 @@ package sim
 //
 // The stored configuration is authoritative for everything semantic; the
 // caller may only change the non-semantic execution knobs (FrameParallel,
-// Tiles, TraceEvery, CheckpointEvery and the sinks) before resuming. A
-// semantic hash in the header refuses mismatched resumes with a precise
-// error instead of silently diverging.
+// Tiles, TraceEvery, CheckpointEvery and the sinks) before resuming.
+// Compatible compares the semantic hashes of the stored and the resuming
+// configuration, both decoded by the running build, and refuses a mismatch
+// with a precise error instead of silently diverging. The stored
+// configuration is decoded strictly (Config.UnmarshalJSON), so a key this
+// build cannot represent is refused by name.
 
 import (
 	"bytes"
@@ -70,10 +73,6 @@ func semanticConfigHash(cfg Config) ([sha256.Size]byte, error) {
 // boundary — between Run frames via Config.CheckpointSink, or after Run
 // returns — never from inside a frame.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	hash, err := semanticConfigHash(e.cfg)
-	if err != nil {
-		return err
-	}
 	cfgJSON, err := json.Marshal(e.cfg)
 	if err != nil {
 		return fmt.Errorf("sim: marshaling config: %w", err)
@@ -82,12 +81,10 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 
 	cw.Section("config")
 	cw.Bytes(cfgJSON)
-	cw.Bytes(hash[:])
 
 	cw.Section("engine")
 	cw.Int(e.frame)
 	cw.F64(e.now)
-	cw.Bool(e.loadStepDone)
 	// Fault runtime: only the load-event cursor is stored — the down/derate
 	// state is a pure function of simulated time, reconstructed on resume —
 	// plus the pending-retry marks feeding Metrics.SolveRetries.
@@ -217,7 +214,6 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 // the engine.
 type Checkpoint struct {
 	cfg  Config
-	hash [sha256.Size]byte
 	rd   *checkpoint.Reader
 	used bool
 }
@@ -234,28 +230,15 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: reading checkpoint config: %w", err)
 	}
 	cfgJSON := rd.Bytes()
-	storedHash := rd.Bytes()
+	if rd.Version() < 4 {
+		rd.Bytes() // formats 2 and 3 stored a config hash; unused
+	}
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("sim: reading checkpoint config: %w", err)
 	}
 	c := &Checkpoint{rd: rd}
 	if err := json.Unmarshal(cfgJSON, &c.cfg); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint config does not parse: %w", err)
-	}
-	if len(storedHash) != sha256.Size {
-		return nil, fmt.Errorf("sim: checkpoint config hash is %d bytes, want %d", len(storedHash), sha256.Size)
-	}
-	copy(c.hash[:], storedHash)
-	// The stored hash must match the stored config: a mismatch means the
-	// checkpoint was produced by a build whose semantic-field set differs
-	// from ours (or the file was tampered with), and resuming would not be
-	// byte-faithful either way.
-	want, err := semanticConfigHash(c.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if want != c.hash {
-		return nil, fmt.Errorf("sim: checkpoint config hash mismatch: the checkpoint was written by an incompatible build (semantic config fields differ)")
+		return nil, fmt.Errorf("sim: checkpoint config does not decode: %w", err)
 	}
 	return c, nil
 }
@@ -279,11 +262,15 @@ func (c *Checkpoint) Config() Config { return c.cfg }
 // semantically identical to the stored configuration. It does not consume
 // the checkpoint, so callers can validate a resume before committing to it.
 func (c *Checkpoint) Compatible(cfg Config) error {
+	want, err := semanticConfigHash(c.cfg)
+	if err != nil {
+		return err
+	}
 	got, err := semanticConfigHash(cfg)
 	if err != nil {
 		return err
 	}
-	if got != c.hash {
+	if got != want {
 		return fmt.Errorf("sim: resume config differs from the checkpoint's scenario (only FrameParallel, Tiles, TraceEvery, CheckpointEvery and the sinks may change across a resume)")
 	}
 	return nil
@@ -324,8 +311,13 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 	}
 	frame := rd.Int()
 	now := rd.F64()
-	loadStepDone := rd.Bool()
-	faultLoadIdx := rd.Int()
+	loadCursor := 0
+	if rd.Version() < 4 && rd.Bool() {
+		// Formats 2 and 3 latched a fired Config.LoadStep separately; the
+		// decoded config carries it as one more load event.
+		loadCursor = 1
+	}
+	loadCursor += rd.Int()
 	for k := range e.retryPend {
 		e.retryPend[k] = rd.Bool()
 	}
@@ -337,7 +329,8 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 	if frame < 0 || frame > frames {
 		return fmt.Errorf("sim: checkpoint frame %d outside the scenario's 0..%d", frame, frames)
 	}
-	if e.fault != nil {
+	switch {
+	case e.fault != nil:
 		// Rebuild the down/derate state as of the checkpointed run's last
 		// applyFaults: the mask is a pure function of simulated time, so
 		// advancing to the last completed frame's time reproduces it — and
@@ -347,9 +340,11 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 		if frame > 0 {
 			e.fault.Advance(float64(frame-1) * e.cfg.FrameLength)
 		}
-		if err := e.fault.SetLoadCursor(faultLoadIdx); err != nil {
+		if err := e.fault.SetLoadCursor(loadCursor); err != nil {
 			return fmt.Errorf("sim: resuming: %w", err)
 		}
+	case loadCursor != 0:
+		return fmt.Errorf("sim: checkpoint has applied %d load events but the scenario has no fault schedule", loadCursor)
 	}
 	// Version 2 wrote a full-scan run (PilotCells 0) as window width 0 and
 	// a plain channel batch; it restores into the map-wide window.
@@ -363,7 +358,6 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 	}
 	e.frame = frame
 	e.now = now
-	e.loadStepDone = loadStepDone
 
 	if err := rd.Section("sched"); err != nil {
 		return fmt.Errorf("sim: resuming: %w", err)

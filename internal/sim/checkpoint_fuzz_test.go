@@ -10,8 +10,9 @@ import (
 // and a few structurally damaged variants — through the full decode path.
 // The invariant: ReadCheckpoint/Resume may reject the input with an error,
 // but must never panic, and an input that decodes cleanly must produce an
-// engine that runs. A forged config cannot slip through because the header
-// hash is verified against the decoded config before any state is touched.
+// engine that runs. A forged config cannot slip through: it is decoded
+// strictly and validated before any state is touched, and every state
+// section must then fit the engine it built.
 func FuzzReadCheckpoint(f *testing.F) {
 	cfg := tinyConfig()
 	cap := &ckCapture{}

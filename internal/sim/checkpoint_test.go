@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"jabasd/internal/cellular"
+	"jabasd/internal/checkpoint"
 	"jabasd/internal/fault"
 	"jabasd/internal/trace"
 )
@@ -98,8 +100,8 @@ func resumeScenarios() map[string]Config {
 	}
 	scenarios := map[string]Config{}
 
-	cfg := metro() // sequential + fast PHY + mid-run load step
-	cfg.LoadStep = &LoadStep{AtSec: 1.5, ReadingTimeSec: 1}
+	cfg := metro() // sequential + fast PHY + mid-run load step (E12's form)
+	cfg.Faults = &fault.Schedule{Load: []fault.LoadEvent{{AtSec: 1.5, ReadingTimeSec: 1}}}
 	scenarios["seq-fast-loadstep"] = cfg
 
 	cfg = metro() // sequential + exact PHY + reverse link
@@ -272,9 +274,26 @@ func tinyConfig() Config {
 }
 
 // TestResumeRefusesSemanticConfigChange: every scenario-shaping change must
-// be refused with the hash-mismatch error; the execution knobs must pass.
+// be refused by Compatible; the execution knobs must pass. A stored config
+// with a key this build has no field for is refused when the checkpoint is
+// opened, naming the key.
 func TestResumeRefusesSemanticConfigChange(t *testing.T) {
 	blob := checkpointBlob(t, tinyConfig())
+
+	cfgJSON, err := json.Marshal(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var foreign bytes.Buffer
+	cw := checkpoint.NewWriter(&foreign)
+	cw.Section("config")
+	cw.Bytes(append([]byte(`{"HandoffHysteresisDB":3,`), cfgJSON[1:]...))
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(&foreign); err == nil || !strings.Contains(err.Error(), "HandoffHysteresisDB") {
+		t.Errorf("config with an unknown key not refused by name: %v", err)
+	}
 
 	semantic := map[string]func(*Config){
 		"seed":      func(c *Config) { c.Seed++ },
@@ -482,6 +501,34 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesOrphanLoadCursor: a checkpoint that has applied load
+// events but whose config has no fault schedule to continue is refused,
+// not resumed with the events silently forgotten. The blob is written by a
+// real engine whose schedule is dropped in memory after the events fired.
+func TestResumeRefusesOrphanLoadCursor(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Faults = &fault.Schedule{Load: []fault.LoadEvent{{AtSec: 0.1, ReadingTimeSec: 1}}}
+	e := resumeEngine(t, checkpointBlob(t, cfg))
+	if e.fault.LoadCursor() != 1 {
+		t.Fatalf("load cursor %d at the checkpoint, want 1", e.fault.LoadCursor())
+	}
+	e.cfg.Faults = nil
+	var buf bytes.Buffer
+	if err := e.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eB, err := c.Resume(c.Config()); err == nil {
+		eB.Close()
+		t.Fatal("checkpoint with an orphan load cursor resumed")
+	} else if !strings.Contains(err.Error(), "no fault schedule") {
+		t.Fatalf("refused for the wrong reason: %v", err)
+	}
+}
+
 // TestResumeKeepsTopPilots: checkpoints written before the pilot kernels
 // kept only the strongest cellular.TopPilots list a user's whole window.
 // The reader must validate every stored entry — a duplicate or
@@ -558,18 +605,30 @@ func TestResumeKeepsTopPilots(t *testing.T) {
 	}
 }
 
-// TestResumeVersion2Checkpoints resumes the committed version-2 checkpoints,
-// written when a PilotCells 0 run stored window width 0 and a plain channel
-// batch, on the fast and the exact path. The resumed run must finish
-// exactly like a straight run of this build from the checkpoint's own
-// configuration: the same metrics and the same trace from the checkpoint
-// frame on. The fast-path file pins amd64 kernel bits, so it is checked on
-// amd64 only. Regenerate both with a build that still writes version 2:
+// TestResumeVersion2And3Checkpoints resumes the committed checkpoints
+// written in older formats. The version-2 files, on the fast and the exact
+// path, are from when a PilotCells 0 run stored window width 0 and a plain
+// channel batch. The version-3 file stores a config hash, a separate
+// LoadStep flag and a channel gain baseline, all dropped in version 4; its
+// config carries a legacy LoadStep (1 s) beside a fault schedule with a load
+// event (2 s) and an outage across the checkpoint frame, so the reader must
+// decode the LoadStep into the schedule and map the load cursor to 2. The
+// resumed run must finish exactly like a straight run of this build from
+// the checkpoint's own configuration: the same metrics and the same trace
+// from the checkpoint frame on. The fast-path file pins amd64 kernel bits,
+// so it is checked on amd64 only. Regenerate the version-2 files with a
+// build that still writes version 2, and the version-3 file with one that
+// still writes version 3:
 //
 //	jabasim -preset smoke -sim-time 4 -checkpoint testdata/checkpoint/v2-smoke-fast.ckpt -checkpoint-every 150
 //	jabasim -preset smoke -sim-time 4 -exact-vtaoc -checkpoint testdata/checkpoint/v2-smoke-exact.ckpt -checkpoint-every 150
-func TestResumeVersion2Checkpoints(t *testing.T) {
-	for _, name := range []string{"v2-smoke-fast.ckpt", "v2-smoke-exact.ckpt"} {
+//	jabasim -preset smoke -dump-config > smoke.json
+//	# add to smoke.json: "LoadStep": {"AtSec": 1, "ReadingTimeSec": 1},
+//	#   "Faults": {"cells": [{"cell": 2, "start_sec": 2.5, "end_sec": 3.5}],
+//	#              "load": [{"at_sec": 2, "reading_time_sec": 3}]}
+//	jabasim -config smoke.json -exact-vtaoc -sim-time 4 -checkpoint testdata/checkpoint/v3-smoke-exact-loadstep.ckpt -checkpoint-every 150
+func TestResumeVersion2And3Checkpoints(t *testing.T) {
+	for _, name := range []string{"v2-smoke-fast.ckpt", "v2-smoke-exact.ckpt", "v3-smoke-exact-loadstep.ckpt"} {
 		t.Run(name, func(t *testing.T) {
 			c, err := ReadCheckpointFile(filepath.Join("..", "..", "testdata", "checkpoint", name))
 			if err != nil {
@@ -600,6 +659,15 @@ func TestResumeVersion2Checkpoints(t *testing.T) {
 			k := e.Frame()
 			if k != 150 {
 				t.Fatalf("resumed at frame %d, want 150", k)
+			}
+			if cfg.Faults != nil {
+				want := []fault.LoadEvent{{AtSec: 1, ReadingTimeSec: 1}, {AtSec: 2, ReadingTimeSec: 3}}
+				if !slices.Equal(cfg.Faults.Load, want) {
+					t.Fatalf("decoded load events %v, want %v", cfg.Faults.Load, want)
+				}
+				if got := e.fault.LoadCursor(); got != 2 {
+					t.Fatalf("load cursor %d after resume, want 2", got)
+				}
 			}
 			mGot, err := e.Run(context.Background())
 			if err != nil {

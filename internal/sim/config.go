@@ -8,9 +8,13 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 
 	"jabasd/internal/channel"
 	"jabasd/internal/core"
@@ -20,20 +24,6 @@ import (
 	"jabasd/internal/traffic"
 	"jabasd/internal/vtaoc"
 )
-
-// LoadStep describes a mid-run step change in the offered load: at
-// simulated time AtSec every data source switches its mean reading (think)
-// time to ReadingTimeSec — a shorter time means more frequent downloads, so
-// stepping it down models a flash crowd arriving. The current reading
-// period's remaining time is rescaled proportionally, so the step takes
-// effect immediately instead of one think-time later. The transient
-// experiment E12 uses this to measure the admission layer's step response.
-type LoadStep struct {
-	// AtSec is the simulated time the step applies (>= 0).
-	AtSec float64
-	// ReadingTimeSec is the new mean reading time in seconds (> 0).
-	ReadingTimeSec float64
-}
 
 // Direction selects which link the burst traffic uses.
 type Direction int
@@ -184,13 +174,6 @@ type Config struct {
 	// gains within ~1e-12 relative, VTAOC within 5e-7 absolute, statistically
 	// equivalent shadowing draws — for a several-fold frame-rate gain.
 	ExactPHY bool
-	// RegionEpsilon is the relative drift tolerance of the fast path's
-	// incremental admissible-region cache: a user's measurements count as
-	// changed when a gain moved by more than this fraction since its last
-	// region build (0, the default, re-marks every moving user each frame so
-	// cached regions are reused only when bitwise unchanged). Ignored when
-	// ExactPHY is set.
-	RegionEpsilon float64
 
 	// Traffic.
 	Data traffic.DataModelConfig
@@ -272,14 +255,10 @@ type Config struct {
 	// serialised.
 	CheckpointSink func(frame int, write func(io.Writer) error) error `json:"-"`
 
-	// LoadStep, when non-nil, applies a mid-run offered-load step change
-	// (see LoadStep); nil leaves the traffic stationary.
-	LoadStep *LoadStep
-
 	// Faults, when non-nil, injects the piecewise fault schedule (cell
 	// outages, transmit-power derating, offered-load curves — see
 	// internal/fault) into the run. Semantic: it changes results, is part
-	// of the checkpoint's scenario hash, and its effects stay byte-identical
+	// of the scenario a resume must match, and its effects stay byte-identical
 	// for any FrameParallel/Tiles. A nil or empty schedule leaves every
 	// output bit-identical to a fault-free build.
 	Faults *fault.Schedule
@@ -420,14 +399,6 @@ func (c Config) Validate() error {
 	if c.CheckpointEvery < 0 {
 		fail("CheckpointEvery must be >= 0")
 	}
-	if ls := c.LoadStep; ls != nil {
-		if ls.AtSec < 0 || ls.AtSec >= c.SimTime {
-			fail("LoadStep.AtSec must be in [0, SimTime)")
-		}
-		if ls.ReadingTimeSec <= 0 {
-			fail("LoadStep.ReadingTimeSec must be positive")
-		}
-	}
 	if c.SolveNodeBudget < 0 {
 		fail("SolveNodeBudget must be >= 0")
 	}
@@ -440,8 +411,44 @@ func (c Config) Validate() error {
 	if c.UseFixedRatePHY && (c.FixedRateMode < 1 || c.FixedRateMode > c.VTAOC.NumModes) {
 		fail("FixedRateMode out of range")
 	}
-	if c.RegionEpsilon < 0 {
-		fail("RegionEpsilon must be >= 0")
-	}
 	return errors.Join(errs...)
+}
+
+// UnmarshalJSON decodes a configuration strictly: a key that names no field,
+// at the top level or in any nested object, is an error naming the key, so
+// a misspelt or removed knob in a -config file, a job spec or a checkpoint
+// is refused instead of silently ignored. It decodes on top of the
+// receiver, so absent keys keep their pre-filled defaults. Two removed keys
+// are still read from older files: RegionEpsilon must be 0 (regions are
+// reused only when bitwise unchanged), and a LoadStep {AtSec,
+// ReadingTimeSec} becomes a Faults.Load event, inserted in AtSec order; one
+// at the same AtSec as an existing load event is left for Validate to
+// refuse.
+func (c *Config) UnmarshalJSON(data []byte) error {
+	type plain Config // drops this method, so the decode does not recurse
+	var wire struct {
+		*plain
+		RegionEpsilon float64
+		LoadStep      *struct{ AtSec, ReadingTimeSec float64 }
+	}
+	wire.plain = (*plain)(c)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
+		return fmt.Errorf("sim: config: %w", err)
+	}
+	if wire.RegionEpsilon != 0 {
+		return fmt.Errorf("sim: config: RegionEpsilon was removed; only 0 is accepted, got %g", wire.RegionEpsilon)
+	}
+	if ls := wire.LoadStep; ls != nil {
+		var s fault.Schedule
+		if c.Faults != nil {
+			s = *c.Faults
+		}
+		ev := fault.LoadEvent{AtSec: ls.AtSec, ReadingTimeSec: ls.ReadingTimeSec}
+		i := sort.Search(len(s.Load), func(i int) bool { return s.Load[i].AtSec >= ev.AtSec })
+		s.Load = slices.Insert(slices.Clone(s.Load), i, ev)
+		c.Faults = &s
+	}
+	return nil
 }

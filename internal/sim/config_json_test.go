@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"jabasd/internal/fault"
 )
 
 // TestConfigJSONRoundTripIdenticalRunOutput is the API-redesign acceptance
@@ -21,7 +23,7 @@ func TestConfigJSONRoundTripIdenticalRunOutput(t *testing.T) {
 	cfg.VoiceUsersPerCell = 2
 	cfg.Direction = Reverse
 	cfg.FrameMode = FrameSnapshot
-	cfg.LoadStep = &LoadStep{AtSec: 2, ReadingTimeSec: 6}
+	cfg.Faults = &fault.Schedule{Load: []fault.LoadEvent{{AtSec: 2, ReadingTimeSec: 6}}}
 
 	data, err := json.Marshal(cfg)
 	if err != nil {
@@ -73,6 +75,33 @@ func TestConfigJSONEnumsEncodeAsStrings(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"Direction": "sideways"}`), &back); err == nil {
 		t.Error("unknown direction should be rejected")
+	}
+}
+
+// TestConfigDecodeIsStrict pins the decoder every config source goes
+// through (-config files, job specs, checkpoints): a key naming no field is
+// refused by name at any depth, the removed RegionEpsilon is accepted only
+// as 0, and the removed LoadStep is accepted as null.
+func TestConfigDecodeIsStrict(t *testing.T) {
+	for _, tc := range []struct{ name, json, want string }{
+		{"top-level", `{"Seed": 2, "Sed": 3}`, `"Sed"`},
+		{"nested", `{"Faults": {"cels": []}}`, `"cels"`},
+		{"legacy step", `{"LoadStep": {"AtSec": 1, "ReadingTime": 2}}`, `"ReadingTime"`},
+		{"epsilon", `{"RegionEpsilon": 0.05}`, "RegionEpsilon was removed"},
+	} {
+		cfg := DefaultConfig()
+		if err := json.Unmarshal([]byte(tc.json), &cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %s decoded with error %v, want one naming %s", tc.name, tc.json, err, tc.want)
+		}
+	}
+	cfg := DefaultConfig()
+	if err := json.Unmarshal([]byte(`{"Seed": 9, "RegionEpsilon": 0, "LoadStep": null}`), &cfg); err != nil {
+		t.Fatalf("legacy zero-valued keys refused: %v", err)
+	}
+	want := DefaultConfig()
+	want.Seed = 9
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("decode on top of the defaults changed more than Seed:\n%+v", cfg)
 	}
 }
 

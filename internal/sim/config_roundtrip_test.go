@@ -18,8 +18,7 @@ import (
 // as JSON — can never silently drop scenario state.
 func TestConfigJSONRoundTripEveryField(t *testing.T) {
 	base := DefaultConfig()
-	// Give the optional pointers values so their leaves are walkable.
-	base.LoadStep = &LoadStep{AtSec: 1.5, ReadingTimeSec: 3}
+	// Give the optional pointer a value so its leaves are walkable.
 	base.Faults = &fault.Schedule{
 		Cells: []fault.CellEvent{{Cell: 1, StartSec: 5, EndSec: 10, Derate: 0.5}},
 		Load:  []fault.LoadEvent{{AtSec: 2, ReadingTimeSec: 6}},
@@ -63,10 +62,8 @@ func TestConfigJSONRoundTripEveryField(t *testing.T) {
 
 	for _, path := range leaves {
 		cfg := base
-		// The pointers are shared with base; give this copy its own so the
+		// The pointer is shared with base; give this copy its own so the
 		// perturbation does not leak across cases.
-		ls := *base.LoadStep
-		cfg.LoadStep = &ls
 		fs := fault.Schedule{
 			Cells: append([]fault.CellEvent(nil), base.Faults.Cells...),
 			Load:  append([]fault.LoadEvent(nil), base.Faults.Load...),

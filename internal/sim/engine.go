@@ -76,9 +76,9 @@ type dataUser struct {
 	macM     *mac.Machine
 
 	// ver counts measurement changes (fast path): it is bumped whenever the
-	// user's gains moved beyond RegionEpsilon or its reduced set changed, and
-	// the incremental region cache keys on it. prevReduced is the previous
-	// frame's reduced set for the change test.
+	// user's gains moved or its reduced set changed, and the incremental
+	// region cache keys on it. prevReduced is the previous frame's reduced
+	// set for the change test.
 	ver         uint64
 	prevReduced []int
 
@@ -182,9 +182,6 @@ type Engine struct {
 	// sequential sections; the parallel solve phases capture deep copies
 	// into their grant slots first.
 	solveRec *replay.Recorder
-
-	// loadStepDone latches cfg.LoadStep so the step applies exactly once.
-	loadStepDone bool
 
 	// fault, non-nil when cfg.Faults carries events, is the per-frame fault
 	// state (down mask, derate vector, load-event cursor — see fault.go).
@@ -325,7 +322,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.addFactor = math.Pow(10, -cfg.SoftHandoffAddDB/10)
 	e.minEcIo = math.Pow(10, cfg.PilotMinEcIoDB/10)
 	if !cfg.ExactPHY {
-		e.incr = measurement.NewIncrementalRegions(layout.NumCells(), cfg.RegionEpsilon)
+		e.incr = measurement.NewIncrementalRegions(layout.NumCells())
 	}
 	e.spix = spatial.New(layout, cfg.PilotCells)
 	e.queues = make([]*traffic.Queue, layout.NumCells())
@@ -504,7 +501,6 @@ func (e *Engine) step() {
 		clear(e.traceCells)
 	}
 	e.applyFaults()
-	e.applyLoadStep()
 	e.updateVoice(dt)
 	e.updateUsers(dt)
 	e.migrateQueued()
@@ -515,20 +511,6 @@ func (e *Engine) step() {
 	e.collect()
 	e.emitTrace()
 	e.frame++
-}
-
-// applyLoadStep switches every data source to the stepped reading time the
-// first frame at or after LoadStep.AtSec. It runs before traffic generation
-// so the step's first frame already offers load at the new rate.
-func (e *Engine) applyLoadStep() {
-	ls := e.cfg.LoadStep
-	if ls == nil || e.loadStepDone || e.now < ls.AtSec {
-		return
-	}
-	for _, u := range e.users {
-		u.source.SetMeanReadingTime(ls.ReadingTimeSec)
-	}
-	e.loadStepDone = true
 }
 
 // updateVoice advances voice activity and positions. Each voice user's new

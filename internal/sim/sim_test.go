@@ -472,8 +472,8 @@ func TestSnapshotModeRequiresClonableScheduler(t *testing.T) {
 }
 
 // TestIncrementalRegionsMatchFullRebuild is the correctness contract of the
-// incremental region cache: with RegionEpsilon = 0 a cached region is reused
-// only when its inputs are bitwise unchanged, so for every frame mode and
+// incremental region cache: a cached region is reused only when its inputs
+// are bitwise unchanged, so for every frame mode and
 // worker count the cache-enabled engine must produce exactly the output of
 // the same engine rebuilding every region from scratch (ForceFull). The
 // static-user scenario pins that the equality is not vacuous — paused users
@@ -545,34 +545,5 @@ func TestIncrementalRegionsMatchFullRebuild(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRegionEpsilonReuse covers the drift-tolerant cache mode: with a
-// positive RegionEpsilon slowly moving users stay below the dirty threshold
-// for stretches of frames, so the cache serves hits even though everyone is
-// in motion, and the run still completes bursts. (Outputs may differ from a
-// full rebuild by design — the reused rows are up to epsilon stale.)
-func TestRegionEpsilonReuse(t *testing.T) {
-	cfg := quickConfig()
-	cfg.SimTime = 4
-	cfg.MaxSpeed = 2          // slow walkers
-	cfg.ShadowDecorrM = 500   // long decorrelation: shadowing drifts gently
-	cfg.DataUsersPerCell = 14 // enough contention that requests wait in queue
-	cfg.RegionEpsilon = 0.05
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := e.incr.Stats()
-	if hits == 0 {
-		t.Errorf("no cache hits with RegionEpsilon=%g (misses=%d)", cfg.RegionEpsilon, misses)
-	}
-	if m.BurstsCompleted == 0 {
-		t.Error("epsilon run completed no bursts")
 	}
 }

@@ -57,11 +57,10 @@ func (e *Engine) retargetWindow(u *dataUser, pos cellular.Point) bool {
 // the calling worker's distance scratch, at least the window width long. A
 // zero-travel frame leaves every derived quantity bitwise unchanged, so a
 // paused user skips the recompute; the exact path first consumes the
-// Gaussian draws its reference stream takes anyway. On the fast path the
-// user's measurement version is bumped whenever the gains moved beyond
-// RegionEpsilon, the window retargeted (entering slots carry an
-// invalidated epsilon baseline) or the reduced set changed, keying the
-// incremental region cache; the exact path never bumps it.
+// Gaussian draws its reference stream takes anyway. On the fast path every
+// moving user's measurement version is bumped (its gains moved), and a
+// paused one's when its reduced set changed, keying the incremental region
+// cache; the exact path never bumps it.
 func (e *Engine) updateUser(u *dataUser, dt float64, dist []float64) {
 	exact := e.cfg.ExactPHY
 	travelled := e.mobB.Advance(u.id, dt)
@@ -87,7 +86,7 @@ func (e *Engine) updateUser(u *dataUser, dt float64, dist []float64) {
 		e.winB.AdvanceExact(u.id, dist, travelled)
 	} else {
 		e.layout.DistancesSqForInto(pos, u.cand, dist)
-		dirty = e.winB.AdvanceFast(u.id, dist, travelled, e.cfg.RegionEpsilon) || retargeted
+		dirty = e.winB.AdvanceFast(u.id, dist, travelled)
 	}
 	e.refreshPilots(u)
 	if !exact {

@@ -20,8 +20,9 @@ func (v *VoiceModel) DecodeState(rd *checkpoint.Reader) {
 
 // EncodeState appends the data source's mutable state: think phase, pending
 // request (by value — the sharing with the engine's queues is re-established
-// on restore), generation count, the one runtime-mutable config field
-// (LoadStep rescales the mean reading time mid-run) and the draw stream.
+// on restore), generation count, the one runtime-mutable config field (a
+// fault-schedule load event rescales the mean reading time mid-run) and the
+// draw stream.
 func (d *DataModel) EncodeState(w *checkpoint.Writer) {
 	w.Bool(d.thinking)
 	w.F64(d.thinkLeft)

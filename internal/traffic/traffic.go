@@ -175,7 +175,7 @@ func (d *DataModel) Advance(dt float64, now float64) *BurstRequest {
 }
 
 // SetMeanReadingTime changes the mean reading (think) time used for every
-// future reading period — a mid-run offered-load step (sim.LoadStep). If
+// future reading period — a mid-run offered-load step (fault.LoadEvent). If
 // the source is currently reading, the remaining think time is rescaled
 // proportionally so the step changes the offered load immediately instead
 // of one full think-time later; because the exponential distribution is
