@@ -20,7 +20,9 @@
 //
 // -cpuprofile and -memprofile write standard runtime/pprof profiles covering
 // the simulation (the scenario set-up and report printing are excluded from
-// the CPU profile); inspect them with `go tool pprof`.
+// the CPU profile); inspect them with `go tool pprof`. With one replication
+// the heap profile is written while the finished engine is still live, so
+// its in-use views show the engine's heap by allocation site.
 package main
 
 import (
@@ -79,7 +81,7 @@ func run(ctx context.Context, args []string) error {
 		faultProf   = fs.String("fault-profile", "", "named fault profile scaled to the scenario's sim time: none, outage, degrade, flashcrowd, rushhour")
 		nodeBudget  = fs.Int("node-budget", -1, "cap the exact solver's branch-and-bound nodes per cell-frame; an over-budget solve falls back to the greedy policy (0 = unbounded, -1 keeps the scenario's)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-		memProfile  = fs.String("memprofile", "", "write a heap profile (allocation attribution) to this file when the simulation finishes")
+		memProfile  = fs.String("memprofile", "", "write a heap profile to this file when the simulation finishes; with one replication the finished engine is still live, so -sample_index=inuse_space shows its heap by allocation site")
 		ckptPath    = fs.String("checkpoint", "", "write a versioned engine-state checkpoint to this file (atomically) every -checkpoint-every frames; requires -reps 1")
 		ckptEvery   = fs.Int("checkpoint-every", 0, "checkpoint cadence in frames (required with -checkpoint)")
 		resumePath  = fs.String("resume", "", "resume from this checkpoint file; the scenario comes from the checkpoint, so -preset/-config must be unset (execution knobs like -frameparallel still apply)")
@@ -210,9 +212,12 @@ func run(ctx context.Context, args []string) error {
 	}
 	// finishProfiles runs after the simulation so the CPU profile covers the
 	// frame loop but not the report printing. The heap profile is written
-	// after the run (and a forced GC), so its value is the cumulative
-	// allocation attribution (alloc_space/alloc_objects), not the live set —
-	// the engine is already unreachable by then.
+	// after the run and a forced GC. Its alloc_space/alloc_objects views are
+	// the run's cumulative allocation attribution. The single-replication
+	// path keeps its engine reachable until the profile is written, so
+	// inuse_space/inuse_objects are the finished engine's live heap; with
+	// several replications the engines are gone and those views are near
+	// empty.
 	finishProfiles := func() error {
 		if *cpuProfile != "" {
 			pprof.StopCPUProfile()
@@ -308,6 +313,7 @@ func run(ctx context.Context, args []string) error {
 		if err := finishProfiles(); err != nil {
 			return err
 		}
+		runtime.KeepAlive(e) // the heap profile's in-use views show the engine
 		if err := closeTrace(); err != nil {
 			return err
 		}

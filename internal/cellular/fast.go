@@ -4,11 +4,11 @@ import "math"
 
 // Linear-domain variants of the pilot decisions and a squared-distance
 // serving-cell scan for the simulator's fast physics path. The dB-domain
-// PilotSetCellsInto spends two log10 calls per kept pilot (the strongest
-// TopPilots of the window) on EcIoDB/GainDB values whose only hot consumer
+// PilotSetCellsInto spends a log10 call per kept pilot (the strongest
+// TopPilots of the window) on an EcIoDB value whose only hot consumer
 // — the active-set rules — compares differences of logs, which is exactly a
 // ratio comparison in the linear domain. PilotSetCellsLinearInto skips the
-// logs (leaving the dB fields zero), keeps last frame's top entries and
+// logs (leaving EcIoDB zero), keeps last frame's top entries and
 // re-selects only when a cell enters them, and ActiveSetLinearInto applies
 // the identical add/drop rules on linear thresholds the caller precomputes
 // once:

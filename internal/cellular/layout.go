@@ -147,13 +147,12 @@ func (l *Layout) String() string {
 // from — its position in the candidate window, which is the cell itself on
 // a map-wide window — so a consumer reads the cell's gain as gains[p.Slot]
 // without searching the window. Both indices are
-// int32 to keep the struct at 32 bytes.
+// int32 to keep the struct at 24 bytes.
 type PilotMeasurement struct {
 	Cell   int32
 	Slot   int32
 	EcIo   float64 // linear Ec/Io (pilot chip energy over total received density)
 	EcIoDB float64
-	GainDB float64 // link gain (path loss + shadowing) used to form the pilot
 }
 
 // ActiveSet returns the cells whose pilot is within addThresholdDB of the

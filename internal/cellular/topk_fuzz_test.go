@@ -7,7 +7,7 @@ import (
 
 // referencePilots is the pilot selection the kernels replace, kept here as
 // their specification: every in-service cell of the window measured with
-// the kernel's arithmetic (dB fields only when db is set), a full stable
+// the kernel's arithmetic (EcIoDB only when db is set), a full stable
 // insertion sort by decreasing Ec/Io, and the first min(TopPilots, n)
 // entries. When every cell is down the whole window is measured instead.
 func referencePilots(cells []int32, gains []float64, down []bool, db bool) []PilotMeasurement {
@@ -29,7 +29,6 @@ func referencePilots(cells []int32, gains []float64, down []bool, db bool) []Pil
 			if db {
 				p.EcIo = pilotFraction * txPower * g / total
 				p.EcIoDB = 10 * math.Log10(math.Max(p.EcIo, 1e-30))
-				p.GainDB = 10 * math.Log10(math.Max(g, 1e-30))
 			}
 			all = append(all, p)
 		}
@@ -43,7 +42,7 @@ func referencePilots(cells []int32, gains []float64, down []bool, db bool) []Pil
 }
 
 // sameBits fails unless got and want hold the same cells and slots in the
-// same order with bit-identical Ec/Io and dB fields.
+// same order with bit-identical EcIo and EcIoDB.
 func sameBits(t *testing.T, what string, got, want []PilotMeasurement) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -53,8 +52,7 @@ func sameBits(t *testing.T, what string, got, want []PilotMeasurement) {
 		g, w := got[i], want[i]
 		if g.Cell != w.Cell || g.Slot != w.Slot ||
 			math.Float64bits(g.EcIo) != math.Float64bits(w.EcIo) ||
-			math.Float64bits(g.EcIoDB) != math.Float64bits(w.EcIoDB) ||
-			math.Float64bits(g.GainDB) != math.Float64bits(w.GainDB) {
+			math.Float64bits(g.EcIoDB) != math.Float64bits(w.EcIoDB) {
 			t.Fatalf("%s: pilot %d = %+v, want %+v", what, i, g, w)
 		}
 	}

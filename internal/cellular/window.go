@@ -117,7 +117,7 @@ const TopPilots = 8
 // window, and each measurement carries the GLOBAL cell index from cells[i]
 // and its slot i. The result is ordered by decreasing Ec/Io with ties in
 // slot order — exactly the first entries of a stable sort of the whole
-// window — and only the kept entries pay the two dB conversions. Cells
+// window — and only the kept entries pay the dB conversion. Cells
 // marked in down (indexed by global cell; nil when every cell is in
 // service) are skipped, unless every cell of the window is down: the user
 // is then in a coverage hole and keeps measuring them all. dst is reused
@@ -132,14 +132,13 @@ func PilotSetCellsInto(dst []PilotMeasurement, cells []int32, gains []float64, d
 	dst = topPilots(dst, k, cells, gains, down, func(g float64) float64 { return ptx * g / total })
 	for i := range dst {
 		dst[i].EcIoDB = 10 * math.Log10(math.Max(dst[i].EcIo, 1e-30))
-		dst[i].GainDB = 10 * math.Log10(math.Max(gains[dst[i].Slot], 1e-30))
 	}
 	return dst
 }
 
-// PilotSetCellsLinearInto is PilotSetCellsInto without the dB conversions:
+// PilotSetCellsLinearInto is PilotSetCellsInto without the dB conversion:
 // EcIo is computed, and the strongest entries selected, exactly as in the
-// dB version, while EcIoDB and GainDB are left zero. Use with
+// dB version, while EcIoDB is left zero. Use with
 // ActiveSetLinearInto.
 //
 // It is frame-coherent: when dst already holds last frame's

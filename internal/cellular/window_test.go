@@ -71,12 +71,12 @@ func checkSlots(t *testing.T, what string, pilots []PilotMeasurement, cells []in
 	}
 }
 
-// TestWindowPilotMeasurementSize pins the entry at 32 bytes: every data
+// TestWindowPilotMeasurementSize pins the entry at 24 bytes: every data
 // user keeps TopPilots entries (the city preset has about 100k users),
 // so a wider struct shows up directly in the heap.
 func TestWindowPilotMeasurementSize(t *testing.T) {
-	if got := unsafe.Sizeof(PilotMeasurement{}); got != 32 {
-		t.Fatalf("PilotMeasurement is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(PilotMeasurement{}); got != 24 {
+		t.Fatalf("PilotMeasurement is %d bytes, want 24", got)
 	}
 }
 

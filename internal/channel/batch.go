@@ -11,9 +11,13 @@ import (
 // x correlated shadowing) for many users against many cells: the per-(user,
 // cell) shadowing state and linear gains live in flat users x cells slices,
 // and one value-typed rng.Source per pair replaces the per-pair heap
-// objects. The distances are not state: the caller passes each advance a
-// row it has just filled, from scratch it owns (one row per worker), so no
-// users x cells distance slab is kept. Two advance kernels share this state:
+// objects. A link costs 56 bytes: shadowing and gain (8 each) plus its
+// 40-byte stream, Box-Muller spare included. The spare is live on both
+// kernels — AdvanceExact draws Normal, and so does Window.Retarget for every
+// cell entering a window — so it is not split off. The distances are not
+// state: the caller passes each advance a row it has just filled, from
+// scratch it owns (one row per worker), so no users x cells distance slab is
+// kept. Two advance kernels share this state:
 //
 //   - AdvanceExact reproduces the scalar reference — Shadowing.Advance
 //     followed by PathLossModel.LossDB and math.Pow — operation for
@@ -135,10 +139,10 @@ func (b *Batch) AdvancePausedExact(u int) {
 
 // AdvanceFast advances user u by travelled metres using the fast kernels,
 // reading SQUARED distances from dist (saving the square roots: the path
-// loss needs only log10(d); length as for AdvanceExact). It reports whether
-// the gain row was recomputed: a zero-travel frame on an initialised user
-// skips the Gaussian draws entirely and reports false.
-func (b *Batch) AdvanceFast(u int, dist []float64, travelled float64) bool {
+// loss needs only log10(d); length as for AdvanceExact). A zero-travel
+// frame on an initialised user is a no-op: unlike the exact path it takes
+// no Gaussian draws, and the state and streams stay bitwise unchanged.
+func (b *Batch) AdvanceFast(u int, dist []float64, travelled float64) {
 	off := u * b.cells
 	shadow := b.shadowDB[off : off+b.cells]
 	gain := b.gain[off : off+b.cells]
@@ -176,9 +180,8 @@ func (b *Batch) AdvanceFast(u int, dist []float64, travelled float64) bool {
 		// Paused and initialised: rho = 1 leaves the state unchanged, so
 		// unlike the exact path there is nothing to draw and the caller can
 		// reuse every downstream quantity.
-		return false
+		return
 	}
 
 	mathx.GainRowFast(gain, shadow, dist, pl.ReferenceDB, halfExp, invRefM2, minD2)
-	return true
 }

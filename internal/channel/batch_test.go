@@ -119,9 +119,7 @@ func TestBatchAdvanceFastTracksExact(t *testing.T) {
 				dists[k] = step.Uniform(5, 4000)
 				row[k] = dists[k] * dists[k] // fast kernel reads squared metres
 			}
-			if !batch.AdvanceFast(u, row, travelled) {
-				t.Fatalf("frame %d user %d: moving user reported clean", f, u)
-			}
+			batch.AdvanceFast(u, row, travelled)
 			for k := 0; k < cells; k++ {
 				want := math.Pow(10, (-pl.LossDB(dists[k])+batch.ShadowRow(u)[k])/10)
 				got := batch.GainRow(u)[k]
@@ -133,27 +131,39 @@ func TestBatchAdvanceFastTracksExact(t *testing.T) {
 	}
 }
 
-// TestBatchAdvanceFastPausedClean pins the fast path's paused shortcut: no
-// draws, no state change, reported clean.
+// TestBatchAdvanceFastPausedClean pins the fast path's paused shortcut: a
+// zero-travel advance leaves the state unchanged and takes no draws, so a
+// batch that paused continues exactly like a twin that never did.
 func TestBatchAdvanceFastPausedClean(t *testing.T) {
 	const cells = 7
-	batch := channel.NewBatch(1, cells, channel.DefaultPathLoss(), 8, 50)
-	batch.SeedUser(0, rng.New(3), 10)
+	mk := func() *channel.Batch {
+		b := channel.NewBatch(1, cells, channel.DefaultPathLoss(), 8, 50)
+		b.SeedUser(0, rng.New(3), 10)
+		return b
+	}
+	batch, twin := mk(), mk()
 	row := make([]float64, cells)
 	for k := range row {
 		row[k] = float64(200+100*k) * float64(200+100*k)
 	}
 	batch.AdvanceFast(0, row, 1.5)
+	twin.AdvanceFast(0, row, 1.5)
 	gains := append([]float64(nil), batch.GainRow(0)...)
 	shadows := append([]float64(nil), batch.ShadowRow(0)...)
 	for i := 0; i < 10; i++ {
-		if batch.AdvanceFast(0, row, 0) {
-			t.Fatalf("paused user reported dirty")
-		}
+		batch.AdvanceFast(0, row, 0)
 	}
 	for k := 0; k < cells; k++ {
 		if batch.GainRow(0)[k] != gains[k] || batch.ShadowRow(0)[k] != shadows[k] {
 			t.Fatalf("paused advance mutated state at cell %d", k)
+		}
+	}
+	// Untouched streams: the next moving frame draws what the twin draws.
+	batch.AdvanceFast(0, row, 2)
+	twin.AdvanceFast(0, row, 2)
+	for k := 0; k < cells; k++ {
+		if math.Float64bits(batch.ShadowRow(0)[k]) != math.Float64bits(twin.ShadowRow(0)[k]) {
+			t.Fatalf("cell %d: shadowing after the pause %v, twin without it %v", k, batch.ShadowRow(0)[k], twin.ShadowRow(0)[k])
 		}
 	}
 }

@@ -37,17 +37,3 @@ func (b *Batch) DecodeState(rd *checkpoint.Reader) {
 		b.src[i].DecodeState(rd)
 	}
 }
-
-// EncodeState appends the windowed state: the embedded batch (whose cell
-// dimension is the window width) plus the slot-to-cell map.
-func (w *Window) EncodeState(cw *checkpoint.Writer) {
-	w.Batch.EncodeState(cw)
-	cw.I32s(w.cells)
-}
-
-// DecodeState restores the state written by EncodeState in place, so rows
-// handed out by CellRow keep aliasing the restored storage.
-func (w *Window) DecodeState(rd *checkpoint.Reader) {
-	w.Batch.DecodeState(rd)
-	rd.FillI32s(w.cells)
-}

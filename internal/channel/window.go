@@ -1,12 +1,15 @@
 package channel
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MaxWindowWidth bounds the width of a Window whose candidate list moves.
-// Retarget carries the old slot state across the merge in fixed stack
-// arrays of this size so the concurrent per-user update fan-out needs no
-// per-goroutine scratch. A wider window is allowed when it never merges: a
-// map-wide window, whose candidate list is every cell in every bucket, is
+// Retarget carries the old slot shadowing across the merge in a fixed
+// stack array of this size so the concurrent per-user update fan-out needs
+// no per-goroutine scratch. A wider window is allowed when it never merges:
+// a map-wide window, whose candidate list is every cell in every bucket, is
 // targeted once and never moves again.
 const MaxWindowWidth = 256
 
@@ -14,11 +17,16 @@ const MaxWindowWidth = 256
 // channel column per (user, cell) pair — O(users x cells) memory and
 // per-frame work — each user tracks only `width` slots, one per candidate
 // cell of its current spatial bucket (see internal/spatial). The embedded
-// Batch holds the per-slot shadowing state, gains and RNG
-// substreams with cells == width, so the AdvanceExact / AdvanceFast /
-// AdvancePausedExact kernels run unchanged over the window; Window adds the
-// slot-to-cell mapping and the Retarget merge that migrates slot state when
-// a user crosses into a bucket with a different candidate list.
+// Batch holds the per-slot shadowing state, gains and RNG substreams with
+// cells == width, so the AdvanceExact / AdvanceFast / AdvancePausedExact
+// kernels and the checkpoint state run unchanged over the window; Window
+// adds the Retarget merge that migrates slot state when a user crosses into
+// a bucket with a different candidate list.
+//
+// Window stores no slot-to-cell map. A user's slot i belongs to cell
+// cand[i] of the candidate list it was last retargeted to, which the caller
+// keeps — the engine aliases the spatial index's immutable per-bucket list —
+// and hands back to Retarget as the old list on the next move.
 //
 // Determinism: slot i of user u always draws from the same substream
 // (parent.Split(base+i)), and the number of draws a stream takes per frame
@@ -26,9 +34,7 @@ const MaxWindowWidth = 256
 // retarget time). The state is therefore independent of any worker or tile
 // partition, exactly like Batch.
 type Window struct {
-	*Batch
-	width int
-	cells []int32 // users x width slot-to-cell map; -1 = not yet targeted
+	*Batch // cells == the window width
 }
 
 // NewWindow allocates windowed channel state for users, each tracking
@@ -40,78 +46,56 @@ func NewWindow(users, width int, pl PathLossModel, sigmaDB, decorrM float64) *Wi
 	if width < 1 {
 		panic(fmt.Sprintf("channel: window width %d is not positive", width))
 	}
-	w := &Window{
-		Batch: NewBatch(users, width, pl, sigmaDB, decorrM),
-		width: width,
-		cells: make([]int32, users*width),
-	}
-	for i := range w.cells {
-		w.cells[i] = -1
-	}
-	return w
+	return &Window{Batch: NewBatch(users, width, pl, sigmaDB, decorrM)}
 }
 
 // Width returns the per-user slot count.
-func (w *Window) Width() int { return w.width }
+func (w *Window) Width() int { return w.cells }
 
-// CellRow returns user u's slot-to-cell map: global cell indices, ascending.
-// Callers may alias it for the lifetime of the window; Retarget updates it
-// in place.
-func (w *Window) CellRow(u int) []int32 {
-	return w.cells[u*w.width : (u+1)*w.width]
-}
-
-// Retarget points user u's window at a new candidate list (global cell
-// indices, ascending, exactly width long — as internal/spatial produces per
-// bucket) and reports whether the window changed. Slots whose cell stays in
-// the window carry their shadowing state across the move; entering cells
-// take a fresh initial shadowing draw from their slot's substream. Before
-// the user's first advance the list is recorded without any draws —
-// AdvanceExact/AdvanceFast take the initial draws for the whole window. A
-// window wider than MaxWindowWidth panics on a merge: it must be map-wide,
-// so its candidate list never moves.
-func (w *Window) Retarget(u int, cand []int32) bool {
-	if len(cand) != w.width {
-		panic(fmt.Sprintf("channel: retarget with %d candidates, window width is %d", len(cand), w.width))
+// Retarget moves user u's window from the candidate list old to cand
+// (global cell indices, ascending, exactly width long — as internal/spatial
+// produces per bucket; old is nil before the user's first target) and
+// reports whether the list changed. Slots whose cell stays in the window
+// carry their shadowing state across the move; entering cells take a fresh
+// initial shadowing draw from their slot's substream. Before the user's
+// first advance nothing is drawn — AdvanceExact/AdvanceFast take the
+// initial draws for the whole window. Neither list is modified. A window
+// wider than MaxWindowWidth panics on a merge: it must be map-wide, so its
+// candidate list never moves.
+func (w *Window) Retarget(u int, old, cand []int32) bool {
+	width := w.cells
+	if len(cand) != width {
+		panic(fmt.Sprintf("channel: retarget with %d candidates, window width is %d", len(cand), width))
 	}
-	off := u * w.width
-	row := w.cells[off : off+w.width]
-	same := true
-	for i := range row {
-		if row[i] != cand[i] {
-			same = false
-			break
-		}
-	}
-	if same {
+	if slices.Equal(old, cand) {
 		return false
 	}
 	b := w.Batch
 	if !b.ready[u] {
-		copy(row, cand)
 		return true
 	}
-	if w.width > MaxWindowWidth {
-		panic(fmt.Sprintf("channel: window of width %d > %d cannot move after its first advance", w.width, MaxWindowWidth))
+	if len(old) != width {
+		panic(fmt.Sprintf("channel: retarget of an advanced user from %d candidates, window width is %d", len(old), width))
 	}
-	shadow := b.shadowDB[off : off+w.width]
-	var oldC [MaxWindowWidth]int32
+	if width > MaxWindowWidth {
+		panic(fmt.Sprintf("channel: window of width %d > %d cannot move after its first advance", width, MaxWindowWidth))
+	}
+	off := u * width
+	shadow := b.shadowDB[off : off+width]
 	var oldS [MaxWindowWidth]float64
-	copy(oldC[:w.width], row)
-	copy(oldS[:w.width], shadow)
+	copy(oldS[:width], shadow)
 	j := 0
 	for i, c := range cand {
-		for j < w.width && oldC[j] < c {
+		for j < width && old[j] < c {
 			j++
 		}
-		if j < w.width && oldC[j] == c {
+		if j < width && old[j] == c {
 			shadow[i] = oldS[j]
 		} else {
 			// A cell entering the window starts a fresh shadowing process on
 			// the slot's own substream.
 			shadow[i] = b.src[off+i].Normal(0, b.sigmaDB)
 		}
-		row[i] = c
 	}
 	return true
 }

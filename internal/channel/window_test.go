@@ -30,7 +30,7 @@ func TestWindowMatchesBatchFullWidth(t *testing.T) {
 			pw := rng.New(uint64(100 + u))
 			b.SeedUser(u, pb, 10)
 			w.SeedUser(u, pw, 10)
-			if w.Retarget(u, fullCells(cells)) != true {
+			if w.Retarget(u, nil, fullCells(cells)) != true {
 				t.Fatal("first Retarget must report a change")
 			}
 		}
@@ -54,11 +54,8 @@ func TestWindowMatchesBatchFullWidth(t *testing.T) {
 						w.AdvanceExact(u, dist, travelled)
 					}
 				} else {
-					db := b.AdvanceFast(u, dist, travelled)
-					dw := w.AdvanceFast(u, dist, travelled)
-					if db != dw {
-						t.Fatalf("exact=%v frame %d user %d: dirty %v (batch) vs %v (window)", exact, f, u, db, dw)
-					}
+					advanceFastChecked(t, b, u, dist, travelled)
+					advanceFastChecked(t, w.Batch, u, dist, travelled)
 				}
 				gb, gw := b.GainRow(u), w.GainRow(u)
 				for k := range gb {
@@ -77,15 +74,16 @@ func TestWindowMatchesBatchFullWidth(t *testing.T) {
 func TestRetargetCarriesState(t *testing.T) {
 	w := NewWindow(1, 2, DefaultPathLoss(), 8, 50)
 	w.SeedUser(0, rng.New(42), 10)
-	if !w.Retarget(0, []int32{1, 3}) {
+	first, second := []int32{1, 3}, []int32{3, 5}
+	if !w.Retarget(0, nil, first) {
 		t.Fatal("initial Retarget must report a change")
 	}
 	w.AdvanceExact(0, []float64{300, 500}, 0) // initial draws
 	before := append([]float64(nil), w.ShadowRow(0)...)
-	if w.Retarget(0, []int32{1, 3}) {
+	if w.Retarget(0, first, []int32{1, 3}) {
 		t.Fatal("identical candidate list must not report a change")
 	}
-	if !w.Retarget(0, []int32{3, 5}) {
+	if !w.Retarget(0, first, second) {
 		t.Fatal("new candidate list must report a change")
 	}
 	after := w.ShadowRow(0)
@@ -95,8 +93,8 @@ func TestRetargetCarriesState(t *testing.T) {
 	if after[1] == before[0] || after[1] == before[1] {
 		t.Fatalf("entering cell 5 must draw fresh shadowing, got carried value %g", after[1])
 	}
-	if got := w.CellRow(0); got[0] != 3 || got[1] != 5 {
-		t.Fatalf("CellRow = %v, want [3 5]", got)
+	if first[0] != 1 || first[1] != 3 || second[0] != 3 || second[1] != 5 {
+		t.Fatalf("Retarget modified its lists: old %v, new %v", first, second)
 	}
 }
 
@@ -112,8 +110,10 @@ func TestRetargetDeterminism(t *testing.T) {
 	run := func(w *Window) {
 		lists := [][]int32{{0, 1, 2}, {1, 2, 4}, {1, 2, 4}, {2, 4, 6}, {0, 2, 6}}
 		dist := make([]float64, 3)
+		var old []int32
 		for f, cand := range lists {
-			w.Retarget(0, cand)
+			w.Retarget(0, old, cand)
+			old = cand
 			for s := range cand {
 				dist[s] = float64(100+10*f+s) * float64(100+10*f+s)
 			}
@@ -148,7 +148,11 @@ func TestWindowPanics(t *testing.T) {
 	}
 	mustPanic("zero width", func() { NewWindow(1, 0, DefaultPathLoss(), 8, 50) })
 	w := NewWindow(1, 2, DefaultPathLoss(), 8, 50)
-	mustPanic("wrong candidate length", func() { w.Retarget(0, []int32{1}) })
+	mustPanic("wrong candidate length", func() { w.Retarget(0, nil, []int32{1}) })
+	w.SeedUser(0, rng.New(5), 10)
+	w.Retarget(0, nil, []int32{1, 2})
+	w.AdvanceExact(0, []float64{300, 500}, 1)
+	mustPanic("advanced user without its old list", func() { w.Retarget(0, nil, []int32{2, 3}) })
 }
 
 // TestWideWindowNeverMerges: a window wider than MaxWindowWidth (a map-wide
@@ -160,7 +164,7 @@ func TestWideWindowNeverMerges(t *testing.T) {
 	w := NewWindow(1, width, DefaultPathLoss(), 8, 50)
 	w.SeedUser(0, rng.New(3), 10)
 	all := fullCells(width)
-	if !w.Retarget(0, all) {
+	if !w.Retarget(0, nil, all) {
 		t.Fatal("first target reported no change")
 	}
 	dist := make([]float64, width)
@@ -168,7 +172,7 @@ func TestWideWindowNeverMerges(t *testing.T) {
 		dist[i] = float64(100 + i)
 	}
 	w.AdvanceExact(0, dist, 5)
-	if w.Retarget(0, all) {
+	if w.Retarget(0, all, fullCells(width)) {
 		t.Fatal("re-target to the same list reported a change")
 	}
 	moved := append([]int32(nil), all...)
@@ -178,5 +182,5 @@ func TestWideWindowNeverMerges(t *testing.T) {
 			t.Fatal("merge on a window wider than MaxWindowWidth did not panic")
 		}
 	}()
-	w.Retarget(0, moved)
+	w.Retarget(0, all, moved)
 }

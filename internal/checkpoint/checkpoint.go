@@ -34,8 +34,12 @@ import (
 // full-scan run is a map-wide window. Version 4 drops three fields the sim
 // engine no longer reads: the config hash after the stored config, the
 // separate load-step flag (a load step is a fault load event, counted by
-// the load cursor) and the channel batch's gain baseline.
-const Version = 4
+// the load cursor) and the channel batch's gain baseline. Version 5 drops
+// three more: each pilot's link gain in dB, the FCH footprint of the link
+// the run does not simulate (one footprint per user, in the configured
+// direction's units) and the window slot map, which is the candidate list
+// of each user's stored spatial bucket.
+const Version = 5
 
 // MinVersion is the oldest format version a Reader accepts. Decoders that
 // must tell the layouts apart read the stream's version from

@@ -15,12 +15,21 @@ import "math"
 
 // Source is a deterministic xoshiro256** pseudo random number generator.
 // The zero value is not usable; construct one with New or Split.
+//
+// A Source is 40 bytes: the channel batches hold one per (user, window
+// slot), millions at city scale, so the empty Box-Muller spare is a
+// sentinel value rather than a flag that would pad the struct to 48.
 type Source struct {
 	s [4]uint64
-	// spare holds a cached second Gaussian variate from Box-Muller.
-	spare    float64
-	hasSpare bool
+	// spare holds a cached second Gaussian variate from Box-Muller, or
+	// noSpare when there is none.
+	spare float64
 }
+
+// noSpare marks an empty Box-Muller spare. A Box-Muller variate is below 9
+// in magnitude (u1 >= 2^-53), so the sentinel can never be a real spare. It
+// is not NaN, so Sources still compare with ==.
+const noSpare = math.MaxFloat64
 
 // splitmix64 advances the seed expander and returns the next 64-bit value.
 func splitmix64(state *uint64) uint64 {
@@ -50,8 +59,7 @@ func (r *Source) Reseed(seed uint64) {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	r.spare = 0
-	r.hasSpare = false
+	r.spare = noSpare
 }
 
 // Split derives an independent child stream from the parent. The child's
@@ -129,9 +137,9 @@ func (r *Source) Normal(mean, stddev float64) float64 {
 
 // StdNormal returns a standard Gaussian variate.
 func (r *Source) StdNormal() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
+	if z := r.spare; z != noSpare {
+		r.spare = noSpare
+		return z
 	}
 	u1 := r.Float64Open()
 	u2 := r.Float64()
@@ -139,7 +147,6 @@ func (r *Source) StdNormal() float64 {
 	z0 := mag * math.Cos(2*math.Pi*u2)
 	z1 := mag * math.Sin(2*math.Pi*u2)
 	r.spare = z1
-	r.hasSpare = true
 	return z0
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"unsafe"
 
 	"jabasd/internal/checkpoint"
 )
@@ -50,5 +51,55 @@ func TestSourceStateRoundTrip(t *testing.T) {
 				t.Fatalf("normals=%d: Uint64 diverged at draw %d: %#x vs %#x", normals, i, a, b)
 			}
 		}
+	}
+}
+
+// TestSourceSize pins a Source at 40 bytes: the channel batches hold one
+// per (user, window slot), about 2.5 million at city scale, so a wider
+// struct shows up directly in the heap.
+func TestSourceSize(t *testing.T) {
+	if got := unsafe.Sizeof(Source{}); got != 40 {
+		t.Fatalf("Source is %d bytes, want 40", got)
+	}
+}
+
+// TestSourceDecodeRefusesBadSpare: a stored spare flagged as present must
+// be a value Box-Muller can return. A non-finite one, or the empty-spare
+// sentinel, fails the reader instead of being restored; an unflagged spare
+// is ignored whatever its value.
+func TestSourceDecodeRefusesBadSpare(t *testing.T) {
+	decode := func(spare float64, has bool) error {
+		var buf bytes.Buffer
+		w := checkpoint.NewWriter(&buf)
+		w.Section("rng")
+		for i := 0; i < 4; i++ {
+			w.U64(uint64(i + 1))
+		}
+		w.F64(spare)
+		w.Bool(has)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Section("rng"); err != nil {
+			t.Fatal(err)
+		}
+		var src Source
+		src.DecodeState(r)
+		return r.Close()
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), noSpare} {
+		if err := decode(bad, true); err == nil {
+			t.Errorf("flagged spare %v decoded", bad)
+		}
+		if err := decode(bad, false); err != nil {
+			t.Errorf("unflagged spare %v refused: %v", bad, err)
+		}
+	}
+	if err := decode(-1.25, true); err != nil {
+		t.Errorf("valid spare refused: %v", err)
 	}
 }

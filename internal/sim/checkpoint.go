@@ -14,10 +14,12 @@ package sim
 // Resume rebuilds the engine from the stored configuration (populate
 // consumes exactly the draws it consumed originally, recreating every
 // substream and alias) and then overwrites the mutable state in place, so
-// slices handed out by the batches (gain rows, window slot maps) keep
-// aliasing the restored storage. A run continued from a checkpoint at frame
-// k is byte-identical to the uninterrupted run from frame k on — metrics
-// and trace included — which TestCheckpointResumeByteIdentical gates.
+// slices handed out by the batches (gain rows) keep aliasing the restored
+// storage. Each user's window slot map is not stored: it is the candidate
+// list of the user's stored spatial bucket. A run continued from a
+// checkpoint at frame k is byte-identical to the uninterrupted run from
+// frame k on — metrics and trace included — which
+// TestCheckpointResumeByteIdentical gates.
 //
 // The stored configuration is authoritative for everything semantic; the
 // caller may only change the non-semantic execution knobs (FrameParallel,
@@ -36,10 +38,12 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/checkpoint"
 	"jabasd/internal/core"
+	"jabasd/internal/load"
 	"jabasd/internal/mobility"
 	"jabasd/internal/traffic"
 )
@@ -127,7 +131,6 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 			cw.Int(int(pm.Cell))
 			cw.F64(pm.EcIo)
 			cw.F64(pm.EcIoDB)
-			cw.F64(pm.GainDB)
 		}
 		cw.Ints(u.active)
 		cw.Ints(u.reduced)
@@ -137,8 +140,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		cw.Int(u.bucket)
 		cw.F64(u.geometry)
 		cw.F64(u.meanCSIdB)
-		u.fchPower.EncodeState(cw)
-		u.revFCHRx.EncodeState(cw)
+		u.fch.EncodeState(cw)
 		cw.Int(u.queuedCell)
 		cw.Bool(u.firstGrant)
 		u.macM.EncodeState(cw)
@@ -378,33 +380,21 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 	if err := rd.Section("channel"); err != nil {
 		return fmt.Errorf("sim: resuming: %w", err)
 	}
-	// In place: u.gain and u.cand keep aliasing the restored storage.
-	if fullScanV2 {
-		e.winB.Batch.DecodeState(rd)
-		for _, u := range e.users {
-			for i := range u.cand {
-				u.cand[i] = int32(i)
-			}
-		}
-	} else {
-		e.winB.DecodeState(rd)
-	}
-	// Every window must be an ascending list of map cells: the distance
-	// kernels index the layout with it, and a map-wide window that differs
-	// from its identity candidates would attempt a merge it cannot make.
-windows:
-	for _, u := range e.users {
-		for i, c := range u.cand {
-			if c < 0 || int(c) >= nCells || (i > 0 && c <= u.cand[i-1]) {
-				rd.Fail("user %d window slot %d holds cell %d: not an ascending list of cells 0..%d", u.id, i, c, nCells-1)
-				break windows
-			}
-		}
+	// In place: u.gain keeps aliasing the restored storage.
+	e.winB.DecodeState(rd)
+	// Formats before 5 (all but a version-2 full-scan run) also stored each
+	// user's slot map. It is held until the users section names the
+	// buckets, and must equal each bucket's candidate list.
+	var slotMaps []int32
+	if rd.Version() < 5 && !fullScanV2 {
+		slotMaps = make([]int32, len(e.users)*width)
+		rd.FillI32s(slotMaps)
 	}
 
 	if err := rd.Section("users"); err != nil {
 		return fmt.Errorf("sim: resuming: %w", err)
 	}
+	var stored []storedPilot
 	seen := make([]bool, width) // per user: window slots already listed
 	for _, u := range e.users {
 		np := rd.Int()
@@ -412,53 +402,46 @@ windows:
 			rd.Fail("user %d has %d pilots, more than its window of %d", u.id, np, width)
 			break
 		}
-		u.pilots = u.pilots[:0]
-		clear(seen)
+		stored = stored[:0]
 		for i := 0; i < np; i++ {
-			cell := rd.Int()
-			// Keyed composite-literal operands evaluate in lexical order, so
-			// the three reads land in the fields they were written from.
-			pm := cellular.PilotMeasurement{
-				EcIo:   rd.F64(),
-				EcIoDB: rd.F64(),
-				GainDB: rd.F64(),
+			sp := storedPilot{cell: rd.Int()}
+			sp.pm.EcIo = rd.F64()
+			sp.pm.EcIoDB = rd.F64()
+			if rd.Version() < 5 {
+				rd.F64() // the link gain in dB, which nothing reads
 			}
-			// The slot is not stored: it is the cell's position in the
-			// (already restored) window row. A cell listed twice would make
-			// the frame-coherent pilot kernel keep the duplicate and drop a
-			// real pilot.
-			slot := -1
-			if cell >= 0 && cell < nCells {
-				slot = cellular.FindCell(u.cand, int32(cell))
-			}
-			if slot < 0 {
-				rd.Fail("user %d pilot cell %d outside the cells 0..%d or the user's window", u.id, cell, nCells-1)
-				break
-			}
-			if seen[slot] {
-				rd.Fail("user %d lists pilot cell %d twice", u.id, cell)
-				break
-			}
-			seen[slot] = true
-			pm.Cell, pm.Slot = int32(cell), int32(slot)
-			// Checkpoints from before the pilot kernels kept only the
-			// strongest cellular.TopPilots list the whole window,
-			// strongest first: every entry is validated above, and the
-			// prefix the kernels would keep is restored.
-			if i < cellular.TopPilots {
-				u.pilots = append(u.pilots, pm)
-			}
+			stored = append(stored, sp)
 		}
 		u.active = append(u.active[:0], rd.Ints()...)
 		u.reduced = append(u.reduced[:0], rd.Ints()...)
 		u.prevReduced = append(u.prevReduced[:0], rd.Ints()...)
 		u.hostCell = rd.Int()
 		u.ver = rd.U64()
-		u.bucket = rd.Int()
+		bucket := rd.Int()
 		u.geometry = rd.F64()
 		u.meanCSIdB = rd.F64()
-		u.fchPower.DecodeState(rd)
-		u.revFCHRx.DecodeState(rd)
+		if rd.Version() < 5 {
+			// Formats before 5 stored the forward and the reverse FCH
+			// footprints; only the configured direction's is read.
+			var fwd, rev load.Vec
+			fwd.DecodeState(rd)
+			rev.DecodeState(rd)
+			u.fch = fwd
+			if e.cfg.Direction == Reverse {
+				u.fch = rev
+			}
+		} else {
+			u.fch.DecodeState(rd)
+		}
+		if rd.Err() != nil {
+			break
+		}
+		var slotMap []int32
+		if slotMaps != nil {
+			slotMap = slotMaps[u.id*width : (u.id+1)*width]
+		}
+		e.restoreWindow(rd, u, bucket, slotMap)
+		e.restorePilots(rd, u, stored, seen)
 		u.queuedCell = rd.Int()
 		u.firstGrant = rd.Bool()
 		u.macM.DecodeState(rd)
@@ -570,6 +553,77 @@ windows:
 		return fmt.Errorf("sim: resuming: %w", err)
 	}
 	return nil
+}
+
+// storedPilot is one pilot entry as a checkpoint stores it: the cell, not
+// yet checked, and the measurement without its slot.
+type storedPilot struct {
+	cell int
+	pm   cellular.PilotMeasurement
+}
+
+// restoreWindow points a resumed user's window at the candidate list of its
+// stored bucket. Bucket -1 is an untargeted window, valid for a user that
+// has never advanced (a checkpoint taken before the first frame), whose
+// first frame targets it. A map-wide window has the same list in every
+// bucket, and a version-2 full-scan run stored bucket -1 for every user,
+// so there -1 takes bucket 0's list (the next frame retargets to an
+// identical list, a no-op). slotMap, when the checkpoint stored one, must
+// equal the list.
+func (e *Engine) restoreWindow(rd *checkpoint.Reader, u *dataUser, bucket int, slotMap []int32) {
+	mapWide := e.winB.Width() == e.layout.NumCells()
+	switch {
+	case bucket >= 0 && bucket < e.spix.NumBuckets():
+		u.cand = e.spix.Candidates(bucket)
+	case bucket == -1 && !e.winB.Ready(u.id):
+		u.cand = nil
+	case bucket == -1 && mapWide:
+		u.cand = e.spix.Candidates(0)
+	default:
+		rd.Fail("user %d window bucket %d outside the spatial index's 0..%d", u.id, bucket, e.spix.NumBuckets()-1)
+		return
+	}
+	u.bucket = bucket
+	if slotMap != nil && !slices.Equal(slotMap, u.cand) {
+		rd.Fail("user %d window slot map %v is not its bucket's candidate list %v", u.id, slotMap, u.cand)
+	}
+}
+
+// restorePilots validates a resumed user's stored pilot entries against its
+// restored window and keeps the prefix the pilot kernels would keep. The
+// slot is not stored: it is the cell's position in the window. A cell
+// listed twice would make the frame-coherent pilot kernel keep the
+// duplicate and drop a real pilot. Checkpoints from before the pilot
+// kernels kept only the strongest cellular.TopPilots list the whole
+// window, strongest first: every entry is validated, and the first
+// TopPilots are restored. seen is window-width scratch.
+func (e *Engine) restorePilots(rd *checkpoint.Reader, u *dataUser, stored []storedPilot, seen []bool) {
+	u.pilots = u.pilots[:0]
+	if rd.Err() != nil {
+		return
+	}
+	nCells := e.layout.NumCells()
+	clear(seen)
+	for i, sp := range stored {
+		slot := -1
+		if sp.cell >= 0 && sp.cell < nCells {
+			slot = cellular.FindCell(u.cand, int32(sp.cell))
+		}
+		if slot < 0 {
+			rd.Fail("user %d pilot cell %d outside the cells 0..%d or the user's window", u.id, sp.cell, nCells-1)
+			return
+		}
+		if seen[slot] {
+			rd.Fail("user %d lists pilot cell %d twice", u.id, sp.cell)
+			return
+		}
+		seen[slot] = true
+		if i < cellular.TopPilots {
+			pm := sp.pm
+			pm.Cell, pm.Slot = int32(sp.cell), int32(slot)
+			u.pilots = append(u.pilots, pm)
+		}
+	}
 }
 
 // Frame returns the next frame the engine will run — for a fresh engine 0,

@@ -3,11 +3,16 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 )
 
-// FuzzReadCheckpoint feeds arbitrary bytes — seeded with a real checkpoint
-// and a few structurally damaged variants — through the full decode path.
+// FuzzReadCheckpoint feeds arbitrary bytes — seeded with a real checkpoint,
+// a few structurally damaged variants and two well-framed ones whose master
+// stream carries a flagged Gaussian spare no Box-Muller draw can return —
+// through the full decode path.
 // The invariant: ReadCheckpoint/Resume may reject the input with an error,
 // but must never panic, and an input that decodes cleanly must produce an
 // engine that runs. A forged config cannot slip through: it is decoded
@@ -35,6 +40,32 @@ func FuzzReadCheckpoint(f *testing.F) {
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)/2] ^= 0xff
 	f.Add(flipped)
+	// The engine section stores the frame, the time and the load cursor
+	// (8 bytes each), one pending-retry byte per cell, then the master
+	// stream: four state words, the spare and its has-spare flag.
+	e, err := NewEngine(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	spareAt := 24 + e.layout.NumCells() + 32
+	e.Close()
+	for _, bad := range []float64{math.NaN(), math.MaxFloat64} {
+		forged := rewriteSection(f, blob, "engine", func(p []byte) {
+			binary.LittleEndian.PutUint64(p[spareAt:], math.Float64bits(bad))
+			p[spareAt+8] = 1
+		})
+		c, err := ReadCheckpoint(bytes.NewReader(forged))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if eB, err := c.Resume(c.Config()); err == nil {
+			eB.Close()
+			f.Fatalf("checkpoint with a flagged spare %v resumed", bad)
+		} else if !strings.Contains(err.Error(), "spare") {
+			f.Fatalf("flagged spare %v refused for the wrong reason: %v", bad, err)
+		}
+		f.Add(forged)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ReadCheckpoint(bytes.NewReader(data))

@@ -3,8 +3,11 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -399,6 +402,38 @@ func resumeEngine(t *testing.T, blob []byte) *Engine {
 	return e
 }
 
+// TestResumeFreshEngine: a checkpoint taken before the first frame holds
+// untargeted windows (bucket -1). It must resume, on a map-wide and on a
+// narrow window, and run exactly like a fresh engine.
+func TestResumeFreshEngine(t *testing.T) {
+	for _, name := range []string{"snap-exact", "city-tiled-fast"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := resumeScenarios()[name]
+			want, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			err = e.Checkpoint(&buf)
+			e.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := resumeEngine(t, buf.Bytes()).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("resumed fresh engine's metrics differ:\nstraight %+v\nresumed  %+v", want, got)
+			}
+		})
+	}
+}
+
 // TestResumeRebuildsPilotSlots: the checkpoint does not store pilot slots,
 // so a resumed windowed engine must rebuild each one from the restored
 // window — every pilot's Slot must be its cell's position in the user's
@@ -424,11 +459,17 @@ func TestResumeRebuildsPilotSlots(t *testing.T) {
 // twice, or is longer than the window, must be refused — not restored with
 // a truncated cell, a slot pointing at another cell's gain, or a duplicate
 // the frame-coherent fast kernel would keep reusing in place of a real
-// pilot. So must a window that is not an ascending list of map cells,
-// which would index past the layout or make a map-wide window merge. The
-// blobs are written by a real engine after the state is corrupted in
-// memory, so every section's framing is intact and only the restore checks
-// can catch the damage.
+// pilot. So must a stored spatial bucket that names no candidate list —
+// past the index, or -1 on a window narrower than the map — since the
+// window is rebuilt from it. The blobs are written by a real engine after
+// the state is corrupted in memory, so every section's framing is intact
+// and only the restore checks can catch the damage.
+//
+// Formats before 5 also stored each user's window slot map, which must
+// equal the candidate list of the user's bucket: the "window" cases patch
+// the map of a committed version-3 (map-wide) and version-4 (7-cell
+// window) fixture instead, re-framing the section so only the restore
+// check can refuse it.
 func TestResumeRefusesBadPilotCell(t *testing.T) {
 	setLast := func(bad func(u *dataUser, nCells int) int32) func(*dataUser, int) {
 		return func(u *dataUser, nCells int) {
@@ -450,8 +491,10 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 			u.pilots = append(u.pilots, u.pilots[0])
 		}
 	}
-	unsorted := func(u *dataUser, _ int) { u.cand[0], u.cand[1] = u.cand[1], u.cand[0] }
-	windowPastMap := func(u *dataUser, n int) { u.cand[len(u.cand)-1] = int32(n) }
+	bucketPastIndex := func(u *dataUser, _ int) { u.bucket = 1 << 20 }
+	noBucket := func(u *dataUser, _ int) { u.bucket = -1 }
+	unsorted := func(row []int32, _ int) { row[0], row[1] = row[1], row[0] }
+	windowPastMap := func(row []int32, nCells int) { row[len(row)-1] = int32(nCells) }
 	city := resumeScenarios()["city-tiled-fast"]
 	for _, tc := range []struct {
 		name    string
@@ -467,8 +510,9 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 		{"windowed cell outside the window", city, setLast(outsideWindow), "pilot cell"},
 		{"windowed duplicate pilot cell", city, setLast(duplicate), "pilot cell"},
 		{"windowed list longer than the window", city, overlong, "more than its window"},
-		{"full-scan window out of order", tinyConfig(), unsorted, "not an ascending list"},
-		{"windowed window cell past the map", city, windowPastMap, "not an ascending list"},
+		{"full-scan bucket past the index", tinyConfig(), bucketPastIndex, "window bucket"},
+		{"windowed bucket past the index", city, bucketPastIndex, "window bucket"},
+		{"windowed negative bucket", city, noBucket, "window bucket"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := resumeEngine(t, checkpointBlob(t, tc.cfg))
@@ -499,6 +543,93 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 			}
 		})
 	}
+	for _, tc := range []struct {
+		name, fixture string
+		patch         func(row []int32, nCells int)
+	}{
+		{"full-scan window out of order", "v3-smoke-exact-loadstep.ckpt", unsorted},
+		{"windowed window cell past the map", "v4-smoke-win7-fast.ckpt", windowPastMap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := ReadCheckpoint(bytes.NewReader(patchLegacySlotMap(t, tc.fixture, tc.patch)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eB, err := c.Resume(c.Config()); err == nil {
+				eB.Close()
+				t.Fatal("checkpoint with a bad slot map resumed")
+			} else if !strings.Contains(err.Error(), "slot map") {
+				t.Fatalf("refused for the wrong reason: %v", err)
+			}
+		})
+	}
+}
+
+// rewriteSection returns a copy of the checkpoint stream blob in which the
+// payload of the section called name has been passed through patch, which
+// may modify it in place, with the section checksum recomputed. The
+// framing is internal/checkpoint's: a 12-byte header, then per section a
+// 4-byte name length, the name, an 8-byte payload length, the payload and
+// a 4-byte CRC-32.
+func rewriteSection(t testing.TB, blob []byte, name string, patch func(payload []byte)) []byte {
+	t.Helper()
+	out := append([]byte(nil), blob...)
+	pos := 12
+	for pos+4 <= len(out) {
+		nameLen := int(binary.LittleEndian.Uint32(out[pos:]))
+		if nameLen == 0xFFFFFFFF {
+			break
+		}
+		got := string(out[pos+4 : pos+4+nameLen])
+		pos += 4 + nameLen
+		n := int(binary.LittleEndian.Uint64(out[pos:]))
+		payload := out[pos+8 : pos+8+n]
+		pos += 8 + n
+		if got == name {
+			patch(payload)
+			binary.LittleEndian.PutUint32(out[pos:], crc32.ChecksumIEEE(payload))
+			return out
+		}
+		pos += 4
+	}
+	t.Fatalf("checkpoint has no section %q", name)
+	return nil
+}
+
+// patchLegacySlotMap reads a committed checkpoint written before format 5
+// and lets patch corrupt the first user's stored window slot map, the
+// channel section's trailing users x width int32 slice.
+func patchLegacySlotMap(t *testing.T, fixture string, patch func(row []int32, nCells int)) []byte {
+	t.Helper()
+	path := filepath.Join("..", "..", "testdata", "checkpoint", fixture)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(c.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, width, nCells := len(e.users), e.winB.Width(), e.layout.NumCells()
+	e.Close()
+	return rewriteSection(t, blob, "channel", func(p []byte) {
+		maps := p[len(p)-4*users*width:]
+		if got := int(binary.LittleEndian.Uint32(p[len(p)-4*users*width-4:])); got != users*width {
+			t.Fatalf("%s: slot map holds %d entries, want %d", fixture, got, users*width)
+		}
+		row := make([]int32, width)
+		for i := range row {
+			row[i] = int32(binary.LittleEndian.Uint32(maps[4*i:]))
+		}
+		patch(row, nCells)
+		for i, c := range row {
+			binary.LittleEndian.PutUint32(maps[4*i:], uint32(c))
+		}
+	})
 }
 
 // TestResumeRefusesOrphanLoadCursor: a checkpoint that has applied load
@@ -605,7 +736,7 @@ func TestResumeKeepsTopPilots(t *testing.T) {
 	}
 }
 
-// TestResumeVersion2And3Checkpoints resumes the committed checkpoints
+// TestResumeVersion2To4Checkpoints resumes the committed checkpoints
 // written in older formats. The version-2 files, on the fast and the exact
 // path, are from when a PilotCells 0 run stored window width 0 and a plain
 // channel batch. The version-3 file stores a config hash, a separate
@@ -613,12 +744,15 @@ func TestResumeKeepsTopPilots(t *testing.T) {
 // config carries a legacy LoadStep (1 s) beside a fault schedule with a load
 // event (2 s) and an outage across the checkpoint frame, so the reader must
 // decode the LoadStep into the schedule and map the load cursor to 2. The
-// resumed run must finish exactly like a straight run of this build from
+// version-4 files store each pilot's link gain, both links' FCH footprints
+// and the window slot map, all dropped in version 5: one is a fast-path
+// forward run on a moving 7-cell window over 37 cells, the other an
+// exact-path reverse-link run, whose restored footprint is the reverse one.
+// The resumed run must finish exactly like a straight run of this build from
 // the checkpoint's own configuration: the same metrics and the same trace
-// from the checkpoint frame on. The fast-path file pins amd64 kernel bits,
-// so it is checked on amd64 only. Regenerate the version-2 files with a
-// build that still writes version 2, and the version-3 file with one that
-// still writes version 3:
+// from the checkpoint frame on. The fast-path files pin amd64 kernel bits,
+// so they are checked on amd64 only. Regenerate each file with a build that
+// still writes its version:
 //
 //	jabasim -preset smoke -sim-time 4 -checkpoint testdata/checkpoint/v2-smoke-fast.ckpt -checkpoint-every 150
 //	jabasim -preset smoke -sim-time 4 -exact-vtaoc -checkpoint testdata/checkpoint/v2-smoke-exact.ckpt -checkpoint-every 150
@@ -627,10 +761,25 @@ func TestResumeKeepsTopPilots(t *testing.T) {
 //	#   "Faults": {"cells": [{"cell": 2, "start_sec": 2.5, "end_sec": 3.5}],
 //	#              "load": [{"at_sec": 2, "reading_time_sec": 3}]}
 //	jabasim -config smoke.json -exact-vtaoc -sim-time 4 -checkpoint testdata/checkpoint/v3-smoke-exact-loadstep.ckpt -checkpoint-every 150
-func TestResumeVersion2And3Checkpoints(t *testing.T) {
-	for _, name := range []string{"v2-smoke-fast.ckpt", "v2-smoke-exact.ckpt", "v3-smoke-exact-loadstep.ckpt"} {
-		t.Run(name, func(t *testing.T) {
-			c, err := ReadCheckpointFile(filepath.Join("..", "..", "testdata", "checkpoint", name))
+//	jabasim -preset smoke -dump-config > smoke-win.json
+//	# in smoke-win.json set "Rings": 3 and "PilotCells": 7
+//	jabasim -config smoke-win.json -sim-time 4 -checkpoint testdata/checkpoint/v4-smoke-win7-fast.ckpt -checkpoint-every 150
+//	jabasim -preset reverse -exact-vtaoc -sim-time 8 -checkpoint testdata/checkpoint/v4-reverse-exact.ckpt -checkpoint-every 300
+func TestResumeVersion2To4Checkpoints(t *testing.T) {
+	for _, fx := range []struct {
+		name       string
+		frame      int
+		pilotCells int
+		direction  Direction
+	}{
+		{"v2-smoke-fast.ckpt", 150, 0, Forward},
+		{"v2-smoke-exact.ckpt", 150, 0, Forward},
+		{"v3-smoke-exact-loadstep.ckpt", 150, 0, Forward},
+		{"v4-smoke-win7-fast.ckpt", 150, 7, Forward},
+		{"v4-reverse-exact.ckpt", 300, 0, Reverse},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			c, err := ReadCheckpointFile(filepath.Join("..", "..", "testdata", "checkpoint", fx.name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -638,8 +787,8 @@ func TestResumeVersion2And3Checkpoints(t *testing.T) {
 			if !cfg.ExactPHY && runtime.GOARCH != "amd64" {
 				t.Skipf("fast-path checkpoint pins amd64 kernel bits; GOARCH is %s", runtime.GOARCH)
 			}
-			if cfg.PilotCells != 0 {
-				t.Fatalf("fixture has PilotCells %d, want a full-scan run", cfg.PilotCells)
+			if cfg.PilotCells != fx.pilotCells || cfg.Direction != fx.direction {
+				t.Fatalf("fixture has PilotCells %d and direction %v, want %d and %v", cfg.PilotCells, cfg.Direction, fx.pilotCells, fx.direction)
 			}
 
 			straight := cfg
@@ -657,8 +806,8 @@ func TestResumeVersion2And3Checkpoints(t *testing.T) {
 				t.Fatalf("Resume: %v", err)
 			}
 			k := e.Frame()
-			if k != 150 {
-				t.Fatalf("resumed at frame %d, want 150", k)
+			if k != fx.frame {
+				t.Fatalf("resumed at frame %d, want %d", k, fx.frame)
 			}
 			if cfg.Faults != nil {
 				want := []fault.LoadEvent{{AtSec: 1, ReadingTimeSec: 1}, {AtSec: 2, ReadingTimeSec: 3}}

@@ -63,8 +63,9 @@ type burst struct {
 
 // dataUser is one packet-data mobile. Its physics state — position, fast
 // fading and per-slot shadowing/gain over its measurement window — lives
-// in the engine's SoA batches (mobB, fadeB, winB), indexed by id; gain and
-// cand alias the user's rows of the channel window.
+// in the engine's SoA batches (mobB, fadeB, winB), indexed by id; gain
+// aliases the user's row of the channel window and cand its bucket's
+// candidate list in the spatial index.
 type dataUser struct {
 	id       int
 	gain     []float64 // aliases winB.GainRow(id): long-term linear gain to each window slot
@@ -82,22 +83,24 @@ type dataUser struct {
 	ver         uint64
 	prevReduced []int
 
-	// cand aliases the user's slot-to-cell row of the channel window
-	// (global cell indices, ascending) and bucket is the spatial-grid bucket
-	// the window was last targeted at (-1 before the first frame).
-	cand   []int32
+	// bucket is the spatial-grid bucket the window was last targeted at
+	// (-1 before the first frame) and cand aliases that bucket's candidate
+	// list in the spatial index (nil before the first frame): global cell
+	// indices, ascending, one per window slot. The index's lists are
+	// immutable, so the window keeps no slot map of its own.
 	bucket int
+	cand   []int32
 
 	queuedReq  *traffic.BurstRequest
 	queuedCell int
 	firstGrant bool
 
-	fchPower  load.Vec // forward FCH power per reduced-set cell (W), rebuilt per frame
-	revFCHRx  load.Vec // reverse FCH received power per cell (W), rebuilt per frame
-	revPilot  load.Vec // scratch: reverse pilot report attached to a burst request
-	scrm      load.Vec // scratch: SCRM forward pilot report (strongest-first)
-	meanCSIdB float64  // local-mean SCH Es/Io (dB)
-	geometry  float64  // linear serving-power / (other + noise)
+	// fch is the FCH footprint at each reduced-set cell in the configured
+	// direction's units, rebuilt per frame: transmit power (W) on the
+	// forward link, received power over thermal noise on the reverse link.
+	fch       load.Vec
+	meanCSIdB float64 // local-mean SCH Es/Io (dB)
+	geometry  float64 // linear serving-power / (other + noise)
 }
 
 // voiceUser is one circuit voice mobile (background load only).
@@ -228,6 +231,10 @@ type admitScratch struct {
 	csi   []float64 // live users' mean CSI, input to the batched PHY eval
 	bp    []float64 // per-user average throughput, batch output
 	vers  []uint64  // live users' measurement versions, for the region cache
+	// revPilot and scrm back rev[i]'s reverse pilot report and SCRM: one
+	// Vec each per gathered reverse request, refilled per cell.
+	revPilot []load.Vec
+	scrm     []load.Vec
 	// region is the admissible region the last solveCell call built (or
 	// fetched from the incremental cache) — kept for the solve trace, which
 	// deep-copies it out of this reused scratch.
@@ -431,16 +438,12 @@ func (e *Engine) populate() {
 			dataSrc := userSrc.Split(3)
 			e.winB.SeedUser(uid, userSrc, 10)
 			u := &dataUser{
-				id:       uid,
-				gain:     e.winB.GainRow(uid),
-				cand:     e.winB.CellRow(uid),
-				bucket:   -1,
-				source:   traffic.NewDataModel(dataSrc, uid, e.cfg.Data),
-				macM:     mac.MustNewMachine(e.cfg.MAC),
-				fchPower: load.MakeVec(3),
-				revFCHRx: load.MakeVec(3),
-				revPilot: load.MakeVec(3),
-				scrm:     load.MakeVec(measurement.SCRMMaxPilots),
+				id:     uid,
+				gain:   e.winB.GainRow(uid),
+				bucket: -1,
+				source: traffic.NewDataModel(dataSrc, uid, e.cfg.Data),
+				macM:   mac.MustNewMachine(e.cfg.MAC),
+				fch:    load.MakeVec(3),
 			}
 			e.users = append(e.users, u)
 			uid++
@@ -619,7 +622,7 @@ func (e *Engine) accumulateLoads() {
 			}
 		}
 		for _, u := range e.users {
-			e.loads.AddVec(u.fchPower)
+			e.loads.AddVec(u.fch)
 		}
 	case Reverse:
 		// Reverse-link quantities are tracked in rise-over-thermal units:
@@ -634,7 +637,7 @@ func (e *Engine) accumulateLoads() {
 			}
 		}
 		for _, u := range e.users {
-			e.loads.AddVec(u.revFCHRx)
+			e.loads.AddVec(u.fch)
 		}
 	}
 	// Ongoing bursts occupy the resource they were granted.
@@ -897,9 +900,9 @@ func (e *Engine) traceSolve(cell, offered int, skipped, fallback bool) {
 // per-cell ledger the reverse-link pilot reports normalise against — the
 // live ledger in sequential mode, the frame-start ledger in snapshot mode
 // (identical storage; snapshot mode simply defers the mutations). The
-// per-user revPilot/scrm scratch is safe to fill concurrently because a
-// user has at most one outstanding request, queued in exactly one cell.
-// Reports whether anything is left to schedule.
+// reverse requests' pilot reports are built in s's own per-request Vecs,
+// so concurrent workers never share them. Reports whether anything is left
+// to schedule.
 func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) bool {
 	queue := e.queues[k]
 	s.items = append(s.items[:0], queue.Items()...)
@@ -945,29 +948,35 @@ func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) bool {
 		case Forward:
 			// The request shares the user's FCH ledger: the region builder
 			// only reads it, and the region is consumed within this frame.
-			s.fwd = append(s.fwd, measurement.ForwardRequest{UserID: u.id, FCHPower: u.fchPower, Alpha: 1})
+			s.fwd = append(s.fwd, measurement.ForwardRequest{UserID: u.id, FCHPower: u.fch, Alpha: 1})
 		case Reverse:
 			zeta := 4.0
-			u.revPilot.Reset()
-			for i := 0; i < u.revFCHRx.Len(); i++ {
-				c, x := u.revFCHRx.At(i)
-				u.revPilot.Set(c, x/(zeta*math.Max(loads[c], 1)))
+			r := len(s.rev)
+			if r == len(s.revPilot) {
+				s.revPilot = append(s.revPilot, load.MakeVec(3))
+				s.scrm = append(s.scrm, load.MakeVec(measurement.SCRMMaxPilots))
+			}
+			revPilot, scrm := &s.revPilot[r], &s.scrm[r]
+			revPilot.Reset()
+			for i := 0; i < u.fch.Len(); i++ {
+				c, x := u.fch.At(i)
+				revPilot.Set(c, x/(zeta*math.Max(loads[c], 1)))
 			}
 			// The pilots are the strongest cellular.TopPilots (at least
 			// SCRMMaxPilots, see windowed.go) strongest-first, so their
 			// first SCRMMaxPilots entries are exactly the SCRM payload.
-			u.scrm.Reset()
+			scrm.Reset()
 			for i, pm := range u.pilots {
 				if i >= measurement.SCRMMaxPilots {
 					break
 				}
-				u.scrm.Set(int(pm.Cell), pm.EcIo)
+				scrm.Set(int(pm.Cell), pm.EcIo)
 			}
 			s.rev = append(s.rev, measurement.ReverseRequest{
 				UserID:       u.id,
 				HostCell:     u.hostCell,
-				ReversePilot: u.revPilot,
-				SCRM:         measurement.SCRM{Pilots: u.scrm},
+				ReversePilot: *revPilot,
+				SCRM:         measurement.SCRM{Pilots: *scrm},
 				Zeta:         zeta,
 				Alpha:        1,
 			})
@@ -1069,14 +1078,9 @@ func (e *Engine) commitCell(k int, queue *traffic.Queue, users []*dataUser, rati
 		item := u.queuedReq
 		queue.Remove(item)
 		// Freeze the burst's per-cell footprint at grant time: the user's
-		// ledgers are rebuilt every frame, so the burst needs its own copy.
-		var granted load.Vec
-		switch e.cfg.Direction {
-		case Forward:
-			granted = u.fchPower.CloneScaled(e.cfg.RatePlan.GammaS * float64(m))
-		case Reverse:
-			granted = u.revFCHRx.CloneScaled(e.cfg.RatePlan.GammaS * float64(m))
-		}
+		// FCH footprint is rebuilt every frame, so the burst needs its own
+		// copy.
+		granted := u.fch.CloneScaled(e.cfg.RatePlan.GammaS * float64(m))
 		b := &burst{
 			user:           u,
 			ratio:          m,

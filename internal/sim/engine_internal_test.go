@@ -66,6 +66,7 @@ func TestUpdateUsersProducesConsistentState(t *testing.T) {
 	e := newTestEngine(t, nil)
 	e.now = 0
 	e.updateUsers(e.cfg.FrameLength)
+	cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
 	for _, u := range e.users {
 		// Gains must be positive and finite.
 		for k, g := range u.gain {
@@ -82,12 +83,9 @@ func TestUpdateUsersProducesConsistentState(t *testing.T) {
 			t.Error("hostCell must be the strongest reduced-set cell")
 		}
 		// FCH powers exist exactly for the reduced-set cells and respect the cap.
-		cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
-		if u.fchPower.Len() != len(u.reduced) {
-			t.Errorf("fchPower entries %d != reduced set %d", u.fchPower.Len(), len(u.reduced))
-		}
-		for i := 0; i < u.fchPower.Len(); i++ {
-			if _, p := u.fchPower.At(i); p <= 0 || p > cap+1e-12 {
+		checkFCHCells(t, u)
+		for i := 0; i < u.fch.Len(); i++ {
+			if _, p := u.fch.At(i); p <= 0 || p > cap+1e-12 {
 				t.Errorf("FCH power %v outside (0, %v]", p, cap)
 			}
 		}
@@ -95,11 +93,32 @@ func TestUpdateUsersProducesConsistentState(t *testing.T) {
 		if math.IsNaN(u.meanCSIdB) || math.IsInf(u.meanCSIdB, 0) {
 			t.Error("meanCSIdB not finite")
 		}
-		// Reverse FCH received powers (normalised) must be positive.
-		for i := 0; i < u.revFCHRx.Len(); i++ {
-			if _, x := u.revFCHRx.At(i); x <= 0 || math.IsNaN(x) {
+	}
+
+	// A reverse-link engine fills the same vector with received powers
+	// (normalised to the thermal noise), which must be positive.
+	e = newTestEngine(t, func(c *Config) { c.Direction = Reverse })
+	e.updateUsers(e.cfg.FrameLength)
+	for _, u := range e.users {
+		checkFCHCells(t, u)
+		for i := 0; i < u.fch.Len(); i++ {
+			if _, x := u.fch.At(i); x <= 0 || math.IsNaN(x) || math.IsInf(x, 0) {
 				t.Errorf("reverse FCH received power invalid: %v", x)
 			}
+		}
+	}
+}
+
+// checkFCHCells fails unless u's FCH footprint names exactly its
+// reduced-set cells, in reduced-set order.
+func checkFCHCells(t *testing.T, u *dataUser) {
+	t.Helper()
+	if u.fch.Len() != len(u.reduced) {
+		t.Fatalf("user %d: %d FCH entries for a reduced set of %d", u.id, u.fch.Len(), len(u.reduced))
+	}
+	for i, k := range u.reduced {
+		if c, _ := u.fch.At(i); c != k {
+			t.Fatalf("user %d: FCH entry %d is cell %d, reduced-set cell %d", u.id, i, c, k)
 		}
 	}
 }
@@ -149,7 +168,7 @@ func TestAccumulateLoadsForwardIncludesOverheadAndFCH(t *testing.T) {
 		sumLoad += l
 	}
 	for _, u := range e.users {
-		sumFCH += u.fchPower.Sum()
+		sumFCH += u.fch.Sum()
 	}
 	if sumLoad < minOverhead*float64(e.loads.NumCells())+sumFCH-1e-9 {
 		t.Error("per-cell loads do not account for all FCH power")

@@ -94,7 +94,7 @@ func (e *Engine) downMask() []bool {
 func (e *Engine) refreshPausedUser(u *dataUser) {
 	e.refreshPilots(u)
 	if !e.cfg.ExactPHY {
-		u.bumpVersion(false)
+		u.bumpVersion()
 	}
 }
 

@@ -1,0 +1,56 @@
+package sim
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"jabasd/internal/race"
+)
+
+// maxLiveBytesPerDataUser bounds the live heap of a small windowed engine
+// per data user: the measured 2788 B (go1.24, amd64) plus a 10% margin.
+// At city scale (about 100k data users) every byte here is about 0.1 MiB
+// of heap, so a field or a per-user allocation that creeps back in fails
+// this test. Lower the bound when a change shrinks the layout.
+const maxLiveBytesPerDataUser = 3070
+
+// TestLiveHeapPerDataUser builds and runs a small windowed engine (37
+// cells, a 24-cell window, 40 data users per cell, no voice users) and
+// bounds the live heap it holds after a collection, per data user.
+func TestLiveHeapPerDataUser(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime changes heap accounting")
+	}
+	cfg := DefaultConfig()
+	cfg.Rings = 3
+	cfg.PilotCells = 24
+	cfg.DataUsersPerCell = 40
+	cfg.VoiceUsersPerCell = 0
+	cfg.SimTime = 0.2
+	cfg.WarmupTime = 0
+	cfg.FrameParallel = 1
+
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	after := live()
+	users := len(e.users)
+	runtime.KeepAlive(e)
+	perUser := float64(after-before) / float64(users)
+	t.Logf("%d data users, %.0f live bytes each", users, perUser)
+	if perUser > maxLiveBytesPerDataUser {
+		t.Fatalf("%.0f live bytes per data user, bound %d", perUser, maxLiveBytesPerDataUser)
+	}
+}

@@ -4,11 +4,14 @@ package sim
 // candidate window of its current spatial bucket (internal/spatial),
 // retargeting the window when it crosses into a bucket with a different
 // candidate list (channel.Window carries the shadowing state of cells that
-// stay). Config.PilotCells sets the window width; 0 makes the window every
-// cell, so each bucket's candidate list is the identity, Retarget no-ops
-// after the first frame and the run is the paper's full per-cell scan. A
-// window narrower than the map is what makes 1000-cell maps tractable:
-// O(users x window) instead of O(users x cells) memory and per-frame work.
+// stay). The user's slot-to-cell map is its bucket's candidate list in the
+// spatial index, aliased, not copied: the index is immutable, so the list
+// doubles as the old list of the next retarget. Config.PilotCells sets the
+// window width; 0 makes the window every cell, so each bucket's candidate
+// list is the identity, Retarget no-ops after the first frame and the run
+// is the paper's full per-cell scan. A window narrower than the map is what
+// makes 1000-cell maps tractable: O(users x window) instead of O(users x
+// cells) memory and per-frame work.
 //
 // All downstream admission code is window-agnostic: pilots, active and
 // reduced sets carry global cell indices; only the gain lookups here go
@@ -48,8 +51,10 @@ func (e *Engine) retargetWindow(u *dataUser, pos cellular.Point) bool {
 	if b == u.bucket {
 		return false
 	}
-	u.bucket = b
-	return e.winB.Retarget(u.id, e.spix.Candidates(b))
+	cand := e.spix.Candidates(b)
+	changed := e.winB.Retarget(u.id, u.cand, cand)
+	u.bucket, u.cand = b, cand
+	return changed
 }
 
 // updateUser advances one data user by one frame: position, window gains,
@@ -59,8 +64,8 @@ func (e *Engine) retargetWindow(u *dataUser, pos cellular.Point) bool {
 // paused user skips the recompute; the exact path first consumes the
 // Gaussian draws its reference stream takes anyway. On the fast path every
 // moving user's measurement version is bumped (its gains moved), and a
-// paused one's when its reduced set changed, keying the incremental region
-// cache; the exact path never bumps it.
+// paused one's when its reduced set changed (bumpVersion), keying the
+// incremental region cache; the exact path never bumps it.
 func (e *Engine) updateUser(u *dataUser, dt float64, dist []float64) {
 	exact := e.cfg.ExactPHY
 	travelled := e.mobB.Advance(u.id, dt)
@@ -80,25 +85,25 @@ func (e *Engine) updateUser(u *dataUser, dt float64, dist []float64) {
 	if retargeted {
 		u.pilots = u.pilots[:0] // stale slots: the pilot kernel rebuilds
 	}
-	var dirty bool
 	if exact {
 		e.layout.DistancesForInto(pos, u.cand, dist)
 		e.winB.AdvanceExact(u.id, dist, travelled)
 	} else {
 		e.layout.DistancesSqForInto(pos, u.cand, dist)
-		dirty = e.winB.AdvanceFast(u.id, dist, travelled)
+		e.winB.AdvanceFast(u.id, dist, travelled)
 	}
 	e.refreshPilots(u)
 	if !exact {
-		u.bumpVersion(dirty)
+		u.ver++ // the gains moved
+		u.prevReduced = append(u.prevReduced[:0], u.reduced...)
 	}
 }
 
-// bumpVersion is the fast path's measurement-version update: the version
-// moves when the caller saw the gains change or the reduced set differs
-// from the previous frame's.
-func (u *dataUser) bumpVersion(dirty bool) {
-	if dirty || !slices.Equal(u.reduced, u.prevReduced) {
+// bumpVersion is the fast path's measurement-version update for a paused
+// user, whose gains did not move: the version moves when the reduced set
+// differs from the previous frame's.
+func (u *dataUser) bumpVersion() {
+	if !slices.Equal(u.reduced, u.prevReduced) {
 		u.ver++
 	}
 	u.prevReduced = append(u.prevReduced[:0], u.reduced...)
@@ -122,8 +127,10 @@ func (e *Engine) refreshPilots(u *dataUser) {
 
 // finishMeasurements derives the admission-facing quantities from the
 // freshly updated gains and active set: reduced set, host cell, geometry,
-// mean CSI and the FCH ledgers. Identical arithmetic on both the exact and
-// the fast path (the inputs differ only by the kernel tolerances). The
+// mean CSI and the FCH footprint of the configured direction — the other
+// link's is never read, so it is not computed. Identical arithmetic on both
+// the exact and the fast path (the inputs differ only by the kernel
+// tolerances). The
 // interference total sums the window's cells in ascending cell order, and
 // each reduced-set cell's gain is read at the slot its pilot entry carries:
 // reduced-set cells always come from the window's own pilot set.
@@ -149,27 +156,29 @@ func (e *Engine) finishMeasurements(u *dataUser) {
 	u.geometry = e.cfg.MaxCellPowerW * hostGain / interference
 	u.meanCSIdB = mathx.DB(u.geometry) + schCSIOffsetDB
 
-	// Forward FCH power needed at each reduced-active-set cell (equation 6
-	// inputs): P = EbIo_target * I / (gain * processing gain), capped.
-	cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
-	u.fchPower.Reset()
-	for _, k := range u.reduced {
-		g := u.gain[u.pilotSlot(k)]
-		req := e.ebioTarget * interference / (g * e.fchPG)
-		u.fchPower.Set(k, math.Min(req, cap))
-	}
-
-	// Reverse FCH received power at every cell, assuming the mobile's
-	// reverse power control holds the target at its best cell against a
-	// nominal half-limit interference level. Stored normalised by the
-	// thermal noise power (rise-over-thermal units) so that the admission
-	// arithmetic works on O(1) quantities.
-	nominalL := e.cfg.NoiseW * (1 + (e.cfg.ReverseRiseLimit-1)/2)
-	revTx := e.ebioTarget * nominalL / (hostGain * e.fchPG)
-	u.revFCHRx.Reset()
-	for _, k := range u.reduced {
-		g := u.gain[u.pilotSlot(k)]
-		u.revFCHRx.Set(k, revTx*g/e.cfg.NoiseW)
+	u.fch.Reset()
+	switch e.cfg.Direction {
+	case Forward:
+		// FCH power needed at each reduced-active-set cell (equation 6
+		// inputs): P = EbIo_target * I / (gain * processing gain), capped.
+		cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
+		for _, k := range u.reduced {
+			g := u.gain[u.pilotSlot(k)]
+			req := e.ebioTarget * interference / (g * e.fchPG)
+			u.fch.Set(k, math.Min(req, cap))
+		}
+	case Reverse:
+		// FCH received power at each reduced-active-set cell, assuming the
+		// mobile's reverse power control holds the target at its best cell
+		// against a nominal half-limit interference level. Stored
+		// normalised by the thermal noise power (rise-over-thermal units)
+		// so that the admission arithmetic works on O(1) quantities.
+		nominalL := e.cfg.NoiseW * (1 + (e.cfg.ReverseRiseLimit-1)/2)
+		revTx := e.ebioTarget * nominalL / (hostGain * e.fchPG)
+		for _, k := range u.reduced {
+			g := u.gain[u.pilotSlot(k)]
+			u.fch.Set(k, revTx*g/e.cfg.NoiseW)
+		}
 	}
 
 	u.macM.AdvanceTo(e.now)
