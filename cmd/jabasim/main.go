@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string) error {
 		seed        = fs.Uint64("seed", 0, "base random seed (override when non-zero)")
 		reps        = fs.Int("reps", 1, "independent replications (parallel)")
 		frameMode   = fs.String("framemode", "", "frame admission mode: sequential or snapshot (default: scenario's)")
-		framePar    = fs.Int("frameparallel", -1, "snapshot-mode solve workers: 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's")
+		framePar    = fs.Int("frameparallel", -1, "frame workers: the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves: 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's; results are byte-identical for any value")
 		tiles       = fs.Int("tiles", -1, "snapshot-mode tile count (the solve fan-out grain: one task per contiguous cell span): 0 = untiled, -1 keeps the scenario's; results are byte-identical for any value")
 		tracePath   = fs.String("trace", "", "write per-frame per-cell telemetry to this file (CSV, or JSONL when the path ends in .jsonl); replication 0 only when -reps > 1")
 		traceEvery  = fs.Int("trace-every", 1, "sample every Nth frame into the -trace output")
@@ -81,7 +81,7 @@ func run(ctx context.Context, args []string) error {
 		faultProf   = fs.String("fault-profile", "", "named fault profile scaled to the scenario's sim time: none, outage, degrade, flashcrowd, rushhour")
 		nodeBudget  = fs.Int("node-budget", -1, "cap the exact solver's branch-and-bound nodes per cell-frame; an over-budget solve falls back to the greedy policy (0 = unbounded, -1 keeps the scenario's)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-		memProfile  = fs.String("memprofile", "", "write a heap profile to this file when the simulation finishes; with one replication the finished engine is still live, so -sample_index=inuse_space shows its heap by allocation site")
+		memProfile  = fs.String("memprofile", "", "write a heap profile to this file when the simulation finishes; every allocation is recorded (exact per-site figures, at the cost of a slower set-up), and with one replication the finished engine is still live, so -sample_index=inuse_space shows its heap by allocation site")
 		ckptPath    = fs.String("checkpoint", "", "write a versioned engine-state checkpoint to this file (atomically) every -checkpoint-every frames; requires -reps 1")
 		ckptEvery   = fs.Int("checkpoint-every", 0, "checkpoint cadence in frames (required with -checkpoint)")
 		resumePath  = fs.String("resume", "", "resume from this checkpoint file; the scenario comes from the checkpoint, so -preset/-config must be unset (execution knobs like -frameparallel still apply)")
@@ -103,6 +103,12 @@ func run(ctx context.Context, args []string) error {
 			fmt.Printf("%-12s %s\n", n, scenario.Describe(n))
 		}
 		return nil
+	}
+	if *memProfile != "" {
+		// Record every allocation rather than one per 512 KiB, so the
+		// profile's per-site in-use figures are exact. The rate must be set
+		// before the engine allocates its state.
+		runtime.MemProfileRate = 1
 	}
 
 	// The flags translate into the shared jobspec.RunSpec, so this CLI, the
@@ -198,7 +204,7 @@ func run(ctx context.Context, args []string) error {
 
 	if *cpuProfile != "" {
 		if workers := profileWorkers(cfg, *reps); workers > 1 {
-			fmt.Fprintf(os.Stderr, "jabasim: warning: -cpuprofile with %d snapshot solve workers spreads frame-loop samples across pool goroutines; rerun with -frameparallel 1 for a flat single-stack profile\n", workers)
+			fmt.Fprintf(os.Stderr, "jabasim: warning: -cpuprofile with %d frame workers spreads frame-loop samples across pool goroutines; rerun with -frameparallel 1 for a flat single-stack profile\n", workers)
 		}
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -399,15 +405,12 @@ func runReplay(path, scheduler, outPath string) error {
 	return nil
 }
 
-// profileWorkers returns the number of snapshot-mode solve workers the run
-// will actually use, so -cpuprofile can warn when the profile will be spread
-// over a worker pool: 0 in sequential mode, the resolved pool size in
-// snapshot mode (FrameParallel 0 = auto resolves to GOMAXPROCS unless an
-// outer replication fan-out forces it inline).
+// profileWorkers returns the number of frame workers the run will actually
+// use, so -cpuprofile can warn when the profile will be spread over a worker
+// pool: the resolved pool size in either frame mode (FrameParallel 0 = auto
+// resolves to GOMAXPROCS unless an outer replication fan-out forces it
+// inline).
 func profileWorkers(cfg sim.Config, reps int) int {
-	if cfg.FrameMode != sim.FrameSnapshot {
-		return 0
-	}
 	workers := sim.ResolveFrameParallel(cfg, reps)
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)

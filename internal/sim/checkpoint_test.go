@@ -342,9 +342,11 @@ func TestResumeIsSingleShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Resume(c.Config()); err != nil {
+	e, err := c.Resume(c.Config())
+	if err != nil {
 		t.Fatal(err)
 	}
+	e.Close()
 	if _, err := c.Resume(c.Config()); err == nil {
 		t.Fatal("second Resume should fail")
 	}

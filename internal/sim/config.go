@@ -188,12 +188,14 @@ type Config struct {
 	// snapshot (paper-faithful, intra-frame independent) admission; empty
 	// means sequential.
 	FrameMode FrameMode
-	// FrameParallel bounds the snapshot-mode solve-phase workers: 1 runs
-	// the phase inline without a pool, larger values size the pool, and 0
-	// means auto — GOMAXPROCS for a single run, but inline when an outer
+	// FrameParallel sizes the frame worker pool: 1 runs every frame inline
+	// without a pool, larger values size the pool, and 0 means auto —
+	// GOMAXPROCS for a single run, but inline when an outer
 	// replication/sweep fan-out already saturates the CPUs (see
-	// ResolveFrameParallel). It never affects the results and is ignored
-	// in sequential mode.
+	// ResolveFrameParallel). In both frame modes the pool fans out the
+	// user, voice and burst-rate updates; in snapshot mode it also runs the
+	// per-cell solves (sequential admission stays on one worker). It never
+	// affects the results.
 	FrameParallel int
 	// Tiles shards the hex grid into that many contiguous tiles (see
 	// internal/shard), and the snapshot measure+solve phase fans out one

@@ -59,6 +59,11 @@ type burst struct {
 	servedBits     float64
 	serviceTime    float64
 	grantedAt      float64
+	// bp is the instantaneous VTAOC throughput (bits/symbol) for the current
+	// frame, written by serveBursts' rate pass just before the accounting
+	// reads it. It is transient: recomputed every frame and never
+	// checkpointed.
+	bp float64
 }
 
 // dataUser is one packet-data mobile. Its physics state — position, fast
@@ -158,19 +163,24 @@ type Engine struct {
 	loads *load.Ledger
 
 	// Admission state (see admit). workers holds one frameWorker per pool
-	// worker (one when the solve phase runs inline); in sequential mode
-	// workers[0] runs e.scheduler itself. active lists the frame's cells
-	// with queued requests and grants holds one outcome slot per active
-	// cell. tileEnds, set when Tiles > 0, holds the shard.Plan span ends the
+	// worker (one without a pool); in sequential mode workers[0] runs
+	// e.scheduler itself and is the only worker admit uses. active lists the
+	// frame's cells with queued requests and grants holds one outcome slot
+	// per active cell. tileEnds, set when Tiles > 0, holds the shard.Plan span ends the
 	// snapshot fan-out splits its tasks at; taskEnds is the per-frame task
-	// partition of active. pool is the solve and user-update fan-out (nil
-	// in sequential mode and when FrameParallel == 1).
+	// partition of active. pool is the user-update, burst-rate and
+	// snapshot-solve fan-out (nil when FrameParallel == 1).
 	pool     *stream.Pool
 	workers  []*frameWorker
 	active   []int
 	grants   []cellGrants
 	tileEnds []int
 	taskEnds []int
+
+	// voiceTask, userTask and rateTask are the pool's per-frame task bodies
+	// (advanceVoiceChunk, updateUserChunk, rateBurstChunk), bound once in
+	// initWorkers so a fan-out does not allocate a closure every frame.
+	voiceTask, userTask, rateTask func(worker, task int)
 
 	// Telemetry, nil/empty when cfg.Trace is unset: the recorder wrapping
 	// the configured sink and the per-cell frame counters, reset every
@@ -364,35 +374,48 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// initWorkers sets up the pool workers. Sequential mode runs one worker
-// holding e.scheduler itself. Snapshot mode gives every pool worker its own
-// scheduler clone; FrameParallel == 1 keeps the solve phase inline (no
-// pool, no goroutines) but still runs the snapshot semantics through worker
-// 0, so the output is identical to any other worker count. Every worker
-// gets its distance row; the inline update path uses worker 0's.
+// initWorkers sets up the pool and its workers. Any FrameParallel but 1
+// starts a pool, in both frame modes: the user, voice and burst-rate
+// updates fan out over it either way, and every worker gets its distance
+// row (the inline path uses worker 0's). Sequential admission runs on
+// worker 0 alone, holding e.scheduler itself; the other workers carry no
+// scheduler. Snapshot mode gives every worker its own scheduler clone, and
+// FrameParallel == 1 (no pool, no goroutines) still runs the snapshot
+// semantics through worker 0, so the output is identical to any other
+// worker count.
 func (e *Engine) initWorkers() error {
 	n := e.layout.NumCells()
 	e.active = make([]int, 0, n)
 	e.grants = make([]cellGrants, n)
-	width := e.spix.Window()
-	if e.cfg.FrameMode.normalize() != FrameSnapshot {
-		e.workers = []*frameWorker{{sched: e.scheduler, dist: make([]float64, width)}}
-		return nil
-	}
-	cl, ok := e.scheduler.(core.Cloner)
-	if !ok {
-		return fmt.Errorf("sim: scheduler %s does not implement core.Cloner, required by the snapshot frame mode (one independent instance per worker)", e.scheduler.Name())
+	snapshot := e.cfg.FrameMode.normalize() == FrameSnapshot
+	var cl core.Cloner
+	if snapshot {
+		var ok bool
+		if cl, ok = e.scheduler.(core.Cloner); !ok {
+			return fmt.Errorf("sim: scheduler %s does not implement core.Cloner, required by the snapshot frame mode (one independent instance per worker)", e.scheduler.Name())
+		}
 	}
 	workers := 1
 	if e.cfg.FrameParallel != 1 {
 		e.pool = stream.NewPool(e.cfg.FrameParallel)
 		workers = e.pool.Workers()
+		e.voiceTask = e.advanceVoiceChunk
+		e.userTask = e.updateUserChunk
+		e.rateTask = e.rateBurstChunk
 	}
+	width := e.spix.Window()
 	e.workers = make([]*frameWorker, workers)
 	for i := range e.workers {
-		fw := &frameWorker{sched: cl.Clone(), dist: make([]float64, width)}
-		fw.seeder, _ = fw.sched.(core.CellSeeder)
+		fw := &frameWorker{dist: make([]float64, width)}
+		if snapshot {
+			fw.sched = cl.Clone()
+			fw.seeder, _ = fw.sched.(core.CellSeeder)
+		}
 		e.workers[i] = fw
+	}
+	if !snapshot {
+		e.workers[0].sched = e.scheduler
+		return nil
 	}
 	if e.cfg.Tiles > 0 {
 		for _, span := range shard.NewPlan(n, e.cfg.Tiles).Spans {
@@ -402,10 +425,9 @@ func (e *Engine) initWorkers() error {
 	return nil
 }
 
-// Close releases the snapshot-mode worker pool, if any. Run closes the
-// engine when it finishes; tests that drive step() directly on a
-// snapshot-mode engine should defer Close themselves. Closing is idempotent
-// and a closed engine falls back to the inline solve path.
+// Close releases the worker pool, if any. Run closes the engine when it
+// finishes; tests that drive step() directly should defer Close themselves.
+// Closing is idempotent and a closed engine falls back to the inline path.
 func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.Close()
@@ -504,8 +526,8 @@ func (e *Engine) step() {
 		clear(e.traceCells)
 	}
 	e.applyFaults()
-	e.updateVoice(dt)
-	e.updateUsers(dt)
+	e.updateVoice()
+	e.updateUsers()
 	e.migrateQueued()
 	e.generateTraffic(dt)
 	e.accumulateLoads()
@@ -516,26 +538,43 @@ func (e *Engine) step() {
 	e.frame++
 }
 
-// updateVoice advances voice activity and positions. Each voice user's new
-// state is a pure function of its own previous state, so with a worker pool
-// the loop fans out in chunks (a city preset carries tens of thousands of
-// voice users) and the result is identical to the sequential loop.
-func (e *Engine) updateVoice(dt float64) {
+// Fan-out grains of the per-frame pool passes, in voice users, data users
+// and bursts per task.
+const (
+	voiceChunk = 64
+	userChunk  = 32
+	burstChunk = 16
+)
+
+// chunk returns task's span of s when s is split into size-element tasks.
+func chunk[T any](s []T, task, size int) []T {
+	lo := task * size
+	return s[lo:min(lo+size, len(s))]
+}
+
+// tasks returns the number of size-element tasks covering n elements.
+func tasks(n, size int) int { return (n + size - 1) / size }
+
+// updateVoice advances voice activity and positions by one frame. Each
+// voice user's new state is a pure function of its own previous state, so
+// with a worker pool the loop fans out in chunks (a city preset carries tens
+// of thousands of voice users) and the result is identical to the
+// sequential loop.
+func (e *Engine) updateVoice() {
 	if e.pool == nil {
 		for _, v := range e.voice {
-			e.advanceVoice(v, dt)
+			e.advanceVoice(v, e.cfg.FrameLength)
 		}
 		return
 	}
-	const chunk = 64
-	n := (len(e.voice) + chunk - 1) / chunk
-	e.pool.Run(n, func(_, task int) {
-		lo := task * chunk
-		hi := min(lo+chunk, len(e.voice))
-		for _, v := range e.voice[lo:hi] {
-			e.advanceVoice(v, dt)
-		}
-	})
+	e.pool.Run(tasks(len(e.voice), voiceChunk), e.voiceTask)
+}
+
+// advanceVoiceChunk is updateVoice's pool task.
+func (e *Engine) advanceVoiceChunk(_, task int) {
+	for _, v := range chunk(e.voice, task, voiceChunk) {
+		e.advanceVoice(v, e.cfg.FrameLength)
+	}
 }
 
 // advanceVoice advances one voice user. The serving cell is a pure function
@@ -567,28 +606,27 @@ func (e *Engine) advanceVoice(v *voiceUser, dt float64) {
 }
 
 // updateUsers advances mobility, channel state, pilot sets and MAC state for
-// every data user. Each user's new state is a pure function of its own
-// previous state (own mobility model, own fading and shadowing streams), so
-// in snapshot mode the updates fan out in chunks over the worker pool and
-// the result is identical to the sequential loop.
-func (e *Engine) updateUsers(dt float64) {
+// every data user by one frame. Each user's new state is a pure function of
+// its own previous state (own mobility model, own fading and shadowing
+// streams), so with a worker pool the updates fan out in chunks, in either
+// frame mode, and the result is identical to the sequential loop.
+func (e *Engine) updateUsers() {
 	if e.pool == nil {
 		dist := e.workers[0].dist
 		for _, u := range e.users {
-			e.updateUser(u, dt, dist)
+			e.updateUser(u, e.cfg.FrameLength, dist)
 		}
 		return
 	}
-	const chunk = 32
-	n := (len(e.users) + chunk - 1) / chunk
-	e.pool.Run(n, func(w, task int) {
-		lo := task * chunk
-		hi := min(lo+chunk, len(e.users))
-		dist := e.workers[w].dist
-		for _, u := range e.users[lo:hi] {
-			e.updateUser(u, dt, dist)
-		}
-	})
+	e.pool.Run(tasks(len(e.users), userChunk), e.userTask)
+}
+
+// updateUserChunk is updateUsers' pool task, on worker w's distance row.
+func (e *Engine) updateUserChunk(w, task int) {
+	dist := e.workers[w].dist
+	for _, u := range chunk(e.users, task, userChunk) {
+		e.updateUser(u, e.cfg.FrameLength, dist)
+	}
 }
 
 // generateTraffic advances the data sources and enqueues new burst requests.
@@ -647,7 +685,11 @@ func (e *Engine) accumulateLoads() {
 }
 
 // serveBursts delivers bits on the active bursts and retires completed ones.
+// The per-burst rates come first (burstRates); the accounting below then
+// runs in burst order, so metrics and completions do not depend on how the
+// rate pass was split.
 func (e *Engine) serveBursts(dt float64) {
+	e.burstRates()
 	remaining := e.bursts[:0]
 	for _, b := range e.bursts {
 		u := b.user
@@ -657,10 +699,7 @@ func (e *Engine) serveBursts(dt float64) {
 			remaining = append(remaining, b)
 			continue
 		}
-		// Instantaneous VTAOC throughput rides the fast fading.
-		instCSI := u.meanCSIdB + mathx.DB(math.Max(e.fadeB.PowerAt(u.id, e.now), 1e-12))
-		bp := e.phy.Throughput(instCSI)
-		rate := e.cfg.RatePlan.SCHBitRate(b.ratio, bp)
+		rate := e.cfg.RatePlan.SCHBitRate(b.ratio, b.bp)
 		delivered := rate * dt
 		if delivered > b.remaining {
 			delivered = b.remaining
@@ -679,6 +718,38 @@ func (e *Engine) serveBursts(dt float64) {
 		remaining = append(remaining, b)
 	}
 	e.bursts = remaining
+}
+
+// burstRates sets bp on every burst past its set-up delay. A burst's rate is
+// a pure function of its user's mean CSI (fixed by updateUsers) and the
+// user's fast fading at e.now, so with a worker pool the pass fans out in
+// chunks and the result is identical to the sequential loop. A single chunk
+// runs inline: waking the pool would cost more than the work.
+func (e *Engine) burstRates() {
+	n := tasks(len(e.bursts), burstChunk)
+	if e.pool == nil || n < 2 {
+		e.rateBursts(e.bursts)
+		return
+	}
+	e.pool.Run(n, e.rateTask)
+}
+
+// rateBurstChunk is burstRates' pool task.
+func (e *Engine) rateBurstChunk(_, task int) {
+	e.rateBursts(chunk(e.bursts, task, burstChunk))
+}
+
+// rateBursts evaluates the instantaneous VTAOC throughput, which rides the
+// fast fading, for the bursts in bs that are past their set-up delay.
+func (e *Engine) rateBursts(bs []*burst) {
+	for _, b := range bs {
+		if b.setupRemaining > 0 {
+			continue
+		}
+		u := b.user
+		instCSI := u.meanCSIdB + mathx.DB(math.Max(e.fadeB.PowerAt(u.id, e.now), 1e-12))
+		b.bp = e.phy.Throughput(instCSI)
+	}
 }
 
 // completeBurst records statistics for a finished burst and releases the user.

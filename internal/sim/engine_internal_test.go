@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"jabasd/internal/core"
+	"jabasd/internal/mathx"
 	"jabasd/internal/traffic"
 )
 
@@ -29,6 +30,7 @@ func newTestEngine(t *testing.T, mutate func(*Config)) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Close)
 	return e
 }
 
@@ -65,7 +67,7 @@ func TestPopulateCounts(t *testing.T) {
 func TestUpdateUsersProducesConsistentState(t *testing.T) {
 	e := newTestEngine(t, nil)
 	e.now = 0
-	e.updateUsers(e.cfg.FrameLength)
+	e.updateUsers()
 	cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
 	for _, u := range e.users {
 		// Gains must be positive and finite.
@@ -98,7 +100,7 @@ func TestUpdateUsersProducesConsistentState(t *testing.T) {
 	// A reverse-link engine fills the same vector with received powers
 	// (normalised to the thermal noise), which must be positive.
 	e = newTestEngine(t, func(c *Config) { c.Direction = Reverse })
-	e.updateUsers(e.cfg.FrameLength)
+	e.updateUsers()
 	for _, u := range e.users {
 		checkFCHCells(t, u)
 		for i := 0; i < u.fch.Len(); i++ {
@@ -133,7 +135,7 @@ func TestMeasurementVersionFastPathOnly(t *testing.T) {
 		e := newTestEngine(t, func(c *Config) { c.ExactPHY = exact })
 		for f := 0; f < 5; f++ {
 			e.now = float64(f) * e.cfg.FrameLength
-			e.updateUsers(e.cfg.FrameLength)
+			e.updateUsers()
 		}
 		bumped := 0
 		for _, u := range e.users {
@@ -152,8 +154,8 @@ func TestMeasurementVersionFastPathOnly(t *testing.T) {
 
 func TestAccumulateLoadsForwardIncludesOverheadAndFCH(t *testing.T) {
 	e := newTestEngine(t, nil)
-	e.updateVoice(e.cfg.FrameLength)
-	e.updateUsers(e.cfg.FrameLength)
+	e.updateVoice()
+	e.updateUsers()
 	e.accumulateLoads()
 	minOverhead := e.cfg.CommonOverheadFrac * e.cfg.MaxCellPowerW
 	for k, load := range e.loads.Values() {
@@ -177,8 +179,8 @@ func TestAccumulateLoadsForwardIncludesOverheadAndFCH(t *testing.T) {
 
 func TestAccumulateLoadsReverseStartsAtNoiseFloor(t *testing.T) {
 	e := newTestEngine(t, func(c *Config) { c.Direction = Reverse })
-	e.updateVoice(e.cfg.FrameLength)
-	e.updateUsers(e.cfg.FrameLength)
+	e.updateVoice()
+	e.updateUsers()
 	e.accumulateLoads()
 	for k, load := range e.loads.Values() {
 		if load < 1 {
@@ -262,7 +264,8 @@ func TestServeBurstsCompletesAndReleasesUser(t *testing.T) {
 // TestFrameHotPathStaysAllocationFree pins the point of the dense cell-load
 // ledgers: once the per-user buffers have reached steady state, the
 // measurement side of the frame loop (channel state, pilot sets, FCH
-// ledgers, load accumulation) performs no allocations at all.
+// ledgers, load accumulation, burst rates) performs no allocations at all,
+// inline or fanned out over the pool.
 func TestFrameHotPathStaysAllocationFree(t *testing.T) {
 	e := newTestEngine(t, nil)
 	// Warm up: the first frames grow the per-user buffers to capacity.
@@ -270,11 +273,11 @@ func TestFrameHotPathStaysAllocationFree(t *testing.T) {
 		e.now = float64(f) * e.cfg.FrameLength
 		e.step()
 	}
-	dt := e.cfg.FrameLength
 	allocs := testing.AllocsPerRun(20, func() {
-		e.updateVoice(dt)
-		e.updateUsers(dt)
+		e.updateVoice()
+		e.updateUsers()
 		e.accumulateLoads()
+		e.burstRates()
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state frame measurement path allocated %v times per frame, want 0", allocs)
@@ -514,17 +517,132 @@ func TestSnapshotWorkersOwnDisjointSchedulers(t *testing.T) {
 // TestSequentialWorkerRunsEngineScheduler pins the sequential mode's one
 // admission worker: it runs e.scheduler itself, never a clone, and never
 // reseeds it per (frame, cell), so a stateful scheduler keeps one stream
-// across the run (the stream the checkpoint stores).
+// across the run (the stream the checkpoint stores). The physics pool's
+// other workers carry distance rows but no scheduler.
 func TestSequentialWorkerRunsEngineScheduler(t *testing.T) {
-	e := newTestEngine(t, func(cfg *Config) { cfg.Scheduler = SchedulerRandom })
-	if len(e.workers) != 1 || e.workers[0].sched != e.scheduler {
-		t.Fatalf("sequential engine has %d workers, want one running e.scheduler", len(e.workers))
+	for _, par := range []int{1, 3} {
+		e := newTestEngine(t, func(cfg *Config) {
+			cfg.Scheduler = SchedulerRandom
+			cfg.FrameParallel = par
+		})
+		if e.workers[0].sched != e.scheduler {
+			t.Fatalf("FrameParallel=%d: sequential worker 0 does not run e.scheduler", par)
+		}
+		if e.workers[0].seeder != nil {
+			t.Errorf("FrameParallel=%d: sequential worker reseeds its scheduler per (frame, cell)", par)
+		}
+		if par == 1 {
+			if e.pool != nil || len(e.workers) != 1 {
+				t.Errorf("FrameParallel=1: got a pool or %d workers, want one inline worker", len(e.workers))
+			}
+			continue
+		}
+		if e.pool == nil || e.pool.Workers() != par || len(e.workers) != par {
+			t.Fatalf("FrameParallel=%d: want a %d-worker physics pool with one frameWorker each, got %d workers", par, par, len(e.workers))
+		}
+		for i, w := range e.workers {
+			if len(w.dist) != e.spix.Window() {
+				t.Errorf("worker %d distance row has %d entries, want %d", i, len(w.dist), e.spix.Window())
+			}
+			if i > 0 && (w.sched != nil || w.seeder != nil) {
+				t.Errorf("physics-only worker %d holds a scheduler", i)
+			}
+		}
 	}
-	if e.workers[0].seeder != nil {
-		t.Error("sequential worker reseeds its scheduler per (frame, cell)")
+}
+
+// burstFrame is one live burst's accounting after a frame.
+type burstFrame struct {
+	user                               int
+	remaining, servedBits, serviceTime float64
+}
+
+// runBurstFrames steps e through frames frames and returns each frame's
+// live bursts and the running Metrics.BitsDelivered. After every frame it
+// checks each burst served that frame against the rate recomputed from its
+// user's post-update state — the mean CSI updateUsers set this frame and
+// the fading at e.now — and it returns the number of bursts so checked and
+// the largest number of rate-pass tasks one frame fanned out (0 when every
+// frame ran inline).
+func runBurstFrames(t *testing.T, e *Engine, frames int) (out [][]burstFrame, bits []float64, checked, maxTasks int) {
+	t.Helper()
+	type before struct {
+		remaining, servedBits float64
+		serving               bool
 	}
-	if e.pool != nil {
-		t.Error("sequential engine started a worker pool")
+	prev := map[*burst]before{}
+	dt := e.cfg.FrameLength
+	for f := 0; f < frames; f++ {
+		clear(prev)
+		for _, b := range e.bursts {
+			prev[b] = before{b.remaining, b.servedBits, b.setupRemaining <= 0}
+		}
+		// Nothing adds or drops a burst between the end of one frame and
+		// the next frame's rate pass, so this is the pass's burst count.
+		if n := tasks(len(e.bursts), burstChunk); e.pool != nil && n > 1 {
+			maxTasks = max(maxTasks, n)
+		}
+		e.now = float64(f) * dt
+		e.step()
+		rows := make([]burstFrame, 0, len(e.bursts))
+		for _, b := range e.bursts {
+			rows = append(rows, burstFrame{b.user.id, b.remaining, b.servedBits, b.serviceTime})
+			p, ok := prev[b]
+			if !ok || !p.serving {
+				continue
+			}
+			u := b.user
+			bp := e.phy.Throughput(u.meanCSIdB + mathx.DB(math.Max(e.fadeB.PowerAt(u.id, e.now), 1e-12)))
+			delivered := min(e.cfg.RatePlan.SCHBitRate(b.ratio, bp)*dt, p.remaining)
+			if want := p.servedBits + delivered; b.servedBits != want {
+				t.Fatalf("frame %d, user %d: served %v bits, want %v from this frame's CSI", f, u.id, b.servedBits, want)
+			}
+			checked++
+		}
+		out = append(out, rows)
+		bits = append(bits, e.metrics.BitsDelivered)
+	}
+	return out, bits, checked, maxTasks
+}
+
+// TestBurstRatesIndependentOfWorkers pins the burst-rate pass: on a map with
+// more than one pass chunk of live bursts, every frame's per-burst
+// accounting and the delivered-bit total are identical inline and fanned
+// out over 2 and 8 workers, every served burst was served at the rate its
+// user's current CSI selects, and the pooled runs really split the pass.
+func TestBurstRatesIndependentOfWorkers(t *testing.T) {
+	const frames = 150
+	var (
+		wantRows [][]burstFrame
+		wantBits []float64
+	)
+	for _, par := range []int{1, 2, 8} {
+		e := newTestEngine(t, func(c *Config) {
+			c.Rings = 2
+			c.DataUsersPerCell = 20
+			c.Data.MeanReadingTimeSec = 0.2
+			c.FrameMode = FrameSnapshot
+			c.FrameParallel = par
+		})
+		rows, bits, checked, tasks := runBurstFrames(t, e, frames)
+		if checked == 0 {
+			t.Fatalf("FrameParallel=%d: no burst was served", par)
+		}
+		if par == 1 {
+			wantRows, wantBits = rows, bits
+			continue
+		}
+		if tasks < 2 {
+			t.Fatalf("FrameParallel=%d: the rate pass never fanned out more than one task", par)
+		}
+		for f := range frames {
+			if bits[f] != wantBits[f] {
+				t.Fatalf("FrameParallel=%d, frame %d: BitsDelivered %v, inline %v", par, f, bits[f], wantBits[f])
+			}
+			if !slices.Equal(rows[f], wantRows[f]) {
+				t.Fatalf("FrameParallel=%d, frame %d: burst accounting differs from the inline run", par, f)
+			}
+		}
 	}
 }
 

@@ -67,15 +67,15 @@ func runReplications(ctx context.Context, cfg Config, n int, runOne func(context
 }
 
 // ResolveFrameParallel resolves a run's FrameParallel under an outer
-// fan-out of the given width: a snapshot config on the auto setting (0)
-// runs its frames inline when fanout > 1 rather than stacking a second
-// GOMAXPROCS-wide pool per engine onto already-saturated CPUs, and keeps
-// the auto pool for a single run. Explicit worker counts are always
-// honoured, and the choice never affects the results (snapshot output is
+// fan-out of the given width: a config on the auto setting (0), in either
+// frame mode, runs its frames inline when fanout > 1 rather than stacking a
+// second GOMAXPROCS-wide pool per engine onto already-saturated CPUs, and
+// keeps the auto pool for a single run. Explicit worker counts are always
+// honoured, and the choice never affects the results (the output is
 // byte-identical for any worker count). RunReplications and sweep.Stream
 // both apply this.
 func ResolveFrameParallel(cfg Config, fanout int) int {
-	if fanout > 1 && cfg.FrameMode.normalize() == FrameSnapshot && cfg.FrameParallel == 0 {
+	if fanout > 1 && cfg.FrameParallel == 0 {
 		return 1
 	}
 	return cfg.FrameParallel

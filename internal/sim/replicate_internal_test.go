@@ -127,9 +127,13 @@ func TestResolveFrameParallelAvoidsNestedPools(t *testing.T) {
 	if got := ResolveFrameParallel(cfg, 4); got != 8 {
 		t.Errorf("explicit 8 under n=4 -> %d, want 8", got)
 	}
-	// Sequential mode is untouched.
+	// Sequential mode runs its physics on the same pool, so it resolves
+	// the same way.
 	cfg = DefaultConfig()
-	if got := ResolveFrameParallel(cfg, 4); got != 0 {
-		t.Errorf("sequential config -> %d, want 0 (unused)", got)
+	if got := ResolveFrameParallel(cfg, 4); got != 1 {
+		t.Errorf("sequential auto under n=4 -> %d, want 1 (inline)", got)
+	}
+	if got := ResolveFrameParallel(cfg, 1); got != 0 {
+		t.Errorf("sequential auto under n=1 -> %d, want 0 (GOMAXPROCS)", got)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"jabasd/internal/core"
@@ -209,6 +210,7 @@ func TestEngineString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
 	if e.String() == "" {
 		t.Error("engine String empty")
 	}
@@ -385,6 +387,44 @@ func TestSnapshotModeIdenticalAcrossWorkerCountsRandomScheduler(t *testing.T) {
 			want = got
 		} else if got != want {
 			t.Errorf("random scheduler diverged across worker counts: %v vs %v", got, want)
+		}
+	}
+}
+
+// TestSequentialModeIdenticalAcrossWorkerCounts is the sequential frame
+// mode's counterpart: its pool fans out only the per-user physics and the
+// burst rates, which do not depend on admission order, while the cells
+// still admit one after another on one worker. So the metrics must be
+// exactly identical for any FrameParallel, for the stateless JABA-SD
+// scheduler and for the random scheduler's one run-long stream alike. The
+// map carries more than one fan-out chunk of users and of live bursts.
+func TestSequentialModeIdenticalAcrossWorkerCounts(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedulerJABASD, SchedulerRandom} {
+		base := quickConfig()
+		base.Rings = 2
+		base.DataUsersPerCell = 20
+		base.Data.MeanReadingTimeSec = 0.2
+		base.SimTime = 4
+		base.Scheduler = kind
+		base.FrameMode = FrameSequential
+		var want *Metrics
+		for _, par := range []int{1, 2, 8, 0} {
+			cfg := base
+			cfg.FrameParallel = par
+			m, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s, FrameParallel=%d: %v", kind, par, err)
+			}
+			if want == nil {
+				if m.BurstsCompleted == 0 {
+					t.Fatalf("%s: sequential run completed no bursts; scenario too light to test determinism", kind)
+				}
+				want = m
+				continue
+			}
+			if !reflect.DeepEqual(m, want) {
+				t.Errorf("%s, FrameParallel=%d diverged: %v vs %v", kind, par, fingerprint(m), fingerprint(want))
+			}
 		}
 	}
 }
