@@ -37,6 +37,11 @@ type Scale struct {
 	// reference physics instead of the default fast SoA kernels — the mode
 	// cmd/jabaexp's -exact-vtaoc flag selects to keep golden outputs stable.
 	ExactPHY bool
+	// fanout is how many experiments StreamExperiments runs at once; under
+	// a fan-out wider than one, baseConfig keeps each engine's frames
+	// inline (sim.ResolveFrameParallel) instead of stacking a frame pool
+	// per engine on the already-busy CPUs.
+	fanout int
 }
 
 // Quick is the scale used by unit tests and benchmarks: small but large
@@ -85,6 +90,7 @@ func baseConfig(s Scale) sim.Config {
 	// 16x the fundamental-channel rate (~59 kbit/s with the default plan).
 	cfg.CoverageRateFraction = 16
 	cfg.ExactPHY = s.ExactPHY
+	cfg.FrameParallel = sim.ResolveFrameParallel(cfg, s.fanout)
 	return cfg
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"jabasd/internal/report"
@@ -147,6 +148,10 @@ func RunExperiments(ctx context.Context, defs []Experiment, s Scale, parallel in
 // first error in input order is returned after the in-flight experiments
 // drain; emit is called for every experiment preceding the failure.
 func StreamExperiments(ctx context.Context, defs []Experiment, s Scale, parallel int, emit func(i int, tbl *report.Table) error) error {
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	s.fanout = min(parallel, len(defs))
 	tables := make([]*report.Table, len(defs))
 	return stream.Ordered(len(defs), parallel,
 		func(i int) error {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"jabasd/internal/report"
+	"jabasd/internal/sim"
 )
 
 func TestRegistryIDsStableAndUnique(t *testing.T) {
@@ -88,6 +90,38 @@ func TestStreamExperimentsEmitsPrefixBeforeFailure(t *testing.T) {
 	})
 	if err == nil || len(emitted) != 1 {
 		t.Errorf("emit error should stop after the first table: err=%v emitted=%v", err, emitted)
+	}
+}
+
+// TestStreamExperimentsKeepsFramesInlineUnderFanOut pins that experiments
+// run side by side do not each start a frame pool: with more than one in
+// flight, every engine an experiment builds from baseConfig runs its frames
+// inline, and a lone experiment keeps the auto pool.
+func TestStreamExperimentsKeepsFramesInlineUnderFanOut(t *testing.T) {
+	for _, tc := range []struct {
+		defs, parallel, want int
+	}{
+		{defs: 2, parallel: 2, want: 1},
+		{defs: 3, parallel: 0, want: sim.ResolveFrameParallel(sim.Config{}, min(3, runtime.GOMAXPROCS(0)))},
+		{defs: 2, parallel: 1, want: 0},
+		{defs: 1, parallel: 4, want: 0},
+	} {
+		got := make([]int, tc.defs)
+		defs := make([]Experiment, tc.defs)
+		for i := range defs {
+			defs[i] = Experiment{ID: strconv.Itoa(i), Run: func(_ context.Context, s Scale) (*report.Table, error) {
+				got[i] = baseConfig(s).FrameParallel
+				return report.NewTable("t", "col"), nil
+			}}
+		}
+		if err := StreamExperiments(context.Background(), defs, Quick, tc.parallel, func(int, *report.Table) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		for i, fp := range got {
+			if fp != tc.want {
+				t.Errorf("%d experiments at parallel %d: experiment %d FrameParallel = %d, want %d", tc.defs, tc.parallel, i, fp, tc.want)
+			}
+		}
 	}
 }
 

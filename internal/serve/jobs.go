@@ -291,7 +291,7 @@ func (s JobSpec) resolve(defaultParallel int) (runnable, error) {
 		if s.Run == nil {
 			return runnable{}, errors.New(`serve: kind "run" needs a "run" spec`)
 		}
-		return resolveRun(*s.Run)
+		return resolveRun(*s.Run, defaultParallel)
 	case "sweep":
 		if s.Sweep == nil {
 			return runnable{}, errors.New(`serve: kind "sweep" needs a "sweep" spec`)
@@ -307,10 +307,16 @@ func (s JobSpec) resolve(defaultParallel int) (runnable, error) {
 	}
 }
 
-func resolveRun(spec jobspec.RunSpec) (runnable, error) {
+func resolveRun(spec jobspec.RunSpec, defaultParallel int) (runnable, error) {
 	cfg, reps, err := spec.Resolve()
 	if err != nil {
 		return runnable{}, err
+	}
+	if reps == 1 && cfg.FrameParallel == 0 {
+		// Concurrent jobs share the CPUs: a lone run's frame pool gets the
+		// job's share of them, not all of GOMAXPROCS (the results do not
+		// depend on the pool size). Replications resolve their own.
+		cfg.FrameParallel = defaultParallel
 	}
 	if spec.Checkpoint != nil {
 		// Checkpoint-bearing runs drive a single engine directly, so the

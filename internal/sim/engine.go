@@ -177,10 +177,11 @@ type Engine struct {
 	tileEnds []int
 	taskEnds []int
 
-	// voiceTask, userTask and rateTask are the pool's per-frame task bodies
-	// (advanceVoiceChunk, updateUserChunk, rateBurstChunk), bound once in
-	// initWorkers so a fan-out does not allocate a closure every frame.
-	voiceTask, userTask, rateTask func(worker, task int)
+	// voiceTask, userTask, rateTask and solveTask are the pool's per-frame
+	// task bodies (advanceVoiceChunk, updateUserChunk, rateBurstChunk,
+	// solveTaskCells), bound once in initWorkers so a fan-out does not
+	// allocate a closure every frame.
+	voiceTask, userTask, rateTask, solveTask func(worker, task int)
 
 	// Telemetry, nil/empty when cfg.Trace is unset: the recorder wrapping
 	// the configured sink and the per-cell frame counters, reset every
@@ -402,6 +403,7 @@ func (e *Engine) initWorkers() error {
 		e.voiceTask = e.advanceVoiceChunk
 		e.userTask = e.updateUserChunk
 		e.rateTask = e.rateBurstChunk
+		e.solveTask = e.solveTaskCells
 	}
 	width := e.spix.Window()
 	e.workers = make([]*frameWorker, workers)
@@ -723,15 +725,13 @@ func (e *Engine) serveBursts(dt float64) {
 // burstRates sets bp on every burst past its set-up delay. A burst's rate is
 // a pure function of its user's mean CSI (fixed by updateUsers) and the
 // user's fast fading at e.now, so with a worker pool the pass fans out in
-// chunks and the result is identical to the sequential loop. A single chunk
-// runs inline: waking the pool would cost more than the work.
+// chunks and the result is identical to the sequential loop.
 func (e *Engine) burstRates() {
-	n := tasks(len(e.bursts), burstChunk)
-	if e.pool == nil || n < 2 {
+	if e.pool == nil {
 		e.rateBursts(e.bursts)
 		return
 	}
-	e.pool.Run(n, e.rateTask)
+	e.pool.Run(tasks(len(e.bursts), burstChunk), e.rateTask)
 }
 
 // rateBurstChunk is burstRates' pool task.
@@ -831,18 +831,24 @@ func (e *Engine) admit() {
 		}
 	} else {
 		e.planTasks()
-		e.pool.Run(len(e.taskEnds), func(w, t int) {
-			lo := 0
-			if t > 0 {
-				lo = e.taskEnds[t-1]
-			}
-			for i := lo; i < e.taskEnds[t]; i++ {
-				e.solveSlot(e.workers[w], &e.grants[i], e.active[i], loads)
-			}
-		})
+		e.pool.Run(len(e.taskEnds), e.solveTask)
 	}
 	for i := range e.active {
 		e.commitSlot(&e.grants[i])
+	}
+}
+
+// solveTaskCells is the snapshot solve phase's pool task: it solves task t's
+// run of active cells (planTasks) on worker w against the frame's loads,
+// which stay immutable until the commit loop.
+func (e *Engine) solveTaskCells(w, t int) {
+	lo := 0
+	if t > 0 {
+		lo = e.taskEnds[t-1]
+	}
+	loads := e.loads.Values()
+	for i := lo; i < e.taskEnds[t]; i++ {
+		e.solveSlot(e.workers[w], &e.grants[i], e.active[i], loads)
 	}
 }
 

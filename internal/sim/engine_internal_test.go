@@ -265,22 +265,51 @@ func TestServeBurstsCompletesAndReleasesUser(t *testing.T) {
 // ledgers: once the per-user buffers have reached steady state, the
 // measurement side of the frame loop (channel state, pilot sets, FCH
 // ledgers, load accumulation, burst rates) performs no allocations at all,
-// inline or fanned out over the pool.
+// both inline (FrameParallel 1, the path every run under a replication or
+// sweep fan-out takes) and fanned out over the pool in more than one task
+// per pass.
 func TestFrameHotPathStaysAllocationFree(t *testing.T) {
-	e := newTestEngine(t, nil)
-	// Warm up: the first frames grow the per-user buffers to capacity.
-	for f := 0; f < 10; f++ {
-		e.now = float64(f) * e.cfg.FrameLength
-		e.step()
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		e.updateVoice()
-		e.updateUsers()
-		e.accumulateLoads()
-		e.burstRates()
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state frame measurement path allocated %v times per frame, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"inline", func(c *Config) { c.FrameParallel = 1 }},
+		{"pooled", func(c *Config) {
+			c.Rings = 2
+			c.DataUsersPerCell = 20
+			c.VoiceUsersPerCell = 4
+			c.Data.MeanReadingTimeSec = 0.2
+			c.FrameParallel = 2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, tc.mutate)
+			// Warm up: the per-user buffers (active and pilot sets) keep
+			// growing for a few hundred frames before they reach capacity,
+			// and in the pooled case the burst list fills.
+			for f := 0; f < 400; f++ {
+				e.now = float64(f) * e.cfg.FrameLength
+				e.step()
+			}
+			if e.cfg.FrameParallel == 1 {
+				if e.pool != nil {
+					t.Fatal("FrameParallel 1 started a pool")
+				}
+			} else if e.pool == nil || tasks(len(e.voice), voiceChunk) < 2 ||
+				tasks(len(e.users), userChunk) < 2 || tasks(len(e.bursts), burstChunk) < 2 {
+				t.Fatalf("pooled engine does not fan out: pool %v, %d voice users, %d data users, %d bursts",
+					e.pool != nil, len(e.voice), len(e.users), len(e.bursts))
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				e.updateVoice()
+				e.updateUsers()
+				e.accumulateLoads()
+				e.burstRates()
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state frame measurement path allocated %v times per frame, want 0", allocs)
+			}
+		})
 	}
 }
 

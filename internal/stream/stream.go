@@ -134,8 +134,14 @@ func (p *Pool) Workers() int { return len(p.wake) }
 // Run executes fn(worker, task) for every task in [0, n), fanning the tasks
 // out over the pool's workers, and returns once all have finished. The
 // worker argument identifies which worker's scratch state the task may use.
+// A single task runs inline on the caller as worker 0: waking the pool would
+// cost more than the task.
 func (p *Pool) Run(n int, fn func(worker, task int)) {
 	if n <= 0 {
+		return
+	}
+	if n == 1 {
+		fn(0, 0)
 		return
 	}
 	b := &p.cur

@@ -243,3 +243,25 @@ func TestPoolMoreWorkersThanTasks(t *testing.T) {
 		t.Errorf("sum = %d, want 3", sum.Load())
 	}
 }
+
+// TestPoolRunsSingleTaskInline pins that a one-task Run does not wake the
+// pool: the task runs on the calling goroutine, as worker 0.
+func TestPoolRunsSingleTaskInline(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	caller := goroutineID()
+	var got []int
+	p.Run(1, func(w, task int) { got = append(got, goroutineID(), w, task) })
+	if len(got) != 3 || got[0] != caller || got[1] != 0 || got[2] != 0 {
+		t.Errorf("Run(1) called fn as (goroutine, worker, task) = %v, want [%d 0 0]", got, caller)
+	}
+}
+
+// goroutineID parses the running goroutine's id from its stack header
+// ("goroutine N [running]:").
+func goroutineID() int {
+	var buf [64]byte
+	var id int
+	fmt.Sscanf(string(buf[:runtime.Stack(buf[:], false)]), "goroutine %d", &id)
+	return id
+}
