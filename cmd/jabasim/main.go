@@ -73,7 +73,6 @@ func run(ctx context.Context, args []string) error {
 		reps        = fs.Int("reps", 1, "independent replications (parallel)")
 		frameMode   = fs.String("framemode", "", "frame admission mode: sequential or snapshot (default: scenario's)")
 		framePar    = fs.Int("frameparallel", -1, "frame workers: the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves: 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's; results are byte-identical for any value")
-		tiles       = fs.Int("tiles", -1, "snapshot-mode tile count (the solve fan-out grain: one task per contiguous cell span): 0 = untiled, -1 keeps the scenario's; results are byte-identical for any value")
 		tracePath   = fs.String("trace", "", "write per-frame per-cell telemetry to this file (CSV, or JSONL when the path ends in .jsonl); replication 0 only when -reps > 1")
 		traceEvery  = fs.Int("trace-every", 1, "sample every Nth frame into the -trace output")
 		exactVTAOC  = fs.Bool("exact-vtaoc", false, "bit-exact reference physics: exact VTAOC integral, scalar-equivalent channel kernels, full region rebuilds (golden-output mode; default is the fast SoA path)")
@@ -178,12 +177,6 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("-frameparallel must be >= 0 (or -1 to keep the scenario's), got %d", *framePar)
 		}
 		spec.Overrides.FrameParallel = framePar
-	}
-	if *tiles != -1 {
-		if *tiles < 0 {
-			return fmt.Errorf("-tiles must be >= 0 (or -1 to keep the scenario's), got %d", *tiles)
-		}
-		spec.Overrides.Tiles = tiles
 	}
 	if *traceEvery < 0 {
 		return fmt.Errorf("-trace-every must be >= 0, got %d", *traceEvery)

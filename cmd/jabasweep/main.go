@@ -75,7 +75,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		seed       = fs.Uint64("seed", 0, "base random seed (0 keeps the preset's)")
 		frameMode  = fs.String("framemode", "", "frame admission mode override for every point: sequential or snapshot")
 		framePar   = fs.Int("frameparallel", -1, "per-run frame workers override (the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves): 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps each point's; results are byte-identical for any value")
-		tiles      = fs.Int("tiles", -1, "per-run snapshot tile count override: 0 = untiled, -1 keeps each point's; results are byte-identical for any value")
 		format     = fs.String("format", "csv", "output format: csv or json")
 		outPath    = fs.String("o", "", "output file (default stdout)")
 		tracePath  = fs.String("trace", "", "write per-frame per-cell telemetry of every point's replication 0 to this CSV file")
@@ -93,9 +92,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *framePar < -1 {
 		return fmt.Errorf("-frameparallel must be >= 0 (or -1 to keep each point's), got %d", *framePar)
-	}
-	if *tiles < -1 {
-		return fmt.Errorf("-tiles must be >= 0 (or -1 to keep each point's), got %d", *tiles)
 	}
 	if *traceEvery < 0 {
 		return fmt.Errorf("-trace-every must be >= 0, got %d", *traceEvery)
@@ -139,9 +135,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *framePar >= 0 {
 		spec.Overrides.FrameParallel = framePar
-	}
-	if *tiles >= 0 {
-		spec.Overrides.Tiles = tiles
 	}
 	presetSet := false
 	fs.Visit(func(f *flag.Flag) {

@@ -66,7 +66,6 @@ type Overrides struct {
 	Seed          uint64   `json:"seed,omitempty"`
 	FrameMode     string   `json:"frame_mode,omitempty"`
 	FrameParallel *int     `json:"frame_parallel,omitempty"`
-	Tiles         *int     `json:"tiles,omitempty"`
 	ExactPHY      bool     `json:"exact_phy,omitempty"`
 	// FaultProfile replaces the scenario's fault schedule with a named
 	// profile (see fault.Profiles) scaled to the resolved run length;
@@ -124,9 +123,6 @@ func (o Overrides) Apply(cfg *sim.Config) error {
 	}
 	if o.FrameParallel != nil {
 		cfg.FrameParallel = *o.FrameParallel
-	}
-	if o.Tiles != nil {
-		cfg.Tiles = *o.Tiles
 	}
 	if o.ExactPHY {
 		cfg.ExactPHY = true

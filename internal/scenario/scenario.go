@@ -89,9 +89,9 @@ var presets = map[string]preset{
 				},
 			}
 		}},
-	PresetCity: {"1027 wrap-around cells, 100 data users/cell, tiled snapshot frames",
+	PresetCity: {"1027 wrap-around cells, 100 data users/cell, windowed snapshot frames",
 		func(c *sim.Config) { applyCity(c, 100, 20) }},
-	PresetCityDense: {"1027 wrap-around cells, 250 data users/cell, tiled snapshot frames",
+	PresetCityDense: {"1027 wrap-around cells, 250 data users/cell, windowed snapshot frames",
 		func(c *sim.Config) { applyCity(c, 250, 40) }},
 	PresetSmoke: {"tiny fast scenario for CI / demos",
 		func(c *sim.Config) {
@@ -120,17 +120,16 @@ func applyMetro(c *sim.Config) {
 // an 18-ring wrap-around grid (1027 cells) of 500 m microcells with the
 // city-scale machinery switched on — windowed per-user physics (a 24-cell
 // measurement window via the spatial bucket index, so channel state is
-// O(users x window) instead of O(users x cells)) and the tiled snapshot
-// frame mode (8 tiles; results are byte-identical for any tile count, so
-// -tiles only changes wall-clock). SimTime is short because a single city
-// frame covers >100k data users; sweeps scale it as needed.
+// O(users x window) instead of O(users x cells)) and the snapshot frame
+// mode, whose solves fan out one pool task per cell with queued requests.
+// SimTime is short because a single city frame covers >100k data users;
+// sweeps scale it as needed.
 func applyCity(c *sim.Config, dataPerCell, voicePerCell int) {
 	c.Rings = 18
 	c.CellRadius = 500
 	c.DataUsersPerCell = dataPerCell
 	c.VoiceUsersPerCell = voicePerCell
 	c.FrameMode = sim.FrameSnapshot
-	c.Tiles = 8
 	c.PilotCells = 24
 	c.SimTime = 20
 	c.WarmupTime = 0.5

@@ -23,8 +23,8 @@ package sim
 //
 // The stored configuration is authoritative for everything semantic; the
 // caller may only change the non-semantic execution knobs (FrameParallel,
-// Tiles, TraceEvery, CheckpointEvery and the sinks) before resuming.
-// Compatible compares the semantic hashes of the stored and the resuming
+// TraceEvery, CheckpointEvery and the sinks) before resuming. Compatible
+// compares the normalised JSON of the stored and the resuming
 // configuration, both decoded by the running build, and refuses a mismatch
 // with a precise error instead of silently diverging. The stored
 // configuration is decoded strictly (Config.UnmarshalJSON), so a key this
@@ -32,7 +32,6 @@ package sim
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -48,15 +47,14 @@ import (
 	"jabasd/internal/traffic"
 )
 
-// semanticConfigHash hashes the scenario-defining part of the
+// semanticConfigJSON encodes the scenario-defining part of the
 // configuration: the execution knobs that provably never change results
-// (worker counts, tiling, telemetry and checkpoint cadence — the engine's
+// (worker counts, telemetry and checkpoint cadence — the engine's
 // determinism tests lock that in) are zeroed first, and the fields with an
 // empty-means-default encoding are normalised so "" and the spelled-out
-// default hash identically.
-func semanticConfigHash(cfg Config) ([sha256.Size]byte, error) {
+// default encode identically.
+func semanticConfigJSON(cfg Config) ([]byte, error) {
 	cfg.FrameParallel = 0
-	cfg.Tiles = 0
 	cfg.TraceEvery = 0
 	cfg.CheckpointEvery = 0
 	cfg.Trace = nil
@@ -67,9 +65,9 @@ func semanticConfigHash(cfg Config) ([sha256.Size]byte, error) {
 	}
 	b, err := json.Marshal(cfg)
 	if err != nil {
-		return [sha256.Size]byte{}, fmt.Errorf("sim: hashing config: %w", err)
+		return nil, fmt.Errorf("sim: encoding config: %w", err)
 	}
-	return sha256.Sum256(b), nil
+	return b, nil
 }
 
 // Checkpoint serialises the engine's complete state to w in the versioned
@@ -264,24 +262,24 @@ func (c *Checkpoint) Config() Config { return c.cfg }
 // semantically identical to the stored configuration. It does not consume
 // the checkpoint, so callers can validate a resume before committing to it.
 func (c *Checkpoint) Compatible(cfg Config) error {
-	want, err := semanticConfigHash(c.cfg)
+	want, err := semanticConfigJSON(c.cfg)
 	if err != nil {
 		return err
 	}
-	got, err := semanticConfigHash(cfg)
+	got, err := semanticConfigJSON(cfg)
 	if err != nil {
 		return err
 	}
-	if got != want {
-		return fmt.Errorf("sim: resume config differs from the checkpoint's scenario (only FrameParallel, Tiles, TraceEvery, CheckpointEvery and the sinks may change across a resume)")
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("sim: resume config differs from the checkpoint's scenario (only FrameParallel, TraceEvery, CheckpointEvery and the sinks may change across a resume)")
 	}
 	return nil
 }
 
 // Resume rebuilds an engine from the checkpoint under cfg and restores the
 // saved state into it. cfg must be semantically identical to the stored
-// configuration — only FrameParallel, Tiles, TraceEvery, CheckpointEvery
-// and the sinks may differ — otherwise Resume refuses with an error naming
+// configuration — only FrameParallel, TraceEvery, CheckpointEvery and the
+// sinks may differ — otherwise Resume refuses with an error naming
 // the mismatch. Resume consumes the checkpoint; it can be called once.
 func (c *Checkpoint) Resume(cfg Config) (*Engine, error) {
 	if c.used {

@@ -8,7 +8,7 @@ import (
 // cityConfig mirrors the scenario "city" preset (scenario imports sim, so
 // the preset cannot be looked up from here): an 18-ring wrap-around grid —
 // 1027 cells of 500 m radius — with 100 data and 20 voice users per cell,
-// windowed physics and the tiled snapshot frame mode.
+// windowed physics and the snapshot frame mode.
 func cityConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Rings = 18
@@ -20,20 +20,19 @@ func cityConfig() Config {
 	return cfg
 }
 
-// BenchmarkCityTiles measures the city-scale frame loop — 1027 cells,
-// 102,700 data users — at increasing tile counts, reporting frames/sec.
-// FrameParallel tracks the tile count, so tiles-1 is the single-core
-// baseline and tiles-8 is the eight-way fan-out of the same byte-identical
-// computation: the ratio of the two frames/sec numbers is the multicore
-// scaling the tile fan-out exists for. Engine construction
-// (populating ~123k users) happens outside the timer; the loop drives
-// whole frames through the same step() the Run loop calls.
-func BenchmarkCityTiles(b *testing.B) {
-	for _, tiles := range []int{1, 8} {
-		b.Run(fmt.Sprintf("tiles-%d", tiles), func(b *testing.B) {
+// BenchmarkCityFrame measures the city-scale frame loop — 1027 cells,
+// 102,700 data users — reporting frames/sec, inline (par-1, the single-core
+// baseline) and on the auto-sized frame pool (par-0, GOMAXPROCS workers) of
+// the same byte-identical computation: the ratio of the two frames/sec
+// numbers is the multicore scaling of the per-user physics and the per-cell
+// solve fan-out. Engine construction (populating ~123k users) happens
+// outside the timer; the loop drives whole frames through the same step()
+// the Run loop calls.
+func BenchmarkCityFrame(b *testing.B) {
+	for _, par := range []int{1, 0} {
+		b.Run(fmt.Sprintf("par-%d", par), func(b *testing.B) {
 			cfg := cityConfig()
-			cfg.Tiles = tiles
-			cfg.FrameParallel = tiles
+			cfg.FrameParallel = par
 			e, err := NewEngine(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -194,19 +194,9 @@ type Config struct {
 	// replication/sweep fan-out already saturates the CPUs (see
 	// ResolveFrameParallel). In both frame modes the pool fans out the
 	// user, voice and burst-rate updates; in snapshot mode it also runs the
-	// per-cell solves (sequential admission stays on one worker). It never
-	// affects the results.
+	// solves, one task per cell with queued requests (sequential admission
+	// stays on one worker). It never affects the results.
 	FrameParallel int
-	// Tiles shards the hex grid into that many contiguous tiles (see
-	// internal/shard), and the snapshot measure+solve phase fans out one
-	// task per tile — the tile's queued cells, solved in order — instead of
-	// one per active cell. A tile is only the fan-out grain: scheduler
-	// clones and scratch belong to the pool workers and the region cache is
-	// engine-wide. Values above the cell count are clamped; 0 (the default)
-	// keeps the untiled per-cell fan-out. Requires the snapshot frame
-	// mode. Like FrameParallel it never affects the results: metrics and
-	// traces are byte-identical for any tile count, including 0.
-	Tiles int
 	// PilotCells is the width of each user's measurement window: the
 	// nearest PilotCells cells of its spatial-grid bucket (see
 	// internal/spatial and windowed.go). Pilot sets, shadowing state and
@@ -240,7 +230,7 @@ type Config struct {
 	// (frame, cell) scheduling problem the admission layer solves —
 	// requests, admissible region and assigned ratios — in commit order
 	// (see internal/replay). The stream is byte-identical for any
-	// FrameParallel/Tiles. Never serialised; like Trace it is attached to
+	// FrameParallel. Never serialised; like Trace it is attached to
 	// replication 0 only by RunReplications.
 	SolveTrace io.Writer `json:"-"`
 
@@ -261,7 +251,7 @@ type Config struct {
 	// outages, transmit-power derating, offered-load curves — see
 	// internal/fault) into the run. Semantic: it changes results, is part
 	// of the scenario a resume must match, and its effects stay byte-identical
-	// for any FrameParallel/Tiles. A nil or empty schedule leaves every
+	// for any FrameParallel. A nil or empty schedule leaves every
 	// output bit-identical to a fault-free build.
 	Faults *fault.Schedule
 	// SolveNodeBudget, when positive, bounds each exact JABA-SD solve at
@@ -386,12 +376,6 @@ func (c Config) Validate() error {
 	if c.FrameParallel < 0 {
 		fail("FrameParallel must be >= 0")
 	}
-	if c.Tiles < 0 {
-		fail("Tiles must be >= 0")
-	}
-	if c.Tiles > 0 && c.FrameMode.normalize() != FrameSnapshot {
-		fail("Tiles requires the snapshot frame mode")
-	}
 	if c.PilotCells != 0 && (c.PilotCells < 4 || c.PilotCells > channel.MaxWindowWidth) {
 		fail("PilotCells must be 0 (every cell) or in [4, %d]", channel.MaxWindowWidth)
 	}
@@ -420,17 +404,19 @@ func (c Config) Validate() error {
 // at the top level or in any nested object, is an error naming the key, so
 // a misspelt or removed knob in a -config file, a job spec or a checkpoint
 // is refused instead of silently ignored. It decodes on top of the
-// receiver, so absent keys keep their pre-filled defaults. Two removed keys
-// are still read from older files: RegionEpsilon must be 0 (regions are
-// reused only when bitwise unchanged), and a LoadStep {AtSec,
-// ReadingTimeSec} becomes a Faults.Load event, inserted in AtSec order; one
-// at the same AtSec as an existing load event is left for Validate to
-// refuse.
+// receiver, so absent keys keep their pre-filled defaults. Three removed
+// keys are still read from older files: RegionEpsilon must be 0 (regions
+// are reused only when bitwise unchanged), Tiles must be >= 0 and is
+// ignored (the snapshot solve always fans out one task per cell), and a
+// LoadStep {AtSec, ReadingTimeSec} becomes a Faults.Load event, inserted
+// in AtSec order; one at the same AtSec as an existing load event is left
+// for Validate to refuse.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	type plain Config // drops this method, so the decode does not recurse
 	var wire struct {
 		*plain
 		RegionEpsilon float64
+		Tiles         int
 		LoadStep      *struct{ AtSec, ReadingTimeSec float64 }
 	}
 	wire.plain = (*plain)(c)
@@ -441,6 +427,9 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	}
 	if wire.RegionEpsilon != 0 {
 		return fmt.Errorf("sim: config: RegionEpsilon was removed; only 0 is accepted, got %g", wire.RegionEpsilon)
+	}
+	if wire.Tiles < 0 {
+		return fmt.Errorf("sim: config: Tiles must be >= 0, got %d", wire.Tiles)
 	}
 	if ls := wire.LoadStep; ls != nil {
 		var s fault.Schedule

@@ -81,27 +81,34 @@ func TestConfigJSONEnumsEncodeAsStrings(t *testing.T) {
 // TestConfigDecodeIsStrict pins the decoder every config source goes
 // through (-config files, job specs, checkpoints): a key naming no field is
 // refused by name at any depth, the removed RegionEpsilon is accepted only
-// as 0, and the removed LoadStep is accepted as null.
+// as 0, the removed Tiles is accepted and ignored when non-negative, and
+// the removed LoadStep is accepted as null.
 func TestConfigDecodeIsStrict(t *testing.T) {
 	for _, tc := range []struct{ name, json, want string }{
 		{"top-level", `{"Seed": 2, "Sed": 3}`, `"Sed"`},
 		{"nested", `{"Faults": {"cels": []}}`, `"cels"`},
 		{"legacy step", `{"LoadStep": {"AtSec": 1, "ReadingTime": 2}}`, `"ReadingTime"`},
 		{"epsilon", `{"RegionEpsilon": 0.05}`, "RegionEpsilon was removed"},
+		{"negative tiles", `{"Tiles": -1}`, "Tiles must be >= 0"},
 	} {
 		cfg := DefaultConfig()
 		if err := json.Unmarshal([]byte(tc.json), &cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %s decoded with error %v, want one naming %s", tc.name, tc.json, err, tc.want)
 		}
 	}
-	cfg := DefaultConfig()
-	if err := json.Unmarshal([]byte(`{"Seed": 9, "RegionEpsilon": 0, "LoadStep": null}`), &cfg); err != nil {
-		t.Fatalf("legacy zero-valued keys refused: %v", err)
-	}
-	want := DefaultConfig()
-	want.Seed = 9
-	if !reflect.DeepEqual(cfg, want) {
-		t.Errorf("decode on top of the defaults changed more than Seed:\n%+v", cfg)
+	for _, legacy := range []string{
+		`{"Seed": 9, "RegionEpsilon": 0, "Tiles": 0, "LoadStep": null}`,
+		`{"Seed": 9, "Tiles": 8}`,
+	} {
+		cfg := DefaultConfig()
+		if err := json.Unmarshal([]byte(legacy), &cfg); err != nil {
+			t.Fatalf("legacy keys %s refused: %v", legacy, err)
+		}
+		want := DefaultConfig()
+		want.Seed = 9
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("%s: decode on top of the defaults changed more than Seed:\n%+v", legacy, cfg)
+		}
 	}
 }
 

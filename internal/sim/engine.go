@@ -16,7 +16,6 @@ import (
 	"jabasd/internal/mobility"
 	"jabasd/internal/replay"
 	"jabasd/internal/rng"
-	"jabasd/internal/shard"
 	"jabasd/internal/spatial"
 	"jabasd/internal/stream"
 	"jabasd/internal/trace"
@@ -145,8 +144,8 @@ type Engine struct {
 
 	// incr caches per-cell admissible regions across frames (fast path
 	// only; the exact reference path always rebuilds). One cache serves
-	// every frame mode, worker count and tiling: a cell is solved by exactly
-	// one worker per frame, so workers never touch the same entry.
+	// every frame mode and worker count: a cell is solved by exactly one
+	// worker per frame, so workers never touch the same entry.
 	incr *measurement.IncrementalRegions
 
 	// Per-run constants hoisted out of the per-user frame loop. The exact
@@ -166,16 +165,13 @@ type Engine struct {
 	// worker (one without a pool); in sequential mode workers[0] runs
 	// e.scheduler itself and is the only worker admit uses. active lists the
 	// frame's cells with queued requests and grants holds one outcome slot
-	// per active cell. tileEnds, set when Tiles > 0, holds the shard.Plan span ends the
-	// snapshot fan-out splits its tasks at; taskEnds is the per-frame task
-	// partition of active. pool is the user-update, burst-rate and
-	// snapshot-solve fan-out (nil when FrameParallel == 1).
-	pool     *stream.Pool
-	workers  []*frameWorker
-	active   []int
-	grants   []cellGrants
-	tileEnds []int
-	taskEnds []int
+	// per active cell. pool is the user-update, burst-rate and
+	// snapshot-solve fan-out (nil when FrameParallel == 1); the snapshot
+	// solve runs one pool task per active cell.
+	pool    *stream.Pool
+	workers []*frameWorker
+	active  []int
+	grants  []cellGrants
 
 	// voiceTask, userTask, rateTask and solveTask are the pool's per-frame
 	// task bodies (advanceVoiceChunk, updateUserChunk, rateBurstChunk,
@@ -417,12 +413,6 @@ func (e *Engine) initWorkers() error {
 	}
 	if !snapshot {
 		e.workers[0].sched = e.scheduler
-		return nil
-	}
-	if e.cfg.Tiles > 0 {
-		for _, span := range shard.NewPlan(n, e.cfg.Tiles).Spans {
-			e.tileEnds = append(e.tileEnds, span.Hi)
-		}
 	}
 	return nil
 }
@@ -790,13 +780,14 @@ func (e *Engine) completeBurst(b *burst) {
 //     admissible region already reflects the grants cells before it made
 //     earlier in the same frame;
 //   - snapshot (the paper-faithful mode): every cell is solved against the
-//     immutable frame-start ledger, fanned out over the worker pool, and
-//     the grants are committed afterwards in cell-index order. No cell's
+//     immutable frame-start ledger, one worker-pool task per active cell
+//     (the pool's shared task counter balances uneven cells), and the
+//     grants are committed afterwards in cell-index order. No cell's
 //     solution reads another cell's grant, so the output does not depend on
-//     the worker count or tiling; the fixed commit order makes it
-//     byte-identical as well. Cells may jointly overshoot a shared budget
-//     within the frame — exactly the paper's semantics, absorbed next frame
-//     when the ledger is rebuilt from the granted bursts.
+//     the worker count; the fixed commit order makes it byte-identical as
+//     well. Cells may jointly overshoot a shared budget within the frame —
+//     exactly the paper's semantics, absorbed next frame when the ledger is
+//     rebuilt from the granted bursts.
 //
 // The active cells are collected up front: a cell's gather and commit touch
 // only its own queue, and the down mask is fixed for the frame. All
@@ -830,46 +821,18 @@ func (e *Engine) admit() {
 			e.solveSlot(e.workers[0], &e.grants[i], k, loads)
 		}
 	} else {
-		e.planTasks()
-		e.pool.Run(len(e.taskEnds), e.solveTask)
+		e.pool.Run(len(e.active), e.solveTask)
 	}
 	for i := range e.active {
 		e.commitSlot(&e.grants[i])
 	}
 }
 
-// solveTaskCells is the snapshot solve phase's pool task: it solves task t's
-// run of active cells (planTasks) on worker w against the frame's loads,
-// which stay immutable until the commit loop.
+// solveTaskCells is the snapshot solve phase's pool task: it solves active
+// cell t on worker w into grants[t] against the frame's loads, which stay
+// immutable until the commit loop.
 func (e *Engine) solveTaskCells(w, t int) {
-	lo := 0
-	if t > 0 {
-		lo = e.taskEnds[t-1]
-	}
-	loads := e.loads.Values()
-	for i := lo; i < e.taskEnds[t]; i++ {
-		e.solveSlot(e.workers[w], &e.grants[i], e.active[i], loads)
-	}
-}
-
-// planTasks partitions the frame's active cells into the snapshot fan-out's
-// tasks, as exclusive end indices into e.active: one task per active cell
-// untiled, one run of active cells per shard.Plan span when tiled.
-func (e *Engine) planTasks() {
-	e.taskEnds = e.taskEnds[:0]
-	if e.tileEnds == nil {
-		for i := range e.active {
-			e.taskEnds = append(e.taskEnds, i+1)
-		}
-		return
-	}
-	i := 0
-	for _, hi := range e.tileEnds {
-		for i < len(e.active) && e.active[i] < hi {
-			i++
-		}
-		e.taskEnds = append(e.taskEnds, i)
-	}
+	e.solveSlot(e.workers[w], &e.grants[t], e.active[t], e.loads.Values())
 }
 
 // solveSlot gathers cell k's queue, reseeds a snapshot worker's scheduler

@@ -503,21 +503,21 @@ func TestSnapshotSolvePhaseLeavesLedgerUntouched(t *testing.T) {
 // the warm solvers lean on: every snapshot engine holds exactly one
 // scheduler clone per pool worker — distinct from the engine's and from
 // every other worker's, because a JABA-SD instance carries mutable ILP
-// solver arenas that would race if shared across the solve fan-out — and
-// tiling adds none: a tile is only the fan-out grain.
+// solver arenas that would race if shared across the solve fan-out.
 func TestSnapshotWorkersOwnDisjointSchedulers(t *testing.T) {
+	// The subtest names are stable test IDs; they differ only in the worker
+	// count.
 	for _, tc := range []struct {
-		name           string
-		parallel, tile int
+		name     string
+		parallel int
 	}{
-		{"untiled", 4, 0},
-		{"tiled", 2, 5},
+		{"untiled", 4},
+		{"tiled", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newTestEngine(t, func(cfg *Config) {
 				cfg.FrameMode = FrameSnapshot
 				cfg.FrameParallel = tc.parallel
-				cfg.Tiles = tc.tile
 			})
 			defer e.Close()
 			if e.pool == nil || len(e.workers) != e.pool.Workers() {
@@ -672,31 +672,5 @@ func TestBurstRatesIndependentOfWorkers(t *testing.T) {
 				t.Fatalf("FrameParallel=%d, frame %d: burst accounting differs from the inline run", par, f)
 			}
 		}
-	}
-}
-
-// TestPlanTasksGrain pins the snapshot fan-out grain: untiled, one task per
-// active cell; tiled, one task per shard.Plan span — empty spans included —
-// each covering exactly the span's active cells.
-func TestPlanTasksGrain(t *testing.T) {
-	for _, tc := range []struct {
-		tiles int
-		want  []int
-	}{
-		{0, []int{1, 2, 3, 4}},
-		// Rings 1 has 7 cells; 3 tiles span [0,3) [3,5) [5,7).
-		{3, []int{2, 2, 4}},
-	} {
-		e := newTestEngine(t, func(cfg *Config) {
-			cfg.FrameMode = FrameSnapshot
-			cfg.FrameParallel = 2
-			cfg.Tiles = tc.tiles
-		})
-		e.active = append(e.active[:0], 0, 2, 5, 6)
-		e.planTasks()
-		if !slices.Equal(e.taskEnds, tc.want) {
-			t.Errorf("tiles=%d: task ends %v, want %v", tc.tiles, e.taskEnds, tc.want)
-		}
-		e.Close()
 	}
 }

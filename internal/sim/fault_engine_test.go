@@ -1,9 +1,9 @@
 package sim
 
 // Tests for the fault-injection layer's engine contracts: outage frames are
-// byte-identical across frame modes, worker counts and tile counts; the
-// outage actually silences the cell (no grants, only down-marked trace
-// rows); and the counters reconcile with the schedule.
+// byte-identical across worker counts; the outage actually silences the cell
+// (no grants, only down-marked trace rows); and the counters reconcile with
+// the schedule.
 
 import (
 	"context"
@@ -37,36 +37,30 @@ func faultyConfig() Config {
 // TestFaultDeterminismAcrossModes extends the engine's determinism contract
 // to fault frames: with an outage, a derate and load events in flight, the
 // metrics and every telemetry record are exactly identical for any
-// -frameparallel and -tiles, and between the untiled and tiled snapshot
-// paths. The fault mask is applied on the sequential section of the frame
-// and the derate flows through the frame-start ledger, so no parallel
+// -frameparallel. The fault mask is applied on the sequential section of the
+// frame and the derate flows through the frame-start ledger, so no parallel
 // schedule can observe a different network.
 func TestFaultDeterminismAcrossModes(t *testing.T) {
 	base := faultyConfig()
 	base.FrameMode = FrameSnapshot
 	var wantFP [6]float64
 	var wantTrace []trace.Record
-	first := true
-	for _, par := range []int{1, 2} {
-		for _, tiles := range []int{0, 1, 3, 7} {
-			cfg := base
-			cfg.FrameParallel = par
-			cfg.Tiles = tiles
-			fp, rec := runTraced(t, cfg)
-			if first {
-				wantFP, wantTrace = fp, rec
-				first = false
-				if fp[1] == 0 {
-					t.Fatal("no bursts completed; scenario too light to test determinism")
-				}
-				continue
+	for i, par := range []int{1, 2, 3, 7} {
+		cfg := base
+		cfg.FrameParallel = par
+		fp, rec := runTraced(t, cfg)
+		if i == 0 {
+			wantFP, wantTrace = fp, rec
+			if fp[1] == 0 {
+				t.Fatal("no bursts completed; scenario too light to test determinism")
 			}
-			if fp != wantFP {
-				t.Errorf("tiles=%d par=%d: metrics diverged under faults: %v vs %v", tiles, par, fp, wantFP)
-			}
-			if !reflect.DeepEqual(rec, wantTrace) {
-				t.Errorf("tiles=%d par=%d: trace diverged under faults", tiles, par)
-			}
+			continue
+		}
+		if fp != wantFP {
+			t.Errorf("par=%d: metrics diverged under faults: %v vs %v", par, fp, wantFP)
+		}
+		if !reflect.DeepEqual(rec, wantTrace) {
+			t.Errorf("par=%d: trace diverged under faults", par)
 		}
 	}
 }
@@ -88,20 +82,19 @@ func TestFaultDeterminismExact(t *testing.T) {
 	base.ExactPHY = true
 	var want [6]float64
 	var wantTrace []trace.Record
-	for i, tiles := range []int{0, 1, 4} {
+	for i, par := range []int{1, 2, 4} {
 		cfg := base
-		cfg.FrameParallel = 2
-		cfg.Tiles = tiles
+		cfg.FrameParallel = par
 		fp, rec := runTraced(t, cfg)
 		if i == 0 {
 			want, wantTrace = fp, rec
 			continue
 		}
 		if fp != want {
-			t.Errorf("exact tiles=%d: metrics diverged under faults: %v vs %v", tiles, fp, want)
+			t.Errorf("exact par=%d: metrics diverged under faults: %v vs %v", par, fp, want)
 		}
 		if !reflect.DeepEqual(rec, wantTrace) {
-			t.Errorf("exact tiles=%d: trace diverged under faults", tiles)
+			t.Errorf("exact par=%d: trace diverged under faults", par)
 		}
 	}
 }
@@ -174,7 +167,7 @@ func TestOutageSilencesCell(t *testing.T) {
 
 // TestNodeBudgetFallbackDeterminism pins that the exact→greedy degradation
 // is itself deterministic and observable: a tight budget yields the same
-// FallbackSolves count and the same trace under any tile count, and the
+// FallbackSolves count and the same trace under any worker count, and the
 // "fallback" solve status appears in the telemetry.
 func TestNodeBudgetFallbackDeterminism(t *testing.T) {
 	base := quickConfig()
@@ -184,10 +177,9 @@ func TestNodeBudgetFallbackDeterminism(t *testing.T) {
 	base.FrameMode = FrameSnapshot
 	var want *Metrics
 	var wantTrace []trace.Record
-	for i, tiles := range []int{0, 3} {
+	for i, par := range []int{1, 2, 3} {
 		cfg := base
-		cfg.FrameParallel = 2
-		cfg.Tiles = tiles
+		cfg.FrameParallel = par
 		mem := &trace.Memory{}
 		cfg.Trace = mem
 		m, err := Run(context.Background(), cfg)
@@ -212,10 +204,10 @@ func TestNodeBudgetFallbackDeterminism(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(want, m) {
-			t.Errorf("tiles=%d: metrics diverged under the node budget", tiles)
+			t.Errorf("par=%d: metrics diverged under the node budget", par)
 		}
 		if !reflect.DeepEqual(wantTrace, mem.Records) {
-			t.Errorf("tiles=%d: trace diverged under the node budget", tiles)
+			t.Errorf("par=%d: trace diverged under the node budget", par)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func recordSolveTrace(t *testing.T, cfg Config) []byte {
 // TestSolveTraceReplayFidelity: re-solving a recorded trace with the
 // header's own scheduler and objective must reproduce the recorded ratios
 // exactly — the trace carries everything the scheduler saw. Covers both
-// frame modes, the tiled path and the one RNG-bearing scheduler (whose
+// frame modes, a pooled greedy run and the one RNG-bearing scheduler (whose
 // per-(frame, cell) reseeding Resolve mirrors).
 func TestSolveTraceReplayFidelity(t *testing.T) {
 	scenarios := map[string]func(*Config){
@@ -35,10 +35,10 @@ func TestSolveTraceReplayFidelity(t *testing.T) {
 			cfg.FrameParallel = 2
 			cfg.Scheduler = SchedulerRandom
 		},
+		// "tiled-greedy" is a stable test ID: a pooled snapshot greedy run.
 		"tiled-greedy": func(cfg *Config) {
 			cfg.FrameMode = FrameSnapshot
-			cfg.Tiles = 3
-			cfg.FrameParallel = 2
+			cfg.FrameParallel = 3
 			cfg.Scheduler = SchedulerGreedy
 		},
 	}
@@ -83,30 +83,21 @@ func TestSolveTraceReplayFidelity(t *testing.T) {
 
 // TestSolveTraceIndependentOfParallelism: the trace is emitted on the
 // sequential commit path in ascending cell order, so its bytes must not
-// depend on the worker count or the tile partition — including tiled
-// versus untiled snapshot.
+// depend on the worker count.
 func TestSolveTraceIndependentOfParallelism(t *testing.T) {
 	base := tinyConfig()
 	base.FrameMode = FrameSnapshot
 
-	variant := func(tiles, workers int) []byte {
-		cfg := base
-		cfg.Tiles = tiles
-		cfg.FrameParallel = workers
-		return recordSolveTrace(t, cfg)
-	}
-
-	ref := variant(0, 1)
+	base.FrameParallel = 1
+	ref := recordSolveTrace(t, base)
 	if len(ref) == 0 {
 		t.Fatal("reference run recorded nothing")
 	}
-	for name, raw := range map[string][]byte{
-		"untiled-4-workers": variant(0, 4),
-		"2-tiles-2-workers": variant(2, 2),
-		"4-tiles-3-workers": variant(4, 3),
-	} {
-		if !bytes.Equal(ref, raw) {
-			t.Errorf("%s: solve trace differs from the untiled single-worker run", name)
+	for _, workers := range []int{2, 3, 4} {
+		cfg := base
+		cfg.FrameParallel = workers
+		if !bytes.Equal(ref, recordSolveTrace(t, cfg)) {
+			t.Errorf("%d workers: solve trace differs from the single-worker run", workers)
 		}
 	}
 }

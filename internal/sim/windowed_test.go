@@ -1,8 +1,8 @@
 package sim
 
-// Tests for the tiled snapshot mode and the windowed (city-scale) physics:
-// the tile-count determinism gate mirroring the FrameParallel gate, the
-// full-width identity of the window and a map wider than the merge bound.
+// Tests for the snapshot frame mode's trace determinism across worker
+// counts and the windowed (city-scale) physics: the full-width identity of
+// the window and a map wider than the merge bound.
 
 import (
 	"context"
@@ -27,14 +27,13 @@ func runTraced(t *testing.T, cfg Config) ([6]float64, []trace.Record) {
 	return fingerprint(m), mem.Records
 }
 
-// TestTileCountDeterminism is the determinism contract of the tiled engine,
-// mirroring TestSnapshotModeIdenticalAcrossWorkerCounts: every cell is
-// solved against the immutable frame-start ledger by exactly one tile, its
-// scheduler RNG is reseeded per (frame, cell) and grants commit in global
-// cell order, so metrics AND traces are exactly identical for any tile
-// count — including tiles=1 versus the untiled snapshot path — at any
-// solve-phase parallelism.
-func TestTileCountDeterminism(t *testing.T) {
+// TestSnapshotTraceIdenticalAcrossWorkerCounts extends
+// TestSnapshotModeIdenticalAcrossWorkerCounts to the trace and the reverse
+// link: every active cell is its own pool task, solved against the
+// immutable frame-start ledger with its scheduler RNG reseeded per (frame,
+// cell), and grants commit in cell order, so metrics AND traces are exactly
+// identical for any worker count.
+func TestSnapshotTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, dir := range []Direction{Forward, Reverse} {
 		base := quickConfig()
 		base.SimTime = 4
@@ -43,55 +42,49 @@ func TestTileCountDeterminism(t *testing.T) {
 		base.DataUsersPerCell = 8 // enough contention that grants matter
 		var wantFP [6]float64
 		var wantTrace []trace.Record
-		first := true
-		for _, par := range []int{1, 2} {
-			for _, tiles := range []int{0, 1, 3, 7, 19} {
-				cfg := base
-				cfg.FrameParallel = par
-				cfg.Tiles = tiles
-				fp, rec := runTraced(t, cfg)
-				if first {
-					wantFP, wantTrace = fp, rec
-					first = false
-					if fp[1] == 0 {
-						t.Fatalf("%s: no bursts completed; scenario too light to test determinism", dir)
-					}
-					continue
+		for i, par := range []int{1, 2, 7} {
+			cfg := base
+			cfg.FrameParallel = par
+			fp, rec := runTraced(t, cfg)
+			if i == 0 {
+				wantFP, wantTrace = fp, rec
+				if fp[1] == 0 {
+					t.Fatalf("%s: no bursts completed; scenario too light to test determinism", dir)
 				}
-				if fp != wantFP {
-					t.Errorf("%s tiles=%d par=%d: metrics diverged: %v vs %v", dir, tiles, par, fp, wantFP)
-				}
-				if !reflect.DeepEqual(rec, wantTrace) {
-					t.Errorf("%s tiles=%d par=%d: trace diverged from the untiled snapshot trace", dir, tiles, par)
-				}
+				continue
+			}
+			if fp != wantFP {
+				t.Errorf("%s par=%d: metrics diverged: %v vs %v", dir, par, fp, wantFP)
+			}
+			if !reflect.DeepEqual(rec, wantTrace) {
+				t.Errorf("%s par=%d: trace diverged from the inline snapshot trace", dir, par)
 			}
 		}
 	}
 }
 
-// TestTileCountDeterminismExact covers the exact reference path (no region
-// cache, dB-domain kernels) with the same gate.
-func TestTileCountDeterminismExact(t *testing.T) {
+// TestSnapshotTraceIdenticalAcrossWorkerCountsExact covers the exact
+// reference path (no region cache, dB-domain kernels) with the same gate.
+func TestSnapshotTraceIdenticalAcrossWorkerCountsExact(t *testing.T) {
 	base := quickConfig()
 	base.SimTime = 3
 	base.FrameMode = FrameSnapshot
 	base.ExactPHY = true
 	var want [6]float64
 	var wantTrace []trace.Record
-	for i, tiles := range []int{0, 1, 4} {
+	for i, par := range []int{1, 2, 4} {
 		cfg := base
-		cfg.FrameParallel = 2
-		cfg.Tiles = tiles
+		cfg.FrameParallel = par
 		fp, rec := runTraced(t, cfg)
 		if i == 0 {
 			want, wantTrace = fp, rec
 			continue
 		}
 		if fp != want {
-			t.Errorf("exact tiles=%d: metrics diverged: %v vs %v", tiles, fp, want)
+			t.Errorf("exact par=%d: metrics diverged: %v vs %v", par, fp, want)
 		}
 		if !reflect.DeepEqual(rec, wantTrace) {
-			t.Errorf("exact tiles=%d: trace diverged", tiles)
+			t.Errorf("exact par=%d: trace diverged", par)
 		}
 	}
 }
@@ -99,8 +92,8 @@ func TestTileCountDeterminismExact(t *testing.T) {
 // TestWindowedFullWidthIdentity pins the two identities of the windowed
 // physics: a window width at or above the cell count is the map-wide
 // window PilotCells 0 builds, so the run is exactly the PilotCells 0 run;
-// and a windowed run is the same tiled or untiled. Both on the fast and the
-// exact kernels.
+// and a windowed snapshot run is the same inline or fanned out. Both on the
+// fast and the exact kernels.
 func TestWindowedFullWidthIdentity(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		for _, dir := range []Direction{Forward, Reverse} {
@@ -124,20 +117,16 @@ func TestWindowedFullWidthIdentity(t *testing.T) {
 			win.Rings = 3 // 37 cells
 			win.DataUsersPerCell = 2
 			win.PilotCells = 19 // a window that really moves
-			tiled := win
-			tiled.FrameMode = FrameSnapshot
-			tiled.FrameParallel = 2
-			tiled.Tiles = 3
-			ref := win
-			ref.FrameMode = FrameSnapshot
-			ref.FrameParallel = 2
-			wantFP, wantTrace := runTraced(t, ref)
-			gotFP, gotTrace := runTraced(t, tiled)
+			win.FrameMode = FrameSnapshot
+			win.FrameParallel = 1
+			wantFP, wantTrace := runTraced(t, win)
+			win.FrameParallel = 3
+			gotFP, gotTrace := runTraced(t, win)
 			if gotFP != wantFP {
-				t.Errorf("exact=%v %s: tiled windowed run diverged from untiled snapshot: %v vs %v", exact, dir, gotFP, wantFP)
+				t.Errorf("exact=%v %s: pooled windowed run diverged from the inline one: %v vs %v", exact, dir, gotFP, wantFP)
 			}
 			if !reflect.DeepEqual(gotTrace, wantTrace) {
-				t.Errorf("exact=%v %s: tiled windowed trace diverged", exact, dir)
+				t.Errorf("exact=%v %s: pooled windowed trace diverged", exact, dir)
 			}
 		}
 	}
