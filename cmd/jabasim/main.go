@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string) error {
 		seed        = fs.Uint64("seed", 0, "base random seed (override when non-zero)")
 		reps        = fs.Int("reps", 1, "independent replications (parallel)")
 		frameMode   = fs.String("framemode", "", "frame admission mode: sequential or snapshot (default: scenario's)")
-		framePar    = fs.Int("frameparallel", -1, "frame workers: the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves: 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's; results are byte-identical for any value")
+		framePar    = fs.Int("frameparallel", -1, "frame workers: the user seeding at set-up, the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves: 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's; results are byte-identical for any value")
 		tracePath   = fs.String("trace", "", "write per-frame per-cell telemetry to this file (CSV, or JSONL when the path ends in .jsonl); replication 0 only when -reps > 1")
 		traceEvery  = fs.Int("trace-every", 1, "sample every Nth frame into the -trace output")
 		exactVTAOC  = fs.Bool("exact-vtaoc", false, "bit-exact reference physics: exact VTAOC integral, scalar-equivalent channel kernels, full region rebuilds (golden-output mode; default is the fast SoA path)")

@@ -74,7 +74,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		parallel   = fs.Int("parallel", 0, "max concurrent (point x replication) work items (0 = GOMAXPROCS)")
 		seed       = fs.Uint64("seed", 0, "base random seed (0 keeps the preset's)")
 		frameMode  = fs.String("framemode", "", "frame admission mode override for every point: sequential or snapshot")
-		framePar   = fs.Int("frameparallel", -1, "per-run frame workers override (the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves): 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps each point's; results are byte-identical for any value")
+		framePar   = fs.Int("frameparallel", -1, "per-run frame workers override (the user seeding at set-up, the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves): 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps each point's; results are byte-identical for any value")
 		format     = fs.String("format", "csv", "output format: csv or json")
 		outPath    = fs.String("o", "", "output file (default stdout)")
 		tracePath  = fs.String("trace", "", "write per-frame per-cell telemetry of every point's replication 0 to this CSV file")

@@ -176,6 +176,7 @@ type GreedyJABASD struct {
 	single  []int
 	bestM   []int
 	head    []float64
+	head0   []float64
 	headS   []float64
 }
 
@@ -228,6 +229,8 @@ func (s *GreedyJABASD) Schedule(p Problem) (Assignment, error) {
 	// feasibility on every grant. Remaining headroom per constraint row:
 	s.head = p.Region.HeadroomInto(s.head, m)
 	head := s.head
+	// The zero assignment's headroom, kept for the single-request pass.
+	s.head0 = append(s.head0[:0], head...)
 	for {
 		// Build the candidate list of requests that can still take one unit.
 		best := -1
@@ -286,16 +289,16 @@ func (s *GreedyJABASD) Schedule(p Problem) (Assignment, error) {
 	// (knapsack) case and helps the multi-cell case too.
 	copy(s.bestM, m)
 	bestVal := p.Objective.Value(reqs, m)
+	// single is all-zero outside entry j, which each pass resets, so every
+	// pass starts from the zero assignment's headroom.
+	single := s.single
+	s.headS = append(s.headS[:0], s.head0...)
+	h := s.headS
 	for j := 0; j < n; j++ {
 		if util[j] <= 0 || ub[j] == 0 {
 			continue
 		}
-		single := s.single
-		for i := range single {
-			single[i] = 0
-		}
-		h := p.Region.HeadroomInto(s.headS, single)
-		s.headS = h
+		copy(h, s.head0)
 		for single[j] < ub[j] {
 			feas := true
 			for i, row := range p.Region.Coeff {
@@ -316,6 +319,7 @@ func (s *GreedyJABASD) Schedule(p Problem) (Assignment, error) {
 			bestVal = v
 			copy(s.bestM, single)
 		}
+		single[j] = 0
 	}
 	return Assignment{
 		Ratios:    append([]int(nil), s.bestM...),

@@ -16,9 +16,15 @@ import (
 	"testing"
 
 	"jabasd/internal/cellular"
+	"jabasd/internal/channel"
 	"jabasd/internal/checkpoint"
 	"jabasd/internal/fault"
+	"jabasd/internal/load"
+	"jabasd/internal/mac"
+	"jabasd/internal/mobility"
+	"jabasd/internal/rng"
 	"jabasd/internal/trace"
+	"jabasd/internal/traffic"
 )
 
 // ckCapture is an in-memory CheckpointSink: it keeps every emitted blob,
@@ -435,6 +441,90 @@ func TestResumeFreshEngine(t *testing.T) {
 				t.Errorf("resumed fresh engine's metrics differ:\nstraight %+v\nresumed  %+v", want, got)
 			}
 		})
+	}
+}
+
+// TestFreshEngineIdenticalAcrossWorkerCounts gates populate's fan-out: a
+// fresh engine's seeded state — the checkpoint taken before the first frame
+// plus the fast-fading batch, which checkpoints do not store — must be the
+// same at FrameParallel 1, 2 and 7, and the same as the one-user-at-a-time
+// reference construction below. The windowed scenario carries voice users
+// and the map-wide one runs the exact reverse link; both are sized to seed
+// more than one task of data and of voice users.
+func TestFreshEngineIdenticalAcrossWorkerCounts(t *testing.T) {
+	for _, name := range []string{"city-tiled-fast", "seq-exact-reverse"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := resumeScenarios()[name]
+			// At least 7 cells: 70 users make 3 data and 2 voice tasks.
+			cfg.DataUsersPerCell, cfg.VoiceUsersPerCell = 10, 10
+			fresh := func(par int, reference bool) ([]byte, *rng.JakesBatch) {
+				cfg.FrameParallel = par
+				e, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				if reference {
+					e.src = rng.New(cfg.Seed)
+					populateReference(e)
+				}
+				// The config section records the worker count; only the
+				// seeded state is under test.
+				e.cfg.FrameParallel = 1
+				var buf bytes.Buffer
+				if err := e.Checkpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes(), e.fadeB
+			}
+			want, wantFade := fresh(1, true)
+			for _, par := range []int{1, 2, 7} {
+				got, gotFade := fresh(par, false)
+				if !bytes.Equal(got, want) {
+					t.Errorf("FrameParallel=%d: fresh checkpoint differs from the sequential reference", par)
+				}
+				if !reflect.DeepEqual(gotFade, wantFade) {
+					t.Errorf("FrameParallel=%d: fading batch differs from the sequential reference", par)
+				}
+			}
+		})
+	}
+}
+
+// populateReference seeds e's users one at a time in the order every
+// substream is pinned to: cell by cell, the cell's data users and then its
+// voice users, each splitting its parent substream off e.src just before
+// its own splits (mobility 1, fading 2, traffic 3, window slots 10+i).
+func populateReference(e *Engine) {
+	nData := e.layout.NumCells() * e.cfg.DataUsersPerCell
+	e.mobB = mobility.NewWaypointBatch(e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30, nData)
+	e.fadeB = rng.NewJakesBatch(nData, 16, e.cfg.DopplerHz)
+	e.winB = channel.NewWindow(nData, e.spix.Window(), e.cfg.PathLoss, e.cfg.ShadowSigmaDB, e.cfg.ShadowDecorrM)
+	e.users, e.voice = nil, nil
+	uid := 0
+	for c := 0; c < e.layout.NumCells(); c++ {
+		for range e.cfg.DataUsersPerCell {
+			userSrc := e.src.Split(uint64(1000 + uid))
+			e.mobB.SeedUser(uid, userSrc.Split(1))
+			e.fadeB.SeedUser(uid, userSrc.Split(2))
+			dataSrc := userSrc.Split(3)
+			e.winB.SeedUser(uid, userSrc, 10)
+			e.users = append(e.users, &dataUser{
+				id:     uid,
+				gain:   e.winB.GainRow(uid),
+				bucket: -1,
+				source: traffic.NewDataModel(dataSrc, uid, e.cfg.Data),
+				macM:   mac.MustNewMachine(e.cfg.MAC),
+				fch:    load.MakeVec(3),
+			})
+			uid++
+		}
+		for i := range e.cfg.VoiceUsersPerCell {
+			vsrc := e.src.Split(uint64(500000 + c*1000 + i))
+			model := traffic.NewVoiceModel(vsrc.Split(1), 1.0, 1.35)
+			mob := mobility.NewRandomWaypoint(vsrc.Split(2), e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30)
+			e.voice = append(e.voice, &voiceUser{model: model, mob: mob, cell: -1})
+		}
 	}
 }
 

@@ -52,3 +52,25 @@ func BenchmarkCityFrame(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNewEngineCity measures building the city engine: the spatial
+// index's candidate windows and seeding ~123k users, inline (par-1) and
+// with the seeding fanned out over the auto-sized frame pool (par-0).
+// Every build is byte-identical; the ratio of the two times is the
+// set-up's multicore scaling.
+func BenchmarkNewEngineCity(b *testing.B) {
+	for _, par := range []int{1, 0} {
+		b.Run(fmt.Sprintf("par-%d", par), func(b *testing.B) {
+			cfg := cityConfig()
+			cfg.FrameParallel = par
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e, err := NewEngine(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.Close()
+			}
+		})
+	}
+}

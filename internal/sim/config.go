@@ -192,10 +192,11 @@ type Config struct {
 	// without a pool, larger values size the pool, and 0 means auto —
 	// GOMAXPROCS for a single run, but inline when an outer
 	// replication/sweep fan-out already saturates the CPUs (see
-	// ResolveFrameParallel). In both frame modes the pool fans out the
-	// user, voice and burst-rate updates; in snapshot mode it also runs the
-	// solves, one task per cell with queued requests (sequential admission
-	// stays on one worker). It never affects the results.
+	// ResolveFrameParallel). The pool seeds the users when the engine is
+	// built; then, in both frame modes, it fans out the user, voice and
+	// burst-rate updates; in snapshot mode it also runs the solves, one
+	// task per cell with queued requests (sequential admission stays on
+	// one worker). It never affects the results.
 	FrameParallel int
 	// PilotCells is the width of each user's measurement window: the
 	// nearest PilotCells cells of its spatial-grid bucket (see

@@ -165,9 +165,9 @@ type Engine struct {
 	// worker (one without a pool); in sequential mode workers[0] runs
 	// e.scheduler itself and is the only worker admit uses. active lists the
 	// frame's cells with queued requests and grants holds one outcome slot
-	// per active cell. pool is the user-update, burst-rate and
-	// snapshot-solve fan-out (nil when FrameParallel == 1); the snapshot
-	// solve runs one pool task per active cell.
+	// per active cell. pool is the user-seeding (populate), user-update,
+	// burst-rate and snapshot-solve fan-out (nil when FrameParallel == 1);
+	// the snapshot solve runs one pool task per active cell.
 	pool    *stream.Pool
 	workers []*frameWorker
 	active  []int
@@ -371,9 +371,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// initWorkers sets up the pool and its workers. Any FrameParallel but 1
-// starts a pool, in both frame modes: the user, voice and burst-rate
-// updates fan out over it either way, and every worker gets its distance
+// initWorkers sets up the pool and its workers. It runs before populate,
+// which seeds the users over the pool. Any FrameParallel but 1 starts a
+// pool, in both frame modes: the user, voice and burst-rate updates fan
+// out over it either way, and every worker gets its distance
 // row (the inline path uses worker 0's). Sequential admission runs on
 // worker 0 alone, holding e.scheduler itself; the other workers carry no
 // scheduler. Snapshot mode gives every worker its own scheduler clone, and
@@ -433,43 +434,85 @@ func (e *Engine) Close() {
 // Split(2), window slot i's shadowing from Split(10+i) — slot i is cell i
 // on a map-wide window), so the batch kernels reproduce the per-object
 // trajectories bit for bit.
+//
+// Every user owns its substreams, so only the parent splits are ordered:
+// a sequential pass draws each user's parent substream from e.src in the
+// scalar engine's order (cell c's data users, then its voice users), and
+// the seeding from those parents fans out over the frame pool in
+// userChunk/voiceChunk tasks, each writing only its own users' slots. The
+// result is identical for any pool size, and inline without a pool.
 func (e *Engine) populate() {
 	nCells := e.layout.NumCells()
-	nData := nCells * e.cfg.DataUsersPerCell
+	perData, perVoice := e.cfg.DataUsersPerCell, e.cfg.VoiceUsersPerCell
+	nData, nVoice := nCells*perData, nCells*perVoice
 	e.mobB = mobility.NewWaypointBatch(e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30, nData)
 	e.fadeB = rng.NewJakesBatch(nData, 16, e.cfg.DopplerHz)
 	e.winB = channel.NewWindow(nData, e.spix.Window(), e.cfg.PathLoss, e.cfg.ShadowSigmaDB, e.cfg.ShadowDecorrM)
-	uid := 0
+	e.users = make([]*dataUser, nData)
+	e.voice = make([]*voiceUser, nVoice)
+	srcs := make([]rng.Source, nData+nVoice)
+	dataSrcs, voiceSrcs := srcs[:nData], srcs[nData:]
 	for c := 0; c < nCells; c++ {
-		for i := 0; i < e.cfg.DataUsersPerCell; i++ {
-			// Split consumes one parent draw per call, so the split order
-			// below (1, 2, 3, then 10..10+cells) must match the scalar
-			// engine's exactly to keep every substream — and with it the
-			// golden outputs — bit-identical.
-			userSrc := e.src.Split(uint64(1000 + uid))
-			e.mobB.SeedUser(uid, userSrc.Split(1))
-			e.fadeB.SeedUser(uid, userSrc.Split(2))
-			dataSrc := userSrc.Split(3)
-			e.winB.SeedUser(uid, userSrc, 10)
-			u := &dataUser{
-				id:     uid,
-				gain:   e.winB.GainRow(uid),
-				bucket: -1,
-				source: traffic.NewDataModel(dataSrc, uid, e.cfg.Data),
-				macM:   mac.MustNewMachine(e.cfg.MAC),
-				fch:    load.MakeVec(3),
+		for i := 0; i < perData; i++ {
+			uid := c*perData + i
+			e.src.SplitInto(&dataSrcs[uid], uint64(1000+uid))
+		}
+		for i := 0; i < perVoice; i++ {
+			e.src.SplitInto(&voiceSrcs[c*perVoice+i], uint64(500000+c*1000+i))
+		}
+	}
+	dataTasks := tasks(nData, userChunk)
+	seed := func(_, task int) {
+		if task < dataTasks {
+			lo := task * userChunk
+			for uid := lo; uid < min(lo+userChunk, nData); uid++ {
+				e.seedDataUser(uid, &dataSrcs[uid])
 			}
-			e.users = append(e.users, u)
-			uid++
+			return
 		}
-		for i := 0; i < e.cfg.VoiceUsersPerCell; i++ {
-			vsrc := e.src.Split(uint64(500000 + c*1000 + i))
-			e.voice = append(e.voice, &voiceUser{
-				model: traffic.NewVoiceModel(vsrc.Split(1), 1.0, 1.35),
-				mob:   mobility.NewRandomWaypoint(vsrc.Split(2), e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30),
-				cell:  -1,
-			})
+		lo := (task - dataTasks) * voiceChunk
+		for v := lo; v < min(lo+voiceChunk, nVoice); v++ {
+			e.seedVoiceUser(v, &voiceSrcs[v])
 		}
+	}
+	n := dataTasks + tasks(nVoice, voiceChunk)
+	if e.pool == nil {
+		for task := 0; task < n; task++ {
+			seed(0, task)
+		}
+		return
+	}
+	e.pool.Run(n, seed)
+}
+
+// seedDataUser creates data user uid from its parent substream. Split
+// consumes one parent draw per call, so the split order below (1, 2, 3,
+// then 10..10+cells) must match the scalar engine's exactly to keep every
+// substream — and with it the golden outputs — bit-identical.
+func (e *Engine) seedDataUser(uid int, userSrc *rng.Source) {
+	var sub rng.Source
+	userSrc.SplitInto(&sub, 1)
+	e.mobB.SeedUser(uid, &sub)
+	userSrc.SplitInto(&sub, 2)
+	e.fadeB.SeedUser(uid, &sub)
+	dataSrc := userSrc.Split(3)
+	e.winB.SeedUser(uid, userSrc, 10)
+	e.users[uid] = &dataUser{
+		id:     uid,
+		gain:   e.winB.GainRow(uid),
+		bucket: -1,
+		source: traffic.NewDataModel(dataSrc, uid, e.cfg.Data),
+		macM:   mac.MustNewMachine(e.cfg.MAC),
+		fch:    load.MakeVec(3),
+	}
+}
+
+// seedVoiceUser creates voice user v from its parent substream.
+func (e *Engine) seedVoiceUser(v int, vsrc *rng.Source) {
+	e.voice[v] = &voiceUser{
+		model: traffic.NewVoiceModel(vsrc.Split(1), 1.0, 1.35),
+		mob:   mobility.NewRandomWaypoint(vsrc.Split(2), e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30),
+		cell:  -1,
 	}
 }
 

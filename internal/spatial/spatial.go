@@ -4,7 +4,8 @@
 // base stations. The service area is divided into uniform rectangular
 // buckets roughly one inter-site distance wide; each bucket knows the cells
 // whose sites fall inside it and a precomputed list of the K nearest cells
-// to its centre (the pilot candidate window). Nearest-cell queries expand
+// to its centre (the pilot candidate window), selected by a K-bounded
+// insertion rather than a sort of every cell. Nearest-cell queries expand
 // bucket rings outward from the query point and terminate with an exact
 // distance bound, so NearestCell and NearestCellSq return exactly the cell
 // the corresponding cellular.Layout linear scans would, including the
@@ -14,7 +15,7 @@ package spatial
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"jabasd/internal/cellular"
 )
@@ -54,8 +55,10 @@ type Index struct {
 
 // New builds the index for a layout with per-bucket candidate windows of
 // the given size (clamped to the cell count; values < 1 mean every cell).
-// Construction is O(buckets x cells) and is meant to run once at engine
-// start-up.
+// Construction is O(buckets x cells x window) at worst — a window-bounded
+// selection per bucket, not a sort of every cell, so the narrow windows of
+// large maps build in about O(buckets x cells) — and is meant to run once
+// at engine start-up.
 func New(l *cellular.Layout, window int) *Index {
 	cells := l.NumCells()
 	if window < 1 || window > cells {
@@ -124,7 +127,13 @@ func (ix *Index) buildMembers() {
 	}
 }
 
-// buildCandidates precomputes each bucket's window of nearest cells.
+// buildCandidates precomputes each bucket's window of nearest cells. Cells
+// are ranked by the strict total order (distance to the bucket centre, cell
+// index), and a window-bounded insertion keeps the first `window` of them
+// in that order: a cell that cannot enter the window costs one comparison,
+// and one that can costs at most `window` moves, instead of a full sort of
+// every cell. Because the order is total, the kept set and candRadius are
+// exactly those of a full sort.
 func (ix *Index) buildCandidates() {
 	n := ix.nx * ix.ny
 	cells := ix.layout.NumCells()
@@ -133,28 +142,36 @@ func (ix *Index) buildCandidates() {
 		d float64
 		k int32
 	}
-	scratch := make([]distCell, cells)
+	best := make([]distCell, 0, ix.window)
 	for b := 0; b < n; b++ {
 		cx := ix.ox + (float64(b%ix.nx)+0.5)*ix.bw
 		cy := ix.oy + (float64(b/ix.nx)+0.5)*ix.bh
 		centre := cellular.Point{X: cx, Y: cy}
+		best = best[:0]
 		for k := 0; k < cells; k++ {
-			scratch[k] = distCell{d: ix.layout.Distance(centre, k), k: int32(k)}
-		}
-		sort.Slice(scratch, func(i, j int) bool {
-			if scratch[i].d != scratch[j].d {
-				return scratch[i].d < scratch[j].d
+			// Cells arrive in ascending index order, so cell k ranks behind
+			// every kept cell at the same distance: it enters a full window
+			// only when strictly nearer than the last kept cell.
+			d := ix.layout.Distance(centre, k)
+			if len(best) == ix.window {
+				if d >= best[len(best)-1].d {
+					continue
+				}
+				best = best[:len(best)-1]
 			}
-			return scratch[i].k < scratch[j].k
-		})
+			i := len(best)
+			best = append(best, distCell{})
+			for ; i > 0 && best[i-1].d > d; i-- {
+				best[i] = best[i-1]
+			}
+			best[i] = distCell{d: d, k: int32(k)}
+		}
+		ix.candRadius = max(ix.candRadius, best[len(best)-1].d)
 		row := ix.cand[b*ix.window : (b+1)*ix.window]
-		for i := range row {
-			row[i] = scratch[i].k
-			if scratch[i].d > ix.candRadius {
-				ix.candRadius = scratch[i].d
-			}
+		for i, dc := range best {
+			row[i] = dc.k
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 	}
 }
 

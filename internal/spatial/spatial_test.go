@@ -1,6 +1,8 @@
 package spatial
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"jabasd/internal/cellular"
@@ -101,6 +103,53 @@ func TestCandidates(t *testing.T) {
 						t.Fatalf("%s: bucket %d candidates not strictly ascending: %v", l, b, cand)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestCandidatesAreNearest checks the bucketed selection against brute
+// force: every bucket's candidates must be the first `window` cells of a
+// full (distance to the bucket centre, cell index) sort, listed ascending
+// by index, and CandidateRadius must be the farthest of them. The 18-ring
+// wrap-around grid is the city map; hex grids put many cells at exactly the
+// same distance, so the index tie-break decides real windows.
+func TestCandidatesAreNearest(t *testing.T) {
+	layouts := append(testLayouts(), cellular.NewHexLayout(18, 500, true))
+	type distCell struct {
+		d float64
+		k int32
+	}
+	for _, l := range layouts {
+		cells := l.NumCells()
+		for _, window := range []int{1, 3, 7, 24, 0} {
+			ix := New(l, window)
+			w := ix.Window()
+			all := make([]distCell, cells)
+			radius := 0.0
+			for b := 0; b < ix.NumBuckets(); b++ {
+				centre := cellular.Point{
+					X: ix.ox + (float64(b%ix.nx)+0.5)*ix.bw,
+					Y: ix.oy + (float64(b/ix.nx)+0.5)*ix.bh,
+				}
+				for k := range all {
+					all[k] = distCell{d: l.Distance(centre, k), k: int32(k)}
+				}
+				slices.SortFunc(all, func(a, b distCell) int {
+					return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.k, b.k))
+				})
+				want := make([]int32, w)
+				for i := range want {
+					want[i] = all[i].k
+					radius = max(radius, all[i].d)
+				}
+				slices.Sort(want)
+				if got := ix.Candidates(b); !slices.Equal(got, want) {
+					t.Fatalf("%s window=%d bucket %d: candidates %v, brute force %v", l, window, b, got, want)
+				}
+			}
+			if ix.CandidateRadius() != radius {
+				t.Fatalf("%s window=%d: CandidateRadius %v, brute force %v", l, window, ix.CandidateRadius(), radius)
 			}
 		}
 	}
