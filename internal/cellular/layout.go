@@ -32,9 +32,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by f.
 func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
 
-// Norm returns the Euclidean norm of p.
-func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
-
 // BaseStation is one cell site.
 type BaseStation struct {
 	ID       int

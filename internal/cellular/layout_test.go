@@ -102,8 +102,8 @@ func TestNearestCell(t *testing.T) {
 
 func TestPointOps(t *testing.T) {
 	p := Point{3, 4}
-	if p.Norm() != 5 {
-		t.Errorf("Norm = %v", p.Norm())
+	if d := p.Dist(Point{}); d != 5 {
+		t.Errorf("Dist to origin = %v", d)
 	}
 	if q := p.Add(Point{1, 1}); q.X != 4 || q.Y != 5 {
 		t.Errorf("Add = %v", q)

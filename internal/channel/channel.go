@@ -81,11 +81,6 @@ func (s *Shadowing) Advance(distanceM float64) float64 {
 // CurrentDB returns the current shadowing value in dB (0 until first Advance).
 func (s *Shadowing) CurrentDB() float64 { return s.currentDB }
 
-// CurrentGain returns the current linear shadowing gain.
-func (s *Shadowing) CurrentGain() float64 {
-	return math.Pow(10, s.currentDB/10)
-}
-
 // Link models one mobile-to-base-station radio link: path loss, shadowing and
 // fast fading, together with a CSI estimate made available to the transmitter
 // after a feedback delay.

@@ -94,9 +94,6 @@ func TestShadowingCorrelation(t *testing.T) {
 	if s.CurrentDB() != v2 {
 		t.Error("CurrentDB should track last Advance")
 	}
-	if math.Abs(s.CurrentGain()-math.Pow(10, v2/10)) > 1e-12 {
-		t.Error("CurrentGain inconsistent with CurrentDB")
-	}
 }
 
 func TestLinkLongTermGain(t *testing.T) {

@@ -187,16 +187,6 @@ func (w *Writer) Bool(v bool) {
 	w.sect.WriteByte(b)
 }
 
-// Str appends a count-prefixed UTF-8 string. (Named Str, not String, so the
-// matching Reader getter does not accidentally implement fmt.Stringer.)
-func (w *Writer) Str(s string) {
-	w.count(len(s))
-	if w.err != nil {
-		return
-	}
-	w.sect.WriteString(s)
-}
-
 // Bytes appends a count-prefixed byte slice.
 func (w *Writer) Bytes(b []byte) {
 	w.count(len(b))
@@ -233,27 +223,6 @@ func (w *Writer) Ints(xs []int) {
 	w.count(len(xs))
 	for _, x := range xs {
 		w.Int(x)
-	}
-}
-
-// I32s appends a count-prefixed int32 slice.
-func (w *Writer) I32s(xs []int32) {
-	w.count(len(xs))
-	if w.err != nil {
-		return
-	}
-	for _, x := range xs {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(x))
-		w.sect.Write(b[:])
-	}
-}
-
-// U64s appends a count-prefixed uint64 slice.
-func (w *Writer) U64s(xs []uint64) {
-	w.count(len(xs))
-	for _, x := range xs {
-		w.U64(x)
 	}
 }
 
@@ -441,16 +410,6 @@ func (r *Reader) Bool() bool {
 	}
 }
 
-// Str reads a count-prefixed string.
-func (r *Reader) Str() string {
-	n := r.count(1)
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
 // Bytes reads a count-prefixed byte slice (a copy of the payload bytes).
 func (r *Reader) Bytes() []byte {
 	n := r.count(1)
@@ -537,19 +496,6 @@ func (r *Reader) FillI32s(dst []int32) {
 		}
 		dst[i] = int32(binary.LittleEndian.Uint32(b))
 	}
-}
-
-// U64s reads a count-prefixed uint64 slice into a new allocation.
-func (r *Reader) U64s() []uint64 {
-	n := r.count(8)
-	if r.err != nil {
-		return nil
-	}
-	xs := make([]uint64, n)
-	for i := range xs {
-		xs[i] = r.U64()
-	}
-	return xs
 }
 
 // FillBools decodes a boolean slice into dst, length-checked like FillF64s.

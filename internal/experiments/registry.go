@@ -31,8 +31,8 @@ type Experiment struct {
 }
 
 // Registry returns the ordered experiment suite E1-E14. It is the single
-// source of truth consumed by both All and cmd/jabaexp, so the two can never
-// drift apart.
+// source of truth that cmd/jabaexp and experiment job specs select from, so
+// the two can never drift apart.
 func Registry() []Experiment {
 	return []Experiment{
 		{
@@ -113,30 +113,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// All runs every registered experiment at the given scale — concurrently,
-// bounded by GOMAXPROCS — and returns the tables in registry order. Because
-// every generator carries its own deterministic seeds, the output is
-// identical to running the suite sequentially.
-func All(ctx context.Context, s Scale) ([]*report.Table, error) {
-	return RunExperiments(ctx, Registry(), s, 0)
-}
-
-// RunExperiments runs the given experiments with at most parallel of them in
-// flight at once (<= 0 means GOMAXPROCS) and returns their tables in input
-// order. The first failure (in input order) is reported after all in-flight
-// work drains.
-func RunExperiments(ctx context.Context, defs []Experiment, s Scale, parallel int) ([]*report.Table, error) {
-	out := make([]*report.Table, 0, len(defs))
-	err := StreamExperiments(ctx, defs, s, parallel, func(_ int, tbl *report.Table) error {
-		out = append(out, tbl)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // StreamExperiments runs the given experiments concurrently (bounded by

@@ -136,11 +136,11 @@ func TestAllParallelMatchesSequential(t *testing.T) {
 	small := tinyScale
 	small.LoadPoints = []int{3}
 
-	sequential, err := RunExperiments(context.Background(), Registry(), small, 1)
+	sequential, err := collectTables(Registry(), small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := All(context.Background(), small)
+	parallel, err := collectTables(Registry(), small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,4 +160,15 @@ func TestAllParallelMatchesSequential(t *testing.T) {
 				Registry()[i].ID, a.String(), b.String())
 		}
 	}
+}
+
+// collectTables runs defs through StreamExperiments with the given
+// parallelism and returns their tables in input order.
+func collectTables(defs []Experiment, s Scale, parallel int) ([]*report.Table, error) {
+	var out []*report.Table
+	err := StreamExperiments(context.Background(), defs, s, parallel, func(_ int, tbl *report.Table) error {
+		out = append(out, tbl)
+		return nil
+	})
+	return out, err
 }

@@ -200,17 +200,6 @@ func (st *State) AnyDown() bool {
 	return false
 }
 
-// AnyDerated reports whether any cell is degraded (0 < Derate < 1) at the
-// last Advance.
-func (st *State) AnyDerated() bool {
-	for _, d := range st.Derate {
-		if d != 1 && d != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NextLoad returns the next unapplied load event due at or before now and
 // advances the cursor past it; ok is false when none is due. Call in a loop
 // to drain multiple events falling into one frame.

@@ -3,6 +3,7 @@ package fault
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,7 +118,7 @@ func TestStateAdvance(t *testing.T) {
 	if changed := st.Advance(0); changed {
 		t.Fatal("no cell is down at t=0")
 	}
-	if st.AnyDown() || st.AnyDerated() {
+	if st.AnyDown() || slices.ContainsFunc(st.Derate, func(d float64) bool { return d != 1 }) {
 		t.Fatal("healthy state reported faults at t=0")
 	}
 	if changed := st.Advance(10); !changed {
@@ -131,9 +132,6 @@ func TestStateAdvance(t *testing.T) {
 	}
 	if st.Down[2] || st.Derate[2] != 0.5 {
 		t.Fatalf("cell 2 should be derated to 0.5: Down=%v Derate=%v", st.Down, st.Derate)
-	}
-	if !st.AnyDerated() {
-		t.Fatal("AnyDerated missed the derated cell")
 	}
 	if changed := st.Advance(20); !changed {
 		t.Fatal("recovery must report a mask change")

@@ -105,15 +105,6 @@ func (v Vec) AddTo(dst []float64) {
 	}
 }
 
-// Sum returns the total of all values.
-func (v Vec) Sum() float64 {
-	t := 0.0
-	for _, x := range v.vals {
-		t += x
-	}
-	return t
-}
-
 // Ledger is the dense per-cell accumulator for one frame's resource use:
 // forward-link transmit power or reverse-link received power, indexed by
 // cell. It is allocated once per engine and refilled every frame.

@@ -170,13 +170,5 @@ func (m *Machine) SetupDelayNow(now float64) float64 {
 	return m.cfg.SetupDelay(now - m.idleSince)
 }
 
-// IdleTime returns how long the user has been idle at time now.
-func (m *Machine) IdleTime(now float64) float64 {
-	if now < m.idleSince {
-		return 0
-	}
-	return now - m.idleSince
-}
-
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }

@@ -111,21 +111,18 @@ func TestMachineLifecycle(t *testing.T) {
 	if d := m.SetupDelayNow(15); d != 1.0 {
 		t.Errorf("SetupDelayNow = %v, want 1.0", d)
 	}
-	if m.IdleTime(15) != 15 {
-		t.Errorf("IdleTime = %v", m.IdleTime(15))
+	if m.idleSince != 0 {
+		t.Errorf("idle since %v, want 0", m.idleSince)
 	}
 	// Activity resets everything.
 	m.Touch(20)
-	if m.State() != Active || m.SetupDelayNow(20.5) != 0 || m.IdleTime(20.5) != 0.5 {
+	if m.State() != Active || m.SetupDelayNow(20.5) != 0 || m.idleSince != 20 {
 		t.Error("Touch should reset idle timer and state")
 	}
 	// Time running backwards is ignored.
 	st := m.State()
 	if got := m.AdvanceTo(19); got != st {
 		t.Error("backwards time should not change state")
-	}
-	if m.IdleTime(10) != 0 {
-		t.Error("IdleTime before idleSince should be 0")
 	}
 	if m.SetupDelayNow(10) != 0 {
 		t.Error("SetupDelayNow before idleSince should be 0")

@@ -54,17 +54,6 @@ func Clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// ClampInt restricts v to the closed interval [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // AlmostEqual reports whether a and b are equal within both an absolute and a
 // relative tolerance of tol. It treats NaN as never equal and infinities as
 // equal only when identical.

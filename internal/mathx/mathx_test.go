@@ -84,15 +84,6 @@ func TestClamp(t *testing.T) {
 	if got := Clamp(2, 0, 3); got != 2 {
 		t.Errorf("Clamp(2,0,3) = %v", got)
 	}
-	if got := ClampInt(7, 1, 5); got != 5 {
-		t.Errorf("ClampInt(7,1,5) = %v", got)
-	}
-	if got := ClampInt(-7, 1, 5); got != 1 {
-		t.Errorf("ClampInt(-7,1,5) = %v", got)
-	}
-	if got := ClampInt(3, 1, 5); got != 3 {
-		t.Errorf("ClampInt(3,1,5) = %v", got)
-	}
 }
 
 func TestClampProperty(t *testing.T) {

@@ -64,9 +64,6 @@ func (ir *IncrementalRegions) Stats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// Invalidate drops cell k's cache entry.
-func (ir *IncrementalRegions) Invalidate(k int) { ir.cells[k].valid = false }
-
 // reusable reports whether cell k's cache can serve the request set: same
 // users in order, each at the same measurement version as at build time.
 func (c *regionCache) reusable(userOf func(i int) (id int, ver uint64), n int) bool {

@@ -22,8 +22,8 @@ func TestForwardRegionSingleCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if region.NumConstraints() != 1 {
-		t.Fatalf("constraints = %d, want 1", region.NumConstraints())
+	if len(region.Coeff) != 1 {
+		t.Fatalf("constraints = %d, want 1", len(region.Coeff))
 	}
 	// a_{jk} = γs * P_jk * α_j.
 	wantRow := []float64{1.25 * 0.5 * 1, 1.25 * 1.0 * 1.2}
@@ -50,8 +50,8 @@ func TestForwardRegionSoftHandoffTwoCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if region.NumConstraints() != 2 {
-		t.Fatalf("constraints = %d, want 2", region.NumConstraints())
+	if len(region.Coeff) != 2 {
+		t.Fatalf("constraints = %d, want 2", len(region.Coeff))
 	}
 	// Cell 1 has only 5 units of headroom: m <= 5/2.
 	if !region.Feasible([]int{2}) {
@@ -113,7 +113,7 @@ func TestForwardRegionEmptyRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if region.NumConstraints() != 0 {
+	if len(region.Coeff) != 0 {
 		t.Error("no requests should produce no constraints")
 	}
 	if !region.Feasible(nil) {
@@ -177,8 +177,8 @@ func TestReverseRegionSoftHandoffCoefficients(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rows for cells 0 and 1 (both soft hand-off); no other cells involved.
-	if region.NumConstraints() != 2 {
-		t.Fatalf("constraints = %d, want 2", region.NumConstraints())
+	if len(region.Coeff) != 2 {
+		t.Fatalf("constraints = %d, want 2", len(region.Coeff))
 	}
 	// Equation (12): b_{j,k} = γs * α * ζ * t^{RL}_{j,k} * L_k.
 	want0 := 1.25 * 1 * 4 * 0.02 * 2.0
@@ -209,8 +209,8 @@ func TestReverseRegionNeighbourProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if region.NumConstraints() != 2 {
-		t.Fatalf("constraints = %d (cells %v), want 2", region.NumConstraints(), region.Cells)
+	if len(region.Coeff) != 2 {
+		t.Fatalf("constraints = %d (cells %v), want 2", len(region.Coeff), region.Cells)
 	}
 	// Host-cell FCH received power: ζ t L = 4*0.02*2 = 0.16.
 	// Neighbour projection (eq. 15): γs*α*X_host*(fp_k'/fp_host)*κ
@@ -342,7 +342,7 @@ func TestReverseRegionNoSCRMHostPilotSkipsProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the host soft hand-off row should exist; projection impossible.
-	if region.NumConstraints() != 1 || region.Cells[0] != 0 {
+	if len(region.Coeff) != 1 || region.Cells[0] != 0 {
 		t.Errorf("expected only the host row, got cells %v", region.Cells)
 	}
 }
@@ -397,7 +397,7 @@ func TestMerge(t *testing.T) {
 	a := Region{Coeff: [][]float64{{1}}, Bound: []float64{2}, Cells: []int{0}}
 	b := Region{Coeff: [][]float64{{3}}, Bound: []float64{4}, Cells: []int{1}}
 	m := Merge(a, b)
-	if m.NumConstraints() != 2 || m.Bound[1] != 4 || m.Coeff[1][0] != 3 || m.Cells[1] != 1 {
+	if len(m.Coeff) != 2 || m.Bound[1] != 4 || m.Coeff[1][0] != 3 || m.Cells[1] != 1 {
 		t.Errorf("Merge = %+v", m)
 	}
 }

@@ -11,9 +11,6 @@ type Region struct {
 	Cells []int // which cell produced each row (useful for reporting)
 }
 
-// NumConstraints returns the number of rows in the region.
-func (r Region) NumConstraints() int { return len(r.Coeff) }
-
 // Feasible reports whether the integer assignment m satisfies the region.
 func (r Region) Feasible(m []int) bool {
 	for i, row := range r.Coeff {

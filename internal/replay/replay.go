@@ -219,14 +219,3 @@ func WriteGrantsCSV(w io.Writer, problems []*Problem, assignments []core.Assignm
 	_, err := w.Write(sb.Bytes())
 	return err
 }
-
-// RecordedAssignments converts the ratios stored in the trace back into
-// assignments, for diffing a replay against the original decisions with
-// the same WriteGrantsCSV shape.
-func RecordedAssignments(problems []*Problem) []core.Assignment {
-	out := make([]core.Assignment, len(problems))
-	for i, p := range problems {
-		out[i] = core.Assignment{Ratios: p.Ratios}
-	}
-	return out
-}

@@ -12,7 +12,6 @@ import "math"
 // returned by PowerAt has unit mean so it can multiply the long-term
 // (path loss x shadowing) gain directly.
 type Jakes struct {
-	fd        float64 // maximum Doppler frequency in Hz
 	phases    []float64
 	dopplers  []float64
 	phasesQ   []float64
@@ -27,7 +26,6 @@ func NewJakes(src *Source, n int, fd float64) *Jakes {
 		n = 8
 	}
 	j := &Jakes{
-		fd:        fd,
 		phases:    make([]float64, n),
 		dopplers:  make([]float64, n),
 		phasesQ:   make([]float64, n),
@@ -44,9 +42,6 @@ func NewJakes(src *Source, n int, fd float64) *Jakes {
 	}
 	return j
 }
-
-// Doppler returns the maximum Doppler frequency of the process in Hz.
-func (j *Jakes) Doppler() float64 { return j.fd }
 
 // GainAt returns the complex channel gain (in-phase, quadrature) at time t
 // seconds. Each component is approximately Gaussian with variance 1/2 so the
@@ -65,9 +60,4 @@ func (j *Jakes) GainAt(t float64) (i, q float64) {
 func (j *Jakes) PowerAt(t float64) float64 {
 	i, q := j.GainAt(t)
 	return i*i + q*q
-}
-
-// EnvelopeAt returns |h(t)|, the Rayleigh-distributed envelope.
-func (j *Jakes) EnvelopeAt(t float64) float64 {
-	return math.Sqrt(j.PowerAt(t))
 }

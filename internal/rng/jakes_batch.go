@@ -39,9 +39,6 @@ func NewJakesBatch(users, n int, fd float64) *JakesBatch {
 	}
 }
 
-// Doppler returns the maximum Doppler frequency of the processes in Hz.
-func (b *JakesBatch) Doppler() float64 { return b.fd }
-
 // SeedUser draws user u's oscillator parameters from src in exactly the
 // order NewJakes would, so a batch seeded from the same substreams
 // reproduces the per-user generators bit for bit.

@@ -46,8 +46,8 @@ func TestJakesBatchOscillatorPromotion(t *testing.T) {
 	if b.n != 8 {
 		t.Fatalf("oscillators = %d, want 8", b.n)
 	}
-	if b.Doppler() != 10 {
-		t.Fatalf("Doppler = %v, want 10", b.Doppler())
+	if b.fd != 10 {
+		t.Fatalf("Doppler = %v, want 10", b.fd)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package rng provides a deterministic, splittable pseudo random number
 // generator and the distributions required by the JABA-SD dynamic simulator:
-// uniform, Gaussian, lognormal shadowing, exponential, Rayleigh fading
-// envelopes, Pareto burst sizes and Poisson arrivals.
+// uniform, Bernoulli, Gaussian (Box-Muller and a ziggurat sampler, the
+// shadowing innovations), exponential, Rayleigh fading power, Pareto burst
+// sizes, and Jakes sum-of-sinusoids fast fading (Jakes, JakesBatch).
 //
 // The generator is xoshiro256** seeded via splitmix64. Each simulated entity
 // (user, cell, traffic source) obtains its own independent substream through
@@ -150,26 +151,12 @@ func (r *Source) StdNormal() float64 {
 	return z0
 }
 
-// LogNormalDB returns a lognormal shadowing gain (linear scale) whose
-// decibel value is Gaussian with the given mean and standard deviation in dB.
-// This is the standard model for long-term shadowing.
-func (r *Source) LogNormalDB(meanDB, sigmaDB float64) float64 {
-	return math.Pow(10, r.Normal(meanDB, sigmaDB)/10)
-}
-
 // Exponential returns an exponential variate with the given mean (> 0).
 func (r *Source) Exponential(mean float64) float64 {
 	if mean <= 0 {
 		panic("rng: Exponential with non-positive mean")
 	}
 	return -mean * math.Log(r.Float64Open())
-}
-
-// Rayleigh returns a Rayleigh-distributed envelope with scale sigma, i.e. the
-// magnitude of a complex Gaussian with per-component standard deviation
-// sigma. The mean power (second moment) is 2*sigma^2.
-func (r *Source) Rayleigh(sigma float64) float64 {
-	return sigma * math.Sqrt(-2*math.Log(r.Float64Open()))
 }
 
 // RayleighPower returns an exponentially distributed power gain with unit
@@ -200,31 +187,6 @@ func (r *Source) BoundedPareto(alpha, xm, cap float64) float64 {
 		}
 	}
 	return cap
-}
-
-// Poisson returns a Poisson variate with the given mean using Knuth's
-// algorithm for small means and a normal approximation for large means.
-func (r *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		v := r.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Shuffle permutes the first n indices in place via swap, using the

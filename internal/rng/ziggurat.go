@@ -83,9 +83,3 @@ func (r *Source) StdNormalFast() float64 {
 		}
 	}
 }
-
-// NormalFast returns a Gaussian variate with the given mean and standard
-// deviation using the ziggurat sampler.
-func (r *Source) NormalFast(mean, stddev float64) float64 {
-	return mean + stddev*r.StdNormalFast()
-}

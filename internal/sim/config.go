@@ -189,7 +189,8 @@ type Config struct {
 	// means sequential.
 	FrameMode FrameMode
 	// FrameParallel sizes the frame worker pool: 1 runs every frame inline
-	// without a pool, larger values size the pool, and 0 means auto —
+	// (the nil inline pool runs the same tasks in order on the caller),
+	// larger values size the pool, and 0 means auto —
 	// GOMAXPROCS for a single run, but inline when an outer
 	// replication/sweep fan-out already saturates the CPUs (see
 	// ResolveFrameParallel). The pool seeds the users when the engine is

@@ -166,8 +166,9 @@ type Engine struct {
 	// e.scheduler itself and is the only worker admit uses. active lists the
 	// frame's cells with queued requests and grants holds one outcome slot
 	// per active cell. pool is the user-seeding (populate), user-update,
-	// burst-rate and snapshot-solve fan-out (nil when FrameParallel == 1);
-	// the snapshot solve runs one pool task per active cell.
+	// burst-rate and snapshot-solve fan-out; it is nil, the inline pool that
+	// runs every task on the caller as worker 0, when FrameParallel == 1.
+	// The snapshot solve runs one pool task per active cell.
 	pool    *stream.Pool
 	workers []*frameWorker
 	active  []int
@@ -375,12 +376,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 // which seeds the users over the pool. Any FrameParallel but 1 starts a
 // pool, in both frame modes: the user, voice and burst-rate updates fan
 // out over it either way, and every worker gets its distance
-// row (the inline path uses worker 0's). Sequential admission runs on
-// worker 0 alone, holding e.scheduler itself; the other workers carry no
-// scheduler. Snapshot mode gives every worker its own scheduler clone, and
-// FrameParallel == 1 (no pool, no goroutines) still runs the snapshot
-// semantics through worker 0, so the output is identical to any other
-// worker count.
+// row. Sequential admission runs on worker 0 alone, holding e.scheduler
+// itself; the other workers carry no scheduler. Snapshot mode gives every
+// worker its own scheduler clone, and FrameParallel == 1 (the nil inline
+// pool, no goroutines) still runs the snapshot semantics through worker 0,
+// so the output is identical to any other worker count.
 func (e *Engine) initWorkers() error {
 	n := e.layout.NumCells()
 	e.active = make([]int, 0, n)
@@ -393,17 +393,15 @@ func (e *Engine) initWorkers() error {
 			return fmt.Errorf("sim: scheduler %s does not implement core.Cloner, required by the snapshot frame mode (one independent instance per worker)", e.scheduler.Name())
 		}
 	}
-	workers := 1
 	if e.cfg.FrameParallel != 1 {
 		e.pool = stream.NewPool(e.cfg.FrameParallel)
-		workers = e.pool.Workers()
-		e.voiceTask = e.advanceVoiceChunk
-		e.userTask = e.updateUserChunk
-		e.rateTask = e.rateBurstChunk
-		e.solveTask = e.solveTaskCells
 	}
+	e.voiceTask = e.advanceVoiceChunk
+	e.userTask = e.updateUserChunk
+	e.rateTask = e.rateBurstChunk
+	e.solveTask = e.solveTaskCells
 	width := e.spix.Window()
-	e.workers = make([]*frameWorker, workers)
+	e.workers = make([]*frameWorker, e.pool.Workers())
 	for i := range e.workers {
 		fw := &frameWorker{dist: make([]float64, width)}
 		if snapshot {
@@ -418,14 +416,12 @@ func (e *Engine) initWorkers() error {
 	return nil
 }
 
-// Close releases the worker pool, if any. Run closes the engine when it
-// finishes; tests that drive step() directly should defer Close themselves.
-// Closing is idempotent and a closed engine falls back to the inline path.
+// Close releases the worker pool. Run closes the engine when it finishes;
+// tests that drive step() directly should defer Close themselves. Closing is
+// idempotent and a closed engine falls back to the inline pool.
 func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
+	e.pool.Close()
+	e.pool = nil
 }
 
 // populate creates the data and voice users. The data users' physics state
@@ -440,7 +436,7 @@ func (e *Engine) Close() {
 // scalar engine's order (cell c's data users, then its voice users), and
 // the seeding from those parents fans out over the frame pool in
 // userChunk/voiceChunk tasks, each writing only its own users' slots. The
-// result is identical for any pool size, and inline without a pool.
+// result is identical for any pool size, the inline pool included.
 func (e *Engine) populate() {
 	nCells := e.layout.NumCells()
 	perData, perVoice := e.cfg.DataUsersPerCell, e.cfg.VoiceUsersPerCell
@@ -475,14 +471,7 @@ func (e *Engine) populate() {
 			e.seedVoiceUser(v, &voiceSrcs[v])
 		}
 	}
-	n := dataTasks + tasks(nVoice, voiceChunk)
-	if e.pool == nil {
-		for task := 0; task < n; task++ {
-			seed(0, task)
-		}
-		return
-	}
-	e.pool.Run(n, seed)
+	e.pool.Run(dataTasks+tasks(nVoice, voiceChunk), seed)
 }
 
 // seedDataUser creates data user uid from its parent substream. Split
@@ -592,16 +581,10 @@ func tasks(n, size int) int { return (n + size - 1) / size }
 
 // updateVoice advances voice activity and positions by one frame. Each
 // voice user's new state is a pure function of its own previous state, so
-// with a worker pool the loop fans out in chunks (a city preset carries tens
-// of thousands of voice users) and the result is identical to the
-// sequential loop.
+// the loop fans out over the pool in chunks (a city preset carries tens of
+// thousands of voice users) and the result is identical for any worker
+// count.
 func (e *Engine) updateVoice() {
-	if e.pool == nil {
-		for _, v := range e.voice {
-			e.advanceVoice(v, e.cfg.FrameLength)
-		}
-		return
-	}
 	e.pool.Run(tasks(len(e.voice), voiceChunk), e.voiceTask)
 }
 
@@ -643,16 +626,9 @@ func (e *Engine) advanceVoice(v *voiceUser, dt float64) {
 // updateUsers advances mobility, channel state, pilot sets and MAC state for
 // every data user by one frame. Each user's new state is a pure function of
 // its own previous state (own mobility model, own fading and shadowing
-// streams), so with a worker pool the updates fan out in chunks, in either
-// frame mode, and the result is identical to the sequential loop.
+// streams), so the updates fan out over the pool in chunks, in either frame
+// mode, and the result is identical for any worker count.
 func (e *Engine) updateUsers() {
-	if e.pool == nil {
-		dist := e.workers[0].dist
-		for _, u := range e.users {
-			e.updateUser(u, e.cfg.FrameLength, dist)
-		}
-		return
-	}
 	e.pool.Run(tasks(len(e.users), userChunk), e.userTask)
 }
 
@@ -682,36 +658,27 @@ func (e *Engine) generateTraffic(dt float64) {
 }
 
 // accumulateLoads recomputes the per-cell resource ledger for this frame
-// from the background (voice + FCH) channels and the ongoing bursts.
+// from the background (voice + FCH) channels and the ongoing bursts. The
+// forward link starts every cell at its common-channel overhead and charges
+// each talking voice user a voice channel's power. The reverse link is
+// tracked in rise-over-thermal units: the noise floor contributes 1, the
+// budget is ReverseRiseLimit, and a talking voice user raises its serving
+// cell by a fixed share of that budget.
 func (e *Engine) accumulateLoads() {
-	switch e.cfg.Direction {
-	case Forward:
-		e.loads.Fill(e.cfg.CommonOverheadFrac * e.cfg.MaxCellPowerW)
-		for _, v := range e.voice {
-			// cell < 0 is the pre-first-frame sentinel; step() always runs
-			// updateVoice before the loads are accumulated.
-			if v.model.Active() && v.cell >= 0 {
-				e.loads.Add(v.cell, e.cfg.VoiceChannelW)
-			}
+	base, voiceShare := e.cfg.CommonOverheadFrac*e.cfg.MaxCellPowerW, e.cfg.VoiceChannelW
+	if e.cfg.Direction == Reverse {
+		base, voiceShare = 1, (e.cfg.ReverseRiseLimit-1)/40
+	}
+	e.loads.Fill(base)
+	for _, v := range e.voice {
+		// cell < 0 is the pre-first-frame sentinel; step() always runs
+		// updateVoice before the loads are accumulated.
+		if v.model.Active() && v.cell >= 0 {
+			e.loads.Add(v.cell, voiceShare)
 		}
-		for _, u := range e.users {
-			e.loads.AddVec(u.fch)
-		}
-	case Reverse:
-		// Reverse-link quantities are tracked in rise-over-thermal units:
-		// the noise floor contributes 1 and the budget is ReverseRiseLimit.
-		e.loads.Fill(1)
-		// Voice users raise the reverse interference of their serving cell by
-		// a fixed per-user share of the budget while talking.
-		voiceShare := (e.cfg.ReverseRiseLimit - 1) / 40
-		for _, v := range e.voice {
-			if v.model.Active() && v.cell >= 0 {
-				e.loads.Add(v.cell, voiceShare)
-			}
-		}
-		for _, u := range e.users {
-			e.loads.AddVec(u.fch)
-		}
+	}
+	for _, u := range e.users {
+		e.loads.AddVec(u.fch)
 	}
 	// Ongoing bursts occupy the resource they were granted.
 	for _, b := range e.bursts {
@@ -757,25 +724,17 @@ func (e *Engine) serveBursts(dt float64) {
 
 // burstRates sets bp on every burst past its set-up delay. A burst's rate is
 // a pure function of its user's mean CSI (fixed by updateUsers) and the
-// user's fast fading at e.now, so with a worker pool the pass fans out in
-// chunks and the result is identical to the sequential loop.
+// user's fast fading at e.now, so the pass fans out over the pool in chunks
+// and the result is identical for any worker count.
 func (e *Engine) burstRates() {
-	if e.pool == nil {
-		e.rateBursts(e.bursts)
-		return
-	}
 	e.pool.Run(tasks(len(e.bursts), burstChunk), e.rateTask)
 }
 
-// rateBurstChunk is burstRates' pool task.
+// rateBurstChunk is burstRates' pool task: it evaluates the instantaneous
+// VTAOC throughput, which rides the fast fading, for the task's bursts that
+// are past their set-up delay.
 func (e *Engine) rateBurstChunk(_, task int) {
-	e.rateBursts(chunk(e.bursts, task, burstChunk))
-}
-
-// rateBursts evaluates the instantaneous VTAOC throughput, which rides the
-// fast fading, for the bursts in bs that are past their set-up delay.
-func (e *Engine) rateBursts(bs []*burst) {
-	for _, b := range bs {
+	for _, b := range chunk(e.bursts, task, burstChunk) {
 		if b.setupRemaining > 0 {
 			continue
 		}
@@ -849,23 +808,17 @@ func (e *Engine) admit() {
 	if len(e.active) == 0 {
 		return
 	}
-	// Sequential mode: the commits below mutate this storage in place.
-	// Snapshot mode: immutable until the commit loop.
-	loads := e.loads.Values()
 	if e.cfg.FrameMode.normalize() != FrameSnapshot {
+		// The commits mutate the ledger storage in place, so each cell
+		// solves against the grants of the cells before it.
+		loads := e.loads.Values()
 		for i, k := range e.active {
 			e.solveSlot(e.workers[0], &e.grants[i], k, loads)
 			e.commitSlot(&e.grants[i])
 		}
 		return
 	}
-	if e.pool == nil {
-		for i, k := range e.active {
-			e.solveSlot(e.workers[0], &e.grants[i], k, loads)
-		}
-	} else {
-		e.pool.Run(len(e.active), e.solveTask)
-	}
+	e.pool.Run(len(e.active), e.solveTask)
 	for i := range e.active {
 		e.commitSlot(&e.grants[i])
 	}
@@ -1184,15 +1137,22 @@ func (e *Engine) commitCell(k int, queue *traffic.Queue, users []*dataUser, rati
 	}
 }
 
+// budget is a cell's nominal resource budget in the configured direction's
+// ledger units: transmit power (W) on the forward link, rise over thermal on
+// the reverse link. Cell loads are reported as a fraction of it.
+func (e *Engine) budget() float64 {
+	if e.cfg.Direction == Reverse {
+		return e.cfg.ReverseRiseLimit
+	}
+	return e.cfg.MaxCellPowerW
+}
+
 // collect records per-frame statistics.
 func (e *Engine) collect() {
 	if e.now < e.cfg.WarmupTime {
 		return
 	}
-	budget := e.cfg.MaxCellPowerW
-	if e.cfg.Direction == Reverse {
-		budget = e.cfg.ReverseRiseLimit
-	}
+	budget := e.budget()
 	for k := 0; k < e.layout.NumCells(); k++ {
 		e.metrics.CellLoad.Add(mathx.Clamp(e.loads.Get(k)/budget, 0, 2))
 	}
@@ -1214,10 +1174,7 @@ func (e *Engine) emitTrace() {
 	for _, b := range e.bursts {
 		e.traceCells[b.user.queuedCell].active++
 	}
-	budget := e.cfg.MaxCellPowerW
-	if e.cfg.Direction == Reverse {
-		budget = e.cfg.ReverseRiseLimit
-	}
+	budget := e.budget()
 	for k := range e.traceCells {
 		tc := &e.traceCells[k]
 		solve := tc.solve

@@ -170,7 +170,10 @@ func TestAccumulateLoadsForwardIncludesOverheadAndFCH(t *testing.T) {
 		sumLoad += l
 	}
 	for _, u := range e.users {
-		sumFCH += u.fch.Sum()
+		for i := 0; i < u.fch.Len(); i++ {
+			_, x := u.fch.At(i)
+			sumFCH += x
+		}
 	}
 	if sumLoad < minOverhead*float64(e.loads.NumCells())+sumFCH-1e-9 {
 		t.Error("per-cell loads do not account for all FCH power")

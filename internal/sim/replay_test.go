@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"jabasd/internal/core"
 	"jabasd/internal/replay"
 )
 
@@ -131,8 +132,12 @@ func TestReplayCounterfactual(t *testing.T) {
 			t.Fatalf("frame %d cell %d: ragged recording", p.Frame, p.Cell)
 		}
 	}
+	recorded := make([]core.Assignment, len(problems))
+	for i, p := range problems {
+		recorded[i] = core.Assignment{Ratios: p.Ratios}
+	}
 	var recCSV, cfCSV bytes.Buffer
-	if err := replay.WriteGrantsCSV(&recCSV, problems, replay.RecordedAssignments(problems)); err != nil {
+	if err := replay.WriteGrantsCSV(&recCSV, problems, recorded); err != nil {
 		t.Fatal(err)
 	}
 	if err := replay.WriteGrantsCSV(&cfCSV, problems, counter); err != nil {

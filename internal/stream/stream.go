@@ -89,6 +89,10 @@ func Ordered(n, parallel int, run func(i int) error, emit func(i int) error) err
 // output must make each task's result independent of which worker ran it.
 // Run blocks until every task finished. A Pool is not safe for concurrent
 // Run calls. Close releases the workers; the Pool is unusable afterwards.
+//
+// A nil *Pool is the inline pool: Run executes every task in order on the
+// caller as worker 0, Workers is 1 and Close does nothing. Callers hold one
+// fan-out path and pass nil where they want no goroutines.
 type Pool struct {
 	wake []chan *poolBatch
 	cur  poolBatch // reused across Run calls so the steady state does not allocate
@@ -128,20 +132,25 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the number of workers in the pool.
-func (p *Pool) Workers() int { return len(p.wake) }
+// Workers returns the number of workers in the pool: 1 for the inline pool.
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return len(p.wake)
+}
 
 // Run executes fn(worker, task) for every task in [0, n), fanning the tasks
 // out over the pool's workers, and returns once all have finished. The
 // worker argument identifies which worker's scratch state the task may use.
 // A single task runs inline on the caller as worker 0: waking the pool would
-// cost more than the task.
+// cost more than the task. The inline (nil) pool runs every task that way,
+// in task order.
 func (p *Pool) Run(n int, fn func(worker, task int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 {
-		fn(0, 0)
+	if p == nil || n <= 1 {
+		for i := range n {
+			fn(0, i)
+		}
 		return
 	}
 	b := &p.cur
@@ -157,8 +166,12 @@ func (p *Pool) Run(n int, fn func(worker, task int)) {
 }
 
 // Close stops the pool's workers. It must not be called while a Run is in
-// flight, and the Pool must not be used afterwards.
+// flight, and the Pool must not be used afterwards. Closing the inline pool
+// does nothing.
 func (p *Pool) Close() {
+	if p == nil {
+		return
+	}
 	for _, ch := range p.wake {
 		close(ch)
 	}

@@ -257,6 +257,35 @@ func TestPoolRunsSingleTaskInline(t *testing.T) {
 	}
 }
 
+// TestNilPoolRunsInline pins the inline pool: a nil *Pool runs every task
+// exactly once, in task order, on the calling goroutine as worker 0, reports
+// one worker, and closes without panicking.
+func TestNilPoolRunsInline(t *testing.T) {
+	var p *Pool
+	if w := p.Workers(); w != 1 {
+		t.Errorf("nil pool Workers() = %d, want 1", w)
+	}
+	caller := goroutineID()
+	for _, n := range []int{0, 1, 5} {
+		var tasks []int
+		p.Run(n, func(w, task int) {
+			if g := goroutineID(); g != caller || w != 0 {
+				t.Errorf("Run(%d) task %d ran on goroutine %d as worker %d, want %d as worker 0", n, task, g, w, caller)
+			}
+			tasks = append(tasks, task)
+		})
+		if len(tasks) != n {
+			t.Fatalf("Run(%d) ran %d tasks (%v)", n, len(tasks), tasks)
+		}
+		for i, task := range tasks {
+			if task != i {
+				t.Fatalf("Run(%d) ran tasks %v, want 0..%d in order", n, tasks, n-1)
+			}
+		}
+	}
+	p.Close()
+}
+
 // goroutineID parses the running goroutine's id from its stack header
 // ("goroutine N [running]:").
 func goroutineID() int {

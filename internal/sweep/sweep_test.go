@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"jabasd/internal/core"
+	"jabasd/internal/report"
 	"jabasd/internal/scenario"
 	"jabasd/internal/sim"
 )
@@ -158,7 +159,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		if err := CurveTable(g, results).WriteCSV(&sb); err != nil {
+		if err := curveTable(g, results).WriteCSV(&sb); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()
@@ -286,7 +287,7 @@ func TestPaperLoadSweepEndToEnd(t *testing.T) {
 	if len(results) != want {
 		t.Fatalf("got %d results, want %d", len(results), want)
 	}
-	tbl := CurveTable(g, results)
+	tbl := curveTable(g, results)
 	if tbl.NumRows() != want {
 		t.Fatalf("curve table has %d rows, want %d", tbl.NumRows(), want)
 	}
@@ -325,4 +326,14 @@ func TestAxesListing(t *testing.T) {
 			t.Errorf("axis line %q does not describe %q", line, names[i])
 		}
 	}
+}
+
+// curveTable renders sweep results as a complete curve table, one row per
+// grid point, the way jabasweep streams it.
+func curveTable(g Grid, results []Result) *report.Table {
+	tbl := NewCurveTable(g)
+	for _, r := range results {
+		AppendCurveRow(tbl, r)
+	}
+	return tbl
 }

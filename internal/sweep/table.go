@@ -52,13 +52,3 @@ func AppendCurveRow(tbl *report.Table, r Result) []string {
 	tbl.AddRow(row...)
 	return tbl.Rows[len(tbl.Rows)-1]
 }
-
-// CurveTable renders sweep results as a complete curve table, one row per
-// grid point.
-func CurveTable(g Grid, results []Result) *report.Table {
-	tbl := NewCurveTable(g)
-	for _, r := range results {
-		AppendCurveRow(tbl, r)
-	}
-	return tbl
-}

@@ -32,14 +32,6 @@ func (q *Queue) Len() int { return len(q.items) }
 // requests out.
 func (q *Queue) Items() []*BurstRequest { return q.items }
 
-// Peek returns the oldest request or nil.
-func (q *Queue) Peek() *BurstRequest {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
-}
-
 // Remove deletes the given request (by pointer identity) from the queue and
 // reports whether it was present.
 func (q *Queue) Remove(r *BurstRequest) bool {

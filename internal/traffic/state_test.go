@@ -87,7 +87,7 @@ func TestDataModelStateRoundTrip(t *testing.T) {
 				t.Fatalf("phase %d: pending request diverged: %+v vs %+v", phase, rp, op)
 			}
 		}
-		if orig.Generated() != restored.Generated() {
+		if orig.generated != restored.generated {
 			t.Fatalf("phase %d: generated count diverged", phase)
 		}
 		if orig.Pending() != nil {

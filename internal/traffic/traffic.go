@@ -53,9 +53,6 @@ func (v *VoiceModel) scheduleNext() {
 	}
 }
 
-// ActivityFactor returns the long-run fraction of time the source is on.
-func (v *VoiceModel) ActivityFactor() float64 { return v.activityRatio }
-
 // Active reports whether the source is currently in a talk spurt.
 func (v *VoiceModel) Active() bool { return v.activityOn }
 
@@ -141,9 +138,6 @@ func (d *DataModel) UserID() int { return d.userID }
 
 // Pending returns the outstanding burst request, or nil.
 func (d *DataModel) Pending() *BurstRequest { return d.pending }
-
-// Generated returns how many requests this source has issued.
-func (d *DataModel) Generated() int64 { return d.generated }
 
 // Advance moves the source forward by dt seconds ending at absolute time
 // now. If a new burst request is issued during the interval it is returned,

@@ -11,8 +11,8 @@ func TestVoiceActivityFactor(t *testing.T) {
 	src := rng.New(1)
 	v := NewVoiceModel(src, 1.0, 1.35)
 	want := 1.0 / 2.35
-	if math.Abs(v.ActivityFactor()-want) > 1e-12 {
-		t.Errorf("ActivityFactor = %v, want %v", v.ActivityFactor(), want)
+	if math.Abs(v.activityRatio-want) > 1e-12 {
+		t.Errorf("activity ratio = %v, want %v", v.activityRatio, want)
 	}
 	// Long-run fraction of active time should approach the activity factor.
 	active := 0
@@ -75,8 +75,8 @@ func TestDataModelIssuesRequests(t *testing.T) {
 	if d.Pending() != req {
 		t.Error("Pending should return the outstanding request")
 	}
-	if d.Generated() != 1 {
-		t.Errorf("Generated = %d", d.Generated())
+	if d.generated != 1 {
+		t.Errorf("generated = %d", d.generated)
 	}
 	// While pending, no new requests are issued.
 	for i := 0; i < 1000; i++ {
@@ -160,8 +160,8 @@ func TestMeanDocumentBits(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue()
-	if q.Peek() != nil || q.Len() != 0 {
-		t.Error("empty queue should have nil Peek and zero Len")
+	if len(q.Items()) != 0 || q.Len() != 0 {
+		t.Error("empty queue should have no items and zero Len")
 	}
 	r1 := &BurstRequest{UserID: 1, ArrivalTime: 1}
 	r2 := &BurstRequest{UserID: 2, ArrivalTime: 2}
@@ -172,8 +172,8 @@ func TestQueueFIFO(t *testing.T) {
 	if q.Len() != 3 {
 		t.Errorf("Len = %d", q.Len())
 	}
-	if q.Peek() != r1 {
-		t.Error("Peek should return oldest")
+	if q.Items()[0] != r1 {
+		t.Error("the oldest request should come first")
 	}
 	items := q.Items()
 	if items[0] != r1 || items[1] != r2 || items[2] != r3 {
@@ -196,7 +196,7 @@ func TestQueueOutOfOrderInsertSorts(t *testing.T) {
 	r1 := &BurstRequest{UserID: 1, ArrivalTime: 1}
 	q.Push(r2)
 	q.Push(r1)
-	if q.Peek() != r1 {
+	if q.Items()[0] != r1 {
 		t.Error("queue should re-sort on out-of-order insert")
 	}
 }

@@ -250,9 +250,6 @@ func (c *Coder) Tabulate() {
 	c.table = table
 }
 
-// Tabulated reports whether the AverageThroughput lookup table is active.
-func (c *Coder) Tabulated() bool { return c.table != nil }
-
 // OutageProbability returns the probability that no mode can be used
 // (transmission suspended) when the mean symbol SNR is meanCSIDB under
 // Rayleigh fading.

@@ -260,12 +260,12 @@ func TestAdaptiveBeatsFixedEverywhere(t *testing.T) {
 func TestTabulateAccuracy(t *testing.T) {
 	exact := MustNew(DefaultConfig())
 	tab := MustNew(DefaultConfig())
-	if tab.Tabulated() {
+	if tab.table != nil {
 		t.Fatal("fresh coder should not be tabulated")
 	}
 	tab.Tabulate()
 	tab.Tabulate() // idempotent
-	if !tab.Tabulated() {
+	if tab.table == nil {
 		t.Fatal("Tabulate did not activate the table")
 	}
 	// Dense off-grid sweep across the table: interpolation error must stay

@@ -2,6 +2,7 @@ package jabasd_bench
 
 import (
 	"bytes"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -66,6 +67,35 @@ func isBinaryMagic(head []byte) bool {
 	return bytes.HasPrefix(head, []byte("MZ"))
 }
 
+// walkGoFiles calls fn on every .go file under root (slash-separated
+// paths relative to the working directory). Nested modules other than
+// root itself, testdata and hidden directories are skipped.
+func walkGoFiles(t *testing.T, root string, fn func(path string) error) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
+				return filepath.SkipDir // a nested module
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		return fn(filepath.ToSlash(path))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // goPackages maps every package directory of the module rooted at the
 // working directory (slash-separated, relative) to its module-local
 // imports, split into those of the non-test files and those of the
@@ -88,23 +118,7 @@ func goPackages(t *testing.T) (code, tests map[string][]string) {
 	}
 	code, tests = map[string][]string{}, map[string][]string{}
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != "." && err == nil {
-				return filepath.SkipDir // a nested module
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
+	walkGoFiles(t, ".", func(path string) error {
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 		if err != nil {
 			return err
@@ -127,9 +141,6 @@ func goPackages(t *testing.T) (code, tests map[string][]string) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return code, tests
 }
 
@@ -204,6 +215,157 @@ func TestDocsNameExistingInternalPaths(t *testing.T) {
 			if _, err := os.Stat(path); err != nil {
 				t.Errorf("%s names %s, which does not exist", page, ref)
 			}
+		}
+	}
+}
+
+// unreferencedExportsAllowed lists exported functions and methods under
+// internal/ that no non-test code names, each with the reason it stays.
+// Keys are "<package dir>.<Func>" or "<package dir>.<Type>.<Method>".
+// "pending" entries are dead code whose deletion also deletes the named
+// tests; ROADMAP item 8 tracks them.
+var unreferencedExportsAllowed = map[string]string{
+	// Paper equations (docs/PAPER_MAPPING.md).
+	"internal/vtaoc.RatePlan.RelativeBitRate": "paper eq. (4): relative SCH bit rate",
+	"internal/vtaoc.RatePlan.PowerRatio":      "paper eq. (5): SCH/FCH transmit power ratio",
+	"internal/mac.Config.StateForWait":        "paper eq. (23) and Figure 3: MAC state for a waiting time",
+	"internal/vtaoc.BER":                      "paper Section 2: the per-mode BER that requiredSNR inverts into the constant-BER thresholds",
+
+	// Interface methods.
+	"internal/core.ObjectiveKind.MarshalJSON": "json.Marshaler",
+	"internal/sim.Direction.MarshalJSON":      "json.Marshaler",
+
+	// Test oracles: references and checks that tests run.
+	"internal/cellular.ActiveSet":        "reference for ActiveSetInto and ActiveSetLinearInto",
+	"internal/cellular.ReducedActiveSet": "reference for ReducedActiveSetInto",
+	"internal/channel.Batch.ShadowRow":   "tests compare batch shadowing with the scalar Link chain through it",
+	"internal/experiments.SanityCheckE1": "checks the monotonicity that makes experiment E1's table meaningful",
+
+	// ROADMAP item 7 surfaces it.
+	"internal/measurement.IncrementalRegions.Stats": "region-cache hit and miss counters for the engine counters",
+
+	// Pending deletion: each takes the named tests with it.
+	"internal/channel.Link.EstimatedCSIDB":        "pending: the three TestEstimatedCSI* tests",
+	"internal/channel.Link.InstantGainDB":         "pending: TestInstantGainDBFloor",
+	"internal/channel.PathLossModel.Gain":         "pending: TestPathLossGainConsistent",
+	"internal/mathx.AlmostEqual":                  "pending: TestAlmostEqual",
+	"internal/mathx.FastDB":                       "pending: TestFastDBLinearRoundTrip",
+	"internal/mathx.FastLinear":                   "pending: TestFastDBLinearRoundTrip",
+	"internal/mathx.Lerp":                         "pending: TestLerp",
+	"internal/mathx.MaxFloat":                     "pending: TestMeanSumMinMax",
+	"internal/mathx.MaxInt":                       "pending: TestMinMaxInt",
+	"internal/mathx.MeanFloat":                    "pending: TestMeanSumMinMax",
+	"internal/mathx.MinFloat":                     "pending: TestMeanSumMinMax",
+	"internal/mathx.MinInt":                       "pending: TestMinMaxInt",
+	"internal/mathx.QInv":                         "pending: TestQInvRoundTrip",
+	"internal/mathx.Sq":                           "pending: TestSq",
+	"internal/mathx.SumFloat":                     "pending: TestMeanSumMinMax",
+	"internal/measurement.Merge":                  "pending: TestMerge",
+	"internal/mobility.NewRandomWalk":             "pending: the whole RandomWalk model and the five TestRandomWalk* tests",
+	"internal/scenario.Save":                      "pending: TestSaveToBadPath",
+	"internal/spatial.Index.BucketDiagonal":       "pending: TestCandidateRadiusBounds",
+	"internal/spatial.Index.CandidateRadius":      "pending: TestCandidateRadiusBounds",
+	"internal/stats.Histogram.BinCenter":          "pending: TestHistogramBasics",
+	"internal/stats.Histogram.Fraction":           "pending: TestHistogramBasics",
+	"internal/stats.NewHistogram":                 "pending: the whole Histogram type and the three TestHistogram* tests",
+	"internal/stats.Running.AddN":                 "pending: TestAddN",
+	"internal/stats.Running.Merge":                "pending: TestRunningMergeEquivalence and TestRunningMergeWithEmpty",
+	"internal/traffic.DataModel.MeanDocumentBits": "pending: TestMeanDocumentBits",
+	"internal/traffic.Queue.WaitingTimes":         "pending: TestQueueWaitingTimes",
+}
+
+// TestExportedSymbolsReachable fails when an exported top-level function
+// or method declared in a non-test file under internal/ is named by no
+// non-test file of internal/, cmd/, examples/ or perfbench/ other than at
+// its own declaration. Matching is by bare name, so a name shared with
+// any referenced identifier counts as reached: the check can miss dead
+// code, and flags live code only when it is reached without being named,
+// such as a method of an interface declared outside the repository.
+// Symbols kept on purpose go in unreferencedExportsAllowed with a reason.
+func TestExportedSymbolsReachable(t *testing.T) {
+	type decl struct{ key, pos string }
+	decls := map[string][]decl{} // by bare name
+	refs := map[string]bool{}
+	fset := token.NewFileSet()
+	scan := func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		declared := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fn.Name] = true
+			if !strings.HasPrefix(dir, "internal/") || !fn.Name.IsExported() {
+				continue
+			}
+			key := dir + "." + fn.Name.Name
+			if fn.Recv != nil {
+				key = dir + "." + receiverType(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			}
+			decls[fn.Name.Name] = append(decls[fn.Name.Name], decl{key, fset.Position(fn.Pos()).String()})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				refs[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	}
+	for _, root := range []string{"internal", "cmd", "examples", "perfbench"} {
+		walkGoFiles(t, root, scan)
+	}
+	var dead []string
+	allowedDead := map[string]bool{}
+	for name, ds := range decls {
+		if refs[name] {
+			continue
+		}
+		for _, d := range ds {
+			if _, ok := unreferencedExportsAllowed[d.key]; ok {
+				allowedDead[d.key] = true
+			} else {
+				dead = append(dead, d.key+" ("+d.pos+")")
+			}
+		}
+	}
+	slices.Sort(dead)
+	for _, d := range dead {
+		t.Errorf("exported symbol named by no non-test code (delete it, or allow it with a reason): %s", d)
+	}
+	for key, reason := range unreferencedExportsAllowed {
+		switch {
+		case strings.TrimSpace(reason) == "":
+			t.Errorf("allowlist entry %s gives no reason", key)
+		case !allowedDead[key]:
+			t.Errorf("allowlist entry %s names no unreferenced exported symbol (remove the entry)", key)
+		}
+	}
+}
+
+// receiverType names a method receiver's type without pointer or type
+// parameters.
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
 		}
 	}
 }
