@@ -2,9 +2,10 @@
 // the combined channel gain X(t) = X_l(t) * X_f(t), where X_l is the
 // long-term component (distance path loss multiplied by correlated lognormal
 // shadowing, coherence on the order of seconds) and X_f is the fast Rayleigh
-// fading component (coherence on the order of milliseconds), plus the CSI
-// estimator that feeds the adaptive physical layer through a low-capacity,
-// possibly delayed and noisy feedback channel.
+// fading component (coherence on the order of milliseconds). Link is the
+// scalar model of one link, the reference the batched kernels are tested
+// against; Batch holds the long-term processes of every (user, cell) pair
+// of a run, and Window those of each user's candidate cells only.
 package channel
 
 import (
@@ -37,11 +38,6 @@ func (p PathLossModel) LossDB(d float64) float64 {
 		d = p.MinDistance
 	}
 	return p.ReferenceDB + 10*p.Exponent*math.Log10(d/p.ReferenceM)
-}
-
-// Gain returns the linear power gain (<= 1 in practice) at distance d metres.
-func (p PathLossModel) Gain(d float64) float64 {
-	return math.Pow(10, -p.LossDB(d)/10)
 }
 
 // Shadowing is a temporally correlated lognormal shadowing process following
@@ -82,16 +78,11 @@ func (s *Shadowing) Advance(distanceM float64) float64 {
 func (s *Shadowing) CurrentDB() float64 { return s.currentDB }
 
 // Link models one mobile-to-base-station radio link: path loss, shadowing and
-// fast fading, together with a CSI estimate made available to the transmitter
-// after a feedback delay.
+// fast fading.
 type Link struct {
 	PathLoss PathLossModel
 	Shadow   *Shadowing
 	Fast     *rng.Jakes
-
-	estimationErrorDB float64 // std dev of CSI estimation error in dB
-	feedbackDelay     float64 // seconds of CSI feedback delay
-	src               *rng.Source
 
 	distance   float64 // current distance in metres
 	lastLongDB float64 // cached long-term gain (path loss + shadowing) in dB
@@ -99,28 +90,23 @@ type Link struct {
 
 // LinkConfig collects the parameters needed to build a Link.
 type LinkConfig struct {
-	PathLoss          PathLossModel
-	ShadowSigmaDB     float64
-	ShadowDecorrM     float64
-	DopplerHz         float64
-	Oscillators       int
-	EstimationErrorDB float64
-	FeedbackDelayS    float64
+	PathLoss      PathLossModel
+	ShadowSigmaDB float64
+	ShadowDecorrM float64
+	DopplerHz     float64
+	Oscillators   int
 }
 
 // DefaultLinkConfig returns parameters representative of a vehicular
-// wideband-CDMA user: 8 dB shadowing with 50 m decorrelation, Doppler from
-// ~30 km/h at 2 GHz (≈ 55 Hz), 0.5 dB CSI error and 1.25 ms feedback delay
-// (one power-control group).
+// wideband-CDMA user: 8 dB shadowing with 50 m decorrelation and Doppler
+// from ~30 km/h at 2 GHz (≈ 55 Hz).
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{
-		PathLoss:          DefaultPathLoss(),
-		ShadowSigmaDB:     8,
-		ShadowDecorrM:     50,
-		DopplerHz:         55,
-		Oscillators:       16,
-		EstimationErrorDB: 0.5,
-		FeedbackDelayS:    0.00125,
+		PathLoss:      DefaultPathLoss(),
+		ShadowSigmaDB: 8,
+		ShadowDecorrM: 50,
+		DopplerHz:     55,
+		Oscillators:   16,
 	}
 }
 
@@ -128,14 +114,10 @@ func DefaultLinkConfig() LinkConfig {
 func NewLink(src *rng.Source, cfg LinkConfig) *Link {
 	shadowSrc := src.Split(1)
 	fadeSrc := src.Split(2)
-	noiseSrc := src.Split(3)
 	return &Link{
-		PathLoss:          cfg.PathLoss,
-		Shadow:            NewShadowing(shadowSrc, cfg.ShadowSigmaDB, cfg.ShadowDecorrM),
-		Fast:              rng.NewJakes(fadeSrc, cfg.Oscillators, cfg.DopplerHz),
-		estimationErrorDB: cfg.EstimationErrorDB,
-		feedbackDelay:     cfg.FeedbackDelayS,
-		src:               noiseSrc,
+		PathLoss: cfg.PathLoss,
+		Shadow:   NewShadowing(shadowSrc, cfg.ShadowSigmaDB, cfg.ShadowDecorrM),
+		Fast:     rng.NewJakes(fadeSrc, cfg.Oscillators, cfg.DopplerHz),
 	}
 }
 
@@ -155,37 +137,6 @@ func (l *Link) Distance() float64 { return l.distance }
 // drives the offered SCH bit rate in the paper.
 func (l *Link) LongTermGainDB() float64 { return l.lastLongDB }
 
-// LongTermGain returns the slow component as a linear power gain.
-func (l *Link) LongTermGain() float64 { return math.Pow(10, l.lastLongDB/10) }
-
 // FastGain returns the instantaneous Rayleigh power gain (unit mean) at
 // simulation time t seconds.
 func (l *Link) FastGain(t float64) float64 { return l.Fast.PowerAt(t) }
-
-// InstantGain returns the combined instantaneous power gain
-// X(t) = X_l(t) * X_f(t) at time t.
-func (l *Link) InstantGain(t float64) float64 {
-	return l.LongTermGain() * l.FastGain(t)
-}
-
-// InstantGainDB returns the combined gain in dB.
-func (l *Link) InstantGainDB(t float64) float64 {
-	return 10 * math.Log10(math.Max(l.InstantGain(t), 1e-30))
-}
-
-// EstimatedCSIDB returns the channel state information available to the
-// transmitter at time t: the true instantaneous gain a feedback delay ago,
-// corrupted by a Gaussian estimation error in dB. This is the quantity
-// compared against the VTAOC adaptation thresholds.
-func (l *Link) EstimatedCSIDB(t float64) float64 {
-	tEff := t - l.feedbackDelay
-	if tEff < 0 {
-		tEff = 0
-	}
-	true_ := l.LongTermGain() * l.FastGain(tEff)
-	db := 10 * math.Log10(math.Max(true_, 1e-30))
-	if l.estimationErrorDB > 0 {
-		db += l.src.Normal(0, l.estimationErrorDB)
-	}
-	return db
-}

@@ -27,11 +27,6 @@ func (b *Batch) DecodeState(rd *checkpoint.Reader) {
 	}
 	rd.FillF64s(b.shadowDB)
 	rd.FillF64s(b.gain)
-	if rd.Version() < 4 {
-		// Formats 2 and 3 also stored a users x cells gain baseline that
-		// nothing reads: length-checked, then dropped.
-		rd.FillF64s(make([]float64, len(b.gain)))
-	}
 	rd.FillBools(b.ready)
 	for i := range b.src {
 		b.src[i].DecodeState(rd)

@@ -25,26 +25,11 @@ import (
 	"math"
 )
 
-// Version is the checkpoint format version. Bump it whenever the section
-// layout or any section's internal encoding changes incompatibly; readers
-// refuse versions outside [MinVersion, Version] with a precise error.
-// Version 2 added the fault runtime state (load-event cursor, pending-retry
-// marks) and the robustness counters to the sim engine's sections. Version
-// 3 stores every sim engine's channel as a window with its slot map: a
-// full-scan run is a map-wide window. Version 4 drops three fields the sim
-// engine no longer reads: the config hash after the stored config, the
-// separate load-step flag (a load step is a fault load event, counted by
-// the load cursor) and the channel batch's gain baseline. Version 5 drops
-// three more: each pilot's link gain in dB, the FCH footprint of the link
-// the run does not simulate (one footprint per user, in the configured
-// direction's units) and the window slot map, which is the candidate list
-// of each user's stored spatial bucket.
+// Version is the checkpoint format version, the only one a Reader accepts.
+// Bump it whenever the section layout or any section's internal encoding
+// changes, so a checkpoint written by another build is refused with a
+// precise error instead of misread.
 const Version = 5
-
-// MinVersion is the oldest format version a Reader accepts. Decoders that
-// must tell the layouts apart read the stream's version from
-// Reader.Version.
-const MinVersion = 2
 
 // magic identifies a checkpoint stream. The trailing byte breaks accidental
 // matches against text files.
@@ -240,13 +225,11 @@ func (w *Writer) Bools(xs []bool) {
 // wrong section name, checksum mismatch, reads past the section end,
 // leftover bytes — latches an error retrievable with Err.
 type Reader struct {
-	src     io.Reader
-	version int
-	sect    []byte
-	name    string
-	pos     int
-	done    bool
-	err     error
+	src  io.Reader
+	sect []byte
+	name string
+	pos  int
+	err  error
 }
 
 // NewReader opens a checkpoint stream, validating the magic and format
@@ -260,14 +243,11 @@ func NewReader(src io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("%w: bad magic %q (not a checkpoint stream)", ErrCorrupt, hdr[:8])
 	}
 	v := binary.LittleEndian.Uint32(hdr[8:])
-	if v < MinVersion || v > Version {
-		return nil, fmt.Errorf("checkpoint: format version %d is not supported (this build reads versions %d to %d)", v, MinVersion, Version)
+	if v != Version {
+		return nil, fmt.Errorf("checkpoint: format version %d is not supported (this build reads version %d only)", v, Version)
 	}
-	return &Reader{src: src, version: int(v)}, nil
+	return &Reader{src: src}, nil
 }
-
-// Version returns the format version of the stream being read.
-func (r *Reader) Version() int { return r.version }
 
 // Section advances to the next section, which must be named name. It errors
 // if the previous section has undecoded bytes left — a mismatch between the
@@ -346,7 +326,6 @@ func (r *Reader) Close() error {
 		r.err = fmt.Errorf("%w: trailing sections after the last expected one", ErrCorrupt)
 		return r.err
 	}
-	r.done = true
 	return nil
 }
 
@@ -477,25 +456,6 @@ func (r *Reader) Ints() []int {
 		xs[i] = r.Int()
 	}
 	return xs
-}
-
-// FillI32s decodes an int32 slice into dst, length-checked like FillF64s.
-func (r *Reader) FillI32s(dst []int32) {
-	n := r.count(4)
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.Fail("expected %d int32 elements, got %d", len(dst), n)
-		return
-	}
-	for i := range dst {
-		b := r.take(4)
-		if b == nil {
-			return
-		}
-		dst[i] = int32(binary.LittleEndian.Uint32(b))
-	}
 }
 
 // FillBools decodes a boolean slice into dst, length-checked like FillF64s.

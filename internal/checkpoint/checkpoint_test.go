@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -121,6 +122,8 @@ func TestRoundTripAllPrimitives(t *testing.T) {
 	}
 }
 
+// TestVersionBumpRefused: a stream from a newer build is refused with an
+// error that names its version.
 func TestVersionBumpRefused(t *testing.T) {
 	data := encodeSample(t)
 	bumped := append([]byte(nil), data...)
@@ -129,31 +132,26 @@ func TestVersionBumpRefused(t *testing.T) {
 	if err == nil {
 		t.Fatal("bumped version accepted")
 	}
-	if !strings.Contains(err.Error(), "version") {
-		t.Errorf("version error lacks detail: %v", err)
+	if want := fmt.Sprintf("version %d ", Version+1); !strings.Contains(err.Error(), want) {
+		t.Errorf("version error %q does not name version %d", err, Version+1)
 	}
 }
 
-// TestOlderVersionsRead: every version from MinVersion up opens and reports
-// its number, so decoders can translate an older layout; a version below
-// MinVersion is refused.
-func TestOlderVersionsRead(t *testing.T) {
+// TestOlderVersionsRefused: a Reader opens only the format version this
+// build writes. Every older version is refused with an error that names
+// it; a checkpoint is a recovery point for a run of this build, not an
+// archive.
+func TestOlderVersionsRefused(t *testing.T) {
 	data := encodeSample(t)
-	for v := MinVersion - 1; v <= Version; v++ {
+	for v := uint32(0); v < Version; v++ {
 		old := append([]byte(nil), data...)
-		binary.LittleEndian.PutUint32(old[8:], uint32(v))
-		r, err := NewReader(bytes.NewReader(old))
-		if v < MinVersion {
-			if err == nil || !strings.Contains(err.Error(), "version") {
-				t.Errorf("version %d: got %v, want a version error", v, err)
-			}
-			continue
+		binary.LittleEndian.PutUint32(old[8:], v)
+		_, err := NewReader(bytes.NewReader(old))
+		if err == nil {
+			t.Fatalf("version %d accepted", v)
 		}
-		if err != nil {
-			t.Fatalf("version %d refused: %v", v, err)
-		}
-		if r.Version() != v {
-			t.Errorf("Version() = %d, want %d", r.Version(), v)
+		if want := fmt.Sprintf("version %d ", v); !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: error %q does not name it", v, err)
 		}
 	}
 }

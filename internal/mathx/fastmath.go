@@ -173,14 +173,3 @@ func gainRowGo(gain, shadow, d2 []float64, refDB, halfExp, invRefM2, minD2 float
 		gain[k] = p * math.Float64frombits(uint64(int64(n)+1023)<<52)
 	}
 }
-
-// FastDB converts a linear power ratio to decibels using FastLog10.
-func FastDB(linear float64) float64 {
-	return 10 * FastLog10(linear)
-}
-
-// FastLinear converts a decibel value to a linear power ratio using
-// FastExp10.
-func FastLinear(db float64) float64 {
-	return FastExp10(db / 10)
-}

@@ -75,20 +75,6 @@ func TestFastLog10Fallback(t *testing.T) {
 	}
 }
 
-// TestFastDBLinearRoundTrip sanity-checks the dB helpers against the exact
-// ones.
-func TestFastDBLinearRoundTrip(t *testing.T) {
-	for db := -160.0; db <= 60.0; db += 0.37 {
-		lin := FastLinear(db)
-		if rel := math.Abs(lin-Linear(db)) / Linear(db); rel > 1e-12 {
-			t.Fatalf("FastLinear(%v) off by %.3e", db, rel)
-		}
-		if err := math.Abs(FastDB(lin) - db); err > 1e-10 {
-			t.Fatalf("FastDB(FastLinear(%v)) off by %.3e", db, err)
-		}
-	}
-}
-
 func BenchmarkFastExp10(b *testing.B) {
 	x := -12.7
 	var sink float64

@@ -392,12 +392,3 @@ func TestRegionFeasibleMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMerge(t *testing.T) {
-	a := Region{Coeff: [][]float64{{1}}, Bound: []float64{2}, Cells: []int{0}}
-	b := Region{Coeff: [][]float64{{3}}, Bound: []float64{4}, Cells: []int{1}}
-	m := Merge(a, b)
-	if len(m.Coeff) != 2 || m.Bound[1] != 4 || m.Coeff[1][0] != 3 || m.Cells[1] != 1 {
-		t.Errorf("Merge = %+v", m)
-	}
-}

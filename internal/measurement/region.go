@@ -52,20 +52,6 @@ func (r Region) HeadroomInto(dst []float64, m []int) []float64 {
 	return dst
 }
 
-// Merge combines two regions over the same request vector into one (the
-// scheduling sub-layer optimises forward and reverse link assignments
-// independently, but tests and tools sometimes want the joint region).
-func Merge(a, b Region) Region {
-	out := Region{}
-	out.Coeff = append(out.Coeff, a.Coeff...)
-	out.Coeff = append(out.Coeff, b.Coeff...)
-	out.Bound = append(out.Bound, a.Bound...)
-	out.Bound = append(out.Bound, b.Bound...)
-	out.Cells = append(out.Cells, a.Cells...)
-	out.Cells = append(out.Cells, b.Cells...)
-	return out
-}
-
 // RegionBuilder assembles admissible regions without allocating on the
 // steady-state path: the per-cell row index, the constraint rows and the
 // bounds all live in buffers that are reused from one frame to the next.

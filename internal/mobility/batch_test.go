@@ -12,7 +12,7 @@ import (
 // per-user RandomWaypoint models seeded from identical substreams, across
 // enough frames to cross several travel/pause/re-target transitions.
 func TestWaypointBatchMatchesScalar(t *testing.T) {
-	region := Region{Width: 4000, Height: 3500, Wrap: true}
+	region := Region{Width: 4000, Height: 3500}
 	const users = 8
 	parent := rng.New(31)
 	scalars := make([]*RandomWaypoint, users)

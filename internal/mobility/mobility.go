@@ -1,13 +1,13 @@
-// Package mobility implements the user mobility models driving the dynamic
-// simulation: the random waypoint model (users pick a destination and speed,
-// travel there, pause, repeat) and a bounded random walk. Positions are kept
-// inside the service area; with wrap-around layouts the coordinates wrap on
-// the torus, otherwise users reflect off the boundary.
+// Package mobility implements the random waypoint model driving the dynamic
+// simulation's users: each picks a destination in the rectangular service
+// area and a speed, travels there in a straight line, pauses, and repeats.
+// A user therefore never leaves the area; wrap-around distances are the
+// cellular layout's concern, not the mobility model's. RandomWaypoint is
+// the scalar model (the voice users), WaypointBatch the same process for
+// every data user at once, and Static a fixed position for tests.
 package mobility
 
 import (
-	"math"
-
 	"jabasd/internal/cellular"
 	"jabasd/internal/rng"
 )
@@ -26,7 +26,6 @@ type Model interface {
 // Region describes the rectangular service area [0,W) x [0,H).
 type Region struct {
 	Width, Height float64
-	Wrap          bool
 }
 
 // RandomWaypoint implements the random waypoint mobility model.
@@ -124,117 +123,6 @@ func (m *RandomWaypoint) Advance(dt float64) float64 {
 	return travelled
 }
 
-// RandomWalk implements a bounded random walk: the user keeps a heading for
-// an exponentially distributed epoch, then turns to a new uniform heading.
-type RandomWalk struct {
-	region        Region
-	src           *rng.Source
-	pos           cellular.Point
-	heading       float64
-	speed         float64
-	epochMean     float64
-	epochLeft     float64
-	minSpeed      float64
-	maxSpeed      float64
-	reflectBounce bool
-}
-
-// NewRandomWalk creates a random walk user. epochMean is the mean duration
-// (seconds) between direction changes.
-func NewRandomWalk(src *rng.Source, region Region, minSpeed, maxSpeed, epochMean float64) *RandomWalk {
-	if epochMean <= 0 {
-		epochMean = 10
-	}
-	if minSpeed < 0 {
-		minSpeed = 0
-	}
-	if maxSpeed < minSpeed {
-		maxSpeed = minSpeed
-	}
-	m := &RandomWalk{
-		region:        region,
-		src:           src,
-		epochMean:     epochMean,
-		minSpeed:      minSpeed,
-		maxSpeed:      maxSpeed,
-		reflectBounce: !region.Wrap,
-	}
-	m.pos = cellular.Point{X: src.Uniform(0, region.Width), Y: src.Uniform(0, region.Height)}
-	m.newEpoch()
-	return m
-}
-
-func (m *RandomWalk) newEpoch() {
-	m.heading = m.src.Uniform(0, 2*math.Pi)
-	if m.maxSpeed <= 0 {
-		m.speed = 0
-	} else {
-		m.speed = m.src.Uniform(m.minSpeed, m.maxSpeed)
-	}
-	m.epochLeft = m.src.Exponential(m.epochMean)
-}
-
-// Position returns the current position.
-func (m *RandomWalk) Position() cellular.Point { return m.pos }
-
-// Speed returns the current speed.
-func (m *RandomWalk) Speed() float64 { return m.speed }
-
-// Advance moves the user by dt seconds and returns the distance travelled.
-func (m *RandomWalk) Advance(dt float64) float64 {
-	travelled := 0.0
-	for dt > 0 {
-		step := dt
-		if m.epochLeft < step {
-			step = m.epochLeft
-		}
-		dx := m.speed * step * math.Cos(m.heading)
-		dy := m.speed * step * math.Sin(m.heading)
-		m.pos.X += dx
-		m.pos.Y += dy
-		travelled += m.speed * step
-		m.wrapOrReflect()
-		m.epochLeft -= step
-		dt -= step
-		if m.epochLeft <= 0 {
-			m.newEpoch()
-		}
-	}
-	return travelled
-}
-
-func (m *RandomWalk) wrapOrReflect() {
-	w, h := m.region.Width, m.region.Height
-	if m.region.Wrap {
-		m.pos.X = math.Mod(math.Mod(m.pos.X, w)+w, w)
-		m.pos.Y = math.Mod(math.Mod(m.pos.Y, h)+h, h)
-		return
-	}
-	if m.pos.X < 0 {
-		m.pos.X = -m.pos.X
-		m.heading = math.Pi - m.heading
-	}
-	if m.pos.X > w {
-		m.pos.X = 2*w - m.pos.X
-		m.heading = math.Pi - m.heading
-	}
-	if m.pos.Y < 0 {
-		m.pos.Y = -m.pos.Y
-		m.heading = -m.heading
-	}
-	if m.pos.Y > h {
-		m.pos.Y = 2*h - m.pos.Y
-		m.heading = -m.heading
-	}
-	// Guard against pathological overshoot (very large dt): clamp.
-	if m.pos.X < 0 || m.pos.X > w {
-		m.pos.X = math.Min(math.Max(m.pos.X, 0), w)
-	}
-	if m.pos.Y < 0 || m.pos.Y > h {
-		m.pos.Y = math.Min(math.Max(m.pos.Y, 0), h)
-	}
-}
-
 // Static is a degenerate mobility model for stationary users (useful in unit
 // tests and for modelling fixed wireless terminals).
 type Static struct {
@@ -252,6 +140,5 @@ func (s *Static) Speed() float64 { return 0 }
 
 var (
 	_ Model = (*RandomWaypoint)(nil)
-	_ Model = (*RandomWalk)(nil)
 	_ Model = (*Static)(nil)
 )

@@ -80,69 +80,6 @@ func TestRandomWaypointDegenerateSpeed(t *testing.T) {
 	}
 }
 
-func TestRandomWalkStaysInRegionReflect(t *testing.T) {
-	src := rng.New(7)
-	m := NewRandomWalk(src, region, 5, 30, 10)
-	for i := 0; i < 20000; i++ {
-		m.Advance(1)
-		p := m.Position()
-		if p.X < 0 || p.X > region.Width || p.Y < 0 || p.Y > region.Height {
-			t.Fatalf("random walk escaped region: %+v", p)
-		}
-	}
-}
-
-func TestRandomWalkWrap(t *testing.T) {
-	wrapRegion := Region{Width: 1000, Height: 1000, Wrap: true}
-	src := rng.New(8)
-	m := NewRandomWalk(src, wrapRegion, 20, 20, 5)
-	for i := 0; i < 10000; i++ {
-		m.Advance(1)
-		p := m.Position()
-		if p.X < 0 || p.X >= wrapRegion.Width+1e-9 || p.Y < 0 || p.Y >= wrapRegion.Height+1e-9 {
-			t.Fatalf("wrapped position out of torus: %+v", p)
-		}
-	}
-}
-
-func TestRandomWalkTravelDistance(t *testing.T) {
-	src := rng.New(9)
-	m := NewRandomWalk(src, region, 10, 10, 1e9) // single epoch, fixed speed
-	d := m.Advance(10)
-	if math.Abs(d-100) > 1e-6 {
-		t.Errorf("travelled %v, want 100", d)
-	}
-}
-
-func TestRandomWalkDefaults(t *testing.T) {
-	src := rng.New(10)
-	m := NewRandomWalk(src, region, -1, -2, 0)
-	if m.epochMean != 10 {
-		t.Errorf("default epoch mean = %v", m.epochMean)
-	}
-	if m.Speed() < 0 {
-		t.Error("speed should be non-negative")
-	}
-	m.Advance(5)
-}
-
-func TestRandomWalkChangesDirection(t *testing.T) {
-	src := rng.New(11)
-	m := NewRandomWalk(src, region, 5, 5, 1)
-	h0 := m.heading
-	changed := false
-	for i := 0; i < 100; i++ {
-		m.Advance(1)
-		if m.heading != h0 {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Error("random walk never changed direction")
-	}
-}
-
 func TestStatic(t *testing.T) {
 	s := &Static{P: cellular.Point{X: 10, Y: 20}}
 	if s.Advance(100) != 0 {

@@ -37,7 +37,7 @@ func snapshot(t *testing.T, enc func(*checkpoint.Writer), dec func(*checkpoint.R
 // bit for bit afterwards (positions, travel distances and speeds all ride
 // the restored draw streams).
 func TestWaypointBatchStateRoundTrip(t *testing.T) {
-	region := Region{Width: 2000, Height: 1800, Wrap: true}
+	region := Region{Width: 2000, Height: 1800}
 	const n = 6
 	parent := rng.New(77)
 	orig := NewWaypointBatch(region, 1, 20, 30, n)

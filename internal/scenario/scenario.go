@@ -1,7 +1,7 @@
 // Package scenario provides the named simulation presets shared by the
-// command-line tools (cmd/jabasim, cmd/jabasweep) and JSON round-tripping
-// of sim.Config, so complete scenario descriptions can be saved, edited
-// and loaded back.
+// command-line tools (cmd/jabasim, cmd/jabasweep) and the JSON decoding
+// of sim.Config, so a complete scenario description dumped as JSON
+// (jabasim -dump-config) can be edited and loaded back.
 //
 // All presets derive from one table (the presets map), which Names,
 // Describe and Lookup read, so the three can never drift apart; every
@@ -166,18 +166,6 @@ func Lookup(name string) (sim.Config, error) {
 	cfg := sim.DefaultConfig()
 	p.apply(&cfg)
 	return cfg, nil
-}
-
-// Save writes a configuration as indented JSON to path.
-func Save(path string, cfg sim.Config) error {
-	data, err := json.MarshalIndent(cfg, "", "  ")
-	if err != nil {
-		return fmt.Errorf("scenario: encode: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("scenario: write %s: %w", path, err)
-	}
-	return nil
 }
 
 // Load reads a configuration from a JSON file and validates it.

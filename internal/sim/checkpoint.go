@@ -37,12 +37,10 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/checkpoint"
 	"jabasd/internal/core"
-	"jabasd/internal/load"
 	"jabasd/internal/mobility"
 	"jabasd/internal/traffic"
 )
@@ -230,9 +228,6 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: reading checkpoint config: %w", err)
 	}
 	cfgJSON := rd.Bytes()
-	if rd.Version() < 4 {
-		rd.Bytes() // formats 2 and 3 stored a config hash; unused
-	}
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("sim: reading checkpoint config: %w", err)
 	}
@@ -311,13 +306,7 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 	}
 	frame := rd.Int()
 	now := rd.F64()
-	loadCursor := 0
-	if rd.Version() < 4 && rd.Bool() {
-		// Formats 2 and 3 latched a fired Config.LoadStep separately; the
-		// decoded config carries it as one more load event.
-		loadCursor = 1
-	}
-	loadCursor += rd.Int()
+	loadCursor := rd.Int()
 	for k := range e.retryPend {
 		e.retryPend[k] = rd.Bool()
 	}
@@ -345,12 +334,6 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 		}
 	case loadCursor != 0:
 		return fmt.Errorf("sim: checkpoint has applied %d load events but the scenario has no fault schedule", loadCursor)
-	}
-	// Version 2 wrote a full-scan run (PilotCells 0) as window width 0 and
-	// a plain channel batch; it restores into the map-wide window.
-	fullScanV2 := rd.Version() == 2 && width == 0
-	if fullScanV2 {
-		width = nCells
 	}
 	if nUsers != len(e.users) || nVoice != len(e.voice) || nCells != e.layout.NumCells() || width != e.winB.Width() {
 		return fmt.Errorf("sim: checkpoint population (%d users, %d voice, %d cells, window %d) does not match the scenario (%d, %d, %d, %d)",
@@ -380,24 +363,17 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 	}
 	// In place: u.gain keeps aliasing the restored storage.
 	e.winB.DecodeState(rd)
-	// Formats before 5 (all but a version-2 full-scan run) also stored each
-	// user's slot map. It is held until the users section names the
-	// buckets, and must equal each bucket's candidate list.
-	var slotMaps []int32
-	if rd.Version() < 5 && !fullScanV2 {
-		slotMaps = make([]int32, len(e.users)*width)
-		rd.FillI32s(slotMaps)
-	}
 
 	if err := rd.Section("users"); err != nil {
 		return fmt.Errorf("sim: resuming: %w", err)
 	}
 	var stored []storedPilot
 	seen := make([]bool, width) // per user: window slots already listed
+	maxPilots := min(width, cellular.TopPilots)
 	for _, u := range e.users {
 		np := rd.Int()
-		if np < 0 || np > width {
-			rd.Fail("user %d has %d pilots, more than its window of %d", u.id, np, width)
+		if np < 0 || np > maxPilots {
+			rd.Fail("user %d has %d pilots, more than its window of %d cells keeps (%d)", u.id, np, width, maxPilots)
 			break
 		}
 		stored = stored[:0]
@@ -405,9 +381,6 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 			sp := storedPilot{cell: rd.Int()}
 			sp.pm.EcIo = rd.F64()
 			sp.pm.EcIoDB = rd.F64()
-			if rd.Version() < 5 {
-				rd.F64() // the link gain in dB, which nothing reads
-			}
 			stored = append(stored, sp)
 		}
 		u.active = append(u.active[:0], rd.Ints()...)
@@ -418,27 +391,11 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 		bucket := rd.Int()
 		u.geometry = rd.F64()
 		u.meanCSIdB = rd.F64()
-		if rd.Version() < 5 {
-			// Formats before 5 stored the forward and the reverse FCH
-			// footprints; only the configured direction's is read.
-			var fwd, rev load.Vec
-			fwd.DecodeState(rd)
-			rev.DecodeState(rd)
-			u.fch = fwd
-			if e.cfg.Direction == Reverse {
-				u.fch = rev
-			}
-		} else {
-			u.fch.DecodeState(rd)
-		}
+		u.fch.DecodeState(rd)
 		if rd.Err() != nil {
 			break
 		}
-		var slotMap []int32
-		if slotMaps != nil {
-			slotMap = slotMaps[u.id*width : (u.id+1)*width]
-		}
-		e.restoreWindow(rd, u, bucket, slotMap)
+		e.restoreWindow(rd, u, bucket)
 		e.restorePilots(rd, u, stored, seen)
 		u.queuedCell = rd.Int()
 		u.firstGrant = rd.Bool()
@@ -561,40 +518,27 @@ type storedPilot struct {
 }
 
 // restoreWindow points a resumed user's window at the candidate list of its
-// stored bucket. Bucket -1 is an untargeted window, valid for a user that
-// has never advanced (a checkpoint taken before the first frame), whose
-// first frame targets it. A map-wide window has the same list in every
-// bucket, and a version-2 full-scan run stored bucket -1 for every user,
-// so there -1 takes bucket 0's list (the next frame retargets to an
-// identical list, a no-op). slotMap, when the checkpoint stored one, must
-// equal the list.
-func (e *Engine) restoreWindow(rd *checkpoint.Reader, u *dataUser, bucket int, slotMap []int32) {
-	mapWide := e.winB.Width() == e.layout.NumCells()
+// stored bucket. Bucket -1 is an untargeted window, valid only for a user
+// that has never advanced (a checkpoint taken before the first frame),
+// whose first frame targets it.
+func (e *Engine) restoreWindow(rd *checkpoint.Reader, u *dataUser, bucket int) {
 	switch {
 	case bucket >= 0 && bucket < e.spix.NumBuckets():
 		u.cand = e.spix.Candidates(bucket)
 	case bucket == -1 && !e.winB.Ready(u.id):
 		u.cand = nil
-	case bucket == -1 && mapWide:
-		u.cand = e.spix.Candidates(0)
 	default:
 		rd.Fail("user %d window bucket %d outside the spatial index's 0..%d", u.id, bucket, e.spix.NumBuckets()-1)
 		return
 	}
 	u.bucket = bucket
-	if slotMap != nil && !slices.Equal(slotMap, u.cand) {
-		rd.Fail("user %d window slot map %v is not its bucket's candidate list %v", u.id, slotMap, u.cand)
-	}
 }
 
 // restorePilots validates a resumed user's stored pilot entries against its
-// restored window and keeps the prefix the pilot kernels would keep. The
-// slot is not stored: it is the cell's position in the window. A cell
-// listed twice would make the frame-coherent pilot kernel keep the
-// duplicate and drop a real pilot. Checkpoints from before the pilot
-// kernels kept only the strongest cellular.TopPilots list the whole
-// window, strongest first: every entry is validated, and the first
-// TopPilots are restored. seen is window-width scratch.
+// restored window and restores them. The slot is not stored: it is the
+// cell's position in the window. A cell listed twice would make the
+// frame-coherent pilot kernel keep the duplicate and drop a real pilot.
+// seen is window-width scratch.
 func (e *Engine) restorePilots(rd *checkpoint.Reader, u *dataUser, stored []storedPilot, seen []bool) {
 	u.pilots = u.pilots[:0]
 	if rd.Err() != nil {
@@ -602,7 +546,7 @@ func (e *Engine) restorePilots(rd *checkpoint.Reader, u *dataUser, stored []stor
 	}
 	nCells := e.layout.NumCells()
 	clear(seen)
-	for i, sp := range stored {
+	for _, sp := range stored {
 		slot := -1
 		if sp.cell >= 0 && sp.cell < nCells {
 			slot = cellular.FindCell(u.cand, int32(sp.cell))
@@ -616,11 +560,8 @@ func (e *Engine) restorePilots(rd *checkpoint.Reader, u *dataUser, stored []stor
 			return
 		}
 		seen[slot] = true
-		if i < cellular.TopPilots {
-			pm := sp.pm
-			pm.Cell, pm.Slot = int32(sp.cell), int32(slot)
-			u.pilots = append(u.pilots, pm)
-		}
+		sp.pm.Cell, sp.pm.Slot = int32(sp.cell), int32(slot)
+		u.pilots = append(u.pilots, sp.pm)
 	}
 }
 

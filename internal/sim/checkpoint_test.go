@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -553,17 +552,12 @@ func TestResumeRebuildsPilotSlots(t *testing.T) {
 // twice, or is longer than the window, must be refused — not restored with
 // a truncated cell, a slot pointing at another cell's gain, or a duplicate
 // the frame-coherent fast kernel would keep reusing in place of a real
-// pilot. So must a stored spatial bucket that names no candidate list —
-// past the index, or -1 on a window narrower than the map — since the
-// window is rebuilt from it. The blobs are written by a real engine after
-// the state is corrupted in memory, so every section's framing is intact
-// and only the restore checks can catch the damage.
-//
-// Formats before 5 also stored each user's window slot map, which must
-// equal the candidate list of the user's bucket: the "window" cases patch
-// the map of a committed version-3 (map-wide) and version-4 (7-cell
-// window) fixture instead, re-framing the section so only the restore
-// check can refuse it.
+// pilot. (Lists longer than cellular.TopPilots are covered by
+// TestResumeRefusesPilotsPastTopPilots.) So must a stored spatial bucket that names
+// no candidate list — past the index, or -1 for a user that has advanced —
+// since the window is rebuilt from it. The blobs are written by a real
+// engine after the state is corrupted in memory, so every section's
+// framing is intact and only the restore checks can catch the damage.
 func TestResumeRefusesBadPilotCell(t *testing.T) {
 	setLast := func(bad func(u *dataUser, nCells int) int32) func(*dataUser, int) {
 		return func(u *dataUser, nCells int) {
@@ -587,8 +581,6 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 	}
 	bucketPastIndex := func(u *dataUser, _ int) { u.bucket = 1 << 20 }
 	noBucket := func(u *dataUser, _ int) { u.bucket = -1 }
-	unsorted := func(row []int32, _ int) { row[0], row[1] = row[1], row[0] }
-	windowPastMap := func(row []int32, nCells int) { row[len(row)-1] = int32(nCells) }
 	city := resumeScenarios()["city-tiled-fast"]
 	for _, tc := range []struct {
 		name    string
@@ -606,6 +598,7 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 		{"windowed list longer than the window", city, overlong, "more than its window"},
 		{"full-scan bucket past the index", tinyConfig(), bucketPastIndex, "window bucket"},
 		{"windowed bucket past the index", city, bucketPastIndex, "window bucket"},
+		{"full-scan negative bucket", tinyConfig(), noBucket, "window bucket"},
 		{"windowed negative bucket", city, noBucket, "window bucket"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -637,22 +630,73 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResumeRefusesPilotsPastTopPilots: the pilot kernels keep at most the
+// strongest cellular.TopPilots pilots, so a checkpoint that stores more for
+// a user holds a list no run of this build writes, even when every entry
+// names a distinct cell of the user's window. The reader must refuse it on
+// its length, before reading the entries, rather than restore a prefix;
+// a duplicate or out-of-window cell past position TopPilots is refused the
+// same way. The long lists are written by a real engine after extending its
+// pilots in memory with other cells of the window.
+func TestResumeRefusesPilotsPastTopPilots(t *testing.T) {
+	city := resumeScenarios()["city-tiled-fast"]
+	// extend appends window cells the user's pilots do not list until there
+	// are n (or the window runs out), then lets bad corrupt the long list.
+	extend := func(n int, bad func(u *dataUser)) func(*dataUser) {
+		return func(u *dataUser) {
+			for s, c := range u.cand {
+				if len(u.pilots) >= n {
+					break
+				}
+				if !slices.ContainsFunc(u.pilots, func(p cellular.PilotMeasurement) bool { return p.Cell == c }) {
+					u.pilots = append(u.pilots, cellular.PilotMeasurement{Cell: c, Slot: int32(s), EcIo: 1e-9})
+				}
+			}
+			bad(u)
+		}
+	}
+	past := cellular.TopPilots + 2 // an entry past the longest list the kernels keep
+	whole := 1 << 30
 	for _, tc := range []struct {
-		name, fixture string
-		patch         func(row []int32, nCells int)
+		name    string
+		corrupt func(u *dataUser)
 	}{
-		{"full-scan window out of order", "v3-smoke-exact-loadstep.ckpt", unsorted},
-		{"windowed window cell past the map", "v4-smoke-win7-fast.ckpt", windowPastMap},
+		{"one past TopPilots", extend(cellular.TopPilots+1, func(*dataUser) {})},
+		{"whole window", extend(whole, func(*dataUser) {})},
+		{"duplicate past TopPilots", extend(whole, func(u *dataUser) { u.pilots[past].Cell = u.pilots[0].Cell })},
+		{"outside the window past TopPilots", extend(whole, func(u *dataUser) {
+			for c := int32(0); ; c++ {
+				if cellular.FindCell(u.cand, c) < 0 {
+					u.pilots[past].Cell = c
+					return
+				}
+			}
+		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := ReadCheckpoint(bytes.NewReader(patchLegacySlotMap(t, tc.fixture, tc.patch)))
+			e := resumeEngine(t, checkpointBlob(t, city))
+			u := e.users[0]
+			if len(u.pilots) != cellular.TopPilots || len(u.cand) <= past {
+				t.Fatalf("user 0 has %d pilots over a %d-cell window; want %d over more than %d", len(u.pilots), len(u.cand), cellular.TopPilots, past)
+			}
+			tc.corrupt(u)
+			if len(u.pilots) <= cellular.TopPilots {
+				t.Fatalf("corrupted list has %d pilots; want more than %d", len(u.pilots), cellular.TopPilots)
+			}
+			var buf bytes.Buffer
+			if err := e.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			c, err := ReadCheckpoint(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if eB, err := c.Resume(c.Config()); err == nil {
 				eB.Close()
-				t.Fatal("checkpoint with a bad slot map resumed")
-			} else if !strings.Contains(err.Error(), "slot map") {
+				t.Fatal("checkpoint with more than TopPilots pilots resumed")
+			} else if !strings.Contains(err.Error(), "more than its window") {
 				t.Fatalf("refused for the wrong reason: %v", err)
 			}
 		})
@@ -690,42 +734,6 @@ func rewriteSection(t testing.TB, blob []byte, name string, patch func(payload [
 	return nil
 }
 
-// patchLegacySlotMap reads a committed checkpoint written before format 5
-// and lets patch corrupt the first user's stored window slot map, the
-// channel section's trailing users x width int32 slice.
-func patchLegacySlotMap(t *testing.T, fixture string, patch func(row []int32, nCells int)) []byte {
-	t.Helper()
-	path := filepath.Join("..", "..", "testdata", "checkpoint", fixture)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(c.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	users, width, nCells := len(e.users), e.winB.Width(), e.layout.NumCells()
-	e.Close()
-	return rewriteSection(t, blob, "channel", func(p []byte) {
-		maps := p[len(p)-4*users*width:]
-		if got := int(binary.LittleEndian.Uint32(p[len(p)-4*users*width-4:])); got != users*width {
-			t.Fatalf("%s: slot map holds %d entries, want %d", fixture, got, users*width)
-		}
-		row := make([]int32, width)
-		for i := range row {
-			row[i] = int32(binary.LittleEndian.Uint32(maps[4*i:]))
-		}
-		patch(row, nCells)
-		for i, c := range row {
-			binary.LittleEndian.PutUint32(maps[4*i:], uint32(c))
-		}
-	})
-}
-
 // TestResumeRefusesOrphanLoadCursor: a checkpoint that has applied load
 // events but whose config has no fault schedule to continue is refused,
 // not resumed with the events silently forgotten. The blob is written by a
@@ -754,123 +762,41 @@ func TestResumeRefusesOrphanLoadCursor(t *testing.T) {
 	}
 }
 
-// TestResumeKeepsTopPilots: checkpoints written before the pilot kernels
-// kept only the strongest cellular.TopPilots list a user's whole window.
-// The reader must validate every stored entry — a duplicate or
-// out-of-window cell past position TopPilots is still refused — and then
-// restore just the first TopPilots, strongest first. The long lists are
-// written by a real engine after extending its pilots in memory with the
-// rest of the window, as such a checkpoint stores them.
-func TestResumeKeepsTopPilots(t *testing.T) {
-	city := resumeScenarios()["city-tiled-fast"]
-	// extend appends every window cell the user's pilots do not list, then
-	// lets bad corrupt the long list.
-	extend := func(bad func(u *dataUser)) func(*dataUser) {
-		return func(u *dataUser) {
-			for s, c := range u.cand {
-				if !slices.ContainsFunc(u.pilots, func(p cellular.PilotMeasurement) bool { return p.Cell == c }) {
-					u.pilots = append(u.pilots, cellular.PilotMeasurement{Cell: c, Slot: int32(s), EcIo: 1e-9})
-				}
-			}
-			bad(u)
-		}
-	}
-	past := cellular.TopPilots + 2 // an entry the restore would drop
-	for _, tc := range []struct {
-		name    string
-		corrupt func(u *dataUser)
-		want    string // "" = must resume
-	}{
-		{"whole window", extend(func(*dataUser) {}), ""},
-		{"duplicate past the kept prefix", extend(func(u *dataUser) { u.pilots[past].Cell = u.pilots[0].Cell }), "twice"},
-		{"outside the window past the kept prefix", extend(func(u *dataUser) {
-			for c := int32(0); ; c++ {
-				if cellular.FindCell(u.cand, c) < 0 {
-					u.pilots[past].Cell = c
-					return
-				}
-			}
-		}), "pilot cell"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := resumeEngine(t, checkpointBlob(t, city))
-			u := e.users[0]
-			if len(u.pilots) != cellular.TopPilots || len(u.cand) <= past {
-				t.Fatalf("user 0 has %d pilots over a %d-cell window; want %d over more than %d", len(u.pilots), len(u.cand), cellular.TopPilots, past)
-			}
-			kept := slices.Clone(u.pilots)
-			tc.corrupt(u)
-			var buf bytes.Buffer
-			if err := e.Checkpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-			c, err := ReadCheckpoint(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eB, err := c.Resume(c.Config())
-			if tc.want != "" {
-				if err == nil {
-					eB.Close()
-					t.Fatal("checkpoint with a bad entry past the kept prefix resumed")
-				}
-				if !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("refused for the wrong reason: %v", err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("Resume: %v", err)
-			}
-			defer eB.Close()
-			if got := eB.users[0].pilots; !reflect.DeepEqual(got, kept) {
-				t.Fatalf("restored pilots\n%+v\nwant the stored prefix\n%+v", got, kept)
-			}
-		})
-	}
-}
-
-// TestResumeVersion2To4Checkpoints resumes the committed checkpoints
-// written in older formats. The version-2 files, on the fast and the exact
-// path, are from when a PilotCells 0 run stored window width 0 and a plain
-// channel batch. The version-3 file stores a config hash, a separate
-// LoadStep flag and a channel gain baseline, all dropped in version 4; its
-// config carries a legacy LoadStep (1 s) beside a fault schedule with a load
-// event (2 s) and an outage across the checkpoint frame, so the reader must
-// decode the LoadStep into the schedule and map the load cursor to 2. The
-// version-4 files store each pilot's link gain, both links' FCH footprints
-// and the window slot map, all dropped in version 5: one is a fast-path
-// forward run on a moving 7-cell window over 37 cells, the other an
-// exact-path reverse-link run, whose restored footprint is the reverse one.
-// The resumed run must finish exactly like a straight run of this build from
-// the checkpoint's own configuration: the same metrics and the same trace
-// from the checkpoint frame on. The fast-path files pin amd64 kernel bits,
-// so they are checked on amd64 only. Regenerate each file with a build that
-// still writes its version:
+// TestResumeCommittedCheckpoints resumes checkpoints written by an earlier
+// build of this format version, so a change to the layout that does not
+// bump checkpoint.Version fails here. One is an exact-path run with a fault
+// schedule: an outage spans the checkpoint frame and two load events have
+// fired, so the load cursor must come back as 2. One is a fast-path run on
+// a moving 7-cell window over 37 cells, and one an exact-path reverse-link
+// run. The resumed run must finish exactly like a straight run of this build
+// from the checkpoint's own configuration: the same metrics and the same
+// trace from the checkpoint frame on. The fast-path file pins amd64 kernel
+// bits, so it is checked on amd64 only. After a format change, bump
+// checkpoint.Version and regenerate the files:
 //
-//	jabasim -preset smoke -sim-time 4 -checkpoint testdata/checkpoint/v2-smoke-fast.ckpt -checkpoint-every 150
-//	jabasim -preset smoke -sim-time 4 -exact-vtaoc -checkpoint testdata/checkpoint/v2-smoke-exact.ckpt -checkpoint-every 150
 //	jabasim -preset smoke -dump-config > smoke.json
-//	# add to smoke.json: "LoadStep": {"AtSec": 1, "ReadingTimeSec": 1},
+//	# add to smoke.json:
 //	#   "Faults": {"cells": [{"cell": 2, "start_sec": 2.5, "end_sec": 3.5}],
-//	#              "load": [{"at_sec": 2, "reading_time_sec": 3}]}
-//	jabasim -config smoke.json -exact-vtaoc -sim-time 4 -checkpoint testdata/checkpoint/v3-smoke-exact-loadstep.ckpt -checkpoint-every 150
+//	#              "load": [{"at_sec": 1, "reading_time_sec": 1},
+//	#                       {"at_sec": 2, "reading_time_sec": 3}]}
+//	jabasim -config smoke.json -exact-vtaoc -sim-time 4 -checkpoint testdata/checkpoint/v5-smoke-exact-faults.ckpt -checkpoint-every 150
 //	jabasim -preset smoke -dump-config > smoke-win.json
 //	# in smoke-win.json set "Rings": 3 and "PilotCells": 7
-//	jabasim -config smoke-win.json -sim-time 4 -checkpoint testdata/checkpoint/v4-smoke-win7-fast.ckpt -checkpoint-every 150
-//	jabasim -preset reverse -exact-vtaoc -sim-time 8 -checkpoint testdata/checkpoint/v4-reverse-exact.ckpt -checkpoint-every 300
-func TestResumeVersion2To4Checkpoints(t *testing.T) {
+//	jabasim -config smoke-win.json -sim-time 4 -checkpoint testdata/checkpoint/v5-smoke-win7-fast.ckpt -checkpoint-every 150
+//	jabasim -preset reverse -exact-vtaoc -sim-time 8 -checkpoint testdata/checkpoint/v5-reverse-exact.ckpt -checkpoint-every 300
+//
+// (rename the files after the new version, here and in the CI
+// checkpoint-replay job).
+func TestResumeCommittedCheckpoints(t *testing.T) {
 	for _, fx := range []struct {
 		name       string
 		frame      int
 		pilotCells int
 		direction  Direction
 	}{
-		{"v2-smoke-fast.ckpt", 150, 0, Forward},
-		{"v2-smoke-exact.ckpt", 150, 0, Forward},
-		{"v3-smoke-exact-loadstep.ckpt", 150, 0, Forward},
-		{"v4-smoke-win7-fast.ckpt", 150, 7, Forward},
-		{"v4-reverse-exact.ckpt", 300, 0, Reverse},
+		{"v5-smoke-exact-faults.ckpt", 150, 0, Forward},
+		{"v5-smoke-win7-fast.ckpt", 150, 7, Forward},
+		{"v5-reverse-exact.ckpt", 300, 0, Reverse},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			c, err := ReadCheckpointFile(filepath.Join("..", "..", "testdata", "checkpoint", fx.name))
@@ -904,12 +830,11 @@ func TestResumeVersion2To4Checkpoints(t *testing.T) {
 				t.Fatalf("resumed at frame %d, want %d", k, fx.frame)
 			}
 			if cfg.Faults != nil {
-				want := []fault.LoadEvent{{AtSec: 1, ReadingTimeSec: 1}, {AtSec: 2, ReadingTimeSec: 3}}
-				if !slices.Equal(cfg.Faults.Load, want) {
-					t.Fatalf("decoded load events %v, want %v", cfg.Faults.Load, want)
-				}
 				if got := e.fault.LoadCursor(); got != 2 {
 					t.Fatalf("load cursor %d after resume, want 2", got)
+				}
+				if !e.fault.Down[2] {
+					t.Fatal("cell 2's outage is not active at the checkpoint frame")
 				}
 			}
 			mGot, err := e.Run(context.Background())

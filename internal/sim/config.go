@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
-	"sort"
 
 	"jabasd/internal/channel"
 	"jabasd/internal/core"
@@ -369,6 +367,9 @@ func (c Config) Validate() error {
 	if _, err := NewScheduler(c.Scheduler, c.Seed); err != nil {
 		errs = append(errs, err)
 	}
+	if c.Direction != Forward && c.Direction != Reverse {
+		fail("unknown direction %d (want %s or %s)", int(c.Direction), Forward, Reverse)
+	}
 	switch c.FrameMode.normalize() {
 	case FrameSequential, FrameSnapshot:
 	default:
@@ -406,42 +407,13 @@ func (c Config) Validate() error {
 // at the top level or in any nested object, is an error naming the key, so
 // a misspelt or removed knob in a -config file, a job spec or a checkpoint
 // is refused instead of silently ignored. It decodes on top of the
-// receiver, so absent keys keep their pre-filled defaults. Three removed
-// keys are still read from older files: RegionEpsilon must be 0 (regions
-// are reused only when bitwise unchanged), Tiles must be >= 0 and is
-// ignored (the snapshot solve always fans out one task per cell), and a
-// LoadStep {AtSec, ReadingTimeSec} becomes a Faults.Load event, inserted
-// in AtSec order; one at the same AtSec as an existing load event is left
-// for Validate to refuse.
+// receiver, so absent keys keep their pre-filled defaults.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	type plain Config // drops this method, so the decode does not recurse
-	var wire struct {
-		*plain
-		RegionEpsilon float64
-		Tiles         int
-		LoadStep      *struct{ AtSec, ReadingTimeSec float64 }
-	}
-	wire.plain = (*plain)(c)
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
+	if err := dec.Decode((*plain)(c)); err != nil {
 		return fmt.Errorf("sim: config: %w", err)
-	}
-	if wire.RegionEpsilon != 0 {
-		return fmt.Errorf("sim: config: RegionEpsilon was removed; only 0 is accepted, got %g", wire.RegionEpsilon)
-	}
-	if wire.Tiles < 0 {
-		return fmt.Errorf("sim: config: Tiles must be >= 0, got %d", wire.Tiles)
-	}
-	if ls := wire.LoadStep; ls != nil {
-		var s fault.Schedule
-		if c.Faults != nil {
-			s = *c.Faults
-		}
-		ev := fault.LoadEvent{AtSec: ls.AtSec, ReadingTimeSec: ls.ReadingTimeSec}
-		i := sort.Search(len(s.Load), func(i int) bool { return s.Load[i].AtSec >= ev.AtSec })
-		s.Load = slices.Insert(slices.Clone(s.Load), i, ev)
-		c.Faults = &s
 	}
 	return nil
 }

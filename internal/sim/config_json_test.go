@@ -80,35 +80,31 @@ func TestConfigJSONEnumsEncodeAsStrings(t *testing.T) {
 
 // TestConfigDecodeIsStrict pins the decoder every config source goes
 // through (-config files, job specs, checkpoints): a key naming no field is
-// refused by name at any depth, the removed RegionEpsilon is accepted only
-// as 0, the removed Tiles is accepted and ignored when non-negative, and
-// the removed LoadStep is accepted as null.
+// refused by name at any depth, and so are the removed keys RegionEpsilon,
+// Tiles and LoadStep, whatever their value. A key the decoder accepts
+// changes only its own field.
 func TestConfigDecodeIsStrict(t *testing.T) {
 	for _, tc := range []struct{ name, json, want string }{
 		{"top-level", `{"Seed": 2, "Sed": 3}`, `"Sed"`},
 		{"nested", `{"Faults": {"cels": []}}`, `"cels"`},
-		{"legacy step", `{"LoadStep": {"AtSec": 1, "ReadingTime": 2}}`, `"ReadingTime"`},
-		{"epsilon", `{"RegionEpsilon": 0.05}`, "RegionEpsilon was removed"},
-		{"negative tiles", `{"Tiles": -1}`, "Tiles must be >= 0"},
+		{"removed epsilon", `{"RegionEpsilon": 0}`, `"RegionEpsilon"`},
+		{"removed tiles", `{"Tiles": 8}`, `"Tiles"`},
+		{"removed load step", `{"LoadStep": {"AtSec": 1, "ReadingTimeSec": 2}}`, `"LoadStep"`},
+		{"removed null load step", `{"LoadStep": null}`, `"LoadStep"`},
 	} {
 		cfg := DefaultConfig()
 		if err := json.Unmarshal([]byte(tc.json), &cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %s decoded with error %v, want one naming %s", tc.name, tc.json, err, tc.want)
 		}
 	}
-	for _, legacy := range []string{
-		`{"Seed": 9, "RegionEpsilon": 0, "Tiles": 0, "LoadStep": null}`,
-		`{"Seed": 9, "Tiles": 8}`,
-	} {
-		cfg := DefaultConfig()
-		if err := json.Unmarshal([]byte(legacy), &cfg); err != nil {
-			t.Fatalf("legacy keys %s refused: %v", legacy, err)
-		}
-		want := DefaultConfig()
-		want.Seed = 9
-		if !reflect.DeepEqual(cfg, want) {
-			t.Errorf("%s: decode on top of the defaults changed more than Seed:\n%+v", legacy, cfg)
-		}
+	cfg := DefaultConfig()
+	if err := json.Unmarshal([]byte(`{"Seed": 9}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig()
+	want.Seed = 9
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("decode on top of the defaults changed more than Seed:\n%+v", cfg)
 	}
 }
 
@@ -122,6 +118,7 @@ func TestValidateReportsAllErrorsAtOnce(t *testing.T) {
 	cfg.CommonOverheadFrac = 1.5
 	cfg.Scheduler = "bogus"
 	cfg.FrameMode = "warp"
+	cfg.Direction = Direction(7)
 	cfg.TraceEvery = -1
 	err := cfg.Validate()
 	if err == nil {
@@ -130,6 +127,7 @@ func TestValidateReportsAllErrorsAtOnce(t *testing.T) {
 	for _, want := range []string{
 		"SimTime", "topology", "user counts", "CommonOverheadFrac",
 		"bogus", "frame mode", "TraceEvery",
+		"unknown direction 7 (want forward or reverse)",
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Validate should report %q in one call, got:\n%v", want, err)

@@ -321,7 +321,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		layout:    layout,
-		region:    mobility.Region{Width: w, Height: h, Wrap: cfg.WrapAround},
+		region:    mobility.Region{Width: w, Height: h},
 		coder:     coder,
 		phy:       p,
 		scheduler: sched,

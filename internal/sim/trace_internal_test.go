@@ -2,11 +2,9 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"reflect"
 	"testing"
 
-	"jabasd/internal/fault"
 	"jabasd/internal/trace"
 )
 
@@ -163,84 +161,5 @@ func TestRunReplicationsTracesOnlyReplicationZero(t *testing.T) {
 	}
 	if !reflect.DeepEqual(mem.Records, single.Records) {
 		t.Fatal("replication-0 trace differs from a single run with the same seed")
-	}
-}
-
-// decodeOver decodes a JSON config on top of base, as a -config file or a
-// job spec is decoded on top of the defaults.
-func decodeOver(t *testing.T, base Config, data string) Config {
-	t.Helper()
-	if err := json.Unmarshal([]byte(data), &base); err != nil {
-		t.Fatal(err)
-	}
-	return base
-}
-
-// TestLoadStepRaisesOfferedLoad runs a legacy LoadStep config: it must run
-// exactly like its fault-schedule form, one load event, and the offered load
-// must rise after the step.
-func TestLoadStepRaisesOfferedLoad(t *testing.T) {
-	base := traceTestConfig()
-	base.SimTime = 12
-	base.WarmupTime = 0
-	base.Data.MeanReadingTimeSec = 12 // light before the step
-	legacy := decodeOver(t, base, `{"LoadStep": {"AtSec": 6, "ReadingTimeSec": 0.5}}`)
-	faults := base
-	faults.Faults = &fault.Schedule{Load: []fault.LoadEvent{{AtSec: 6, ReadingTimeSec: 0.5}}}
-	if !reflect.DeepEqual(legacy, faults) {
-		t.Fatalf("legacy LoadStep decoded to %+v, want the load event %+v", legacy.Faults, faults.Faults)
-	}
-	run := func(cfg Config) (*Metrics, []trace.Record) {
-		mem := &trace.Memory{}
-		cfg.Trace = mem
-		m, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, mem.Records
-	}
-	mLegacy, recs := run(legacy)
-	mFaults, recsFaults := run(faults)
-	if !reflect.DeepEqual(mLegacy, mFaults) || !reflect.DeepEqual(recs, recsFaults) {
-		t.Fatal("legacy LoadStep config runs differently from its fault-schedule form")
-	}
-	var before, after int
-	for _, r := range recs {
-		if r.TimeS < 6 {
-			before += r.Offered
-		} else {
-			after += r.Offered
-		}
-	}
-	if after <= before {
-		t.Fatalf("offered load did not rise after the step: before=%d after=%d", before, after)
-	}
-}
-
-// TestLoadStepValidation: a legacy LoadStep is validated as the load event
-// it becomes, including against a fault load event at the same time.
-func TestLoadStepValidation(t *testing.T) {
-	base := traceTestConfig()
-	for name, data := range map[string]string{
-		"past SimTime":         `{"LoadStep": {"AtSec": 7, "ReadingTimeSec": 1}}`,
-		"non-positive reading": `{"LoadStep": {"AtSec": 1, "ReadingTimeSec": 0}}`,
-		"collides with a load event": `{"LoadStep": {"AtSec": 2, "ReadingTimeSec": 1},
-			"Faults": {"load": [{"at_sec": 1, "reading_time_sec": 3}, {"at_sec": 2, "reading_time_sec": 4}]}}`,
-	} {
-		if cfg := decodeOver(t, base, data); cfg.Validate() == nil {
-			t.Errorf("%s: LoadStep validated", name)
-		}
-	}
-	cfg := decodeOver(t, base, `{"LoadStep": {"AtSec": 1.5, "ReadingTimeSec": 1},
-		"Faults": {"load": [{"at_sec": 1, "reading_time_sec": 3}, {"at_sec": 2, "reading_time_sec": 4}]}}`)
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("LoadStep between two load events refused: %v", err)
-	}
-	if got := cfg.Faults.Load[1]; got != (fault.LoadEvent{AtSec: 1.5, ReadingTimeSec: 1}) {
-		t.Errorf("LoadStep merged as %+v, want the middle of three events", cfg.Faults.Load)
-	}
-	cfg.TraceEvery = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative TraceEvery validated")
 	}
 }

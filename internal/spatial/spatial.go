@@ -47,10 +47,6 @@ type Index struct {
 	// cand[b*window : (b+1)*window].
 	window int
 	cand   []int32
-
-	// candRadius is the maximum distance from any bucket centre to any of
-	// its candidate cells — the geometric reach of the candidate windows.
-	candRadius float64
 }
 
 // New builds the index for a layout with per-bucket candidate windows of
@@ -132,8 +128,8 @@ func (ix *Index) buildMembers() {
 // index), and a window-bounded insertion keeps the first `window` of them
 // in that order: a cell that cannot enter the window costs one comparison,
 // and one that can costs at most `window` moves, instead of a full sort of
-// every cell. Because the order is total, the kept set and candRadius are
-// exactly those of a full sort.
+// every cell. Because the order is total, the kept set is exactly that of a
+// full sort.
 func (ix *Index) buildCandidates() {
 	n := ix.nx * ix.ny
 	cells := ix.layout.NumCells()
@@ -166,7 +162,6 @@ func (ix *Index) buildCandidates() {
 			}
 			best[i] = distCell{d: d, k: int32(k)}
 		}
-		ix.candRadius = max(ix.candRadius, best[len(best)-1].d)
 		row := ix.cand[b*ix.window : (b+1)*ix.window]
 		for i, dc := range best {
 			row[i] = dc.k
@@ -180,18 +175,6 @@ func (ix *Index) Window() int { return ix.window }
 
 // NumBuckets returns the number of grid buckets.
 func (ix *Index) NumBuckets() int { return ix.nx * ix.ny }
-
-// CandidateRadius returns the maximum distance from a bucket centre to any
-// of its candidate cells. Every cell a bucket's users can measure lies
-// within this radius of the bucket centre, so CandidateRadius plus
-// BucketDiagonal bounds how far from a user its measurements can reach.
-func (ix *Index) CandidateRadius() float64 { return ix.candRadius }
-
-// BucketDiagonal returns half the bucket diagonal: the maximum distance
-// from a point to the centre of its own bucket.
-func (ix *Index) BucketDiagonal() float64 {
-	return math.Sqrt(ix.bw*ix.bw+ix.bh*ix.bh) / 2
-}
 
 // bucketXY maps a point to grid coordinates: modulo the torus period under
 // wrap-around, clamped to the box otherwise.

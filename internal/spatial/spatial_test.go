@@ -111,8 +111,7 @@ func TestCandidates(t *testing.T) {
 // TestCandidatesAreNearest checks the bucketed selection against brute
 // force: every bucket's candidates must be the first `window` cells of a
 // full (distance to the bucket centre, cell index) sort, listed ascending
-// by index, and CandidateRadius must be the farthest of them. The 18-ring
-// wrap-around grid is the city map; hex grids put many cells at exactly the
+// by index. The 18-ring wrap-around grid is the city map; hex grids put many cells at exactly the
 // same distance, so the index tie-break decides real windows.
 func TestCandidatesAreNearest(t *testing.T) {
 	layouts := append(testLayouts(), cellular.NewHexLayout(18, 500, true))
@@ -126,7 +125,6 @@ func TestCandidatesAreNearest(t *testing.T) {
 			ix := New(l, window)
 			w := ix.Window()
 			all := make([]distCell, cells)
-			radius := 0.0
 			for b := 0; b < ix.NumBuckets(); b++ {
 				centre := cellular.Point{
 					X: ix.ox + (float64(b%ix.nx)+0.5)*ix.bw,
@@ -141,15 +139,11 @@ func TestCandidatesAreNearest(t *testing.T) {
 				want := make([]int32, w)
 				for i := range want {
 					want[i] = all[i].k
-					radius = max(radius, all[i].d)
 				}
 				slices.Sort(want)
 				if got := ix.Candidates(b); !slices.Equal(got, want) {
 					t.Fatalf("%s window=%d bucket %d: candidates %v, brute force %v", l, window, b, got, want)
 				}
-			}
-			if ix.CandidateRadius() != radius {
-				t.Fatalf("%s window=%d: CandidateRadius %v, brute force %v", l, window, ix.CandidateRadius(), radius)
 			}
 		}
 	}
@@ -181,32 +175,5 @@ func TestCandidatesContainNearest(t *testing.T) {
 				t.Fatalf("%s: nearest cell %d of %v missing from bucket candidates %v", l, nearest, p, cand)
 			}
 		}
-	}
-}
-
-func TestCandidateRadiusBounds(t *testing.T) {
-	l := cellular.NewHexLayout(3, 800, true)
-	ix := New(l, 12)
-	// Every candidate of a point's bucket lies within CandidateRadius of the
-	// bucket centre, hence within CandidateRadius + BucketDiagonal of the
-	// point itself: the measurement reach of windowed physics.
-	w, h := l.Bounds()
-	maxD := 0.0
-	src := rng.New(3)
-	for i := 0; i < 500; i++ {
-		p := cellular.Point{X: src.Uniform(0, w), Y: src.Uniform(0, h)}
-		for _, c := range ix.Candidates(ix.BucketOf(p)) {
-			d := l.Distance(p, int(c))
-			if d > maxD {
-				maxD = d
-			}
-			if d > ix.CandidateRadius()+ix.BucketDiagonal()+1e-9 {
-				t.Fatalf("candidate %d at %.1f m from %v exceeds CandidateRadius %.1f + BucketDiagonal %.1f",
-					c, d, p, ix.CandidateRadius(), ix.BucketDiagonal())
-			}
-		}
-	}
-	if maxD == 0 {
-		t.Fatal("no candidate distances probed")
 	}
 }

@@ -1,14 +1,14 @@
 // Package stats provides the streaming and batch statistics used to report
 // simulation results: Welford running moments (Running), raw-sample
-// quantiles (Sample), fixed-bin histograms, Student-t confidence
-// intervals for the handful-of-replications case, and time-weighted
-// averages of piecewise-constant signals (TimeWeighted).
+// quantiles (Sample), Student-t confidence intervals for the
+// handful-of-replications case, and time-weighted averages of
+// piecewise-constant signals (TimeWeighted).
 //
 // Zero values are ready to use, and every accessor is total: empty
 // accumulators report 0 rather than NaN, because the simulator prints
 // these values verbatim into tables and CSV files (see the edge-case
 // tests in internal/sim). Accumulators are not safe for concurrent
-// mutation; Running.Merge supports parallel reduction instead.
+// mutation.
 package stats
 
 import (
@@ -41,35 +41,6 @@ func (r *Running) Add(x float64) {
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
 	r.m2 += delta * (x - r.mean)
-}
-
-// AddN incorporates x as if it had been observed k times.
-func (r *Running) AddN(x float64, k int64) {
-	for i := int64(0); i < k; i++ {
-		r.Add(x)
-	}
-}
-
-// Merge combines another accumulator into r (parallel reduction).
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	mean := r.mean + delta*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n, r.mean, r.m2 = n, mean, m2
 }
 
 // Count returns the number of observations.
@@ -203,70 +174,6 @@ func (s *Sample) Quantile(q float64) float64 {
 // Values returns a copy of the collected observations.
 func (s *Sample) Values() []float64 {
 	return append([]float64(nil), s.xs...)
-}
-
-// Histogram is a fixed-width bin histogram over [Lo, Hi); observations
-// outside the range are counted in the under/overflow bins.
-type Histogram struct {
-	Lo, Hi    float64
-	Bins      []int64
-	Under     int64
-	Over      int64
-	totalObs  int64
-	sumValues float64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.totalObs++
-	h.sumValues += x
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi {
-		h.Over++
-		return
-	}
-	idx := int(float64(len(h.Bins)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx >= len(h.Bins) {
-		idx = len(h.Bins) - 1
-	}
-	h.Bins[idx]++
-}
-
-// Count returns the total number of observations including overflow.
-func (h *Histogram) Count() int64 { return h.totalObs }
-
-// Mean returns the mean of all observations (including out-of-range ones).
-func (h *Histogram) Mean() float64 {
-	if h.totalObs == 0 {
-		return 0
-	}
-	return h.sumValues / float64(h.totalObs)
-}
-
-// BinCenter returns the centre of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns the fraction of in-range observations falling in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	inRange := h.totalObs - h.Under - h.Over
-	if inRange == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(inRange)
 }
 
 // TimeWeighted accumulates the time average of a piecewise-constant signal,

@@ -38,63 +38,6 @@ func TestRunningEmpty(t *testing.T) {
 	}
 }
 
-func TestRunningMergeEquivalence(t *testing.T) {
-	f := func(seedA, seedB uint64) bool {
-		genVals := func(seed uint64, n int) []float64 {
-			s := seed
-			out := make([]float64, n)
-			for i := range out {
-				s = s*6364136223846793005 + 1442695040888963407
-				out[i] = float64(s>>11) / (1 << 53) * 100
-			}
-			return out
-		}
-		a := genVals(seedA, 37)
-		b := genVals(seedB, 53)
-		var all, ra, rb Running
-		for _, x := range a {
-			all.Add(x)
-			ra.Add(x)
-		}
-		for _, x := range b {
-			all.Add(x)
-			rb.Add(x)
-		}
-		ra.Merge(&rb)
-		return math.Abs(all.Mean()-ra.Mean()) < 1e-9 &&
-			math.Abs(all.Variance()-ra.Variance()) < 1e-6 &&
-			all.Count() == ra.Count() &&
-			all.Min() == ra.Min() && all.Max() == ra.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMergeWithEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(3)
-	a.Merge(&b) // merging empty should not change a
-	if a.Count() != 1 || a.Mean() != 3 {
-		t.Error("merge with empty changed accumulator")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.Count() != 1 || b.Mean() != 3 {
-		t.Error("merge into empty did not copy")
-	}
-}
-
-func TestAddN(t *testing.T) {
-	var a, b Running
-	a.AddN(5, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(5)
-	}
-	if a.Count() != b.Count() || a.Mean() != b.Mean() {
-		t.Error("AddN inconsistent with repeated Add")
-	}
-}
-
 func TestConfidenceInterval(t *testing.T) {
 	var r Running
 	for i := 0; i < 10; i++ {
@@ -180,57 +123,6 @@ func TestSampleValuesCopy(t *testing.T) {
 	if s.Quantile(0) != 1 {
 		t.Error("Values should return a copy")
 	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(15)
-	if h.Count() != 12 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("Under/Over = %d/%d", h.Under, h.Over)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bins[i] != 1 {
-			t.Errorf("bin %d = %d, want 1", i, h.Bins[i])
-		}
-		if math.Abs(h.Fraction(i)-0.1) > 1e-12 {
-			t.Errorf("Fraction(%d) = %v", i, h.Fraction(i))
-		}
-	}
-	if math.Abs(h.BinCenter(0)-0.5) > 1e-12 {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(0, 100, 4)
-	h.Add(10)
-	h.Add(30)
-	if h.Mean() != 20 {
-		t.Errorf("Mean = %v", h.Mean())
-	}
-	empty := NewHistogram(0, 1, 1)
-	if empty.Mean() != 0 {
-		t.Error("empty histogram mean should be 0")
-	}
-	if empty.Fraction(0) != 0 {
-		t.Error("empty histogram fraction should be 0")
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for invalid params")
-		}
-	}()
-	NewHistogram(5, 1, 3)
 }
 
 func TestTimeWeighted(t *testing.T) {

@@ -43,12 +43,3 @@ func (q *Queue) Remove(r *BurstRequest) bool {
 	}
 	return false
 }
-
-// WaitingTimes returns the waiting time of every queued request at time now.
-func (q *Queue) WaitingTimes(now float64) []float64 {
-	out := make([]float64, len(q.items))
-	for i, it := range q.items {
-		out[i] = now - it.ArrivalTime
-	}
-	return out
-}

@@ -7,11 +7,7 @@
 // (bits) handed to the burst admission layer.
 package traffic
 
-import (
-	"math"
-
-	"jabasd/internal/rng"
-)
+import "jabasd/internal/rng"
 
 // VoiceModel is a two-state (talk spurt / silence) Markov on/off source.
 type VoiceModel struct {
@@ -191,14 +187,4 @@ func (d *DataModel) BurstDone() {
 	d.pending = nil
 	d.thinking = true
 	d.thinkLeft = d.src.Exponential(d.cfg.MeanReadingTimeSec)
-}
-
-// MeanDocumentBits returns the analytic mean of the (untruncated) Pareto
-// document size, or the cap when the shape is <= 1 (infinite mean).
-func (d *DataModel) MeanDocumentBits() float64 {
-	a := d.cfg.ParetoAlpha
-	if a <= 1 {
-		return d.cfg.MaxSizeBits
-	}
-	return math.Min(a*d.cfg.MinSizeBits/(a-1), d.cfg.MaxSizeBits)
 }

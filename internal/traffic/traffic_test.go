@@ -141,23 +141,6 @@ func TestDataModelDefaults(t *testing.T) {
 	}
 }
 
-func TestMeanDocumentBits(t *testing.T) {
-	cfg := DefaultDataModelConfig()
-	cfg.ParetoAlpha = 2
-	cfg.MinSizeBits = 100
-	cfg.MaxSizeBits = 1e9
-	d := NewDataModel(rng.New(7), 0, cfg)
-	if got := d.MeanDocumentBits(); math.Abs(got-200) > 1e-9 {
-		t.Errorf("MeanDocumentBits = %v, want 200", got)
-	}
-	cfg.ParetoAlpha = 0.9
-	cfg.MaxSizeBits = 5000
-	d2 := NewDataModel(rng.New(8), 0, cfg)
-	if got := d2.MeanDocumentBits(); got != 5000 {
-		t.Errorf("heavy-tail mean should be capped, got %v", got)
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue()
 	if len(q.Items()) != 0 || q.Len() != 0 {
@@ -198,15 +181,5 @@ func TestQueueOutOfOrderInsertSorts(t *testing.T) {
 	q.Push(r1)
 	if q.Items()[0] != r1 {
 		t.Error("queue should re-sort on out-of-order insert")
-	}
-}
-
-func TestQueueWaitingTimes(t *testing.T) {
-	q := NewQueue()
-	q.Push(&BurstRequest{ArrivalTime: 1})
-	q.Push(&BurstRequest{ArrivalTime: 4})
-	w := q.WaitingTimes(10)
-	if len(w) != 2 || w[0] != 9 || w[1] != 6 {
-		t.Errorf("WaitingTimes = %v", w)
 	}
 }

@@ -222,8 +222,6 @@ func TestDocsNameExistingInternalPaths(t *testing.T) {
 // unreferencedExportsAllowed lists exported functions and methods under
 // internal/ that no non-test code names, each with the reason it stays.
 // Keys are "<package dir>.<Func>" or "<package dir>.<Type>.<Method>".
-// "pending" entries are dead code whose deletion also deletes the named
-// tests; ROADMAP item 8 tracks them.
 var unreferencedExportsAllowed = map[string]string{
 	// Paper equations (docs/PAPER_MAPPING.md).
 	"internal/vtaoc.RatePlan.RelativeBitRate": "paper eq. (4): relative SCH bit rate",
@@ -243,35 +241,6 @@ var unreferencedExportsAllowed = map[string]string{
 
 	// ROADMAP item 7 surfaces it.
 	"internal/measurement.IncrementalRegions.Stats": "region-cache hit and miss counters for the engine counters",
-
-	// Pending deletion: each takes the named tests with it.
-	"internal/channel.Link.EstimatedCSIDB":        "pending: the three TestEstimatedCSI* tests",
-	"internal/channel.Link.InstantGainDB":         "pending: TestInstantGainDBFloor",
-	"internal/channel.PathLossModel.Gain":         "pending: TestPathLossGainConsistent",
-	"internal/mathx.AlmostEqual":                  "pending: TestAlmostEqual",
-	"internal/mathx.FastDB":                       "pending: TestFastDBLinearRoundTrip",
-	"internal/mathx.FastLinear":                   "pending: TestFastDBLinearRoundTrip",
-	"internal/mathx.Lerp":                         "pending: TestLerp",
-	"internal/mathx.MaxFloat":                     "pending: TestMeanSumMinMax",
-	"internal/mathx.MaxInt":                       "pending: TestMinMaxInt",
-	"internal/mathx.MeanFloat":                    "pending: TestMeanSumMinMax",
-	"internal/mathx.MinFloat":                     "pending: TestMeanSumMinMax",
-	"internal/mathx.MinInt":                       "pending: TestMinMaxInt",
-	"internal/mathx.QInv":                         "pending: TestQInvRoundTrip",
-	"internal/mathx.Sq":                           "pending: TestSq",
-	"internal/mathx.SumFloat":                     "pending: TestMeanSumMinMax",
-	"internal/measurement.Merge":                  "pending: TestMerge",
-	"internal/mobility.NewRandomWalk":             "pending: the whole RandomWalk model and the five TestRandomWalk* tests",
-	"internal/scenario.Save":                      "pending: TestSaveToBadPath",
-	"internal/spatial.Index.BucketDiagonal":       "pending: TestCandidateRadiusBounds",
-	"internal/spatial.Index.CandidateRadius":      "pending: TestCandidateRadiusBounds",
-	"internal/stats.Histogram.BinCenter":          "pending: TestHistogramBasics",
-	"internal/stats.Histogram.Fraction":           "pending: TestHistogramBasics",
-	"internal/stats.NewHistogram":                 "pending: the whole Histogram type and the three TestHistogram* tests",
-	"internal/stats.Running.AddN":                 "pending: TestAddN",
-	"internal/stats.Running.Merge":                "pending: TestRunningMergeEquivalence and TestRunningMergeWithEmpty",
-	"internal/traffic.DataModel.MeanDocumentBits": "pending: TestMeanDocumentBits",
-	"internal/traffic.Queue.WaitingTimes":         "pending: TestQueueWaitingTimes",
 }
 
 // TestExportedSymbolsReachable fails when an exported top-level function
