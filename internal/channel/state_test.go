@@ -11,7 +11,7 @@ import (
 )
 
 // snapshotState round-trips enc into dec through a one-section stream.
-func snapshotState(t *testing.T, enc func(*checkpoint.Writer), dec func(*checkpoint.Reader)) {
+func snapshotState(t *testing.T, enc, dec func(*checkpoint.Codec)) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
@@ -111,7 +111,7 @@ func TestBatchStateRoundTrip(t *testing.T) {
 		}
 
 		restored := NewBatch(users, cells, DefaultPathLoss(), 8, 50) // unseeded: decode overwrites
-		snapshotState(t, orig.EncodeState, restored.DecodeState)
+		snapshotState(t, orig.Persist, restored.Persist)
 
 		for u := 0; u < users; u++ {
 			if !rowsEqual(orig.GainRow(u), restored.GainRow(u)) {
@@ -139,7 +139,7 @@ func TestBatchDecodeRejectsSizeMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
 	w.Section("chan")
-	orig.EncodeState(w)
+	orig.Persist(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBatchDecodeRejectsSizeMismatch(t *testing.T) {
 	if err := r.Section("chan"); err != nil {
 		t.Fatal(err)
 	}
-	other.DecodeState(r)
+	other.Persist(r)
 	if r.Err() == nil {
 		t.Fatal("dimension mismatch not rejected")
 	}
@@ -197,7 +197,7 @@ func TestWindowStateRoundTrip(t *testing.T) {
 		advance(orig, 0, 4, 3)
 
 		restored := NewWindow(users, width, DefaultPathLoss(), 8, 50)
-		snapshotState(t, orig.EncodeState, restored.DecodeState)
+		snapshotState(t, orig.Persist, restored.Persist)
 
 		// Both copies now retarget user 1 and keep advancing; the entering
 		// slots' fresh draws come from the restored substreams.

@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,112 +16,114 @@ import (
 	"jabasd/internal/rng"
 )
 
-// encodeSample writes a two-section stream exercising every primitive.
+// sample holds one value of every kind the codec carries; persist lists
+// them once over a two-section stream.
+type sample struct {
+	u       uint64
+	i       int64
+	n       int
+	pi, inf float64
+	nan     float64
+	yes, no bool
+	raw     []byte
+	fs      []float64
+	is      []int
+	bs      [3]bool
+}
+
+func (s *sample) persist(c *Codec) error {
+	c.Section("alpha")
+	c.U64(&s.u)
+	c.I64(&s.i)
+	c.Int(&s.n)
+	c.F64(&s.pi)
+	c.F64(&s.inf)
+	c.F64(&s.nan)
+	c.Bool(&s.yes)
+	c.Bool(&s.no)
+	c.Bytes(&s.raw)
+	c.Section("beta")
+	c.F64s(&s.fs)
+	c.Ints(&s.is)
+	c.FillBools(s.bs[:])
+	return c.Close()
+}
+
+func wantSample() sample {
+	return sample{
+		u: math.MaxUint64, i: -42, n: -7,
+		pi: math.Pi, inf: math.Inf(-1), nan: math.NaN(),
+		yes: true, no: false,
+		raw: []byte{0, 1, 2, 0xff},
+		fs:  []float64{0x1p-1074, math.Copysign(0, -1), 2.5},
+		is:  []int{-1, 0, 1 << 40},
+		bs:  [3]bool{true, false, true},
+	}
+}
+
+// encodeSample writes a two-section stream exercising every value method.
 func encodeSample(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Section("alpha")
-	w.U64(math.MaxUint64)
-	w.I64(-42)
-	w.Int(-7)
-	w.F64(math.Pi)
-	w.F64(math.Inf(-1))
-	w.F64(math.NaN())
-	w.Bool(true)
-	w.Bool(false)
-	w.Bytes([]byte{0, 1, 2, 0xff})
-	w.Section("beta")
-	w.F64s([]float64{0x1p-1074, math.Copysign(0, -1), 2.5})
-	w.Ints([]int{-1, 0, 1 << 40})
-	w.Bools([]bool{true, false, true})
-	if err := w.Close(); err != nil {
+	s := wantSample()
+	if err := s.persist(NewWriter(&buf)); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	return buf.Bytes()
 }
 
-func decodeSample(data []byte) error {
-	r, err := NewReader(bytes.NewReader(data))
+func decodeSample(data []byte) (sample, error) {
+	var s sample
+	c, err := NewReader(bytes.NewReader(data))
 	if err != nil {
-		return err
+		return s, err
 	}
-	if err := r.Section("alpha"); err != nil {
-		return err
-	}
-	r.U64()
-	r.I64()
-	r.Int()
-	r.F64()
-	r.F64()
-	r.F64()
-	r.Bool()
-	r.Bool()
-	r.Bytes()
-	if err := r.Section("beta"); err != nil {
-		return err
-	}
-	r.F64s()
-	r.Ints()
-	var bs [3]bool
-	r.FillBools(bs[:])
-	if err := r.Close(); err != nil {
-		return err
-	}
-	return r.Err()
+	return s, s.persist(c)
 }
 
 func TestRoundTripAllPrimitives(t *testing.T) {
-	data := encodeSample(t)
-	r, err := NewReader(bytes.NewReader(data))
+	got, err := decodeSample(encodeSample(t))
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
-	if err := r.Section("alpha"); err != nil {
-		t.Fatalf("Section alpha: %v", err)
+	want := wantSample()
+	if got.u != want.u || got.i != want.i || got.n != want.n {
+		t.Errorf("integers = %d, %d, %d", got.u, got.i, got.n)
 	}
-	if got := r.U64(); got != math.MaxUint64 {
-		t.Errorf("U64 = %d", got)
+	if got.pi != math.Pi || !math.IsInf(got.inf, -1) {
+		t.Errorf("F64 = %v, %v", got.pi, got.inf)
 	}
-	if got := r.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
+	if bits := math.Float64bits(got.nan); bits != math.Float64bits(math.NaN()) {
+		t.Errorf("NaN bits = %#x", bits)
 	}
-	if got := r.Int(); got != -7 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := r.F64(); got != math.Pi {
-		t.Errorf("F64 = %v", got)
-	}
-	if got := r.F64(); !math.IsInf(got, -1) {
-		t.Errorf("F64 inf = %v", got)
-	}
-	if got := math.Float64bits(r.F64()); got != math.Float64bits(math.NaN()) {
-		t.Errorf("NaN bits = %#x", got)
-	}
-	if !r.Bool() || r.Bool() {
+	if !got.yes || got.no {
 		t.Error("Bool round-trip failed")
 	}
-	if got := r.Bytes(); !bytes.Equal(got, []byte{0, 1, 2, 0xff}) {
-		t.Errorf("Bytes = %v", got)
+	if !bytes.Equal(got.raw, want.raw) {
+		t.Errorf("Bytes = %v", got.raw)
 	}
-	if err := r.Section("beta"); err != nil {
-		t.Fatalf("Section beta: %v", err)
-	}
-	fs := r.F64s()
+	fs := got.fs
 	if len(fs) != 3 || fs[0] != 0x1p-1074 || math.Float64bits(fs[1]) != math.Float64bits(math.Copysign(0, -1)) || fs[2] != 2.5 {
 		t.Errorf("F64s = %v (negative-zero bits %#x)", fs, math.Float64bits(fs[1]))
 	}
-	is := r.Ints()
-	if len(is) != 3 || is[0] != -1 || is[2] != 1<<40 {
-		t.Errorf("Ints = %v", is)
+	if !slices.Equal(got.is, want.is) {
+		t.Errorf("Ints = %v", got.is)
 	}
-	var bs [3]bool
-	r.FillBools(bs[:])
-	if bs != [3]bool{true, false, true} {
-		t.Errorf("FillBools = %v", bs)
+	if got.bs != want.bs {
+		t.Errorf("FillBools = %v", got.bs)
 	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+}
+
+// TestWriterStoresNothing: writing reads every field and changes none.
+func TestWriterStoresNothing(t *testing.T) {
+	s := wantSample()
+	if err := s.persist(NewWriter(io.Discard)); err != nil {
+		t.Fatal(err)
+	}
+	want := wantSample()
+	s.nan, want.nan = 0, 0 // NaN != NaN
+	if !reflect.DeepEqual(s, want) {
+		t.Errorf("writing changed the state:\n got %+v\nwant %+v", s, want)
 	}
 }
 
@@ -170,11 +175,11 @@ func TestBadMagicRefused(t *testing.T) {
 func TestEveryTruncationErrors(t *testing.T) {
 	data := encodeSample(t)
 	for n := 0; n < len(data); n++ {
-		if err := decodeSample(data[:n]); err == nil {
+		if _, err := decodeSample(data[:n]); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded without error", n, len(data))
 		}
 	}
-	if err := decodeSample(data); err != nil {
+	if _, err := decodeSample(data); err != nil {
 		t.Fatalf("full stream failed: %v", err)
 	}
 }
@@ -187,7 +192,7 @@ func TestEveryByteFlipErrors(t *testing.T) {
 	for i := 12; i < len(data); i++ {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x55
-		if err := decodeSample(mut); err == nil {
+		if _, err := decodeSample(mut); err == nil {
 			t.Fatalf("byte flip at offset %d decoded without error", i)
 		}
 	}
@@ -234,12 +239,14 @@ func TestSectionNameMismatch(t *testing.T) {
 	}
 }
 
-func TestUndecodedBytesDetected(t *testing.T) {
+// oneSection writes a stream with one section "s" filled by fill and opens
+// it for reading, positioned inside that section.
+func oneSection(t *testing.T, fill func(c *Codec)) *Codec {
+	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Section("s")
-	w.U64(1)
-	w.U64(2)
+	fill(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,52 +257,37 @@ func TestUndecodedBytesDetected(t *testing.T) {
 	if err := r.Section("s"); err != nil {
 		t.Fatal(err)
 	}
-	r.U64() // leave one value unread
+	return r
+}
+
+func TestUndecodedBytesDetected(t *testing.T) {
+	one, two := uint64(1), uint64(2)
+	r := oneSection(t, func(c *Codec) { c.U64(&one); c.U64(&two) })
+	var v uint64
+	r.U64(&v) // leave one value unread
 	if err := r.Close(); err == nil || !strings.Contains(err.Error(), "undecoded") {
 		t.Fatalf("undecoded bytes not detected: %v", err)
 	}
 }
 
 func TestFillLengthMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Section("s")
-	w.F64s([]float64{1, 2, 3})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Section("s"); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 2)
-	r.FillF64s(dst)
+	xs := []float64{1, 2, 3}
+	r := oneSection(t, func(c *Codec) { c.F64s(&xs) })
+	r.FillF64s(make([]float64, 2))
 	if r.Err() == nil {
 		t.Fatal("length mismatch not detected")
 	}
 }
 
 func TestReadPastSectionEnd(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Section("s")
-	w.U64(7)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Section("s"); err != nil {
-		t.Fatal(err)
-	}
-	r.U64()
-	r.U64() // past the end
+	v := uint64(7)
+	r := oneSection(t, func(c *Codec) { c.U64(&v) })
+	r.U64(&v)
+	r.U64(&v) // past the end
 	if !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("read past end: err = %v", r.Err())
+	}
+	if v != 7 {
+		t.Errorf("failed read stored %d", v)
 	}
 }

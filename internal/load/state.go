@@ -2,18 +2,12 @@ package load
 
 import "jabasd/internal/checkpoint"
 
-// EncodeState appends the vector's entries in their stored order (Set order,
-// which downstream AddVec walks, so the order is part of the state).
-func (v *Vec) EncodeState(w *checkpoint.Writer) {
-	w.Ints(v.cells)
-	w.F64s(v.vals)
-}
-
-// DecodeState restores the state written by EncodeState.
-func (v *Vec) DecodeState(rd *checkpoint.Reader) {
-	v.cells = rd.Ints()
-	v.vals = rd.F64s()
-	if len(v.cells) != len(v.vals) {
-		rd.Fail("load vector with %d cells but %d values", len(v.cells), len(v.vals))
+// Persist writes or reads the vector's entries in their stored order (Set
+// order, which downstream AddVec walks, so the order is part of the state).
+func (v *Vec) Persist(c *checkpoint.Codec) {
+	c.Ints(&v.cells)
+	c.F64s(&v.vals)
+	if c.Reading() && len(v.cells) != len(v.vals) {
+		c.Fail("load vector with %d cells but %d values", len(v.cells), len(v.vals))
 	}
 }

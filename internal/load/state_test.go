@@ -17,9 +17,9 @@ func TestVecStateRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
 	w.Section("vec")
-	orig.EncodeState(w)
+	orig.Persist(w)
 	var empty Vec
-	empty.EncodeState(w)
+	empty.Persist(w)
 	if err := w.Close(); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -32,8 +32,8 @@ func TestVecStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var restored, restoredEmpty Vec
-	restored.DecodeState(r)
-	restoredEmpty.DecodeState(r)
+	restored.Persist(r)
+	restoredEmpty.Persist(r)
 	if err := r.Close(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}

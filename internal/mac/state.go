@@ -2,22 +2,19 @@ package mac
 
 import "jabasd/internal/checkpoint"
 
-// EncodeState appends the machine's mutable state (the configuration is
-// rebuilt from the scenario, not serialized).
-func (m *Machine) EncodeState(w *checkpoint.Writer) {
-	w.Int(int(m.state))
-	w.F64(m.idleSince)
-	w.F64(m.lastTime)
-}
-
-// DecodeState restores the state written by EncodeState.
-func (m *Machine) DecodeState(rd *checkpoint.Reader) {
-	s := State(rd.Int())
-	if s < Active || s > Dormant {
-		rd.Fail("invalid MAC state %d", int(s))
-		return
+// Persist writes or reads the machine's mutable state (the configuration
+// is rebuilt from the scenario, not serialized). Reading refuses a state
+// outside Active..Dormant.
+func (m *Machine) Persist(c *checkpoint.Codec) {
+	s := int(m.state)
+	c.Int(&s)
+	if c.Reading() {
+		if State(s) < Active || State(s) > Dormant {
+			c.Fail("invalid MAC state %d", s)
+			return
+		}
+		m.state = State(s)
 	}
-	m.state = s
-	m.idleSince = rd.F64()
-	m.lastTime = rd.F64()
+	c.F64(&m.idleSince)
+	c.F64(&m.lastTime)
 }

@@ -21,7 +21,7 @@ func TestMachineStateRoundTrip(t *testing.T) {
 		var buf bytes.Buffer
 		w := checkpoint.NewWriter(&buf)
 		w.Section("mac")
-		m.EncodeState(w)
+		m.Persist(w)
 		if err := w.Close(); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -33,7 +33,7 @@ func TestMachineStateRoundTrip(t *testing.T) {
 		if err := r.Section("mac"); err != nil {
 			t.Fatal(err)
 		}
-		restored.DecodeState(r)
+		restored.Persist(r)
 		if err := r.Close(); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -61,9 +61,10 @@ func TestMachineDecodeRejectsInvalidState(t *testing.T) {
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
 	w.Section("mac")
-	w.Int(99) // no such State
-	w.F64(0)
-	w.F64(0)
+	state, t0 := 99, 0.0 // no such State
+	w.Int(&state)
+	w.F64(&t0)
+	w.F64(&t0)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestMachineDecodeRejectsInvalidState(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := MustNewMachine(DefaultConfig())
-	m.DecodeState(r)
+	m.Persist(r)
 	if r.Err() == nil || !strings.Contains(r.Err().Error(), "invalid MAC state") {
 		t.Fatalf("invalid state not rejected: %v", r.Err())
 	}

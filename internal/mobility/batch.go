@@ -82,14 +82,6 @@ func (b *WaypointBatch) pickDestination(i int) {
 // Position returns user i's current position.
 func (b *WaypointBatch) Position(i int) cellular.Point { return b.pos[i] }
 
-// Speed returns user i's current travel speed (0 while paused).
-func (b *WaypointBatch) Speed(i int) float64 {
-	if !b.travelling[i] {
-		return 0
-	}
-	return b.speed[i]
-}
-
 // Advance moves user i by dt seconds and returns the distance travelled,
 // with the identical step/pause logic as RandomWaypoint.Advance.
 func (b *WaypointBatch) Advance(i int, dt float64) float64 {

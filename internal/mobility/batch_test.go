@@ -39,8 +39,9 @@ func TestWaypointBatchMatchesScalar(t *testing.T) {
 			if batch.Position(u) != scalars[u].Position() {
 				t.Fatalf("user %d frame %d: position %v != %v", u, f, batch.Position(u), scalars[u].Position())
 			}
-			if batch.Speed(u) != scalars[u].Speed() {
-				t.Fatalf("user %d frame %d: speed %v != %v", u, f, batch.Speed(u), scalars[u].Speed())
+			if batch.speed[u] != scalars[u].speed || batch.travelling[u] != scalars[u].travelling {
+				t.Fatalf("user %d frame %d: speed %v (travelling %v) != %v (%v)", u, f,
+					batch.speed[u], batch.travelling[u], scalars[u].speed, scalars[u].travelling)
 			}
 		}
 	}

@@ -3,25 +3,14 @@
 // area and a speed, travels there in a straight line, pauses, and repeats.
 // A user therefore never leaves the area; wrap-around distances are the
 // cellular layout's concern, not the mobility model's. RandomWaypoint is
-// the scalar model (the voice users), WaypointBatch the same process for
-// every data user at once, and Static a fixed position for tests.
+// the scalar model (the voice users) and WaypointBatch the same process for
+// every data user at once.
 package mobility
 
 import (
 	"jabasd/internal/cellular"
 	"jabasd/internal/rng"
 )
-
-// Model is a mobility process for one user.
-type Model interface {
-	// Position returns the current position.
-	Position() cellular.Point
-	// Advance moves the user by dt seconds and returns the distance
-	// travelled during the step (used to advance the shadowing process).
-	Advance(dt float64) float64
-	// Speed returns the current speed in m/s.
-	Speed() float64
-}
 
 // Region describes the rectangular service area [0,W) x [0,H).
 type Region struct {
@@ -79,14 +68,6 @@ func (m *RandomWaypoint) pickDestination() {
 // Position returns the current position.
 func (m *RandomWaypoint) Position() cellular.Point { return m.pos }
 
-// Speed returns the current travel speed (0 while paused).
-func (m *RandomWaypoint) Speed() float64 {
-	if !m.travelling {
-		return 0
-	}
-	return m.speed
-}
-
 // Advance moves the user by dt seconds and returns the distance travelled.
 func (m *RandomWaypoint) Advance(dt float64) float64 {
 	travelled := 0.0
@@ -122,23 +103,3 @@ func (m *RandomWaypoint) Advance(dt float64) float64 {
 	}
 	return travelled
 }
-
-// Static is a degenerate mobility model for stationary users (useful in unit
-// tests and for modelling fixed wireless terminals).
-type Static struct {
-	P cellular.Point
-}
-
-// Position returns the fixed position.
-func (s *Static) Position() cellular.Point { return s.P }
-
-// Advance does nothing and returns zero distance.
-func (s *Static) Advance(dt float64) float64 { return 0 }
-
-// Speed returns zero.
-func (s *Static) Speed() float64 { return 0 }
-
-var (
-	_ Model = (*RandomWaypoint)(nil)
-	_ Model = (*Static)(nil)
-)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"jabasd/internal/cellular"
 	"jabasd/internal/rng"
 )
 
@@ -40,8 +39,7 @@ func TestRandomWaypointSpeedBounds(t *testing.T) {
 	m := NewRandomWaypoint(src, region, 3, 14, 2)
 	for i := 0; i < 5000; i++ {
 		m.Advance(0.7)
-		s := m.Speed()
-		if s != 0 && (s < 3 || s > 14) {
+		if s := m.speed; m.travelling && (s < 3 || s > 14) {
 			t.Fatalf("speed out of bounds: %v", s)
 		}
 	}
@@ -53,7 +51,7 @@ func TestRandomWaypointPauses(t *testing.T) {
 	sawPause := false
 	for i := 0; i < 20000 && !sawPause; i++ {
 		m.Advance(0.5)
-		if m.Speed() == 0 {
+		if !m.travelling {
 			sawPause = true
 		}
 	}
@@ -75,21 +73,8 @@ func TestRandomWaypointDegenerateSpeed(t *testing.T) {
 	// Negative/backwards parameter handling.
 	m2 := NewRandomWaypoint(rng.New(6), region, -5, -10, 0)
 	m2.Advance(1)
-	if m2.Speed() < 0 {
+	if m2.speed < 0 {
 		t.Error("speed should never be negative")
-	}
-}
-
-func TestStatic(t *testing.T) {
-	s := &Static{P: cellular.Point{X: 10, Y: 20}}
-	if s.Advance(100) != 0 {
-		t.Error("static user travelled")
-	}
-	if s.Position().X != 10 || s.Position().Y != 20 {
-		t.Error("static position changed")
-	}
-	if s.Speed() != 0 {
-		t.Error("static speed nonzero")
 	}
 }
 

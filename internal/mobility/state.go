@@ -2,63 +2,38 @@ package mobility
 
 import "jabasd/internal/checkpoint"
 
-// EncodeState appends every user's mutable waypoint state: position,
-// destination, speed, remaining pause, travel flag and draw stream. The
-// region and speed bounds are construction parameters.
-func (b *WaypointBatch) EncodeState(w *checkpoint.Writer) {
-	w.Int(len(b.src))
-	for i := range b.src {
-		b.src[i].EncodeState(w)
-		w.F64(b.pos[i].X)
-		w.F64(b.pos[i].Y)
-		w.F64(b.dest[i].X)
-		w.F64(b.dest[i].Y)
-		w.F64(b.speed[i])
-		w.F64(b.pause[i])
-		w.Bool(b.travelling[i])
-	}
-}
-
-// DecodeState restores the state written by EncodeState into the existing
-// batch, which must have the same user count.
-func (b *WaypointBatch) DecodeState(rd *checkpoint.Reader) {
-	if n := rd.Int(); n != len(b.src) {
-		rd.Fail("waypoint batch has %d users, checkpoint %d", len(b.src), n)
+// Persist writes or reads every user's mutable waypoint state: draw
+// stream, position, destination, speed, remaining pause and travel flag.
+// The region and speed bounds are construction parameters. Reading
+// restores into the existing batch, which must have the stored user count.
+func (b *WaypointBatch) Persist(c *checkpoint.Codec) {
+	n := len(b.src)
+	c.Int(&n)
+	if n != len(b.src) {
+		c.Fail("waypoint batch has %d users, checkpoint %d", len(b.src), n)
 		return
 	}
 	for i := range b.src {
-		b.src[i].DecodeState(rd)
-		b.pos[i].X = rd.F64()
-		b.pos[i].Y = rd.F64()
-		b.dest[i].X = rd.F64()
-		b.dest[i].Y = rd.F64()
-		b.speed[i] = rd.F64()
-		b.pause[i] = rd.F64()
-		b.travelling[i] = rd.Bool()
+		b.src[i].Persist(c)
+		c.F64(&b.pos[i].X)
+		c.F64(&b.pos[i].Y)
+		c.F64(&b.dest[i].X)
+		c.F64(&b.dest[i].Y)
+		c.F64(&b.speed[i])
+		c.F64(&b.pause[i])
+		c.Bool(&b.travelling[i])
 	}
 }
 
-// EncodeState appends the scalar waypoint model's mutable state (the voice
-// users' mobility), mirroring WaypointBatch.EncodeState per user.
-func (m *RandomWaypoint) EncodeState(w *checkpoint.Writer) {
-	m.src.EncodeState(w)
-	w.F64(m.pos.X)
-	w.F64(m.pos.Y)
-	w.F64(m.dest.X)
-	w.F64(m.dest.Y)
-	w.F64(m.speed)
-	w.F64(m.pause)
-	w.Bool(m.travelling)
-}
-
-// DecodeState restores the state written by EncodeState.
-func (m *RandomWaypoint) DecodeState(rd *checkpoint.Reader) {
-	m.src.DecodeState(rd)
-	m.pos.X = rd.F64()
-	m.pos.Y = rd.F64()
-	m.dest.X = rd.F64()
-	m.dest.Y = rd.F64()
-	m.speed = rd.F64()
-	m.pause = rd.F64()
-	m.travelling = rd.Bool()
+// Persist writes or reads the scalar waypoint model's mutable state (the
+// voice users' mobility) in WaypointBatch.Persist's per-user layout.
+func (m *RandomWaypoint) Persist(c *checkpoint.Codec) {
+	m.src.Persist(c)
+	c.F64(&m.pos.X)
+	c.F64(&m.pos.Y)
+	c.F64(&m.dest.X)
+	c.F64(&m.dest.Y)
+	c.F64(&m.speed)
+	c.F64(&m.pause)
+	c.Bool(&m.travelling)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // snapshot round-trips enc into dec through a one-section stream.
-func snapshot(t *testing.T, enc func(*checkpoint.Writer), dec func(*checkpoint.Reader)) {
+func snapshot(t *testing.T, enc, dec func(*checkpoint.Codec)) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
@@ -52,7 +52,7 @@ func TestWaypointBatchStateRoundTrip(t *testing.T) {
 	}
 
 	restored := NewWaypointBatch(region, 1, 20, 30, n) // unseeded: decode overwrites
-	snapshot(t, orig.EncodeState, restored.DecodeState)
+	snapshot(t, orig.Persist, restored.Persist)
 
 	for step := 0; step < 2000; step++ {
 		for i := 0; i < n; i++ {
@@ -78,7 +78,7 @@ func TestWaypointBatchDecodeRejectsSizeMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
 	w.Section("mob")
-	orig.EncodeState(w)
+	orig.Persist(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestWaypointBatchDecodeRejectsSizeMismatch(t *testing.T) {
 	if err := r.Section("mob"); err != nil {
 		t.Fatal(err)
 	}
-	smaller.DecodeState(r)
+	smaller.Persist(r)
 	if r.Err() == nil {
 		t.Fatal("user-count mismatch not rejected")
 	}
@@ -106,7 +106,7 @@ func TestRandomWaypointStateRoundTrip(t *testing.T) {
 	}
 
 	restored := NewRandomWaypoint(rng.New(99), region, 0.5, 15, 30)
-	snapshot(t, orig.EncodeState, restored.DecodeState)
+	snapshot(t, orig.Persist, restored.Persist)
 
 	for step := 0; step < 3000; step++ {
 		a := orig.Advance(dt)

@@ -6,36 +6,28 @@ import (
 	"jabasd/internal/checkpoint"
 )
 
-// EncodeState appends the source's complete mutable state — the xoshiro
-// words and the cached Box-Muller spare — so a decoded source continues the
-// stream bit for bit. The spare is stored as a value and a has-spare flag
-// (an empty spare writes 0, false).
-func (r *Source) EncodeState(w *checkpoint.Writer) {
-	for _, s := range r.s {
-		w.U64(s)
-	}
-	if r.spare == noSpare {
-		w.F64(0)
-		w.Bool(false)
-	} else {
-		w.F64(r.spare)
-		w.Bool(true)
-	}
-}
-
-// DecodeState restores the state written by EncodeState. A flagged spare
+// Persist writes or reads the source's complete mutable state — the
+// xoshiro words and the cached Box-Muller spare — so a restored source
+// continues the stream bit for bit. The spare is stored as a value and a
+// has-spare flag (an empty spare writes 0, false). Reading, a flagged spare
 // that no Box-Muller draw can produce — non-finite, or the empty-spare
-// sentinel — fails the reader.
-func (r *Source) DecodeState(rd *checkpoint.Reader) {
+// sentinel — fails the codec.
+func (r *Source) Persist(c *checkpoint.Codec) {
 	for i := range r.s {
-		r.s[i] = rd.U64()
+		c.U64(&r.s[i])
 	}
-	spare, has := rd.F64(), rd.Bool()
+	spare, has := r.spare, r.spare != noSpare
+	if !has {
+		spare = 0
+	}
+	c.F64(&spare)
+	c.Bool(&has)
 	switch {
+	case !c.Reading():
 	case !has:
 		r.spare = noSpare
 	case math.IsNaN(spare) || math.IsInf(spare, 0) || spare == noSpare:
-		rd.Fail("rng: stored Gaussian spare %v is not a Box-Muller variate", spare)
+		c.Fail("rng: stored Gaussian spare %v is not a Box-Muller variate", spare)
 	default:
 		r.spare = spare
 	}

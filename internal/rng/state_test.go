@@ -25,7 +25,7 @@ func TestSourceStateRoundTrip(t *testing.T) {
 		var buf bytes.Buffer
 		w := checkpoint.NewWriter(&buf)
 		w.Section("rng")
-		src.EncodeState(w)
+		src.Persist(w)
 		if err := w.Close(); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -38,7 +38,7 @@ func TestSourceStateRoundTrip(t *testing.T) {
 		if err := r.Section("rng"); err != nil {
 			t.Fatal(err)
 		}
-		restored.DecodeState(r)
+		restored.Persist(r)
 		if err := r.Close(); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -72,11 +72,11 @@ func TestSourceDecodeRefusesBadSpare(t *testing.T) {
 		var buf bytes.Buffer
 		w := checkpoint.NewWriter(&buf)
 		w.Section("rng")
-		for i := 0; i < 4; i++ {
-			w.U64(uint64(i + 1))
+		for i := uint64(1); i <= 4; i++ {
+			w.U64(&i)
 		}
-		w.F64(spare)
-		w.Bool(has)
+		w.F64(&spare)
+		w.Bool(&has)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestSourceDecodeRefusesBadSpare(t *testing.T) {
 			t.Fatal(err)
 		}
 		var src Source
-		src.DecodeState(r)
+		src.Persist(r)
 		return r.Close()
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), noSpare} {

@@ -37,11 +37,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/checkpoint"
 	"jabasd/internal/core"
-	"jabasd/internal/mobility"
 	"jabasd/internal/traffic"
 )
 
@@ -77,132 +77,10 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("sim: marshaling config: %w", err)
 	}
-	cw := checkpoint.NewWriter(w)
-
-	cw.Section("config")
-	cw.Bytes(cfgJSON)
-
-	cw.Section("engine")
-	cw.Int(e.frame)
-	cw.F64(e.now)
-	// Fault runtime: only the load-event cursor is stored — the down/derate
-	// state is a pure function of simulated time, reconstructed on resume —
-	// plus the pending-retry marks feeding Metrics.SolveRetries.
-	if e.fault != nil {
-		cw.Int(e.fault.LoadCursor())
-	} else {
-		cw.Int(0)
-	}
-	for _, p := range e.retryPend {
-		cw.Bool(p)
-	}
-	e.src.EncodeState(cw)
-	cw.Int(len(e.users))
-	cw.Int(len(e.voice))
-	cw.Int(e.layout.NumCells())
-	cw.Int(e.winB.Width())
-
-	// Scheduler stream state: only the sequential-mode Random scheduler
-	// carries a semantic stream across frames (snapshot workers reseed
-	// per (frame, cell) via core.CellSeeder, so their clones hold none).
-	cw.Section("sched")
-	if r, ok := e.scheduler.(*core.Random); ok && e.cfg.FrameMode.normalize() == FrameSequential {
-		cw.Bool(true)
-		r.Src.EncodeState(cw)
-	} else {
-		cw.Bool(false)
-	}
-
-	cw.Section("mobility")
-	e.mobB.EncodeState(cw)
-
-	cw.Section("channel")
-	e.winB.EncodeState(cw)
-
-	cw.Section("users")
-	for _, u := range e.users {
-		// At most cellular.TopPilots entries: the pilot kernels keep no more.
-		cw.Int(len(u.pilots))
-		for _, pm := range u.pilots {
-			cw.Int(int(pm.Cell))
-			cw.F64(pm.EcIo)
-			cw.F64(pm.EcIoDB)
-		}
-		cw.Ints(u.active)
-		cw.Ints(u.reduced)
-		cw.Ints(u.prevReduced)
-		cw.Int(u.hostCell)
-		cw.U64(u.ver)
-		cw.Int(u.bucket)
-		cw.F64(u.geometry)
-		cw.F64(u.meanCSIdB)
-		u.fch.EncodeState(cw)
-		cw.Int(u.queuedCell)
-		cw.Bool(u.firstGrant)
-		u.macM.EncodeState(cw)
-		u.source.EncodeState(cw)
-	}
-
-	cw.Section("voice")
-	for _, v := range e.voice {
-		v.model.EncodeState(cw)
-		rw, ok := v.mob.(*mobility.RandomWaypoint)
-		if !ok {
-			return fmt.Errorf("sim: voice mobility model %T is not checkpointable", v.mob)
-		}
-		rw.EncodeState(cw)
-		cw.Int(v.cell)
-	}
-
-	// Queue entries are stored by value; resume re-links each to its user's
-	// restored pending request, recreating the pointer sharing gatherCell's
-	// staleness test depends on.
-	cw.Section("queues")
-	for _, q := range e.queues {
-		items := q.Items()
-		cw.Int(len(items))
-		for _, it := range items {
-			cw.Int(it.UserID)
-			cw.F64(it.SizeBits)
-			cw.F64(it.ArrivalTime)
-			cw.F64(it.Priority)
-		}
-	}
-
-	cw.Section("bursts")
-	cw.Int(len(e.bursts))
-	for _, b := range e.bursts {
-		cw.Int(b.user.id)
-		cw.Int(b.ratio)
-		cw.F64(b.remaining)
-		cw.F64(b.setupRemaining)
-		cw.F64(b.servedBits)
-		cw.F64(b.serviceTime)
-		cw.F64(b.grantedAt)
-		b.load.EncodeState(cw)
-	}
-
-	cw.Section("metrics")
-	m := e.metrics
-	m.BurstDelay.EncodeState(cw)
-	m.AdmissionWait.EncodeState(cw)
-	m.ServedRate.EncodeState(cw)
-	m.CellLoad.EncodeState(cw)
-	m.QueueLength.EncodeState(cw)
-	m.AssignedRatio.EncodeState(cw)
-	cw.I64(m.BurstsGenerated)
-	cw.I64(m.BurstsCompleted)
-	cw.I64(m.BurstsExpired)
-	cw.I64(m.SkippedCells)
-	cw.I64(m.SolveRetries)
-	cw.I64(m.FallbackSolves)
-	cw.I64(m.SpilloverHandoffs)
-	cw.I64(m.OutageCellFrames)
-	cw.I64(m.CoveredBursts)
-	cw.F64(m.BitsDelivered)
-	cw.F64(m.ObservedTime)
-
-	return cw.Close()
+	c := checkpoint.NewWriter(w)
+	c.Section("config")
+	c.Bytes(&cfgJSON)
+	return e.state(c)
 }
 
 // Checkpoint is a checkpoint opened for resuming: the configuration has
@@ -212,7 +90,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 // the engine.
 type Checkpoint struct {
 	cfg  Config
-	rd   *checkpoint.Reader
+	rd   *checkpoint.Codec
 	used bool
 }
 
@@ -224,10 +102,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: opening checkpoint: %w", err)
 	}
-	if err := rd.Section("config"); err != nil {
-		return nil, fmt.Errorf("sim: reading checkpoint config: %w", err)
-	}
-	cfgJSON := rd.Bytes()
+	var cfgJSON []byte
+	rd.Section("config")
+	rd.Bytes(&cfgJSON)
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("sim: reading checkpoint config: %w", err)
 	}
@@ -288,280 +165,289 @@ func (c *Checkpoint) Resume(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.decodeState(c.rd); err != nil {
+	if err := e.state(c.rd); err != nil {
 		e.Close()
-		return nil, err
+		return nil, fmt.Errorf("sim: resuming: %w", err)
 	}
 	return e, nil
 }
 
-// decodeState restores every state section into the freshly built engine.
-// All decoding goes through the sticky reader; structural damage surfaces
-// as an error here, never as a silently diverging engine.
-func (e *Engine) decodeState(rd *checkpoint.Reader) error {
-	frames := int(math.Ceil(e.cfg.SimTime / e.cfg.FrameLength))
-
-	if err := rd.Section("engine"); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
+// state lists every checkpointed field of the engine once, section by
+// section, in stream order: writing appends each field, reading overwrites
+// it in an engine freshly built from the stored configuration. The checks
+// of the decoded values and the work only a restore needs — rebuilding the
+// fault mask, the windows and the pilot slots, re-linking the queues and
+// allocating the bursts — run when c is reading, so the writer records the
+// engine as it is. It returns the codec's first error.
+func (e *Engine) state(c *checkpoint.Codec) error {
+	c.Section("engine")
+	c.Int(&e.frame)
+	c.F64(&e.now)
+	// Fault runtime: only the load-event cursor is stored — the down/derate
+	// state is a pure function of simulated time, reconstructed on resume —
+	// plus the pending-retry marks feeding Metrics.SolveRetries.
+	cursor := 0
+	if e.fault != nil {
+		cursor = e.fault.LoadCursor()
 	}
-	frame := rd.Int()
-	now := rd.F64()
-	loadCursor := rd.Int()
+	c.Int(&cursor)
 	for k := range e.retryPend {
-		e.retryPend[k] = rd.Bool()
+		c.Bool(&e.retryPend[k])
 	}
-	e.src.DecodeState(rd)
-	nUsers, nVoice, nCells, width := rd.Int(), rd.Int(), rd.Int(), rd.Int()
-	if err := rd.Err(); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
+	e.src.Persist(c)
+	nCells, width := e.layout.NumCells(), e.winB.Width()
+	nUsers, nVoice, cells, win := len(e.users), len(e.voice), nCells, width
+	c.Int(&nUsers)
+	c.Int(&nVoice)
+	c.Int(&cells)
+	c.Int(&win)
+	if c.Reading() && c.Err() == nil {
+		frames := int(math.Ceil(e.cfg.SimTime / e.cfg.FrameLength))
+		switch {
+		case e.frame < 0 || e.frame > frames:
+			c.Fail("frame %d outside the scenario's 0..%d", e.frame, frames)
+		case nUsers != len(e.users) || nVoice != len(e.voice) || cells != nCells || win != width:
+			c.Fail("population (%d users, %d voice, %d cells, window %d) does not match the scenario (%d, %d, %d, %d)",
+				nUsers, nVoice, cells, win, len(e.users), len(e.voice), nCells, width)
+		case e.fault != nil:
+			// Rebuild the down/derate state as of the checkpointed run's last
+			// applyFaults: the mask is a pure function of simulated time, so
+			// advancing to the last completed frame's time reproduces it — and
+			// with it the next frame's mask-change flag — exactly. The load
+			// cursor is the one piece of fault state that is not (each event
+			// fires once), hence the stored index.
+			if e.frame > 0 {
+				e.fault.Advance(float64(e.frame-1) * e.cfg.FrameLength)
+			}
+			if err := e.fault.SetLoadCursor(cursor); err != nil {
+				c.Fail("%v", err)
+			}
+		case cursor != 0:
+			c.Fail("%d load events applied but the scenario has no fault schedule", cursor)
+		}
 	}
-	if frame < 0 || frame > frames {
-		return fmt.Errorf("sim: checkpoint frame %d outside the scenario's 0..%d", frame, frames)
-	}
+
+	// Scheduler stream state: only the sequential-mode Random scheduler
+	// carries a semantic stream across frames (snapshot workers reseed
+	// per (frame, cell) via core.CellSeeder, so their clones hold none).
+	c.Section("sched")
+	r, random := e.scheduler.(*core.Random)
+	has := random && e.cfg.FrameMode.normalize() == FrameSequential
+	c.Bool(&has)
 	switch {
-	case e.fault != nil:
-		// Rebuild the down/derate state as of the checkpointed run's last
-		// applyFaults: the mask is a pure function of simulated time, so
-		// advancing to the last completed frame's time reproduces it — and
-		// with it the next frame's mask-change flag — exactly. The load
-		// cursor is the one piece of fault state that is not (each event
-		// fires once), hence the stored index.
-		if frame > 0 {
-			e.fault.Advance(float64(frame-1) * e.cfg.FrameLength)
-		}
-		if err := e.fault.SetLoadCursor(loadCursor); err != nil {
-			return fmt.Errorf("sim: resuming: %w", err)
-		}
-	case loadCursor != 0:
-		return fmt.Errorf("sim: checkpoint has applied %d load events but the scenario has no fault schedule", loadCursor)
-	}
-	if nUsers != len(e.users) || nVoice != len(e.voice) || nCells != e.layout.NumCells() || width != e.winB.Width() {
-		return fmt.Errorf("sim: checkpoint population (%d users, %d voice, %d cells, window %d) does not match the scenario (%d, %d, %d, %d)",
-			nUsers, nVoice, nCells, width, len(e.users), len(e.voice), e.layout.NumCells(), e.winB.Width())
-	}
-	e.frame = frame
-	e.now = now
-
-	if err := rd.Section("sched"); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
-	}
-	if rd.Bool() {
-		r, ok := e.scheduler.(*core.Random)
-		if !ok {
-			return fmt.Errorf("sim: checkpoint carries random-scheduler state but the scenario's scheduler is %s", e.scheduler.Name())
-		}
-		r.Src.DecodeState(rd)
+	case !has:
+	case !random:
+		c.Fail("random-scheduler state stored but the scenario's scheduler is %s", e.scheduler.Name())
+	default:
+		r.Src.Persist(c)
 	}
 
-	if err := rd.Section("mobility"); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
-	}
-	e.mobB.DecodeState(rd)
+	c.Section("mobility")
+	e.mobB.Persist(c)
 
-	if err := rd.Section("channel"); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
-	}
 	// In place: u.gain keeps aliasing the restored storage.
-	e.winB.DecodeState(rd)
+	c.Section("channel")
+	e.winB.Persist(c)
 
-	if err := rd.Section("users"); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
-	}
-	var stored []storedPilot
-	seen := make([]bool, width) // per user: window slots already listed
-	maxPilots := min(width, cellular.TopPilots)
+	c.Section("users")
+	maxPilots := min(width, cellular.TopPilots) // the pilot kernels keep no more
 	for _, u := range e.users {
-		np := rd.Int()
-		if np < 0 || np > maxPilots {
-			rd.Fail("user %d has %d pilots, more than its window of %d cells keeps (%d)", u.id, np, width, maxPilots)
-			break
-		}
-		stored = stored[:0]
-		for i := 0; i < np; i++ {
-			sp := storedPilot{cell: rd.Int()}
-			sp.pm.EcIo = rd.F64()
-			sp.pm.EcIoDB = rd.F64()
-			stored = append(stored, sp)
-		}
-		u.active = append(u.active[:0], rd.Ints()...)
-		u.reduced = append(u.reduced[:0], rd.Ints()...)
-		u.prevReduced = append(u.prevReduced[:0], rd.Ints()...)
-		u.hostCell = rd.Int()
-		u.ver = rd.U64()
-		bucket := rd.Int()
-		u.geometry = rd.F64()
-		u.meanCSIdB = rd.F64()
-		u.fch.DecodeState(rd)
-		if rd.Err() != nil {
-			break
-		}
-		e.restoreWindow(rd, u, bucket)
-		e.restorePilots(rd, u, stored, seen)
-		u.queuedCell = rd.Int()
-		u.firstGrant = rd.Bool()
-		u.macM.DecodeState(rd)
-		u.source.DecodeState(rd)
-		u.queuedReq = u.source.Pending()
-		if rd.Err() != nil {
-			break
-		}
-	}
-
-	if err := rd.Section("voice"); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
-	}
-	for _, v := range e.voice {
-		v.model.DecodeState(rd)
-		rw, ok := v.mob.(*mobility.RandomWaypoint)
-		if !ok {
-			return fmt.Errorf("sim: voice mobility model %T is not checkpointable", v.mob)
-		}
-		rw.DecodeState(rd)
-		cell := rd.Int()
-		if cell < -1 || cell >= nCells {
-			rd.Fail("voice user cell %d out of range", cell)
-			break
-		}
-		v.cell = cell
-	}
-
-	if err := rd.Section("queues"); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
-	}
-	linked := make([]bool, len(e.users))
-	for _, q := range e.queues {
-		n := rd.Int()
-		if n < 0 || n > len(e.users) {
-			rd.Fail("queue holds %d entries, users %d", n, len(e.users))
-			break
-		}
-		for i := 0; i < n; i++ {
-			uid := rd.Int()
-			size, arr, prio := rd.F64(), rd.F64(), rd.F64()
-			if rd.Err() != nil {
+		np := len(u.pilots)
+		c.Int(&np)
+		if c.Reading() {
+			if np < 0 || np > maxPilots {
+				c.Fail("user %d has %d pilots, more than its window of %d cells keeps (%d)", u.id, np, width, maxPilots)
 				break
 			}
-			// Re-link the entry to the user's restored pending request when
-			// it IS that request; anything else was a stale entry in the
-			// original queue and is recreated as one (a fresh pointer, which
-			// gatherCell drops exactly like the original).
-			if u := e.userByID(uid); u != nil && u.queuedReq != nil && !linked[u.id] &&
-				u.queuedReq.SizeBits == size && u.queuedReq.ArrivalTime == arr && u.queuedReq.Priority == prio {
-				linked[u.id] = true
-				q.Push(u.queuedReq)
-				continue
-			}
-			q.Push(&traffic.BurstRequest{UserID: uid, SizeBits: size, ArrivalTime: arr, Priority: prio})
+			u.pilots = slices.Grow(u.pilots[:0], np)[:np]
 		}
-	}
-
-	if err := rd.Section("bursts"); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
-	}
-	nb := rd.Int()
-	if nb < 0 || nb > len(e.users) {
-		rd.Fail("%d ongoing bursts, users %d", nb, len(e.users))
-	}
-	for i := 0; i < nb && rd.Err() == nil; i++ {
-		uid := rd.Int()
-		u := e.userByID(uid)
-		if u == nil {
-			rd.Fail("burst %d names unknown user %d", i, uid)
+		for i := range u.pilots {
+			// The slot is not stored: restorePilots rebuilds it from the
+			// window. The cell is range-checked before it is narrowed.
+			pm := &u.pilots[i]
+			cell := int(pm.Cell)
+			c.Int(&cell)
+			if c.Reading() {
+				if cell < 0 || cell >= nCells {
+					c.Fail("user %d pilot cell %d outside the cells 0..%d or the user's window", u.id, cell, nCells-1)
+					break
+				}
+				pm.Cell = int32(cell)
+			}
+			c.F64(&pm.EcIo)
+			c.F64(&pm.EcIoDB)
+		}
+		c.Ints(&u.active)
+		c.Ints(&u.reduced)
+		c.Ints(&u.prevReduced)
+		c.Int(&u.hostCell)
+		c.U64(&u.ver)
+		c.Int(&u.bucket)
+		c.F64(&u.geometry)
+		c.F64(&u.meanCSIdB)
+		u.fch.Persist(c)
+		if c.Reading() {
+			e.restoreWindow(c, u)
+			e.restorePilots(c, u)
+		}
+		c.Int(&u.queuedCell)
+		c.Bool(&u.firstGrant)
+		u.macM.Persist(c)
+		u.source.Persist(c)
+		if c.Reading() {
+			u.queuedReq = u.source.Pending()
+		}
+		if c.Err() != nil {
 			break
 		}
-		b := &burst{
-			user:           u,
-			ratio:          rd.Int(),
-			remaining:      rd.F64(),
-			setupRemaining: rd.F64(),
-			servedBits:     rd.F64(),
-			serviceTime:    rd.F64(),
-			grantedAt:      rd.F64(),
+	}
+
+	c.Section("voice")
+	for _, v := range e.voice {
+		v.model.Persist(c)
+		v.mob.Persist(c)
+		c.Int(&v.cell)
+		if c.Reading() && (v.cell < -1 || v.cell >= nCells) {
+			c.Fail("voice user cell %d out of range", v.cell)
+			break
 		}
-		b.load.DecodeState(rd)
-		e.bursts = append(e.bursts, b)
 	}
 
-	if err := rd.Section("metrics"); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
+	// Queue entries are stored by value; resume re-links each to its user's
+	// restored pending request, recreating the pointer sharing gatherCell's
+	// staleness test depends on.
+	c.Section("queues")
+	var linked []bool
+	if c.Reading() {
+		linked = make([]bool, len(e.users))
 	}
+	for _, q := range e.queues {
+		items := q.Items()
+		n := len(items)
+		c.Int(&n)
+		if c.Reading() {
+			if n < 0 || n > len(e.users) {
+				c.Fail("queue holds %d entries, users %d", n, len(e.users))
+				break
+			}
+			items = make([]*traffic.BurstRequest, n)
+			for i := range items {
+				items[i] = new(traffic.BurstRequest)
+			}
+		}
+		for _, it := range items {
+			c.Int(&it.UserID)
+			c.F64(&it.SizeBits)
+			c.F64(&it.ArrivalTime)
+			c.F64(&it.Priority)
+		}
+		if c.Reading() && c.Err() == nil {
+			e.requeue(q, items, linked)
+		}
+	}
+
+	c.Section("bursts")
+	nb := len(e.bursts)
+	c.Int(&nb)
+	if c.Reading() {
+		if nb < 0 || nb > len(e.users) {
+			c.Fail("%d ongoing bursts, users %d", nb, len(e.users))
+			nb = 0
+		}
+		for range nb {
+			e.bursts = append(e.bursts, new(burst))
+		}
+	}
+	for i, b := range e.bursts {
+		uid := -1
+		if b.user != nil {
+			uid = b.user.id
+		}
+		c.Int(&uid)
+		if c.Reading() {
+			if b.user = e.userByID(uid); b.user == nil {
+				c.Fail("burst %d names unknown user %d", i, uid)
+				break
+			}
+		}
+		c.Int(&b.ratio)
+		c.F64(&b.remaining)
+		c.F64(&b.setupRemaining)
+		c.F64(&b.servedBits)
+		c.F64(&b.serviceTime)
+		c.F64(&b.grantedAt)
+		b.load.Persist(c)
+	}
+
+	c.Section("metrics")
 	m := e.metrics
-	m.BurstDelay.DecodeState(rd)
-	m.AdmissionWait.DecodeState(rd)
-	m.ServedRate.DecodeState(rd)
-	m.CellLoad.DecodeState(rd)
-	m.QueueLength.DecodeState(rd)
-	m.AssignedRatio.DecodeState(rd)
-	m.BurstsGenerated = rd.I64()
-	m.BurstsCompleted = rd.I64()
-	m.BurstsExpired = rd.I64()
-	m.SkippedCells = rd.I64()
-	m.SolveRetries = rd.I64()
-	m.FallbackSolves = rd.I64()
-	m.SpilloverHandoffs = rd.I64()
-	m.OutageCellFrames = rd.I64()
-	m.CoveredBursts = rd.I64()
-	m.BitsDelivered = rd.F64()
-	m.ObservedTime = rd.F64()
+	m.BurstDelay.Persist(c)
+	m.AdmissionWait.Persist(c)
+	m.ServedRate.Persist(c)
+	m.CellLoad.Persist(c)
+	m.QueueLength.Persist(c)
+	m.AssignedRatio.Persist(c)
+	c.I64(&m.BurstsGenerated)
+	c.I64(&m.BurstsCompleted)
+	c.I64(&m.BurstsExpired)
+	c.I64(&m.SkippedCells)
+	c.I64(&m.SolveRetries)
+	c.I64(&m.FallbackSolves)
+	c.I64(&m.SpilloverHandoffs)
+	c.I64(&m.OutageCellFrames)
+	c.I64(&m.CoveredBursts)
+	c.F64(&m.BitsDelivered)
+	c.F64(&m.ObservedTime)
 
-	if err := rd.Close(); err != nil {
-		return fmt.Errorf("sim: resuming: %w", err)
-	}
-	return nil
-}
-
-// storedPilot is one pilot entry as a checkpoint stores it: the cell, not
-// yet checked, and the measurement without its slot.
-type storedPilot struct {
-	cell int
-	pm   cellular.PilotMeasurement
+	return c.Close()
 }
 
 // restoreWindow points a resumed user's window at the candidate list of its
 // stored bucket. Bucket -1 is an untargeted window, valid only for a user
 // that has never advanced (a checkpoint taken before the first frame),
 // whose first frame targets it.
-func (e *Engine) restoreWindow(rd *checkpoint.Reader, u *dataUser, bucket int) {
+func (e *Engine) restoreWindow(c *checkpoint.Codec, u *dataUser) {
 	switch {
-	case bucket >= 0 && bucket < e.spix.NumBuckets():
-		u.cand = e.spix.Candidates(bucket)
-	case bucket == -1 && !e.winB.Ready(u.id):
+	case u.bucket >= 0 && u.bucket < e.spix.NumBuckets():
+		u.cand = e.spix.Candidates(u.bucket)
+	case u.bucket == -1 && !e.winB.Ready(u.id):
 		u.cand = nil
 	default:
-		rd.Fail("user %d window bucket %d outside the spatial index's 0..%d", u.id, bucket, e.spix.NumBuckets()-1)
-		return
+		c.Fail("user %d window bucket %d outside the spatial index's 0..%d", u.id, u.bucket, e.spix.NumBuckets()-1)
 	}
-	u.bucket = bucket
 }
 
-// restorePilots validates a resumed user's stored pilot entries against its
-// restored window and restores them. The slot is not stored: it is the
-// cell's position in the window. A cell listed twice would make the
-// frame-coherent pilot kernel keep the duplicate and drop a real pilot.
-// seen is window-width scratch.
-func (e *Engine) restorePilots(rd *checkpoint.Reader, u *dataUser, stored []storedPilot, seen []bool) {
-	u.pilots = u.pilots[:0]
-	if rd.Err() != nil {
-		return
+// restorePilots gives each of a resumed user's pilots its slot, the cell's
+// position in the restored window, refusing a cell outside the window or
+// listed twice: the frame-coherent pilot kernel would keep the duplicate
+// and drop a real pilot.
+func (e *Engine) restorePilots(c *checkpoint.Codec, u *dataUser) {
+	for i := range u.pilots {
+		if c.Err() != nil {
+			return
+		}
+		pm := &u.pilots[i]
+		if pm.Slot = int32(cellular.FindCell(u.cand, pm.Cell)); pm.Slot < 0 {
+			c.Fail("user %d pilot cell %d outside the cells 0..%d or the user's window", u.id, pm.Cell, e.layout.NumCells()-1)
+		} else if slices.ContainsFunc(u.pilots[:i], func(p cellular.PilotMeasurement) bool { return p.Slot == pm.Slot }) {
+			c.Fail("user %d lists pilot cell %d twice", u.id, pm.Cell)
+		}
 	}
-	nCells := e.layout.NumCells()
-	clear(seen)
-	for _, sp := range stored {
-		slot := -1
-		if sp.cell >= 0 && sp.cell < nCells {
-			slot = cellular.FindCell(u.cand, int32(sp.cell))
+}
+
+// requeue pushes a resumed queue's entries. An entry that IS its user's
+// restored pending request is re-linked to it (once: linked marks the
+// users already re-linked); anything else was a stale entry in the original
+// queue and stays a fresh pointer, which gatherCell drops exactly like the
+// original.
+func (e *Engine) requeue(q *traffic.Queue, items []*traffic.BurstRequest, linked []bool) {
+	for _, it := range items {
+		if u := e.userByID(it.UserID); u != nil && u.queuedReq != nil && !linked[u.id] &&
+			u.queuedReq.SizeBits == it.SizeBits && u.queuedReq.ArrivalTime == it.ArrivalTime && u.queuedReq.Priority == it.Priority {
+			linked[u.id] = true
+			it = u.queuedReq
 		}
-		if slot < 0 {
-			rd.Fail("user %d pilot cell %d outside the cells 0..%d or the user's window", u.id, sp.cell, nCells-1)
-			return
-		}
-		if seen[slot] {
-			rd.Fail("user %d lists pilot cell %d twice", u.id, sp.cell)
-			return
-		}
-		seen[slot] = true
-		sp.pm.Cell, sp.pm.Slot = int32(sp.cell), int32(slot)
-		u.pilots = append(u.pilots, sp.pm)
+		q.Push(it)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -297,7 +298,8 @@ func TestResumeRefusesSemanticConfigChange(t *testing.T) {
 	var foreign bytes.Buffer
 	cw := checkpoint.NewWriter(&foreign)
 	cw.Section("config")
-	cw.Bytes(append([]byte(`{"HandoffHysteresisDB":3,`), cfgJSON[1:]...))
+	cfgJSON = append([]byte(`{"HandoffHysteresisDB":3,`), cfgJSON[1:]...)
+	cw.Bytes(&cfgJSON)
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -632,6 +634,32 @@ func TestResumeRefusesBadPilotCell(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesPilotCellPast32Bits: a stored pilot cell is a 64-bit
+// value. One that names a real cell only in its low 32 bits must be
+// refused, not narrowed into that cell. The engine cannot hold such a
+// cell, so the stored value is patched in the stream.
+func TestResumeRefusesPilotCellPast32Bits(t *testing.T) {
+	blob := checkpointBlob(t, tinyConfig())
+	if len(resumeEngine(t, blob).users[0].pilots) == 0 {
+		t.Fatal("user 0 carries no pilots")
+	}
+	forged := rewriteSection(t, blob, "users", func(p []byte) {
+		// The section opens with user 0's pilot count, then its first
+		// pilot's cell.
+		binary.LittleEndian.PutUint64(p[8:], binary.LittleEndian.Uint64(p[8:])+1<<32)
+	})
+	c, err := ReadCheckpoint(bytes.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eB, err := c.Resume(c.Config()); err == nil {
+		eB.Close()
+		t.Fatal("checkpoint with a pilot cell past 32 bits resumed")
+	} else if !strings.Contains(err.Error(), "pilot cell") {
+		t.Fatalf("refused for the wrong reason: %v", err)
+	}
+}
+
 // TestResumeRefusesPilotsPastTopPilots: the pilot kernels keep at most the
 // strongest cellular.TopPilots pilots, so a checkpoint that stores more for
 // a user holds a list no run of this build writes, even when every entry
@@ -768,7 +796,9 @@ func TestResumeRefusesOrphanLoadCursor(t *testing.T) {
 // schedule: an outage spans the checkpoint frame and two load events have
 // fired, so the load cursor must come back as 2. One is a fast-path run on
 // a moving 7-cell window over 37 cells, and one an exact-path reverse-link
-// run. The resumed run must finish exactly like a straight run of this build
+// run. Checkpointing the engine right after the resume must write the
+// committed file's bytes again, which pins the writing side of the codec.
+// The resumed run must finish exactly like a straight run of this build
 // from the checkpoint's own configuration: the same metrics and the same
 // trace from the checkpoint frame on. The fast-path file pins amd64 kernel
 // bits, so it is checked on amd64 only. After a format change, bump
@@ -799,7 +829,11 @@ func TestResumeCommittedCheckpoints(t *testing.T) {
 		{"v5-reverse-exact.ckpt", 300, 0, Reverse},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
-			c, err := ReadCheckpointFile(filepath.Join("..", "..", "testdata", "checkpoint", fx.name))
+			raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "checkpoint", fx.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := ReadCheckpoint(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -824,6 +858,13 @@ func TestResumeCommittedCheckpoints(t *testing.T) {
 			e, err := c.Resume(cfg)
 			if err != nil {
 				t.Fatalf("Resume: %v", err)
+			}
+			var again bytes.Buffer
+			if err := e.Checkpoint(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), raw) {
+				t.Error("checkpointing the resumed engine does not reproduce the committed file's bytes")
 			}
 			k := e.Frame()
 			if k != fx.frame {

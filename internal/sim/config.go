@@ -49,13 +49,12 @@ func (d Direction) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + d.String() + `"`), nil
 }
 
-// UnmarshalJSON accepts the names and, for configuration files written
-// before the string encoding, the raw ordinals 0 and 1.
+// UnmarshalJSON accepts the names MarshalJSON writes and nothing else.
 func (d *Direction) UnmarshalJSON(data []byte) error {
 	switch string(data) {
-	case `"forward"`, `0`:
+	case `"forward"`:
 		*d = Forward
-	case `"reverse"`, `1`:
+	case `"reverse"`:
 		*d = Reverse
 	default:
 		return fmt.Errorf("sim: unknown direction %s (want \"forward\" or \"reverse\")", data)

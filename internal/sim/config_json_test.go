@@ -52,8 +52,9 @@ func TestConfigJSONRoundTripIdenticalRunOutput(t *testing.T) {
 }
 
 // TestConfigJSONEnumsEncodeAsStrings pins the readable JSON forms: the
-// direction and objective kind marshal by name and accept both names and
-// the pre-string ordinals on the way in.
+// direction and objective kind marshal by name. The direction decodes from
+// its name only; the objective kind also accepts its ordinal, which the
+// oracle's wire API keeps.
 func TestConfigJSONEnumsEncodeAsStrings(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Direction = Reverse
@@ -67,14 +68,16 @@ func TestConfigJSONEnumsEncodeAsStrings(t *testing.T) {
 		}
 	}
 	var back Config
-	if err := json.Unmarshal([]byte(`{"Direction": 1, "Objective": {"Kind": 0}}`), &back); err != nil {
-		t.Fatalf("legacy ordinal encoding rejected: %v", err)
+	if err := json.Unmarshal([]byte(`{"Direction": "reverse", "Objective": {"Kind": 0}}`), &back); err != nil {
+		t.Fatalf("direction name or objective ordinal rejected: %v", err)
 	}
 	if back.Direction != Reverse {
-		t.Error("legacy Direction ordinal not decoded")
+		t.Error("Direction name not decoded")
 	}
-	if err := json.Unmarshal([]byte(`{"Direction": "sideways"}`), &back); err == nil {
-		t.Error("unknown direction should be rejected")
+	for _, bad := range []string{`{"Direction": 1}`, `{"Direction": 0}`, `{"Direction": "sideways"}`} {
+		if err := json.Unmarshal([]byte(bad), &back); err == nil || !strings.Contains(err.Error(), "unknown direction") {
+			t.Errorf("%s decoded with error %v, want an unknown direction", bad, err)
+		}
 	}
 }
 

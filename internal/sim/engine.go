@@ -110,7 +110,7 @@ type dataUser struct {
 // voiceUser is one circuit voice mobile (background load only).
 type voiceUser struct {
 	model *traffic.VoiceModel
-	mob   mobility.Model
+	mob   *mobility.RandomWaypoint
 	cell  int // serving cell, re-evaluated each frame from position only
 }
 

@@ -2,52 +2,29 @@ package stats
 
 import "jabasd/internal/checkpoint"
 
-// EncodeState appends the accumulator's complete state.
-func (r *Running) EncodeState(w *checkpoint.Writer) {
-	w.I64(r.n)
-	w.F64(r.mean)
-	w.F64(r.m2)
-	w.F64(r.min)
-	w.F64(r.max)
+// Persist writes or reads the accumulator's complete state.
+func (r *Running) Persist(c *checkpoint.Codec) {
+	c.I64(&r.n)
+	c.F64(&r.mean)
+	c.F64(&r.m2)
+	c.F64(&r.min)
+	c.F64(&r.max)
 }
 
-// DecodeState restores the state written by EncodeState.
-func (r *Running) DecodeState(rd *checkpoint.Reader) {
-	r.n = rd.I64()
-	r.mean = rd.F64()
-	r.m2 = rd.F64()
-	r.min = rd.F64()
-	r.max = rd.F64()
+// Persist writes or reads the sample's observations in insertion order plus
+// the sorted flag. The order matters: Mean sums the values as they were
+// added, so a reordered restore would change the rounding of downstream
+// reports.
+func (s *Sample) Persist(c *checkpoint.Codec) {
+	c.F64s(&s.xs)
+	c.Bool(&s.sorted)
 }
 
-// EncodeState appends the sample's observations in insertion order plus the
-// sorted flag. The order matters: Mean sums the values as they were added,
-// so a reordered restore would change the rounding of downstream reports.
-func (s *Sample) EncodeState(w *checkpoint.Writer) {
-	w.F64s(s.xs)
-	w.Bool(s.sorted)
-}
-
-// DecodeState restores the state written by EncodeState.
-func (s *Sample) DecodeState(rd *checkpoint.Reader) {
-	s.xs = rd.F64s()
-	s.sorted = rd.Bool()
-}
-
-// EncodeState appends the integrator's complete state.
-func (tw *TimeWeighted) EncodeState(w *checkpoint.Writer) {
-	w.F64(tw.lastT)
-	w.F64(tw.lastV)
-	w.F64(tw.area)
-	w.F64(tw.duration)
-	w.Bool(tw.started)
-}
-
-// DecodeState restores the state written by EncodeState.
-func (tw *TimeWeighted) DecodeState(rd *checkpoint.Reader) {
-	tw.lastT = rd.F64()
-	tw.lastV = rd.F64()
-	tw.area = rd.F64()
-	tw.duration = rd.F64()
-	tw.started = rd.Bool()
+// Persist writes or reads the integrator's complete state.
+func (tw *TimeWeighted) Persist(c *checkpoint.Codec) {
+	c.F64(&tw.lastT)
+	c.F64(&tw.lastV)
+	c.F64(&tw.area)
+	c.F64(&tw.duration)
+	c.Bool(&tw.started)
 }

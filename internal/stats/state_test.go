@@ -10,7 +10,7 @@ import (
 
 // roundTrip encodes with enc and decodes with dec through a one-section
 // stream, failing the test on any framing error.
-func roundTrip(t *testing.T, enc func(*checkpoint.Writer), dec func(*checkpoint.Reader)) {
+func roundTrip(t *testing.T, enc, dec func(*checkpoint.Codec)) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
@@ -38,7 +38,7 @@ func TestRunningStateRoundTrip(t *testing.T) {
 		orig.Add(x)
 	}
 	var restored Running
-	roundTrip(t, orig.EncodeState, restored.DecodeState)
+	roundTrip(t, orig.Persist, restored.Persist)
 	if !reflect.DeepEqual(orig, restored) {
 		t.Fatalf("restored %+v != original %+v", restored, orig)
 	}
@@ -63,7 +63,7 @@ func TestSampleStateRoundTrip(t *testing.T) {
 			orig.Quantile(0.5) // forces the sort
 		}
 		var restored Sample
-		roundTrip(t, orig.EncodeState, restored.DecodeState)
+		roundTrip(t, orig.Persist, restored.Persist)
 		if !reflect.DeepEqual(orig, restored) {
 			t.Fatalf("sorted=%v: restored %+v != original %+v", sorted, restored, orig)
 		}
@@ -79,7 +79,7 @@ func TestTimeWeightedStateRoundTrip(t *testing.T) {
 	orig.Observe(1.5, 3)
 	orig.Observe(4.25, 0)
 	var restored TimeWeighted
-	roundTrip(t, orig.EncodeState, restored.DecodeState)
+	roundTrip(t, orig.Persist, restored.Persist)
 	if !reflect.DeepEqual(orig, restored) {
 		t.Fatalf("restored %+v != original %+v", restored, orig)
 	}

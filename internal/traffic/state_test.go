@@ -10,7 +10,7 @@ import (
 )
 
 // snapshot round-trips enc into dec through a one-section stream.
-func snapshot(t *testing.T, enc func(*checkpoint.Writer), dec func(*checkpoint.Reader)) {
+func snapshot(t *testing.T, enc, dec func(*checkpoint.Codec)) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
@@ -44,7 +44,7 @@ func TestVoiceModelStateRoundTrip(t *testing.T) {
 	}
 
 	restored := NewVoiceModel(rng.New(7), 1.0, 1.35)
-	snapshot(t, orig.EncodeState, restored.DecodeState)
+	snapshot(t, orig.Persist, restored.Persist)
 
 	if orig.Active() != restored.Active() {
 		t.Fatal("restored activity differs at the snapshot point")
@@ -74,7 +74,7 @@ func TestDataModelStateRoundTrip(t *testing.T) {
 
 	for phase := 0; phase < 2; phase++ {
 		restored := NewDataModel(rng.New(999), 17, DefaultDataModelConfig())
-		snapshot(t, orig.EncodeState, restored.DecodeState)
+		snapshot(t, orig.Persist, restored.Persist)
 
 		if (orig.Pending() == nil) != (restored.Pending() == nil) {
 			t.Fatalf("phase %d: pending presence diverged", phase)
@@ -130,7 +130,7 @@ func TestDataModelLoadStepSurvivesRoundTrip(t *testing.T) {
 	orig := NewDataModel(rng.New(5), 3, DefaultDataModelConfig())
 	orig.SetMeanReadingTime(2.5)
 	restored := NewDataModel(rng.New(6), 3, DefaultDataModelConfig())
-	snapshot(t, orig.EncodeState, restored.DecodeState)
+	snapshot(t, orig.Persist, restored.Persist)
 	if restored.cfg.MeanReadingTimeSec != orig.cfg.MeanReadingTimeSec {
 		t.Fatalf("mean reading time not restored: %v vs %v",
 			restored.cfg.MeanReadingTimeSec, orig.cfg.MeanReadingTimeSec)
