@@ -75,7 +75,7 @@ func run(ctx context.Context, args []string) error {
 		framePar    = fs.Int("frameparallel", -1, "frame workers: the user seeding at set-up, the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves: 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's; results are byte-identical for any value")
 		tracePath   = fs.String("trace", "", "write per-frame per-cell telemetry to this file (CSV, or JSONL when the path ends in .jsonl); replication 0 only when -reps > 1")
 		traceEvery  = fs.Int("trace-every", 1, "sample every Nth frame into the -trace output")
-		exactVTAOC  = fs.Bool("exact-vtaoc", false, "bit-exact reference physics: exact VTAOC integral, scalar-equivalent channel kernels, full region rebuilds (golden-output mode; default is the fast SoA path)")
+		exactVTAOC  = fs.Bool("exact-vtaoc", false, "bit-exact reference physics: exact VTAOC integral, scalar-equivalent channel kernels and dB-domain pilot sets (golden-output mode; default is the fast SoA path)")
 		faultsPath  = fs.String("faults", "", "JSON fault schedule file: cell outages/derates and load events (see internal/fault); exclusive with -fault-profile")
 		faultProf   = fs.String("fault-profile", "", "named fault profile scaled to the scenario's sim time: none, outage, degrade, flashcrowd, rushhour")
 		nodeBudget  = fs.Int("node-budget", -1, "cap the exact solver's branch-and-bound nodes per cell-frame; an over-budget solve falls back to the greedy policy (0 = unbounded, -1 keeps the scenario's)")

@@ -79,7 +79,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		outPath    = fs.String("o", "", "output file (default stdout)")
 		tracePath  = fs.String("trace", "", "write per-frame per-cell telemetry of every point's replication 0 to this CSV file")
 		traceEvery = fs.Int("trace-every", 1, "sample every Nth frame into the -trace output")
-		exactVTAOC = fs.Bool("exact-vtaoc", false, "bit-exact reference physics for every point: exact VTAOC integral, scalar-equivalent channel kernels, full region rebuilds (golden-output mode)")
+		exactVTAOC = fs.Bool("exact-vtaoc", false, "bit-exact reference physics for every point: exact VTAOC integral, scalar-equivalent channel kernels and dB-domain pilot sets (golden-output mode)")
 		dryRun     = fs.Bool("points", false, "list the expanded grid points and exit (dry run)")
 		listGrids  = fs.Bool("list-grids", false, "list the built-in named grids and exit")
 		listAxes   = fs.Bool("list-axes", false, "list the sweepable axes and exit")

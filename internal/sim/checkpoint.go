@@ -7,9 +7,10 @@ package sim
 // user's measurement snapshot (paused users carry it across frames), the
 // MAC machines, the traffic sources, the queue contents, the ongoing bursts
 // and the accumulated metrics. Everything else — distance rows, the load
-// ledger, the incremental region caches, the Jakes fading table, solver
-// warm state — is per-frame scratch or static after seeding, rebuilt
-// deterministically by NewEngine + the next step().
+// ledger, the incremental region cache and the measurement versions it
+// keys on, the Jakes fading table, solver warm state — is per-frame
+// scratch or static after seeding, rebuilt deterministically by NewEngine
+// + the next step().
 //
 // Resume rebuilds the engine from the stored configuration (populate
 // consumes exactly the draws it consumed originally, recreating every
@@ -42,7 +43,6 @@ import (
 	"jabasd/internal/cellular"
 	"jabasd/internal/checkpoint"
 	"jabasd/internal/core"
-	"jabasd/internal/traffic"
 )
 
 // semanticConfigJSON encodes the scenario-defining part of the
@@ -176,9 +176,9 @@ func (c *Checkpoint) Resume(cfg Config) (*Engine, error) {
 // section, in stream order: writing appends each field, reading overwrites
 // it in an engine freshly built from the stored configuration. The checks
 // of the decoded values and the work only a restore needs — rebuilding the
-// fault mask, the windows and the pilot slots, re-linking the queues and
-// allocating the bursts — run when c is reading, so the writer records the
-// engine as it is. It returns the codec's first error.
+// fault mask, the windows and the pilot slots, re-queuing the pending
+// requests and allocating the bursts — run when c is reading, so the
+// writer records the engine as it is. It returns the codec's first error.
 func (e *Engine) state(c *checkpoint.Codec) error {
 	c.Section("engine")
 	c.Int(&e.frame)
@@ -279,11 +279,8 @@ func (e *Engine) state(c *checkpoint.Codec) error {
 		}
 		c.Ints(&u.active)
 		c.Ints(&u.reduced)
-		c.Ints(&u.prevReduced)
 		c.Int(&u.hostCell)
-		c.U64(&u.ver)
 		c.Int(&u.bucket)
-		c.F64(&u.geometry)
 		c.F64(&u.meanCSIdB)
 		u.fch.Persist(c)
 		if c.Reading() {
@@ -291,7 +288,6 @@ func (e *Engine) state(c *checkpoint.Codec) error {
 			e.restorePilots(c, u)
 		}
 		c.Int(&u.queuedCell)
-		c.Bool(&u.firstGrant)
 		u.macM.Persist(c)
 		u.source.Persist(c)
 		if c.Reading() {
@@ -313,36 +309,23 @@ func (e *Engine) state(c *checkpoint.Codec) error {
 		}
 	}
 
-	// Queue entries are stored by value; resume re-links each to its user's
-	// restored pending request, recreating the pointer sharing gatherCell's
-	// staleness test depends on.
+	// Every queue entry is its user's pending request, so a queue is stored
+	// as its entries' user ids and resume pushes each user's restored
+	// request. held marks the users whose request is queued or in service.
 	c.Section("queues")
-	var linked []bool
+	var ids []int
+	var held []bool
 	if c.Reading() {
-		linked = make([]bool, len(e.users))
+		held = make([]bool, len(e.users))
 	}
-	for _, q := range e.queues {
-		items := q.Items()
-		n := len(items)
-		c.Int(&n)
+	for k, q := range e.queues {
+		ids = ids[:0]
+		for _, it := range q.Items() {
+			ids = append(ids, it.UserID)
+		}
+		c.Ints(&ids)
 		if c.Reading() {
-			if n < 0 || n > len(e.users) {
-				c.Fail("queue holds %d entries, users %d", n, len(e.users))
-				break
-			}
-			items = make([]*traffic.BurstRequest, n)
-			for i := range items {
-				items[i] = new(traffic.BurstRequest)
-			}
-		}
-		for _, it := range items {
-			c.Int(&it.UserID)
-			c.F64(&it.SizeBits)
-			c.F64(&it.ArrivalTime)
-			c.F64(&it.Priority)
-		}
-		if c.Reading() && c.Err() == nil {
-			e.requeue(q, items, linked)
+			e.restoreQueue(c, k, ids, held)
 		}
 	}
 
@@ -365,9 +348,17 @@ func (e *Engine) state(c *checkpoint.Codec) error {
 		}
 		c.Int(&uid)
 		if c.Reading() {
-			if b.user = e.userByID(uid); b.user == nil {
+			switch b.user = e.userByID(uid); {
+			case b.user == nil:
 				c.Fail("burst %d names unknown user %d", i, uid)
-				break
+			case b.user.queuedReq == nil:
+				c.Fail("burst %d serves user %d, which has no pending request", i, uid)
+			case b.user.queuedCell < 0 || b.user.queuedCell >= nCells:
+				c.Fail("burst %d serves user %d, whose request was queued at cell %d outside 0..%d", i, uid, b.user.queuedCell, nCells-1)
+			case held[uid]:
+				c.Fail("burst %d serves user %d, whose request is already queued or in service", i, uid)
+			default:
+				held[uid] = true
 			}
 		}
 		c.Int(&b.ratio)
@@ -375,8 +366,14 @@ func (e *Engine) state(c *checkpoint.Codec) error {
 		c.F64(&b.setupRemaining)
 		c.F64(&b.servedBits)
 		c.F64(&b.serviceTime)
-		c.F64(&b.grantedAt)
 		b.load.Persist(c)
+	}
+	if c.Reading() {
+		for _, u := range e.users {
+			if u.queuedReq != nil && !held[u.id] {
+				c.Fail("user %d has a pending request that is neither queued nor in service", u.id)
+			}
+		}
 	}
 
 	c.Section("metrics")
@@ -389,7 +386,6 @@ func (e *Engine) state(c *checkpoint.Codec) error {
 	m.AssignedRatio.Persist(c)
 	c.I64(&m.BurstsGenerated)
 	c.I64(&m.BurstsCompleted)
-	c.I64(&m.BurstsExpired)
 	c.I64(&m.SkippedCells)
 	c.I64(&m.SolveRetries)
 	c.I64(&m.FallbackSolves)
@@ -435,19 +431,27 @@ func (e *Engine) restorePilots(c *checkpoint.Codec, u *dataUser) {
 	}
 }
 
-// requeue pushes a resumed queue's entries. An entry that IS its user's
-// restored pending request is re-linked to it (once: linked marks the
-// users already re-linked); anything else was a stale entry in the original
-// queue and stays a fresh pointer, which gatherCell drops exactly like the
-// original.
-func (e *Engine) requeue(q *traffic.Queue, items []*traffic.BurstRequest, linked []bool) {
-	for _, it := range items {
-		if u := e.userByID(it.UserID); u != nil && u.queuedReq != nil && !linked[u.id] &&
-			u.queuedReq.SizeBits == it.SizeBits && u.queuedReq.ArrivalTime == it.ArrivalTime && u.queuedReq.Priority == it.Priority {
-			linked[u.id] = true
-			it = u.queuedReq
+// restoreQueue pushes the restored pending requests of the users ids names
+// onto cell k's queue, in stored order. No run of this build queues a user
+// without a pending request, queues one user twice or at a cell other than
+// its queuedCell, so an entry that does is refused; held marks the users
+// already pushed.
+func (e *Engine) restoreQueue(c *checkpoint.Codec, k int, ids []int, held []bool) {
+	for _, id := range ids {
+		u := e.userByID(id)
+		switch {
+		case c.Err() != nil:
+			return
+		case u == nil || u.queuedReq == nil:
+			c.Fail("cell %d queues user %d, which has no pending request", k, id)
+		case held[id]:
+			c.Fail("user %d is queued twice", id)
+		case u.queuedCell != k:
+			c.Fail("cell %d queues user %d, whose request is queued at cell %d", k, id, u.queuedCell)
+		default:
+			held[id] = true
+			e.queues[k].Push(u.queuedReq)
 		}
-		q.Push(it)
 	}
 }
 

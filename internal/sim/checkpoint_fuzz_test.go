@@ -10,9 +10,10 @@ import (
 )
 
 // FuzzReadCheckpoint feeds arbitrary bytes — seeded with a real checkpoint,
-// a few structurally damaged variants and two well-framed ones whose master
-// stream carries a flagged Gaussian spare no Box-Muller draw can return —
-// through the full decode path.
+// a few structurally damaged variants, two well-framed ones whose master
+// stream carries a flagged Gaussian spare no Box-Muller draw can return, one
+// whose queue names a user with no pending request and one with a burst for
+// a queued user — through the full decode path.
 // The invariant: ReadCheckpoint/Resume may reject the input with an error,
 // but must never panic, and an input that decodes cleanly must produce an
 // engine that runs. A forged config cannot slip through: it is decoded
@@ -63,6 +64,25 @@ func FuzzReadCheckpoint(f *testing.F) {
 			f.Fatalf("checkpoint with a flagged spare %v resumed", bad)
 		} else if !strings.Contains(err.Error(), "spare") {
 			f.Fatalf("flagged spare %v refused for the wrong reason: %v", bad, err)
+		}
+		f.Add(forged)
+	}
+	// Well-framed checkpoints breaking the one-place-per-request rule: a
+	// queue entry for a user with no pending request, and a burst serving a
+	// user whose request is still queued (resumed, it would complete the
+	// request and leave its queue entry behind).
+	queued := checkpointBlob(f, queuedConfig())
+	for _, forged := range [][]byte{
+		forgeCheckpoint(f, blob, func(e *Engine) { queueIdleUser(f, e) }),
+		forgeCheckpoint(f, queued, func(e *Engine) { serveUser(e, queuedUser(f, e)) }),
+	} {
+		c, err := ReadCheckpoint(bytes.NewReader(forged))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if eB, err := c.Resume(c.Config()); err == nil {
+			eB.Close()
+			f.Fatal("checkpoint breaking the one-place-per-request rule resumed")
 		}
 		f.Add(forged)
 	}

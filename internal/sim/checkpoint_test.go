@@ -171,6 +171,10 @@ func resumeScenarios() map[string]Config {
 	}
 	scenarios["city-tiled-outage"] = cfg
 
+	// Requests wait in queue across frames, so the checkpoints store queue
+	// entries for resume to re-push.
+	scenarios["queued"] = queuedConfig()
+
 	return scenarios
 }
 
@@ -256,7 +260,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 }
 
 // checkpointBlob runs a small scenario a few frames and returns one blob.
-func checkpointBlob(t *testing.T, cfg Config) []byte {
+func checkpointBlob(t testing.TB, cfg Config) []byte {
 	t.Helper()
 	cap := &ckCapture{}
 	cfg.CheckpointEvery = 10
@@ -399,7 +403,7 @@ func TestCheckpointCorruptionNeverPanicsOrMisRestores(t *testing.T) {
 }
 
 // resumeEngine restores blob under its own configuration.
-func resumeEngine(t *testing.T, blob []byte) *Engine {
+func resumeEngine(t testing.TB, blob []byte) *Engine {
 	t.Helper()
 	c, err := ReadCheckpoint(bytes.NewReader(blob))
 	if err != nil {
@@ -762,6 +766,147 @@ func rewriteSection(t testing.TB, blob []byte, name string, patch func(payload [
 	return nil
 }
 
+// queuedConfig is tinyConfig with enough offered load that requests wait
+// in queue across frames, so its checkpoints store queue entries.
+func queuedConfig() Config {
+	cfg := tinyConfig()
+	cfg.DataUsersPerCell = 14
+	cfg.Data.MeanReadingTimeSec = 0.2
+	return cfg
+}
+
+// TestResumeQueuesPendingRequests: a checkpoint taken while requests
+// wait in queue resumes with each queue entry being its user's restored
+// pending request, at the user's queuedCell. (TestCheckpointResumeByteIdentical's
+// "queued" scenario proves the resumed run continues like the straight one.)
+func TestResumeQueuesPendingRequests(t *testing.T) {
+	e := resumeEngine(t, checkpointBlob(t, queuedConfig()))
+	queued := 0
+	for k, q := range e.queues {
+		for _, it := range q.Items() {
+			if u := e.users[it.UserID]; u.queuedReq != it || u.queuedCell != k {
+				t.Fatalf("cell %d entry for user %d is not the user's pending request queued at its cell", k, it.UserID)
+			}
+			queued++
+		}
+	}
+	if queued == 0 {
+		t.Fatal("no request waits at the checkpoint; the check is vacuous")
+	}
+}
+
+// forgeCheckpoint resumes blob, lets corrupt damage the engine in memory
+// and returns the engine's checkpoint: every section's framing is intact,
+// so only the restore checks can catch the damage.
+func forgeCheckpoint(tb testing.TB, blob []byte, corrupt func(e *Engine)) []byte {
+	tb.Helper()
+	e := resumeEngine(tb, blob)
+	corrupt(e)
+	var buf bytes.Buffer
+	if err := e.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// queueIdleUser pushes a request for a user with no pending request onto
+// its host cell's queue: a queue entry no run of this build writes.
+func queueIdleUser(tb testing.TB, e *Engine) {
+	tb.Helper()
+	for _, u := range e.users {
+		if u.queuedReq == nil {
+			e.queues[u.hostCell].Push(&traffic.BurstRequest{UserID: u.id, ArrivalTime: e.now})
+			return
+		}
+	}
+	tb.Fatal("every user has a pending request")
+}
+
+// queuedUser returns the user of the first queued request.
+func queuedUser(tb testing.TB, e *Engine) *dataUser {
+	tb.Helper()
+	for _, q := range e.queues {
+		if q.Len() > 0 {
+			return e.users[q.Items()[0].UserID]
+		}
+	}
+	tb.Fatal("no queued request at the checkpoint")
+	return nil
+}
+
+// serveUser starts a burst for u, whatever u's request state: a burst no
+// run of this build writes unless u's request was granted.
+func serveUser(e *Engine, u *dataUser) {
+	e.bursts = append(e.bursts, &burst{user: u, ratio: 1, remaining: 1, load: u.fch.CloneScaled(1)})
+}
+
+// TestResumeRefusesBadQueueEntry: a stored queue lists user ids, and resume
+// queues each user's restored pending request; a burst names the user it
+// serves. Every pending request is either queued at its user's queuedCell
+// or in service, exactly once. A queue entry or burst that breaks this — a
+// user with no pending request, queued twice, queued at another cell,
+// queued and served, served twice, served from an out-of-range cell, or a
+// pending request neither queued nor served — is refused, not restored as
+// a request nothing would grant or complete, or one that completes while
+// still queued.
+func TestResumeRefusesBadQueueEntry(t *testing.T) {
+	blob := checkpointBlob(t, queuedConfig())
+	served := func(t *testing.T, e *Engine) *dataUser {
+		if len(e.bursts) == 0 {
+			t.Fatal("no burst in service at the checkpoint")
+		}
+		return e.bursts[0].user
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, e *Engine)
+		want    string
+	}{
+		{"user with no request", func(t *testing.T, e *Engine) { queueIdleUser(t, e) }, "no pending request"},
+		{"user queued twice", func(t *testing.T, e *Engine) {
+			u := queuedUser(t, e)
+			e.queues[u.queuedCell].Push(u.queuedReq)
+		}, "queued twice"},
+		{"user queued at another cell", func(t *testing.T, e *Engine) {
+			u := queuedUser(t, e)
+			e.queues[u.queuedCell].Remove(u.queuedReq)
+			e.queues[(u.queuedCell+1)%len(e.queues)].Push(u.queuedReq)
+		}, "queued at cell"},
+		{"burst for a queued user", func(t *testing.T, e *Engine) { serveUser(e, queuedUser(t, e)) }, "already queued or in service"},
+		{"burst for a user with no request", func(t *testing.T, e *Engine) {
+			for _, u := range e.users {
+				if u.queuedReq == nil {
+					serveUser(e, u)
+					return
+				}
+			}
+			t.Fatal("every user has a pending request")
+		}, "no pending request"},
+		{"user served twice", func(t *testing.T, e *Engine) { serveUser(e, served(t, e)) }, "already queued or in service"},
+		{"burst from an out-of-range cell", func(t *testing.T, e *Engine) {
+			served(t, e).queuedCell = len(e.queues)
+		}, "outside 0.."},
+		{"request neither queued nor served", func(t *testing.T, e *Engine) {
+			u := queuedUser(t, e)
+			e.queues[u.queuedCell].Remove(u.queuedReq)
+		}, "neither queued nor in service"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forged := forgeCheckpoint(t, blob, func(e *Engine) { tc.corrupt(t, e) })
+			c, err := ReadCheckpoint(bytes.NewReader(forged))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eB, err := c.Resume(c.Config()); err == nil {
+				eB.Close()
+				t.Fatal("checkpoint with a bad queue entry or burst resumed")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("refused for the wrong reason: %v", err)
+			}
+		})
+	}
+}
+
 // TestResumeRefusesOrphanLoadCursor: a checkpoint that has applied load
 // events but whose config has no fault schedule to continue is refused,
 // not resumed with the events silently forgotten. The blob is written by a
@@ -809,11 +954,11 @@ func TestResumeRefusesOrphanLoadCursor(t *testing.T) {
 //	#   "Faults": {"cells": [{"cell": 2, "start_sec": 2.5, "end_sec": 3.5}],
 //	#              "load": [{"at_sec": 1, "reading_time_sec": 1},
 //	#                       {"at_sec": 2, "reading_time_sec": 3}]}
-//	jabasim -config smoke.json -exact-vtaoc -sim-time 4 -checkpoint testdata/checkpoint/v5-smoke-exact-faults.ckpt -checkpoint-every 150
+//	jabasim -config smoke.json -exact-vtaoc -sim-time 4 -checkpoint testdata/checkpoint/v6-smoke-exact-faults.ckpt -checkpoint-every 150
 //	jabasim -preset smoke -dump-config > smoke-win.json
 //	# in smoke-win.json set "Rings": 3 and "PilotCells": 7
-//	jabasim -config smoke-win.json -sim-time 4 -checkpoint testdata/checkpoint/v5-smoke-win7-fast.ckpt -checkpoint-every 150
-//	jabasim -preset reverse -exact-vtaoc -sim-time 8 -checkpoint testdata/checkpoint/v5-reverse-exact.ckpt -checkpoint-every 300
+//	jabasim -config smoke-win.json -sim-time 4 -checkpoint testdata/checkpoint/v6-smoke-win7-fast.ckpt -checkpoint-every 150
+//	jabasim -preset reverse -exact-vtaoc -sim-time 8 -checkpoint testdata/checkpoint/v6-reverse-exact.ckpt -checkpoint-every 300
 //
 // (rename the files after the new version, here and in the CI
 // checkpoint-replay job).
@@ -824,9 +969,9 @@ func TestResumeCommittedCheckpoints(t *testing.T) {
 		pilotCells int
 		direction  Direction
 	}{
-		{"v5-smoke-exact-faults.ckpt", 150, 0, Forward},
-		{"v5-smoke-win7-fast.ckpt", 150, 7, Forward},
-		{"v5-reverse-exact.ckpt", 300, 0, Reverse},
+		{"v6-smoke-exact-faults.ckpt", 150, 0, Forward},
+		{"v6-smoke-win7-fast.ckpt", 150, 7, Forward},
+		{"v6-reverse-exact.ckpt", 300, 0, Reverse},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "checkpoint", fx.name))

@@ -57,7 +57,6 @@ type burst struct {
 	setupRemaining float64
 	servedBits     float64
 	serviceTime    float64
-	grantedAt      float64
 	// bp is the instantaneous VTAOC throughput (bits/symbol) for the current
 	// frame, written by serveBursts' rate pass just before the accounting
 	// reads it. It is transient: recomputed every frame and never
@@ -80,12 +79,10 @@ type dataUser struct {
 	source   *traffic.DataModel
 	macM     *mac.Machine
 
-	// ver counts measurement changes (fast path): it is bumped whenever the
-	// user's gains moved or its reduced set changed, and the incremental
-	// region cache keys on it. prevReduced is the previous frame's reduced
-	// set for the change test.
-	ver         uint64
-	prevReduced []int
+	// ver counts measurement recomputes: refreshPilots bumps it, and the
+	// incremental region cache keys on it. The cache is not checkpointed,
+	// so neither is the version.
+	ver uint64
 
 	// bucket is the spatial-grid bucket the window was last targeted at
 	// (-1 before the first frame) and cand aliases that bucket's candidate
@@ -95,16 +92,17 @@ type dataUser struct {
 	bucket int
 	cand   []int32
 
+	// queuedReq is the user's outstanding request, queued at queuedCell
+	// until granted and kept until its burst completes. Every queue entry
+	// is its user's queuedReq.
 	queuedReq  *traffic.BurstRequest
 	queuedCell int
-	firstGrant bool
 
 	// fch is the FCH footprint at each reduced-set cell in the configured
 	// direction's units, rebuilt per frame: transmit power (W) on the
 	// forward link, received power over thermal noise on the reverse link.
 	fch       load.Vec
 	meanCSIdB float64 // local-mean SCH Es/Io (dB)
-	geometry  float64 // linear serving-power / (other + noise)
 }
 
 // voiceUser is one circuit voice mobile (background load only).
@@ -142,10 +140,11 @@ type Engine struct {
 	winB  *channel.Window
 	spix  *spatial.Index
 
-	// incr caches per-cell admissible regions across frames (fast path
-	// only; the exact reference path always rebuilds). One cache serves
-	// every frame mode and worker count: a cell is solved by exactly one
-	// worker per frame, so workers never touch the same entry.
+	// incr caches per-cell admissible regions across frames on both
+	// physics paths: it rebuilds a region only when its inputs moved, so
+	// its output is a full rebuild's. One cache serves every frame mode and
+	// worker count: a cell is solved by exactly one worker per frame, so
+	// workers never touch the same entry.
 	incr *measurement.IncrementalRegions
 
 	// Per-run constants hoisted out of the per-user frame loop. The exact
@@ -227,11 +226,10 @@ type traceCell struct {
 	solve        string
 }
 
-// admitScratch is one admission worker's per-cell working set: the queue
-// snapshot, the scheduler requests and the direction-specific measurement
+// admitScratch is one admission worker's per-cell working set: the
+// scheduler requests, their users and the direction-specific measurement
 // attachments. It is reused across cells and frames.
 type admitScratch struct {
-	items []*traffic.BurstRequest
 	reqs  []core.Request
 	users []*dataUser
 	fwd   []measurement.ForwardRequest
@@ -336,9 +334,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.ebioTarget = mathx.Linear(cfg.FCHEbIoTargetDB)
 	e.addFactor = math.Pow(10, -cfg.SoftHandoffAddDB/10)
 	e.minEcIo = math.Pow(10, cfg.PilotMinEcIoDB/10)
-	if !cfg.ExactPHY {
-		e.incr = measurement.NewIncrementalRegions(layout.NumCells())
-	}
+	e.incr = measurement.NewIncrementalRegions(layout.NumCells())
 	e.spix = spatial.New(layout, cfg.PilotCells)
 	e.queues = make([]*traffic.Queue, layout.NumCells())
 	for k := range e.queues {
@@ -649,7 +645,6 @@ func (e *Engine) generateTraffic(dt float64) {
 		}
 		u.queuedReq = req
 		u.queuedCell = u.hostCell
-		u.firstGrant = false
 		e.queues[u.hostCell].Push(req)
 		if e.now >= e.cfg.WarmupTime {
 			e.metrics.BurstsGenerated++
@@ -844,9 +839,7 @@ func (e *Engine) solveSlot(fw *frameWorker, g *cellGrants, k int, loads []float6
 	g.users = g.users[:0]
 	g.ratios = g.ratios[:0]
 	g.prob = nil
-	if !e.gatherCell(k, &fw.scratch, loads) {
-		return
-	}
+	e.gatherCell(k, &fw.scratch, loads)
 	g.offered = len(fw.scratch.reqs)
 	if fw.seeder != nil {
 		fw.seeder.SeedCell(uint64(e.frame), uint64(k))
@@ -880,9 +873,7 @@ func (e *Engine) commitSlot(g *cellGrants) {
 		e.noteSolve(g.cell, true, false)
 		return
 	}
-	if g.offered > 0 {
-		e.noteSolve(g.cell, false, g.fallback)
-	}
+	e.noteSolve(g.cell, false, g.fallback)
 	if g.prob != nil {
 		e.solveRec.Emit(g.prob)
 		g.prob = nil
@@ -911,9 +902,9 @@ func (e *Engine) noteSolve(k int, skipped, fallback bool) {
 }
 
 // traceSolve records one cell's admission outcome for the telemetry trace:
-// the number of live requests gathered and whether the solve was abandoned
-// or degraded to the greedy fallback. Cells that never gathered a live
-// request stay at trace.SolveIdle.
+// the number of requests gathered and whether the solve was abandoned or
+// degraded to the greedy fallback. Cells that admit does not solve (no
+// queued request, or out of service) stay at trace.SolveIdle.
 func (e *Engine) traceSolve(cell, offered int, skipped, fallback bool) {
 	if e.traceCells == nil {
 		return
@@ -925,45 +916,35 @@ func (e *Engine) traceSolve(cell, offered int, skipped, fallback bool) {
 		tc.solve = trace.SolveSkipped
 	case fallback:
 		tc.solve = trace.SolveFallback
-	case offered > 0:
+	default:
 		tc.solve = trace.SolveOK
 	}
 }
 
-// gatherCell drains cell k's queue into the scratch working set: stale
-// entries are dropped from the queue, live requests become core.Requests
-// plus their direction-specific measurement attachments. loads is the
-// per-cell ledger the reverse-link pilot reports normalise against — the
-// live ledger in sequential mode, the frame-start ledger in snapshot mode
-// (identical storage; snapshot mode simply defers the mutations). The
-// reverse requests' pilot reports are built in s's own per-request Vecs,
-// so concurrent workers never share them. Reports whether anything is left
-// to schedule.
-func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) bool {
-	queue := e.queues[k]
-	s.items = append(s.items[:0], queue.Items()...)
+// gatherCell reads cell k's queue into the scratch working set: each entry
+// is its user's queuedReq (generateTraffic pushes it, a grant or
+// migrateQueued removes it, and the burst completes only after the grant)
+// and becomes a core.Request plus its direction-specific measurement
+// attachment. loads is the per-cell ledger the reverse-link pilot reports
+// normalise against — the live ledger in sequential mode, the frame-start
+// ledger in snapshot mode (identical storage; snapshot mode simply defers
+// the mutations). The reverse requests' pilot reports are built in s's own
+// per-request Vecs, so concurrent workers never share them.
+func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) {
 	s.reqs = s.reqs[:0]
 	s.users = s.users[:0]
 	s.fwd = s.fwd[:0]
 	s.rev = s.rev[:0]
 	s.csi = s.csi[:0]
 	s.vers = s.vers[:0]
-	// First pass: drop stale entries and collect the live users' CSI, so the
-	// physical layer evaluates the whole cell in one batched call over the
-	// (tabulated) mode ladder. AverageThroughput is a pure function, so the
-	// two-pass shape returns exactly the per-item values the interleaved
-	// loop produced.
-	for _, item := range s.items {
-		u := e.userByID(item.UserID)
-		if u == nil || u.queuedReq != item {
-			queue.Remove(item) // stale entry
-			continue
-		}
+	// First pass: collect the users' CSI, so the physical layer evaluates
+	// the whole cell in one batched call over the (tabulated) mode ladder.
+	// AverageThroughput is a pure function, so the two-pass shape returns
+	// exactly the per-item values the interleaved loop produced.
+	for _, item := range e.queues[k].Items() {
+		u := e.users[item.UserID]
 		s.users = append(s.users, u)
 		s.csi = append(s.csi, u.meanCSIdB)
-	}
-	if len(s.users) == 0 {
-		return false
 	}
 	s.bp = e.avgThroughputBatch(s.bp, s.csi)
 	for i, u := range s.users {
@@ -1018,7 +999,6 @@ func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) bool {
 			})
 		}
 	}
-	return len(s.reqs) > 0
 }
 
 // avgThroughputBatch fills dst with the physical layer's average throughput
@@ -1042,13 +1022,13 @@ func (e *Engine) avgThroughputBatch(dst, csi []float64) []float64 {
 
 // solveCell builds cell k's admissible region for the requests gathered
 // into fw's scratch against the given ledger and solves the scheduling
-// problem with fw's scheduler and region builder. On the fast path the
-// region comes from the engine's incremental cache (rebuilt only when the
-// cell's request set, measurement versions or — reverse link —
-// involved-cell loads changed); the exact reference path always rebuilds.
-// The returned assignment indexes fw.scratch.users.
+// problem with fw's scheduler. The region comes from the engine's
+// incremental cache, which rebuilds it with fw's region builder only when
+// the cell's request set, measurement versions or — reverse link —
+// involved-cell loads changed. The returned assignment indexes
+// fw.scratch.users.
 func (e *Engine) solveCell(k int, fw *frameWorker, loads []float64) (core.Assignment, error) {
-	s, rb, incr := &fw.scratch, &fw.regionB, e.incr
+	s, rb := &fw.scratch, &fw.regionB
 	var region measurement.Region
 	var err error
 	switch e.cfg.Direction {
@@ -1066,11 +1046,7 @@ func (e *Engine) solveCell(k int, fw *frameWorker, loads []float64) (core.Assign
 			MaxLoad:     maxLoad,
 			GammaS:      e.cfg.RatePlan.GammaS,
 		}
-		if incr != nil {
-			region, _, err = incr.ForwardCell(k, rb, state, s.fwd, s.vers)
-		} else {
-			region, err = rb.Forward(state, s.fwd)
-		}
+		region, _, err = e.incr.ForwardCell(k, rb, state, s.fwd, s.vers)
 	case Reverse:
 		state := measurement.ReverseState{
 			TotalReceived: loads,
@@ -1078,11 +1054,7 @@ func (e *Engine) solveCell(k int, fw *frameWorker, loads []float64) (core.Assign
 			GammaS:        e.cfg.RatePlan.GammaS,
 			ShadowMargin:  e.cfg.ShadowMargin,
 		}
-		if incr != nil {
-			region, _, err = incr.ReverseCell(k, rb, state, s.rev, s.vers)
-		} else {
-			region, err = rb.Reverse(state, s.rev)
-		}
+		region, _, err = e.incr.ReverseCell(k, rb, state, s.rev, s.vers)
 	}
 	if err != nil {
 		return core.Assignment{}, err
@@ -1123,17 +1095,13 @@ func (e *Engine) commitCell(k int, queue *traffic.Queue, users []*dataUser, rati
 			remaining:      item.SizeBits,
 			load:           granted,
 			setupRemaining: u.macM.SetupDelayNow(e.now),
-			grantedAt:      e.now,
 		}
 		e.bursts = append(e.bursts, b)
 		e.loads.AddVec(granted)
 		if e.now >= e.cfg.WarmupTime {
 			e.metrics.AssignedRatio.Add(float64(m))
-			if !u.firstGrant {
-				e.metrics.AdmissionWait.Add(e.now - item.ArrivalTime)
-			}
+			e.metrics.AdmissionWait.Add(e.now - item.ArrivalTime)
 		}
-		u.firstGrant = true
 	}
 }
 

@@ -125,29 +125,34 @@ func checkFCHCells(t *testing.T, u *dataUser) {
 	}
 }
 
-// TestMeasurementVersionFastPathOnly: only the fast path keys the
-// incremental region cache on a measurement version. The exact path shares
-// the user update but must leave the version and the previous reduced set
-// untouched: its checkpoints store both, so bumping them would change
-// exact-path checkpoint bytes.
-func TestMeasurementVersionFastPathOnly(t *testing.T) {
+// TestMeasurementVersionBothPaths: both physics paths key the incremental
+// region cache on a measurement version that every recompute bumps. Static
+// users recompute once, on their first frame, and then pause; a frame on
+// which the fault mask changed recomputes a paused user again.
+func TestMeasurementVersionBothPaths(t *testing.T) {
 	for _, exact := range []bool{false, true} {
-		e := newTestEngine(t, func(c *Config) { c.ExactPHY = exact })
-		for f := 0; f < 5; f++ {
-			e.now = float64(f) * e.cfg.FrameLength
+		e := newTestEngine(t, func(c *Config) {
+			c.ExactPHY = exact
+			c.MinSpeed, c.MaxSpeed = 0, 0
+		})
+		step := func() {
 			e.updateUsers()
+			e.now += e.cfg.FrameLength
 		}
-		bumped := 0
+		for range 5 {
+			step()
+		}
 		for _, u := range e.users {
-			if u.ver > 0 || len(u.prevReduced) > 0 {
-				bumped++
+			if u.ver != 1 {
+				t.Fatalf("exact=%v: static user %d has version %d after 5 frames, want 1", exact, u.id, u.ver)
 			}
 		}
-		if exact && bumped > 0 {
-			t.Errorf("exact path: %d users carry a measurement version or previous reduced set", bumped)
-		}
-		if !exact && bumped != len(e.users) {
-			t.Errorf("fast path: only %d of %d users carry a measurement version", bumped, len(e.users))
+		e.faultDirty = true
+		step()
+		for _, u := range e.users {
+			if u.ver != 2 {
+				t.Fatalf("exact=%v: paused user %d has version %d after a fault-mask change, want 2", exact, u.id, u.ver)
+			}
 		}
 	}
 }
@@ -350,7 +355,6 @@ func queueTestRequest(e *Engine, u *dataUser, sizeBits float64) *traffic.BurstRe
 	req := &traffic.BurstRequest{UserID: u.id, SizeBits: sizeBits, ArrivalTime: e.now, Priority: 1}
 	u.queuedReq = req
 	u.queuedCell = u.hostCell
-	u.firstGrant = false
 	e.queues[u.hostCell].Push(req)
 	return req
 }
@@ -387,30 +391,6 @@ func admitModes(t *testing.T, mutate func(*Config), fn func(t *testing.T, e *Eng
 			fn(t, e)
 		})
 	}
-}
-
-// TestAdmitDropsStaleQueueEntries: a queue entry whose user no longer backs
-// it (the request pointer was superseded or cleared) must be removed during
-// gathering without producing a grant.
-func TestAdmitDropsStaleQueueEntries(t *testing.T) {
-	admitModes(t, nil, func(t *testing.T, e *Engine) {
-		u := e.users[0]
-		stale := queueTestRequest(e, u, 100_000)
-		u.queuedReq = nil // supersede: the queue entry is now stale
-		k := u.queuedCell
-		before := len(e.bursts)
-		e.admit()
-		if got := e.queues[k].Len(); got != 0 {
-			t.Errorf("stale entry still queued (len=%d)", got)
-		}
-		if len(e.bursts) != before {
-			t.Error("stale entry produced a burst")
-		}
-		if e.metrics.SkippedCells != 0 {
-			t.Error("a stale entry is not a skipped cell")
-		}
-		_ = stale
-	})
 }
 
 // TestAdmitCountsSkippedCellsOnRegionError: when the measurement sub-layer
@@ -538,9 +518,6 @@ func TestSnapshotWorkersOwnDisjointSchedulers(t *testing.T) {
 					t.Fatalf("worker %d shares a scheduler instance with the engine or another worker", i)
 				}
 				seen[w.sched] = true
-			}
-			if e.incr == nil {
-				t.Error("fast-path engine has no region cache")
 			}
 		})
 	}

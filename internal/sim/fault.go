@@ -83,21 +83,6 @@ func (e *Engine) downMask() []bool {
 	return e.fault.Down
 }
 
-// refreshPausedUser re-derives a paused user's pilot, active and reduced
-// sets from its unchanged gains on a frame where the down mask changed.
-// Only the measurement chain runs — the mobility, fading and channel
-// streams have already been advanced (or skipped) exactly as the paused
-// shortcut does — so the RNG state is untouched and a fault-free run
-// cannot diverge. The user is paused, so its bucket — and with it the
-// window — cannot have moved. The fast path also re-runs the version bump
-// so the region cache sees the reduced-set change.
-func (e *Engine) refreshPausedUser(u *dataUser) {
-	e.refreshPilots(u)
-	if !e.cfg.ExactPHY {
-		u.bumpVersion()
-	}
-}
-
 // migrateQueued moves burst requests still queued at an out-of-service
 // cell to their owner's re-piloted host cell. Runs sequentially between
 // the user updates (which moved the host cells off dead cells) and traffic

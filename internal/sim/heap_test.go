@@ -9,11 +9,11 @@ import (
 )
 
 // maxLiveBytesPerDataUser bounds the live heap of a small windowed engine
-// per data user: the measured 2788 B (go1.24, amd64) plus a 10% margin.
+// per data user: the measured 2710 B (go1.24, amd64) plus a 10% margin.
 // At city scale (about 100k data users) every byte here is about 0.1 MiB
 // of heap, so a field or a per-user allocation that creeps back in fails
 // this test. Lower the bound when a change shrinks the layout.
-const maxLiveBytesPerDataUser = 3070
+const maxLiveBytesPerDataUser = 2981
 
 // TestLiveHeapPerDataUser builds and runs a small windowed engine (37
 // cells, a 24-cell window, 40 data users per cell, no voice users) and

@@ -31,7 +31,6 @@ type Metrics struct {
 
 	BurstsGenerated int64
 	BurstsCompleted int64
-	BurstsExpired   int64 // requests dropped because the user left coverage entirely (rare)
 
 	// SkippedCells counts cell-frames whose admission was abandoned because
 	// the measurement sub-layer could not build the admissible region or the

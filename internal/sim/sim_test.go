@@ -513,9 +513,9 @@ func TestSnapshotModeRequiresClonableScheduler(t *testing.T) {
 
 // TestIncrementalRegionsMatchFullRebuild is the correctness contract of the
 // incremental region cache: a cached region is reused only when its inputs
-// are bitwise unchanged, so for every frame mode and
-// worker count the cache-enabled engine must produce exactly the output of
-// the same engine rebuilding every region from scratch (ForceFull). The
+// are bitwise unchanged, so on both physics paths and for every frame mode
+// and worker count the engine must produce exactly the output of the same
+// engine rebuilding every region from scratch (ForceFull, the oracle). The
 // static-user scenario pins that the equality is not vacuous — paused users
 // keep their measurement versions, so the cache actually serves hits there.
 func TestIncrementalRegionsMatchFullRebuild(t *testing.T) {
@@ -524,9 +524,6 @@ func TestIncrementalRegionsMatchFullRebuild(t *testing.T) {
 		e, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if e.incr == nil {
-			t.Fatal("fast path engine has no incremental region cache")
 		}
 		e.incr.ForceFull = forceFull
 		m, err := e.Run(context.Background())
@@ -558,30 +555,34 @@ func TestIncrementalRegionsMatchFullRebuild(t *testing.T) {
 		{FrameSnapshot, 8},
 	}
 	for _, sc := range scenarios {
-		for _, dir := range []Direction{Forward, Reverse} {
-			base := quickConfig()
-			base.SimTime = 4
-			base.Direction = dir
-			// Enough contention that requests wait in queue across frames —
-			// a cache hit needs the same request set in consecutive builds.
-			base.DataUsersPerCell = 14
-			sc.mutate(&base)
-			for _, mc := range modes {
-				cfg := base
-				cfg.FrameMode = mc.mode
-				cfg.FrameParallel = mc.par
-				full, _ := run(cfg, true)
-				incr, hits := run(cfg, false)
-				if fingerprint(full) != fingerprint(incr) {
-					t.Errorf("%s %s %s/par=%d: incremental diverged from full rebuild: %v vs %v",
-						sc.name, dir, mc.mode, mc.par, fingerprint(incr), fingerprint(full))
-				}
-				// Reverse-link reuse additionally requires the involved
-				// cells' ledger loads to match bitwise at epsilon 0, and
-				// voice activity perturbs them every frame — so only the
-				// forward link is required to actually serve hits here.
-				if sc.wantHits && dir == Forward && hits == 0 {
-					t.Errorf("%s %s %s/par=%d: incremental cache never hit", sc.name, dir, mc.mode, mc.par)
+		for _, exact := range []bool{false, true} {
+			for _, dir := range []Direction{Forward, Reverse} {
+				base := quickConfig()
+				base.SimTime = 4
+				base.ExactPHY = exact
+				base.Direction = dir
+				// Enough contention that requests wait in queue across
+				// frames — a cache hit needs the same request set in
+				// consecutive builds.
+				base.DataUsersPerCell = 14
+				sc.mutate(&base)
+				for _, mc := range modes {
+					cfg := base
+					cfg.FrameMode = mc.mode
+					cfg.FrameParallel = mc.par
+					full, _ := run(cfg, true)
+					incr, hits := run(cfg, false)
+					if fingerprint(full) != fingerprint(incr) {
+						t.Errorf("%s exact=%v %s %s/par=%d: incremental diverged from full rebuild: %v vs %v",
+							sc.name, exact, dir, mc.mode, mc.par, fingerprint(incr), fingerprint(full))
+					}
+					// Reverse-link reuse additionally requires the involved
+					// cells' ledger loads to match bitwise, and voice
+					// activity perturbs them every frame — so only the
+					// forward link is required to actually serve hits here.
+					if sc.wantHits && dir == Forward && hits == 0 {
+						t.Errorf("%s exact=%v %s %s/par=%d: incremental cache never hit", sc.name, exact, dir, mc.mode, mc.par)
+					}
 				}
 			}
 		}

@@ -27,12 +27,13 @@ package sim
 // The exact reference path (ExactPHY) and the default fast path share one
 // control flow and differ only in the kernels they call: metre or squared
 // distances, AdvanceExact or AdvanceFast, dB- or linear-domain pilot and
-// active sets.
+// active sets. Both bump the user's measurement version on every
+// recompute and take their admissible regions from the one incremental
+// region cache.
 
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/mathx"
@@ -58,14 +59,13 @@ func (e *Engine) retargetWindow(u *dataUser, pos cellular.Point) bool {
 }
 
 // updateUser advances one data user by one frame: position, window gains,
-// pilot/active/reduced sets, geometry, FCH ledgers and MAC state. dist is
-// the calling worker's distance scratch, at least the window width long. A
-// zero-travel frame leaves every derived quantity bitwise unchanged, so a
-// paused user skips the recompute; the exact path first consumes the
-// Gaussian draws its reference stream takes anyway. On the fast path every
-// moving user's measurement version is bumped (its gains moved), and a
-// paused one's when its reduced set changed (bumpVersion), keying the
-// incremental region cache; the exact path never bumps it.
+// pilot/active/reduced sets, FCH ledgers and MAC state. dist is the calling
+// worker's distance scratch, at least the window width long. A zero-travel
+// frame leaves every derived quantity bitwise unchanged, so a paused user
+// skips the recompute; the exact path first consumes the Gaussian draws
+// its reference stream takes anyway. On a frame where the fault mask
+// changed, a paused user re-derives its measurements from its unchanged
+// gains and window (see fault.go).
 func (e *Engine) updateUser(u *dataUser, dt float64, dist []float64) {
 	exact := e.cfg.ExactPHY
 	travelled := e.mobB.Advance(u.id, dt)
@@ -74,7 +74,7 @@ func (e *Engine) updateUser(u *dataUser, dt float64, dist []float64) {
 			e.winB.AdvancePausedExact(u.id)
 		}
 		if e.faultDirty {
-			e.refreshPausedUser(u)
+			e.refreshPilots(u)
 			return
 		}
 		u.macM.AdvanceTo(e.now)
@@ -93,27 +93,15 @@ func (e *Engine) updateUser(u *dataUser, dt float64, dist []float64) {
 		e.winB.AdvanceFast(u.id, dist, travelled)
 	}
 	e.refreshPilots(u)
-	if !exact {
-		u.ver++ // the gains moved
-		u.prevReduced = append(u.prevReduced[:0], u.reduced...)
-	}
-}
-
-// bumpVersion is the fast path's measurement-version update for a paused
-// user, whose gains did not move: the version moves when the reduced set
-// differs from the previous frame's.
-func (u *dataUser) bumpVersion() {
-	if !slices.Equal(u.reduced, u.prevReduced) {
-		u.ver++
-	}
-	u.prevReduced = append(u.prevReduced[:0], u.reduced...)
 }
 
 // refreshPilots forms the user's pilot and active sets from its current
 // window gains — dB domain on the exact path, linear domain on the fast
 // path — skipping out-of-service cells (see downMask), and derives
-// everything downstream.
+// everything downstream. It bumps the user's measurement version, so the
+// region cache rebuilds every region the user's request enters next.
 func (e *Engine) refreshPilots(u *dataUser) {
+	u.ver++
 	down := e.downMask()
 	if e.cfg.ExactPHY {
 		u.pilots = cellular.PilotSetCellsInto(u.pilots, u.cand, u.gain, down, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
@@ -126,10 +114,10 @@ func (e *Engine) refreshPilots(u *dataUser) {
 }
 
 // finishMeasurements derives the admission-facing quantities from the
-// freshly updated gains and active set: reduced set, host cell, geometry,
-// mean CSI and the FCH footprint of the configured direction — the other
-// link's is never read, so it is not computed. Identical arithmetic on both
-// the exact and the fast path (the inputs differ only by the kernel
+// freshly updated gains and active set: reduced set, host cell, mean CSI
+// and the FCH footprint of the configured direction — the other link's is
+// never read, so it is not computed. Identical arithmetic on both the
+// exact and the fast path (the inputs differ only by the kernel
 // tolerances). The
 // interference total sums the window's cells in ascending cell order, and
 // each reduced-set cell's gain is read at the slot its pilot entry carries:
@@ -153,8 +141,8 @@ func (e *Engine) finishMeasurements(u *dataUser) {
 		interference += nominalOtherCellActivity * e.cfg.MaxCellPowerW * u.gain[s]
 	}
 	hostGain := u.gain[u.pilotSlot(u.hostCell)]
-	u.geometry = e.cfg.MaxCellPowerW * hostGain / interference
-	u.meanCSIdB = mathx.DB(u.geometry) + schCSIOffsetDB
+	geometry := e.cfg.MaxCellPowerW * hostGain / interference
+	u.meanCSIdB = mathx.DB(geometry) + schCSIOffsetDB
 
 	u.fch.Reset()
 	switch e.cfg.Direction {

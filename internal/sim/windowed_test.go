@@ -64,7 +64,8 @@ func TestSnapshotTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestSnapshotTraceIdenticalAcrossWorkerCountsExact covers the exact
-// reference path (no region cache, dB-domain kernels) with the same gate.
+// reference path (dB-domain kernels, exact VTAOC integral) with the same
+// gate.
 func TestSnapshotTraceIdenticalAcrossWorkerCountsExact(t *testing.T) {
 	base := quickConfig()
 	base.SimTime = 3

@@ -50,8 +50,8 @@ type Record struct {
 	TimeS float64
 	// Cell is the cell index in the layout.
 	Cell int
-	// Offered is the number of live burst requests the admission layer
-	// gathered from the cell's queue this frame (stale entries excluded).
+	// Offered is the number of burst requests the admission layer gathered
+	// from the cell's queue this frame.
 	Offered int
 	// Admitted is the number of requests granted a non-zero spreading ratio
 	// this frame; GrantedRatio is the sum of those ratios (Σ m_j).

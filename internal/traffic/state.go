@@ -12,16 +12,15 @@ func (v *VoiceModel) Persist(c *checkpoint.Codec) {
 }
 
 // Persist writes or reads the data source's mutable state: think phase,
-// pending request (by value — the sharing with the engine's queues is
-// re-established on restore), generation count, the one runtime-mutable
-// config field (a fault-schedule load event rescales the mean reading time
+// pending request (by value — the engine's queues hold it by pointer, so
+// the engine re-queues it on restore), the one runtime-mutable config
+// field (a fault-schedule load event rescales the mean reading time
 // mid-run) and the draw stream. Reading rebuilds a present pending request
 // as a fresh value carrying the model's own user id; Pending exposes it so
-// the caller can re-link queue entries to it.
+// the caller can re-queue it.
 func (d *DataModel) Persist(c *checkpoint.Codec) {
 	c.Bool(&d.thinking)
 	c.F64(&d.thinkLeft)
-	c.I64(&d.generated)
 	c.F64(&d.cfg.MeanReadingTimeSec)
 	has := d.pending != nil
 	c.Bool(&has)

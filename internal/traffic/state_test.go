@@ -87,9 +87,6 @@ func TestDataModelStateRoundTrip(t *testing.T) {
 				t.Fatalf("phase %d: pending request diverged: %+v vs %+v", phase, rp, op)
 			}
 		}
-		if orig.generated != restored.generated {
-			t.Fatalf("phase %d: generated count diverged", phase)
-		}
 		if orig.Pending() != nil {
 			// Complete the outstanding burst so both sources go back to
 			// thinking and the cycle loop below can make progress.

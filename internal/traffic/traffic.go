@@ -107,7 +107,6 @@ type DataModel struct {
 	thinking  bool
 	thinkLeft float64
 	pending   *BurstRequest // issued but not yet completed
-	generated int64
 }
 
 // NewDataModel creates a data source for the given user.
@@ -128,9 +127,6 @@ func NewDataModel(src *rng.Source, userID int, cfg DataModelConfig) *DataModel {
 	d.thinkLeft = src.Exponential(cfg.MeanReadingTimeSec)
 	return d
 }
-
-// UserID returns the owner of this source.
-func (d *DataModel) UserID() int { return d.userID }
 
 // Pending returns the outstanding burst request, or nil.
 func (d *DataModel) Pending() *BurstRequest { return d.pending }
@@ -160,7 +156,6 @@ func (d *DataModel) Advance(dt float64, now float64) *BurstRequest {
 		Priority:    d.cfg.Priority,
 	}
 	d.pending = req
-	d.generated++
 	return req
 }
 
