@@ -64,9 +64,6 @@ func NewBatch(users, cells int, pl PathLossModel, sigmaDB, decorrM float64) *Bat
 	}
 }
 
-// Cells returns the number of cells per user.
-func (b *Batch) Cells() int { return b.cells }
-
 // SeedUser derives user u's per-cell shadowing substreams as parent.Split(
 // base+k) for k = 0..cells-1, the same order the scalar engine splits its
 // per-cell Shadowing sources, writing each into the batch in place.

@@ -129,9 +129,6 @@ func (l *Link) Update(d, travelled float64) {
 	l.lastLongDB = -l.PathLoss.LossDB(d) + l.Shadow.CurrentDB()
 }
 
-// Distance returns the distance used by the last Update call.
-func (l *Link) Distance() float64 { return l.distance }
-
 // LongTermGainDB returns the slow component of the channel gain in dB
 // (negative path loss plus shadowing). This is the "local mean CSI" that
 // drives the offered SCH bit rate in the paper.

@@ -85,8 +85,8 @@ func TestLinkLongTermGain(t *testing.T) {
 	if math.Abs(l.LongTermGainDB()-(-128.1)) > 1e-9 {
 		t.Errorf("long-term gain = %v dB, want -128.1", l.LongTermGainDB())
 	}
-	if l.Distance() != 1000 {
-		t.Errorf("Distance = %v", l.Distance())
+	if l.distance != 1000 {
+		t.Errorf("distance = %v", l.distance)
 	}
 	l.Update(2000, 1000)
 	if l.LongTermGainDB() >= -128.1 {

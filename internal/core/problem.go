@@ -170,17 +170,12 @@ func (o Objective) Value(requests []Request, m []int) float64 {
 	return total
 }
 
-// utilityCoefficients returns the per-request linear utility coefficient
-// c_j such that the objective equals Σ_j c_j·m_j + constant. For J2 the
+// utilityCoefficientsInto returns the per-request linear utility
+// coefficient c_j such that the objective equals Σ_j c_j·m_j + constant,
+// written into dst, which is grown as needed; the schedulers reuse their
+// scratch through it so the per-frame solve does not allocate. For J2 the
 // delay penalty contributes +Lambda·w_j·bp_j/RateScale per unit of m_j (the
 // linear part) and a constant −Σ Lambda·w_j that does not affect the argmax.
-func (o Objective) utilityCoefficients(requests []Request) []float64 {
-	return o.utilityCoefficientsInto(nil, requests)
-}
-
-// utilityCoefficientsInto is utilityCoefficients writing into dst, which is
-// grown as needed and returned; the schedulers reuse their scratch through
-// it so the per-frame solve does not allocate.
 func (o Objective) utilityCoefficientsInto(dst []float64, requests []Request) []float64 {
 	if cap(dst) < len(requests) {
 		dst = make([]float64, len(requests))

@@ -64,24 +64,30 @@ func transientReps(s Scale) int {
 	return s.Replications
 }
 
-// runTransient runs reps traced replications of cfg (seeds cfg.Seed + i,
-// the RunReplications scheme) and returns the across-replication window
-// accumulators. The replications run sequentially: each needs its own
-// in-memory sink, and the transient experiments are already parallelised
-// across each other by the registry runner. reps must be >= 1
-// (transientReps).
+// runTransient runs reps traced replications of cfg (seeds cfg.Seed + i)
+// and returns the across-replication window accumulators. Each replication
+// needs its own in-memory sink, so they go to sim.Replicate as reps
+// configurations of one replication each, one at a time: the transient
+// experiments are already parallelised across each other by the registry
+// runner. reps must be >= 1 (transientReps).
 func runTransient(ctx context.Context, cfg sim.Config, reps int, windowSec float64) ([]windowAcc, error) {
+	cfgs := make([]sim.Config, reps)
+	mems := make([]*trace.Memory, reps)
+	for i := range cfgs {
+		mems[i] = &trace.Memory{}
+		cfgs[i] = cfg
+		cfgs[i].Seed = cfg.Seed + uint64(i)
+		cfgs[i].Trace = mems[i]
+		cfgs[i].TraceEvery = 1
+	}
 	acc := make([]windowAcc, transientWindows)
-	for i := 0; i < reps; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)
-		mem := &trace.Memory{}
-		c.Trace = mem
-		c.TraceEvery = 1
-		if _, err := sim.Run(ctx, c); err != nil {
-			return nil, fmt.Errorf("transient replication %d: %w", i, err)
-		}
-		accumulateWindows(acc, mem.Records, windowSec)
+	err := sim.Replicate(ctx, cfgs, 1, 1, func(i int, _ *sim.Aggregate) error {
+		accumulateWindows(acc, mems[i].Records, windowSec)
+		mems[i].Records = nil // release the replication's trace
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return acc, nil
 }

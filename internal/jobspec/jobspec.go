@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"jabasd/internal/experiments"
@@ -79,30 +80,12 @@ type Overrides struct {
 	NodeBudget *int `json:"node_budget,omitempty"`
 }
 
-// Apply layers the set overrides onto cfg. Enum-valued overrides are
-// checked here (all at once); numeric ranges are left to cfg.Validate.
+// Apply layers the set overrides onto cfg. The overrides that name a
+// sweep axis apply through the axis registry (sweep.Set), last, so a fault
+// profile scales to the run length as overridden; their value errors are
+// reported all at once, and numeric ranges are left to cfg.Validate.
 func (o Overrides) Apply(cfg *sim.Config) error {
 	var errs []error
-	if o.Scheduler != "" {
-		kind := sim.SchedulerKind(o.Scheduler)
-		if _, err := sim.NewScheduler(kind, 1); err != nil {
-			errs = append(errs, err)
-		} else {
-			cfg.Scheduler = kind
-		}
-	}
-	switch o.Direction {
-	case "":
-	case "forward":
-		cfg.Direction = sim.Forward
-	case "reverse":
-		cfg.Direction = sim.Reverse
-	default:
-		errs = append(errs, fmt.Errorf("jobspec: unknown direction %q (want forward or reverse)", o.Direction))
-	}
-	if o.DataUsers != nil {
-		cfg.DataUsersPerCell = *o.DataUsers
-	}
 	if o.SimTime != 0 {
 		cfg.SimTime = o.SimTime
 	}
@@ -112,64 +95,45 @@ func (o Overrides) Apply(cfg *sim.Config) error {
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	switch sim.FrameMode(o.FrameMode) {
-	case "", sim.FrameSequential, sim.FrameSnapshot:
-		if o.FrameMode != "" {
-			cfg.FrameMode = sim.FrameMode(o.FrameMode)
-		}
-	default:
-		errs = append(errs, fmt.Errorf("jobspec: unknown frame mode %q (want %s or %s)",
-			o.FrameMode, sim.FrameSequential, sim.FrameSnapshot))
-	}
 	if o.FrameParallel != nil {
 		cfg.FrameParallel = *o.FrameParallel
 	}
 	if o.ExactPHY {
 		cfg.ExactPHY = true
 	}
+	if o.NodeBudget != nil {
+		cfg.SolveNodeBudget = *o.NodeBudget
+	}
 	switch {
 	case o.FaultProfile != "" && o.Faults != nil:
 		errs = append(errs, errors.New("jobspec: fault_profile and faults are exclusive; drop one"))
-	case o.FaultProfile != "":
-		// The profile scales to the configuration as overridden so far, so
-		// a sim_time override and a fault profile compose correctly.
-		cells := 1 + 3*cfg.Rings*(cfg.Rings+1)
-		sched, err := fault.Profile(o.FaultProfile, cells, cfg.SimTime, cfg.Data.MeanReadingTimeSec)
-		if err != nil {
-			errs = append(errs, err)
-		} else {
-			cfg.Faults = sched
-		}
 	case o.Faults != nil:
 		cfg.Faults = o.Faults
 	}
-	if o.NodeBudget != nil {
-		cfg.SolveNodeBudget = *o.NodeBudget
+	for _, v := range o.axes() {
+		if err := sweep.Set(cfg, v.Axis, v.Value); err != nil {
+			errs = append(errs, err)
+		}
 	}
 	return errors.Join(errs...)
 }
 
-// axisConflicts maps each override to the sweep axis that sets the same
-// parameter; sweeping an axis and overriding it at once would silently
-// mislabel every row, so SweepSpec.Resolve rejects the combination.
-func (o Overrides) axisConflicts() map[string]bool {
-	c := map[string]bool{}
-	if o.Scheduler != "" {
-		c["scheduler"] = true
+// axes lists the set overrides that name a sweep axis, as axis values.
+func (o Overrides) axes() []sweep.AxisValue {
+	var out []sweep.AxisValue
+	add := func(axis, value string) {
+		if value != "" {
+			out = append(out, sweep.AxisValue{Axis: axis, Value: value})
+		}
 	}
-	if o.Direction != "" {
-		c["direction"] = true
-	}
+	add("scheduler", o.Scheduler)
+	add("direction", o.Direction)
 	if o.DataUsers != nil {
-		c["datausers"] = true
+		add("datausers", strconv.Itoa(*o.DataUsers))
 	}
-	if o.FrameMode != "" {
-		c["framemode"] = true
-	}
-	if o.FaultProfile != "" || o.Faults != nil {
-		c["faultprofile"] = true
-	}
-	return c
+	add("framemode", o.FrameMode)
+	add("faultprofile", o.FaultProfile)
+	return out
 }
 
 // CheckpointSpec adds checkpoint/resume behaviour to a run: write a
@@ -331,12 +295,17 @@ func (s SweepSpec) Resolve() (sweep.Grid, sweep.Options, error) {
 		}
 	}
 
-	if conflicts := s.Overrides.axisConflicts(); len(conflicts) > 0 {
-		for _, ax := range g.Axes {
-			if conflicts[ax.Name] {
-				return sweep.Grid{}, sweep.Options{},
-					fmt.Errorf("jobspec: override conflicts with the %s axis; drop one", ax.Name)
-			}
+	// Sweeping an axis and overriding it at once would silently mislabel
+	// every row. An explicit fault schedule sets what the faultprofile axis
+	// does.
+	overridden := map[string]bool{"faultprofile": s.Overrides.Faults != nil}
+	for _, v := range s.Overrides.axes() {
+		overridden[v.Axis] = true
+	}
+	for _, ax := range g.Axes {
+		if overridden[ax.Name] {
+			return sweep.Grid{}, sweep.Options{},
+				fmt.Errorf("jobspec: override conflicts with the %s axis; drop one", ax.Name)
 		}
 	}
 

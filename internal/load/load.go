@@ -117,9 +117,6 @@ func NewLedger(nCells int) *Ledger {
 	return &Ledger{vals: make([]float64, nCells)}
 }
 
-// NumCells returns the number of cells tracked.
-func (l *Ledger) NumCells() int { return len(l.vals) }
-
 // Fill sets every cell to x (the per-frame reset: common-channel overhead on
 // the forward link, the normalised noise floor on the reverse link).
 func (l *Ledger) Fill(x float64) {

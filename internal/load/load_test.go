@@ -104,8 +104,8 @@ func TestVecAddToAndSum(t *testing.T) {
 
 func TestLedger(t *testing.T) {
 	l := NewLedger(3)
-	if l.NumCells() != 3 {
-		t.Fatalf("NumCells = %d", l.NumCells())
+	if len(l.Values()) != 3 {
+		t.Fatalf("ledger tracks %d cells", len(l.Values()))
 	}
 	l.Fill(2)
 	l.Add(1, 0.5)

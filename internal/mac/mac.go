@@ -131,9 +131,6 @@ func MustNewMachine(cfg Config) *Machine {
 	return m
 }
 
-// State returns the current MAC state.
-func (m *Machine) State() State { return m.state }
-
 // Touch records activity (data transmitted or burst granted) at time now:
 // the user moves to (or stays in) Active and the idle timer restarts.
 func (m *Machine) Touch(now float64) {
@@ -169,6 +166,3 @@ func (m *Machine) SetupDelayNow(now float64) float64 {
 	}
 	return m.cfg.SetupDelay(now - m.idleSince)
 }
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }

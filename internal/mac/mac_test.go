@@ -95,7 +95,7 @@ func TestStateString(t *testing.T) {
 
 func TestMachineLifecycle(t *testing.T) {
 	m := MustNewMachine(DefaultConfig())
-	if m.State() != Active {
+	if m.state != Active {
 		t.Error("new machine should be Active")
 	}
 	m.Touch(0)
@@ -116,19 +116,16 @@ func TestMachineLifecycle(t *testing.T) {
 	}
 	// Activity resets everything.
 	m.Touch(20)
-	if m.State() != Active || m.SetupDelayNow(20.5) != 0 || m.idleSince != 20 {
+	if m.state != Active || m.SetupDelayNow(20.5) != 0 || m.idleSince != 20 {
 		t.Error("Touch should reset idle timer and state")
 	}
 	// Time running backwards is ignored.
-	st := m.State()
+	st := m.state
 	if got := m.AdvanceTo(19); got != st {
 		t.Error("backwards time should not change state")
 	}
 	if m.SetupDelayNow(10) != 0 {
 		t.Error("SetupDelayNow before idleSince should be 0")
-	}
-	if m.Config() != DefaultConfig() {
-		t.Error("Config not returned")
 	}
 }
 

@@ -51,9 +51,6 @@ func NewWaypointBatch(region Region, minSpeed, maxSpeed, maxPause float64, n int
 	}
 }
 
-// Len returns the number of users in the batch.
-func (b *WaypointBatch) Len() int { return len(b.src) }
-
 // SeedUser initialises user i from src with the same draw order as
 // NewRandomWaypoint: initial position, then the first destination and speed.
 // The source is copied by value into the batch.

@@ -1,20 +1,18 @@
 // Package scenario provides the named simulation presets shared by the
-// command-line tools (cmd/jabasim, cmd/jabasweep) and the JSON decoding
-// of sim.Config, so a complete scenario description dumped as JSON
-// (jabasim -dump-config) can be edited and loaded back.
+// command-line tools (cmd/jabasim, cmd/jabasweep) and the JSON encoding
+// of sim.Config (jabasim -dump-config), so a complete scenario description
+// can be edited and loaded back through jobspec.Scenario.
 //
 // All presets derive from one table (the presets map), which Names,
 // Describe and Lookup read, so the three can never drift apart; every
-// preset is a mutation of sim.DefaultConfig, and decoding a JSON file
+// preset is a mutation of sim.DefaultConfig, and decoding a JSON config
 // starts from the same defaults so unspecified fields keep their baseline
-// values. Every decoded or looked-up configuration is validated before it
-// is returned.
+// values.
 package scenario
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"jabasd/internal/core"
@@ -165,27 +163,6 @@ func Lookup(name string) (sim.Config, error) {
 	}
 	cfg := sim.DefaultConfig()
 	p.apply(&cfg)
-	return cfg, nil
-}
-
-// Load reads a configuration from a JSON file and validates it.
-func Load(path string) (sim.Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("scenario: read %s: %w", path, err)
-	}
-	return Decode(data)
-}
-
-// Decode parses a configuration from JSON bytes and validates it.
-func Decode(data []byte) (sim.Config, error) {
-	cfg := sim.DefaultConfig() // unspecified fields keep their defaults
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return sim.Config{}, fmt.Errorf("scenario: decode: %w", err)
-	}
-	if err := cfg.Validate(); err != nil {
-		return sim.Config{}, fmt.Errorf("scenario: invalid config: %w", err)
-	}
 	return cfg, nil
 }
 

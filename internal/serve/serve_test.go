@@ -658,7 +658,7 @@ func BenchmarkDirectSweep(b *testing.B) {
 	opts := sweep.Options{Mutate: func(cfg *sim.Config) { cfg.SimTime = 3 }}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep.Run(context.Background(), grid, opts); err != nil {
+		if err := sweep.Stream(context.Background(), grid, opts, func(sweep.Result) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

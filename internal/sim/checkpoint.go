@@ -55,8 +55,6 @@ func semanticConfigJSON(cfg Config) ([]byte, error) {
 	cfg.FrameParallel = 0
 	cfg.TraceEvery = 0
 	cfg.CheckpointEvery = 0
-	cfg.Trace = nil
-	cfg.CheckpointSink = nil
 	cfg.FrameMode = cfg.FrameMode.normalize()
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = SchedulerJABASD

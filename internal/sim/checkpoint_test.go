@@ -941,8 +941,11 @@ func TestResumeRefusesOrphanLoadCursor(t *testing.T) {
 // schedule: an outage spans the checkpoint frame and two load events have
 // fired, so the load cursor must come back as 2. One is a fast-path run on
 // a moving 7-cell window over 37 cells, and one an exact-path reverse-link
-// run. Checkpointing the engine right after the resume must write the
-// committed file's bytes again, which pins the writing side of the codec.
+// run. The last is an exact-path outage run checkpointed while cell 0 is
+// down, with requests waiting in the queues (one of them migrated off the
+// down cell), so it pins stored queue entries. Checkpointing the engine
+// right after the resume must write the committed file's bytes again,
+// which pins the writing side of the codec.
 // The resumed run must finish exactly like a straight run of this build
 // from the checkpoint's own configuration: the same metrics and the same
 // trace from the checkpoint frame on. The fast-path file pins amd64 kernel
@@ -959,6 +962,7 @@ func TestResumeRefusesOrphanLoadCursor(t *testing.T) {
 //	# in smoke-win.json set "Rings": 3 and "PilotCells": 7
 //	jabasim -config smoke-win.json -sim-time 4 -checkpoint testdata/checkpoint/v6-smoke-win7-fast.ckpt -checkpoint-every 150
 //	jabasim -preset reverse -exact-vtaoc -sim-time 8 -checkpoint testdata/checkpoint/v6-reverse-exact.ckpt -checkpoint-every 300
+//	jabasim -exact-vtaoc -preset smoke -fault-profile outage -data-users 30 -sim-time 6 -checkpoint testdata/checkpoint/v6-smoke-outage-queued-exact.ckpt -checkpoint-every 160
 //
 // (rename the files after the new version, here and in the CI
 // checkpoint-replay job).
@@ -968,10 +972,15 @@ func TestResumeCommittedCheckpoints(t *testing.T) {
 		frame      int
 		pilotCells int
 		direction  Direction
+		// With a fault schedule: the cell down and the load cursor at the
+		// checkpoint frame.
+		downCell, loadCursor int
+		queued               bool // requests wait in the queues
 	}{
-		{"v6-smoke-exact-faults.ckpt", 150, 0, Forward},
-		{"v6-smoke-win7-fast.ckpt", 150, 7, Forward},
-		{"v6-reverse-exact.ckpt", 300, 0, Reverse},
+		{"v6-smoke-exact-faults.ckpt", 150, 0, Forward, 2, 2, false},
+		{"v6-smoke-win7-fast.ckpt", 150, 7, Forward, 0, 0, false},
+		{"v6-reverse-exact.ckpt", 300, 0, Reverse, 0, 0, false},
+		{"v6-smoke-outage-queued-exact.ckpt", 160, 0, Forward, 0, 0, true},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "checkpoint", fx.name))
@@ -1016,12 +1025,19 @@ func TestResumeCommittedCheckpoints(t *testing.T) {
 				t.Fatalf("resumed at frame %d, want %d", k, fx.frame)
 			}
 			if cfg.Faults != nil {
-				if got := e.fault.LoadCursor(); got != 2 {
-					t.Fatalf("load cursor %d after resume, want 2", got)
+				if got := e.fault.LoadCursor(); got != fx.loadCursor {
+					t.Fatalf("load cursor %d after resume, want %d", got, fx.loadCursor)
 				}
-				if !e.fault.Down[2] {
-					t.Fatal("cell 2's outage is not active at the checkpoint frame")
+				if !e.fault.Down[fx.downCell] {
+					t.Fatalf("cell %d's outage is not active at the checkpoint frame", fx.downCell)
 				}
+			}
+			queued := 0
+			for _, q := range e.queues {
+				queued += q.Len()
+			}
+			if (queued > 0) != fx.queued {
+				t.Fatalf("%d requests queued at the checkpoint frame, want queued=%v", queued, fx.queued)
 			}
 			mGot, err := e.Run(context.Background())
 			if err != nil {

@@ -3,8 +3,8 @@
 // a multi-cell wideband CDMA network with user mobility, per-frame power
 // control effects, soft hand-off (reduced active set), lognormal shadowing,
 // Rayleigh fast fading, an adaptive (VTAOC) physical layer and a burst
-// admission layer run every frame. Independent replications run in parallel
-// across goroutines.
+// admission layer run every frame. Replicate runs independent replications
+// of one or more configurations in parallel across goroutines.
 package sim
 
 import (
@@ -218,8 +218,8 @@ type Config struct {
 	// trace.Recorder and emits only from its sequential sections, so the
 	// stream is byte-identical for any FrameParallel. Warm-up frames are
 	// included: transient analysis is what the trace is for. The sink is
-	// not part of the scenario (never serialised); RunReplications attaches
-	// it to replication 0 only, so a sink never sees interleaved engines.
+	// not part of the scenario (never serialised); Replicate attaches it
+	// to replication 0 only, so a sink never sees interleaved engines.
 	Trace trace.Sink `json:"-"`
 	// TraceEvery samples every N-th frame into Trace (0 or 1 = every
 	// frame). Counters reset each frame, so a sampled row is that frame's
@@ -231,7 +231,7 @@ type Config struct {
 	// requests, admissible region and assigned ratios — in commit order
 	// (see internal/replay). The stream is byte-identical for any
 	// FrameParallel. Never serialised; like Trace it is attached to
-	// replication 0 only by RunReplications.
+	// replication 0 only by Replicate.
 	SolveTrace io.Writer `json:"-"`
 
 	// CheckpointEvery, when positive with CheckpointSink set, serialises

@@ -9,8 +9,10 @@ import (
 	"slices"
 	"testing"
 
+	"jabasd/internal/cellular"
 	"jabasd/internal/core"
 	"jabasd/internal/mathx"
+	"jabasd/internal/stats"
 	"jabasd/internal/traffic"
 )
 
@@ -42,7 +44,7 @@ func TestPopulateCounts(t *testing.T) {
 	if len(e.voice) != 7*2 {
 		t.Errorf("voice users = %d, want 14", len(e.voice))
 	}
-	if len(e.queues) != 7 || e.loads.NumCells() != 7 {
+	if len(e.queues) != 7 || len(e.loads.Values()) != 7 {
 		t.Error("per-cell structures sized wrong")
 	}
 	// The SoA physics batches must cover every user, and each user's gain
@@ -51,15 +53,15 @@ func TestPopulateCounts(t *testing.T) {
 	if e.mobB == nil || e.fadeB == nil || e.winB == nil {
 		t.Fatal("physics batches not initialised")
 	}
-	if e.mobB.Len() != len(e.users) {
-		t.Fatalf("mobility batch sized for %d users, want %d", e.mobB.Len(), len(e.users))
-	}
 	for _, u := range e.users {
 		if len(u.gain) != 7 || u.source == nil || u.macM == nil {
 			t.Fatal("user substructures not initialised")
 		}
 		if row := e.winB.GainRow(u.id); &u.gain[0] != &row[0] {
 			t.Fatalf("user %d gain does not alias its channel batch row", u.id)
+		}
+		if e.mobB.Position(u.id) == (cellular.Point{}) {
+			t.Fatalf("user %d has no seeded position in the mobility batch", u.id)
 		}
 	}
 }
@@ -180,7 +182,7 @@ func TestAccumulateLoadsForwardIncludesOverheadAndFCH(t *testing.T) {
 			sumFCH += x
 		}
 	}
-	if sumLoad < minOverhead*float64(e.loads.NumCells())+sumFCH-1e-9 {
+	if sumLoad < minOverhead*float64(len(e.loads.Values()))+sumFCH-1e-9 {
 		t.Error("per-cell loads do not account for all FCH power")
 	}
 }
@@ -338,12 +340,12 @@ func TestCollectRespectsWarmup(t *testing.T) {
 	e.now = 1 // before warm-up
 	e.accumulateLoads()
 	e.collect()
-	if e.metrics.CellLoad.Count() != 0 {
+	if e.metrics.CellLoad != (stats.Running{}) {
 		t.Error("statistics must not be collected during warm-up")
 	}
 	e.now = 3
 	e.collect()
-	if e.metrics.CellLoad.Count() == 0 {
+	if e.metrics.CellLoad == (stats.Running{}) {
 		t.Error("statistics must be collected after warm-up")
 	}
 }
@@ -426,7 +428,7 @@ func TestAdmitZeroRatioAssignmentLeavesQueue(t *testing.T) {
 		// every region bound negative, forcing m = 0 for all requests.
 		e.loads.Fill(10 * e.cfg.MaxCellPowerW)
 		bursts := len(e.bursts)
-		ratios := e.metrics.AssignedRatio.Count()
+		ratios := e.metrics.AssignedRatio
 		e.admit()
 		if e.queues[u.queuedCell].Len() != 1 {
 			t.Error("zero-ratio assignment must keep the request queued")
@@ -437,7 +439,7 @@ func TestAdmitZeroRatioAssignmentLeavesQueue(t *testing.T) {
 		if e.metrics.SkippedCells != 0 {
 			t.Error("an infeasible frame is a valid zero assignment, not a skipped cell")
 		}
-		if e.metrics.AssignedRatio.Count() != ratios {
+		if e.metrics.AssignedRatio != ratios {
 			t.Error("zero grants must not be recorded as assigned ratios")
 		}
 	})

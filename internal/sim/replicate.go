@@ -7,63 +7,67 @@ import (
 	"jabasd/internal/stream"
 )
 
-// RunReplications runs n independent replications of the scenario in
-// parallel (bounded by GOMAXPROCS) and merges their metrics. Replication i
-// uses seed cfg.Seed + i, so results are reproducible for a given base seed
-// regardless of scheduling. Cancelling the context stops every in-flight
-// replication promptly (each engine checks it once per frame) and returns
-// the context's error.
-func RunReplications(ctx context.Context, cfg Config, n int) (*Aggregate, error) {
-	return runReplications(ctx, cfg, n, Run)
-}
-
-// runReplications is RunReplications with the per-replication runner
-// injectable, so tests can exercise the failure path without needing a
-// configuration that validates but crashes mid-simulation.
-func runReplications(ctx context.Context, cfg Config, n int, runOne func(context.Context, Config) (*Metrics, error)) (*Aggregate, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sim: need at least one replication, got %d", n)
+// Replicate runs reps replications of every configuration in cfgs in one
+// ordered fan-out of at most parallel runs at a time (<= 0 means
+// GOMAXPROCS), and calls emit(i, agg) in input order with the aggregate of
+// cfgs[i] as soon as its replications and every earlier configuration's
+// have finished. It owns the replication rules: replication r of cfgs[i]
+// runs with seed cfgs[i].Seed + r, so results depend only on the indices;
+// replication 0 alone keeps Trace and SolveTrace, since a sink is
+// single-writer; FrameParallel is resolved against the len(cfgs)*reps runs
+// of the fan-out, or against 1 when parallel is 1; and each replication's
+// metrics are released once folded into the aggregate. Cancelling the
+// context stops the in-flight runs at their next frame, skips the runs not
+// yet started and returns the context's error.
+func Replicate(ctx context.Context, cfgs []Config, reps, parallel int, emit func(i int, agg *Aggregate) error) error {
+	if reps <= 0 {
+		return fmt.Errorf("sim: need at least one replication, got %d", reps)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
-	ms := make([]*Metrics, n)
-	agg := &Aggregate{}
-	err := stream.Ordered(n, 0,
-		func(i int) error {
-			// A replication that has not started yet fails fast on a
-			// cancelled context instead of simulating a doomed run.
+	ms := make([]*Metrics, len(cfgs)*reps)
+	aggs := make([]Aggregate, len(cfgs))
+	return stream.Ordered(len(ms), parallel,
+		func(item int) error {
+			// A run that has not started yet fails fast on a cancelled
+			// context instead of simulating a doomed run.
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			repCfg := cfg
-			repCfg.Seed = cfg.Seed + uint64(i)
-			repCfg.FrameParallel = ResolveFrameParallel(cfg, n)
-			if i != 0 {
-				// Replications run concurrently but a trace.Sink is
-				// single-writer; replication 0 keeps the telemetry, the
-				// rest run untraced.
-				repCfg.Trace = nil
+			i, r := item/reps, item%reps
+			cfg := cfgs[i]
+			cfg.Seed += uint64(r)
+			if parallel != 1 { // runs one at a time keep the auto pool
+				cfg.FrameParallel = ResolveFrameParallel(cfg, len(ms))
 			}
-			m, err := runOne(ctx, repCfg)
-			if err != nil {
-				if ctx.Err() != nil {
-					return err // the cancellation, not a simulation failure
-				}
-				return fmt.Errorf("sim: replication %d failed: %w", i, err)
+			if r != 0 {
+				cfg.Trace, cfg.SolveTrace = nil, nil
 			}
-			ms[i] = m
-			return nil
+			var err error
+			ms[item], err = Run(ctx, cfg)
+			if err != nil && ctx.Err() == nil { // a failure, not the cancellation
+				return fmt.Errorf("sim: configuration %d replication %d: %w", i, r, err)
+			}
+			return err
 		},
-		func(i int) error {
-			agg.AddReplication(ms[i])
-			return nil
+		func(item int) error {
+			i := item / reps
+			aggs[i].AddReplication(ms[item])
+			ms[item] = nil // release the replication's samples
+			if item%reps < reps-1 {
+				return nil
+			}
+			return emit(i, &aggs[i])
 		})
-	if err != nil {
-		return nil, err
-	}
-	return agg, nil
+}
+
+// RunReplications runs n independent replications of cfg (see Replicate)
+// and returns their aggregate.
+func RunReplications(ctx context.Context, cfg Config, n int) (*Aggregate, error) {
+	var out *Aggregate // set only once every replication has succeeded
+	err := Replicate(ctx, []Config{cfg}, n, 0, func(_ int, agg *Aggregate) error {
+		out = agg
+		return nil
+	})
+	return out, err
 }
 
 // ResolveFrameParallel resolves a run's FrameParallel under an outer
@@ -72,8 +76,7 @@ func runReplications(ctx context.Context, cfg Config, n int, runOne func(context
 // second GOMAXPROCS-wide pool per engine onto already-saturated CPUs, and
 // keeps the auto pool for a single run. Explicit worker counts are always
 // honoured, and the choice never affects the results (the output is
-// byte-identical for any worker count). RunReplications and sweep.Stream
-// both apply this.
+// byte-identical for any worker count). Replicate applies it.
 func ResolveFrameParallel(cfg Config, fanout int) int {
 	if fanout > 1 && cfg.FrameParallel == 0 {
 		return 1
@@ -81,22 +84,21 @@ func ResolveFrameParallel(cfg Config, fanout int) int {
 	return cfg.FrameParallel
 }
 
-// CompareSchedulers runs the same scenario (same seeds, so common random
-// numbers) once per scheduler kind and returns the aggregates keyed by the
-// scheduler kind, preserving the requested order.
+// CompareSchedulers runs cfg under each scheduler kind, all in one fan-out
+// with the same seeds (common random numbers), and keys the aggregates by kind.
 func CompareSchedulers(ctx context.Context, cfg Config, kinds []SchedulerKind, reps int) (map[SchedulerKind]*Aggregate, error) {
+	cfgs := make([]Config, len(kinds))
+	for i, k := range kinds {
+		cfgs[i] = cfg
+		cfgs[i].Scheduler = k
+	}
 	out := make(map[SchedulerKind]*Aggregate, len(kinds))
-	for _, k := range kinds {
-		c := cfg
-		c.Scheduler = k
-		agg, err := RunReplications(ctx, c, reps)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("sim: scheduler %s: %w", k, err)
-		}
-		out[k] = agg
+	err := Replicate(ctx, cfgs, reps, 0, func(i int, agg *Aggregate) error {
+		out[kinds[i]] = agg
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -53,26 +56,64 @@ func TestRunReplicationsSameAggregateAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestReplicateMatchesPerConfigurationRuns checks that one fan-out over
+// several configurations emits them in input order, each with the
+// aggregate its own RunReplications gives: the shared fan-out mixes no
+// runs across configurations.
+func TestReplicateMatchesPerConfigurationRuns(t *testing.T) {
+	cfgs := []Config{quickConfig(), quickConfig()}
+	cfgs[0].SimTime = 3
+	cfgs[1].SimTime, cfgs[1].Seed, cfgs[1].DataUsersPerCell = 3, 9, 6
+	var order []int
+	err := Replicate(context.Background(), cfgs, 2, 3, func(i int, agg *Aggregate) error {
+		order = append(order, i)
+		want, err := RunReplications(context.Background(), cfgs[i], 2)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(agg, want) {
+			t.Errorf("configuration %d: aggregate differs from its own RunReplications", i)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{0, 1}) {
+		t.Errorf("emit order %v, want [0 1]", order)
+	}
+}
+
 // TestRunReplicationsFailurePath exercises the replication-failure branch
-// with an injected runner, which a valid configuration cannot reach.
+// with a checkpoint sink that fails only in replication 1, which it tells
+// apart by the seed stored in the checkpoint.
 func TestRunReplicationsFailurePath(t *testing.T) {
 	cfg := quickConfig()
 	boom := errors.New("boom")
 
 	var mu sync.Mutex
-	var seeds []uint64
-	failing := func(_ context.Context, c Config) (*Metrics, error) {
-		mu.Lock()
-		seeds = append(seeds, c.Seed)
-		mu.Unlock()
-		if c.Seed == cfg.Seed+1 { // replication 1
-			return nil, boom
+	seeds := map[uint64]bool{}
+	cfg.CheckpointEvery = 20
+	cfg.CheckpointSink = func(_ int, write func(io.Writer) error) error {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			return err
 		}
-		m := &Metrics{Scheduler: "stub", Direction: "forward"}
-		return m, nil
+		ck, err := ReadCheckpoint(&buf)
+		if err != nil {
+			return err
+		}
+		seed := ck.Config().Seed
+		mu.Lock()
+		seeds[seed] = true
+		mu.Unlock()
+		if seed == cfg.Seed+1 { // replication 1
+			return boom
+		}
+		return nil
 	}
 
-	agg, err := runReplications(context.Background(), cfg, 3, failing)
+	agg, err := RunReplications(context.Background(), cfg, 3)
 	if agg != nil {
 		t.Error("failed run should not return an aggregate")
 	}
@@ -85,29 +126,10 @@ func TestRunReplicationsFailurePath(t *testing.T) {
 
 	// The per-replication seeds follow cfg.Seed + i regardless of order.
 	want := map[uint64]bool{cfg.Seed: true, cfg.Seed + 1: true, cfg.Seed + 2: true}
-	for _, s := range seeds {
+	for s := range seeds {
 		if !want[s] {
 			t.Errorf("unexpected replication seed %d", s)
 		}
-	}
-}
-
-func TestRunReplicationsStubAggregation(t *testing.T) {
-	cfg := quickConfig()
-	var calls atomic.Int32
-	stub := func(_ context.Context, c Config) (*Metrics, error) {
-		calls.Add(1)
-		return &Metrics{Scheduler: "stub", Direction: "forward", BitsDelivered: 1}, nil
-	}
-	agg, err := runReplications(context.Background(), cfg, 4, stub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 4 || agg.Replications != 4 {
-		t.Errorf("calls=%d replications=%d, want 4/4", calls.Load(), agg.Replications)
-	}
-	if agg.Scheduler != "stub" {
-		t.Errorf("aggregate scheduler = %q", agg.Scheduler)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -137,10 +138,13 @@ func TestTraceIdenticalAcrossFrameParallel(t *testing.T) {
 	}
 }
 
+// TestRunReplicationsTracesOnlyReplicationZero checks that both sinks,
+// the telemetry trace and the solve trace, see replication 0 alone.
 func TestRunReplicationsTracesOnlyReplicationZero(t *testing.T) {
 	cfg := traceTestConfig()
 	mem := &trace.Memory{}
-	cfg.Trace = mem
+	var solves bytes.Buffer
+	cfg.Trace, cfg.SolveTrace = mem, &solves
 	if _, err := RunReplications(context.Background(), cfg, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +159,19 @@ func TestRunReplicationsTracesOnlyReplicationZero(t *testing.T) {
 	}
 	// And it was replication 0: identical to a single traced run.
 	single := &trace.Memory{}
-	cfg.Trace = single
+	var singleSolves bytes.Buffer
+	cfg.Trace, cfg.SolveTrace = single, &singleSolves
 	if _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(mem.Records, single.Records) {
 		t.Fatal("replication-0 trace differs from a single run with the same seed")
+	}
+	if singleSolves.Len() == 0 {
+		t.Fatal("the single run wrote no solve trace")
+	}
+	if !bytes.Equal(solves.Bytes(), singleSolves.Bytes()) {
+		t.Fatalf("replicated solve trace (%d bytes) differs from a single run's (%d bytes)",
+			solves.Len(), singleSolves.Len())
 	}
 }

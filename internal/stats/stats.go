@@ -43,9 +43,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += delta * (x - r.mean)
 }
 
-// Count returns the number of observations.
-func (r *Running) Count() int64 { return r.n }
-
 // Mean returns the sample mean (0 when empty).
 func (r *Running) Mean() float64 { return r.mean }
 
@@ -130,9 +127,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.xs) }
-
 // Mean returns the sample mean (0 when empty).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -169,11 +163,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Values returns a copy of the collected observations.
-func (s *Sample) Values() []float64 {
-	return append([]float64(nil), s.xs...)
 }
 
 // TimeWeighted accumulates the time average of a piecewise-constant signal,
@@ -216,6 +205,3 @@ func (tw *TimeWeighted) Mean() float64 {
 	}
 	return tw.area / tw.duration
 }
-
-// Duration returns the total observed duration.
-func (tw *TimeWeighted) Duration() float64 { return tw.duration }

@@ -1,8 +1,9 @@
 // Package stream provides the bounded-parallel execution primitives shared
-// by the experiment suite (internal/experiments), the replication fan-out
-// and snapshot frame admission (internal/sim) and the parameter-sweep
-// harness (internal/sweep): Ordered, a one-shot order-preserving task
-// runner, and Pool, a reusable worker pool for repeated small fan-outs.
+// by the experiment suite (internal/experiments) and the simulator
+// (internal/sim): its replication runner sim.Replicate, which parameter
+// sweeps, scheduler comparisons and transient experiments all go through,
+// and its frame fan-out. Ordered is a one-shot order-preserving task
+// runner, and Pool a reusable worker pool for repeated small fan-outs.
 // Ordered emits results strictly in input order as soon as each task and
 // all of its predecessors have finished, so a caller that prints or
 // persists results incrementally keeps everything completed before a

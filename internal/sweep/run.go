@@ -5,19 +5,17 @@ import (
 	"fmt"
 
 	"jabasd/internal/sim"
-	"jabasd/internal/stream"
 	"jabasd/internal/trace"
 )
 
 // Options controls a sweep run.
 type Options struct {
 	// Reps is the number of independent replications per grid point
-	// (default 1). Replication r of point p uses seed
-	// base + p*Reps + r, the sim.RunReplications scheme extended with a
-	// per-point offset, so results depend only on the indices.
+	// (default 1). Point p starts at seed base + p*Reps and sim.Replicate
+	// adds the replication index r, so results depend only on the indices.
 	Reps int
-	// Parallel bounds the number of (point × replication) work items in
-	// flight at once; <= 0 means GOMAXPROCS. It never affects the results.
+	// Parallel bounds the number of (point × replication) runs in flight at
+	// once; <= 0 means GOMAXPROCS. It never affects the results.
 	Parallel int
 	// BaseSeed overrides the preset's base seed when non-zero.
 	BaseSeed uint64
@@ -25,12 +23,12 @@ type Options struct {
 	// seeding and running — CI and tests use it to shrink simulated time.
 	Mutate func(*sim.Config)
 	// Trace, when set, is called once per expanded point (in grid order,
-	// before any point runs) and returns the telemetry sink that point's
-	// replication 0 writes to, or nil for no trace. Each point needs its
-	// own sink — points run concurrently and a trace.Sink is
-	// single-writer; a point's sink is complete once Stream emits the
-	// point. TraceEvery is the sampling period in frames (0/1 = every
-	// frame) for every traced point.
+	// before any point runs) and returns the telemetry sink of that point,
+	// or nil for no trace; sim.Replicate gives it to replication 0 only.
+	// Each point needs its own sink — points run concurrently and a
+	// trace.Sink is single-writer; a point's sink is complete once Stream
+	// emits the point. TraceEvery is the sampling period in frames (0/1 =
+	// every frame) for every traced point.
 	Trace      func(p Point) trace.Sink
 	TraceEvery int
 }
@@ -42,30 +40,18 @@ type Result struct {
 	Agg *sim.Aggregate
 }
 
-// Run expands the grid and runs every point, returning the results in grid
-// order. See Stream for the execution model.
-func Run(ctx context.Context, g Grid, opts Options) ([]Result, error) {
-	var out []Result
-	err := Stream(ctx, g, opts, func(r Result) error {
-		out = append(out, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Stream expands the grid into points, fans the (point × replication) work
-// items out over a worker pool of size opts.Parallel and calls emit once per
-// point, in grid order, as soon as the point's replications and every
-// earlier point have finished. Emitting incrementally means a failure late
-// in a long sweep keeps everything completed before it. For a fixed base
-// seed the emitted results are identical regardless of opts.Parallel.
+// Stream expands the grid into points and runs their replications through
+// sim.Replicate, which fans the (point × replication) runs out over at most
+// opts.Parallel workers and owns the seed, trace and frame-pool rules.
+// Stream calls emit once per point, in grid order, as soon as the point's
+// replications and every earlier point have finished. Emitting
+// incrementally means a failure late in a long sweep keeps everything
+// completed before it. For a fixed base seed the emitted results are
+// identical regardless of opts.Parallel.
 //
 // Cancelling the context stops the sweep promptly: in-flight replications
-// notice it at their next frame boundary, queued work items never start,
-// and Stream returns the context's error after the workers drain. Points
+// notice it at their next frame boundary, queued runs never start, and
+// Stream returns the context's error after the workers drain. Points
 // already emitted stay emitted.
 func Stream(ctx context.Context, g Grid, opts Options, emit func(Result) error) error {
 	points, err := g.Points()
@@ -78,12 +64,8 @@ func Stream(ctx context.Context, g Grid, opts Options, emit func(Result) error) 
 	}
 
 	// Freeze every point's final configuration (mutation + seed) up front so
-	// the work items are pure functions of their indices.
+	// the runs are pure functions of their indices.
 	cfgs := make([]sim.Config, len(points))
-	var sinks []trace.Sink
-	if opts.Trace != nil {
-		sinks = make([]trace.Sink, len(points))
-	}
 	for i, p := range points {
 		cfg := p.Config
 		if opts.Mutate != nil {
@@ -93,68 +75,19 @@ func Stream(ctx context.Context, g Grid, opts Options, emit func(Result) error) 
 			cfg.Seed = opts.BaseSeed
 		}
 		cfg.Seed += uint64(i) * uint64(reps)
-		// The (point × replication) fan-out already saturates the CPUs, so
-		// snapshot points on the auto frame-worker setting run their frames
-		// inline instead of stacking a second pool per engine (output is
-		// byte-identical either way). A -parallel 1 sweep is effectively a
-		// single run at a time, so it keeps the auto pool.
-		fanout := len(points) * reps
-		if opts.Parallel == 1 {
-			fanout = 1
-		}
-		cfg.FrameParallel = sim.ResolveFrameParallel(cfg, fanout)
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("sweep: point %d (%s): %w", i, p.Label(), err)
 		}
-		cfgs[i] = cfg
 		points[i].Config = cfg
-		if sinks != nil {
-			sinks[i] = opts.Trace(points[i])
-		}
-	}
-
-	n := len(points) * reps
-	metrics := make([]*sim.Metrics, n)
-	aggs := make([]*sim.Aggregate, len(points))
-	return stream.Ordered(n, opts.Parallel,
-		func(item int) error {
-			// Work items not yet started fail fast once the sweep is
-			// cancelled instead of running a doomed replication each.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			p, r := item/reps, item%reps
-			cfg := cfgs[p]
-			cfg.Seed += uint64(r)
-			if r != 0 {
-				// Replications of a point run concurrently; only
-				// replication 0 carries the point's telemetry sink.
-				cfg.Trace = nil
-			} else if sinks != nil && sinks[p] != nil {
-				cfg.Trace = sinks[p]
+		if opts.Trace != nil {
+			if sink := opts.Trace(points[i]); sink != nil {
+				cfg.Trace = sink
 				cfg.TraceEvery = opts.TraceEvery
 			}
-			m, err := sim.Run(ctx, cfg)
-			if err != nil {
-				if ctx.Err() != nil {
-					return err // the cancellation, not a simulation failure
-				}
-				return fmt.Errorf("sweep: point %d (%s) replication %d: %w",
-					p, points[p].Label(), r, err)
-			}
-			metrics[item] = m
-			return nil
-		},
-		func(item int) error {
-			p, r := item/reps, item%reps
-			if aggs[p] == nil {
-				aggs[p] = &sim.Aggregate{}
-			}
-			aggs[p].AddReplication(metrics[item])
-			metrics[item] = nil // release the replication's samples
-			if r == reps-1 {
-				return emit(Result{Point: points[p], Agg: aggs[p]})
-			}
-			return nil
-		})
+		}
+		cfgs[i] = cfg
+	}
+	return sim.Replicate(ctx, cfgs, reps, opts.Parallel, func(i int, agg *sim.Aggregate) error {
+		return emit(Result{Point: points[i], Agg: agg})
+	})
 }

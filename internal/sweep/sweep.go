@@ -6,11 +6,12 @@
 // A Grid anchors on a named preset (internal/scenario) and declares axes —
 // named parameter dimensions with a list of values each. The cross product
 // of the axes, deduplicated, is the grid's point list; every point is a
-// complete sim.Config. The runner fans (point × replication) work items out
-// over a worker pool and streams aggregated Point results in grid order as
-// they complete. Seeds are derived from the point and replication indices
-// only (the same scheme sim.RunReplications uses), so the output is
-// byte-identical for a fixed base seed no matter how many workers run.
+// complete sim.Config. Stream runs every point's replications through
+// sim.Replicate, one (point × replication) fan-out, and streams aggregated
+// Point results in grid order as they complete. Seeds are derived from the
+// point and replication indices only, so the output is byte-identical for a
+// fixed base seed no matter how many workers run. The same axes apply the
+// job overrides that name one (Set).
 package sweep
 
 import (
@@ -124,7 +125,7 @@ func axisDefs() []axisDef {
 				case "reverse":
 					cfg.Direction = sim.Reverse
 				default:
-					return fmt.Errorf("want forward or reverse, got %q", v)
+					return fmt.Errorf("unknown direction %q (want forward or reverse)", v)
 				}
 				return nil
 			},
@@ -148,7 +149,7 @@ func axisDefs() []axisDef {
 					cfg.FrameMode = sim.FrameMode(v)
 					return nil
 				default:
-					return fmt.Errorf("want sequential or snapshot, got %q", v)
+					return fmt.Errorf("unknown frame mode %q (want sequential or snapshot)", v)
 				}
 			},
 		},
@@ -212,6 +213,19 @@ func lookupAxis(name string) (axisDef, bool) {
 	return axisDef{}, false
 }
 
+// Set applies one axis value to cfg, exactly as a grid point takes it.
+func Set(cfg *sim.Config, axis, value string) error {
+	d, ok := lookupAxis(axis)
+	if !ok {
+		return fmt.Errorf("sweep: unknown axis %q (available: %s)",
+			axis, strings.Join(AxisNames(), ", "))
+	}
+	if err := d.apply(cfg, value); err != nil {
+		return fmt.Errorf("sweep: axis %s value %q: %w", axis, value, err)
+	}
+	return nil
+}
+
 // ParseAxis parses one "name=v1,v2,..." axis specification.
 func ParseAxis(spec string) (Axis, error) {
 	name, rest, ok := strings.Cut(spec, "=")
@@ -266,12 +280,10 @@ func (g Grid) Points() ([]Point, error) {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
-	defs := make([]axisDef, len(g.Axes))
 	used := make(map[string]bool, len(g.Axes))
 	total := 1
-	for i, ax := range g.Axes {
-		d, ok := lookupAxis(ax.Name)
-		if !ok {
+	for _, ax := range g.Axes {
+		if _, ok := lookupAxis(ax.Name); !ok {
 			return nil, fmt.Errorf("sweep: unknown axis %q (available: %s)",
 				ax.Name, strings.Join(AxisNames(), ", "))
 		}
@@ -285,7 +297,6 @@ func (g Grid) Points() ([]Point, error) {
 		if len(ax.Values) == 0 {
 			return nil, fmt.Errorf("sweep: axis %q has no values", ax.Name)
 		}
-		defs[i] = d
 		total *= len(ax.Values)
 	}
 
@@ -297,8 +308,8 @@ func (g Grid) Points() ([]Point, error) {
 		values := make([]AxisValue, len(g.Axes))
 		for i, ax := range g.Axes {
 			v := ax.Values[idx[i]]
-			if err := defs[i].apply(&cfg, v); err != nil {
-				return nil, fmt.Errorf("sweep: axis %s value %q: %w", ax.Name, v, err)
+			if err := Set(&cfg, ax.Name, v); err != nil {
+				return nil, err
 			}
 			values[i] = AxisValue{Axis: ax.Name, Value: v}
 		}

@@ -154,7 +154,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	render := func(parallel int) string {
-		results, err := Run(context.Background(), g, Options{Reps: 2, Parallel: parallel, Mutate: shrink})
+		results, err := collect(context.Background(), g, Options{Reps: 2, Parallel: parallel, Mutate: shrink})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestBaseSeedOverrideIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(seed uint64) []Result {
-		out, err := Run(context.Background(), g, Options{BaseSeed: seed, Mutate: shrink})
+		out, err := collect(context.Background(), g, Options{BaseSeed: seed, Mutate: shrink})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestPaperLoadSweepEndToEnd(t *testing.T) {
 		t.Fatalf("paper-load-sweep has %d points, want %d", len(points), want)
 	}
 
-	results, err := Run(context.Background(), g, Options{Reps: 1, Mutate: func(c *sim.Config) {
+	results, err := collect(context.Background(), g, Options{Reps: 1, Mutate: func(c *sim.Config) {
 		shrink(c)
 		c.SimTime = 1.5
 		c.WarmupTime = 0.3
@@ -336,4 +336,15 @@ func curveTable(g Grid, results []Result) *report.Table {
 		AppendCurveRow(tbl, r)
 	}
 	return tbl
+}
+
+// collect runs the grid through Stream and returns the results in grid
+// order.
+func collect(ctx context.Context, g Grid, opts Options) ([]Result, error) {
+	var out []Result
+	err := Stream(ctx, g, opts, func(r Result) error {
+		out = append(out, r)
+		return nil
+	})
+	return out, err
 }

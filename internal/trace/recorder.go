@@ -38,9 +38,6 @@ func NewRecorder(sink Sink, every int) *Recorder {
 	}
 }
 
-// Every returns the sampling period in frames (>= 1).
-func (r *Recorder) Every() int { return r.every }
-
 // Sampled reports whether the given frame index should be recorded.
 func (r *Recorder) Sampled(frame int) bool { return frame%r.every == 0 }
 

@@ -19,8 +19,8 @@ func sample(i int) Record {
 func TestRecorderBuffersAndFlushes(t *testing.T) {
 	mem := &Memory{}
 	r := NewRecorder(mem, 0)
-	if r.Every() != 1 {
-		t.Fatalf("every normalised to %d, want 1", r.Every())
+	if r.every != 1 {
+		t.Fatalf("every normalised to %d, want 1", r.every)
 	}
 	n := ringCapacity + 7
 	for i := 0; i < n; i++ {

@@ -116,9 +116,6 @@ func BER(q int, gamma float64) float64 {
 	return 0.5 * math.Exp(-gamma/(2*math.Pow(2, float64(q-1))))
 }
 
-// Config returns the coder configuration.
-func (c *Coder) Config() Config { return c.cfg }
-
 // Modes returns a copy of the mode table (ascending thresholds).
 func (c *Coder) Modes() []Mode {
 	return append([]Mode(nil), c.modes...)

@@ -3,9 +3,13 @@ package jabasd_bench
 import (
 	"bytes"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -227,97 +231,208 @@ var unreferencedExportsAllowed = map[string]string{
 	"internal/vtaoc.RatePlan.RelativeBitRate": "paper eq. (4): relative SCH bit rate",
 	"internal/vtaoc.RatePlan.PowerRatio":      "paper eq. (5): SCH/FCH transmit power ratio",
 	"internal/mac.Config.StateForWait":        "paper eq. (23) and Figure 3: MAC state for a waiting time",
+	"internal/mac.Config.OverallDelay":        "paper eq. (22): the overall delay a waiting time costs",
 	"internal/vtaoc.BER":                      "paper Section 2: the per-mode BER that requiredSNR inverts into the constant-BER thresholds",
 
-	// Interface methods.
-	"internal/core.ObjectiveKind.MarshalJSON": "json.Marshaler",
-	"internal/sim.Direction.MarshalJSON":      "json.Marshaler",
-
 	// Test oracles: references and checks that tests run.
-	"internal/cellular.ActiveSet":        "reference for ActiveSetInto and ActiveSetLinearInto",
-	"internal/cellular.ReducedActiveSet": "reference for ReducedActiveSetInto",
-	"internal/channel.Batch.ShadowRow":   "tests compare batch shadowing with the scalar Link chain through it",
-	"internal/experiments.SanityCheckE1": "checks the monotonicity that makes experiment E1's table meaningful",
+	"internal/cellular.ActiveSet":            "reference for ActiveSetInto and ActiveSetLinearInto",
+	"internal/cellular.ReducedActiveSet":     "reference for ReducedActiveSetInto",
+	"internal/cellular.Layout.NearestCell":   "test oracle of spatial.Index's nearest-cell queries",
+	"internal/cellular.Layout.NearestCellSq": "test oracle of spatial.Index's nearest-cell queries, squared distances",
+	"internal/channel.Batch.ShadowRow":       "tests compare batch shadowing with the scalar Link chain through it",
+	"internal/experiments.SanityCheckE1":     "checks the monotonicity that makes experiment E1's table meaningful",
 
 	// ROADMAP item 7 surfaces it.
 	"internal/measurement.IncrementalRegions.Stats": "region-cache hit and miss counters for the engine counters",
 }
 
 // TestExportedSymbolsReachable fails when an exported top-level function
-// or method declared in a non-test file under internal/ is named by no
-// non-test file of internal/, cmd/, examples/ or perfbench/ other than at
-// its own declaration. Matching is by bare name, so a name shared with
-// any referenced identifier counts as reached: the check can miss dead
-// code, and flags live code only when it is reached without being named,
-// such as a method of an interface declared outside the repository.
-// Symbols kept on purpose go in unreferencedExportsAllowed with a reason.
+// or method declared in a non-test file under internal/ is reached by no
+// non-test code of internal/, cmd/, examples/ or perfbench/. Names are
+// resolved by go/types, so a name shared with a field or another type's
+// method does not hide dead code. A function or method is reached when a
+// non-test identifier other than its declaration resolves to it. A method
+// is also reached when it implements a method that non-test code calls
+// through an interface, or a method of fmt.Stringer, error,
+// json.Marshaler or json.Unmarshaler, which the standard library calls on
+// its own. Symbols kept on purpose go in unreferencedExportsAllowed with a
+// reason.
 func TestExportedSymbolsReachable(t *testing.T) {
-	type decl struct{ key, pos string }
-	decls := map[string][]decl{} // by bare name
-	refs := map[string]bool{}
-	fset := token.NewFileSet()
-	scan := func(path string) error {
-		if strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		declared := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
+	pkgs, std := typeCheckTree(t, "internal", "cmd", "examples", "perfbench")
+	reached := map[*types.Func]bool{}
+	var ifaceCalls []*types.Func // interface methods non-test code calls
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
 			}
-			declared[fn.Name] = true
-			if !strings.HasPrefix(dir, "internal/") || !fn.Name.IsExported() {
+			fn = fn.Origin()
+			reached[fn] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceCalls = append(ifaceCalls, fn)
+			}
+		}
+	}
+	for _, obj := range []types.Object{
+		std("fmt").Scope().Lookup("Stringer"),
+		std("encoding/json").Scope().Lookup("Marshaler"),
+		std("encoding/json").Scope().Lookup("Unmarshaler"),
+		types.Universe.Lookup("error"),
+	} {
+		ifaceCalls = append(ifaceCalls, obj.Type().Underlying().(*types.Interface).Method(0))
+	}
+	implementsCalled := func(m *types.Func) bool {
+		recv := m.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		for _, im := range ifaceCalls {
+			if im.Name() != m.Name() {
 				continue
 			}
-			key := dir + "." + fn.Name.Name
-			if fn.Recv != nil {
-				key = dir + "." + receiverType(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+				return true
 			}
-			decls[fn.Name.Name] = append(decls[fn.Name.Name], decl{key, fset.Position(fn.Pos()).String()})
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				refs[id.Name] = true
-			}
-			return true
-		})
-		return nil
+		return false
 	}
-	for _, root := range []string{"internal", "cmd", "examples", "perfbench"} {
-		walkGoFiles(t, root, scan)
-	}
+
 	var dead []string
 	allowedDead := map[string]bool{}
-	for name, ds := range decls {
-		if refs[name] {
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
-		for _, d := range ds {
-			if _, ok := unreferencedExportsAllowed[d.key]; ok {
-				allowedDead[d.key] = true
-			} else {
-				dead = append(dead, d.key+" ("+d.pos+")")
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				if reached[fn] || (fd.Recv != nil && implementsCalled(fn)) {
+					continue
+				}
+				key := p.dir + "." + fd.Name.Name
+				if fd.Recv != nil {
+					key = p.dir + "." + receiverType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				}
+				if _, ok := unreferencedExportsAllowed[key]; ok {
+					allowedDead[key] = true
+				} else {
+					dead = append(dead, key+" ("+p.fset.Position(fd.Pos()).String()+")")
+				}
 			}
 		}
 	}
 	slices.Sort(dead)
 	for _, d := range dead {
-		t.Errorf("exported symbol named by no non-test code (delete it, or allow it with a reason): %s", d)
+		t.Errorf("exported symbol reached by no non-test code (delete it, or allow it with a reason): %s", d)
 	}
 	for key, reason := range unreferencedExportsAllowed {
 		switch {
 		case strings.TrimSpace(reason) == "":
 			t.Errorf("allowlist entry %s gives no reason", key)
 		case !allowedDead[key]:
-			t.Errorf("allowlist entry %s names no unreferenced exported symbol (remove the entry)", key)
+			t.Errorf("allowlist entry %s names no unreached exported symbol (remove the entry)", key)
 		}
 	}
+}
+
+// checkedPackage is one type-checked package: its non-test files and the
+// identifier resolutions of its type check.
+type checkedPackage struct {
+	dir   string // slash-separated, relative to the working directory
+	fset  *token.FileSet
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// typeCheckTree type-checks the non-test files of every package under the
+// given roots, selected as go build would for this platform. Module
+// packages are parsed from their directories; the standard library is
+// checked from source (go/importer's "source" importer, no network), with
+// cgo off so no C toolchain runs. It returns the checked packages and a
+// lookup of standard-library packages.
+func typeCheckTree(t *testing.T, roots ...string) ([]*checkedPackage, func(path string) *types.Package) {
+	t.Helper()
+	// Both importers read build.Default.
+	saved := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	t.Cleanup(func() { build.Default.CgoEnabled = saved })
+	fset := token.NewFileSet()
+	imp := &treeImporter{t: t, fset: fset, std: importer.ForCompiler(fset, "source", nil),
+		dirs: map[string]bool{}, done: map[string]*checkedPackage{}}
+	for _, root := range roots {
+		walkGoFiles(t, root, func(path string) error {
+			if !strings.HasSuffix(path, "_test.go") {
+				imp.dirs[filepath.ToSlash(filepath.Dir(path))] = true
+			}
+			return nil
+		})
+	}
+	var out []*checkedPackage
+	for _, dir := range slices.Sorted(maps.Keys(imp.dirs)) {
+		out = append(out, imp.check(dir))
+	}
+	std := func(path string) *types.Package {
+		pkg, err := imp.std.Import(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkg
+	}
+	return out, std
+}
+
+// treeImporter type-checks the tree's packages from their directories on
+// demand and hands every other import to the standard-library importer.
+// A package in directory dir has import path "jabasd/" + dir (perfbench, a
+// nested module, is jabasd/perfbench).
+type treeImporter struct {
+	t    *testing.T
+	fset *token.FileSet
+	std  types.Importer
+	dirs map[string]bool
+	done map[string]*checkedPackage
+}
+
+func (m *treeImporter) Import(path string) (*types.Package, error) {
+	if dir, ok := strings.CutPrefix(path, "jabasd/"); ok && m.dirs[dir] {
+		return m.check(dir).pkg, nil
+	}
+	return m.std.Import(path)
+}
+
+// check parses and type-checks the package in dir once.
+func (m *treeImporter) check(dir string) *checkedPackage {
+	if p, ok := m.done[dir]; ok {
+		return p
+	}
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	p := &checkedPackage{dir: dir, fset: m.fset, info: &types.Info{
+		Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{},
+	}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: m}
+	if p.pkg, err = conf.Check("jabasd/"+dir, m.fset, p.files, p.info); err != nil {
+		m.t.Fatalf("type-check %s: %v", dir, err)
+	}
+	m.done[dir] = p
+	return p
 }
 
 // receiverType names a method receiver's type without pointer or type
