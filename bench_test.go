@@ -3,8 +3,8 @@
 // one BenchmarkE<n>… target per experiment, plus micro-benchmarks for the
 // hot paths (per-frame scheduling and the dynamic simulator; the LP/ILP
 // solver benchmarks live in internal/lp and internal/ilp). Benchmarks run the quick experiment scale so that
-// `go test -bench=. -benchmem` finishes in minutes; cmd/jabaexp -scale full
-// produces the full-scale numbers recorded in EXPERIMENTS.md.
+// `go test -bench=. -benchmem` finishes in minutes; `jabaexp -scale full`
+// produces the full-scale tables.
 package jabasd_bench
 
 import (

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	jabaexp                 # quick scale, all experiments, ASCII tables
-//	jabaexp -scale full     # the scale used for the numbers in EXPERIMENTS.md
+//	jabaexp -scale full     # full-scale tables (minutes of run time)
 //	jabaexp -only E1,E3     # subset (unknown ids are rejected)
 //	jabaexp -out results/   # additionally write CSV files
 //	jabaexp -parallel 4     # bound the number of concurrently running experiments

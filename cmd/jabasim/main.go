@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -43,6 +44,7 @@ import (
 	"jabasd/internal/replay"
 	"jabasd/internal/scenario"
 	"jabasd/internal/sim"
+	"jabasd/internal/sweep"
 	"jabasd/internal/trace"
 )
 
@@ -52,13 +54,13 @@ func main() {
 	// instead of dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "jabasim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("jabasim", flag.ContinueOnError)
 	var (
 		preset      = fs.String("preset", scenario.PresetSmoke, "named scenario preset")
@@ -95,11 +97,11 @@ func run(ctx context.Context, args []string) error {
 		if *resumePath != "" || *ckptPath != "" {
 			return fmt.Errorf("-replay re-solves a recorded trace; it cannot combine with -checkpoint/-resume")
 		}
-		return runReplay(*replayPath, *scheduler, *replayOut)
+		return runReplay(*replayPath, *scheduler, *replayOut, stdout)
 	}
 	if *listPresets {
 		for _, n := range scenario.Names() {
-			fmt.Printf("%-12s %s\n", n, scenario.Describe(n))
+			fmt.Fprintf(stdout, "%-12s %s\n", n, scenario.Describe(n))
 		}
 		return nil
 	}
@@ -191,7 +193,7 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(stdout, string(data))
 		return nil
 	}
 
@@ -319,7 +321,7 @@ func run(ctx context.Context, args []string) error {
 		if err := closeSolveTrace(); err != nil {
 			return err
 		}
-		printMetrics(m)
+		printMetrics(stdout, m)
 		return nil
 	}
 	agg, err := sim.RunReplications(ctx, cfg, nreps)
@@ -332,15 +334,15 @@ func run(ctx context.Context, args []string) error {
 	if err := closeTrace(); err != nil {
 		return err
 	}
-	fmt.Println(agg.String())
-	fmt.Printf("  mean delay        : %.3f s (95%% CI ±%.3f)\n", agg.MeanDelay.Mean(), agg.MeanDelay.ConfidenceInterval95())
-	fmt.Printf("  p90 delay         : %.3f s\n", agg.P90Delay.Mean())
-	fmt.Printf("  throughput / cell : %.0f bit/s\n", agg.Throughput.Mean())
-	fmt.Printf("  coverage          : %.3f\n", agg.Coverage.Mean())
-	fmt.Printf("  mean cell load    : %.3f\n", agg.CellLoad.Mean())
-	fmt.Printf("  completion ratio  : %.3f\n", agg.CompletionRate.Mean())
-	printSkippedCells(agg.SkippedCells.Mean())
-	printFallbackSolves(agg.FallbackSolves.Mean())
+	// The replicated result is the one-row curve table jabasweep prints
+	// for this scenario as a zero-axis sweep.
+	tbl := sweep.NewCurveTable(sweep.Grid{})
+	tbl.Title = agg.Scheduler + "/" + agg.Direction
+	sweep.AppendCurveRow(tbl, sweep.Result{Agg: agg})
+	if err := tbl.WriteASCII(stdout); err != nil {
+		return err
+	}
+	printWarnings(stdout, agg)
 	return nil
 }
 
@@ -349,7 +351,7 @@ func run(ctx context.Context, args []string) error {
 // and admissible region, under the recorded policy or — for a
 // counterfactual — the -scheduler override, and the grants go out as a CSV
 // that diffs row-for-row against any other replay of the same trace.
-func runReplay(path, scheduler, outPath string) error {
+func runReplay(path, scheduler, outPath string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -372,14 +374,15 @@ func runReplay(path, scheduler, outPath string) error {
 		return err
 	}
 
-	out := os.Stdout
+	out := stdout
+	var outFile *os.File
 	if outPath != "" {
 		g, err := os.Create(outPath)
 		if err != nil {
 			return err
 		}
 		defer g.Close()
-		out = g
+		out, outFile = g, g
 	}
 	w := bufio.NewWriter(out)
 	if err := replay.WriteGrantsCSV(w, problems, assignments); err != nil {
@@ -388,8 +391,8 @@ func runReplay(path, scheduler, outPath string) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	if outPath != "" {
-		if err := out.Close(); err != nil {
+	if outFile != nil {
+		if err := outFile.Close(); err != nil {
 			return err
 		}
 	}
@@ -411,46 +414,37 @@ func profileWorkers(cfg sim.Config, reps int) int {
 	return workers
 }
 
-// printSkippedCells surfaces the abandoned cell-frame count (mean across
-// replications for aggregates); non-zero means the scenario is feeding the
-// admission layer inconsistent measurements, which deserves a loud flag.
-func printSkippedCells(count float64) {
-	fmt.Printf("  skipped cell-frames: %g\n", count)
-	if count > 0 {
-		fmt.Println("  WARNING: admission skipped cells; the scenario is feeding the admission layer inconsistent measurements")
+// printWarnings prints the result-quality warnings of a result.
+func printWarnings(w io.Writer, agg *sim.Aggregate) {
+	for _, msg := range sweep.Warnings(agg) {
+		fmt.Fprintln(w, "  WARNING:", msg)
 	}
 }
 
-// printFallbackSolves surfaces the count of cell-frames where the exact
-// solver hit its node budget and the greedy policy answered instead — the
-// run completed, but those grants are heuristic, not optimal.
-func printFallbackSolves(count float64) {
-	if count == 0 {
-		return
-	}
-	fmt.Printf("  fallback solves   : %g\n", count)
-	fmt.Println("  WARNING: the exact solver hit its node budget; over-budget cell-frames were granted by the greedy fallback")
-}
-
-func printMetrics(m *sim.Metrics) {
-	fmt.Println(m.String())
-	fmt.Printf("  bursts generated  : %d\n", m.BurstsGenerated)
-	fmt.Printf("  bursts completed  : %d\n", m.BurstsCompleted)
-	fmt.Printf("  mean delay        : %.3f s\n", m.MeanBurstDelay())
-	fmt.Printf("  p90 delay         : %.3f s\n", m.P90BurstDelay())
-	fmt.Printf("  mean admission wait: %.3f s\n", m.AdmissionWait.Mean())
-	fmt.Printf("  throughput / cell : %.0f bit/s\n", m.ThroughputPerCell())
-	fmt.Printf("  coverage          : %.3f\n", m.Coverage())
-	fmt.Printf("  mean cell load    : %.3f\n", m.CellLoad.Mean())
-	fmt.Printf("  mean queue length : %.2f\n", m.QueueLength.Mean())
-	fmt.Printf("  mean granted ratio: %.2f\n", m.AssignedRatio.Mean())
+func printMetrics(w io.Writer, m *sim.Metrics) {
+	fmt.Fprintln(w, m.String())
+	fmt.Fprintf(w, "  bursts generated  : %d\n", m.BurstsGenerated)
+	fmt.Fprintf(w, "  bursts completed  : %d\n", m.BurstsCompleted)
+	fmt.Fprintf(w, "  mean delay        : %.3f s\n", m.MeanBurstDelay())
+	fmt.Fprintf(w, "  p90 delay         : %.3f s\n", m.P90BurstDelay())
+	fmt.Fprintf(w, "  mean admission wait: %.3f s\n", m.AdmissionWait.Mean())
+	fmt.Fprintf(w, "  throughput / cell : %.0f bit/s\n", m.ThroughputPerCell())
+	fmt.Fprintf(w, "  coverage          : %.3f\n", m.Coverage())
+	fmt.Fprintf(w, "  mean cell load    : %.3f\n", m.CellLoad.Mean())
+	fmt.Fprintf(w, "  mean queue length : %.2f\n", m.QueueLength.Mean())
+	fmt.Fprintf(w, "  mean granted ratio: %.2f\n", m.AssignedRatio.Mean())
 	if m.OutageCellFrames > 0 || m.SpilloverHandoffs > 0 {
-		fmt.Printf("  outage cell-frames: %d\n", m.OutageCellFrames)
-		fmt.Printf("  spillover handoffs: %d\n", m.SpilloverHandoffs)
+		fmt.Fprintf(w, "  outage cell-frames: %d\n", m.OutageCellFrames)
+		fmt.Fprintf(w, "  spillover handoffs: %d\n", m.SpilloverHandoffs)
 	}
 	if m.SolveRetries > 0 {
-		fmt.Printf("  solve retries     : %d\n", m.SolveRetries)
+		fmt.Fprintf(w, "  solve retries     : %d\n", m.SolveRetries)
 	}
-	printSkippedCells(float64(m.SkippedCells))
-	printFallbackSolves(float64(m.FallbackSolves))
+	fmt.Fprintf(w, "  skipped cell-frames: %g\n", float64(m.SkippedCells))
+	if m.FallbackSolves > 0 {
+		fmt.Fprintf(w, "  fallback solves   : %g\n", float64(m.FallbackSolves))
+	}
+	var agg sim.Aggregate
+	agg.AddReplication(m)
+	printWarnings(w, &agg)
 }

@@ -1,49 +1,72 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// runOut runs the command with args and returns what it wrote to stdout.
+func runOut(t *testing.T, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(context.Background(), args, &buf); err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	return buf.String()
+}
+
 func TestRunListPresets(t *testing.T) {
-	if err := run(context.Background(), []string{"-list-presets"}); err != nil {
-		t.Fatal(err)
+	if out := runOut(t, "-list-presets"); !strings.Contains(out, "smoke") {
+		t.Errorf("-list-presets output:\n%s", out)
 	}
 }
 
 func TestRunDumpConfig(t *testing.T) {
-	if err := run(context.Background(), []string{"-preset", "smoke", "-dump-config"}); err != nil {
-		t.Fatal(err)
+	if out := runOut(t, "-preset", "smoke", "-dump-config"); !json.Valid([]byte(out)) {
+		t.Errorf("-dump-config printed invalid JSON:\n%s", out)
 	}
 }
 
 func TestRunSmokeSingleReplication(t *testing.T) {
-	if err := run(context.Background(), []string{"-preset", "smoke", "-sim-time", "4", "-data-users", "3", "-seed", "7"}); err != nil {
-		t.Fatal(err)
+	out := runOut(t, "-preset", "smoke", "-sim-time", "4", "-data-users", "3", "-seed", "7")
+	if !strings.HasPrefix(out, "JABA-SD/forward: ") || !strings.Contains(out, "\n  skipped cell-frames: 0\n") {
+		t.Errorf("single-run printout:\n%s", out)
 	}
 }
 
+// TestRunSmokeMultiReplication checks that a replicated run prints the
+// one-row curve table: the result columns, then reps and the metrics.
 func TestRunSmokeMultiReplication(t *testing.T) {
-	if err := run(context.Background(), []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-reps", "2"}); err != nil {
-		t.Fatal(err)
+	out := runOut(t, "-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-reps", "2")
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 4 || lines[0] != "# JABA-SD/forward" {
+		t.Fatalf("replicated printout:\n%s", out)
+	}
+	header, row := strings.Fields(lines[1]), strings.Fields(lines[3])
+	if len(header) != 11 || header[0] != "reps" || header[7] != "mean_delay_s" || len(row) != len(header) || row[0] != "2" {
+		t.Errorf("replicated printout:\n%s", out)
 	}
 }
 
 func TestRunReverseDirectionOverride(t *testing.T) {
-	if err := run(context.Background(), []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-direction", "reverse"}); err != nil {
-		t.Fatal(err)
+	args := []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-direction"}
+	if out := runOut(t, append(args, "reverse")...); !strings.HasPrefix(out, "JABA-SD/reverse: ") {
+		t.Errorf("reverse run printout:\n%s", out)
 	}
-	if err := run(context.Background(), []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-direction", "forward"}); err != nil {
-		t.Fatal(err)
+	if out := runOut(t, append(args, "forward")...); !strings.HasPrefix(out, "JABA-SD/forward: ") {
+		t.Errorf("forward run printout:\n%s", out)
 	}
 }
 
 func TestRunSchedulerOverride(t *testing.T) {
-	if err := run(context.Background(), []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-scheduler", "fcfs"}); err != nil {
-		t.Fatal(err)
+	if out := runOut(t, "-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-scheduler", "fcfs"); !strings.HasPrefix(out, "FCFS/forward: ") {
+		t.Errorf("fcfs run printout:\n%s", out)
 	}
 }
 
@@ -57,7 +80,7 @@ func TestRunErrors(t *testing.T) {
 		{"-badflag"},
 	}
 	for _, args := range cases {
-		if err := run(context.Background(), args); err == nil {
+		if err := run(context.Background(), args, io.Discard); err == nil {
 			t.Errorf("args %v should fail", args)
 		}
 	}
@@ -72,26 +95,18 @@ func TestRunFromConfigFile(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-config", path}); err != nil {
-		t.Fatal(err)
-	}
+	runOut(t, "-config", path)
 }
 
 func TestRunFrameModeOverride(t *testing.T) {
 	args := []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "2"}
-	if err := run(context.Background(), append(args, "-framemode", "snapshot", "-frameparallel", "2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), append(args, "-framemode", "sequential")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-preset", "metro", "-dump-config"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), append(args, "-framemode", "warp")); err == nil {
+	runOut(t, append(args, "-framemode", "snapshot", "-frameparallel", "2")...)
+	runOut(t, append(args, "-framemode", "sequential")...)
+	runOut(t, "-preset", "metro", "-dump-config")
+	if err := run(context.Background(), append(args, "-framemode", "warp"), io.Discard); err == nil {
 		t.Error("unknown frame mode should fail")
 	}
-	if err := run(context.Background(), append(args, "-framemode", "snapshot", "-frameparallel", "-2")); err == nil {
+	if err := run(context.Background(), append(args, "-framemode", "snapshot", "-frameparallel", "-2"), io.Discard); err == nil {
 		// -2 passes the flag's "keep scenario" sentinel of -1, so it must
 		// reach Validate and be rejected there.
 		t.Error("negative FrameParallel should fail validation")
@@ -101,9 +116,7 @@ func TestRunFrameModeOverride(t *testing.T) {
 func TestRunTraceCSV(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.csv")
 	args := []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "3", "-trace", path, "-trace-every", "25"}
-	if err := run(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
+	runOut(t, args...)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -121,9 +134,7 @@ func TestRunTraceCSV(t *testing.T) {
 func TestRunTraceJSONLAndMultiRep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	args := []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-reps", "2", "-trace", path, "-trace-every", "50"}
-	if err := run(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
+	runOut(t, args...)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +145,11 @@ func TestRunTraceJSONLAndMultiRep(t *testing.T) {
 }
 
 func TestRunTraceErrors(t *testing.T) {
-	if err := run(context.Background(), []string{"-preset", "smoke", "-trace-every", "-1"}); err == nil {
+	if err := run(context.Background(), []string{"-preset", "smoke", "-trace-every", "-1"}, io.Discard); err == nil {
 		t.Error("negative -trace-every should fail")
 	}
 	missingDir := filepath.Join(t.TempDir(), "no", "such", "dir", "t.csv")
-	if err := run(context.Background(), []string{"-preset", "smoke", "-sim-time", "3", "-trace", missingDir}); err == nil {
+	if err := run(context.Background(), []string{"-preset", "smoke", "-sim-time", "3", "-trace", missingDir}, io.Discard); err == nil {
 		t.Error("unwritable -trace path should fail")
 	}
 }
@@ -148,20 +159,14 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	ck := filepath.Join(dir, "state.ckpt")
 	base := []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-seed", "5"}
 	// 3 s / 20 ms = 150 frames; every 50 leaves the final checkpoint at 150.
-	if err := run(context.Background(), append(base, "-checkpoint", ck, "-checkpoint-every", "50")); err != nil {
-		t.Fatal(err)
-	}
+	runOut(t, append(base, "-checkpoint", ck, "-checkpoint-every", "50")...)
 	if _, err := os.Stat(ck); err != nil {
 		t.Fatalf("checkpoint file missing: %v", err)
 	}
 	// The scenario comes from the checkpoint; no -preset needed (or allowed).
-	if err := run(context.Background(), []string{"-resume", ck}); err != nil {
-		t.Fatal(err)
-	}
+	runOut(t, "-resume", ck)
 	// Execution knobs may still change across a resume.
-	if err := run(context.Background(), []string{"-resume", ck, "-frameparallel", "1"}); err != nil {
-		t.Fatal(err)
-	}
+	runOut(t, "-resume", ck, "-frameparallel", "1")
 }
 
 func TestRunCheckpointErrors(t *testing.T) {
@@ -175,7 +180,7 @@ func TestRunCheckpointErrors(t *testing.T) {
 		{"-preset", "smoke", "-resume", ck}, // resume excludes an explicit scenario
 	}
 	for _, args := range cases {
-		if err := run(context.Background(), args); err == nil {
+		if err := run(context.Background(), args, io.Discard); err == nil {
 			t.Errorf("args %v should fail", args)
 		}
 	}
@@ -185,9 +190,7 @@ func TestRunSolveTraceAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	solves := filepath.Join(dir, "solves.jsonl")
 	args := []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "3", "-seed", "9", "-solve-trace", solves}
-	if err := run(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
+	runOut(t, args...)
 	data, err := os.ReadFile(solves)
 	if err != nil {
 		t.Fatal(err)
@@ -199,13 +202,9 @@ func TestRunSolveTraceAndReplay(t *testing.T) {
 	// Replaying under the recorded policy and under a counterfactual one
 	// produces line-aligned grants files.
 	recorded := filepath.Join(dir, "recorded.csv")
-	if err := run(context.Background(), []string{"-replay", solves, "-replay-out", recorded}); err != nil {
-		t.Fatal(err)
-	}
+	runOut(t, "-replay", solves, "-replay-out", recorded)
 	counter := filepath.Join(dir, "greedy.csv")
-	if err := run(context.Background(), []string{"-replay", solves, "-scheduler", "jaba-sd-greedy", "-replay-out", counter}); err != nil {
-		t.Fatal(err)
-	}
+	runOut(t, "-replay", solves, "-scheduler", "jaba-sd-greedy", "-replay-out", counter)
 	a, err := os.ReadFile(recorded)
 	if err != nil {
 		t.Fatal(err)
@@ -231,16 +230,14 @@ func TestRunSolveTraceAndReplayErrors(t *testing.T) {
 		{"-replay", filepath.Join(dir, "missing.jsonl"), "-checkpoint", filepath.Join(dir, "x.ckpt")},
 	}
 	for _, args := range cases {
-		if err := run(context.Background(), args); err == nil {
+		if err := run(context.Background(), args, io.Discard); err == nil {
 			t.Errorf("args %v should fail", args)
 		}
 	}
 	// A replay with an unknown scheduler fails even on a valid trace.
 	solves := filepath.Join(dir, "solves.jsonl")
-	if err := run(context.Background(), []string{"-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-solve-trace", solves}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-replay", solves, "-scheduler", "bogus"}); err == nil {
+	runOut(t, "-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-solve-trace", solves)
+	if err := run(context.Background(), []string{"-replay", solves, "-scheduler", "bogus"}, io.Discard); err == nil {
 		t.Error("replay with unknown scheduler should fail")
 	}
 }

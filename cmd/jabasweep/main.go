@@ -244,14 +244,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var skippedPts, fallbackPts int
 	err = sweep.Stream(ctx, grid, opts, func(r sweep.Result) error {
 		fmt.Fprintf(os.Stderr, "point %d/%s done (%d reps)\n", r.Index, r.Label(), r.Agg.Replications)
-		if r.Agg.SkippedCells.Mean() > 0 {
-			skippedPts++
-		}
-		if r.Agg.FallbackSolves.Mean() > 0 {
-			fallbackPts++
+		for _, msg := range sweep.Warnings(r.Agg) {
+			fmt.Fprintf(os.Stderr, "WARNING: point %d/%s: %s\n", r.Index, r.Label(), msg)
 		}
 		if err := writePointTrace(r); err != nil {
 			return err
@@ -268,12 +264,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintf(os.Stderr, "kept %d completed rows\n", tbl.NumRows())
 		}
 		return err
-	}
-	if skippedPts > 0 {
-		fmt.Fprintf(os.Stderr, "WARNING: %d grid points skipped admission cells; those scenarios are feeding the admission layer inconsistent measurements\n", skippedPts)
-	}
-	if fallbackPts > 0 {
-		fmt.Fprintf(os.Stderr, "WARNING: %d grid points hit the solve node budget; their over-budget cell-frames were granted by the greedy fallback\n", fallbackPts)
 	}
 	if *format == "json" {
 		if err := tbl.WriteJSON(w); err != nil {

@@ -7,10 +7,7 @@
 // cdma2000.
 package cellular
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Point is a position in metres on the simulation plane.
 type Point struct {
@@ -132,11 +129,6 @@ func (l *Layout) NearestCell(p Point) int {
 		}
 	}
 	return best
-}
-
-// String describes the layout.
-func (l *Layout) String() string {
-	return fmt.Sprintf("Layout(%d cells, R=%.0f m, wrap=%v)", len(l.Cells), l.CellRadius, l.WrapAround)
 }
 
 // PilotMeasurement is the strength of one cell's pilot as seen by a mobile.

@@ -51,9 +51,6 @@ func TestHexLayoutDefaultRadius(t *testing.T) {
 	if l.CellRadius != 1000 {
 		t.Errorf("default radius = %v", l.CellRadius)
 	}
-	if l.String() == "" {
-		t.Error("String empty")
-	}
 }
 
 func TestWrapAroundDistance(t *testing.T) {

@@ -39,14 +39,6 @@ func TestRequestOverallDelay(t *testing.T) {
 	}
 }
 
-func TestObjectiveKindString(t *testing.T) {
-	if ObjectiveThroughput.String() != "J1-throughput" ||
-		ObjectiveDelayAware.String() != "J2-delay-aware" ||
-		ObjectiveKind(7).String() == "" {
-		t.Error("ObjectiveKind.String broken")
-	}
-}
-
 func TestObjectiveValidate(t *testing.T) {
 	if (Objective{Kind: ObjectiveThroughput}).Validate() != nil {
 		t.Error("J1 needs no parameters")

@@ -64,18 +64,6 @@ const (
 	ObjectiveDelayAware
 )
 
-// String names the objective.
-func (k ObjectiveKind) String() string {
-	switch k {
-	case ObjectiveThroughput:
-		return "J1-throughput"
-	case ObjectiveDelayAware:
-		return "J2-delay-aware"
-	default:
-		return fmt.Sprintf("ObjectiveKind(%d)", int(k))
-	}
-}
-
 // MarshalJSON encodes the kind as the paper's short name, "j1" or "j2", so
 // configuration files and API payloads read as prose rather than enum
 // ordinals.

@@ -56,7 +56,7 @@ var Quick = Scale{
 	LoadPoints:   []int{6, 14},
 }
 
-// Full is the scale used by cmd/jabaexp for the numbers in EXPERIMENTS.md.
+// Full is the scale of the full-scale tables, `jabaexp -scale full`.
 var Full = Scale{
 	Name:         "full",
 	SimTime:      60,

@@ -34,20 +34,6 @@ const (
 	Unbounded
 )
 
-// String returns a human readable status.
-func (s Status) String() string {
-	switch s {
-	case Optimal:
-		return "optimal"
-	case Infeasible:
-		return "infeasible"
-	case Unbounded:
-		return "unbounded"
-	default:
-		return "unknown"
-	}
-}
-
 // ErrBadShape is returned when the problem dimensions are inconsistent.
 var ErrBadShape = errors.New("lp: inconsistent problem dimensions")
 

@@ -206,10 +206,3 @@ func TestSolutionFeasibilityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestStatusString(t *testing.T) {
-	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" ||
-		Unbounded.String() != "unbounded" || Status(99).String() != "unknown" {
-		t.Error("Status.String broken")
-	}
-}

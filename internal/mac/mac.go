@@ -6,10 +6,7 @@
 // to the burst's overall request delay w_j = t_w + D_s.
 package mac
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // State is a cdma2000 packet-data MAC state.
 type State int
@@ -28,22 +25,6 @@ const (
 	// also costing D2 in the paper's two-level penalty model.
 	Dormant
 )
-
-// String returns the state name.
-func (s State) String() string {
-	switch s {
-	case Active:
-		return "Active"
-	case ControlHold:
-		return "ControlHold"
-	case Suspended:
-		return "Suspended"
-	case Dormant:
-		return "Dormant"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
 
 // Config holds the MAC timers and set-up penalties. T2 and T3 are the
 // waiting-time thresholds of equation (23): a request that has waited less

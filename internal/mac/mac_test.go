@@ -79,20 +79,6 @@ func TestStateForWait(t *testing.T) {
 	}
 }
 
-func TestStateString(t *testing.T) {
-	names := map[State]string{
-		Active: "Active", ControlHold: "ControlHold", Suspended: "Suspended", Dormant: "Dormant",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("String(%d) = %q", s, s.String())
-		}
-	}
-	if State(42).String() == "" {
-		t.Error("unknown state should still stringify")
-	}
-}
-
 func TestMachineLifecycle(t *testing.T) {
 	m := MustNewMachine(DefaultConfig())
 	if m.state != Active {

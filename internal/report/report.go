@@ -191,10 +191,3 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
-
-// String renders the ASCII form.
-func (t *Table) String() string {
-	var sb strings.Builder
-	_ = t.WriteASCII(&sb)
-	return sb.String()
-}

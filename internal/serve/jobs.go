@@ -125,8 +125,9 @@ type JobStatus struct {
 	// Attempts counts started run attempts; above 1 means the job was
 	// retried after transient failures.
 	Attempts int `json:"attempts,omitempty"`
-	// RowsDone counts emitted progress rows (grid points for a sweep,
-	// completed experiments for a suite); RowsTotal is the expected count.
+	// RowsDone counts emitted progress rows (grid points for a sweep, the
+	// one row of a run, completed experiments for a suite); RowsTotal is
+	// the expected count.
 	RowsDone  int `json:"rows_done"`
 	RowsTotal int `json:"rows_total,omitempty"`
 	// Created and Finished are RFC 3339 timestamps; Finished is empty
@@ -318,68 +319,35 @@ func resolveRun(spec jobspec.RunSpec, defaultParallel int) (runnable, error) {
 		// depend on the pool size). Replications resolve their own.
 		cfg.FrameParallel = defaultParallel
 	}
+	// A run is a sweep over a zero-axis grid: the same seeds as jabasim
+	// -reps N and the one-row curve table jabasweep prints for it.
+	grid := sweep.Grid{Preset: spec.Preset, Base: &cfg}
+	stream := func(ctx context.Context, emit func(sweep.Result) error) error {
+		return sweep.Stream(ctx, grid, sweep.Options{Reps: reps, Parallel: defaultParallel}, emit)
+	}
 	if spec.Checkpoint != nil {
 		// Checkpoint-bearing runs drive a single engine directly, so the
-		// periodic sink sees the one engine there is and a resume starts it
-		// from the recorded frame; the result is that run's metrics object.
-		return runnable{
-			run: func(ctx context.Context, j *Job) error {
-				e, err := spec.Start(cfg)
-				if err != nil {
-					return err
-				}
-				m, err := e.Run(ctx)
-				if err != nil {
-					return err
-				}
-				result, err := json.Marshal(m)
-				if err != nil {
-					return err
-				}
-				j.setWarnings(metricsWarnings(float64(m.SkippedCells), float64(m.FallbackSolves)))
-				j.finish(nil, result)
-				return nil
-			},
-		}, nil
-	}
-	return runnable{
-		run: func(ctx context.Context, j *Job) error {
-			agg, err := sim.RunReplications(ctx, cfg, reps)
+		// periodic sink sees the one engine there is and a resume starts
+		// it from the recorded frame; its metrics are a one-replication row.
+		stream = func(ctx context.Context, emit func(sweep.Result) error) error {
+			e, err := spec.Start(cfg)
 			if err != nil {
 				return err
 			}
-			result, err := json.Marshal(agg)
+			m, err := e.Run(ctx)
 			if err != nil {
 				return err
 			}
-			j.setWarnings(metricsWarnings(agg.SkippedCells.Mean(), agg.FallbackSolves.Mean()))
-			j.finish(nil, result)
-			return nil
-		},
-	}, nil
-}
-
-// metricsWarnings renders the result-quality flags a finished simulation can
-// carry: skipped admission cell-frames (inconsistent measurements) and
-// greedy fallback solves (the exact solver hit its node budget). The same
-// conditions cmd/jabasim and cmd/jabasweep warn about on stderr.
-func metricsWarnings(skipped, fallback float64) []string {
-	var w []string
-	if skipped > 0 {
-		w = append(w, fmt.Sprintf("admission skipped %g cell-frames: the scenario is feeding the admission layer inconsistent measurements", skipped))
+			var agg sim.Aggregate
+			agg.AddReplication(m)
+			return emit(sweep.Result{Point: sweep.Point{Config: cfg}, Agg: &agg})
+		}
 	}
-	if fallback > 0 {
-		w = append(w, fmt.Sprintf("%g cell-frames hit the solve node budget and were granted by the greedy fallback", fallback))
-	}
-	return w
+	return curveRunnable(grid, 1, stream), nil
 }
 
 func resolveSweep(spec jobspec.SweepSpec, defaultParallel int) (runnable, error) {
 	grid, opts, err := spec.Resolve()
-	if err != nil {
-		return runnable{}, err
-	}
-	points, err := grid.Points()
 	if err != nil {
 		return runnable{}, err
 	}
@@ -389,16 +357,34 @@ func resolveSweep(spec jobspec.SweepSpec, defaultParallel int) (runnable, error)
 		// so this only shapes latency, never output).
 		opts.Parallel = defaultParallel
 	}
+	points, err := grid.Points()
+	if err != nil {
+		return runnable{}, err
+	}
+	return curveRunnable(grid, len(points), func(ctx context.Context, emit func(sweep.Result) error) error {
+		return sweep.Stream(ctx, grid, opts, emit)
+	}), nil
+}
+
+// curveRunnable is the work of a job whose result is grid's curve table:
+// the header up front, each result run emits streamed as its row (exactly
+// the jabasweep CSV row), the rows' warnings on the status and the whole
+// table as the JSON result.
+func curveRunnable(grid sweep.Grid, total int, run func(ctx context.Context, emit func(sweep.Result) error) error) runnable {
 	tbl := sweep.NewCurveTable(grid)
 	header := append([]string(nil), tbl.Columns...)
 	return runnable{
 		header: header,
-		total:  len(points),
+		total:  total,
 		run: func(ctx context.Context, j *Job) error {
-			var skipped, fallback float64
-			err := sweep.Stream(ctx, grid, opts, func(r sweep.Result) error {
-				skipped += r.Agg.SkippedCells.Mean()
-				fallback += r.Agg.FallbackSolves.Mean()
+			var warnings []string
+			err := run(ctx, func(r sweep.Result) error {
+				for _, w := range sweep.Warnings(r.Agg) {
+					if len(r.Values) > 0 {
+						w = r.Label() + ": " + w
+					}
+					warnings = append(warnings, w)
+				}
 				cells := sweep.AppendCurveRow(tbl, r)
 				event, err := json.Marshal(map[string]any{
 					"index": r.Index,
@@ -418,11 +404,11 @@ func resolveSweep(spec jobspec.SweepSpec, defaultParallel int) (runnable, error)
 			if err := tbl.WriteJSON(&buf); err != nil {
 				return err
 			}
-			j.setWarnings(metricsWarnings(skipped, fallback))
+			j.setWarnings(warnings)
 			j.finish(nil, buf.Bytes())
 			return nil
 		},
-	}, nil
+	}
 }
 
 func resolveExperiments(spec jobspec.ExperimentsSpec, defaultParallel int) (runnable, error) {

@@ -2,7 +2,8 @@
 // a long-lived HTTP/JSON API over the same engine the CLIs drive. It keeps
 // a bounded queue of simulation jobs (single runs, parameter sweeps, the
 // experiment suite — the jobspec types, verbatim) drained by a fixed worker
-// pool, streams sweep progress in grid order as CSV/NDJSON/SSE, and exposes
+// pool, streams run and sweep rows in grid order as CSV/NDJSON/SSE (a run
+// is a zero-axis sweep: one row of the same curve table), and exposes
 // the paper's per-frame admission ILP directly through an oracle endpoint
 // backed by resident warm solvers, so scheduling a frame costs a solve
 // rather than a process start.

@@ -11,12 +11,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"jabasd/internal/core"
+	"jabasd/internal/jobspec"
 	"jabasd/internal/measurement"
 	"jabasd/internal/report"
 	"jabasd/internal/sim"
@@ -138,19 +140,19 @@ func TestHealthzAndCatalogEndpoints(t *testing.T) {
 	}
 }
 
-// expectedSweepCSV renders, in process, the exact CSV jabasweep would print
-// for the quickSweepSpec grid: the byte-compatibility oracle for the
-// server's stream and result endpoints.
-func expectedSweepCSV(t *testing.T) string {
+// expectedSweepCSV renders, in process, the exact CSV jabasweep prints
+// for spec — resolved through jobspec and streamed row by row, as the
+// command does: the byte-compatibility oracle for the server's stream and
+// result endpoints.
+func expectedSweepCSV(t *testing.T, spec jobspec.SweepSpec) string {
 	t.Helper()
-	grid, err := sweep.New("smoke", []string{"datausers=2,4"})
+	grid, opts, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl := sweep.NewCurveTable(grid)
 	var sb strings.Builder
 	sb.WriteString(report.CSVLine(tbl.Columns))
-	opts := sweep.Options{Reps: 2, Mutate: func(cfg *sim.Config) { cfg.ExactPHY = true }}
 	err = sweep.Stream(context.Background(), grid, opts, func(r sweep.Result) error {
 		sb.WriteString(report.CSVLine(sweep.AppendCurveRow(tbl, r)))
 		return nil
@@ -159,6 +161,26 @@ func expectedSweepCSV(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return sb.String()
+}
+
+// tableDoc is the JSON form of a report.Table, a table job's result.
+type tableDoc struct {
+	Columns []string            `json:"columns"`
+	Rows    []map[string]string `json:"rows"`
+}
+
+// tableResult fetches a finished job's JSON result as a table.
+func tableResult(t *testing.T, ts *httptest.Server, id string) tableDoc {
+	t.Helper()
+	code, body := get(t, ts.URL+"/v1/jobs/"+id+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("result returned %d: %s", code, body)
+	}
+	var doc tableDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("result is not a table document: %v\n%s", err, body)
+	}
+	return doc
 }
 
 func TestSweepJobStreamsCLIIdenticalCSV(t *testing.T) {
@@ -171,7 +193,12 @@ func TestSweepJobStreamsCLIIdenticalCSV(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("stream returned %d: %s", code, body)
 	}
-	want := expectedSweepCSV(t)
+	want := expectedSweepCSV(t, jobspec.SweepSpec{
+		Scenario:  jobspec.Scenario{Preset: "smoke"},
+		Axes:      []string{"datausers=2,4"},
+		Reps:      2,
+		Overrides: jobspec.Overrides{ExactPHY: true},
+	})
 	if string(body) != want {
 		t.Errorf("streamed CSV differs from the CLI bytes:\n--- server\n%s--- direct\n%s", body, want)
 	}
@@ -186,18 +213,7 @@ func TestSweepJobStreamsCLIIdenticalCSV(t *testing.T) {
 	if code != http.StatusOK || string(body) != want {
 		t.Errorf("result csv (%d) differs from the CLI bytes:\n%s", code, body)
 	}
-	code, body = get(t, ts.URL+"/v1/jobs/"+id+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("result json returned %d", code)
-	}
-	var doc struct {
-		Columns []string            `json:"columns"`
-		Rows    []map[string]string `json:"rows"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("result is not a table document: %v\n%s", err, body)
-	}
-	if len(doc.Rows) != 2 || doc.Rows[0]["datausers"] != "2" {
+	if doc := tableResult(t, ts, id); len(doc.Rows) != 2 || doc.Rows[0]["datausers"] != "2" {
 		t.Errorf("result rows: %+v", doc.Rows)
 	}
 }
@@ -222,23 +238,60 @@ func TestSweepJobMatchesGoldenCSV(t *testing.T) {
 	}
 }
 
+// TestRunJobReturnsAggregate checks that a run job returns the one-row
+// curve table of a zero-axis sweep: its CSV result is the bytes jabasweep
+// prints for the same scenario, and its JSON result carries the numbers
+// jabasim -reps 2 prints, 4 significant digits each.
 func TestRunJobReturnsAggregate(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	id := submit(t, ts, `{"kind":"run","run":{"preset":"smoke","reps":2,"overrides":{"sim_time":3}}}`)
 	waitState(t, ts, id, StateDone)
-	code, body := get(t, ts.URL+"/v1/jobs/"+id+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("result returned %d: %s", code, body)
+
+	code, body := get(t, ts.URL+"/v1/jobs/"+id+"/result?format=csv")
+	want := expectedSweepCSV(t, jobspec.SweepSpec{
+		Scenario:  jobspec.Scenario{Preset: "smoke"},
+		Reps:      2,
+		Overrides: jobspec.Overrides{SimTime: 3},
+	})
+	if code != http.StatusOK || string(body) != want {
+		t.Errorf("run job csv (%d) differs from the jabasweep bytes:\n--- server\n%s--- jabasweep\n%s", code, body, want)
 	}
-	var agg struct {
-		Replications int
-		Scheduler    string
+
+	cfg, reps, err := jobspec.RunSpec{
+		Scenario:  jobspec.Scenario{Preset: "smoke"},
+		Reps:      2,
+		Overrides: jobspec.Overrides{SimTime: 3},
+	}.Resolve()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(body, &agg); err != nil {
-		t.Fatalf("result is not an aggregate: %v\n%s", err, body)
+	agg, err := sim.RunReplications(context.Background(), cfg, reps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if agg.Replications != 2 || agg.Scheduler == "" {
-		t.Errorf("aggregate %+v, want 2 replications and a scheduler name", agg)
+	doc := tableResult(t, ts, id)
+	if len(doc.Rows) != 1 || len(doc.Columns) != 11 || doc.Columns[0] != "reps" {
+		t.Fatalf("run job result is not a one-row curve table: %+v", doc)
+	}
+	row := doc.Rows[0]
+	if row["reps"] != "2" {
+		t.Errorf("reps = %q, want 2", row["reps"])
+	}
+	for col, v := range map[string]float64{
+		"admission_prob": agg.CompletionRate.Mean(),
+		"tput_cell_bps":  agg.Throughput.Mean(),
+		"outage":         1 - agg.Coverage.Mean(),
+		"mean_delay_s":   agg.MeanDelay.Mean(),
+		"delay_ci95":     agg.MeanDelay.ConfidenceInterval95(),
+		"p90_delay_s":    agg.P90Delay.Mean(),
+		"cell_load":      agg.CellLoad.Mean(),
+	} {
+		if want := strconv.FormatFloat(v, 'g', 4, 64); row[col] != want {
+			t.Errorf("%s = %q, want jabasim's %s", col, row[col], want)
+		}
+	}
+	if agg.Throughput.Mean() == 0 || agg.MeanDelay.Mean() == 0 {
+		t.Errorf("the oracle run carried no traffic: %+v", agg)
 	}
 }
 
@@ -748,9 +801,18 @@ func TestRunJobCheckpointResume(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 
 	spec := fmt.Sprintf(`{"kind":"run","run":{"preset":"smoke","overrides":{"sim_time":3,"data_users":2},"checkpoint":{"path":%q,"every":25}}}`, ck)
-	waitState(t, ts, submit(t, ts, spec), StateDone)
+	id := submit(t, ts, spec)
+	waitState(t, ts, id, StateDone)
 	if _, err := os.Stat(ck); err != nil {
 		t.Fatalf("checkpoint file missing: %v", err)
+	}
+	// The one engine's metrics are a one-replication curve-table row.
+	doc := tableResult(t, ts, id)
+	if len(doc.Rows) != 1 || doc.Rows[0]["reps"] != "1" {
+		t.Fatalf("checkpointed run result is not a one-row table with reps 1: %+v", doc)
+	}
+	if tput, err := strconv.ParseFloat(doc.Rows[0]["tput_cell_bps"], 64); err != nil || tput == 0 {
+		t.Errorf("checkpointed run tput_cell_bps = %q, want a non-zero number", doc.Rows[0]["tput_cell_bps"])
 	}
 
 	resume := fmt.Sprintf(`{"kind":"run","run":{"checkpoint":{"resume":%q}}}`, ck)

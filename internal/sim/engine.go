@@ -1190,9 +1190,3 @@ func Run(ctx context.Context, cfg Config) (*Metrics, error) {
 	}
 	return e.Run(ctx)
 }
-
-// String describes the engine.
-func (e *Engine) String() string {
-	return fmt.Sprintf("Engine(%s, %d cells, %d data users, %s link)",
-		e.scheduler.Name(), e.layout.NumCells(), len(e.users), e.cfg.Direction)
-}

@@ -152,11 +152,3 @@ func (a *Aggregate) AddReplication(m *Metrics) {
 	a.SpilloverHandoffs.Add(float64(m.SpilloverHandoffs))
 	a.Replications++
 }
-
-// String summarises the aggregate with 95% confidence half-widths.
-func (a *Aggregate) String() string {
-	return fmt.Sprintf("%s/%s (%d reps): delay=%.3f±%.3fs p90=%.3fs tput/cell=%.0f bit/s cov=%.2f load=%.2f",
-		a.Scheduler, a.Direction, a.Replications,
-		a.MeanDelay.Mean(), a.MeanDelay.ConfidenceInterval95(),
-		a.P90Delay.Mean(), a.Throughput.Mean(), a.Coverage.Mean(), a.CellLoad.Mean())
-}

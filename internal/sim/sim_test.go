@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"jabasd/internal/core"
@@ -206,17 +205,6 @@ func TestInvalidConfigRejectedByRun(t *testing.T) {
 	}
 }
 
-func TestEngineString(t *testing.T) {
-	e, err := NewEngine(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if e.String() == "" {
-		t.Error("engine String empty")
-	}
-}
-
 func TestRunReplicationsParallelMerge(t *testing.T) {
 	cfg := quickConfig()
 	cfg.SimTime = 4
@@ -227,14 +215,24 @@ func TestRunReplicationsParallelMerge(t *testing.T) {
 	if agg.Replications != 3 {
 		t.Errorf("replications = %d", agg.Replications)
 	}
-	if !strings.HasPrefix(agg.MeanDelay.String(), "n=3 ") || !strings.HasPrefix(agg.Throughput.String(), "n=3 ") {
-		t.Error("aggregate should hold one observation per replication")
+	// One observation per replication: the fold of the three runs, seeded
+	// Seed + r, one by one.
+	var want Aggregate
+	for r := uint64(0); r < 3; r++ {
+		c := cfg
+		c.Seed += r
+		m, err := Run(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.AddReplication(m)
+	}
+	if agg.MeanDelay != want.MeanDelay || agg.Throughput != want.Throughput {
+		t.Errorf("aggregate delay %+v and throughput %+v, want the fold of the runs: %+v and %+v",
+			agg.MeanDelay, agg.Throughput, want.MeanDelay, want.Throughput)
 	}
 	if agg.MeanDelay.Mean() <= 0 {
 		t.Error("aggregate delay should be positive")
-	}
-	if agg.String() == "" {
-		t.Error("aggregate String empty")
 	}
 	if _, err := RunReplications(context.Background(), cfg, 0); err == nil {
 		t.Error("zero replications should fail")

@@ -2,12 +2,18 @@ package spatial
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/rng"
 )
+
+// describe names a layout in failure messages.
+func describe(l *cellular.Layout) string {
+	return fmt.Sprintf("layout(%d cells, R=%.0f m, wrap=%v)", len(l.Cells), l.CellRadius, l.WrapAround)
+}
 
 // layouts under test: degenerate single cell up to a mid-size map, with and
 // without wrap-around.
@@ -50,10 +56,10 @@ func TestNearestMatchesLinearScan(t *testing.T) {
 		ix := New(l, 7)
 		for _, p := range testPoints(l, src) {
 			if got, want := ix.NearestCell(p), l.NearestCell(p); got != want {
-				t.Fatalf("%s: NearestCell(%v) = %d, linear scan = %d", l, p, got, want)
+				t.Fatalf("%s: NearestCell(%v) = %d, linear scan = %d", describe(l), p, got, want)
 			}
 			if got, want := ix.NearestCellSq(p), l.NearestCellSq(p); got != want {
-				t.Fatalf("%s: NearestCellSq(%v) = %d, linear scan = %d", l, p, got, want)
+				t.Fatalf("%s: NearestCellSq(%v) = %d, linear scan = %d", describe(l), p, got, want)
 			}
 		}
 	}
@@ -72,7 +78,7 @@ func TestDistanceSqMatchesBatch(t *testing.T) {
 			l.DistancesSqForInto(p, all, batch)
 			for k := 0; k < n; k++ {
 				if got := l.DistanceSq(p, k); got != batch[k] {
-					t.Fatalf("%s: DistanceSq(%v, %d) = %v, DistancesSqForInto = %v", l, p, k, got, batch[k])
+					t.Fatalf("%s: DistanceSq(%v, %d) = %v, DistancesSqForInto = %v", describe(l), p, k, got, batch[k])
 				}
 			}
 		}
@@ -88,19 +94,19 @@ func TestCandidates(t *testing.T) {
 				want = l.NumCells()
 			}
 			if ix.Window() != want {
-				t.Fatalf("%s window=%d: Window() = %d, want %d", l, window, ix.Window(), want)
+				t.Fatalf("%s window=%d: Window() = %d, want %d", describe(l), window, ix.Window(), want)
 			}
 			for b := 0; b < ix.NumBuckets(); b++ {
 				cand := ix.Candidates(b)
 				if len(cand) != want {
-					t.Fatalf("%s: bucket %d has %d candidates, want %d", l, b, len(cand), want)
+					t.Fatalf("%s: bucket %d has %d candidates, want %d", describe(l), b, len(cand), want)
 				}
 				for i, c := range cand {
 					if c < 0 || int(c) >= l.NumCells() {
-						t.Fatalf("%s: bucket %d candidate %d out of range", l, b, c)
+						t.Fatalf("%s: bucket %d candidate %d out of range", describe(l), b, c)
 					}
 					if i > 0 && cand[i-1] >= c {
-						t.Fatalf("%s: bucket %d candidates not strictly ascending: %v", l, b, cand)
+						t.Fatalf("%s: bucket %d candidates not strictly ascending: %v", describe(l), b, cand)
 					}
 				}
 			}
@@ -142,7 +148,7 @@ func TestCandidatesAreNearest(t *testing.T) {
 				}
 				slices.Sort(want)
 				if got := ix.Candidates(b); !slices.Equal(got, want) {
-					t.Fatalf("%s window=%d bucket %d: candidates %v, brute force %v", l, window, b, got, want)
+					t.Fatalf("%s window=%d bucket %d: candidates %v, brute force %v", describe(l), window, b, got, want)
 				}
 			}
 		}
@@ -172,7 +178,7 @@ func TestCandidatesContainNearest(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("%s: nearest cell %d of %v missing from bucket candidates %v", l, nearest, p, cand)
+				t.Fatalf("%s: nearest cell %d of %v missing from bucket candidates %v", describe(l), nearest, p, cand)
 			}
 		}
 	}

@@ -12,7 +12,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -57,22 +56,6 @@ func (r *Running) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Min returns the smallest observation (0 when empty).
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.max
-}
-
 // StdErr returns the standard error of the mean.
 func (r *Running) StdErr() float64 {
 	if r.n < 2 {
@@ -107,12 +90,6 @@ func tCritical95(df int) float64 {
 		return table[df]
 	}
 	return 1.96
-}
-
-// String summarises the accumulator.
-func (r *Running) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		r.n, r.Mean(), r.StdDev(), r.Min(), r.Max())
 }
 
 // Sample collects raw observations for quantile computation.

@@ -22,17 +22,14 @@ func TestRunningMoments(t *testing.T) {
 	if math.Abs(r.Variance()-32.0/7.0) > 1e-9 {
 		t.Errorf("Variance = %v, want %v", r.Variance(), 32.0/7.0)
 	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", r.Min(), r.Max())
-	}
-	if r.String() == "" {
-		t.Error("String empty")
+	if r.min != 2 || r.max != 9 {
+		t.Errorf("min/max = %v/%v", r.min, r.max)
 	}
 }
 
 func TestRunningEmpty(t *testing.T) {
 	var r Running
-	if r.Mean() != 0 || r.Variance() != 0 || r.Min() != 0 || r.Max() != 0 ||
+	if r.Mean() != 0 || r.Variance() != 0 ||
 		r.StdErr() != 0 || r.ConfidenceInterval95() != 0 {
 		t.Error("empty Running should return zeros")
 	}

@@ -280,11 +280,6 @@ func (c *Coder) ModeDistribution(meanCSIDB float64) []float64 {
 	return out
 }
 
-// String describes the coder.
-func (c *Coder) String() string {
-	return fmt.Sprintf("VTAOC(%d modes, target BER %.1e)", len(c.modes), c.cfg.TargetBER)
-}
-
 // FixedRate is the non-adaptive baseline physical layer used for the joint
 // design ablation (experiment E8): it always uses a single mode q and offers
 // its throughput only while the CSI is above that mode's constant-BER
