@@ -26,6 +26,20 @@ import "math"
 // architectures call gainRowGo directly. The fast-path goldens under
 // testdata/golden were produced on amd64: compilers for architectures
 // that fuse multiply-adds may round gainRowGo differently.
+//
+// CosAffine, the Jakes fading kernel, sets dst[k] = math.Cos(a[k]*t + b[k])
+// and is exact: cosAffineGo below is a math.Cos loop, and on amd64 CPUs
+// with AVX2 an assembly kernel (cos_amd64.s) evaluates four lanes per
+// block by transliterating Go's pure-Go math.cos: the argument as a
+// separate multiply and add (no FMA), the octant j = uint64(x*4/Pi) by a
+// truncating conversion (exact, since x*4/Pi < 2^31 there) with the
+// odd-j bump, the three-part PI4A/B/C reduction, both degree-5
+// polynomials in math.cos's association, and the octant's branch and sign
+// as a blend and a sign-bit flip. math.Cos reduces arguments of 2^29 and
+// above (its reduceThreshold) with Payne-Hanek instead, so a block holding
+// such a lane, or a non-finite one, is left to cosAffineGo, as is the tail
+// of fewer than four lanes. The output is math.Cos's, bit for bit, on
+// every CPU.
 
 const (
 	log2Of10 = 3.3219280948873623478703194294894 // log2(10)
@@ -171,5 +185,18 @@ func gainRowGo(gain, shadow, d2 []float64, refDB, halfExp, invRefM2, minD2 float
 			t4*((1.0/24+t*(1.0/120))+t2*(1.0/720+t*(1.0/5040))) +
 			(t4*t4)*((1.0/40320+t*(1.0/362880))+t2*(1.0/3628800))
 		gain[k] = p * math.Float64frombits(uint64(int64(n)+1023)<<52)
+	}
+}
+
+// cosAffineGo sets dst[k] = math.Cos(a[k]*t + b[k]) for every k, the
+// product rounded before the sum. It is the reference for CosAffine: every
+// implementation must match it bit for bit.
+func cosAffineGo(dst, a, b []float64, t float64) {
+	if len(dst) == 0 {
+		return
+	}
+	_, _ = a[len(dst)-1], b[len(dst)-1]
+	for k := range dst {
+		dst[k] = math.Cos(a[k]*t + b[k])
 	}
 }

@@ -1,6 +1,7 @@
 package mathx
 
-// useAVX2 reports whether GainRowFast runs the AVX2 assembly kernel.
+// useAVX2 reports whether GainRowFast and CosAffine run their AVX2
+// assembly kernels.
 var useAVX2 = detectAVX2()
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM

@@ -56,13 +56,13 @@ func requireGainRowBits(t testing.TB, what string, shadow, d2 []float64, c gainR
 	}
 }
 
-// skipWithoutAVX2 skips a comparison that would only compare gainRowGo
-// with itself. CI greps for this message, so a runner without AVX2 fails
-// the fast-path job instead of passing it vacuously.
+// skipWithoutAVX2 skips a comparison that would only compare a Go
+// reference loop with itself. CI greps for this message, so a runner
+// without AVX2 fails the fast-path job instead of passing it vacuously.
 func skipWithoutAVX2(t testing.TB) {
 	t.Helper()
 	if !useAVX2 {
-		t.Skip("no AVX2: GainRowFast runs gainRowGo on this CPU, nothing to compare")
+		t.Skip("no AVX2: the kernels run their Go references on this CPU, nothing to compare")
 	}
 }
 

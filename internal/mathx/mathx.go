@@ -1,7 +1,8 @@
 // Package mathx provides the numeric kernels shared across the JABA-SD
 // simulator: decibel conversions and clamping, the fast base-10
-// exponential and logarithm, and the channel gain-row kernel (an AVX2
-// assembly version on amd64, bit-identical to its Go reference).
+// exponential and logarithm, the channel gain-row kernel and the Jakes
+// cosine kernel (each with an AVX2 assembly version on amd64,
+// bit-identical to its Go reference).
 //
 // All functions are pure and safe for concurrent use.
 package mathx

@@ -80,7 +80,8 @@ func (t *Table) WriteASCII(w io.Writer) error {
 				sb.WriteString("  ")
 			}
 			sb.WriteString(c)
-			if i < len(widths) {
+			// The last cell is not padded, so no line ends in spaces.
+			if i < len(widths) && i < len(cells)-1 {
 				sb.WriteString(strings.Repeat(" ", widths[i]-len(c)))
 			}
 		}

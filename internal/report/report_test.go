@@ -86,6 +86,11 @@ func TestTableASCII(t *testing.T) {
 	if len(lines) != 5 { // title + header + separator + 2 rows
 		t.Errorf("expected 5 lines, got %d:\n%s", len(lines), out)
 	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, " ") {
+			t.Errorf("line ends in a space: %q", line)
+		}
+	}
 }
 
 func TestTableNoTitle(t *testing.T) {

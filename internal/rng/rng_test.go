@@ -303,8 +303,8 @@ func TestJakesTemporalCorrelation(t *testing.T) {
 
 func TestJakesDefaultOscillators(t *testing.T) {
 	j := NewJakes(New(1), 0, 5)
-	if len(j.phases) != 8 {
-		t.Errorf("default oscillator count = %d, want 8", len(j.phases))
+	if j.b.n != 8 {
+		t.Errorf("default oscillator count = %d, want 8", j.b.n)
 	}
 }
 
