@@ -48,24 +48,6 @@ func TestPointsDryRun(t *testing.T) {
 	}
 }
 
-// TestSweepCSVDeterministicAcrossParallel is the acceptance check: the same
-// grid must emit byte-identical CSV for -parallel 1 and -parallel 8.
-func TestSweepCSVDeterministicAcrossParallel(t *testing.T) {
-	base := []string{"-preset", "smoke", "-axis", "datausers=2,4", "-reps", "2"}
-	serial := capture(t, append(base, "-parallel", "1")...)
-	parallel := capture(t, append(base, "-parallel", "8")...)
-	if serial != parallel {
-		t.Errorf("CSV depends on -parallel:\n--- 1\n%s--- 8\n%s", serial, parallel)
-	}
-	lines := strings.Split(strings.TrimSpace(serial), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("expected header + 2 rows, got %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "datausers,reps,admission_prob") {
-		t.Errorf("unexpected CSV header %q", lines[0])
-	}
-}
-
 func TestJSONFormat(t *testing.T) {
 	out := capture(t, "-preset", "smoke", "-axis", "datausers=2", "-format", "json")
 	var doc struct {
@@ -122,21 +104,6 @@ func TestRunErrors(t *testing.T) {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v should fail", args)
 		}
-	}
-}
-
-// TestSweepSnapshotModeDeterministicAcrossFrameParallel is the frame-mode
-// determinism gate the CI job scripts: snapshot-mode sweeps must emit
-// byte-identical CSV whatever -frameparallel is.
-func TestSweepSnapshotModeDeterministicAcrossFrameParallel(t *testing.T) {
-	base := []string{"-preset", "smoke", "-axis", "datausers=2,4", "-reps", "2", "-framemode", "snapshot"}
-	inline := capture(t, append(base, "-frameparallel", "1")...)
-	pooled := capture(t, append(base, "-frameparallel", "8")...)
-	if inline != pooled {
-		t.Errorf("snapshot CSV depends on -frameparallel:\n--- 1\n%s--- 8\n%s", inline, pooled)
-	}
-	if !strings.HasPrefix(inline, "datausers,reps,admission_prob") {
-		t.Errorf("unexpected CSV header in %q", inline)
 	}
 }
 

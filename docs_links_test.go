@@ -16,8 +16,7 @@ var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
 // in a committed markdown file must point at a file or directory that
 // exists. External (http/https/mailto) links and pure in-page anchors are
 // skipped — the gate is about repo-internal references rotting when files
-// move, not about the internet being up. CI runs this via the normal test
-// suite and as a named step.
+// move, not about the internet being up.
 func TestMarkdownLinks(t *testing.T) {
 	var mdFiles []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

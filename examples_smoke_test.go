@@ -1,9 +1,6 @@
 package jabasd_bench
 
-import (
-	"os/exec"
-	"testing"
-)
+import "testing"
 
 // TestExamplesBuild keeps the runnable examples from rotting: they are main
 // packages nobody imports, so a plain `go test ./...` would never notice a
@@ -11,16 +8,6 @@ import (
 // main packages at once makes the go tool discard the binaries, so this
 // writes no artifacts.
 func TestExamplesBuild(t *testing.T) {
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	out, err := exec.Command(gobin, "build", "./examples/...").CombinedOutput()
-	if err != nil {
-		t.Fatalf("examples failed to build: %v\n%s", err, out)
-	}
-	out, err = exec.Command(gobin, "vet", "./examples/...").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go vet ./examples/... failed: %v\n%s", err, out)
-	}
+	goBuild(t, "", "./examples/...")
+	goTool(t, "vet", "./examples/...")
 }

@@ -32,7 +32,7 @@ import (
 // Bump it whenever the section layout or any section's internal encoding
 // changes, so a checkpoint written by another build is refused with a
 // precise error instead of misread.
-const Version = 6
+const Version = 7
 
 // magic identifies a checkpoint stream. The trailing byte breaks accidental
 // matches against text files.

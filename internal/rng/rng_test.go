@@ -301,13 +301,6 @@ func TestJakesTemporalCorrelation(t *testing.T) {
 	}
 }
 
-func TestJakesDefaultOscillators(t *testing.T) {
-	j := NewJakes(New(1), 0, 5)
-	if j.b.n != 8 {
-		t.Errorf("default oscillator count = %d, want 8", j.b.n)
-	}
-}
-
 func TestParetoPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

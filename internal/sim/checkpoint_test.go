@@ -957,15 +957,15 @@ func TestResumeRefusesOrphanLoadCursor(t *testing.T) {
 //	#   "Faults": {"cells": [{"cell": 2, "start_sec": 2.5, "end_sec": 3.5}],
 //	#              "load": [{"at_sec": 1, "reading_time_sec": 1},
 //	#                       {"at_sec": 2, "reading_time_sec": 3}]}
-//	jabasim -config smoke.json -exact-vtaoc -sim-time 4 -checkpoint testdata/checkpoint/v6-smoke-exact-faults.ckpt -checkpoint-every 150
+//	jabasim -config smoke.json -exact-vtaoc -sim-time 4 -checkpoint testdata/checkpoint/v7-smoke-exact-faults.ckpt -checkpoint-every 150
 //	jabasim -preset smoke -dump-config > smoke-win.json
 //	# in smoke-win.json set "Rings": 3 and "PilotCells": 7
-//	jabasim -config smoke-win.json -sim-time 4 -checkpoint testdata/checkpoint/v6-smoke-win7-fast.ckpt -checkpoint-every 150
-//	jabasim -preset reverse -exact-vtaoc -sim-time 8 -checkpoint testdata/checkpoint/v6-reverse-exact.ckpt -checkpoint-every 300
-//	jabasim -exact-vtaoc -preset smoke -fault-profile outage -data-users 30 -sim-time 6 -checkpoint testdata/checkpoint/v6-smoke-outage-queued-exact.ckpt -checkpoint-every 160
+//	jabasim -config smoke-win.json -sim-time 4 -checkpoint testdata/checkpoint/v7-smoke-win7-fast.ckpt -checkpoint-every 150
+//	jabasim -preset reverse -exact-vtaoc -sim-time 8 -checkpoint testdata/checkpoint/v7-reverse-exact.ckpt -checkpoint-every 300
+//	jabasim -exact-vtaoc -preset smoke -fault-profile outage -data-users 30 -sim-time 6 -checkpoint testdata/checkpoint/v7-smoke-outage-queued-exact.ckpt -checkpoint-every 160
 //
-// (rename the files after the new version, here and in the CI
-// checkpoint-replay job).
+// (rename the files after the new version, here and in the fixture-resume
+// row of the golden table in golden_test.go at the module root).
 func TestResumeCommittedCheckpoints(t *testing.T) {
 	for _, fx := range []struct {
 		name       string
@@ -977,10 +977,10 @@ func TestResumeCommittedCheckpoints(t *testing.T) {
 		downCell, loadCursor int
 		queued               bool // requests wait in the queues
 	}{
-		{"v6-smoke-exact-faults.ckpt", 150, 0, Forward, 2, 2, false},
-		{"v6-smoke-win7-fast.ckpt", 150, 7, Forward, 0, 0, false},
-		{"v6-reverse-exact.ckpt", 300, 0, Reverse, 0, 0, false},
-		{"v6-smoke-outage-queued-exact.ckpt", 160, 0, Forward, 0, 0, true},
+		{"v7-smoke-exact-faults.ckpt", 150, 0, Forward, 2, 2, false},
+		{"v7-smoke-win7-fast.ckpt", 150, 7, Forward, 0, 0, false},
+		{"v7-reverse-exact.ckpt", 300, 0, Reverse, 0, 0, false},
+		{"v7-smoke-outage-queued-exact.ckpt", 160, 0, Forward, 0, 0, true},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "checkpoint", fx.name))

@@ -7,8 +7,6 @@ func (r *Running) Persist(c *checkpoint.Codec) {
 	c.I64(&r.n)
 	c.F64(&r.mean)
 	c.F64(&r.m2)
-	c.F64(&r.min)
-	c.F64(&r.max)
 }
 
 // Persist writes or reads the sample's observations in insertion order plus

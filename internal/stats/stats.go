@@ -21,21 +21,10 @@ import (
 type Running struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
 }
 
 // Add incorporates one observation.
 func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	r.n++
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)

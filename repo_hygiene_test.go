@@ -192,6 +192,26 @@ func TestInternalPackagesReachable(t *testing.T) {
 	}
 }
 
+// TestInternalPackageComments requires every internal package to carry a
+// godoc package comment: some non-test file's doc comment, directly above
+// its package clause, starts with "Package <name> ".
+func TestInternalPackageComments(t *testing.T) {
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		documented := false
+		for _, f := range parsePackage(t, fset, dir, parser.PackageClauseOnly|parser.ParseComments) {
+			documented = documented || strings.HasPrefix(f.Doc.Text(), "Package "+f.Name.Name+" ")
+		}
+		if !documented {
+			t.Errorf("%s has no package comment (// Package %s ... above a package clause)", dir, filepath.Base(dir))
+		}
+	}
+}
+
 // docInternalPath matches repository paths such as internal/sim,
 // internal/sim/engine.go or internal/fault.Schedule in prose.
 var docInternalPath = regexp.MustCompile(`internal/[A-Za-z0-9_./-]+`)
@@ -413,27 +433,37 @@ func (m *treeImporter) check(dir string) *checkedPackage {
 	if p, ok := m.done[dir]; ok {
 		return p
 	}
-	bp, err := build.Default.ImportDir(dir, 0)
-	if err != nil {
-		m.t.Fatal(err)
-	}
 	p := &checkedPackage{dir: dir, fset: m.fset, info: &types.Info{
 		Defs: map[*ast.Ident]types.Object{},
 		Uses: map[*ast.Ident]types.Object{},
 	}}
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			m.t.Fatal(err)
-		}
-		p.files = append(p.files, f)
-	}
+	p.files = parsePackage(m.t, m.fset, dir, parser.SkipObjectResolution)
 	conf := types.Config{Importer: m}
+	var err error
 	if p.pkg, err = conf.Check("jabasd/"+dir, m.fset, p.files, p.info); err != nil {
 		m.t.Fatalf("type-check %s: %v", dir, err)
 	}
 	m.done[dir] = p
 	return p
+}
+
+// parsePackage parses the non-test files of the package in dir, selected as
+// go build would for this platform.
+func parsePackage(t *testing.T, fset *token.FileSet, dir string, mode parser.Mode) []*ast.File {
+	t.Helper()
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
 }
 
 // receiverType names a method receiver's type without pointer or type
