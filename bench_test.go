@@ -1,8 +1,9 @@
 // Package jabasd_bench contains the benchmark harness that regenerates every
-// experiment of the evaluation (the registered suite E1-E12):
-// one BenchmarkE<n>… target per experiment, plus micro-benchmarks for the
-// hot paths (per-frame scheduling and the dynamic simulator; the LP/ILP
-// solver benchmarks live in internal/lp and internal/ilp). Benchmarks run the quick experiment scale so that
+// experiment of the evaluation (the registered suite E1-E14): one
+// BenchmarkExperiments/E<n> sub-benchmark per registry entry, plus
+// micro-benchmarks for the hot paths (per-frame scheduling and the dynamic
+// simulator; the LP/ILP solver benchmarks live in internal/lp and
+// internal/ilp). Benchmarks run a reduced experiment scale so that
 // `go test -bench=. -benchmem` finishes in minutes; `jabaexp -scale full`
 // produces the full-scale tables.
 package jabasd_bench
@@ -32,109 +33,25 @@ var benchScale = experiments.Scale{
 }
 
 // ---------------------------------------------------------------------------
-// Experiment benchmarks (E1-E12): one per table/figure of the evaluation.
+// Experiment benchmarks (E1-E14): one per table/figure of the evaluation.
 // ---------------------------------------------------------------------------
 
-func BenchmarkE1AdaptivePhyThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E1AdaptivePhyThroughput(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE2ModeOccupancy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E2ModeOccupancy(15, 50_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE3ForwardAdmission(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E3ForwardAdmission(10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE4ReverseAdmission(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E4ReverseAdmission(10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE5DelayVsLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E5DelayVsLoad(context.Background(), benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE6UserCapacity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E6UserCapacity(context.Background(), benchScale, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE7Coverage(b *testing.B) {
-	small := benchScale
-	small.LoadPoints = []int{4}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E7Coverage(context.Background(), small); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE8JointDesignAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E8JointDesignAblation(context.Background(), benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE9ObjectiveTradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E9ObjectiveTradeoff(context.Background(), benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE10MacStates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E10MacStates(context.Background(), benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE11WarmupConvergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E11WarmupConvergence(context.Background(), benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE12LoadStepResponse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E12LoadStepResponse(context.Background(), benchScale); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments runs every registered experiment at benchScale, one
+// sub-benchmark per id.
+func BenchmarkExperiments(b *testing.B) {
+	for _, d := range experiments.Registry() {
+		b.Run(d.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Run(context.Background(), benchScale); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benchmarks for the design choices called out in DESIGN.md.
+// Ablation benchmarks for the design choices called out in docs/ARCHITECTURE.md.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationExactVsGreedyScheduler compares the per-frame cost of the

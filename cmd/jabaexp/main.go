@@ -1,10 +1,7 @@
-// Command jabaexp regenerates the experiment suite E1-E12 and prints every
-// results table. The suite is
-// read from the experiments registry (the same one experiments.All runs), so
-// the tool and the library can never disagree about what E<n> means. One
-// consequence of that unification: the analytic E3/E4 instance counts now
-// follow the selected scale (15 at quick, 60 at full) like the library
-// always did, instead of the fixed 40 earlier versions of this tool used.
+// Command jabaexp regenerates the experiment suite E1-E14 and prints every
+// results table. The suite is read from the experiments registry (the one
+// entry point of internal/experiments, also behind experiment job specs),
+// so the tool and the library can never disagree about what E<n> means.
 // With -out it also writes one CSV file per experiment into the given
 // directory.
 //

@@ -34,22 +34,28 @@ func main() {
 	fmt.Printf("%-14s %12s %12s %16s %10s %10s\n",
 		"scheduler", "mean delay", "p90 delay", "tput/cell (bps)", "coverage", "cell load")
 
-	results, err := sim.CompareSchedulers(context.Background(), cfg, kinds, 2)
-	if err != nil {
-		log.Fatal(err)
+	// One configuration per scheduler, all at the same seed (common random
+	// numbers), replicated twice in one fan-out and emitted in kind order.
+	cfgs := make([]sim.Config, len(kinds))
+	for i, k := range kinds {
+		cfgs[i] = cfg
+		cfgs[i].Scheduler = k
 	}
 	var jabaDelay, fcfsDelay float64
-	for _, k := range kinds {
-		a := results[k]
+	err := sim.Replicate(context.Background(), cfgs, 2, 0, func(i int, a *sim.Aggregate) error {
 		fmt.Printf("%-14s %10.3f s %10.3f s %16.0f %10.3f %10.3f\n",
-			k, a.MeanDelay.Mean(), a.P90Delay.Mean(), a.Throughput.Mean(),
+			kinds[i], a.MeanDelay.Mean(), a.P90Delay.Mean(), a.Throughput.Mean(),
 			a.Coverage.Mean(), a.CellLoad.Mean())
-		switch k {
+		switch kinds[i] {
 		case sim.SchedulerJABASD:
 			jabaDelay = a.MeanDelay.Mean()
 		case sim.SchedulerFCFS:
 			fcfsDelay = a.MeanDelay.Mean()
 		}
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	if fcfsDelay > 0 {
 		fmt.Printf("\nJABA-SD mean delay is %.0f%% of the FCFS baseline's.\n", 100*jabaDelay/fcfsDelay)

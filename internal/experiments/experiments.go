@@ -1,17 +1,16 @@
-// Package experiments defines the reproducible experiment suite E1-E12:
-// every evaluation claim and diagram of the paper is mapped to a function
+// Package experiments defines the reproducible experiment suite E1-E14:
+// every evaluation claim and diagram of the paper is mapped to a generator
 // that runs the necessary simulations or analytic computations and returns
-// a results table, and the transient experiments E11/E12 extend the suite
+// a results table, and the transient experiments E11-E14 extend the suite
 // with the frame-level time-series view (internal/trace) the paper's
-// steady-state tables leave out. The same functions back the cmd/jabaexp
-// binary (full scale) and the root-level benchmarks (quick scale), so
-// recorded numbers can be regenerated with either.
+// steady-state tables leave out. The registry is the one entry point: it
+// backs the cmd/jabaexp binary (full scale) and the root-level benchmarks,
+// so recorded numbers can be regenerated with either.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"jabasd/internal/core"
 	"jabasd/internal/ilp"
@@ -98,10 +97,10 @@ func baseConfig(s Scale) sim.Config {
 // E1: adaptive physical layer throughput vs mean CSI (Figure 1 mechanism).
 // ---------------------------------------------------------------------------
 
-// E1AdaptivePhyThroughput tabulates the Rayleigh-averaged VTAOC throughput,
+// e1AdaptivePhyThroughput tabulates the Rayleigh-averaged VTAOC throughput,
 // the outage probability, and the throughput of two fixed-mode baselines as
 // the local-mean CSI sweeps from -5 to +30 dB.
-func E1AdaptivePhyThroughput() (*report.Table, error) {
+func e1AdaptivePhyThroughput(context.Context, Scale) (*report.Table, error) {
 	coder, err := vtaoc.New(vtaoc.DefaultConfig())
 	if err != nil {
 		return nil, err
@@ -130,12 +129,11 @@ func E1AdaptivePhyThroughput() (*report.Table, error) {
 // E2: mode occupancy over a fading trace (Figure 1b, typical frame).
 // ---------------------------------------------------------------------------
 
-// E2ModeOccupancy simulates a Rayleigh-faded CSI trace at the given mean CSI
-// and compares the empirical mode occupancy with the analytic distribution.
-func E2ModeOccupancy(meanCSIdB float64, samples int) (*report.Table, error) {
-	if samples <= 0 {
-		samples = 100_000
-	}
+// e2ModeOccupancy simulates a Rayleigh-faded CSI trace of 200,000 symbols
+// at a mean CSI of 15 dB and compares the empirical mode occupancy with the
+// analytic distribution.
+func e2ModeOccupancy(context.Context, Scale) (*report.Table, error) {
+	const meanCSIdB, samples = 15.0, 200_000
 	coder, err := vtaoc.New(vtaoc.DefaultConfig())
 	if err != nil {
 		return nil, err
@@ -161,21 +159,18 @@ func E2ModeOccupancy(meanCSIdB float64, samples int) (*report.Table, error) {
 // E3: forward-link multiple-burst admission optimality (eq. 7 + 19).
 // ---------------------------------------------------------------------------
 
-// E3ForwardAdmission generates random single-cell forward-link admission
-// instances for increasing numbers of concurrent requests and reports the
-// mean objective achieved by each scheduler relative to the exhaustive
-// optimum.
-func E3ForwardAdmission(instancesPerSize int) (*report.Table, error) {
-	if instancesPerSize <= 0 {
-		instancesPerSize = 20
-	}
+// e3ForwardAdmission generates random single-cell forward-link admission
+// instances for increasing numbers of concurrent requests (scaleInstances
+// per size) and reports the mean objective achieved by each scheduler
+// relative to the exhaustive optimum.
+func e3ForwardAdmission(_ context.Context, s Scale) (*report.Table, error) {
 	t := report.NewTable("E3: scheduler objective relative to the exhaustive optimum (forward link, J1)",
 		"concurrent_requests", "jaba_sd", "greedy", "fcfs", "equal_share", "random")
 	src := rng.New(7)
 	for nd := 1; nd <= 6; nd++ {
-		sums := map[string]float64{}
+		sums := make([]float64, len(t.Columns)-1) // one per scheduler column
 		count := 0
-		for inst := 0; inst < instancesPerSize; inst++ {
+		for inst := 0; inst < scaleInstances(s); inst++ {
 			p, err := randomForwardProblem(src, nd, 4)
 			if err != nil {
 				return nil, err
@@ -188,22 +183,23 @@ func E3ForwardAdmission(instancesPerSize int) (*report.Table, error) {
 				continue
 			}
 			count++
-			for name, s := range map[string]core.Scheduler{
-				"jaba_sd": core.NewJABASD(), "greedy": &core.GreedyJABASD{},
-				"fcfs": &core.FCFS{}, "equal_share": &core.EqualShare{}, "random": core.NewRandom(uint64(inst)),
-			} {
-				a, err := s.Schedule(p)
+			for k, sched := range []core.Scheduler{core.NewJABASD(), &core.GreedyJABASD{},
+				&core.FCFS{}, &core.EqualShare{}, core.NewRandom(uint64(inst))} {
+				a, err := sched.Schedule(p)
 				if err != nil {
 					return nil, err
 				}
-				sums[name] += a.Objective / opt
+				sums[k] += a.Objective / opt
 			}
 		}
 		if count == 0 {
 			continue
 		}
-		t.AddRow(nd, sums["jaba_sd"]/float64(count), sums["greedy"]/float64(count),
-			sums["fcfs"]/float64(count), sums["equal_share"]/float64(count), sums["random"]/float64(count))
+		row := []any{nd}
+		for _, sum := range sums {
+			row = append(row, sum/float64(count))
+		}
+		t.AddRow(row...)
 	}
 	return t, nil
 }
@@ -247,11 +243,7 @@ func exhaustiveOptimum(p core.Problem) (float64, error) {
 	ub := make([]int, len(p.Requests))
 	c := make([]float64, len(p.Requests))
 	for j, r := range p.Requests {
-		u := r.MaxRatio
-		if u > p.MaxRatio {
-			u = p.MaxRatio
-		}
-		ub[j] = u
+		ub[j] = min(r.MaxRatio, p.MaxRatio)
 		c[j] = r.AvgThroughput * (1 + r.Priority)
 	}
 	res, err := ilp.Exhaustive(ilp.Problem{C: c, A: p.Region.Coeff, B: p.Region.Bound, Upper: ub})
@@ -268,14 +260,12 @@ func exhaustiveOptimum(p core.Problem) (float64, error) {
 // E4: reverse-link admission with SCRM neighbour protection (eq. 17).
 // ---------------------------------------------------------------------------
 
-// E4ReverseAdmission builds random multi-cell reverse-link instances and
-// verifies/reports that every scheduler's assignment respects both the host
-// cell and the projected neighbour-cell interference budgets, together with
-// how much of the interference budget each scheduler uses.
-func E4ReverseAdmission(instances int) (*report.Table, error) {
-	if instances <= 0 {
-		instances = 30
-	}
+// e4ReverseAdmission builds scaleInstances random multi-cell reverse-link
+// instances and verifies/reports that every scheduler's assignment respects
+// both the host cell and the projected neighbour-cell interference budgets,
+// together with how much of the interference budget each scheduler uses.
+func e4ReverseAdmission(_ context.Context, s Scale) (*report.Table, error) {
+	instances := scaleInstances(s)
 	t := report.NewTable("E4: reverse-link admission — budget use and violations",
 		"scheduler", "mean_served", "mean_budget_use", "violations")
 	src := rng.New(11)
@@ -283,45 +273,35 @@ func E4ReverseAdmission(instances int) (*report.Table, error) {
 	type acc struct {
 		served, use float64
 		violations  int
-		n           int
 	}
-	results := map[string]*acc{}
-	for _, s := range schedulers {
-		results[s.Name()] = &acc{}
-	}
+	results := make([]acc, len(schedulers))
 	for i := 0; i < instances; i++ {
 		p, err := randomReverseProblem(src, 2+src.Intn(4))
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range schedulers {
-			a, err := s.Schedule(p)
+		for k, sched := range schedulers {
+			a, err := sched.Schedule(p)
 			if err != nil {
 				return nil, err
 			}
-			r := results[s.Name()]
-			r.n++
+			r := &results[k]
 			r.served += float64(a.Served())
 			if !p.Region.Feasible(a.Ratios) {
 				r.violations++
 			}
-			head := p.Region.Headroom(a.Ratios)
 			worst := 0.0
-			for rIdx, h := range head {
-				total := p.Region.Bound[rIdx]
-				if total > 0 {
-					used := 1 - h/total
-					if used > worst {
-						worst = used
-					}
+			for rIdx, h := range p.Region.Headroom(a.Ratios) {
+				if total := p.Region.Bound[rIdx]; total > 0 {
+					worst = max(worst, 1-h/total)
 				}
 			}
 			r.use += worst
 		}
 	}
-	for _, s := range schedulers {
-		r := results[s.Name()]
-		t.AddRow(s.Name(), r.served/float64(r.n), r.use/float64(r.n), r.violations)
+	for k, sched := range schedulers {
+		r := results[k]
+		t.AddRow(sched.Name(), r.served/float64(instances), r.use/float64(instances), r.violations)
 	}
 	return t, nil
 }
@@ -372,205 +352,11 @@ func randomReverseProblem(src *rng.Source, nd int) (core.Problem, error) {
 	}, nil
 }
 
-// ---------------------------------------------------------------------------
-// E5: average packet delay vs offered load (headline dynamic-simulation claim).
-// ---------------------------------------------------------------------------
-
-// E5DelayVsLoad sweeps the number of data users per cell and reports the mean
-// burst delay, 90th-percentile delay and per-cell throughput for JABA-SD,
-// FCFS and equal-share under the full dynamic simulation.
-func E5DelayVsLoad(ctx context.Context, s Scale) (*report.Table, error) {
-	t := report.NewTable("E5: average burst delay vs offered load ("+s.Name+" scale)",
-		"data_users_per_cell", "scheduler", "mean_delay_s", "p90_delay_s",
-		"admission_wait_s", "throughput_per_cell_bps", "coverage", "completion")
-	kinds := []sim.SchedulerKind{sim.SchedulerJABASD, sim.SchedulerFCFS, sim.SchedulerEqualShare}
-	for _, load := range s.LoadPoints {
-		cfg := baseConfig(s)
-		cfg.DataUsersPerCell = load
-		aggs, err := sim.CompareSchedulers(ctx, cfg, kinds, s.Replications)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range kinds {
-			a := aggs[k]
-			t.AddRow(load, string(k), a.MeanDelay.Mean(), a.P90Delay.Mean(),
-				a.AdmissionWait.Mean(), a.Throughput.Mean(), a.Coverage.Mean(), a.CompletionRate.Mean())
-		}
-	}
-	return t, nil
-}
-
-// ---------------------------------------------------------------------------
-// E6: data user capacity at a delay target.
-// ---------------------------------------------------------------------------
-
-// E6UserCapacity reports, for each scheduler, the largest load point from the
-// scale's sweep whose mean burst admission wait (queueing before the first
-// grant, the part of the delay the admission algorithm controls) stays below
-// the target — the paper's "data user capacity" metric.
-func E6UserCapacity(ctx context.Context, s Scale, waitTargetS float64) (*report.Table, error) {
-	if waitTargetS <= 0 {
-		waitTargetS = 2
-	}
-	t := report.NewTable(fmt.Sprintf("E6: data user capacity at mean admission wait target %.1f s (%s scale)", waitTargetS, s.Name),
-		"scheduler", "capacity_users_per_cell", "wait_at_capacity_s")
-	kinds := []sim.SchedulerKind{sim.SchedulerJABASD, sim.SchedulerFCFS, sim.SchedulerEqualShare}
-	capacity := map[sim.SchedulerKind]int{}
-	waitAt := map[sim.SchedulerKind]float64{}
-	for _, load := range s.LoadPoints {
-		cfg := baseConfig(s)
-		cfg.DataUsersPerCell = load
-		aggs, err := sim.CompareSchedulers(ctx, cfg, kinds, s.Replications)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range kinds {
-			if aggs[k].AdmissionWait.Mean() <= waitTargetS {
-				capacity[k] = load
-				waitAt[k] = aggs[k].AdmissionWait.Mean()
-			}
-		}
-	}
-	for _, k := range kinds {
-		t.AddRow(string(k), capacity[k], waitAt[k])
-	}
-	return t, nil
-}
-
-// ---------------------------------------------------------------------------
-// E7: coverage vs shadowing severity.
-// ---------------------------------------------------------------------------
-
-// E7Coverage sweeps the shadowing standard deviation and reports the coverage
-// (fraction of completed bursts served at least at the FCH rate) for JABA-SD
-// and FCFS.
-func E7Coverage(ctx context.Context, s Scale) (*report.Table, error) {
-	t := report.NewTable("E7: coverage vs shadowing sigma ("+s.Name+" scale)",
-		"shadow_sigma_dB", "scheduler", "coverage", "mean_delay_s")
-	kinds := []sim.SchedulerKind{sim.SchedulerJABASD, sim.SchedulerFCFS}
-	for _, sigma := range []float64{4, 8, 12} {
-		cfg := baseConfig(s)
-		cfg.ShadowSigmaDB = sigma
-		aggs, err := sim.CompareSchedulers(ctx, cfg, kinds, s.Replications)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range kinds {
-			t.AddRow(sigma, string(k), aggs[k].Coverage.Mean(), aggs[k].MeanDelay.Mean())
-		}
-	}
-	return t, nil
-}
-
-// ---------------------------------------------------------------------------
-// E8: joint design ablation (adaptive PHY x scheduler).
-// ---------------------------------------------------------------------------
-
-// E8JointDesignAblation runs the 2x2 design {adaptive, fixed-rate} PHY x
-// {JABA-SD, FCFS} and reports delay and throughput, demonstrating the paper's
-// synergy claim: the gain of the joint design exceeds the sum of either
-// component alone.
-func E8JointDesignAblation(ctx context.Context, s Scale) (*report.Table, error) {
-	t := report.NewTable("E8: joint design ablation ("+s.Name+" scale)",
-		"phy", "scheduler", "mean_delay_s", "throughput_per_cell_bps", "coverage")
-	for _, fixed := range []bool{false, true} {
-		for _, k := range []sim.SchedulerKind{sim.SchedulerJABASD, sim.SchedulerFCFS} {
-			cfg := baseConfig(s)
-			cfg.UseFixedRatePHY = fixed
-			cfg.FixedRateMode = 3
-			cfg.Scheduler = k
-			agg, err := sim.RunReplications(ctx, cfg, s.Replications)
-			if err != nil {
-				return nil, err
-			}
-			phyName := "adaptive-vtaoc"
-			if fixed {
-				phyName = "fixed-mode3"
-			}
-			t.AddRow(phyName, string(k), agg.MeanDelay.Mean(), agg.Throughput.Mean(), agg.Coverage.Mean())
-		}
-	}
-	return t, nil
-}
-
-// ---------------------------------------------------------------------------
-// E9: objective J1 vs J2 trade-off.
-// ---------------------------------------------------------------------------
-
-// E9ObjectiveTradeoff sweeps the delay-penalty weight λ of objective J2
-// (λ = 0 is J1) and reports mean delay, p90 delay and throughput under
-// JABA-SD, exposing the utilisation/delay trade-off of Section 3.2.
-func E9ObjectiveTradeoff(ctx context.Context, s Scale) (*report.Table, error) {
-	t := report.NewTable("E9: objective J1 vs J2 trade-off ("+s.Name+" scale)",
-		"lambda", "mean_delay_s", "p90_delay_s", "throughput_per_cell_bps")
-	for _, lambda := range []float64{0, 0.05, 0.2, 0.5} {
-		cfg := baseConfig(s)
-		// Run at a high load point: the delay penalty only changes decisions
-		// when requests actually compete for the same frame's resources.
-		cfg.DataUsersPerCell = 18
-		if lambda == 0 {
-			cfg.Objective = core.Objective{Kind: core.ObjectiveThroughput}
-		} else {
-			cfg.Objective = core.Objective{Kind: core.ObjectiveDelayAware, Lambda: lambda, RateScale: 16}
-		}
-		agg, err := sim.RunReplications(ctx, cfg, s.Replications)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(lambda, agg.MeanDelay.Mean(), agg.P90Delay.Mean(), agg.Throughput.Mean())
-	}
-	return t, nil
-}
-
-// ---------------------------------------------------------------------------
-// E10: MAC state set-up penalty effect (Figure 3, eq. 22-23).
-// ---------------------------------------------------------------------------
-
-// E10MacStates sweeps the Suspended-state set-up penalty D2 and reports the
-// resulting mean burst delay and admission wait, quantifying how much the
-// MAC state machine contributes to the overall packet delay.
-func E10MacStates(ctx context.Context, s Scale) (*report.Table, error) {
-	t := report.NewTable("E10: MAC set-up penalty sweep ("+s.Name+" scale)",
-		"D2_seconds", "mean_delay_s", "mean_admission_wait_s")
-	for _, d2 := range []float64{0.2, 1.0, 3.0} {
-		cfg := baseConfig(s)
-		// High load so that queueing pushes users past the T2/T3 timers and
-		// the Suspended-state set-up penalty actually gets charged.
-		cfg.DataUsersPerCell = 18
-		cfg.MAC.D2 = d2
-		if cfg.MAC.D1 > d2 {
-			cfg.MAC.D1 = d2
-		}
-		agg, err := sim.RunReplications(ctx, cfg, s.Replications)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(d2, agg.MeanDelay.Mean(), agg.AdmissionWait.Mean())
-	}
-	return t, nil
-}
-
+// scaleInstances is the number of random instances E3 (per size) and E4
+// draw at a scale.
 func scaleInstances(s Scale) int {
 	if s.Name == "full" {
 		return 60
 	}
 	return 15
-}
-
-// SanityCheckE1 verifies the monotonicity property that makes E1 meaningful
-// (used by tests): the adaptive throughput never decreases with the CSI and
-// never falls below either fixed mode.
-func SanityCheckE1(t *report.Table) error {
-	prev := math.Inf(-1)
-	for _, row := range t.Rows {
-		var adaptive float64
-		if _, err := fmt.Sscanf(row[1], "%g", &adaptive); err != nil {
-			return err
-		}
-		if adaptive < prev-1e-9 {
-			return fmt.Errorf("adaptive throughput decreased: %v after %v", adaptive, prev)
-		}
-		prev = adaptive
-	}
-	return nil
 }

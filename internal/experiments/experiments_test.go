@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strconv"
 	"testing"
+
+	"jabasd/internal/report"
 )
 
 func parseFloat(t *testing.T, s string) float64 {
@@ -26,14 +30,14 @@ var tinyScale = Scale{
 }
 
 func TestE1AdaptivePhyThroughput(t *testing.T) {
-	tbl, err := E1AdaptivePhyThroughput()
+	tbl, err := e1AdaptivePhyThroughput(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.NumRows() < 10 {
 		t.Fatalf("too few rows: %d", tbl.NumRows())
 	}
-	if err := SanityCheckE1(tbl); err != nil {
+	if err := sanityCheckE1(tbl); err != nil {
 		t.Error(err)
 	}
 	// The adaptive PHY must dominate both fixed modes in every row.
@@ -52,7 +56,7 @@ func TestE1AdaptivePhyThroughput(t *testing.T) {
 }
 
 func TestE2ModeOccupancy(t *testing.T) {
-	tbl, err := E2ModeOccupancy(15, 50_000)
+	tbl, err := e2ModeOccupancy(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +78,10 @@ func TestE2ModeOccupancy(t *testing.T) {
 	if sumEmp < 0.999 || sumEmp > 1.001 || sumAna < 0.999 || sumAna > 1.001 {
 		t.Errorf("fractions do not sum to 1: %v %v", sumEmp, sumAna)
 	}
-	// Default sample count path.
-	if _, err := E2ModeOccupancy(10, 0); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestE3ForwardAdmission(t *testing.T) {
-	tbl, err := E3ForwardAdmission(10)
+	tbl, err := e3ForwardAdmission(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestE3ForwardAdmission(t *testing.T) {
 }
 
 func TestE4ReverseAdmission(t *testing.T) {
-	tbl, err := E4ReverseAdmission(10)
+	tbl, err := e4ReverseAdmission(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestE5DelayVsLoadQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dynamic simulation experiment skipped in -short mode")
 	}
-	tbl, err := E5DelayVsLoad(context.Background(), tinyScale)
+	tbl, err := e5DelayVsLoad(context.Background(), tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestE8JointDesignAblationQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dynamic simulation experiment skipped in -short mode")
 	}
-	tbl, err := E8JointDesignAblation(context.Background(), tinyScale)
+	tbl, err := e8JointDesignAblation(context.Background(), tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +165,10 @@ func TestE9E10Quick(t *testing.T) {
 	}
 	small := tinyScale
 	small.LoadPoints = []int{3}
-	if tbl, err := E9ObjectiveTradeoff(context.Background(), small); err != nil || tbl.NumRows() != 4 {
+	if tbl, err := e9ObjectiveTradeoff(context.Background(), small); err != nil || tbl.NumRows() != 4 {
 		t.Fatalf("E9: %v rows=%v", err, tbl)
 	}
-	if tbl, err := E10MacStates(context.Background(), small); err != nil || tbl.NumRows() != 3 {
+	if tbl, err := e10MacStates(context.Background(), small); err != nil || tbl.NumRows() != 3 {
 		t.Fatalf("E10: %v rows=%v", err, tbl)
 	}
 }
@@ -179,14 +179,14 @@ func TestE6E7Quick(t *testing.T) {
 	}
 	small := tinyScale
 	small.LoadPoints = []int{3}
-	tbl, err := E6UserCapacity(context.Background(), small, 0) // default target path
+	tbl, err := e6UserCapacity(context.Background(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.NumRows() != 3 {
 		t.Fatalf("E6 rows = %d", tbl.NumRows())
 	}
-	tbl7, err := E7Coverage(context.Background(), small)
+	tbl7, err := e7Coverage(context.Background(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,4 +205,22 @@ func TestScaleInstances(t *testing.T) {
 	if scaleInstances(Full) <= scaleInstances(Quick) {
 		t.Error("full scale should use more instances than quick")
 	}
+}
+
+// sanityCheckE1 verifies the monotonicity property that makes E1 meaningful:
+// the adaptive throughput never decreases with the CSI and
+// never falls below either fixed mode.
+func sanityCheckE1(t *report.Table) error {
+	prev := math.Inf(-1)
+	for _, row := range t.Rows {
+		var adaptive float64
+		if _, err := fmt.Sscanf(row[1], "%g", &adaptive); err != nil {
+			return err
+		}
+		if adaptive < prev-1e-9 {
+			return fmt.Errorf("adaptive throughput decreased: %v after %v", adaptive, prev)
+		}
+		prev = adaptive
+	}
+	return nil
 }

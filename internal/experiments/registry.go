@@ -35,62 +35,20 @@ type Experiment struct {
 // the two can never drift apart.
 func Registry() []Experiment {
 	return []Experiment{
-		{
-			ID: "E1", Title: "adaptive physical layer throughput vs mean CSI", Analytic: true,
-			Run: func(context.Context, Scale) (*report.Table, error) { return E1AdaptivePhyThroughput() },
-		},
-		{
-			ID: "E2", Title: "VTAOC mode occupancy over a fading trace", Analytic: true,
-			Run: func(context.Context, Scale) (*report.Table, error) { return E2ModeOccupancy(15, 200_000) },
-		},
-		{
-			ID: "E3", Title: "forward-link admission optimality vs exhaustive optimum", Analytic: true,
-			Run: func(_ context.Context, s Scale) (*report.Table, error) { return E3ForwardAdmission(scaleInstances(s)) },
-		},
-		{
-			ID: "E4", Title: "reverse-link admission with SCRM neighbour protection", Analytic: true,
-			Run: func(_ context.Context, s Scale) (*report.Table, error) { return E4ReverseAdmission(scaleInstances(s)) },
-		},
-		{
-			ID: "E5", Title: "average burst delay vs offered load",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E5DelayVsLoad(ctx, s) },
-		},
-		{
-			ID: "E6", Title: "data user capacity at a delay target",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E6UserCapacity(ctx, s, 2) },
-		},
-		{
-			ID: "E7", Title: "coverage vs shadowing severity",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E7Coverage(ctx, s) },
-		},
-		{
-			ID: "E8", Title: "joint design ablation (adaptive PHY x scheduler)",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E8JointDesignAblation(ctx, s) },
-		},
-		{
-			ID: "E9", Title: "objective J1 vs J2 trade-off",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E9ObjectiveTradeoff(ctx, s) },
-		},
-		{
-			ID: "E10", Title: "MAC state set-up penalty effect",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E10MacStates(ctx, s) },
-		},
-		{
-			ID: "E11", Title: "transient warm-up and convergence (frame-level telemetry)",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E11WarmupConvergence(ctx, s) },
-		},
-		{
-			ID: "E12", Title: "offered-load step response (mid-run flash crowd)",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E12LoadStepResponse(ctx, s) },
-		},
-		{
-			ID: "E13", Title: "mid-run cell outage: spillover transient and recovery settling",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E13CellOutageSpillover(ctx, s) },
-		},
-		{
-			ID: "E14", Title: "flash-crowd load curve (piecewise fault schedule)",
-			Run: func(ctx context.Context, s Scale) (*report.Table, error) { return E14FlashCrowdCurve(ctx, s) },
-		},
+		{ID: "E1", Title: "adaptive physical layer throughput vs mean CSI", Analytic: true, Run: e1AdaptivePhyThroughput},
+		{ID: "E2", Title: "VTAOC mode occupancy over a fading trace", Analytic: true, Run: e2ModeOccupancy},
+		{ID: "E3", Title: "forward-link admission optimality vs exhaustive optimum", Analytic: true, Run: e3ForwardAdmission},
+		{ID: "E4", Title: "reverse-link admission with SCRM neighbour protection", Analytic: true, Run: e4ReverseAdmission},
+		{ID: "E5", Title: "average burst delay vs offered load", Run: e5DelayVsLoad},
+		{ID: "E6", Title: "data user capacity at a delay target", Run: e6UserCapacity},
+		{ID: "E7", Title: "coverage vs shadowing severity", Run: e7Coverage},
+		{ID: "E8", Title: "joint design ablation (adaptive PHY x scheduler)", Run: e8JointDesignAblation},
+		{ID: "E9", Title: "objective J1 vs J2 trade-off", Run: e9ObjectiveTradeoff},
+		{ID: "E10", Title: "MAC state set-up penalty effect", Run: e10MacStates},
+		{ID: "E11", Title: "transient warm-up and convergence (frame-level telemetry)", Run: e11WarmupConvergence},
+		{ID: "E12", Title: "offered-load step response (mid-run flash crowd)", Run: e12LoadStepResponse},
+		{ID: "E13", Title: "mid-run cell outage: spillover transient and recovery settling", Run: e13CellOutageSpillover},
+		{ID: "E14", Title: "flash-crowd load curve (piecewise fault schedule)", Run: e14FlashCrowdCurve},
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"jabasd/internal/report"
 	"jabasd/internal/trace"
 )
 
@@ -12,7 +13,7 @@ func TestE11WarmupConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dynamic simulation experiment skipped in -short mode")
 	}
-	tbl, err := E11WarmupConvergence(context.Background(), tinyScale)
+	tbl, err := e11WarmupConvergence(context.Background(), tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestE12LoadStepResponse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dynamic simulation experiment skipped in -short mode")
 	}
-	tbl, err := E12LoadStepResponse(context.Background(), tinyScale)
+	tbl, err := e12LoadStepResponse(context.Background(), tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +93,20 @@ func TestE11ZeroReplicationsScale(t *testing.T) {
 		t.Skip("dynamic simulation experiment skipped in -short mode")
 	}
 	// A zero-value Replications field must clamp to one replication in both
-	// the runner and the rate normalisation — not divide by zero.
+	// the runner and the rate normalisation — not divide by zero — and the
+	// steady-state experiments follow the same rule instead of failing.
 	s := tinyScale
 	s.Replications = 0
-	tbl, err := E11WarmupConvergence(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tbl.Rows {
-		for _, cell := range row {
-			if strings.Contains(cell, "Inf") || strings.Contains(cell, "NaN") {
-				t.Fatalf("non-finite cell %q in %v", cell, row)
+	for _, run := range []func(context.Context, Scale) (*report.Table, error){e11WarmupConvergence, e10MacStates} {
+		tbl, err := run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tbl.Rows {
+			for _, cell := range row {
+				if strings.Contains(cell, "Inf") || strings.Contains(cell, "NaN") {
+					t.Fatalf("non-finite cell %q in %v", cell, row)
+				}
 			}
 		}
 	}

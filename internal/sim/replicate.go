@@ -83,22 +83,3 @@ func ResolveFrameParallel(cfg Config, fanout int) int {
 	}
 	return cfg.FrameParallel
 }
-
-// CompareSchedulers runs cfg under each scheduler kind, all in one fan-out
-// with the same seeds (common random numbers), and keys the aggregates by kind.
-func CompareSchedulers(ctx context.Context, cfg Config, kinds []SchedulerKind, reps int) (map[SchedulerKind]*Aggregate, error) {
-	cfgs := make([]Config, len(kinds))
-	for i, k := range kinds {
-		cfgs[i] = cfg
-		cfgs[i].Scheduler = k
-	}
-	out := make(map[SchedulerKind]*Aggregate, len(kinds))
-	err := Replicate(ctx, cfgs, reps, 0, func(i int, agg *Aggregate) error {
-		out[kinds[i]] = agg
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

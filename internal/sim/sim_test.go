@@ -260,29 +260,6 @@ func TestRunReplicationsReproducible(t *testing.T) {
 	}
 }
 
-func TestCompareSchedulers(t *testing.T) {
-	cfg := quickConfig()
-	cfg.SimTime = 4
-	kinds := []SchedulerKind{SchedulerJABASD, SchedulerFCFS}
-	out, err := CompareSchedulers(context.Background(), cfg, kinds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("expected 2 aggregates, got %d", len(out))
-	}
-	for _, k := range kinds {
-		if out[k] == nil || out[k].Replications != 1 {
-			t.Errorf("missing aggregate for %s", k)
-		}
-	}
-	bad := cfg
-	bad.SimTime = 0
-	if _, err := CompareSchedulers(context.Background(), bad, kinds, 1); err == nil {
-		t.Error("invalid config should fail")
-	}
-}
-
 func TestHigherLoadIncreasesDelay(t *testing.T) {
 	// Doubling the data population should not reduce the mean burst delay:
 	// the headline qualitative behaviour every admission scheme must show.

@@ -1,8 +1,8 @@
 // Package stream provides the bounded-parallel execution primitives shared
 // by the experiment suite (internal/experiments) and the simulator
 // (internal/sim): its replication runner sim.Replicate, which parameter
-// sweeps, scheduler comparisons and transient experiments all go through,
-// and its frame fan-out. Ordered is a one-shot order-preserving task
+// sweeps and the dynamic experiments all go through, and its frame
+// fan-out. Ordered is a one-shot order-preserving task
 // runner, and Pool a reusable worker pool for repeated small fan-outs.
 // Ordered emits results strictly in input order as soon as each task and
 // all of its predecessors have finished, so a caller that prints or

@@ -9,7 +9,7 @@ import (
 )
 
 // Memory is an in-memory sink: it appends copies of every batch to Records.
-// Tests and the transient experiments (E11/E12) consume it directly.
+// Tests and the transient experiments (E11-E14) consume it directly.
 type Memory struct {
 	Records []Record
 }

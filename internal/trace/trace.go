@@ -7,7 +7,7 @@
 // The engine emits one Record per (sampled frame, cell) into a Recorder,
 // which buffers them in a preallocated ring and hands full batches to a
 // pluggable Sink: Memory for tests and the transient experiments
-// (E11/E12), CSV and JSONL writers for the -trace flags of cmd/jabasim
+// (E11-E14), CSV and JSONL writers for the -trace flags of cmd/jabasim
 // and cmd/jabasweep. The hot path (Recorder.Emit) is allocation-free —
 // records are value structs copied into the ring — and all emission
 // happens on the engine's sequential sections, so the stream is
