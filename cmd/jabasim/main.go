@@ -197,6 +197,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	// Refuse before any output file is created, so a refused run leaves
+	// existing files untouched.
+	if *solveTrace != "" && nreps > 1 {
+		return fmt.Errorf("-solve-trace records one engine; use -reps 1")
+	}
 	if *cpuProfile != "" {
 		if workers := profileWorkers(cfg, *reps); workers > 1 {
 			fmt.Fprintf(os.Stderr, "jabasim: warning: -cpuprofile with %d frame workers spreads frame-loop samples across pool goroutines; rerun with -frameparallel 1 for a flat single-stack profile\n", workers)
@@ -268,9 +273,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	if *solveTrace != "" && nreps > 1 {
-		return fmt.Errorf("-solve-trace records one engine; use -reps 1")
-	}
 	var solveFile *os.File
 	var solveBuf *bufio.Writer
 	if *solveTrace != "" {

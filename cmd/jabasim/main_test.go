@@ -234,6 +234,24 @@ func TestRunSolveTraceAndReplayErrors(t *testing.T) {
 			t.Errorf("args %v should fail", args)
 		}
 	}
+	// A refused -solve-trace run creates no output file, so it leaves an
+	// existing trace and CPU profile as they were.
+	trace, prof := filepath.Join(dir, "existing.csv"), filepath.Join(dir, "cpu.prof")
+	for _, p := range []string{trace, prof} {
+		if err := os.WriteFile(p, []byte("keep me\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := run(context.Background(), []string{"-preset", "smoke", "-reps", "2", "-trace", trace,
+		"-cpuprofile", prof, "-solve-trace", filepath.Join(dir, "s.jsonl")}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-solve-trace records one engine") {
+		t.Errorf("refused -solve-trace run: err = %v", err)
+	}
+	for _, p := range []string{trace, prof} {
+		if data, err := os.ReadFile(p); err != nil || string(data) != "keep me\n" {
+			t.Errorf("refused run changed %s: %q, %v", filepath.Base(p), data, err)
+		}
+	}
 	// A replay with an unknown scheduler fails even on a valid trace.
 	solves := filepath.Join(dir, "solves.jsonl")
 	runOut(t, "-preset", "smoke", "-sim-time", "3", "-data-users", "2", "-solve-trace", solves)

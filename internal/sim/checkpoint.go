@@ -7,10 +7,9 @@ package sim
 // user's measurement snapshot (paused users carry it across frames), the
 // MAC machines, the traffic sources, the queue contents, the ongoing bursts
 // and the accumulated metrics. Everything else — distance rows, the load
-// ledger, the incremental region cache and the measurement versions it
-// keys on, the Jakes fading table, solver warm state — is per-frame
-// scratch or static after seeding, rebuilt deterministically by NewEngine
-// + the next step().
+// ledger, the admissible regions, the Jakes fading table, solver warm
+// state — is per-frame scratch or static after seeding, rebuilt
+// deterministically by NewEngine + the next step().
 //
 // Resume rebuilds the engine from the stored configuration (populate
 // consumes exactly the draws it consumed originally, recreating every

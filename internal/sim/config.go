@@ -165,12 +165,11 @@ type Config struct {
 
 	// ExactPHY selects the bit-exact reference physics: the scalar-equivalent
 	// channel/pilot kernels (math.Pow, dB-domain pilot comparisons) and the
-	// exact VTAOC integral instead of its lookup table. Both paths take their
-	// admissible regions from the one incremental region cache, whose output
-	// is a full rebuild's. It exists to keep golden outputs byte-identical to
-	// the pre-batching engine; the default (false) runs the fast SoA kernels —
-	// gains within ~1e-12 relative, VTAOC within 5e-7 absolute, statistically
-	// equivalent shadowing draws — for a several-fold frame-rate gain.
+	// exact VTAOC integral instead of its lookup table. It exists to keep
+	// golden outputs byte-identical to the pre-batching engine; the default
+	// (false) runs the fast SoA kernels — gains within ~1e-12 relative, VTAOC
+	// within 5e-7 absolute, statistically equivalent shadowing draws — for a
+	// several-fold frame-rate gain.
 	ExactPHY bool
 
 	// Traffic.

@@ -79,11 +79,6 @@ type dataUser struct {
 	source   *traffic.DataModel
 	macM     *mac.Machine
 
-	// ver counts measurement recomputes: refreshPilots bumps it, and the
-	// incremental region cache keys on it. The cache is not checkpointed,
-	// so neither is the version.
-	ver uint64
-
 	// bucket is the spatial-grid bucket the window was last targeted at
 	// (-1 before the first frame) and cand aliases that bucket's candidate
 	// list in the spatial index (nil before the first frame): global cell
@@ -139,13 +134,6 @@ type Engine struct {
 	fadeB *rng.JakesBatch
 	winB  *channel.Window
 	spix  *spatial.Index
-
-	// incr caches per-cell admissible regions across frames on both
-	// physics paths: it rebuilds a region only when its inputs moved, so
-	// its output is a full rebuild's. One cache serves every frame mode and
-	// worker count: a cell is solved by exactly one worker per frame, so
-	// workers never touch the same entry.
-	incr *measurement.IncrementalRegions
 
 	// Per-run constants hoisted out of the per-user frame loop. The exact
 	// path computes identical values to the per-call originals; the linear
@@ -236,14 +224,12 @@ type admitScratch struct {
 	rev   []measurement.ReverseRequest
 	csi   []float64 // live users' mean CSI, input to the batched PHY eval
 	bp    []float64 // per-user average throughput, batch output
-	vers  []uint64  // live users' measurement versions, for the region cache
 	// revPilot and scrm back rev[i]'s reverse pilot report and SCRM: one
 	// Vec each per gathered reverse request, refilled per cell.
 	revPilot []load.Vec
 	scrm     []load.Vec
-	// region is the admissible region the last solveCell call built (or
-	// fetched from the incremental cache) — kept for the solve trace, which
-	// deep-copies it out of this reused scratch.
+	// region is the admissible region the last solveCell call built, kept
+	// for the solve trace, which deep-copies it out of this reused scratch.
 	region measurement.Region
 }
 
@@ -334,7 +320,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.ebioTarget = mathx.Linear(cfg.FCHEbIoTargetDB)
 	e.addFactor = math.Pow(10, -cfg.SoftHandoffAddDB/10)
 	e.minEcIo = math.Pow(10, cfg.PilotMinEcIoDB/10)
-	e.incr = measurement.NewIncrementalRegions(layout.NumCells())
 	e.spix = spatial.New(layout, cfg.PilotCells)
 	e.queues = make([]*traffic.Queue, layout.NumCells())
 	for k := range e.queues {
@@ -936,7 +921,6 @@ func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) {
 	s.fwd = s.fwd[:0]
 	s.rev = s.rev[:0]
 	s.csi = s.csi[:0]
-	s.vers = s.vers[:0]
 	// First pass: collect the users' CSI, so the physical layer evaluates
 	// the whole cell in one batched call over the (tabulated) mode ladder.
 	// AverageThroughput is a pure function, so the two-pass shape returns
@@ -951,7 +935,6 @@ func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) {
 		item := u.queuedReq
 		bp := s.bp[i]
 		wait := e.now - item.ArrivalTime
-		s.vers = append(s.vers, u.ver)
 		s.reqs = append(s.reqs, core.Request{
 			UserID:        u.id,
 			SizeBits:      item.SizeBits,
@@ -1021,14 +1004,11 @@ func (e *Engine) avgThroughputBatch(dst, csi []float64) []float64 {
 }
 
 // solveCell builds cell k's admissible region for the requests gathered
-// into fw's scratch against the given ledger and solves the scheduling
-// problem with fw's scheduler. The region comes from the engine's
-// incremental cache, which rebuilds it with fw's region builder only when
-// the cell's request set, measurement versions or — reverse link —
-// involved-cell loads changed. The returned assignment indexes
-// fw.scratch.users.
+// into fw's scratch against the given ledger, with fw's region builder, and
+// solves the scheduling problem with fw's scheduler. The returned
+// assignment indexes fw.scratch.users.
 func (e *Engine) solveCell(k int, fw *frameWorker, loads []float64) (core.Assignment, error) {
-	s, rb := &fw.scratch, &fw.regionB
+	s := &fw.scratch
 	var region measurement.Region
 	var err error
 	switch e.cfg.Direction {
@@ -1037,8 +1017,7 @@ func (e *Engine) solveCell(k int, fw *frameWorker, loads []float64) (core.Assign
 		if e.fault != nil {
 			// Degraded cell: the forward budget is the derated transmit
 			// power. Derate is 1 for healthy cells (exact multiply by 1, no
-			// bit drift) and the incremental cache recomputes its bounds
-			// from MaxLoad on every reuse, so no invalidation is needed.
+			// bit drift).
 			maxLoad *= e.fault.Derate[k]
 		}
 		state := measurement.ForwardState{
@@ -1046,7 +1025,7 @@ func (e *Engine) solveCell(k int, fw *frameWorker, loads []float64) (core.Assign
 			MaxLoad:     maxLoad,
 			GammaS:      e.cfg.RatePlan.GammaS,
 		}
-		region, _, err = e.incr.ForwardCell(k, rb, state, s.fwd, s.vers)
+		region, err = fw.regionB.Forward(state, s.fwd)
 	case Reverse:
 		state := measurement.ReverseState{
 			TotalReceived: loads,
@@ -1054,7 +1033,7 @@ func (e *Engine) solveCell(k int, fw *frameWorker, loads []float64) (core.Assign
 			GammaS:        e.cfg.RatePlan.GammaS,
 			ShadowMargin:  e.cfg.ShadowMargin,
 		}
-		region, _, err = e.incr.ReverseCell(k, rb, state, s.rev, s.vers)
+		region, err = fw.regionB.Reverse(state, s.rev)
 	}
 	if err != nil {
 		return core.Assignment{}, err

@@ -11,6 +11,7 @@ import (
 
 	"jabasd/internal/cellular"
 	"jabasd/internal/core"
+	"jabasd/internal/fault"
 	"jabasd/internal/mathx"
 	"jabasd/internal/stats"
 	"jabasd/internal/traffic"
@@ -127,34 +128,51 @@ func checkFCHCells(t *testing.T, u *dataUser) {
 	}
 }
 
-// TestMeasurementVersionBothPaths: both physics paths key the incremental
-// region cache on a measurement version that every recompute bumps. Static
-// users recompute once, on their first frame, and then pause; a frame on
-// which the fault mask changed recomputes a paused user again.
-func TestMeasurementVersionBothPaths(t *testing.T) {
+// TestOutageRefreshesPausedUsers: on both physics paths, a static user
+// pauses after its first frame and skips the recompute, but a frame on which
+// the fault mask changed must re-derive its measurements. After one cell
+// goes down, no user's pilot, active or reduced set or FCH footprint may
+// name that cell, and no user may keep it as host.
+func TestOutageRefreshesPausedUsers(t *testing.T) {
+	const down = 0
 	for _, exact := range []bool{false, true} {
 		e := newTestEngine(t, func(c *Config) {
 			c.ExactPHY = exact
 			c.MinSpeed, c.MaxSpeed = 0, 0
+			c.Faults = &fault.Schedule{Cells: []fault.CellEvent{{Cell: down, StartSec: 10 * c.FrameLength, EndSec: c.SimTime}}}
 		})
-		step := func() {
-			e.updateUsers()
-			e.now += e.cfg.FrameLength
+		// hosted counts the users the faulted cell hosts on the frame before the
+		// outage, so the checks below are not vacuous.
+		hosted := 0
+		for f := 0; !e.anyDown; f++ {
+			if f == 20 {
+				t.Fatalf("exact=%v: cell %d never went down", exact, down)
+			}
+			hosted = 0
+			for _, u := range e.users {
+				if u.hostCell == down {
+					hosted++
+				}
+			}
+			e.now = float64(f) * e.cfg.FrameLength
+			e.step()
 		}
-		for range 5 {
-			step()
+		if hosted == 0 {
+			t.Fatalf("exact=%v: no user hosted cell %d before the outage", exact, down)
 		}
 		for _, u := range e.users {
-			if u.ver != 1 {
-				t.Fatalf("exact=%v: static user %d has version %d after 5 frames, want 1", exact, u.id, u.ver)
+			if u.hostCell == down {
+				t.Errorf("exact=%v: user %d still hosted by down cell %d", exact, u.id, down)
 			}
-		}
-		e.faultDirty = true
-		step()
-		for _, u := range e.users {
-			if u.ver != 2 {
-				t.Fatalf("exact=%v: paused user %d has version %d after a fault-mask change, want 2", exact, u.id, u.ver)
+			for _, pm := range u.pilots {
+				if int(pm.Cell) == down {
+					t.Errorf("exact=%v: user %d keeps a pilot from down cell %d", exact, u.id, down)
+				}
 			}
+			if slices.Contains(u.active, down) || slices.Contains(u.reduced, down) {
+				t.Errorf("exact=%v: user %d active %v / reduced %v name down cell %d", exact, u.id, u.active, u.reduced, down)
+			}
+			checkFCHCells(t, u)
 		}
 	}
 }

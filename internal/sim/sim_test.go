@@ -486,81 +486,3 @@ func TestSnapshotModeRequiresClonableScheduler(t *testing.T) {
 		t.Error("negative FrameParallel should be rejected")
 	}
 }
-
-// TestIncrementalRegionsMatchFullRebuild is the correctness contract of the
-// incremental region cache: a cached region is reused only when its inputs
-// are bitwise unchanged, so on both physics paths and for every frame mode
-// and worker count the engine must produce exactly the output of the same
-// engine rebuilding every region from scratch (ForceFull, the oracle). The
-// static-user scenario pins that the equality is not vacuous — paused users
-// keep their measurement versions, so the cache actually serves hits there.
-func TestIncrementalRegionsMatchFullRebuild(t *testing.T) {
-	run := func(cfg Config, forceFull bool) (*Metrics, uint64) {
-		t.Helper()
-		e, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.incr.ForceFull = forceFull
-		m, err := e.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits, _ := e.incr.Stats()
-		return m, hits
-	}
-	scenarios := []struct {
-		name     string
-		mutate   func(*Config)
-		wantHits bool
-	}{
-		// Static users pause forever after placement: measurement versions
-		// freeze, so stable request queues reuse their cached regions.
-		{"static", func(c *Config) { c.MinSpeed, c.MaxSpeed = 0, 0 }, true},
-		// Moving users re-mark dirty every frame at epsilon 0; the cache
-		// degenerates to full rebuilds and must still match exactly.
-		{"moving", func(c *Config) {}, false},
-	}
-	modes := []struct {
-		mode FrameMode
-		par  int
-	}{
-		{FrameSequential, 0},
-		{FrameSnapshot, 1},
-		{FrameSnapshot, 2},
-		{FrameSnapshot, 8},
-	}
-	for _, sc := range scenarios {
-		for _, exact := range []bool{false, true} {
-			for _, dir := range []Direction{Forward, Reverse} {
-				base := quickConfig()
-				base.SimTime = 4
-				base.ExactPHY = exact
-				base.Direction = dir
-				// Enough contention that requests wait in queue across
-				// frames — a cache hit needs the same request set in
-				// consecutive builds.
-				base.DataUsersPerCell = 14
-				sc.mutate(&base)
-				for _, mc := range modes {
-					cfg := base
-					cfg.FrameMode = mc.mode
-					cfg.FrameParallel = mc.par
-					full, _ := run(cfg, true)
-					incr, hits := run(cfg, false)
-					if fingerprint(full) != fingerprint(incr) {
-						t.Errorf("%s exact=%v %s %s/par=%d: incremental diverged from full rebuild: %v vs %v",
-							sc.name, exact, dir, mc.mode, mc.par, fingerprint(incr), fingerprint(full))
-					}
-					// Reverse-link reuse additionally requires the involved
-					// cells' ledger loads to match bitwise, and voice
-					// activity perturbs them every frame — so only the
-					// forward link is required to actually serve hits here.
-					if sc.wantHits && dir == Forward && hits == 0 {
-						t.Errorf("%s exact=%v %s %s/par=%d: incremental cache never hit", sc.name, exact, dir, mc.mode, mc.par)
-					}
-				}
-			}
-		}
-	}
-}

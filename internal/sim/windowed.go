@@ -27,9 +27,7 @@ package sim
 // The exact reference path (ExactPHY) and the default fast path share one
 // control flow and differ only in the kernels they call: metre or squared
 // distances, AdvanceExact or AdvanceFast, dB- or linear-domain pilot and
-// active sets. Both bump the user's measurement version on every
-// recompute and take their admissible regions from the one incremental
-// region cache.
+// active sets.
 
 import (
 	"fmt"
@@ -98,10 +96,8 @@ func (e *Engine) updateUser(u *dataUser, dt float64, dist []float64) {
 // refreshPilots forms the user's pilot and active sets from its current
 // window gains — dB domain on the exact path, linear domain on the fast
 // path — skipping out-of-service cells (see downMask), and derives
-// everything downstream. It bumps the user's measurement version, so the
-// region cache rebuilds every region the user's request enters next.
+// everything downstream.
 func (e *Engine) refreshPilots(u *dataUser) {
-	u.ver++
 	down := e.downMask()
 	if e.cfg.ExactPHY {
 		u.pilots = cellular.PilotSetCellsInto(u.pilots, u.cand, u.gain, down, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)

@@ -260,9 +260,6 @@ var unreferencedExportsAllowed = map[string]string{
 	"internal/cellular.Layout.NearestCell":   "test oracle of spatial.Index's nearest-cell queries",
 	"internal/cellular.Layout.NearestCellSq": "test oracle of spatial.Index's nearest-cell queries, squared distances",
 	"internal/channel.Batch.ShadowRow":       "tests compare batch shadowing with the scalar Link chain through it",
-
-	// ROADMAP item 7 surfaces it.
-	"internal/measurement.IncrementalRegions.Stats": "region-cache hit and miss counters for the engine counters",
 }
 
 // TestExportedSymbolsReachable fails when an exported top-level function
