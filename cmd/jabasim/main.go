@@ -29,6 +29,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -202,16 +203,25 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *solveTrace != "" && nreps > 1 {
 		return fmt.Errorf("-solve-trace records one engine; use -reps 1")
 	}
-	if *cpuProfile != "" {
+	// Every output file is open before any is truncated, so a path that
+	// cannot be opened fails the run with every existing file intact. The
+	// deferred closes back failure paths only; success closes each file
+	// explicitly below so a full disk surfaces as an error.
+	sinks, err := openSinks(*cpuProfile, *memProfile, *tracePath, *solveTrace)
+	if err != nil {
+		return err
+	}
+	for _, f := range sinks {
+		if f != nil {
+			defer f.Close()
+		}
+	}
+	cpuFile, memFile, traceFile, solveFile := sinks[0], sinks[1], sinks[2], sinks[3]
+	if cpuFile != nil {
 		if workers := profileWorkers(cfg, *reps); workers > 1 {
 			fmt.Fprintf(os.Stderr, "jabasim: warning: -cpuprofile with %d frame workers spreads frame-loop samples across pool goroutines; rerun with -frameparallel 1 for a flat single-stack profile\n", workers)
 		}
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
 			return err
 		}
 		defer pprof.StopCPUProfile()
@@ -225,40 +235,32 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// several replications the engines are gone and those views are near
 	// empty.
 	finishProfiles := func() error {
-		if *cpuProfile != "" {
+		if cpuFile != nil {
 			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
 			fmt.Fprintf(os.Stderr, "cpu profile written to %s\n", *cpuProfile)
 		}
-		if *memProfile == "" {
+		if memFile == nil {
 			return nil
 		}
-		f, err := os.Create(*memProfile)
-		if err != nil {
+		runtime.GC() // settle the heap statistics before snapshotting
+		if err := pprof.WriteHeapProfile(memFile); err != nil {
 			return err
 		}
-		defer f.Close()
-		runtime.GC() // settle the heap statistics before snapshotting
-		if err := pprof.WriteHeapProfile(f); err != nil {
+		if err := memFile.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memProfile)
 		return nil
 	}
 
-	var traceFile *os.File
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		// The deferred close backs failure paths only; success closes
-		// explicitly below so a full disk surfaces as an error.
-		defer f.Close()
-		traceFile = f
+	if traceFile != nil {
 		if strings.HasSuffix(*tracePath, ".jsonl") {
-			cfg.Trace = trace.NewJSONL(f)
+			cfg.Trace = trace.NewJSONL(traceFile)
 		} else {
-			cfg.Trace = trace.NewCSV(f)
+			cfg.Trace = trace.NewCSV(traceFile)
 		}
 		cfg.TraceEvery = *traceEvery
 	}
@@ -273,16 +275,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	var solveFile *os.File
 	var solveBuf *bufio.Writer
-	if *solveTrace != "" {
-		f, err := os.Create(*solveTrace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		solveFile = f
-		solveBuf = bufio.NewWriter(f)
+	if solveFile != nil {
+		solveBuf = bufio.NewWriter(solveFile)
 		cfg.SolveTrace = solveBuf
 	}
 	closeSolveTrace := func() error {
@@ -346,6 +341,55 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	printWarnings(stdout, agg)
 	return nil
+}
+
+// openSinks opens the named output files for writing (an empty name gives
+// a nil file) and truncates them only once all are open, so that when one
+// cannot be opened every existing file keeps its bytes; a file the call
+// created is removed again. Only regular files are truncated: a device or
+// pipe such as /dev/null cannot be, and needs not.
+func openSinks(paths ...string) ([]*os.File, error) {
+	files := make([]*os.File, len(paths))
+	var created []string
+	fail := func(err error) ([]*os.File, error) {
+		for _, f := range files {
+			if f != nil {
+				f.Close()
+			}
+		}
+		for _, p := range created {
+			_ = os.Remove(p) // best effort: the open error is what the run reports
+		}
+		return nil, err
+	}
+	for i, p := range paths {
+		if p == "" {
+			continue
+		}
+		f, err := os.OpenFile(p, os.O_WRONLY, 0)
+		if errors.Is(err, os.ErrNotExist) {
+			if f, err = os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666); err == nil {
+				created = append(created, p)
+			}
+		}
+		if err != nil {
+			return fail(err)
+		}
+		files[i] = f
+	}
+	for _, f := range files {
+		if f == nil {
+			continue
+		}
+		info, err := f.Stat()
+		if err == nil && info.Mode().IsRegular() {
+			err = f.Truncate(0)
+		}
+		if err != nil {
+			return fail(err)
+		}
+	}
+	return files, nil
 }
 
 // runReplay re-solves a recorded solve trace without simulating: each

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -151,6 +152,29 @@ func TestRunTraceErrors(t *testing.T) {
 	missingDir := filepath.Join(t.TempDir(), "no", "such", "dir", "t.csv")
 	if err := run(context.Background(), []string{"-preset", "smoke", "-sim-time", "3", "-trace", missingDir}, io.Discard); err == nil {
 		t.Error("unwritable -trace path should fail")
+	}
+}
+
+// TestRunUnopenableSinkKeepsFiles names an existing trace and CPU profile
+// and a solve trace in a missing directory: the run must fail before it
+// truncates the existing files, and remove the one it created.
+func TestRunUnopenableSinkKeepsFiles(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "ex.csv")
+	if err := os.WriteFile(tracePath, []byte("keep\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	profPath := filepath.Join(dir, "new.prof")
+	args := []string{"-preset", "smoke", "-sim-time", "3", "-cpuprofile", profPath, "-trace", tracePath,
+		"-solve-trace", filepath.Join(dir, "no", "such", "dir", "s.jsonl")}
+	if err := run(context.Background(), args, io.Discard); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("unopenable -solve-trace path: err = %v, want a missing-directory error", err)
+	}
+	if data, err := os.ReadFile(tracePath); err != nil || string(data) != "keep\n" {
+		t.Fatalf("existing -trace file holds %q (%v), want its original bytes", data, err)
+	}
+	if _, err := os.Stat(profPath); !os.IsNotExist(err) {
+		t.Fatalf("-cpuprofile file created by the failed run is still there (%v)", err)
 	}
 }
 

@@ -8,8 +8,8 @@ import "math"
 // TopPilots of the window) on an EcIoDB value whose only hot consumer
 // — the active-set rules — compares differences of logs, which is exactly a
 // ratio comparison in the linear domain. PilotSetCellsLinearInto skips the
-// logs (leaving EcIoDB zero), keeps last frame's top entries and
-// re-selects only when a cell enters them, and ActiveSetLinearInto applies
+// logs (leaving EcIoDB zero) and repairs last frame's top entries in place
+// rather than selecting afresh, and ActiveSetLinearInto applies
 // the identical add/drop rules on linear thresholds the caller precomputes
 // once:
 //
@@ -21,9 +21,8 @@ import "math"
 // ulps of a threshold; the engine's exact reference mode keeps the dB path.
 
 // NearestCellSq returns the index of the base station closest to p by
-// scanning SQUARED distances — no square roots, same wrap-around handling
-// as DistanceSq. Because sqrt is monotonic the winner matches
-// NearestCell except when two true distances round to the same float64 after
+// scanning SQUARED distances (DistanceSq) — no square roots. Because sqrt
+// is monotonic the winner matches NearestCell except when two true distances round to the same float64 after
 // sqrt while their squares differ (NearestCell then keeps the earlier index,
 // NearestCellSq the truly closer one); the engine's exact reference path
 // keeps the metre-domain search so golden outputs cannot shift on that
@@ -31,27 +30,8 @@ import "math"
 // winners and tie-breaks; these linear scans are its reference.
 func (l *Layout) NearestCellSq(p Point) int {
 	best, bestD2 := -1, math.Inf(1)
-	if !l.WrapAround {
-		for k := range l.Cells {
-			b := l.Cells[k].Position
-			dx, dy := p.X-b.X, p.Y-b.Y
-			if d2 := dx*dx + dy*dy; d2 < bestD2 {
-				best, bestD2 = k, d2
-			}
-		}
-		return best
-	}
-	halfW, halfH := l.width/2, l.height/2
 	for k := range l.Cells {
-		b := l.Cells[k].Position
-		dx, dy := math.Abs(p.X-b.X), math.Abs(p.Y-b.Y)
-		if dx > halfW {
-			dx = l.width - dx
-		}
-		if dy > halfH {
-			dy = l.height - dy
-		}
-		if d2 := dx*dx + dy*dy; d2 < bestD2 {
+		if d2 := l.DistanceSq(p, k); d2 < bestD2 {
 			best, bestD2 = k, d2
 		}
 	}

@@ -1,6 +1,7 @@
 package cellular
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -58,37 +59,6 @@ func sameBits(t *testing.T, what string, got, want []PilotMeasurement) {
 	}
 }
 
-// distinctEcIo reports whether the cells the selection ranks — the
-// in-service ones, or all of them when none is — have pairwise distinct
-// Ec/Io, the condition under which a frame-coherent call must equal a
-// fresh one.
-func distinctEcIo(cells []int32, gains []float64, down []bool) bool {
-	pilotFraction, txPower := float64(windowPilotFraction), float64(windowTxPower)
-	total := float64(windowNoise)
-	for _, g := range gains {
-		total += txPower * g
-	}
-	scale := pilotFraction * txPower / total
-	seen := make(map[float64]bool, len(gains))
-	up := 0
-	for i := range gains {
-		if down == nil || !down[cells[i]] {
-			up++
-		}
-	}
-	for i, g := range gains {
-		if up > 0 && down != nil && down[cells[i]] {
-			continue
-		}
-		v := scale * g
-		if seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
 // fuzzGain decodes one gain from a class byte and a value byte: exact zeros,
 // subnormals, a coarse ladder of eight values (so exact ties are common) and
 // a fine log-uniform spread over the simulator's -150..-80 dB range.
@@ -107,11 +77,15 @@ func fuzzGain(class, b byte) float64 {
 
 // FuzzPilotTopK holds both pilot kernels to referencePilots. The input
 // decodes to a window width (1..64), per-slot gains with ties, zeros and
-// subnormals, a down mask (all-down included), a per-slot drift and a
-// second frame's mask. It checks that:
+// subnormals, a down mask (all-down included), and then a chain of frames,
+// each with a per-slot drift (a small relative step, or a jump to a freshly
+// decoded gain, so cells enter and leave the top entries) and a mask change
+// (every cell back in service, one cell going down or recovering, or none).
+// It checks that:
 //   - both kernels, called fresh, equal the reference field for field;
-//   - a frame-coherent linear call on the drifted gains equals the fresh
-//     selection whenever the ranked Ec/Io values are distinct;
+//   - every frame of the chain, run through the frame-coherent linear path
+//     on the previous frame's entries, equals the reference too, ties
+//     included;
 //   - with every cell down, both kernels return the unfiltered selection.
 func FuzzPilotTopK(f *testing.F) {
 	f.Add([]byte{0})
@@ -119,6 +93,41 @@ func FuzzPilotTopK(f *testing.F) {
 	f.Add([]byte{23, 3, 1, 3, 2, 3, 3, 3, 4, 3, 5, 3, 6, 3, 7, 3, 8, 3, 9, 3, 10, 0x55, 0xaa, 0xff, 9, 8, 7})
 	f.Add([]byte{63, 2, 0, 2, 0, 2, 1, 1, 1, 0, 0, 3, 255, 3, 128, 0x0f, 0xf0, 0, 0, 0, 1, 2, 3, 4})
 	f.Add([]byte{8, 3, 40, 3, 80, 3, 120, 3, 160, 3, 200, 3, 240, 3, 20, 3, 60, 3, 100, 0xff, 0xff})
+	// Cells entering: a 12-cell window on an even ladder (slot i at value
+	// byte 20i), every cell in service, so slots 4-11 are kept. In the
+	// first frame slot 0 jumps to the top; in the second slot 1 jumps to
+	// tie the weakest kept entry (slot 5) from a lower slot; in the third
+	// slot 2 jumps into the top entries and slot 11, a kept one, goes down.
+	f.Add(append(append(append(append([]byte{11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		3, 0, 3, 20, 3, 40, 3, 60, 3, 80, 3, 100, 3, 120, 3, 140, 3, 160, 3, 180, 3, 200, 3, 220, 0),
+		2, 3, 255, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3),
+		0, 2, 3, 100, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3),
+		0, 0, 2, 3, 250, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 11))
+	// A 37-cell map-wide window of distinct gains with every third cell
+	// down; each frame every slot drifts by up to 25% and one in-service
+	// slot from the bottom jumps to the top.
+	metro := []byte{36}
+	for i := 0; i < 37; i++ {
+		metro = append(metro, 0)
+	}
+	for i := 0; i < 37; i++ {
+		metro = append(metro, 3, byte(i*97))
+	}
+	metro = append(metro, 1)
+	for i := 0; i < 37; i++ {
+		metro = append(metro, byte(i))
+	}
+	for frame, jump := range []int{8, 16, 32, 11} {
+		for i := 0; i < 37; i++ {
+			if i == jump {
+				metro = append(metro, 2, 3, byte(250-frame))
+			} else {
+				metro = append(metro, byte(1+(i*53+frame*29)%254)|1)
+			}
+		}
+		metro = append(metro, 3)
+	}
+	f.Add(metro)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		at := 0
 		next := func() byte {
@@ -162,23 +171,32 @@ func FuzzPilotTopK(f *testing.F) {
 		sameBits(t, "PilotSetCellsLinearInto", lin, referencePilots(cells, gains, down, false))
 		checkSlots(t, "PilotSetCellsLinearInto", lin, cells)
 
-		// One frame of drift, possibly under a different mask (a cell going
-		// down or recovering), through the coherent path.
+		// Frames of drift through the coherent path, each on the entries
+		// the previous frame left in lin.
 		drifted := append([]float64(nil), gains...)
-		for i := range drifted {
-			if b := next(); b%2 == 1 {
-				drifted[i] *= 1 + (float64(b)-128)/512
+		mask := down
+		for frame := 0; frame < 4; frame++ {
+			for i := range drifted {
+				switch b := next(); b % 4 {
+				case 1, 3:
+					drifted[i] *= 1 + (float64(b)-128)/512
+				case 2:
+					drifted[i] = fuzzGain(next(), next())
+				}
 			}
+			switch next() % 4 {
+			case 0:
+				mask = nil
+			case 1:
+				m := make([]bool, maxCell)
+				copy(m, mask)
+				c := cells[int(next())%n]
+				m[c] = !m[c]
+				mask = m
+			}
+			lin = PilotSetCellsLinearInto(lin, cells, drifted, mask, windowPilotFraction, windowTxPower, windowNoise)
+			sameBits(t, fmt.Sprintf("coherent frame %d", frame), lin, referencePilots(cells, drifted, mask, false))
 		}
-		down2 := down
-		if next()%4 == 0 {
-			down2 = nil
-		}
-		if distinctEcIo(cells, drifted, down2) {
-			got := PilotSetCellsLinearInto(lin, cells, drifted, down2, windowPilotFraction, windowTxPower, windowNoise)
-			sameBits(t, "coherent vs fresh", got, referencePilots(cells, drifted, down2, false))
-		}
-
 		allDown := make([]bool, maxCell)
 		for i := range allDown {
 			allDown[i] = true

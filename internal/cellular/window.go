@@ -24,12 +24,7 @@ func (l *Layout) DistanceSq(p Point, k int) float64 {
 		return dx*dx + dy*dy
 	}
 	dx, dy := math.Abs(p.X-b.X), math.Abs(p.Y-b.Y)
-	if dx > l.width/2 {
-		dx = l.width - dx
-	}
-	if dy > l.height/2 {
-		dy = l.height - dy
-	}
+	dx, dy = min(dx, l.width-dx), min(dy, l.height-dy)
 	return dx*dx + dy*dy
 }
 
@@ -44,8 +39,14 @@ func (l *Layout) DistancesForInto(p Point, cells []int32, dst []float64) {
 // DistancesSqForInto fills dst[i] with the SQUARED distance from p to
 // candidate cell cells[i], identically to per-cell DistanceSq calls, saving
 // the square root for callers — like the fast path-loss kernel — that only
-// need log10(d) = log10(d^2)/2. The loop is DistanceSq inlined with the
-// half extents hoisted.
+// need log10(d) = log10(d^2)/2. The loop is DistanceSq inlined.
+//
+// The wrap-around fold is min(d, width-d) rather than "if d > width/2",
+// and picks the same bits: for d in [width/2, 2*width] the difference
+// width-d is exact (Sterbenz) and no larger than d; below width/2 the
+// rounded width-d is still at least width/2 > d; beyond 2*width, and for an
+// infinite d, width-d is negative, so both forms take it; a NaN passes
+// through either way.
 func (l *Layout) DistancesSqForInto(p Point, cells []int32, dst []float64) {
 	// Locals keep the site table and extents in registers: the stores to
 	// dst would otherwise make the compiler reload them from l every cell.
@@ -60,20 +61,14 @@ func (l *Layout) DistancesSqForInto(p Point, cells []int32, dst []float64) {
 		return
 	}
 	width, height := l.width, l.height
-	halfW, halfH := width/2, height/2
 	for i, k := range cells {
 		b := sites[k].Position
-		// math.Abs compiles to a sign-bit clear; the sign of p-b is a coin
-		// flip per cell, so an if/neg pair here mispredicts constantly. The
-		// wrap tests below stay as branches — whether a given (user, cell)
-		// pair wraps is stable across frames, so they predict well.
+		// No data-dependent branch: math.Abs is a sign-bit clear and the
+		// fold a min. The sign of p-b is a coin flip per cell, and on a
+		// map-wide window which cells wrap shifts as the user moves, so
+		// compare-and-jump forms of either step mispredict.
 		dx, dy := math.Abs(p.X-b.X), math.Abs(p.Y-b.Y)
-		if dx > halfW {
-			dx = width - dx
-		}
-		if dy > halfH {
-			dy = height - dy
-		}
+		dx, dy = min(dx, width-dx), min(dy, height-dy)
 		dst[i] = dx*dx + dy*dy
 	}
 }
@@ -144,17 +139,21 @@ func PilotSetCellsInto(dst []PilotMeasurement, cells []int32, gains []float64, d
 // It is frame-coherent: when dst already holds last frame's
 // min(TopPilots, len(cells)) entries, each still naming its cell's slot
 // (checked in O(1) against the candidate list) and none of them down, the
-// kernel re-ranks those entries on the new gains — an insertion sort that
-// only repairs the few inversions one frame of drift produces — and makes
-// one pass over the window counting the slots stronger than the last kept
-// entry. Only when that count shows a cell has entered does it re-select
-// from scratch. The result equals a from-scratch call as long as the Ec/Io
-// values are distinct (exact ties may order by history rather than by
-// slot); callers must therefore give each mobile its own buffer. After a
-// retarget the caller must reslice dst to length zero — the stale entries
-// may name cells no longer in the window, or sit at other slots; a stale
-// entry is detected and triggers a re-selection, so results stay correct
-// either way.
+// kernel repairs those entries in place instead of selecting afresh. It
+// re-ranks them on the new gains (rerankPilots), then (repairPilots) makes
+// one pass over the window collecting the in-service slots whose Ec/Io is
+// at least the weakest kept entry's, the floor. When those are just the
+// kept entries, nothing has entered and the re-ranked entries are the
+// result; otherwise the top entries are selected again from the collected
+// slots alone: a slot below the floor trails every kept entry, so it cannot
+// be among the strongest. A tie at the floor is collected too, so a lower
+// slot wins it as in a stable sort. The result equals a from-scratch call
+// bit for bit, ties included; when more slots reach the floor than the
+// collection holds (16), the kernel selects afresh. After a retarget the
+// caller must reslice dst to length zero — the stale entries may name
+// cells no longer in the window, or sit at other slots; a stale entry is
+// detected and triggers a full selection, so results stay correct either
+// way.
 func PilotSetCellsLinearInto(dst []PilotMeasurement, cells []int32, gains []float64, down []bool, pilotFraction, txPower, noise float64) []PilotMeasurement {
 	total := noise
 	for _, g := range gains {
@@ -162,16 +161,68 @@ func PilotSetCellsLinearInto(dst []PilotMeasurement, cells []int32, gains []floa
 	}
 	scale := pilotFraction * txPower / total
 	k := min(TopPilots, len(cells))
-	if len(dst) == k && rerankPilots(dst, cells, gains, down, scale) && !pilotEntered(dst, cells, gains, down, scale) {
+	if len(dst) == k && rerankPilots(dst, cells, gains, down, scale) && repairPilots(dst, cells, gains, down, scale) {
 		return dst
 	}
 	return topPilots(dst, k, cells, gains, down, func(g float64) float64 { return scale * g })
 }
 
+// repairPilots completes the frame-coherent update of the re-ranked entries
+// in dst: it collects the in-service slots at or above the floor and, when
+// any besides the kept entries are among them, selects the strongest again
+// from those slots alone, into dst. It reports false when the collection
+// does not fit its buffer, or when fewer slots reach the floor than are
+// kept (a NaN Ec/Io), and the caller selects afresh.
+func repairPilots(dst []PilotMeasurement, cells []int32, gains []float64, down []bool, scale float64) bool {
+	k := len(dst)
+	if k == len(cells) {
+		return true // every slot is kept: nothing can enter
+	}
+	// One pass counts the in-service slots at or above the floor and
+	// collects them. The store is unconditional and only the count is
+	// conditional, so the loop has no data-dependent branch. The store
+	// index wraps (the length is a power of two), so once the count reaches
+	// the buffer's length later stores overwrite earlier slots and the
+	// collection is not used.
+	floor := dst[k-1].EcIo
+	var at [16]int32
+	n := 0
+	if down == nil {
+		for s, g := range gains {
+			at[n&(len(at)-1)] = int32(s)
+			if scale*g >= floor {
+				n++
+			}
+		}
+	} else {
+		for s, g := range gains {
+			at[n&(len(at)-1)] = int32(s)
+			if scale*g >= floor && !down[cells[s]] {
+				n++
+			}
+		}
+	}
+	if n == k {
+		return true
+	}
+	if n < k || n >= len(at) {
+		return false
+	}
+	// More than k candidates, all in service: the selection refills dst to
+	// length k.
+	top := dst[:0]
+	for _, s := range at[:n] {
+		top = pushPilot(top, k, cells[s], s, scale*gains[s])
+	}
+	return true
+}
+
 // rerankPilots writes the new Ec/Io into last frame's entries through their
-// slots and restores the strongest-first order, keeping last frame's order
-// among ties. It reports false, leaving dst partly updated, when an entry is
-// stale (its slot no longer holds its cell) or its cell is down.
+// slots and sorts them strictly by (Ec/Io descending, slot ascending), the
+// order of a stable sort of the window — an insertion sort, since one frame
+// of drift leaves only a few inversions. It reports false, leaving dst
+// partly updated, when an entry is stale (its slot no longer holds its
+// cell) or its cell is down.
 func rerankPilots(dst []PilotMeasurement, cells []int32, gains []float64, down []bool, scale float64) bool {
 	for i := range dst {
 		s := dst[i].Slot
@@ -181,52 +232,17 @@ func rerankPilots(dst []PilotMeasurement, cells []int32, gains []float64, down [
 		dst[i].EcIo = scale * gains[s]
 	}
 	for i := 1; i < len(dst); i++ {
-		for j := i; j > 0 && dst[j-1].EcIo < dst[j].EcIo; j-- {
+		for j := i; j > 0 && (dst[j-1].EcIo < dst[j].EcIo || dst[j-1].EcIo == dst[j].EcIo && dst[j-1].Slot > dst[j].Slot); j-- {
 			dst[j-1], dst[j] = dst[j], dst[j-1]
 		}
 	}
 	return true
 }
 
-// pilotEntered reports whether a window cell outside the re-ranked entries
-// in dst is now strictly stronger than the last of them: more in-service
-// slots beat its Ec/Io than the kept entries account for. A full window
-// (every slot kept) has nothing outside it.
-func pilotEntered(dst []PilotMeasurement, cells []int32, gains []float64, down []bool, scale float64) bool {
-	if len(dst) == len(cells) {
-		return false
-	}
-	floor := dst[len(dst)-1].EcIo
-	kept := 0
-	for _, p := range dst {
-		if p.EcIo > floor {
-			kept++
-		}
-	}
-	// Two loops: without a mask the count compiles branch-free.
-	stronger := 0
-	if down == nil {
-		for _, g := range gains {
-			if scale*g > floor {
-				stronger++
-			}
-		}
-	} else {
-		for s, g := range gains {
-			if scale*g > floor && !down[cells[s]] {
-				stronger++
-			}
-		}
-	}
-	return stronger > kept
-}
-
 // topPilots selects into dst the k strongest in-service cells of the window
-// by the Ec/Io ecio(gain), in one pass in slot order: an entry joins when
-// fewer than k are held or it beats the weakest held, and is inserted after
-// every held entry at least as strong, so ties keep slot order and the
-// result is the first k entries of a stable sort. When every cell is down
-// the selection runs again with none excluded.
+// by the Ec/Io ecio(gain), offering every slot to pushPilot in slot order,
+// so the result is the first k entries of a stable sort. When every cell is
+// down the selection runs again with none excluded.
 func topPilots(dst []PilotMeasurement, k int, cells []int32, gains []float64, down []bool, ecio func(float64) float64) []PilotMeasurement {
 	if cap(dst) < k {
 		dst = make([]PilotMeasurement, 0, k)
@@ -239,24 +255,33 @@ func topPilots(dst []PilotMeasurement, k int, cells []int32, gains []float64, do
 		if down != nil && down[cells[s]] {
 			continue
 		}
-		v := ecio(g)
-		n := len(dst)
-		if n == k {
-			if !(v > dst[n-1].EcIo) {
-				continue
-			}
-			n-- // the weakest held entry drops out
-		} else {
-			dst = dst[:n+1]
-		}
-		for n > 0 && dst[n-1].EcIo < v {
-			dst[n] = dst[n-1]
-			n--
-		}
-		dst[n] = PilotMeasurement{Cell: cells[s], Slot: int32(s), EcIo: v}
+		dst = pushPilot(dst, k, cells[s], int32(s), ecio(g))
 	}
 	if len(dst) == 0 && down != nil {
 		return topPilots(dst, k, cells, gains, nil, ecio)
 	}
+	return dst
+}
+
+// pushPilot offers the entry (cell, slot, v) to dst, which holds at most k
+// entries strongest first, within its capacity: the entry joins when fewer
+// than k are held or it beats the weakest held, and is inserted after every
+// held entry at least as strong. Offered in slot order, entries therefore
+// end up in stable-sort order.
+func pushPilot(dst []PilotMeasurement, k int, cell, slot int32, v float64) []PilotMeasurement {
+	n := len(dst)
+	if n == k {
+		if !(v > dst[n-1].EcIo) {
+			return dst
+		}
+		n-- // the weakest held entry drops out
+	} else {
+		dst = dst[:n+1]
+	}
+	for n > 0 && dst[n-1].EcIo < v {
+		dst[n] = dst[n-1]
+		n--
+	}
+	dst[n] = PilotMeasurement{Cell: cell, Slot: slot, EcIo: v}
 	return dst
 }
