@@ -2,8 +2,8 @@
 // results table. The suite is read from the experiments registry (the one
 // entry point of internal/experiments, also behind experiment job specs),
 // so the tool and the library can never disagree about what E<n> means.
-// With -out it also writes one CSV file per experiment into the given
-// directory.
+// Each distinct configuration is simulated once (E6 reads E5's runs). With
+// -out it also writes one CSV file per experiment into the given directory.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	jabaexp -scale full     # full-scale tables (minutes of run time)
 //	jabaexp -only E1,E3     # subset (unknown ids are rejected)
 //	jabaexp -out results/   # additionally write CSV files
-//	jabaexp -parallel 4     # bound the number of concurrently running experiments
+//	jabaexp -parallel 4     # bound the simulation runs in flight
 //	jabaexp -list           # list the registered experiments and exit
 package main
 
@@ -47,7 +47,7 @@ func run(ctx context.Context, args []string) error {
 		scaleName = fs.String("scale", "quick", "experiment scale: quick or full")
 		only      = fs.String("only", "", "comma separated experiment ids to run (e.g. E1,E5); empty = all")
 		outDir    = fs.String("out", "", "directory to write CSV results into (optional)")
-		parallel  = fs.Int("parallel", 0, "max experiments running concurrently (0 = GOMAXPROCS)")
+		parallel  = fs.Int("parallel", 0, "max simulation runs in flight (0 = GOMAXPROCS)")
 		exact     = fs.Bool("exact-vtaoc", false, "run the dynamic experiments on the bit-exact reference physics (exact VTAOC integral, scalar-equivalent channel kernels) instead of the fast SoA path")
 		list      = fs.Bool("list", false, "list the registered experiments and exit")
 	)

@@ -36,11 +36,10 @@ type Scale struct {
 	// reference physics instead of the default fast SoA kernels — the mode
 	// cmd/jabaexp's -exact-vtaoc flag selects to keep golden outputs stable.
 	ExactPHY bool
-	// fanout is how many experiments StreamExperiments runs at once; under
-	// a fan-out wider than one, baseConfig keeps each engine's frames
-	// inline (sim.ResolveFrameParallel) instead of stacking a frame pool
-	// per engine on the already-busy CPUs.
-	fanout int
+	// Set by StreamExperiments: each sim.Replicate call's bound, and the
+	// steady-state aggregates run so far by sim.SemanticConfigJSON.
+	parallel int
+	done     map[string]*sim.Aggregate
 }
 
 // Quick is the scale used by unit tests and benchmarks: small but large
@@ -89,7 +88,6 @@ func baseConfig(s Scale) sim.Config {
 	// 16x the fundamental-channel rate (~59 kbit/s with the default plan).
 	cfg.CoverageRateFraction = 16
 	cfg.ExactPHY = s.ExactPHY
-	cfg.FrameParallel = sim.ResolveFrameParallel(cfg, s.fanout)
 	return cfg
 }
 

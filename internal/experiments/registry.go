@@ -3,18 +3,17 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"jabasd/internal/report"
-	"jabasd/internal/stream"
+	"jabasd/internal/sim"
 )
 
 // Experiment is one entry of the registered suite: a stable id, the
 // paper-facing title, and the generator that produces its results table at a
 // given scale. Every generator is deterministic — the seeds are fixed inside
 // (experiment-local rng sources, sim.Config.Seed per replication) — so the
-// tables are identical no matter how many experiments run concurrently.
+// tables are identical no matter how many runs are in flight.
 type Experiment struct {
 	// ID is the stable identifier (E1..E14) used by cmd/jabaexp -only.
 	ID string
@@ -73,34 +72,26 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// StreamExperiments runs the given experiments concurrently (bounded by
-// parallel; <= 0 means GOMAXPROCS) and invokes emit in input order as soon
-// as each experiment and all of its predecessors have finished. A caller
-// that prints or persists results in emit therefore keeps everything that
-// completed before a failure — important for full-scale runs where a late
-// experiment dying should not discard half an hour of earlier tables. The
-// first error in input order is returned after the in-flight experiments
-// drain; emit is called for every experiment preceding the failure.
+// StreamExperiments runs the given experiments one after another, in input
+// order, and calls emit with each table as soon as it is done, so a caller
+// that prints or persists results in emit keeps everything that completed
+// before a failure. The only fan-out is each experiment's sim.Replicate
+// call, bounded by parallel (<= 0 means GOMAXPROCS). A steady-state row
+// whose scenario an earlier row of the call ran reuses that aggregate, so
+// each distinct configuration runs once.
 func StreamExperiments(ctx context.Context, defs []Experiment, s Scale, parallel int, emit func(i int, tbl *report.Table) error) error {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
+	s.parallel, s.done = parallel, map[string]*sim.Aggregate{}
+	for i, d := range defs {
+		tbl, err := d.Run(ctx, s)
+		if ctx.Err() != nil {
+			return ctx.Err() // cancelled: nothing from here on is emitted
+		}
+		if err != nil {
+			return fmt.Errorf("experiment %s failed: %w", d.ID, err)
+		}
+		if err := emit(i, tbl); err != nil {
+			return err
+		}
 	}
-	s.fanout = min(parallel, len(defs))
-	tables := make([]*report.Table, len(defs))
-	return stream.Ordered(len(defs), parallel,
-		func(i int) error {
-			if err := ctx.Err(); err != nil {
-				return err // cancelled before this experiment started
-			}
-			tbl, err := defs[i].Run(ctx, s)
-			if err != nil {
-				if ctx.Err() != nil {
-					return err // the cancellation, not an experiment failure
-				}
-				return fmt.Errorf("experiment %s failed: %w", defs[i].ID, err)
-			}
-			tables[i] = tbl
-			return nil
-		},
-		func(i int) error { return emit(i, tables[i]) })
+	return nil
 }

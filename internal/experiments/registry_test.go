@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"jabasd/internal/report"
@@ -93,42 +94,11 @@ func TestStreamExperimentsEmitsPrefixBeforeFailure(t *testing.T) {
 	}
 }
 
-// TestStreamExperimentsKeepsFramesInlineUnderFanOut pins that experiments
-// run side by side do not each start a frame pool: with more than one in
-// flight, every engine an experiment builds from baseConfig runs its frames
-// inline, and a lone experiment keeps the auto pool.
-func TestStreamExperimentsKeepsFramesInlineUnderFanOut(t *testing.T) {
-	for _, tc := range []struct {
-		defs, parallel, want int
-	}{
-		{defs: 2, parallel: 2, want: 1},
-		{defs: 3, parallel: 0, want: sim.ResolveFrameParallel(sim.Config{}, min(3, runtime.GOMAXPROCS(0)))},
-		{defs: 2, parallel: 1, want: 0},
-		{defs: 1, parallel: 4, want: 0},
-	} {
-		got := make([]int, tc.defs)
-		defs := make([]Experiment, tc.defs)
-		for i := range defs {
-			defs[i] = Experiment{ID: strconv.Itoa(i), Run: func(_ context.Context, s Scale) (*report.Table, error) {
-				got[i] = baseConfig(s).FrameParallel
-				return report.NewTable("t", "col"), nil
-			}}
-		}
-		if err := StreamExperiments(context.Background(), defs, Quick, tc.parallel, func(int, *report.Table) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		for i, fp := range got {
-			if fp != tc.want {
-				t.Errorf("%d experiments at parallel %d: experiment %d FrameParallel = %d, want %d", tc.defs, tc.parallel, i, fp, tc.want)
-			}
-		}
-	}
-}
-
 // TestAllParallelMatchesSequential is the determinism contract of the
-// registry runner: running the suite with full concurrency produces tables
-// byte-identical to running each generator alone, because every experiment
-// carries its own fixed seeds.
+// registry runner: the suite produces the same bytes at any parallelism,
+// because every experiment carries its own fixed seeds, and a table that
+// reuses rows an earlier experiment ran (E6 after E5, E8 after E7, E10
+// after E9) equals the table run alone.
 func TestAllParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dynamic simulation experiments skipped in -short mode")
@@ -136,11 +106,12 @@ func TestAllParallelMatchesSequential(t *testing.T) {
 	small := tinyScale
 	small.LoadPoints = []int{3}
 
-	sequential, err := collectTables(Registry(), small, 1)
+	defs := Registry()
+	sequential, err := collectTables(defs, small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := collectTables(Registry(), small, 0)
+	parallel, err := collectTables(defs, small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,17 +119,105 @@ func TestAllParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("table counts differ: %d vs %d", len(sequential), len(parallel))
 	}
 	for i := range sequential {
-		var a, b bytes.Buffer
-		if err := sequential[i].WriteCSV(&a); err != nil {
+		if a, b := csvOf(t, sequential[i]), csvOf(t, parallel[i]); !bytes.Equal(a, b) {
+			t.Errorf("%s: parallel output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", defs[i].ID, a, b)
+		}
+	}
+	for _, id := range []string{"E6", "E8", "E10"} {
+		i := slices.IndexFunc(defs, func(d Experiment) bool { return d.ID == id })
+		alone, err := collectTables(defs[i:i+1], small, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := parallel[i].WriteCSV(&b); err != nil {
-			t.Fatal(err)
+		if a, b := csvOf(t, alone[0]), csvOf(t, sequential[i]); !bytes.Equal(a, b) {
+			t.Errorf("%s alone differs from %s after %s:\n--- alone\n%s\n--- in the suite\n%s", id, id, defs[i-1].ID, a, b)
 		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("%s: parallel output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s",
-				Registry()[i].ID, a.String(), b.String())
+	}
+}
+
+// csvOf renders a table as CSV.
+func csvOf(t *testing.T, tbl *report.Table) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := tbl.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// swapReplicate makes replicateRuns call wrap for the rest of the test.
+func swapReplicate(t *testing.T, wrap func(ctx context.Context, cfgs []sim.Config, reps, parallel int, emit func(int, *sim.Aggregate) error) error) {
+	replicateRuns = wrap
+	t.Cleanup(func() { replicateRuns = sim.Replicate })
+}
+
+// TestStreamExperimentsRunsEachScenarioOnce counts the scenarios E5-E10
+// simulate: none twice, and none for a table whose rows an earlier
+// experiment ran. At the tiny scale E6's rows are E5's, E8's adaptive pair
+// is E7's sigma = 8 dB pair, and E10's D2 = 1 s row is E9's lambda = 0.05
+// row.
+func TestStreamExperimentsRunsEachScenarioOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dynamic simulation experiments skipped in -short mode")
+	}
+	seen := map[string]bool{}
+	runs := 0
+	swapReplicate(t, func(ctx context.Context, cfgs []sim.Config, reps, parallel int, emit func(int, *sim.Aggregate) error) error {
+		for _, cfg := range cfgs {
+			key, err := sim.SemanticConfigJSON(cfg)
+			if err != nil {
+				return err
+			}
+			if seen[string(key)] {
+				t.Errorf("scenario simulated twice: %s", key)
+			}
+			seen[string(key)] = true
 		}
+		runs += len(cfgs)
+		return sim.Replicate(ctx, cfgs, reps, parallel, emit)
+	})
+	defs := Registry()[4:10]
+	var got []int // scenarios simulated per experiment
+	last := 0
+	err := StreamExperiments(context.Background(), defs, tinyScale, 0, func(int, *report.Table) error {
+		got, last = append(got, runs-last), runs
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{6, 0, 6, 2, 4, 2}
+	if !slices.Equal(got, want) {
+		t.Errorf("scenarios simulated by E5-E10 = %v, want %v", got, want)
+	}
+}
+
+// TestStreamExperimentsParallelOneRunsOneEngine checks that parallel bounds
+// the runs in flight: at parallel 1, steady and transient experiments alike
+// hand sim.Replicate a width of 1, and no two of its calls overlap, so no
+// two engines are in flight at once.
+func TestStreamExperimentsParallelOneRunsOneEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dynamic simulation experiments skipped in -short mode")
+	}
+	var inFlight, calls atomic.Int32
+	swapReplicate(t, func(ctx context.Context, cfgs []sim.Config, reps, parallel int, emit func(int, *sim.Aggregate) error) error {
+		calls.Add(1)
+		if n := inFlight.Add(1); n > 1 {
+			t.Errorf("%d sim.Replicate calls in flight at parallel 1", n)
+		}
+		defer inFlight.Add(-1)
+		if parallel != 1 {
+			t.Errorf("sim.Replicate got parallel %d, want 1", parallel)
+		}
+		return sim.Replicate(ctx, cfgs, reps, parallel, emit)
+	})
+	defs := []Experiment{Registry()[4], Registry()[6], Registry()[10]} // E5, E7, E11
+	if _, err := collectTables(defs, tinyScale, 1); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != int32(len(defs)) {
+		t.Errorf("%d sim.Replicate calls, want one per experiment (%d)", calls.Load(), len(defs))
 	}
 }
 

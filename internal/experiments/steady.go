@@ -66,17 +66,30 @@ func perValue(s Scale, values []float64, set func(*sim.Config, float64)) []row {
 	return rows
 }
 
-// replicate runs every row's configuration in one sim.Replicate fan-out —
-// replication r of a row at its cfg.Seed + r — and returns the aggregates
-// in row order.
+var replicateRuns = sim.Replicate // the dynamic experiments' one fan-out; tests count runs here
+
+// replicate returns the rows' aggregates in row order: a row whose scenario
+// is in s.done reuses that aggregate, and the others run in one
+// sim.Replicate fan-out (replication r at cfg.Seed + r) and join s.done.
 func replicate(ctx context.Context, s Scale, rows []row) ([]*sim.Aggregate, error) {
-	cfgs := make([]sim.Config, len(rows))
-	for i, r := range rows {
-		cfgs[i] = r.cfg
-	}
 	aggs := make([]*sim.Aggregate, len(rows))
-	err := sim.Replicate(ctx, cfgs, s.replications(), 0, func(i int, a *sim.Aggregate) error {
-		aggs[i] = a
+	var cfgs []sim.Config
+	var todo []int    // the rows to simulate, in row order
+	var keys []string // their scenarios
+	for i, r := range rows {
+		key, err := sim.SemanticConfigJSON(r.cfg)
+		if err != nil {
+			return nil, err
+		}
+		if aggs[i] = s.done[string(key)]; aggs[i] == nil {
+			cfgs, todo, keys = append(cfgs, r.cfg), append(todo, i), append(keys, string(key))
+		}
+	}
+	err := replicateRuns(ctx, cfgs, s.replications(), s.parallel, func(j int, a *sim.Aggregate) error {
+		aggs[todo[j]] = a
+		if s.done != nil {
+			s.done[keys[j]] = a
+		}
 		return nil
 	})
 	return aggs, err

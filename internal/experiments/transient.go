@@ -76,9 +76,9 @@ func transientConfig(s Scale) sim.Config {
 // transient runs the scale's replications of cfg traced (seeds cfg.Seed +
 // i) and tabulates the windows: per-cell per-second rates for the
 // counters, per-cell means for load and queue, and the mean burst delay.
-// Each replication needs its own in-memory sink, so they go to
-// sim.Replicate as configurations of one replication each, one at a time:
-// the registry runner already runs experiments side by side. phases, in
+// Each replication needs its own in-memory sink, so each goes to
+// sim.Replicate as a configuration of one replication, reduced in order; a
+// transient run is never reused, since its output is the trace. phases, in
 // time order, label each window with the last one it has reached (none: no
 // phase column); outage appends the out-of-service cell-frames and
 // spillover hand-offs per replication. The title gets the scale's name.
@@ -86,18 +86,16 @@ func transient(ctx context.Context, s Scale, title string, cfg sim.Config, phase
 	reps := s.replications()
 	windowSec := cfg.SimTime / transientWindows
 	cfgs := make([]sim.Config, reps)
-	mems := make([]*trace.Memory, reps)
 	for i := range cfgs {
-		mems[i] = &trace.Memory{}
 		cfgs[i] = cfg
-		cfgs[i].Seed = cfg.Seed + uint64(i)
-		cfgs[i].Trace = mems[i]
-		cfgs[i].TraceEvery = 1
+		cfgs[i].Seed += uint64(i)
+		cfgs[i].Trace, cfgs[i].TraceEvery = &trace.Memory{}, 1
 	}
 	acc := make([]windowAcc, transientWindows)
-	err := sim.Replicate(ctx, cfgs, 1, 1, func(i int, _ *sim.Aggregate) error {
-		accumulateWindows(acc, mems[i].Records, windowSec)
-		mems[i].Records = nil // release the replication's trace
+	err := replicateRuns(ctx, cfgs, 1, s.parallel, func(i int, _ *sim.Aggregate) error {
+		mem := cfgs[i].Trace.(*trace.Memory)
+		accumulateWindows(acc, mem.Records, windowSec)
+		mem.Records = nil // release the replication's trace
 		return nil
 	})
 	if err != nil {

@@ -270,6 +270,9 @@ type SweepSpec struct {
 // Resolve produces the expanded grid and runner options, rejecting
 // grid/scenario/axis/override conflicts.
 func (s SweepSpec) Resolve() (sweep.Grid, sweep.Options, error) {
+	if s.Parallel < 0 {
+		return sweep.Grid{}, sweep.Options{}, fmt.Errorf("jobspec: parallel must be >= 0 (0 = GOMAXPROCS), got %d", s.Parallel)
+	}
 	var g sweep.Grid
 	if s.Grid != "" {
 		if s.Preset != "" || len(s.Config) > 0 || len(s.Axes) > 0 {
@@ -333,7 +336,7 @@ type ExperimentsSpec struct {
 	Only []string `json:"only,omitempty"`
 	// Scale is "quick" (default) or "full".
 	Scale string `json:"scale,omitempty"`
-	// Parallel bounds concurrently running experiments (0 = GOMAXPROCS).
+	// Parallel bounds the simulation runs in flight (0 = GOMAXPROCS).
 	Parallel int `json:"parallel,omitempty"`
 	// ExactPHY runs the dynamic experiments on the bit-exact reference
 	// physics.
@@ -342,6 +345,9 @@ type ExperimentsSpec struct {
 
 // Resolve selects the experiments and scale.
 func (s ExperimentsSpec) Resolve() ([]experiments.Experiment, experiments.Scale, error) {
+	if s.Parallel < 0 {
+		return nil, experiments.Scale{}, fmt.Errorf("jobspec: parallel must be >= 0 (0 = GOMAXPROCS), got %d", s.Parallel)
+	}
 	var scale experiments.Scale
 	switch s.Scale {
 	case "", "quick":

@@ -178,6 +178,21 @@ func TestExperimentsSpecResolve(t *testing.T) {
 	}
 }
 
+// TestNegativeParallelRefused pins that a negative parallel is an error
+// naming the field, not a silent GOMAXPROCS.
+func TestNegativeParallelRefused(t *testing.T) {
+	_, _, sweepErr := SweepSpec{Scenario: Scenario{Preset: "smoke"}, Parallel: -1}.Resolve()
+	_, _, expErr := ExperimentsSpec{Parallel: -3}.Resolve()
+	for _, err := range []error{sweepErr, expErr} {
+		if err == nil || !strings.Contains(err.Error(), "parallel") {
+			t.Errorf("negative parallel: err = %v, want an error naming parallel", err)
+		}
+	}
+	if _, _, err := (SweepSpec{Scenario: Scenario{Preset: "smoke"}, Parallel: 0}).Resolve(); err != nil {
+		t.Errorf("parallel 0 (GOMAXPROCS) refused: %v", err)
+	}
+}
+
 func TestSpecJSONRoundTrip(t *testing.T) {
 	in := `{"preset":"smoke","overrides":{"scheduler":"fcfs","seed":5},"reps":2}`
 	var spec RunSpec

@@ -344,6 +344,8 @@ func TestCreateJobRejectsBadSpecs(t *testing.T) {
 		{"bad axis", `{"kind":"sweep","sweep":{"preset":"smoke","axes":["warp=1,2"]}}`},
 		{"bad override enum", `{"kind":"run","run":{"preset":"smoke","overrides":{"scheduler":"bogus"}}}`},
 		{"unknown experiment", `{"kind":"experiments","experiments":{"only":["E99"]}}`},
+		{"negative sweep parallel", `{"kind":"sweep","sweep":{"preset":"smoke","axes":["datausers=2,4"],"parallel":-1}}`},
+		{"negative experiments parallel", `{"kind":"experiments","experiments":{"only":["E1"],"parallel":-1}}`},
 	}
 	for _, tc := range cases {
 		code, body := post(t, ts.URL+"/v1/jobs", tc.body)

@@ -44,13 +44,13 @@ import (
 	"jabasd/internal/core"
 )
 
-// semanticConfigJSON encodes the scenario-defining part of the
-// configuration: the execution knobs that provably never change results
-// (worker counts, telemetry and checkpoint cadence — the engine's
-// determinism tests lock that in) are zeroed first, and the fields with an
-// empty-means-default encoding are normalised so "" and the spelled-out
-// default encode identically.
-func semanticConfigJSON(cfg Config) ([]byte, error) {
+// SemanticConfigJSON encodes the scenario-defining part of the
+// configuration, so equal encodings are one scenario (to resume a checkpoint
+// or reuse an experiment's run): the knobs that provably never change
+// results (worker counts, telemetry and checkpoint cadence — the engine's
+// determinism tests lock that in) are zeroed, and the empty-means-default
+// fields normalised so "" and the spelled-out default encode identically.
+func SemanticConfigJSON(cfg Config) ([]byte, error) {
 	cfg.FrameParallel = 0
 	cfg.TraceEvery = 0
 	cfg.CheckpointEvery = 0
@@ -131,11 +131,11 @@ func (c *Checkpoint) Config() Config { return c.cfg }
 // semantically identical to the stored configuration. It does not consume
 // the checkpoint, so callers can validate a resume before committing to it.
 func (c *Checkpoint) Compatible(cfg Config) error {
-	want, err := semanticConfigJSON(c.cfg)
+	want, err := SemanticConfigJSON(c.cfg)
 	if err != nil {
 		return err
 	}
-	got, err := semanticConfigJSON(cfg)
+	got, err := SemanticConfigJSON(cfg)
 	if err != nil {
 		return err
 	}

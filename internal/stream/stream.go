@@ -1,9 +1,8 @@
-// Package stream provides the bounded-parallel execution primitives shared
-// by the experiment suite (internal/experiments) and the simulator
-// (internal/sim): its replication runner sim.Replicate, which parameter
-// sweeps and the dynamic experiments all go through, and its frame
-// fan-out. Ordered is a one-shot order-preserving task
-// runner, and Pool a reusable worker pool for repeated small fan-outs.
+// Package stream provides the bounded-parallel execution primitives of the
+// simulator (internal/sim): Ordered, the one-shot order-preserving task
+// runner under its replication runner sim.Replicate, which parameter
+// sweeps and the dynamic experiments all go through, and Pool, the
+// reusable worker pool of its frame fan-out.
 // Ordered emits results strictly in input order as soon as each task and
 // all of its predecessors have finished, so a caller that prints or
 // persists results incrementally keeps everything completed before a
