@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -64,17 +63,11 @@ var gates = []gate{
 		"jabasim -preset smoke -data-users 20 -framemode snapshot -frameparallel 8 -trace fast-w8.csv",
 	}, checks: []check{same("fast-a.csv", "fast-b.csv"), same("fast-w1.csv", "fast-w8.csv")}},
 	// The city preset engages windowed physics, the spatial index and the
-	// per-cell solve fan-out at once. A trace at cadence 5 holds every row
-	// a cadence-25 trace would, so the auto-pool run also pins the city
-	// fast path's amd64 golden.
+	// per-cell solve fan-out at once.
 	{name: "city-workers", cmds: []string{
-		"jabasim -preset city -sim-time 1 -frameparallel 1 -trace city-w1.csv -trace-every 5 > city-w1.txt",
-		"jabasim -preset city -sim-time 1 -trace city-auto.csv -trace-every 5 > city-auto.txt",
-	}, checks: []check{
-		same("city-w1.txt", "city-auto.txt"),
-		same("city-w1.csv", "city-auto.csv"),
-		goldenEvery("city-auto.csv", 25, "trace-city-fast.csv"),
-	}},
+		"jabasim -preset city -sim-time 1 -frameparallel 1 -trace city-w1.csv -trace-every 10 > city-w1.txt",
+		"jabasim -preset city -sim-time 1 -trace city-auto.csv -trace-every 10 > city-auto.txt",
+	}, checks: []check{same("city-w1.txt", "city-auto.txt"), same("city-w1.csv", "city-auto.csv")}},
 
 	// Sweep goldens: datausers=14 separates the two frame modes, and the
 	// random scheduler's rows pin the per-(frame, cell) reseed.
@@ -118,6 +111,9 @@ var gates = []gate{
 	{name: "trace-metro-fast", amd64: true, cmds: []string{
 		"jabasim -preset metro -sim-time 20 -trace got.csv -trace-every 50",
 	}, checks: []check{golden("got.csv", "trace-metro-fast.csv")}},
+	{name: "trace-city-fast", amd64: true, cmds: []string{
+		"jabasim -preset city -sim-time 1 -trace got.csv -trace-every 25",
+	}, checks: []check{golden("got.csv", "trace-city-fast.csv")}},
 	{name: "trace-reverse-fast", amd64: true, cmds: []string{
 		"jabasim -preset reverse -sim-time 30 -trace got.csv -trace-every 50",
 	}, checks: []check{golden("got.csv", "trace-reverse-fast.csv")}},
@@ -303,31 +299,6 @@ func golden(out, file string) check {
 	}
 }
 
-// traceEvery matches a command's trace cadence flag.
-var traceEvery = regexp.MustCompile(`-trace-every [0-9]+`)
-
-// goldenEvery requires the rows of trace out at frames that are multiples
-// of n, which are the whole trace at cadence n, to equal
-// testdata/golden/file. The golden pins amd64 kernel bits, so the check
-// holds on amd64 only.
-func goldenEvery(out string, n int, file string) check {
-	return func(g gate, dir string) error {
-		if runtime.GOARCH != "amd64" {
-			return nil
-		}
-		path := "testdata/golden/" + file
-		want, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if got := rowsWhere(readOutput(dir, out), func(f int) bool { return f%n == 0 }); !bytes.Equal(got, want) {
-			cmd := traceEvery.ReplaceAllString(g.regenerate(out, path, dir), fmt.Sprintf("-trace-every %d", n))
-			return fmt.Errorf("%s at every %dth frame differs from %s: %s\nregenerate it with:\n\t%s", out, n, path, firstDiff(want, got), cmd)
-		}
-		return nil
-	}
-}
-
 // experimentGoldens requires jabaexp's CSV of each of experiments E1-E14,
 // written under exp/, to equal its quick-scale golden.
 func experimentGoldens() []check {
@@ -355,26 +326,19 @@ func same(a, b string) check {
 func resumedTail(resumed, straight string, k int) check {
 	return func(_ gate, dir string) error {
 		full := readOutput(dir, straight)
-		want := rowsWhere(full, func(f int) bool { return f >= k })
+		header, rows, _ := bytes.Cut(full, []byte("\n"))
+		want := append(append([]byte{}, header...), '\n')
+		for _, row := range bytes.SplitAfter(rows, []byte("\n")) {
+			frame, _, _ := bytes.Cut(row, []byte(","))
+			if f, err := strconv.Atoi(string(frame)); err == nil && f >= k {
+				want = append(want, row...)
+			}
+		}
 		if got := readOutput(dir, resumed); full == nil || !bytes.Equal(got, want) {
 			return fmt.Errorf("%s is not %s from frame %d on: %s", resumed, straight, k, firstDiff(want, got))
 		}
 		return nil
 	}
-}
-
-// rowsWhere returns a trace CSV's header and the rows whose frame (the
-// first column) satisfies keep.
-func rowsWhere(trace []byte, keep func(frame int) bool) []byte {
-	header, rows, _ := bytes.Cut(trace, []byte("\n"))
-	out := append(append([]byte{}, header...), '\n')
-	for _, row := range bytes.SplitAfter(rows, []byte("\n")) {
-		frame, _, _ := bytes.Cut(row, []byte(","))
-		if f, err := strconv.Atoi(string(frame)); err == nil && keep(f) {
-			out = append(out, row...)
-		}
-	}
-	return out
 }
 
 // holds requires output out to satisfy ok, described by what.
