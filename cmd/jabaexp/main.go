@@ -47,7 +47,7 @@ func run(ctx context.Context, args []string) error {
 		scaleName = fs.String("scale", "quick", "experiment scale: quick or full")
 		only      = fs.String("only", "", "comma separated experiment ids to run (e.g. E1,E5); empty = all")
 		outDir    = fs.String("out", "", "directory to write CSV results into (optional)")
-		parallel  = fs.Int("parallel", 0, "max simulation runs in flight (0 = GOMAXPROCS)")
+		parallel  = fs.Int("parallel", 0, "CPU budget: at most this many simulation runs in flight, and auto frame workers split it so runs times workers stay within it (0 = GOMAXPROCS)")
 		exact     = fs.Bool("exact-vtaoc", false, "run the dynamic experiments on the bit-exact reference physics (exact VTAOC integral, scalar-equivalent channel kernels) instead of the fast SoA path")
 		list      = fs.Bool("list", false, "list the registered experiments and exit")
 	)

@@ -29,7 +29,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,6 +42,7 @@ import (
 	"jabasd/internal/fault"
 	"jabasd/internal/jobspec"
 	"jabasd/internal/replay"
+	"jabasd/internal/report"
 	"jabasd/internal/scenario"
 	"jabasd/internal/sim"
 	"jabasd/internal/sweep"
@@ -75,7 +75,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		seed        = fs.Uint64("seed", 0, "base random seed (override when non-zero)")
 		reps        = fs.Int("reps", 1, "independent replications (parallel)")
 		frameMode   = fs.String("framemode", "", "frame admission mode: sequential or snapshot (default: scenario's)")
-		framePar    = fs.Int("frameparallel", -1, "frame workers: the user seeding at set-up, the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves: 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's; results are byte-identical for any value")
+		framePar    = fs.Int("frameparallel", -1, "frame workers: the user seeding at set-up, the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves: 0 = auto (GOMAXPROCS split over the replications in flight: all of it for one run, inline once there are as many runs as CPUs), 1 = inline, -1 keeps the scenario's; results are byte-identical for any value")
 		tracePath   = fs.String("trace", "", "write per-frame per-cell telemetry to this file (CSV, or JSONL when the path ends in .jsonl); replication 0 only when -reps > 1")
 		traceEvery  = fs.Int("trace-every", 1, "sample every Nth frame into the -trace output")
 		exactVTAOC  = fs.Bool("exact-vtaoc", false, "bit-exact reference physics: exact VTAOC integral, scalar-equivalent channel kernels and dB-domain pilot sets (golden-output mode; default is the fast SoA path)")
@@ -207,7 +207,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// cannot be opened fails the run with every existing file intact. The
 	// deferred closes back failure paths only; success closes each file
 	// explicitly below so a full disk surfaces as an error.
-	sinks, err := openSinks(*cpuProfile, *memProfile, *tracePath, *solveTrace)
+	sinks, err := report.OpenSinks(*cpuProfile, *memProfile, *tracePath, *solveTrace)
 	if err != nil {
 		return err
 	}
@@ -218,7 +218,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	cpuFile, memFile, traceFile, solveFile := sinks[0], sinks[1], sinks[2], sinks[3]
 	if cpuFile != nil {
-		if workers := profileWorkers(cfg, *reps); workers > 1 {
+		if workers := sim.FrameWorkers(cfg, nreps, 0); workers > 1 {
 			fmt.Fprintf(os.Stderr, "jabasim: warning: -cpuprofile with %d frame workers spreads frame-loop samples across pool goroutines; rerun with -frameparallel 1 for a flat single-stack profile\n", workers)
 		}
 		if err := pprof.StartCPUProfile(cpuFile); err != nil {
@@ -343,55 +343,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	return nil
 }
 
-// openSinks opens the named output files for writing (an empty name gives
-// a nil file) and truncates them only once all are open, so that when one
-// cannot be opened every existing file keeps its bytes; a file the call
-// created is removed again. Only regular files are truncated: a device or
-// pipe such as /dev/null cannot be, and needs not.
-func openSinks(paths ...string) ([]*os.File, error) {
-	files := make([]*os.File, len(paths))
-	var created []string
-	fail := func(err error) ([]*os.File, error) {
-		for _, f := range files {
-			if f != nil {
-				f.Close()
-			}
-		}
-		for _, p := range created {
-			_ = os.Remove(p) // best effort: the open error is what the run reports
-		}
-		return nil, err
-	}
-	for i, p := range paths {
-		if p == "" {
-			continue
-		}
-		f, err := os.OpenFile(p, os.O_WRONLY, 0)
-		if errors.Is(err, os.ErrNotExist) {
-			if f, err = os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666); err == nil {
-				created = append(created, p)
-			}
-		}
-		if err != nil {
-			return fail(err)
-		}
-		files[i] = f
-	}
-	for _, f := range files {
-		if f == nil {
-			continue
-		}
-		info, err := f.Stat()
-		if err == nil && info.Mode().IsRegular() {
-			err = f.Truncate(0)
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-	return files, nil
-}
-
 // runReplay re-solves a recorded solve trace without simulating: each
 // recorded (frame, cell) problem is scheduled against its recorded requests
 // and admissible region, under the recorded policy or — for a
@@ -445,19 +396,6 @@ func runReplay(path, scheduler, outPath string, stdout io.Writer) error {
 	fmt.Fprintf(os.Stderr, "replayed %d problems under %s (recorded under %s)\n",
 		len(problems), kind, hdr.Scheduler)
 	return nil
-}
-
-// profileWorkers returns the number of frame workers the run will actually
-// use, so -cpuprofile can warn when the profile will be spread over a worker
-// pool: the resolved pool size in either frame mode (FrameParallel 0 = auto
-// resolves to GOMAXPROCS unless an outer replication fan-out forces it
-// inline).
-func profileWorkers(cfg sim.Config, reps int) int {
-	workers := sim.ResolveFrameParallel(cfg, reps)
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return workers
 }
 
 // printWarnings prints the result-quality warnings of a result.

@@ -71,10 +71,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		configPath = fs.String("config", "", "JSON scenario file anchoring every grid point (excludes -preset/-grid)")
 		gridName   = fs.String("grid", "", "built-in named grid (see -list-grids; excludes -preset/-axis)")
 		reps       = fs.Int("reps", 1, "independent replications per grid point")
-		parallel   = fs.Int("parallel", 0, "max concurrent (point x replication) work items (0 = GOMAXPROCS)")
+		parallel   = fs.Int("parallel", 0, "CPU budget: at most this many (point x replication) runs in flight, and auto frame workers split it so runs times workers stay within it (0 = GOMAXPROCS)")
 		seed       = fs.Uint64("seed", 0, "base random seed (0 keeps the preset's)")
 		frameMode  = fs.String("framemode", "", "frame admission mode override for every point: sequential or snapshot")
-		framePar   = fs.Int("frameparallel", -1, "per-run frame workers override (the user seeding at set-up, the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves): 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps each point's; results are byte-identical for any value")
+		framePar   = fs.Int("frameparallel", -1, "per-run frame workers override (the user seeding at set-up, the per-user physics and burst rates in either frame mode, plus the snapshot-mode solves): 0 = auto (the -parallel budget split over the runs in flight: all of it for one run, inline once there are as many runs as the budget), 1 = inline, -1 keeps each point's; results are byte-identical for any value")
 		format     = fs.String("format", "csv", "output format: csv or json")
 		outPath    = fs.String("o", "", "output file (default stdout)")
 		tracePath  = fs.String("trace", "", "write per-frame per-cell telemetry of every point's replication 0 to this CSV file")
@@ -175,19 +175,24 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	w := stdout
-	var outFile *os.File
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
+	// Both output files are open before either is truncated, so a path
+	// that cannot be opened fails the sweep with every existing file
+	// intact. Close errors matter (a full disk surfaces at the final
+	// flush), so success closes each file explicitly below; the deferred
+	// closes only back failure paths, where the write error already wins.
+	sinks, err := report.OpenSinks(*outPath, *tracePath)
+	if err != nil {
+		return err
+	}
+	for _, f := range sinks {
+		if f != nil {
+			defer f.Close()
 		}
-		// Close errors matter (a full disk surfaces at the final flush), so
-		// close explicitly on success; the deferred close only backs failure
-		// paths, where the write error already wins.
-		defer f.Close()
-		outFile = f
-		w = f
+	}
+	outFile, traceFile := sinks[0], sinks[1]
+	w := stdout
+	if outFile != nil {
+		w = outFile
 	}
 
 	// CSV streams: the header goes out up front and each row as soon as its
@@ -204,16 +209,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// in-memory sink (points run concurrently; a sink is single-writer),
 	// and the rows stream to the trace file in grid order as each point
 	// emits, prefixed with the point index and label.
-	var traceFile *os.File
 	var traceSinks []*trace.Memory
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		traceFile = f
-		if _, err := io.WriteString(f, report.CSVLine(append([]string{"point", "label"}, trace.Columns()...))); err != nil {
+	if traceFile != nil {
+		if _, err := io.WriteString(traceFile, report.CSVLine(append([]string{"point", "label"}, trace.Columns()...))); err != nil {
 			return err
 		}
 		opts.TraceEvery = *traceEvery

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -76,6 +78,34 @@ func TestOutputFile(t *testing.T) {
 	if !strings.Contains(string(data), "admission_prob") {
 		t.Errorf("written file missing header:\n%s", data)
 	}
+}
+
+// TestRunUnopenableSinkKeepsFiles: when -trace cannot be opened the sweep
+// fails before truncating -o, and an -o file it created is removed again.
+func TestRunUnopenableSinkKeepsFiles(t *testing.T) {
+	dir := t.TempDir()
+	outPath := filepath.Join(dir, "out.csv")
+	if err := os.WriteFile(outPath, []byte("keep me\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badTrace := filepath.Join(dir, "no", "such", "dir", "t.csv")
+	args := []string{"-preset", "smoke", "-axis", "datausers=2", "-o", outPath, "-trace", badTrace}
+	if err := run(context.Background(), args, io.Discard); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("unopenable -trace path: err = %v, want a missing-directory error", err)
+	}
+	if data, err := os.ReadFile(outPath); err != nil || string(data) != "keep me\n" {
+		t.Fatalf("existing -o file holds %q (%v), want its original bytes", data, err)
+	}
+	newOut := filepath.Join(dir, "new.csv")
+	args = []string{"-preset", "smoke", "-axis", "datausers=2", "-o", newOut, "-trace", badTrace}
+	if err := run(context.Background(), args, io.Discard); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("unopenable -trace path: err = %v, want a missing-directory error", err)
+	}
+	if _, err := os.Stat(newOut); !os.IsNotExist(err) {
+		t.Fatalf("-o file created by the failed sweep is still there (%v)", err)
+	}
+	// A device is opened but never truncated.
+	capture(t, "-preset", "smoke", "-axis", "datausers=2", "-o", os.DevNull)
 }
 
 func TestSeedOverrideChangesResults(t *testing.T) {

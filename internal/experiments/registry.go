@@ -76,9 +76,9 @@ func ByID(id string) (Experiment, bool) {
 // order, and calls emit with each table as soon as it is done, so a caller
 // that prints or persists results in emit keeps everything that completed
 // before a failure. The only fan-out is each experiment's sim.Replicate
-// call, bounded by parallel (<= 0 means GOMAXPROCS). A steady-state row
-// whose scenario an earlier row of the call ran reuses that aggregate, so
-// each distinct configuration runs once.
+// call, with parallel (<= 0 means GOMAXPROCS) as its CPU budget. A
+// steady-state row whose scenario an earlier row of the call ran reuses
+// that aggregate, so each distinct configuration runs once.
 func StreamExperiments(ctx context.Context, defs []Experiment, s Scale, parallel int, emit func(i int, tbl *report.Table) error) error {
 	s.parallel, s.done = parallel, map[string]*sim.Aggregate{}
 	for i, d := range defs {

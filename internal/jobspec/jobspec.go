@@ -258,8 +258,9 @@ type SweepSpec struct {
 	Axes []string `json:"axes,omitempty"`
 	// Reps is the number of independent replications per grid point.
 	Reps int `json:"reps,omitempty"`
-	// Parallel bounds concurrent (point × replication) work items
-	// (0 = GOMAXPROCS).
+	// Parallel is the sweep's CPU budget (0 = GOMAXPROCS): it bounds the
+	// (point × replication) runs in flight, and auto frame workers split
+	// it with them (sim.FrameWorkers).
 	Parallel int `json:"parallel,omitempty"`
 	// Overrides apply to every grid point, after the axis values. An
 	// override of a swept parameter is a conflict. Overrides.Seed becomes
@@ -336,7 +337,9 @@ type ExperimentsSpec struct {
 	Only []string `json:"only,omitempty"`
 	// Scale is "quick" (default) or "full".
 	Scale string `json:"scale,omitempty"`
-	// Parallel bounds the simulation runs in flight (0 = GOMAXPROCS).
+	// Parallel is the CPU budget (0 = GOMAXPROCS): it bounds the
+	// simulation runs in flight, and auto frame workers split it with them
+	// (sim.FrameWorkers).
 	Parallel int `json:"parallel,omitempty"`
 	// ExactPHY runs the dynamic experiments on the bit-exact reference
 	// physics.

@@ -9,6 +9,7 @@
 // value and byte-for-byte determinism checks can diff any of them.
 // CSVLine is exported for callers that stream rows incrementally and need
 // each row identical to what a whole-table WriteCSV would have produced.
+// OpenSinks opens the commands' output files all-or-nothing.
 package report
 
 import (

@@ -313,12 +313,6 @@ func resolveRun(spec jobspec.RunSpec, defaultParallel int) (runnable, error) {
 	if err != nil {
 		return runnable{}, err
 	}
-	if reps == 1 && cfg.FrameParallel == 0 {
-		// Concurrent jobs share the CPUs: a lone run's frame pool gets the
-		// job's share of them, not all of GOMAXPROCS (the results do not
-		// depend on the pool size). Replications resolve their own.
-		cfg.FrameParallel = defaultParallel
-	}
 	// A run is a sweep over a zero-axis grid: the same seeds as jabasim
 	// -reps N and the one-row curve table jabasweep prints for it.
 	grid := sweep.Grid{Preset: spec.Preset, Base: &cfg}
@@ -329,6 +323,9 @@ func resolveRun(spec jobspec.RunSpec, defaultParallel int) (runnable, error) {
 		// Checkpoint-bearing runs drive a single engine directly, so the
 		// periodic sink sees the one engine there is and a resume starts
 		// it from the recorded frame; its metrics are a one-replication row.
+		// The engine is built outside sim.Replicate, so it takes its frame
+		// workers from the job's share of the CPUs by the same rule.
+		cfg.FrameParallel = sim.FrameWorkers(cfg, 1, defaultParallel)
 		stream = func(ctx context.Context, emit func(sweep.Result) error) error {
 			e, err := spec.Start(cfg)
 			if err != nil {

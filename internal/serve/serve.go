@@ -50,9 +50,11 @@ type Options struct {
 	// QueueDepth bounds how many jobs may wait beyond the ones running;
 	// submissions past it receive 429 (default 16).
 	QueueDepth int
-	// Workers is the number of jobs run concurrently (default 2). Each
-	// job's internal fan-out defaults to GOMAXPROCS/Workers so concurrent
-	// jobs share the CPUs instead of oversubscribing them.
+	// Workers is the number of jobs run concurrently (default 2). A job
+	// without its own parallel gets a CPU budget of GOMAXPROCS/Workers (at
+	// least 1), which its engines and their frame workers split
+	// (sim.FrameWorkers), so concurrent jobs share the CPUs instead of
+	// oversubscribing them.
 	Workers int
 	// OracleWorkers is the number of resident warm JABA-SD solver
 	// instances, which bounds concurrent oracle solves (default 2).

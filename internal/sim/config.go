@@ -187,10 +187,10 @@ type Config struct {
 	FrameMode FrameMode
 	// FrameParallel sizes the frame worker pool: 1 runs every frame inline
 	// (the nil inline pool runs the same tasks in order on the caller),
-	// larger values size the pool, and 0 means auto —
-	// GOMAXPROCS for a single run, but inline when an outer
-	// replication/sweep fan-out already saturates the CPUs (see
-	// ResolveFrameParallel). The pool seeds the users when the engine is
+	// larger values size the pool, and 0 means auto: Replicate hands each
+	// run its share of the parallel budget (FrameWorkers), so one run gets
+	// all of it and runs that fill the budget run inline; an engine built
+	// directly gets GOMAXPROCS. The pool seeds the users when the engine is
 	// built; then, in both frame modes, it fans out the user, voice and
 	// burst-rate updates; in snapshot mode it also runs the solves, one
 	// task per cell with queued requests (sequential admission stays on

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"jabasd/internal/stream"
 )
@@ -14,11 +15,11 @@ import (
 // have finished. It owns the replication rules: replication r of cfgs[i]
 // runs with seed cfgs[i].Seed + r, so results depend only on the indices;
 // replication 0 alone keeps Trace and SolveTrace, since a sink is
-// single-writer; FrameParallel is resolved against the len(cfgs)*reps runs
-// of the fan-out, or against 1 when parallel is 1; and each replication's
-// metrics are released once folded into the aggregate. Cancelling the
-// context stops the in-flight runs at their next frame, skips the runs not
-// yet started and returns the context's error.
+// single-writer; every run gets FrameWorkers(cfg, len(cfgs)*reps, parallel)
+// frame workers, so parallel bounds the cores, not just the engines; and
+// each replication's metrics are released once folded into the aggregate.
+// Cancelling the context stops the in-flight runs at their next frame,
+// skips the runs not yet started and returns the context's error.
 func Replicate(ctx context.Context, cfgs []Config, reps, parallel int, emit func(i int, agg *Aggregate) error) error {
 	if reps <= 0 {
 		return fmt.Errorf("sim: need at least one replication, got %d", reps)
@@ -35,9 +36,7 @@ func Replicate(ctx context.Context, cfgs []Config, reps, parallel int, emit func
 			i, r := item/reps, item%reps
 			cfg := cfgs[i]
 			cfg.Seed += uint64(r)
-			if parallel != 1 { // runs one at a time keep the auto pool
-				cfg.FrameParallel = ResolveFrameParallel(cfg, len(ms))
-			}
+			cfg.FrameParallel = FrameWorkers(cfg, len(ms), parallel)
 			if r != 0 {
 				cfg.Trace, cfg.SolveTrace = nil, nil
 			}
@@ -70,16 +69,20 @@ func RunReplications(ctx context.Context, cfg Config, n int) (*Aggregate, error)
 	return out, err
 }
 
-// ResolveFrameParallel resolves a run's FrameParallel under an outer
-// fan-out of the given width: a config on the auto setting (0), in either
-// frame mode, runs its frames inline when fanout > 1 rather than stacking a
-// second GOMAXPROCS-wide pool per engine onto already-saturated CPUs, and
-// keeps the auto pool for a single run. Explicit worker counts are always
-// honoured, and the choice never affects the results (the output is
-// byte-identical for any worker count). Replicate applies it.
-func ResolveFrameParallel(cfg Config, fanout int) int {
-	if fanout > 1 && cfg.FrameParallel == 0 {
-		return 1
+// FrameWorkers is the one rule that splits a CPU budget between engines
+// and their frame pools. An explicit cfg.FrameParallel is honoured. On the
+// auto setting (0) the budget is P = parallel (GOMAXPROCS when <= 0), at
+// most min(P, runs) engines run at once (runs < 1 counts as 1), and each
+// gets max(1, P/runs) workers, so engines times workers never exceed P: a
+// lone run gets the whole budget, and P or more runs each run their frames
+// inline. The count never affects the results.
+func FrameWorkers(cfg Config, runs, parallel int) int {
+	if cfg.FrameParallel != 0 {
+		return cfg.FrameParallel
 	}
-	return cfg.FrameParallel
+	p := parallel
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
+	return max(1, p/max(runs, 1))
 }

@@ -133,29 +133,90 @@ func TestRunReplicationsFailurePath(t *testing.T) {
 	}
 }
 
-func TestResolveFrameParallelAvoidsNestedPools(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FrameMode = FrameSnapshot
-	// Auto (0) under a parallel replication fan-out resolves to inline.
-	if got := ResolveFrameParallel(cfg, 4); got != 1 {
-		t.Errorf("auto under n=4 -> %d, want 1 (inline)", got)
+// TestFrameWorkers pins the one rule that splits a CPU budget between the
+// engines in flight and their frame pools.
+func TestFrameWorkers(t *testing.T) {
+	cases := []struct {
+		name                  string
+		frameParallel         int
+		runs, parallel, wantN int
+	}{
+		{"explicit count honoured", 8, 4, 2, 8},
+		{"one run gets the budget", 0, 1, 8, 8},
+		{"budget of GOMAXPROCS", 0, 1, 0, runtime.GOMAXPROCS(0)},
+		{"runs fill the budget", 0, 4, 2, 1},
+		{"budget split over runs", 0, 3, 8, 2},
+		{"no runs count as one", 0, 0, 8, 8},
+		{"budget of one runs inline", 0, 4, 1, 1},
 	}
-	// A single replication keeps the auto pool.
-	if got := ResolveFrameParallel(cfg, 1); got != 0 {
-		t.Errorf("auto under n=1 -> %d, want 0 (GOMAXPROCS)", got)
+	for _, tc := range cases {
+		for _, mode := range []FrameMode{FrameSequential, FrameSnapshot} {
+			cfg := DefaultConfig()
+			cfg.FrameMode, cfg.FrameParallel = mode, tc.frameParallel
+			if got := FrameWorkers(cfg, tc.runs, tc.parallel); got != tc.wantN {
+				t.Errorf("%s (%s): FrameWorkers(FrameParallel %d, runs %d, parallel %d) = %d, want %d",
+					tc.name, mode, tc.frameParallel, tc.runs, tc.parallel, got, tc.wantN)
+			}
+		}
 	}
-	// Explicit worker counts are always honoured.
-	cfg.FrameParallel = 8
-	if got := ResolveFrameParallel(cfg, 4); got != 8 {
-		t.Errorf("explicit 8 under n=4 -> %d, want 8", got)
+}
+
+// TestReplicateFrameWorkers reads the FrameParallel each run of a
+// Replicate fan-out actually got from the configuration its checkpoints
+// carry: at parallel 1 every auto run is inline, and a wider budget is
+// split across the runs.
+func TestReplicateFrameWorkers(t *testing.T) {
+	cases := []struct {
+		name          string
+		parallel      int
+		frameParallel []int // one configuration each
+		reps          int
+		want          []int // per configuration
+	}{
+		{"parallel 1 runs inline", 1, []int{0, 0, 3}, 2, []int{1, 1, 3}},
+		{"one run gets the budget", 2, []int{0}, 1, []int{2}},
+		{"budget split over runs", 4, []int{0, 0}, 1, []int{2, 2}},
 	}
-	// Sequential mode runs its physics on the same pool, so it resolves
-	// the same way.
-	cfg = DefaultConfig()
-	if got := ResolveFrameParallel(cfg, 4); got != 1 {
-		t.Errorf("sequential auto under n=4 -> %d, want 1 (inline)", got)
-	}
-	if got := ResolveFrameParallel(cfg, 1); got != 0 {
-		t.Errorf("sequential auto under n=1 -> %d, want 0 (GOMAXPROCS)", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			got := map[uint64]int{} // seed -> FrameParallel
+			cfgs := make([]Config, len(tc.frameParallel))
+			for i, fp := range tc.frameParallel {
+				cfg := quickConfig()
+				cfg.SimTime, cfg.WarmupTime = 0.2, 0.1
+				cfg.Seed = uint64(100 * (i + 1))
+				cfg.FrameParallel = fp
+				cfg.CheckpointEvery = 1
+				cfg.CheckpointSink = func(_ int, write func(io.Writer) error) error {
+					var buf bytes.Buffer
+					if err := write(&buf); err != nil {
+						return err
+					}
+					ck, err := ReadCheckpoint(&buf)
+					if err != nil {
+						return err
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					got[ck.Config().Seed] = ck.Config().FrameParallel
+					return nil
+				}
+				cfgs[i] = cfg
+			}
+			err := Replicate(context.Background(), cfgs, tc.reps, tc.parallel, func(int, *Aggregate) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cfg := range cfgs {
+				for r := range tc.reps {
+					seed := cfg.Seed + uint64(r)
+					if fp, ok := got[seed]; !ok || fp != tc.want[i] {
+						t.Errorf("configuration %d replication %d: FrameParallel %d (checkpointed %v), want %d",
+							i, r, fp, ok, tc.want[i])
+					}
+				}
+			}
+		})
 	}
 }

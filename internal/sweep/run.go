@@ -14,8 +14,10 @@ type Options struct {
 	// (default 1). Point p starts at seed base + p*Reps and sim.Replicate
 	// adds the replication index r, so results depend only on the indices.
 	Reps int
-	// Parallel bounds the number of (point × replication) runs in flight at
-	// once; <= 0 means GOMAXPROCS. It never affects the results.
+	// Parallel is the sweep's CPU budget (<= 0 means GOMAXPROCS): at most
+	// that many (point × replication) runs are in flight at once, and a
+	// point on auto frame workers gets its share of the budget
+	// (sim.FrameWorkers). It never affects the results.
 	Parallel int
 	// BaseSeed overrides the preset's base seed when non-zero.
 	BaseSeed uint64

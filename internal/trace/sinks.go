@@ -2,7 +2,6 @@ package trace
 
 import (
 	"io"
-	"strconv"
 	"strings"
 
 	"jabasd/internal/report"
@@ -51,53 +50,42 @@ func (s *CSVSink) Write(records []Record) error {
 }
 
 // JSONLSink streams records as JSON Lines: one object per record with the
-// Columns field names, values as JSON numbers/strings. Handy for piping
-// into jq or a dataframe loader without a CSV parser.
+// Columns field names and AppendRow's values, as JSON numbers except the
+// solve status, the one string. Handy for piping into jq or a dataframe
+// loader without a CSV parser.
 type JSONLSink struct {
-	w io.Writer
+	w          io.Writer
+	rowScratch []string
 }
 
 // NewJSONL creates a JSONL sink writing to w.
 func NewJSONL(w io.Writer) *JSONLSink {
-	return &JSONLSink{w: w}
+	return &JSONLSink{w: w, rowScratch: make([]string, 0, len(Columns()))}
 }
 
 // Write implements Sink.
 func (s *JSONLSink) Write(records []Record) error {
+	cols := Columns()
 	var sb strings.Builder
-	for _, r := range records {
-		sb.WriteString(`{"frame":`)
-		sb.WriteString(itoa(r.Frame))
-		sb.WriteString(`,"time_s":`)
-		sb.WriteString(formatFloat(r.TimeS))
-		sb.WriteString(`,"cell":`)
-		sb.WriteString(itoa(r.Cell))
-		sb.WriteString(`,"offered":`)
-		sb.WriteString(itoa(r.Offered))
-		sb.WriteString(`,"admitted":`)
-		sb.WriteString(itoa(r.Admitted))
-		sb.WriteString(`,"granted_ratio":`)
-		sb.WriteString(itoa(r.GrantedRatio))
-		sb.WriteString(`,"completed":`)
-		sb.WriteString(itoa(r.Completed))
-		sb.WriteString(`,"delay_sum_s":`)
-		sb.WriteString(formatFloat(r.DelaySumS))
-		sb.WriteString(`,"queue_len":`)
-		sb.WriteString(itoa(r.QueueLen))
-		sb.WriteString(`,"active_bursts":`)
-		sb.WriteString(itoa(r.ActiveBursts))
-		sb.WriteString(`,"load":`)
-		sb.WriteString(formatFloat(r.Load))
-		sb.WriteString(`,"down":`)
-		sb.WriteString(itoa(r.Down))
-		sb.WriteString(`,"spill":`)
-		sb.WriteString(itoa(r.Spill))
-		sb.WriteString(`,"solve":"`)
-		sb.WriteString(r.Solve) // solve statuses never need JSON escaping
-		sb.WriteString("\"}\n")
+	for _, rec := range records {
+		s.rowScratch = rec.AppendRow(s.rowScratch[:0])
+		sep := byte('{')
+		for i, v := range s.rowScratch {
+			sb.WriteByte(sep)
+			sep = ','
+			sb.WriteByte('"')
+			sb.WriteString(cols[i])
+			sb.WriteString(`":`)
+			if cols[i] == "solve" { // solve statuses never need JSON escaping
+				sb.WriteByte('"')
+				sb.WriteString(v)
+				sb.WriteByte('"')
+			} else {
+				sb.WriteString(v)
+			}
+		}
+		sb.WriteString("}\n")
 	}
 	_, err := io.WriteString(s.w, sb.String())
 	return err
 }
-
-func itoa(n int) string { return strconv.Itoa(n) }

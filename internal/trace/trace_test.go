@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -127,6 +130,56 @@ func TestJSONLSink(t *testing.T) {
 	} {
 		if got[tc.key] != tc.want {
 			t.Errorf("%s = %v, want %v", tc.key, got[tc.key], tc.want)
+		}
+	}
+}
+
+// TestJSONLMatchesCSV: each JSONL line carries its CSV row's values, under
+// the Columns names, in Columns order.
+func TestJSONLMatchesCSV(t *testing.T) {
+	recs := []Record{sample(0), sample(7), {
+		Frame: 1 << 40, TimeS: 0.1 + 0.2, Cell: 1026, Offered: -1, DelaySumS: 1e-300,
+		Load: 12345.678e22, Down: 1, Spill: 9, Solve: "fallback",
+	}}
+	var csvOut, jsonlOut strings.Builder
+	if err := NewCSV(&csvOut).Write(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewJSONL(&jsonlOut).Write(recs); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(strings.NewReader(csvOut.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(jsonlOut.String(), "\n"), "\n")
+	if len(rows) != len(recs)+1 || len(lines) != len(recs) {
+		t.Fatalf("%d CSV rows and %d JSONL lines for %d records", len(rows), len(lines), len(recs))
+	}
+	for i, line := range lines {
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.UseNumber()
+		if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+			t.Fatalf("line %d %q: opening token %v (%v)", i, line, tok, err)
+		}
+		var keys, values []string
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				t.Fatalf("line %d %q: %v", i, line, err)
+			}
+			val, err := dec.Token()
+			if err != nil {
+				t.Fatalf("line %d %q: %v", i, line, err)
+			}
+			keys = append(keys, key.(string))
+			values = append(values, fmt.Sprint(val))
+		}
+		if !slices.Equal(keys, Columns()) {
+			t.Errorf("line %d keys %v, want %v", i, keys, Columns())
+		}
+		if !slices.Equal(values, rows[i+1]) {
+			t.Errorf("line %d values %v, want the CSV row %v", i, values, rows[i+1])
 		}
 	}
 }
