@@ -155,17 +155,18 @@ type Engine struct {
 	// per active cell. pool is the user-seeding (populate), user-update,
 	// burst-rate and snapshot-solve fan-out; it is nil, the inline pool that
 	// runs every task on the caller as worker 0, when FrameParallel == 1.
-	// The snapshot solve runs one pool task per active cell.
+	// Otherwise the goroutine running step is worker 0 too, and the pool's
+	// helpers poll between a frame's passes before they park. The snapshot
+	// solve runs one pool task per active cell.
 	pool    *stream.Pool
 	workers []*frameWorker
 	active  []int
 	grants  []cellGrants
 
-	// voiceTask, userTask, rateTask and solveTask are the pool's per-frame
-	// task bodies (advanceVoiceChunk, updateUserChunk, rateBurstChunk,
-	// solveTaskCells), bound once in initWorkers so a fan-out does not
-	// allocate a closure every frame.
-	voiceTask, userTask, rateTask, solveTask func(worker, task int)
+	// userTask, rateTask and solveTask are the pool's per-frame task bodies
+	// (updateUserChunk, rateBurstChunk, solveTaskCells), bound once in
+	// initWorkers so a fan-out does not allocate a closure every frame.
+	userTask, rateTask, solveTask func(worker, task int)
 
 	// Telemetry, nil/empty when cfg.Trace is unset: the recorder wrapping
 	// the configured sink and the per-cell frame counters, reset every
@@ -355,10 +356,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // initWorkers sets up the pool and its workers. It runs before populate,
 // which seeds the users over the pool. Any FrameParallel but 1 starts a
-// pool, in both frame modes: the user, voice and burst-rate updates fan
-// out over it either way, and every worker gets its distance
-// row. Sequential admission runs on worker 0 alone, holding e.scheduler
-// itself; the other workers carry no scheduler. Snapshot mode gives every
+// pool (FrameParallel workers, GOMAXPROCS for 0): the engine's own
+// goroutine is worker 0 and parked helpers are the rest. It does so in
+// both frame modes: the user update (data and voice users in one pass)
+// and the burst rates fan out over it either way, and every worker gets
+// its distance row. Sequential admission runs on worker 0 alone, holding
+// e.scheduler itself; the other workers carry no scheduler. Snapshot mode gives every
 // worker its own scheduler clone, and FrameParallel == 1 (the nil inline
 // pool, no goroutines) still runs the snapshot semantics through worker 0,
 // so the output is identical to any other worker count.
@@ -377,7 +380,6 @@ func (e *Engine) initWorkers() error {
 	if e.cfg.FrameParallel != 1 {
 		e.pool = stream.NewPool(e.cfg.FrameParallel)
 	}
-	e.voiceTask = e.advanceVoiceChunk
 	e.userTask = e.updateUserChunk
 	e.rateTask = e.rateBurstChunk
 	e.solveTask = e.solveTaskCells
@@ -531,7 +533,6 @@ func (e *Engine) step() {
 		clear(e.traceCells)
 	}
 	e.applyFaults()
-	e.updateVoice()
 	e.updateUsers()
 	e.migrateQueued()
 	e.generateTraffic(dt)
@@ -559,22 +560,6 @@ func chunk[T any](s []T, task, size int) []T {
 
 // tasks returns the number of size-element tasks covering n elements.
 func tasks(n, size int) int { return (n + size - 1) / size }
-
-// updateVoice advances voice activity and positions by one frame. Each
-// voice user's new state is a pure function of its own previous state, so
-// the loop fans out over the pool in chunks (a city preset carries tens of
-// thousands of voice users) and the result is identical for any worker
-// count.
-func (e *Engine) updateVoice() {
-	e.pool.Run(tasks(len(e.voice), voiceChunk), e.voiceTask)
-}
-
-// advanceVoiceChunk is updateVoice's pool task.
-func (e *Engine) advanceVoiceChunk(_, task int) {
-	for _, v := range chunk(e.voice, task, voiceChunk) {
-		e.advanceVoice(v, e.cfg.FrameLength)
-	}
-}
 
 // advanceVoice advances one voice user. The serving cell is a pure function
 // of the position, so a paused user (zero travel) keeps its cell without
@@ -604,17 +589,28 @@ func (e *Engine) advanceVoice(v *voiceUser, dt float64) {
 	}
 }
 
-// updateUsers advances mobility, channel state, pilot sets and MAC state for
-// every data user by one frame. Each user's new state is a pure function of
-// its own previous state (own mobility model, own fading and shadowing
-// streams), so the updates fan out over the pool in chunks, in either frame
-// mode, and the result is identical for any worker count.
+// updateUsers advances every user by one frame in one pass over the pool:
+// mobility, channel state, pilot sets and MAC state for the data users,
+// then voice activity, position and serving cell for the voice users (a
+// city preset carries tens of thousands of them). Each user's new state is
+// a pure function of its own previous state (own mobility model, own fading
+// and shadowing streams), and no data user's update reads a voice user, so
+// the updates fan out in chunks, data users first and then voice users as
+// in populate, in either frame mode, and the result is identical for any
+// worker count.
 func (e *Engine) updateUsers() {
-	e.pool.Run(tasks(len(e.users), userChunk), e.userTask)
+	e.pool.Run(tasks(len(e.users), userChunk)+tasks(len(e.voice), voiceChunk), e.userTask)
 }
 
-// updateUserChunk is updateUsers' pool task, on worker w's distance row.
+// updateUserChunk is updateUsers' pool task: a chunk of data users, on
+// worker w's distance row, or past the data chunks a chunk of voice users.
 func (e *Engine) updateUserChunk(w, task int) {
+	if dataTasks := tasks(len(e.users), userChunk); task >= dataTasks {
+		for _, v := range chunk(e.voice, task-dataTasks, voiceChunk) {
+			e.advanceVoice(v, e.cfg.FrameLength)
+		}
+		return
+	}
 	dist := e.workers[w].dist
 	for _, u := range chunk(e.users, task, userChunk) {
 		e.updateUser(u, e.cfg.FrameLength, dist)
@@ -652,7 +648,7 @@ func (e *Engine) accumulateLoads() {
 	e.loads.Fill(base)
 	for _, v := range e.voice {
 		// cell < 0 is the pre-first-frame sentinel; step() always runs
-		// updateVoice before the loads are accumulated.
+		// updateUsers before the loads are accumulated.
 		if v.model.Active() && v.cell >= 0 {
 			e.loads.Add(v.cell, voiceShare)
 		}

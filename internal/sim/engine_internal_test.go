@@ -179,7 +179,6 @@ func TestOutageRefreshesPausedUsers(t *testing.T) {
 
 func TestAccumulateLoadsForwardIncludesOverheadAndFCH(t *testing.T) {
 	e := newTestEngine(t, nil)
-	e.updateVoice()
 	e.updateUsers()
 	e.accumulateLoads()
 	minOverhead := e.cfg.CommonOverheadFrac * e.cfg.MaxCellPowerW
@@ -207,7 +206,6 @@ func TestAccumulateLoadsForwardIncludesOverheadAndFCH(t *testing.T) {
 
 func TestAccumulateLoadsReverseStartsAtNoiseFloor(t *testing.T) {
 	e := newTestEngine(t, func(c *Config) { c.Direction = Reverse })
-	e.updateVoice()
 	e.updateUsers()
 	e.accumulateLoads()
 	for k, load := range e.loads.Values() {
@@ -329,7 +327,6 @@ func TestFrameHotPathStaysAllocationFree(t *testing.T) {
 					e.pool != nil, len(e.voice), len(e.users), len(e.bursts))
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				e.updateVoice()
 				e.updateUsers()
 				e.accumulateLoads()
 				e.burstRates()

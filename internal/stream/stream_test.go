@@ -244,6 +244,112 @@ func TestPoolMoreWorkersThanTasks(t *testing.T) {
 	}
 }
 
+// TestPoolRunsEveryTaskExactlyOnceAcrossRuns stresses the hand-over from
+// one Run to the next: a helper still polling, or waking late, after a Run
+// must neither claim a task of the following Run twice nor lose one.
+// Pools of 2 and GOMAXPROCS workers poll between Runs (when they fit in
+// GOMAXPROCS); 8 workers on a smaller machine park at once.
+func TestPoolRunsEveryTaskExactlyOnceAcrossRuns(t *testing.T) {
+	sizes := []int{0, 1, 2, 3, 35, 100}
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"workers-2", 2}, {"gomaxprocs", runtime.GOMAXPROCS(0)}, {"workers-8", 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(tc.workers)
+			defer p.Close()
+			var counts [100]atomic.Int32
+			var badWorker atomic.Int64
+			badWorker.Store(-1)
+			for round := range 10000 {
+				n := sizes[round%len(sizes)]
+				p.Run(n, func(w, task int) {
+					if w < 0 || w >= p.Workers() {
+						badWorker.Store(int64(w))
+					}
+					counts[task].Add(1)
+				})
+				for task := range counts {
+					want := int32(0)
+					if task < n {
+						want = 1
+					}
+					if got := counts[task].Swap(0); got != want {
+						t.Fatalf("round %d, Run(%d): task %d ran %d times", round, n, task, got)
+					}
+				}
+				if w := badWorker.Load(); w >= 0 {
+					t.Fatalf("round %d: worker index %d out of range [0,%d)", round, w, p.Workers())
+				}
+			}
+		})
+	}
+}
+
+// TestPoolOversubscribedDoesNotLivelock runs a 4-worker pool on one
+// processor: its workers do not fit in GOMAXPROCS, so nobody polls, and a
+// Run must still finish promptly whichever goroutine the scheduler runs.
+func TestPoolOversubscribedDoesNotLivelock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := NewPool(4)
+	defer p.Close()
+	finished := make(chan int64)
+	go func() {
+		var sum atomic.Int64
+		for round := range 1000 {
+			p.Run(round%9, func(_, task int) { sum.Add(int64(task)) })
+		}
+		finished <- sum.Load()
+	}()
+	// Round r runs n = r%9 tasks summing to n(n-1)/2: 111 full cycles of
+	// n = 0..8 (84 each), then round 999 with n = 0.
+	const want = 111 * 84
+	select {
+	case got := <-finished:
+		if got != want {
+			t.Fatalf("task sum %d, want %d", got, want)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("1000 Runs on one processor did not finish within a minute")
+	}
+}
+
+// TestPoolCloseLeavesNoHelpers closes a pool in each state its helpers can
+// be in (parked since start, parked after polling out, polling right after
+// a Run) and requires every helper goroutine to be gone.
+func TestPoolCloseLeavesNoHelpers(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		prepare func(p *Pool)
+	}{
+		{"never-run", func(*Pool) {}},
+		{"parked", func(p *Pool) {
+			p.Run(64, func(_, _ int) {})
+			for i := range p.helpers {
+				for !p.helpers[i].parked.Load() {
+					time.Sleep(spinWindow)
+				}
+			}
+		}},
+		{"just-run", func(p *Pool) { p.Run(64, func(_, _ int) {}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			// GOMAXPROCS workers fit, so a just-run pool's helpers poll.
+			p := NewPool(max(2, runtime.GOMAXPROCS(0)))
+			tc.prepare(p)
+			p.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before the pool", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
 // TestPoolRunsSingleTaskInline pins that a one-task Run does not wake the
 // pool: the task runs on the calling goroutine, as worker 0.
 func TestPoolRunsSingleTaskInline(t *testing.T) {
