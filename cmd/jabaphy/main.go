@@ -71,13 +71,13 @@ func run(args []string) error {
 
 	if *trace > 0 {
 		fmt.Println()
-		src := rng.New(*seed)
-		jakes := rng.NewJakes(src, 16, *doppler)
+		jakes := rng.NewJakesBatch(1, 16, *doppler)
+		jakes.SeedUser(0, rng.New(*seed))
 		tr := report.NewTable(fmt.Sprintf("Mode trace at %.1f dB mean CSI, %.0f Hz Doppler", *csi, *doppler),
 			"t_ms", "inst_CSI_dB", "mode", "bits_per_symbol")
 		step := 0.005
 		for t := 0.0; t < *trace; t += step {
-			p := jakes.PowerAt(t)
+			p := jakes.PowerAt(0, t)
 			if p < 1e-12 {
 				p = 1e-12
 			}

@@ -9,15 +9,19 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // gate is one byte gate: its commands run in order in one temporary
 // directory, then its checks compare their outputs. An output is a file a
-// command writes there or a command's stdout ("cmd args > name").
+// command writes there or a command's stdout ("cmd args > name"). Gates
+// with the same share run in one directory, and a command that several of
+// them list runs once for all of them.
 type gate struct {
 	name   string
 	amd64  bool // the golden pins amd64 kernel bits
+	share  string
 	cmds   []string
 	checks []check
 }
@@ -31,6 +35,18 @@ type check func(g gate, dir string) error
 // compiler fuses multiply-adds, the default fast path's Go kernels may round
 // differently, so its goldens are amd64 goldens.
 var gates = []gate{
+	// The city preset engages windowed physics, the spatial index and the
+	// per-cell solve fan-out at once. Its two runs serve two gates, which
+	// start first as the longest: trace-city-fast runs the inline one and
+	// checks every 25th frame of its trace against the golden, and
+	// city-workers runs the auto one and compares the pair.
+	{name: "trace-city-fast", amd64: true, share: "city", cmds: []string{cityInline},
+		checks: []check{goldenRows("city-w1.csv", "trace-city-fast.csv", 25)}},
+	{name: "city-workers", share: "city", cmds: []string{
+		"jabasim -preset city -sim-time 1 -trace city-auto.csv -trace-every 5 > city-auto.txt",
+		cityInline,
+	}, checks: []check{same("city-w1.txt", "city-auto.txt"), same("city-w1.csv", "city-auto.csv")}},
+
 	// Worker-count determinism: -parallel, -frameparallel and the inline
 	// frame loop must not change a byte of the sweep CSV, the printed
 	// metrics or the trace.
@@ -62,13 +78,6 @@ var gates = []gate{
 		"jabasim -preset smoke -data-users 20 -framemode snapshot -frameparallel 1 -trace fast-w1.csv",
 		"jabasim -preset smoke -data-users 20 -framemode snapshot -frameparallel 8 -trace fast-w8.csv",
 	}, checks: []check{same("fast-a.csv", "fast-b.csv"), same("fast-w1.csv", "fast-w8.csv")}},
-	// The city preset engages windowed physics, the spatial index and the
-	// per-cell solve fan-out at once.
-	{name: "city-workers", cmds: []string{
-		"jabasim -preset city -sim-time 1 -frameparallel 1 -trace city-w1.csv -trace-every 10 > city-w1.txt",
-		"jabasim -preset city -sim-time 1 -trace city-auto.csv -trace-every 10 > city-auto.txt",
-	}, checks: []check{same("city-w1.txt", "city-auto.txt"), same("city-w1.csv", "city-auto.csv")}},
-
 	// Sweep goldens: datausers=14 separates the two frame modes, and the
 	// random scheduler's rows pin the per-(frame, cell) reseed.
 	{name: "sweep-smoke-sequential", cmds: []string{
@@ -111,9 +120,6 @@ var gates = []gate{
 	{name: "trace-metro-fast", amd64: true, cmds: []string{
 		"jabasim -preset metro -sim-time 20 -trace got.csv -trace-every 50",
 	}, checks: []check{golden("got.csv", "trace-metro-fast.csv")}},
-	{name: "trace-city-fast", amd64: true, cmds: []string{
-		"jabasim -preset city -sim-time 1 -trace got.csv -trace-every 25",
-	}, checks: []check{golden("got.csv", "trace-city-fast.csv")}},
 	{name: "trace-reverse-fast", amd64: true, cmds: []string{
 		"jabasim -preset reverse -sim-time 30 -trace got.csv -trace-every 50",
 	}, checks: []check{golden("got.csv", "trace-reverse-fast.csv")}},
@@ -181,20 +187,32 @@ var gates = []gate{
 	}},
 }
 
+// cityInline is the inline city run that the city gates share.
+const cityInline = "jabasim -preset city -sim-time 1 -frameparallel 1 -trace city-w1.csv -trace-every 5 > city-w1.txt"
+
 // TestGoldenTable runs every gate in gates against binaries built from this
 // tree. A failed golden check prints the command that rewrites the golden.
 func TestGoldenTable(t *testing.T) {
 	bin := t.TempDir()
 	goBuild(t, bin, "./cmd/jabasim", "./cmd/jabasweep", "./cmd/jabaexp")
+	shared := map[string]*sharedDir{}
+	for _, g := range gates {
+		if g.share != "" && shared[g.share] == nil {
+			shared[g.share] = &sharedDir{dir: t.TempDir(), runs: map[string]func() error{}}
+		}
+	}
 	for _, g := range gates {
 		t.Run(g.name, func(t *testing.T) {
 			if g.amd64 && runtime.GOARCH != "amd64" {
 				t.Skipf("golden pins amd64 kernel bits; GOARCH is %s", runtime.GOARCH)
 			}
 			t.Parallel()
-			dir := t.TempDir()
+			dir, run := t.TempDir(), runGateCmd
+			if s := shared[g.share]; s != nil {
+				dir, run = s.dir, s.run
+			}
 			for _, line := range g.cmds {
-				if err := runGateCmd(bin, dir, line); err != nil {
+				if err := run(bin, dir, line); err != nil {
 					t.Error(err)
 				}
 			}
@@ -205,6 +223,27 @@ func TestGoldenTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sharedDir is the directory of the gates with one share, with the
+// commands they have run there.
+type sharedDir struct {
+	dir  string
+	mu   sync.Mutex
+	runs map[string]func() error // by command line
+}
+
+// run runs command line in s.dir once; later calls wait for that run and
+// return its error.
+func (s *sharedDir) run(bin, _, line string) error {
+	s.mu.Lock()
+	r := s.runs[line]
+	if r == nil {
+		r = sync.OnceValue(func() error { return runGateCmd(bin, s.dir, line) })
+		s.runs[line] = r
+	}
+	s.mu.Unlock()
+	return r()
 }
 
 // parseCmd splits a gate command into its binary, arguments and the output
@@ -285,18 +324,46 @@ func readOutput(dir, name string) []byte {
 }
 
 // golden requires output out to equal testdata/golden/file.
-func golden(out, file string) check {
+func golden(out, file string) check { return goldenRows(out, file, 1) }
+
+// goldenRows requires output out to equal testdata/golden/file. When every
+// exceeds 1, out is a trace CSV and only its header and its rows at frames
+// that are multiples of every are compared: a trace at a finer cadence
+// holds every row of the coarser one.
+func goldenRows(out, file string, every int) check {
 	return func(g gate, dir string) error {
 		path := "testdata/golden/" + file
 		want, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		if got := readOutput(dir, out); !bytes.Equal(got, want) {
-			return fmt.Errorf("%s differs from %s: %s\nregenerate it with:\n\t%s", out, path, firstDiff(want, got), g.regenerate(out, path, dir))
+		got, regen := readOutput(dir, out), g.regenerate(out, path, dir)
+		if every > 1 {
+			got = traceRows(got, func(frame int) bool { return frame%every == 0 })
+			regen += fmt.Sprintf(" && awk -F, 'NR == 1 || $1 %% %d == 0' %s > %s.tmp && mv %s.tmp %s", every, path, path, path, path)
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("%s differs from %s: %s\nregenerate it with:\n\t%s", out, path, firstDiff(want, got), regen)
 		}
 		return nil
 	}
+}
+
+// traceRows returns the header of trace CSV b and the rows whose frame
+// (the first column) satisfies keep, or nil when b is nil.
+func traceRows(b []byte, keep func(frame int) bool) []byte {
+	if b == nil {
+		return nil
+	}
+	header, rows, _ := bytes.Cut(b, []byte("\n"))
+	out := append(append([]byte{}, header...), '\n')
+	for _, row := range bytes.SplitAfter(rows, []byte("\n")) {
+		frame, _, _ := bytes.Cut(row, []byte(","))
+		if f, err := strconv.Atoi(string(frame)); err == nil && keep(f) {
+			out = append(out, row...)
+		}
+	}
+	return out
 }
 
 // experimentGoldens requires jabaexp's CSV of each of experiments E1-E14,
@@ -326,14 +393,7 @@ func same(a, b string) check {
 func resumedTail(resumed, straight string, k int) check {
 	return func(_ gate, dir string) error {
 		full := readOutput(dir, straight)
-		header, rows, _ := bytes.Cut(full, []byte("\n"))
-		want := append(append([]byte{}, header...), '\n')
-		for _, row := range bytes.SplitAfter(rows, []byte("\n")) {
-			frame, _, _ := bytes.Cut(row, []byte(","))
-			if f, err := strconv.Atoi(string(frame)); err == nil && f >= k {
-				want = append(want, row...)
-			}
-		}
+		want := traceRows(full, func(frame int) bool { return frame >= k })
 		if got := readOutput(dir, resumed); full == nil || !bytes.Equal(got, want) {
 			return fmt.Errorf("%s is not %s from frame %d on: %s", resumed, straight, k, firstDiff(want, got))
 		}

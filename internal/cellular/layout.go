@@ -144,18 +144,10 @@ type PilotMeasurement struct {
 	EcIoDB float64
 }
 
-// ActiveSet returns the cells whose pilot is within addThresholdDB of the
-// strongest pilot and above the absolute minimum minEcIoDB, capped at
-// maxSize. This models the FCH soft hand-off active set.
-func ActiveSet(pilots []PilotMeasurement, addThresholdDB, minEcIoDB float64, maxSize int) []int {
-	if len(pilots) == 0 || maxSize <= 0 {
-		return nil
-	}
-	return ActiveSetInto([]int{}, pilots, addThresholdDB, minEcIoDB, maxSize)
-}
-
-// ActiveSetInto is ActiveSet writing into dst (reused, resliced to length
-// zero).
+// ActiveSetInto writes into dst (reused, resliced to length zero) the cells
+// whose pilot is within addThresholdDB of the strongest pilot and above the
+// absolute minimum minEcIoDB, capped at maxSize. This models the FCH soft
+// hand-off active set.
 func ActiveSetInto(dst []int, pilots []PilotMeasurement, addThresholdDB, minEcIoDB float64, maxSize int) []int {
 	dst = dst[:0]
 	if len(pilots) == 0 || maxSize <= 0 {
@@ -176,19 +168,11 @@ func ActiveSetInto(dst []int, pilots []PilotMeasurement, addThresholdDB, minEcIo
 	return dst
 }
 
-// ReducedActiveSet returns the reduced active set used for the high-speed
-// supplemental channel: the (at most) two strongest pilots of the FCH active
-// set, as assumed by the paper (footnote 4).
-func ReducedActiveSet(pilots []PilotMeasurement, activeSet []int) []int {
-	if len(activeSet) == 0 {
-		return nil
-	}
-	return ReducedActiveSetInto([]int{}, pilots, activeSet)
-}
-
-// ReducedActiveSetInto is ReducedActiveSet writing into dst (reused,
-// resliced to length zero). The active set is at most a handful of cells, so
-// membership is a linear scan rather than a per-frame map.
+// ReducedActiveSetInto writes into dst (reused, resliced to length zero) the
+// reduced active set used for the high-speed supplemental channel: the (at
+// most) two strongest pilots of the FCH active set, as assumed by the paper
+// (footnote 4). The active set is at most a handful of cells, so membership
+// is a linear scan rather than a per-frame map.
 func ReducedActiveSetInto(dst []int, pilots []PilotMeasurement, activeSet []int) []int {
 	dst = dst[:0]
 	for _, p := range pilots { // pilots already sorted by strength

@@ -172,25 +172,25 @@ func TestActiveSet(t *testing.T) {
 		{Cell: 3, EcIoDB: -20},
 	}
 	// 5 dB add threshold, -15 dB minimum, max 3.
-	got := ActiveSet(pilots, 5, -15, 3)
+	got := ActiveSetInto(nil, pilots, 5, -15, 3)
 	if len(got) != 2 || got[0] != 2 || got[1] != 0 {
-		t.Errorf("ActiveSet = %v, want [2 0]", got)
+		t.Errorf("ActiveSetInto = %v, want [2 0]", got)
 	}
 	// Wider threshold admits cell 1 too.
-	got = ActiveSet(pilots, 8, -15, 3)
+	got = ActiveSetInto(got, pilots, 8, -15, 3)
 	if len(got) != 3 {
-		t.Errorf("ActiveSet with wide threshold = %v", got)
+		t.Errorf("ActiveSetInto with wide threshold = %v", got)
 	}
 	// Cap at 1.
-	got = ActiveSet(pilots, 8, -15, 1)
+	got = ActiveSetInto(got, pilots, 8, -15, 1)
 	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("capped ActiveSet = %v", got)
+		t.Errorf("capped ActiveSetInto = %v", got)
 	}
-	if ActiveSet(nil, 5, -15, 3) != nil {
-		t.Error("empty pilots should give nil")
+	if got = ActiveSetInto(got, nil, 5, -15, 3); len(got) != 0 {
+		t.Errorf("empty pilots gave %v, want an empty set", got)
 	}
-	if ActiveSet(pilots, 5, -15, 0) != nil {
-		t.Error("maxSize 0 should give nil")
+	if got = ActiveSetInto([]int{7}, pilots, 5, -15, 0); len(got) != 0 {
+		t.Errorf("maxSize 0 gave %v, want an empty set", got)
 	}
 }
 
@@ -201,20 +201,20 @@ func TestReducedActiveSet(t *testing.T) {
 		{Cell: 1, EcIoDB: -9},
 	}
 	active := []int{2, 0, 1}
-	got := ReducedActiveSet(pilots, active)
+	got := ReducedActiveSetInto(nil, pilots, active)
 	if len(got) != 2 || got[0] != 2 || got[1] != 0 {
-		t.Errorf("ReducedActiveSet = %v, want [2 0]", got)
+		t.Errorf("ReducedActiveSetInto = %v, want [2 0]", got)
 	}
 	// A cell not in the active set cannot appear even if its pilot is strong.
-	got = ReducedActiveSet(pilots, []int{0, 1})
+	got = ReducedActiveSetInto(got, pilots, []int{0, 1})
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("ReducedActiveSet = %v, want [0 1]", got)
+		t.Errorf("ReducedActiveSetInto = %v, want [0 1]", got)
 	}
-	if ReducedActiveSet(pilots, nil) != nil {
-		t.Error("empty active set should give nil")
+	if got = ReducedActiveSetInto(got, pilots, nil); len(got) != 0 {
+		t.Errorf("empty active set gave %v, want an empty set", got)
 	}
 	// Single-cell active set.
-	got = ReducedActiveSet(pilots, []int{1})
+	got = ReducedActiveSetInto(got, pilots, []int{1})
 	if len(got) != 1 || got[0] != 1 {
 		t.Errorf("single-cell reduced set = %v", got)
 	}

@@ -82,7 +82,7 @@ func (s *Shadowing) CurrentDB() float64 { return s.currentDB }
 type Link struct {
 	PathLoss PathLossModel
 	Shadow   *Shadowing
-	Fast     *rng.Jakes
+	Fast     *rng.JakesBatch // one user
 
 	distance   float64 // current distance in metres
 	lastLongDB float64 // cached long-term gain (path loss + shadowing) in dB
@@ -114,11 +114,13 @@ func DefaultLinkConfig() LinkConfig {
 func NewLink(src *rng.Source, cfg LinkConfig) *Link {
 	shadowSrc := src.Split(1)
 	fadeSrc := src.Split(2)
-	return &Link{
+	l := &Link{
 		PathLoss: cfg.PathLoss,
 		Shadow:   NewShadowing(shadowSrc, cfg.ShadowSigmaDB, cfg.ShadowDecorrM),
-		Fast:     rng.NewJakes(fadeSrc, cfg.Oscillators, cfg.DopplerHz),
+		Fast:     rng.NewJakesBatch(1, cfg.Oscillators, cfg.DopplerHz),
 	}
+	l.Fast.SeedUser(0, fadeSrc)
+	return l
 }
 
 // Update advances the link: the mobile is now at distance d metres from the
@@ -136,4 +138,4 @@ func (l *Link) LongTermGainDB() float64 { return l.lastLongDB }
 
 // FastGain returns the instantaneous Rayleigh power gain (unit mean) at
 // simulation time t seconds.
-func (l *Link) FastGain(t float64) float64 { return l.Fast.PowerAt(t) }
+func (l *Link) FastGain(t float64) float64 { return l.Fast.PowerAt(0, t) }

@@ -96,25 +96,33 @@ func TestWaypointBatchDecodeRejectsSizeMismatch(t *testing.T) {
 	}
 }
 
-// TestRandomWaypointStateRoundTrip is the scalar (voice-user) counterpart.
+// TestRandomWaypointStateRoundTrip round-trips one user through
+// PersistUser, the layout of the checkpoint's voice section: user 1 of a
+// batch is restored into user 1 of a batch seeded otherwise, and the two
+// trajectories agree bit for bit afterwards.
 func TestRandomWaypointStateRoundTrip(t *testing.T) {
 	region := Region{Width: 1500, Height: 1500}
-	orig := NewRandomWaypoint(rng.New(11), region, 0.5, 15, 30)
+	orig := NewWaypointBatch(region, 0.5, 15, 30, 3)
+	restored := NewWaypointBatch(region, 0.5, 15, 30, 3)
+	for i := 0; i < 3; i++ {
+		orig.SeedUser(i, rng.New(uint64(11+i)))
+		restored.SeedUser(i, rng.New(uint64(99+i)))
+	}
 	const dt = 0.5
 	for step := 0; step < 300; step++ {
-		orig.Advance(dt)
+		orig.Advance(1, dt)
 	}
 
-	restored := NewRandomWaypoint(rng.New(99), region, 0.5, 15, 30)
-	snapshot(t, orig.Persist, restored.Persist)
+	snapshot(t, func(c *checkpoint.Codec) { orig.PersistUser(c, 1) },
+		func(c *checkpoint.Codec) { restored.PersistUser(c, 1) })
 
 	for step := 0; step < 3000; step++ {
-		a := orig.Advance(dt)
-		b := restored.Advance(dt)
+		a := orig.Advance(1, dt)
+		b := restored.Advance(1, dt)
 		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("travel diverged at step %d: %v vs %v", step, a, b)
 		}
-		pa, pb := orig.Position(), restored.Position()
+		pa, pb := orig.Position(1), restored.Position(1)
 		if math.Float64bits(pa.X) != math.Float64bits(pb.X) || math.Float64bits(pa.Y) != math.Float64bits(pb.Y) {
 			t.Fatalf("position diverged at step %d: %v vs %v", step, pa, pb)
 		}

@@ -6,10 +6,18 @@ import (
 	"jabasd/internal/mathx"
 )
 
-// JakesBatch holds the Jakes oscillators of many users in contiguous
-// slices instead of one heap object per user, so the frame loop walks flat
-// memory; Jakes is its one-user view. User u's n in-phase oscillators and
-// then its n quadrature ones occupy [2u·n, 2(u+1)·n) of both slices.
+// JakesBatch generates sum-of-sinusoids Rayleigh fading following the
+// classic Jakes/Clarke model, for many users at once: each user's complex
+// channel gain is temporally correlated, its envelope Rayleigh distributed
+// and its Doppler spectrum limited to fd Hz. This is the fast fading
+// component X_f(t) of the paper's combined channel X(t) = X_l(t) * X_f(t);
+// PowerAt has unit mean so it multiplies the long-term (path loss x
+// shadowing) gain directly.
+//
+// The oscillators of all users live in contiguous slices instead of one
+// heap object per user, so the frame loop walks flat memory. User u's n
+// in-phase oscillators and then its n quadrature ones occupy
+// [2u·n, 2(u+1)·n) of both slices.
 //
 // Every cosine, the arrival angles' at seeding and the oscillators' at each
 // GainAt, goes through mathx.CosAffine. On amd64 CPUs with AVX2 it

@@ -111,7 +111,7 @@ func TestJakesBatchMatchesCosReference(t *testing.T) {
 	}
 }
 
-// TestJakesBatchOscillatorPromotion mirrors NewJakes' n < 1 -> 8 promotion.
+// TestJakesBatchOscillatorPromotion pins NewJakesBatch's n < 1 -> 8 promotion.
 func TestJakesBatchOscillatorPromotion(t *testing.T) {
 	b := NewJakesBatch(2, 0, 10)
 	if b.n != 8 {

@@ -2,7 +2,7 @@
 // generator and the distributions required by the JABA-SD dynamic simulator:
 // uniform, Bernoulli, Gaussian (Box-Muller and a ziggurat sampler, the
 // shadowing innovations), exponential, Rayleigh fading power, Pareto burst
-// sizes, and Jakes sum-of-sinusoids fast fading (Jakes, JakesBatch).
+// sizes, and Jakes sum-of-sinusoids fast fading (JakesBatch).
 //
 // The generator is xoshiro256** seeded via splitmix64. Each simulated entity
 // (user, cell, traffic source) obtains its own independent substream through

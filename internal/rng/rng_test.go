@@ -262,13 +262,19 @@ func TestFloat64OpenNeverZero(t *testing.T) {
 	}
 }
 
+// oneJakes returns a one-user JakesBatch seeded from src.
+func oneJakes(src *Source, n int, fd float64) *JakesBatch {
+	j := NewJakesBatch(1, n, fd)
+	j.SeedUser(0, src)
+	return j
+}
+
 func TestJakesUnitMeanPower(t *testing.T) {
-	src := New(71)
-	j := NewJakes(src, 16, 30)
+	j := oneJakes(New(71), 16, 30)
 	n := 20000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		sum += j.PowerAt(float64(i) * 0.01)
+		sum += j.PowerAt(0, float64(i)*0.01)
 	}
 	mean := sum / float64(n)
 	if mean < 0.7 || mean > 1.3 {
@@ -277,18 +283,17 @@ func TestJakesUnitMeanPower(t *testing.T) {
 }
 
 func TestJakesTemporalCorrelation(t *testing.T) {
-	src := New(73)
-	j := NewJakes(src, 16, 10) // 10 Hz Doppler => coherence ~ 40 ms
+	j := oneJakes(New(73), 16, 10) // 10 Hz Doppler => coherence ~ 40 ms
 	// Samples 1 ms apart should be highly correlated; samples 1 s apart much less.
-	p0 := j.PowerAt(0)
-	pClose := j.PowerAt(0.0005)
+	p0 := j.PowerAt(0, 0)
+	pClose := j.PowerAt(0, 0.0005)
 	if math.Abs(p0-pClose) > 0.5*math.Max(p0, 1e-9)+0.2 {
 		t.Errorf("Jakes power changed too fast over 0.5 ms: %v -> %v", p0, pClose)
 	}
 	// Envelope should vary substantially over many coherence times.
 	min, max := math.Inf(1), math.Inf(-1)
 	for i := 0; i < 1000; i++ {
-		p := j.PowerAt(float64(i) * 0.05)
+		p := j.PowerAt(0, float64(i)*0.05)
 		if p < min {
 			min = p
 		}

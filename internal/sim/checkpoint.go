@@ -296,9 +296,10 @@ func (e *Engine) state(c *checkpoint.Codec) error {
 	}
 
 	c.Section("voice")
-	for _, v := range e.voice {
+	for i := range e.voice {
+		v := &e.voice[i]
 		v.model.Persist(c)
-		v.mob.Persist(c)
+		e.voiceMob.PersistUser(c, i)
 		c.Int(&v.cell)
 		if c.Reading() && (v.cell < -1 || v.cell >= nCells) {
 			c.Fail("voice user cell %d out of range", v.cell)

@@ -499,10 +499,13 @@ func TestFreshEngineIdenticalAcrossWorkerCounts(t *testing.T) {
 // populateReference seeds e's users one at a time in the order every
 // substream is pinned to: cell by cell, the cell's data users and then its
 // voice users, each splitting its parent substream off e.src just before
-// its own splits (mobility 1, fading 2, traffic 3, window slots 10+i).
+// its own splits (a data user's mobility 1, fading 2, traffic 3, window
+// slots 10+i; a voice user's activity 1, mobility 2).
 func populateReference(e *Engine) {
 	nData := e.layout.NumCells() * e.cfg.DataUsersPerCell
+	nVoice := e.layout.NumCells() * e.cfg.VoiceUsersPerCell
 	e.mobB = mobility.NewWaypointBatch(e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30, nData)
+	e.voiceMob = mobility.NewWaypointBatch(e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30, nVoice)
 	e.fadeB = rng.NewJakesBatch(nData, 16, e.cfg.DopplerHz)
 	e.winB = channel.NewWindow(nData, e.spix.Window(), e.cfg.PathLoss, e.cfg.ShadowSigmaDB, e.cfg.ShadowDecorrM)
 	e.users, e.voice = nil, nil
@@ -527,8 +530,8 @@ func populateReference(e *Engine) {
 		for i := range e.cfg.VoiceUsersPerCell {
 			vsrc := e.src.Split(uint64(500000 + c*1000 + i))
 			model := traffic.NewVoiceModel(vsrc.Split(1), 1.0, 1.35)
-			mob := mobility.NewRandomWaypoint(vsrc.Split(2), e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30)
-			e.voice = append(e.voice, &voiceUser{model: model, mob: mob, cell: -1})
+			e.voiceMob.SeedUser(len(e.voice), vsrc.Split(2))
+			e.voice = append(e.voice, voiceUser{model: model, cell: -1})
 		}
 	}
 }

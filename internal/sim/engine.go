@@ -100,10 +100,10 @@ type dataUser struct {
 	meanCSIdB float64 // local-mean SCH Es/Io (dB)
 }
 
-// voiceUser is one circuit voice mobile (background load only).
+// voiceUser is one circuit voice mobile (background load only). Voice user
+// v's position is user v of the engine's voiceMob batch.
 type voiceUser struct {
 	model *traffic.VoiceModel
-	mob   *mobility.RandomWaypoint
 	cell  int // serving cell, re-evaluated each frame from position only
 }
 
@@ -118,22 +118,24 @@ type Engine struct {
 	src       *rng.Source
 
 	users  []*dataUser
-	voice  []*voiceUser
+	voice  []voiceUser
 	queues []*traffic.Queue // per cell
 	bursts []*burst
 
-	// Structure-of-arrays physics state for the data users, indexed by user
-	// id: waypoint mobility, Jakes fast fading and the long-term channel
-	// (path loss x shadowing) over each user's measurement window, every
-	// cell when PilotCells is 0 (see windowed.go). Each user's rows are
-	// touched only by the goroutine updating that user, so the chunked
+	// Structure-of-arrays physics state. For the data users, indexed by
+	// user id: waypoint mobility, Jakes fast fading and the long-term
+	// channel (path loss x shadowing) over each user's measurement window,
+	// every cell when PilotCells is 0 (see windowed.go). voiceMob is the
+	// voice users' waypoint mobility, indexed like voice. Each user's rows
+	// are touched only by the goroutine updating that user, so the chunked
 	// update fan-out is race-free. spix is the spatial bucket index: it
 	// hands out the window candidates and answers the voice users'
 	// nearest-cell queries.
-	mobB  *mobility.WaypointBatch
-	fadeB *rng.JakesBatch
-	winB  *channel.Window
-	spix  *spatial.Index
+	mobB     *mobility.WaypointBatch
+	fadeB    *rng.JakesBatch
+	winB     *channel.Window
+	voiceMob *mobility.WaypointBatch
+	spix     *spatial.Index
 
 	// Per-run constants hoisted out of the per-user frame loop. The exact
 	// path computes identical values to the per-call originals; the linear
@@ -407,12 +409,11 @@ func (e *Engine) Close() {
 	e.pool = nil
 }
 
-// populate creates the data and voice users. The data users' physics state
-// is seeded into the SoA batches from exactly the substreams the former
-// per-user objects received (mobility from userSrc.Split(1), fading from
-// Split(2), window slot i's shadowing from Split(10+i) — slot i is cell i
-// on a map-wide window), so the batch kernels reproduce the per-object
-// trajectories bit for bit.
+// populate creates the data and voice users. Each user's physics state is
+// seeded into the SoA batches from its own substreams: a data user's
+// mobility from userSrc.Split(1), fading from Split(2), window slot i's
+// shadowing from Split(10+i) (slot i is cell i on a map-wide window); a
+// voice user's activity from vsrc.Split(1) and mobility from Split(2).
 //
 // Every user owns its substreams, so only the parent splits are ordered:
 // a sequential pass draws each user's parent substream from e.src in the
@@ -425,10 +426,11 @@ func (e *Engine) populate() {
 	perData, perVoice := e.cfg.DataUsersPerCell, e.cfg.VoiceUsersPerCell
 	nData, nVoice := nCells*perData, nCells*perVoice
 	e.mobB = mobility.NewWaypointBatch(e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30, nData)
+	e.voiceMob = mobility.NewWaypointBatch(e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30, nVoice)
 	e.fadeB = rng.NewJakesBatch(nData, 16, e.cfg.DopplerHz)
 	e.winB = channel.NewWindow(nData, e.spix.Window(), e.cfg.PathLoss, e.cfg.ShadowSigmaDB, e.cfg.ShadowDecorrM)
 	e.users = make([]*dataUser, nData)
-	e.voice = make([]*voiceUser, nVoice)
+	e.voice = make([]voiceUser, nVoice)
 	srcs := make([]rng.Source, nData+nVoice)
 	dataSrcs, voiceSrcs := srcs[:nData], srcs[nData:]
 	for c := 0; c < nCells; c++ {
@@ -479,13 +481,13 @@ func (e *Engine) seedDataUser(uid int, userSrc *rng.Source) {
 	}
 }
 
-// seedVoiceUser creates voice user v from its parent substream.
+// seedVoiceUser creates voice user v from its parent substream, splitting
+// its activity stream (1) before its mobility stream (2).
 func (e *Engine) seedVoiceUser(v int, vsrc *rng.Source) {
-	e.voice[v] = &voiceUser{
-		model: traffic.NewVoiceModel(vsrc.Split(1), 1.0, 1.35),
-		mob:   mobility.NewRandomWaypoint(vsrc.Split(2), e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30),
-		cell:  -1,
-	}
+	e.voice[v] = voiceUser{model: traffic.NewVoiceModel(vsrc.Split(1), 1.0, 1.35), cell: -1}
+	var sub rng.Source
+	vsrc.SplitInto(&sub, 2)
+	e.voiceMob.SeedUser(v, &sub)
 }
 
 // Run executes the replication and returns its metrics. Cancelling the
@@ -572,13 +574,14 @@ func tasks(n, size int) int { return (n + size - 1) / size }
 // Under a fault schedule a voice user on an out-of-service cell hands off
 // to the nearest surviving cell; paused users re-run the search on frames
 // where the down mask changed, so recovery hands them cleanly back.
-func (e *Engine) advanceVoice(v *voiceUser, dt float64) {
+func (e *Engine) advanceVoice(i int, dt float64) {
+	v := &e.voice[i]
 	v.model.Advance(dt)
-	travelled := v.mob.Advance(dt)
+	travelled := e.voiceMob.Advance(i, dt)
 	if travelled <= 0 && v.cell >= 0 && !e.faultDirty {
 		return
 	}
-	pos := v.mob.Position()
+	pos := e.voiceMob.Position(i)
 	if e.cfg.ExactPHY {
 		v.cell = e.spix.NearestCell(pos)
 	} else {
@@ -606,7 +609,8 @@ func (e *Engine) updateUsers() {
 // worker w's distance row, or past the data chunks a chunk of voice users.
 func (e *Engine) updateUserChunk(w, task int) {
 	if dataTasks := tasks(len(e.users), userChunk); task >= dataTasks {
-		for _, v := range chunk(e.voice, task-dataTasks, voiceChunk) {
+		lo := (task - dataTasks) * voiceChunk
+		for v := lo; v < min(lo+voiceChunk, len(e.voice)); v++ {
 			e.advanceVoice(v, e.cfg.FrameLength)
 		}
 		return

@@ -54,3 +54,42 @@ func TestLiveHeapPerDataUser(t *testing.T) {
 		t.Fatalf("%.0f live bytes per data user, bound %d", perUser, maxLiveBytesPerDataUser)
 	}
 }
+
+// maxAllocsPerVoiceUser bounds NewEngine's heap allocations per voice user:
+// its activity model and that model's draw stream (2), with a margin for
+// the amortised growth of the engine's shared slices. Voice mobility lives
+// in the engine's waypoint batch, so a per-user mobility object or stream
+// that creeps back in fails this test.
+const maxAllocsPerVoiceUser = 2.5
+
+// TestNewEngineAllocsPerVoiceUser builds the 19-cell default engine with 20
+// and with 0 voice users per cell, inline (FrameParallel 1), and bounds the
+// difference in NewEngine's allocations per voice user.
+func TestNewEngineAllocsPerVoiceUser(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	// allocs returns NewEngine's allocations and the voice user count.
+	allocs := func(perCell int) (float64, int) {
+		cfg := DefaultConfig()
+		cfg.VoiceUsersPerCell = perCell
+		cfg.FrameParallel = 1
+		voice := 0
+		n := testing.AllocsPerRun(5, func() {
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			voice = len(e.voice)
+			e.Close()
+		})
+		return n, voice
+	}
+	with, voice := allocs(20)
+	without, _ := allocs(0)
+	perUser := (with - without) / float64(voice)
+	t.Logf("%d voice users, %.2f NewEngine allocations each", voice, perUser)
+	if perUser > maxAllocsPerVoiceUser {
+		t.Fatalf("%.2f NewEngine allocations per voice user, bound %v", perUser, maxAllocsPerVoiceUser)
+	}
+}

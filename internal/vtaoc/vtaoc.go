@@ -317,15 +317,3 @@ func (f *FixedRate) AverageThroughput(meanCSIDB float64) float64 {
 	p := math.Exp(-mathx.Linear(f.minCSIDB) / gammaBar)
 	return p * f.throughput
 }
-
-// ThroughputProvider is the interface shared by the adaptive coder and the
-// fixed-rate baseline that the MAC/admission layer consumes: it needs only
-// the Rayleigh-averaged throughput at the local-mean CSI (the paper's bp_j).
-type ThroughputProvider interface {
-	AverageThroughput(meanCSIDB float64) float64
-}
-
-var (
-	_ ThroughputProvider = (*Coder)(nil)
-	_ ThroughputProvider = (*FixedRate)(nil)
-)

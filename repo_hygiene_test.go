@@ -243,9 +243,10 @@ func TestDocsNameExistingInternalPaths(t *testing.T) {
 	}
 }
 
-// unreferencedExportsAllowed lists exported functions and methods under
-// internal/ that no non-test code names, each with the reason it stays.
-// Keys are "<package dir>.<Func>" or "<package dir>.<Type>.<Method>".
+// unreferencedExportsAllowed lists exported types, functions and methods
+// under internal/ that no non-test code names, each with the reason it
+// stays. Keys are "<package dir>.<Type>", "<package dir>.<Func>" or
+// "<package dir>.<Type>.<Method>".
 var unreferencedExportsAllowed = map[string]string{
 	// Paper equations (docs/PAPER_MAPPING.md).
 	"internal/vtaoc.RatePlan.RelativeBitRate": "paper eq. (4): relative SCH bit rate",
@@ -255,19 +256,20 @@ var unreferencedExportsAllowed = map[string]string{
 	"internal/vtaoc.BER":                      "paper Section 2: the per-mode BER that requiredSNR inverts into the constant-BER thresholds",
 
 	// Test oracles: references and checks that tests run.
-	"internal/cellular.ActiveSet":            "reference for ActiveSetInto and ActiveSetLinearInto",
-	"internal/cellular.ReducedActiveSet":     "reference for ReducedActiveSetInto",
 	"internal/cellular.Layout.NearestCell":   "test oracle of spatial.Index's nearest-cell queries",
 	"internal/cellular.Layout.NearestCellSq": "test oracle of spatial.Index's nearest-cell queries, squared distances",
 	"internal/channel.Batch.ShadowRow":       "tests compare batch shadowing with the scalar Link chain through it",
 }
 
-// TestExportedSymbolsReachable fails when an exported top-level function
-// or method declared in a non-test file under internal/ is reached by no
-// non-test code of internal/, cmd/, examples/ or perfbench/. Names are
-// resolved by go/types, so a name shared with a field or another type's
-// method does not hide dead code. A function or method is reached when a
-// non-test identifier other than its declaration resolves to it. A method
+// TestExportedSymbolsReachable fails when an exported top-level type,
+// function or method declared in a non-test file under internal/ is
+// reached by no non-test code of internal/, cmd/, examples/ or perfbench/.
+// Names are resolved by go/types, so a name shared with a field or another
+// type's method does not hide dead code. A function or method is reached
+// when a non-test identifier other than its declaration resolves to it. A
+// type is reached when a non-test identifier outside its own declaration
+// and outside every `var _ T = ...` assertion resolves to it: an interface
+// that only assertions name is consumed by nothing. A method
 // is also reached when it implements a method that non-test code calls
 // through an interface, or a method of error, json.Marshaler or
 // json.Unmarshaler, which the standard library calls on its own.
@@ -277,10 +279,14 @@ var unreferencedExportsAllowed = map[string]string{
 // purpose go in unreferencedExportsAllowed with a reason.
 func TestExportedSymbolsReachable(t *testing.T) {
 	pkgs, std := typeCheckTree(t, "internal", "cmd", "examples", "perfbench")
-	reached := map[*types.Func]bool{}
+	reached := map[types.Object]bool{}
 	var ifaceCalls []*types.Func // interface methods non-test code calls
 	for _, p := range pkgs {
-		for _, obj := range p.info.Uses {
+		ignored := typeUsesIgnored(p)
+		for id, obj := range p.info.Uses {
+			if tn, ok := obj.(*types.TypeName); ok && !ignored(id, tn) {
+				reached[tn] = true
+			}
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
@@ -322,24 +328,36 @@ func TestExportedSymbolsReachable(t *testing.T) {
 		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
+		unreached := func(name *ast.Ident, key string) {
+			if _, ok := unreferencedExportsAllowed[key]; ok {
+				allowedDead[key] = true
+			} else {
+				dead = append(dead, key+" ("+p.fset.Position(name.Pos()).String()+")")
+			}
+		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				fn := p.info.Defs[fd.Name].(*types.Func)
-				if reached[fn] || (fd.Recv != nil && implementsCalled(fn)) {
-					continue
-				}
-				key := p.dir + "." + fd.Name.Name
-				if fd.Recv != nil {
-					key = p.dir + "." + receiverType(fd.Recv.List[0].Type) + "." + fd.Name.Name
-				}
-				if _, ok := unreferencedExportsAllowed[key]; ok {
-					allowedDead[key] = true
-				} else {
-					dead = append(dead, key+" ("+p.fset.Position(fd.Pos()).String()+")")
+				switch d := d.(type) {
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if ok && ts.Name.IsExported() && !reached[p.info.Defs[ts.Name]] {
+							unreached(ts.Name, p.dir+"."+ts.Name.Name)
+						}
+					}
+				case *ast.FuncDecl:
+					if !d.Name.IsExported() {
+						continue
+					}
+					fn := p.info.Defs[d.Name].(*types.Func)
+					if reached[fn] || (d.Recv != nil && implementsCalled(fn)) {
+						continue
+					}
+					key := p.dir + "." + d.Name.Name
+					if d.Recv != nil {
+						key = p.dir + "." + receiverType(d.Recv.List[0].Type) + "." + d.Name.Name
+					}
+					unreached(d.Name, key)
 				}
 			}
 		}
@@ -355,6 +373,31 @@ func TestExportedSymbolsReachable(t *testing.T) {
 		case !allowedDead[key]:
 			t.Errorf("allowlist entry %s names no unreached exported symbol (remove the entry)", key)
 		}
+	}
+}
+
+// typeUsesIgnored returns whether a use id of type tn in package p does not
+// reach tn: id lies inside tn's own type declaration, or inside a
+// `var _ T = ...` assertion (a value spec that declares only blank names).
+func typeUsesIgnored(p *checkedPackage) func(id *ast.Ident, tn *types.TypeName) bool {
+	own := map[types.Object]ast.Node{}
+	var asserts []ast.Node
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				own[p.info.Defs[n.Name]] = n
+			case *ast.ValueSpec:
+				if !slices.ContainsFunc(n.Names, func(id *ast.Ident) bool { return id.Name != "_" }) {
+					asserts = append(asserts, n)
+				}
+			}
+			return true
+		})
+	}
+	within := func(id *ast.Ident, n ast.Node) bool { return n != nil && n.Pos() <= id.Pos() && id.End() <= n.End() }
+	return func(id *ast.Ident, tn *types.TypeName) bool {
+		return within(id, own[tn]) || slices.ContainsFunc(asserts, func(n ast.Node) bool { return within(id, n) })
 	}
 }
 
