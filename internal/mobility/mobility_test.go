@@ -64,19 +64,14 @@ func TestRandomWaypointPauses(t *testing.T) {
 	}
 }
 
-// TestRandomWaypointDegenerateSpeed: a zero-speed user never moves, over
-// one long step or many frame-length ones, and backwards speed bounds are
-// clamped so that no speed is negative.
+// TestRandomWaypointDegenerateSpeed: a zero-speed user never moves over one
+// long step, and backwards speed bounds are clamped so that no speed is
+// negative.
 func TestRandomWaypointDegenerateSpeed(t *testing.T) {
 	b := oneUser(5, 0, 0, 0)
 	p0 := b.Position(0)
 	if d := b.Advance(0, 100); d != 0 {
 		t.Errorf("zero-speed user travelled %v", d)
-	}
-	for i := 0; i < 100; i++ {
-		if d := b.Advance(0, 0.02); d != 0 {
-			t.Fatalf("zero-speed user travelled %v", d)
-		}
 	}
 	if b.Position(0) != p0 {
 		t.Errorf("zero-speed user moved from %v to %v", p0, b.Position(0))
@@ -85,6 +80,23 @@ func TestRandomWaypointDegenerateSpeed(t *testing.T) {
 	b2.Advance(0, 1)
 	if b2.speed[0] < 0 {
 		t.Error("speed should never be negative")
+	}
+}
+
+// TestWaypointBatchZeroSpeed: a zero-speed user with pauses enabled never
+// moves over many 20 ms frames.
+func TestWaypointBatchZeroSpeed(t *testing.T) {
+	region := Region{Width: 100, Height: 100}
+	b := NewWaypointBatch(region, 0, 0, 5, 1)
+	b.SeedUser(0, rng.New(5))
+	p0 := b.Position(0)
+	for i := 0; i < 100; i++ {
+		if d := b.Advance(0, 0.02); d != 0 {
+			t.Fatalf("zero-speed user travelled %v", d)
+		}
+	}
+	if b.Position(0) != p0 {
+		t.Fatalf("zero-speed user moved from %v to %v", p0, b.Position(0))
 	}
 }
 
